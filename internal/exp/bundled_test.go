@@ -44,14 +44,16 @@ func relDev(a, b float64) float64 {
 	return d
 }
 
-// TestBundledMatchesExactTolerance runs the bundled executor against
-// the exact executor over every overlap algorithm and all three
-// regular workloads on both platforms, and requires the makespan and
-// the phase breakdown to agree within bundledTolerance.
-func TestBundledMatchesExactTolerance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bundled-vs-exact sweep is long")
-	}
+// bundledCell is one cell of the DESIGN.md §14 bundled matrix.
+type bundledCell struct {
+	name string
+	spec Spec
+}
+
+// bundledMatrix enumerates the DESIGN.md §14 matrix: both deterministic
+// platforms × the three regular workloads × every overlap algorithm at
+// four nodes, seed 1.
+func bundledMatrix() []bundledCell {
 	gens := []struct {
 		name string
 		gen  workload.Generator
@@ -64,57 +66,71 @@ func TestBundledMatchesExactTolerance(t *testing.T) {
 		{"tileio", tileio.Config{ElemSize: 1 << 16, ElemsX: 16, ElemsY: 8, Label: "t"}},
 		{"flashio", flashio.Config{NXB: 8, NYB: 8, NZB: 8, BytesPerCell: 8, BlocksPerProc: 8, NumVars: 2}},
 	}
-	pfs := []platform.Platform{platform.Crill().Deterministic(), platform.Ibex().Deterministic()}
-	for _, pf := range pfs {
+	var out []bundledCell
+	for _, pf := range []platform.Platform{platform.Crill().Deterministic(), platform.Ibex().Deterministic()} {
 		for _, g := range gens {
 			for _, algo := range fcoll.AllAlgorithms {
-				pf, g, algo := pf, g, algo
-				t.Run(pf.Name+"/"+g.name+"/"+algo.String(), func(t *testing.T) {
-					spec := Spec{
-						Platform:  pf,
-						// Four-plus nodes: cohorts are node slots, so the
-						// collapse test (cohorts ≤ non-aggregators/2) needs
-						// each slot to repeat across several nodes.
-						NProcs: 4 * pf.RanksPerNode,
-						Gen:       g.gen,
-						Algorithm: algo,
-						Seed:      1,
-					}
-					exact, err := Execute(spec)
-					if err != nil {
-						t.Fatal(err)
-					}
-					spec.Bundle = true
-					bundled, err := Execute(spec)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if bundled.BytesWritten != exact.BytesWritten {
-						t.Fatalf("bytes written: bundled %d, exact %d", bundled.BytesWritten, exact.BytesWritten)
-					}
-					if bundled.Cycles != exact.Cycles || bundled.Aggregators != exact.Aggregators {
-						t.Fatalf("plan shape: bundled %d cycles/%d aggs, exact %d/%d",
-							bundled.Cycles, bundled.Aggregators, exact.Cycles, exact.Aggregators)
-					}
-					if d := relDev(float64(bundled.Elapsed), float64(exact.Elapsed)); d > bundledTolerance {
-						t.Errorf("elapsed: bundled %v, exact %v (dev %.1f%% > %.0f%%)",
-							bundled.Elapsed, exact.Elapsed, 100*d, 100*bundledTolerance)
-					}
-					// Phase wait accounting is only comparable where the
-					// algorithm has no overlap to shift waits between
-					// phases: the bundled aggregator reaches its waits at
-					// slightly different instants than the exact rank, so
-					// under overlap the same end-to-end schedule divides
-					// into different wait spans (DESIGN.md §14).
-					if algo == fcoll.NoOverlap {
-						if d := relDev(float64(bundled.WriteTime), float64(exact.WriteTime)); d > bundledTolerance {
-							t.Errorf("write time: bundled %v, exact %v (dev %.1f%%)",
-								bundled.WriteTime, exact.WriteTime, 100*d)
-						}
-					}
-				})
+				out = append(out, bundledCell{pf.Name + "/" + g.name + "/" + algo.String(), Spec{
+					Platform: pf,
+					// Four-plus nodes: cohorts are node slots, so the
+					// collapse test (cohorts ≤ non-aggregators/2) needs
+					// each slot to repeat across several nodes.
+					NProcs:    4 * pf.RanksPerNode,
+					Gen:       g.gen,
+					Algorithm: algo,
+					Seed:      1,
+				}})
 			}
 		}
+	}
+	return out
+}
+
+// TestBundledMatchesExactTolerance runs the bundled executor against
+// the exact executor over every overlap algorithm and all three
+// regular workloads on both platforms, and requires the makespan and
+// the phase breakdown to agree within bundledTolerance.
+func TestBundledMatchesExactTolerance(t *testing.T) {
+	if testing.Short() {
+		t.Skip("bundled-vs-exact sweep is long")
+	}
+	for _, cell := range bundledMatrix() {
+		cell := cell
+		t.Run(cell.name, func(t *testing.T) {
+			spec, algo := cell.spec, cell.spec.Algorithm
+			exact, err := Execute(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec.Bundle = true
+			bundled, err := Execute(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bundled.BytesWritten != exact.BytesWritten {
+				t.Fatalf("bytes written: bundled %d, exact %d", bundled.BytesWritten, exact.BytesWritten)
+			}
+			if bundled.Cycles != exact.Cycles || bundled.Aggregators != exact.Aggregators {
+				t.Fatalf("plan shape: bundled %d cycles/%d aggs, exact %d/%d",
+					bundled.Cycles, bundled.Aggregators, exact.Cycles, exact.Aggregators)
+			}
+			if d := relDev(float64(bundled.Elapsed), float64(exact.Elapsed)); d > bundledTolerance {
+				t.Errorf("elapsed: bundled %v, exact %v (dev %.1f%% > %.0f%%)",
+					bundled.Elapsed, exact.Elapsed, 100*d, 100*bundledTolerance)
+			}
+			// Phase wait accounting is only comparable where the
+			// algorithm has no overlap to shift waits between
+			// phases: the bundled aggregator reaches its waits at
+			// slightly different instants than the exact rank, so
+			// under overlap the same end-to-end schedule divides
+			// into different wait spans (DESIGN.md §14).
+			if algo == fcoll.NoOverlap {
+				if d := relDev(float64(bundled.WriteTime), float64(exact.WriteTime)); d > bundledTolerance {
+					t.Errorf("write time: bundled %v, exact %v (dev %.1f%%)",
+						bundled.WriteTime, exact.WriteTime, 100*d)
+				}
+			}
+		})
 	}
 }
 
