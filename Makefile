@@ -6,7 +6,7 @@ GO ?= go
 
 .PHONY: check build vet collvet test race race-parallel bench bench-diff metrics-smoke scale-smoke select-smoke
 
-check: build vet collvet race-parallel select-smoke race
+check: build vet collvet race-parallel scale-smoke select-smoke race
 
 build:
 	$(GO) build ./...
@@ -83,8 +83,9 @@ bench-diff:
 # executor's scale path: a 65536-rank IOR collective write on the fluid
 # network model must finish inside the test's 10-second wall budget
 # (the run itself takes well under a second; the budget absorbs loaded
-# hosts). -count=1 defeats the test cache — a cached PASS proves
-# nothing about this host.
+# hosts). Part of `make check`, since the bundled aggregators run the
+# shared fcoll.Drive drivers. -count=1 defeats the test cache — a cached
+# PASS proves nothing about this host.
 scale-smoke:
 	$(GO) test -count=1 -run 'TestScaleSmoke65k' -v ./internal/exp/
 

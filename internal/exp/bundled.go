@@ -32,9 +32,9 @@ import (
 //     are replayed out of the batch by byte offset (fluid-model
 //     milestones under -netmodel flow, linear interpolation under
 //     chunked) when instrumentation asks for them.
-//   - Aggregators stay real: one sim.Proc each, running the exact
-//     per-cycle control flow of the selected overlap algorithm against
-//     the real simulated file system and network.
+//   - Aggregators stay real: one sim.Proc each, running the selected
+//     overlap algorithm's fcoll.Drive driver — the same code an exact
+//     rank runs — against the real simulated file system and network.
 //   - Collective control ladders (setup allreduce/allgather(v), the
 //     per-cycle alltoall, the final barrier) are charged in closed form
 //     from the same mpi.Config constants the exact ladders use, at
@@ -291,23 +291,25 @@ func executeBundled(spec Spec) (Metrics, bool, error) {
 		start = v.final.fut
 	}
 
-	naggs := len(scheds[0].AggRanks())
-	type aggTotals struct {
-		shuffleTime, writeTime sim.Time
-		bytesWritten           int64
-	}
-	totals := make([]aggTotals, naggs)
-	for a := 0; a < naggs; a++ {
-		a := a
+	aggs := make([]aggRun, len(scheds[0].AggRanks()))
+	// Drive fails only on an unknown algorithm, before any operation:
+	// every aggregator then stops at its first view.
+	var driveErr error
+	for a := range aggs {
+		ag := &aggs[a]
+		ag.b, ag.a = b, a
 		b.k.Spawn(fmt.Sprintf("agg%d", a), func(p *sim.Proc) {
-			ag := &aggRun{b: b, p: p, a: a}
+			ag.p = p
 			for vi, v := range b.views {
 				p.Wait(b.starts[vi])
 				p.Sleep(v.setup)
 				ag.v = v
 				ag.rank = v.sched.AggRanks()[a]
 				ag.node = ag.rank / b.rpn
-				ag.run()
+				if err := fcoll.Drive(b.algo, ag); err != nil {
+					driveErr = err
+					return
+				}
 				tSync := p.Now()
 				v.final.arrive()
 				p.Wait(v.final.fut)
@@ -315,10 +317,12 @@ func executeBundled(spec Spec) (Metrics, bool, error) {
 				b.probeSpan(probe.CauseSync, ag.rank, -1, tSync, p.Now())
 				b.metricSpan("sync", tSync, p.Now())
 			}
-			totals[a] = aggTotals{ag.shuffleTime, ag.writeTime, ag.bytesWritten}
 		})
 	}
 	b.k.Run()
+	if driveErr != nil {
+		return Metrics{}, false, driveErr
+	}
 
 	last := b.views[len(b.views)-1]
 	if !last.final.fut.Done() {
@@ -327,14 +331,15 @@ func executeBundled(spec Spec) (Metrics, bool, error) {
 	var m Metrics
 	m.Elapsed = last.final.fut.DoneAt()
 	m.Cycles = b.views[0].sched.NCycles()
-	m.Aggregators = naggs
-	for _, t := range totals {
-		m.BytesWritten += t.bytesWritten
-		if t.shuffleTime > m.ShuffleTime {
-			m.ShuffleTime = t.shuffleTime
+	m.Aggregators = len(aggs)
+	for i := range aggs {
+		ag := &aggs[i]
+		m.BytesWritten += ag.bytesWritten
+		if ag.shuffleTime > m.ShuffleTime {
+			m.ShuffleTime = ag.shuffleTime
 		}
-		if t.writeTime > m.WriteTime {
-			m.WriteTime = t.writeTime
+		if ag.writeTime > m.WriteTime {
+			m.WriteTime = ag.writeTime
 		}
 	}
 	if b.instr {
@@ -492,10 +497,6 @@ func (b *cohortRun) issueCycle(v *viewState, c int) {
 			v.final.arrive()
 		}
 	})
-	if b.instr {
-		b.replayShuffleSpans(v, c)
-	}
-	_ = release
 }
 
 // issueBatch puts one batched transfer on the wire and forwards its
@@ -540,12 +541,6 @@ func (b *cohortRun) issueBatch(node, aggNode int, size int64, cycle int, release
 	tr.Delivered.OnDone(delF.Complete)
 	b.net.Release(tr)
 }
-
-// replayShuffleSpans covers the members whose batches carry milestones
-// already (nothing to do — spans are recorded per milestone) and is a
-// hook point kept separate so the scale path never branches on
-// instrumentation inside the batch loop.
-func (b *cohortRun) replayShuffleSpans(*viewState, int) {}
 
 // memberSpan records one replayed member shuffle span into every
 // attached sink (the per-cohort sample expansion: dashboards and phase
@@ -607,7 +602,6 @@ func (b *cohortRun) emitRankTelemetry(views []*fcoll.JobView) {
 			}
 			b.pb.Counters().Add(probe.CtrCollCycles, int64(v.sched.NCycles()))
 		}
-		_ = views
 	}
 	if b.pb != nil {
 		ctr := b.pb.Counters()
@@ -625,11 +619,12 @@ func (b *cohortRun) emitRankTelemetry(views []*fcoll.JobView) {
 	}
 }
 
-// aggRun executes one aggregator's per-cycle control flow for one view,
-// mirroring the exact executor's algorithm drivers over the bundled
-// substitutes: rendezvous for the cycle alltoall, the precomputed
-// recvDone future for shuffle completion, and the real simulated file
-// for writes.
+// aggRun is one aggregator's fcoll.Cycles for one view at a time: the
+// bundled substitutes are a rendezvous for the cycle alltoall, the
+// precomputed recvDone future for shuffle completion, and the real
+// simulated file for writes. fcoll.Drive runs the selected algorithm on
+// it, the same drivers an exact rank runs. Writes need no slot: the
+// bundled executor moves no bytes through the sub-buffers.
 type aggRun struct {
 	b    *cohortRun
 	p    *sim.Proc
@@ -637,36 +632,22 @@ type aggRun struct {
 	a    int
 	rank int
 	node int
+	sh   [2]struct { // in-flight shuffle per sub-buffer slot
+		cycle  int
+		initAt sim.Time
+	}
 
 	shuffleTime  sim.Time
 	writeTime    sim.Time
 	bytesWritten int64
 }
 
-func (ag *aggRun) run() {
-	switch ag.b.algo {
-	case fcoll.NoOverlap:
-		ag.runNoOverlap()
-	case fcoll.CommOverlap:
-		ag.runCommOverlap()
-	case fcoll.WriteOverlap:
-		ag.runWriteOverlap()
-	case fcoll.WriteCommOverlap:
-		ag.runWriteCommOverlap()
-	case fcoll.WriteComm2Overlap:
-		ag.runWriteComm2Static()
-	case fcoll.DataflowOverlap:
-		ag.runDataflow()
-	default:
-		panic(fmt.Sprintf("exp: bundled executor: unknown algorithm %v", ag.b.algo))
-	}
-}
+func (ag *aggRun) NCycles() int { return ag.v.sched.NCycles() }
 
-// shuffleInit is the bundled cycle opening: arrive at the cycle's
+// ShuffleInit is the bundled cycle opening: arrive at the cycle's
 // alltoall rendezvous and block until it releases (the de-facto global
-// synchronisation the exact AlltoallSync provides). Returns the phase
-// start time for span accounting.
-func (ag *aggRun) shuffleInit(c int) sim.Time {
+// synchronisation the exact AlltoallSync provides).
+func (ag *aggRun) ShuffleInit(c, slot int) {
 	t0 := ag.p.Now()
 	if ag.b.pb != nil {
 		ag.b.pb.Emit(probe.Event{
@@ -677,12 +658,13 @@ func (ag *aggRun) shuffleInit(c int) sim.Time {
 	ag.v.syncs[c].arrive()
 	ag.p.Wait(ag.v.syncs[c].fut)
 	ag.shuffleTime += ag.p.Now() - t0
-	return t0
+	ag.sh[slot].cycle, ag.sh[slot].initAt = c, t0
 }
 
-// shuffleWait blocks until cycle c's inbound traffic is delivered, then
+// ShuffleWait blocks until the slot's inbound traffic is delivered, then
 // pays the staged-scatter copy.
-func (ag *aggRun) shuffleWait(c int, initAt sim.Time) {
+func (ag *aggRun) ShuffleWait(slot int) {
+	c, initAt := ag.sh[slot].cycle, ag.sh[slot].initAt
 	t0 := ag.p.Now()
 	ag.p.Wait(ag.v.recvDone[c][ag.a])
 	if u := ag.v.unpack[c][ag.a]; u > 0 {
@@ -695,11 +677,17 @@ func (ag *aggRun) shuffleWait(c int, initAt sim.Time) {
 	ag.b.metricSpan("shuffle", initAt, now)
 }
 
-func (ag *aggRun) shuffleBlocking(c int) {
-	ag.shuffleWait(c, ag.shuffleInit(c))
+func (ag *aggRun) ShuffleFuture(slot int) *sim.Future {
+	return ag.v.recvDone[ag.sh[slot].cycle][ag.a]
 }
 
-func (ag *aggRun) writeSync(c int) {
+func (ag *aggRun) WaitAny(futs ...*sim.Future) int { return ag.p.WaitAny(futs...) }
+
+// ShuffleReap is ShuffleWait: the bundled dataflow run records the
+// shuffle span, which the exact executor's does not (DESIGN.md §4).
+func (ag *aggRun) ShuffleReap(slot int) { ag.ShuffleWait(slot) }
+
+func (ag *aggRun) WriteSync(c, _ int) {
 	ext := ag.v.sched.CycleExtent(ag.a, c)
 	if ext.Len == 0 {
 		return
@@ -720,7 +708,7 @@ func (ag *aggRun) writeSync(c int) {
 	ag.b.metricSpan("write", t0, now)
 }
 
-func (ag *aggRun) writeInit(c int) *sim.Future {
+func (ag *aggRun) WriteInit(c, _ int) *sim.Future {
 	ext := ag.v.sched.CycleExtent(ag.a, c)
 	if ext.Len == 0 {
 		return nil
@@ -746,145 +734,11 @@ func (ag *aggRun) writeInit(c int) *sim.Future {
 	return fut
 }
 
-func (ag *aggRun) writeWait(f *sim.Future) {
+func (ag *aggRun) WriteWait(f *sim.Future) {
 	if f == nil {
 		return
 	}
 	t0 := ag.p.Now()
 	ag.p.Wait(f)
 	ag.writeTime += ag.p.Now() - t0
-}
-
-// The drivers below mirror internal/fcoll/algo.go line for line; any
-// change to a control flow there must be reflected here (the
-// bundled-vs-exact tolerance tests pin the correspondence).
-
-func (ag *aggRun) runNoOverlap() {
-	for c := 0; c < ag.v.sched.NCycles(); c++ {
-		ag.shuffleBlocking(c)
-		ag.writeSync(c)
-	}
-}
-
-func (ag *aggRun) runCommOverlap() {
-	n := ag.v.sched.NCycles()
-	if n == 0 {
-		return
-	}
-	sh := ag.shuffleInit(0)
-	cur := 0
-	for i := 1; i < n; i++ {
-		// Exact mode posts cycle i's shuffle before waiting cycle i-1;
-		// bundled shuffleInit blocks on the cycle rendezvous exactly as
-		// the exact AlltoallSync does.
-		sh2 := ag.shuffleInit(i)
-		ag.shuffleWait(cur, sh)
-		ag.writeSync(cur)
-		sh, cur = sh2, i
-	}
-	ag.shuffleWait(cur, sh)
-	ag.writeSync(cur)
-}
-
-func (ag *aggRun) runWriteOverlap() {
-	n := ag.v.sched.NCycles()
-	if n == 0 {
-		return
-	}
-	p1, p2 := 0, 1
-	ag.shuffleBlocking(0)
-	var w [2]*sim.Future
-	w[p1] = ag.writeInit(0)
-	for i := 1; i < n; i++ {
-		ag.shuffleBlocking(i)
-		w[p2] = ag.writeInit(i)
-		ag.writeWait(w[p1])
-		w[p1] = nil
-		p1, p2 = p2, p1
-	}
-	ag.writeWait(w[p1])
-	ag.writeWait(w[p2])
-}
-
-func (ag *aggRun) runWriteCommOverlap() {
-	n := ag.v.sched.NCycles()
-	if n == 0 {
-		return
-	}
-	ag.shuffleBlocking(0)
-	prev := 0
-	for c := 1; c < n; c++ {
-		w := ag.writeInit(prev)
-		sh := ag.shuffleInit(c)
-		ag.shuffleWait(c, sh)
-		ag.writeWait(w)
-		prev = c
-	}
-	ag.writeWait(ag.writeInit(prev))
-}
-
-func (ag *aggRun) runWriteComm2Static() {
-	n := ag.v.sched.NCycles()
-	if n == 0 {
-		return
-	}
-	var w [2]*sim.Future
-	ag.shuffleBlocking(0)
-	w[0] = ag.writeInit(0)
-	for c := 1; c < n; c++ {
-		s := c % 2
-		ag.writeWait(w[s])
-		w[s] = nil
-		sh := ag.shuffleInit(c)
-		ag.shuffleWait(c, sh)
-		w[s] = ag.writeInit(c)
-	}
-	ag.writeWait(w[0])
-	ag.writeWait(w[1])
-}
-
-func (ag *aggRun) runDataflow() {
-	n := ag.v.sched.NCycles()
-	type bufState struct {
-		cycle  int
-		initAt sim.Time
-		shFut  *sim.Future
-		write  *sim.Future
-	}
-	var st [2]bufState
-	next := 0
-	for {
-		for s := 0; s < 2 && next < n; s++ {
-			if st[s].shFut == nil && st[s].write == nil {
-				st[s].initAt = ag.shuffleInit(next)
-				st[s].cycle = next
-				st[s].shFut = ag.v.recvDone[next][ag.a]
-				next++
-			}
-		}
-		var futs []*sim.Future
-		var what []int
-		for s := 0; s < 2; s++ {
-			if st[s].shFut != nil {
-				futs = append(futs, st[s].shFut)
-				what = append(what, s*2)
-			}
-			if st[s].write != nil {
-				futs = append(futs, st[s].write)
-				what = append(what, s*2+1)
-			}
-		}
-		if len(futs) == 0 {
-			break
-		}
-		idx := ag.p.WaitAny(futs...)
-		s := what[idx] / 2
-		if what[idx]%2 == 0 {
-			ag.shuffleWait(st[s].cycle, st[s].initAt)
-			st[s].write = ag.writeInit(st[s].cycle)
-			st[s].shFut = nil
-		} else {
-			st[s].write = nil
-		}
-	}
 }

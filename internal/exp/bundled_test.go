@@ -19,9 +19,11 @@ import (
 // bundled path models the collective ladders (setup allgatherv, cycle
 // alltoall, final barrier) in closed form and batches member traffic
 // per node, so it is an approximation by construction; DESIGN.md §14
-// derives where the error comes from. The bound here is deliberately
-// tight enough that a control-flow divergence in the mirrored algorithm
-// drivers (a missing overlap, a serialized write) blows through it. The
+// derives where the error comes from. Both executors run the same
+// fcoll.Drive algorithm drivers; the bound is tight enough that a
+// divergence in the bundled substitutes (a missing overlap, a
+// serialized write) blows through it, and TestBundledGolden pins the
+// bundled output bit for bit besides. The
 // worst observed cell is comm-overlap at ~11% (the member bundle keeps
 // one cycle of sends in flight where exact members pipeline two); see
 // DESIGN.md §14 for the full deviation table.
@@ -131,6 +133,17 @@ func TestBundledMatchesExactTolerance(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBundledRejectsUnknownAlgorithm: the bundled path reports an
+// unknown algorithm as an error, as the exact path does.
+func TestBundledRejectsUnknownAlgorithm(t *testing.T) {
+	spec := bundledMatrix()[0].spec
+	spec.Bundle = true
+	spec.Algorithm = fcoll.Algorithm(99)
+	if _, err := Execute(spec); err == nil {
+		t.Fatal("unknown algorithm accepted")
 	}
 }
 

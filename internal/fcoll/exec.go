@@ -10,10 +10,10 @@ import (
 	"collio/internal/trace"
 )
 
-// exec is the per-rank execution state of one collective write. The
-// scratch fields at the bottom are grow-only and recycled across
-// cycles: after the first cycle or two the steady-state hot path
-// allocates nothing per cycle.
+// exec is the per-rank execution state of one collective write and the
+// exact executor's Cycles. The scratch fields at the bottom are
+// grow-only and recycled across cycles: after the first cycle or two
+// the steady-state hot path allocates nothing per cycle.
 type exec struct {
 	r        *mpi.Rank
 	jv       *JobView
@@ -64,21 +64,8 @@ func Run(r *mpi.Rank, jv *JobView, file Writer, opts Options) (Result, error) {
 		ex.opts.Metrics = opts.MetricsShards[r.Node()]
 	}
 	ex.setup()
-	switch opts.Algorithm {
-	case NoOverlap:
-		ex.runNoOverlap()
-	case CommOverlap:
-		ex.runCommOverlap()
-	case WriteOverlap:
-		ex.runWriteOverlap()
-	case WriteCommOverlap:
-		ex.runWriteCommOverlap()
-	case WriteComm2Overlap:
-		ex.runWriteComm2()
-	case DataflowOverlap:
-		ex.runDataflow()
-	default:
-		return Result{}, fmt.Errorf("fcoll: unknown algorithm %v", opts.Algorithm)
+	if err := Drive(opts.Algorithm, ex); err != nil {
+		return Result{}, err
 	}
 	// The collective completes on all ranks together (write_all is
 	// collective; vulcan's final synchronisation).
@@ -226,7 +213,7 @@ func (ex *exec) chargeCopy(n int64) {
 }
 
 // stageAlloc carves n bytes out of the slot's grow-only staging arena.
-// The arena resets at shuffleInit: every algorithm completes (waits and
+// The arena resets at ShuffleInit: every algorithm completes (waits and
 // unpacks) a slot's shuffle before reusing the slot, so outstanding
 // staged buffers never overlap a reset. A mid-cycle grow abandons the
 // old backing array, which earlier buffers of the same cycle keep
@@ -250,7 +237,7 @@ type shuffle struct {
 	staged      []stagedRecv   // data mode: receives needing scatter into the buffer
 	stagedComb  []stagedComb   // data mode: combined receives needing scatter (hier.go)
 	unpackBytes int64
-	futs        []*sim.Future // future() scratch
+	futs        []*sim.Future // ShuffleFuture scratch
 }
 
 type stagedRecv struct {
@@ -258,21 +245,13 @@ type stagedRecv struct {
 	op  recvOp
 }
 
-// future returns a completion future covering all of the shuffle's
-// requests (two-sided only; used by the data-flow algorithm).
-func (sh *shuffle) future(k *sim.Kernel) *sim.Future {
-	sh.futs = sh.futs[:0]
-	for _, q := range sh.reqs {
-		sh.futs = append(sh.futs, q.Future())
-	}
-	return k.Join(sh.futs...)
-}
+func (ex *exec) NCycles() int { return ex.p.ncycles }
 
-// shuffleInit starts the shuffle for cycle c into sub-buffer slot. The
-// returned state is the slot's recycled shuffle struct: it stays valid
-// until the next shuffleInit on the same slot, which every algorithm
-// orders after this shuffle's completion.
-func (ex *exec) shuffleInit(c, slot int) *shuffle {
+// ShuffleInit starts the shuffle for cycle c into sub-buffer slot. Its
+// state is the slot's recycled shuffle struct: it stays valid until the
+// next ShuffleInit on the same slot, which every algorithm orders after
+// this shuffle's completion.
+func (ex *exec) ShuffleInit(c, slot int) {
 	t0 := ex.r.Now()
 	sh := &ex.shState[slot]
 	sh.cycle, sh.slot, sh.initAt = c, slot, t0
@@ -339,7 +318,6 @@ func (ex *exec) shuffleInit(c, slot int) *shuffle {
 		}
 	}
 	ex.res.ShuffleTime += ex.r.Now() - t0
-	return sh
 }
 
 // cycleOrigins lists the world ranks sending into this aggregator's
@@ -368,8 +346,9 @@ func (ex *exec) cycleTargets(c int) []int {
 	return out
 }
 
-// shuffleWait completes the shuffle phase.
-func (ex *exec) shuffleWait(sh *shuffle) {
+// ShuffleWait completes the slot's shuffle phase.
+func (ex *exec) ShuffleWait(slot int) {
+	sh := &ex.shState[slot]
 	t0 := ex.r.Now()
 	switch ex.opts.Primitive {
 	case TwoSided:
@@ -395,10 +374,32 @@ func (ex *exec) shuffleWait(sh *shuffle) {
 	ex.metricPhase("shuffle", sh.initAt, ex.r.Now())
 }
 
-// shuffleBlocking is the blocking shuffle used by the write-overlap
-// family.
-func (ex *exec) shuffleBlocking(c, slot int) {
-	ex.shuffleWait(ex.shuffleInit(c, slot))
+// ShuffleFuture returns a completion future covering all of the slot's
+// shuffle requests. Only the two-sided primitive completes passively;
+// the one-sided ones return nil.
+func (ex *exec) ShuffleFuture(slot int) *sim.Future {
+	if ex.opts.Primitive != TwoSided {
+		return nil
+	}
+	sh := &ex.shState[slot]
+	sh.futs = sh.futs[:0]
+	for _, q := range sh.reqs {
+		sh.futs = append(sh.futs, q.Future())
+	}
+	return ex.r.Kernel().Join(sh.futs...)
+}
+
+func (ex *exec) WaitAny(futs ...*sim.Future) int { return ex.r.WaitAnyFuture(futs...) }
+
+// ShuffleReap finishes a two-sided shuffle whose future has completed:
+// it reaps the requests, scatters staged data and accounts the wait.
+// Unlike ShuffleWait it records no shuffle span (DESIGN.md §4).
+func (ex *exec) ShuffleReap(slot int) {
+	sh := &ex.shState[slot]
+	t0 := ex.r.Now()
+	ex.r.Wait(sh.reqs...) // already complete; reap
+	ex.unpack(sh)
+	ex.res.ShuffleTime += ex.r.Now() - t0
 }
 
 // twoSidedInit posts the aggregator receives (first, so eager traffic
@@ -549,9 +550,9 @@ func (ex *exec) lockPutUnlockAll(sh *shuffle) {
 	}
 }
 
-// writeSync flushes cycle c's window from slot synchronously (blocking
+// WriteSync flushes cycle c's window from slot synchronously (blocking
 // POSIX write: the rank leaves the MPI library for the duration).
-func (ex *exec) writeSync(c, slot int) {
+func (ex *exec) WriteSync(c, slot int) {
 	if ex.aggIdx < 0 {
 		return
 	}
@@ -580,10 +581,10 @@ func (ex *exec) writeSync(c, slot int) {
 	ex.metricPhase("write", t0, ex.r.Now())
 }
 
-// writeInit starts an asynchronous flush of cycle c's window from slot
+// WriteInit starts an asynchronous flush of cycle c's window from slot
 // and returns its completion future (nil when this rank writes nothing
 // this cycle).
-func (ex *exec) writeInit(c, slot int) *sim.Future {
+func (ex *exec) WriteInit(c, slot int) *sim.Future {
 	if ex.aggIdx < 0 {
 		return nil
 	}
@@ -626,10 +627,10 @@ func (ex *exec) writeInit(c, slot int) *sim.Future {
 	return fut
 }
 
-// writeWait completes an asynchronous write. The rank stays inside MPI
+// WriteWait completes an asynchronous write. The rank stays inside MPI
 // while waiting (MPI_File_iwrite + MPI_Wait), so communication keeps
 // progressing — the asymmetry at the heart of the paper's results.
-func (ex *exec) writeWait(f *sim.Future) {
+func (ex *exec) WriteWait(f *sim.Future) {
 	if f == nil {
 		return
 	}

@@ -43,7 +43,7 @@ const (
 	// WriteComm2Overlap (Algorithm 4) is the revised variant that
 	// avoids the shuffle and write completing at the same time: each
 	// completed non-blocking operation is immediately followed by
-	// posting its successor, two cycles per loop iteration.
+	// posting its successor, one cycle per step.
 	WriteComm2Overlap
 	// DataflowOverlap is an extension beyond the paper: a fully
 	// event-driven scheduler that reacts to whichever operation
