@@ -42,7 +42,13 @@ race-parallel:
 # and when BENCHBASE names a prior BENCH_*.json the per-benchmark deltas
 # print to stderr. BENCHTIME=1x (the default) runs every simulation
 # once — enough for the deterministic sim-ms/op numbers; raise it to
-# steady wall-clock measurements.
+# steady wall-clock measurements. Rows are keyed by (name, GOMAXPROCS)
+# and every committed BENCH_*.json was recorded at GOMAXPROCS=1, so on a
+# multi-core host run `GOMAXPROCS=1 make bench` (and bench-diff) or the
+# diff finds no shared benchmarks. -timeout 30m: the exact 4096-rank
+# cells of internal/exp take several minutes each, and together they
+# outrun go test's 10-minute default on a loaded host, which cut the
+# package off and dropped its remaining rows from the record.
 #
 # Note the division of labour with `make race`: benchmarks and the
 # parallel sweep runner (-j) measure throughput, while the race lane
@@ -50,12 +56,12 @@ race-parallel:
 # equivalence tests — under the race detector. Perf numbers come from
 # bench, concurrency-correctness evidence from race.
 BENCHTIME ?= 1x
-BENCHOUT ?= BENCH_PR10.json
-BENCHBASE ?= BENCH_PR9.json
+BENCHOUT ?= BENCH_PR14.json
+BENCHBASE ?= BENCH_PR10.json
 BENCHDIFF = $(if $(wildcard $(BENCHBASE)),-diff $(BENCHBASE),)
 
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./... | tee /dev/stderr | $(GO) run ./cmd/benchjson $(BENCHDIFF) > $(BENCHOUT)
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -timeout 30m ./... | tee /dev/stderr | $(GO) run ./cmd/benchjson $(BENCHDIFF) > $(BENCHOUT)
 
 # `make bench-diff` is the CI-style regression gate: re-run the
 # benchmarks and fail non-zero if ns/op regressed beyond BENCHFAIL
@@ -77,7 +83,7 @@ BENCHGATE ?= ScaleSweep|ParallelRun|CohortScale|SelectColdVsWarm|HierarchicalSwe
 BENCHALLOCGATE ?= RunSeries|TableISweep|ScaleSweep|ParallelRun|CohortScale|SelectColdVsWarm|HierarchicalSweep
 
 bench-diff:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./... | $(GO) run ./cmd/benchjson -diff $(BENCHBASE) -fail-above $(BENCHFAIL) -fail-allocs-above $(BENCHALLOCFAIL) -gate '$(BENCHGATE)' -allocs-gate '$(BENCHALLOCGATE)' > /dev/null
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -timeout 30m ./... | $(GO) run ./cmd/benchjson -diff $(BENCHBASE) -fail-above $(BENCHFAIL) -fail-allocs-above $(BENCHALLOCFAIL) -gate '$(BENCHGATE)' -allocs-gate '$(BENCHALLOCGATE)' > /dev/null
 
 # `make scale-smoke` is the acceptance check for the bundled cohort
 # executor's scale path: a 65536-rank IOR collective write on the fluid

@@ -13,8 +13,8 @@ import (
 // any simulated process. A blocking call there (Rank.Wait, Barrier, a
 // collective, Proc.Sleep — anything that parks the "current process")
 // has no process to park: it deadlocks the scheduler or corrupts the
-// dispatch handshake. Only code reachable from a rank body (a function
-// run on a Proc via Spawn/Launch) may block.
+// dispatch/yield coroutine switch. Only code reachable from a rank body
+// (a function run on a Proc via Spawn/Launch) may block.
 //
 // Detection: function literals (and bound method values) passed to
 // OnDone/After/At are event context; the analyzer walks them, following

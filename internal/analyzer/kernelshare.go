@@ -28,8 +28,9 @@ import (
 // workers, so that escape is flagged like any other.
 //
 // Packages named "sim" are exempt: the kernel's own coroutine machinery
-// (Spawn's goroutine, the dispatch/yield handshake, the window worker
-// pool) is the one place such sharing is part of the design.
+// (Spawn's iter.Pull coroutine, resumed by dispatch from whichever
+// goroutine runs the kernel, and the window worker pool) is the one
+// place such sharing is part of the design.
 var KernelShare = &Analyzer{
 	Name: "kernelshare",
 	Doc:  "flag *sim.Kernel, *sim.Proc or *rand.Rand crossing a goroutine boundary outside the kernel",

@@ -43,7 +43,7 @@ func BenchmarkKernelTimerWheel(b *testing.B) {
 }
 
 // BenchmarkSpawnYield measures the process scheduling path: one Yield is
-// a dispatch event plus two channel handoffs (park + wake).
+// a dispatch event plus two coroutine switches (suspend + resume).
 func BenchmarkSpawnYield(b *testing.B) {
 	b.ReportAllocs()
 	k := NewKernel(1)

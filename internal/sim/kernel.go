@@ -7,10 +7,10 @@
 //   - Callback events, run inline in the kernel goroutine. These are used
 //     for resource bookkeeping (network deliveries, storage completions).
 //   - Processes (Proc), long-running coroutines representing MPI ranks or
-//     OS service threads. Processes run on their own goroutines but the
-//     kernel guarantees that at most one entity (kernel or a single
-//     process) executes at any moment, which makes the simulation fully
-//     deterministic for a fixed seed.
+//     OS service threads. The kernel resumes and suspends each process
+//     body by a direct coroutine switch (iter.Pull), so at most one entity
+//     (kernel or a single process) executes at any moment, which makes the
+//     simulation fully deterministic for a fixed seed.
 //
 // Determinism is load-bearing: every experiment in this repository is
 // reproducible bit-for-bit given its seed, which is how the statistical
@@ -213,7 +213,6 @@ type Kernel struct {
 	now    Time
 	seq    int64
 	events eventQueue
-	yield  chan struct{} // a running Proc signals here when it blocks/exits
 	rng    *rand.Rand
 	nprocs int // live process count (debugging / deadlock detection)
 
@@ -259,7 +258,6 @@ type Kernel struct {
 // The same seed always produces the same simulation trajectory.
 func NewKernel(seed int64) *Kernel {
 	return &Kernel{
-		yield:  make(chan struct{}),
 		rng:    rand.New(rand.NewSource(seed)),
 		events: make(eventQueue, 0, 64),
 	}
@@ -494,70 +492,3 @@ func (k *Kernel) ScheduleRemote(dst int, t Time, fn func()) {
 		dst: int32(dst), at: t, schedAt: k.now, seq: k.seq, crec: k.creator(), fn: fn,
 	})
 }
-
-// Proc is a simulated sequential process (an MPI rank, an OS helper
-// thread). Its body runs on a dedicated goroutine, but the kernel ensures
-// at most one process runs at a time, so process code needs no locking
-// against other processes.
-type Proc struct {
-	k    *Kernel
-	name string
-	wake chan struct{}
-	done bool
-}
-
-// Spawn creates a process running fn and schedules it to start at the
-// current virtual time.
-func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
-	return k.SpawnAt(0, name, fn)
-}
-
-// SpawnAt is Spawn with a start delay.
-func (k *Kernel) SpawnAt(d Time, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, wake: make(chan struct{})}
-	k.nprocs++
-	go func() {
-		<-p.wake // wait for first dispatch
-		fn(p)
-		p.done = true
-		k.nprocs--
-		k.yield <- struct{}{} // return control to the kernel
-	}()
-	k.afterDispatch(d, p)
-	return p
-}
-
-// dispatch hands the CPU to p and waits until p blocks or exits. It must
-// be called from kernel (event-callback) context only.
-func (k *Kernel) dispatch(p *Proc) {
-	p.wake <- struct{}{}
-	<-k.yield
-}
-
-// Kernel returns the kernel that owns p.
-func (p *Proc) Kernel() *Kernel { return p.k }
-
-// Name returns the process name (for diagnostics).
-func (p *Proc) Name() string { return p.name }
-
-// Now returns the current virtual time.
-func (p *Proc) Now() Time { return p.k.now }
-
-// block parks the calling process until another entity calls
-// k.dispatch(p) again (via a scheduled event).
-func (p *Proc) block() {
-	p.k.yield <- struct{}{}
-	<-p.wake
-}
-
-// Sleep advances the process by d of virtual time (e.g. a compute phase
-// or memory-copy cost). A non-positive d still yields so that other
-// same-time events interleave fairly.
-func (p *Proc) Sleep(d Time) {
-	p.k.afterDispatch(d, p)
-	p.block()
-}
-
-// Yield relinquishes the CPU until all events already scheduled for the
-// current instant have run.
-func (p *Proc) Yield() { p.Sleep(0) }
