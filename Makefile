@@ -4,9 +4,14 @@
 
 GO ?= go
 
+# bash with pipefail: a failing `go test` on the left of a pipe (bench,
+# bench-diff) must fail the target instead of silently dropping rows.
+SHELL := bash
+.SHELLFLAGS := -o pipefail -c
+
 .PHONY: check build vet collvet test race race-parallel bench bench-diff metrics-smoke scale-smoke select-smoke
 
-check: build vet collvet race-parallel scale-smoke select-smoke race
+check: build vet collvet race-parallel scale-smoke select-smoke metrics-smoke race
 
 build:
 	$(GO) build ./...
@@ -107,7 +112,10 @@ select-smoke:
 # small iorbench run with -metrics and -metrics-out, then the .prom
 # snapshot is parsed back through cmd/metricsdiff (a self-diff with
 # -fail-changed must exit zero, proving the exporter emits what the
-# parser reads), and the csv/html artefacts are checked non-empty.
+# parser reads), and the csv/html artefacts are checked non-empty. A
+# collective read with -metrics must report its phase series too: every
+# executor emits phases through the one fcoll.Observer path. Part of
+# `make check`.
 METRICS_SMOKE_DIR = $(or $(TMPDIR),/tmp)/collio-metrics-smoke
 
 metrics-smoke:
@@ -117,3 +125,5 @@ metrics-smoke:
 	test -s $(METRICS_SMOKE_DIR)/run.csv
 	test -s $(METRICS_SMOKE_DIR)/run.html
 	grep -q 'fs.chunk_latency_ns' $(METRICS_SMOKE_DIR)/summary.txt
+	$(GO) run ./cmd/iorbench -np 8 -runs 1 -read -metrics > $(METRICS_SMOKE_DIR)/read.txt
+	grep -q 'phase.read.rank_ns' $(METRICS_SMOKE_DIR)/read.txt

@@ -51,7 +51,10 @@ type Spec struct {
 	// (enforced by TestDataSymbolicEquivalence); data mode exists for
 	// end-to-end content verification at a host-memory cost.
 	DataMode bool
-	// Trace, when non-nil, records phase spans of the run.
+	// Trace, when non-nil, receives the phase spans of the run. It is a
+	// view of the collective engine's probe phase events, appended after
+	// the run (fcoll.AppendTrace) from Probe, or from a private probe
+	// when Probe is nil.
 	Trace *trace.Recorder
 	// Probe, when non-nil, is attached to all four simulator layers
 	// (network, MPI, file system, collective engine) and receives
@@ -119,8 +122,17 @@ func Execute(spec Spec) (Metrics, error) {
 	if spec.NProcs <= 0 {
 		return Metrics{}, fmt.Errorf("exp: NProcs must be positive")
 	}
+	// The collective engine's sinks. A trace without a probe gets a
+	// private probe, attached to the collective engine only, to project
+	// from; only the events this run appends are projected.
+	obs := fcoll.Observer{Probe: spec.Probe, Metrics: spec.Metrics}
+	if spec.Trace != nil && obs.Probe == nil {
+		obs.Probe = probe.New()
+	}
+	mark := len(obs.Probe.Events())
+	defer func() { fcoll.AppendTrace(spec.Trace, obs.Probe.Events()[mark:]) }()
 	if spec.Bundle {
-		if m, ok, err := executeBundled(spec); ok || err != nil {
+		if m, ok, err := executeBundled(spec, obs); ok || err != nil {
 			return m, err
 		}
 	}
@@ -143,30 +155,35 @@ func Execute(spec Spec) (Metrics, error) {
 	if err != nil {
 		return Metrics{}, err
 	}
+	opts := fcoll.Options{
+		Algorithm:    spec.Algorithm,
+		Primitive:    spec.Primitive,
+		BufferSize:   bufSize,
+		Aggregators:  spec.Aggregators,
+		Hierarchical: spec.Hierarchical,
+		Observer:     obs,
+	}
 	// Instrumentation wiring. Partitioned runs give every LP a private
-	// trace/probe shard tagged with that LP kernel's canonical event
-	// key; after the run the shards fold back into spec.Trace /
-	// spec.Probe in exactly the sequential emission order.
-	var traceShards []*trace.Recorder
+	// probe shard tagged with that LP kernel's canonical event key;
+	// after the run the shards fold back into obs.Probe in exactly the
+	// sequential emission order.
 	var probeShards []*probe.Probe
 	var metShards []*metrics.Metrics
 	if parallel {
 		nlp := cl.Part.NKernels()
-		if spec.Trace != nil {
-			traceShards = make([]*trace.Recorder, nlp)
-			for i := range traceShards {
-				tr := trace.New()
-				tr.KeyFn = cl.Part.Kernel(i).EventStamp
-				traceShards[i] = tr
-			}
+		if obs.On() {
+			opts.ObserverShards = make([]fcoll.Observer, nlp)
 		}
-		if spec.Probe != nil {
+		if obs.Probe != nil {
 			probeShards = make([]*probe.Probe, nlp)
 			for i := range probeShards {
 				p := probe.New()
 				p.KeyFn = cl.Part.Kernel(i).EventStamp
 				probeShards[i] = p
+				opts.ObserverShards[i].Probe = p
 			}
+		}
+		if spec.Probe != nil {
 			cl.Net.SetProbeShards(probeShards)
 			cl.World.SetProbeShards(probeShards)
 			cl.FS.SetProbeShards(probeShards)
@@ -178,6 +195,7 @@ func Execute(spec Spec) (Metrics, error) {
 			metShards = make([]*metrics.Metrics, nlp)
 			for i := range metShards {
 				metShards[i] = metrics.New(spec.Metrics.Resolution())
+				opts.ObserverShards[i].Metrics = metShards[i]
 			}
 			cl.Net.SetMetricsShards(metShards)
 			cl.FS.SetMetricsShards(metShards)
@@ -200,22 +218,6 @@ func Execute(spec Spec) (Metrics, error) {
 				kg.Observe(at, int64(depth))
 			}
 		}
-	}
-	opts := fcoll.Options{
-		Algorithm:    spec.Algorithm,
-		Primitive:    spec.Primitive,
-		BufferSize:   bufSize,
-		Aggregators:  spec.Aggregators,
-		Hierarchical: spec.Hierarchical,
-	}
-	if parallel {
-		opts.TraceShards = traceShards
-		opts.ProbeShards = probeShards
-		opts.MetricsShards = metShards
-	} else {
-		opts.Trace = spec.Trace
-		opts.Probe = spec.Probe
-		opts.Metrics = spec.Metrics
 	}
 	file := mpiio.Open(cl.World, cl.FS.Open(spec.Gen.Name()))
 	file.SetCollectiveOptions(opts)
@@ -250,8 +252,7 @@ func Execute(spec Spec) (Metrics, error) {
 	})
 	if parallel {
 		cl.Part.Run(spec.JRun)
-		trace.MergeShards(spec.Trace, traceShards)
-		probe.MergeShards(spec.Probe, probeShards)
+		probe.MergeShards(obs.Probe, probeShards)
 		metrics.MergeShards(spec.Metrics, metShards)
 	} else {
 		cl.Kernel.Run()

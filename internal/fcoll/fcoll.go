@@ -17,11 +17,8 @@ package fcoll
 import (
 	"fmt"
 
-	"collio/internal/metrics"
 	"collio/internal/mpi"
-	"collio/internal/probe"
 	"collio/internal/sim"
-	"collio/internal/trace"
 )
 
 // Algorithm selects the cycle-overlap strategy (paper §III-A).
@@ -189,32 +186,16 @@ type Options struct {
 	// TagBase offsets the message tags of this collective so that
 	// successive collectives on one file do not cross-match.
 	TagBase int
-	// Trace, when non-nil, records per-rank phase spans (shuffle /
-	// write / read / sync) for timeline rendering and overlap
-	// assertions.
-	Trace *trace.Recorder
-	// Probe, when non-nil, receives structured observability events
-	// (cycle boundaries, phase spans, whole-collective spans) and
-	// counters. The same probe should also be attached to the world,
-	// network and file system (exp.Execute wires all four).
-	Probe *probe.Probe
-	// TraceShards / ProbeShards, when non-nil, carry one sink per node
-	// LP for partitioned execution. Each rank's exec resolves its node's
-	// shard into its private Trace/Probe at Run entry, keeping every
-	// emission single-writer on its LP; trace.MergeShards and
-	// probe.MergeShards fold the shards back into sequential order after
-	// the run. Shards take precedence over the shared sinks above.
-	TraceShards []*trace.Recorder
-	ProbeShards []*probe.Probe
-	// Metrics, when non-nil, accumulates time-series telemetry: per-phase
-	// rank occupancy gauges, phase-duration histograms, and aggregator
-	// collective-buffer occupancy. Same contract as Probe: host-side
-	// appends only, digest-invariant, nil means zero overhead.
-	Metrics *metrics.Metrics
-	// MetricsShards carries one metrics sink per node LP for partitioned
-	// execution, merged by metrics.MergeShards after the run. Takes
-	// precedence over Metrics.
-	MetricsShards []*metrics.Metrics
+	// Observer receives the collective's phase spans, cycle marks and
+	// whole-collective accounting (see Observer). The zero value
+	// observes nothing.
+	Observer Observer
+	// ObserverShards, when non-nil, carries one observer per node LP for
+	// partitioned execution and takes precedence over Observer. Each rank
+	// resolves its node's shard at entry, keeping every emission
+	// single-writer on its LP; probe.MergeShards and metrics.MergeShards
+	// fold the shards back into sequential order after the run.
+	ObserverShards []Observer
 }
 
 // DefaultOptions returns the paper's configuration: 32 MiB collective
@@ -222,6 +203,14 @@ type Options struct {
 // overlap.
 func DefaultOptions() Options {
 	return Options{BufferSize: 32 << 20}
+}
+
+// observer resolves the sinks of a rank on the given node.
+func (o *Options) observer(node int) Observer {
+	if o.ObserverShards != nil {
+		return o.ObserverShards[node]
+	}
+	return o.Observer
 }
 
 func (o *Options) validate() error {

@@ -378,9 +378,7 @@ func (ex *exec) leaderInit(sh *shuffle) {
 		}
 		sh.reqs = append(sh.reqs, r.Isend(ex.p.aggRanks[co.agg], ktag, pl))
 	}
-	now := r.Now()
-	ex.probePhase(probe.CausePreCombine, c, tPre, now)
-	ex.metricPhase("precombine", tPre, now)
+	ex.obs.Phase(probe.CausePreCombine, r.ID(), c, tPre, r.Now(), 0)
 }
 
 // assembleComb packs one combined message from the members' received
@@ -413,7 +411,7 @@ func (ex *exec) memberInit(sh *shuffle) {
 		// from its world-wide per-cycle size exchange.
 		t0 := r.Now()
 		r.Recv(leader, ex.opts.TagBase+tagOffCredit+c, 1, nil)
-		ex.syncSpan(c, t0)
+		ex.obs.Phase(probe.CauseSync, r.ID(), c, t0, r.Now(), 0)
 	}
 	tag := ex.opts.TagBase + c
 	sends := ex.p.sendsAt(r.ID(), c)

@@ -6,7 +6,6 @@ import (
 	"collio/internal/mpi"
 	"collio/internal/probe"
 	"collio/internal/sim"
-	"collio/internal/trace"
 )
 
 // Reader is the file-system interface the collective read engine pulls
@@ -48,7 +47,7 @@ func RunRead(r *mpi.Rank, jv *JobView, file Reader, opts Options) (Result, error
 	defer r.ExitMPI()
 
 	ex := &readExec{
-		r: r, jv: jv, file: file, opts: opts,
+		r: r, jv: jv, file: file, opts: opts, obs: opts.observer(r.Node()),
 		dataMode: jv.Ranks[r.ID()].Data != nil || jv.DataMode(),
 	}
 	ex.setup()
@@ -68,11 +67,11 @@ func RunRead(r *mpi.Rank, jv *JobView, file Reader, opts Options) (Result, error
 	}
 	tSync := r.Now()
 	r.Barrier()
-	ex.syncSpan(-1, tSync)
+	ex.obs.Phase(probe.CauseSync, r.ID(), -1, tSync, r.Now(), 0)
 	ex.res.Elapsed = r.Now() - start
 	ex.res.Cycles = ex.p.ncycles
 	ex.res.Aggregator = ex.aggIdx >= 0
-	if p := ex.opts.Probe; p != nil {
+	if p := ex.obs.Probe; p != nil {
 		p.Emit(probe.Event{
 			At: start, Dur: ex.res.Elapsed, Layer: probe.LayerFcoll,
 			Kind: probe.KindCollOp, Cause: probe.CauseCollRead,
@@ -90,6 +89,7 @@ type readExec struct {
 	p        *plan
 	file     Reader
 	opts     Options
+	obs      Observer
 	dataMode bool
 	aggIdx   int
 	slots    int
@@ -147,24 +147,6 @@ func (ex *readExec) stageAlloc(slot int, n int64) []byte {
 	return ex.stageBuf[slot][u : u+n : u+n]
 }
 
-// probePhase / syncSpan mirror the write path's probe instrumentation.
-func (ex *readExec) probePhase(cause probe.Cause, cycle int, start, end sim.Time) {
-	p := ex.opts.Probe
-	if p == nil || end <= start {
-		return
-	}
-	p.Emit(probe.Event{
-		At: start, Dur: end - start, Layer: probe.LayerFcoll,
-		Kind: probe.KindPhase, Cause: cause, Rank: ex.r.ID(), Peer: -1, Cycle: cycle,
-	})
-}
-
-func (ex *readExec) syncSpan(cycle int, t0 sim.Time) {
-	now := ex.r.Now()
-	ex.opts.Trace.Record(ex.r.ID(), trace.PhaseSync, cycle, t0, now)
-	ex.probePhase(probe.CauseSync, cycle, t0, now)
-}
-
 // readInit starts the asynchronous file read of cycle c's window into
 // slot (nil when this rank reads nothing this cycle).
 func (ex *readExec) readInit(c, slot int) *sim.Future {
@@ -181,21 +163,9 @@ func (ex *readExec) readInit(c, slot int) *sim.Future {
 	}
 	ex.res.BytesWritten += ext.Len // accounted as file traffic
 	fut := ex.file.ReadAsync(ex.r, ext.Off, ext.Len, buf)
-	if ex.opts.Trace != nil || ex.opts.Probe.Enabled() {
-		t0 := ex.r.Now()
-		rank, k := ex.r.ID(), ex.r.Kernel()
-		tr, p := ex.opts.Trace, ex.opts.Probe
-		fut.OnDone(func() {
-			now := k.Now()
-			tr.Record(rank, trace.PhaseRead, c, t0, now)
-			if p != nil && now > t0 {
-				p.Emit(probe.Event{
-					At: t0, Dur: now - t0, Layer: probe.LayerFcoll,
-					Kind: probe.KindPhase, Cause: probe.CauseRead,
-					Rank: rank, Peer: -1, Cycle: c,
-				})
-			}
-		})
+	if ex.obs.On() {
+		obs, rank, k, t0 := ex.obs, ex.r.ID(), ex.r.Kernel(), ex.r.Now()
+		fut.OnDone(func() { obs.Phase(probe.CauseRead, rank, c, t0, k.Now(), 0) })
 	}
 	return fut
 }
@@ -227,8 +197,7 @@ func (ex *readExec) readSync(c, slot int) {
 	ex.file.ReadSync(ex.r, ext.Off, ext.Len, buf)
 	ex.res.WriteTime += ex.r.Now() - t0
 	ex.res.BytesWritten += ext.Len
-	ex.opts.Trace.Record(ex.r.ID(), trace.PhaseRead, c, t0, ex.r.Now())
-	ex.probePhase(probe.CauseRead, c, t0, ex.r.Now())
+	ex.obs.Phase(probe.CauseRead, ex.r.ID(), c, t0, ex.r.Now(), 0)
 }
 
 // scatter is an in-flight scatter phase (the reverse shuffle).
@@ -261,12 +230,7 @@ func (ex *readExec) scatterInit(c, slot int) *scatter {
 	sc.unpackBytes = 0
 	ex.stageUsed[slot] = 0
 	r := ex.r
-	if p := ex.opts.Probe; p != nil {
-		p.Emit(probe.Event{
-			At: t0, Layer: probe.LayerFcoll, Kind: probe.KindCycle,
-			Rank: r.ID(), Peer: -1, Cycle: c, V: int64(slot),
-		})
-	}
+	ex.obs.Cycle(r.ID(), c, slot, t0)
 	tag := ex.opts.TagBase + c
 	ex.r.AlltoallSync(8) // per-cycle size exchange, as in the write path
 
@@ -352,8 +316,7 @@ func (ex *readExec) scatterWait(sc *scatter) {
 		ex.chargeCopy(sc.unpackBytes)
 	}
 	ex.res.ShuffleTime += ex.r.Now() - t0
-	ex.opts.Trace.Record(ex.r.ID(), trace.PhaseShuffle, sc.cycle, sc.initAt, ex.r.Now())
-	ex.probePhase(probe.CauseShuffle, sc.cycle, sc.initAt, ex.r.Now())
+	ex.obs.Phase(probe.CauseShuffle, ex.r.ID(), sc.cycle, sc.initAt, ex.r.Now(), 0)
 }
 
 func (ex *readExec) scatterBlocking(c, slot int) {

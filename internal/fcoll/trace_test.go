@@ -6,21 +6,22 @@ import (
 
 	"collio/internal/fcoll"
 	"collio/internal/mpi"
+	"collio/internal/probe"
 	"collio/internal/sim"
 	"collio/internal/trace"
 )
 
-// tracedRun executes one collective write with tracing and returns the
-// recorder.
+// tracedRun executes one collective write with a probe attached and
+// returns the trace view of its phase events.
 func tracedRun(t *testing.T, algo fcoll.Algorithm) *trace.Recorder {
 	t.Helper()
 	rg := newRig(t, 6, 2, 71)
 	jv := blockView(t, 6, 128<<10, false, 0)
-	tr := trace.New()
+	p := probe.New()
 	rg.file.SetCollectiveOptions(fcoll.Options{
 		Algorithm:  algo,
 		BufferSize: 64 << 10,
-		Trace:      tr,
+		Observer:   fcoll.Observer{Probe: p},
 	})
 	rg.w.Launch(func(r *mpi.Rank) {
 		if _, err := rg.file.WriteAll(r, jv); err != nil {
@@ -28,6 +29,8 @@ func tracedRun(t *testing.T, algo fcoll.Algorithm) *trace.Recorder {
 		}
 	})
 	rg.k.Run()
+	tr := trace.New()
+	fcoll.AppendTrace(tr, p.Events())
 	return tr
 }
 
@@ -109,11 +112,11 @@ func TestTraceTimelineRenders(t *testing.T) {
 func TestTraceReadPath(t *testing.T) {
 	rg := newRig(t, 4, 2, 73)
 	jv := blockView(t, 4, 64<<10, false, 0)
-	tr := trace.New()
+	p := probe.New()
 	rg.file.SetCollectiveOptions(fcoll.Options{
 		Algorithm:  fcoll.WriteOverlap, // read-ahead dual
 		BufferSize: 32 << 10,
-		Trace:      tr,
+		Observer:   fcoll.Observer{Probe: p},
 	})
 	rg.w.Launch(func(r *mpi.Rank) {
 		if _, err := rg.file.ReadAll(r, jv); err != nil {
@@ -121,6 +124,8 @@ func TestTraceReadPath(t *testing.T) {
 		}
 	})
 	rg.k.Run()
+	tr := trace.New()
+	fcoll.AppendTrace(tr, p.Events())
 	if tr.PhaseTotal(trace.PhaseRead) <= 0 {
 		t.Fatal("no read spans recorded")
 	}

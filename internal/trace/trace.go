@@ -40,20 +40,12 @@ type Span struct {
 // Duration returns the span length.
 func (s Span) Duration() sim.Time { return s.End - s.Start }
 
-// Recorder accumulates spans. Each recorder is written from a single
-// goroutine at a time (the sequential simulator, or one LP of a
-// partitioned run); a nil *Recorder is a valid no-op sink.
+// Recorder accumulates spans; a nil *Recorder is a valid no-op sink.
+// A collective run's recorder is a view of the probe's phase events,
+// filled after the run (fcoll.AppendTrace), so it is never written
+// concurrently.
 type Recorder struct {
 	Spans []Span
-
-	// KeyFn, when set, tags every recorded span with an emission stamp
-	// of the scheduling context. The partitioned executor gives each LP
-	// its own recorder with KeyFn bound to that LP kernel's EventStamp;
-	// MergeShards then folds the per-LP buffers into the exact record
-	// order a sequential run would have produced. Sequential runs leave
-	// KeyFn nil and pay nothing.
-	KeyFn func() sim.Stamp
-	keys  []sim.Stamp
 }
 
 // New returns an empty recorder, preallocated for a typical multi-cycle
@@ -67,41 +59,6 @@ func (tr *Recorder) Record(rank int, phase string, cycle int, start, end sim.Tim
 		return
 	}
 	tr.Spans = append(tr.Spans, Span{Rank: rank, Phase: phase, Cycle: cycle, Start: start, End: end})
-	if tr.KeyFn != nil {
-		tr.keys = append(tr.keys, tr.KeyFn())
-	}
-}
-
-// MergeShards folds per-LP recorders into dst in emission-stamp order.
-// Stamps resolve to (global event sequence, per-kernel emission
-// counter) once the partitioned run has finished, which totally orders
-// all emissions across LPs in exactly the sequential record order —
-// MergeShards of a partitioned run digests bit-identically to the
-// sequential recorder. Shards must have been recorded with KeyFn set
-// and merged only after the run completes.
-func MergeShards(dst *Recorder, shards []*Recorder) {
-	if dst == nil {
-		return
-	}
-	idx := make([]int, len(shards))
-	for {
-		best := -1
-		var bestKey sim.Stamp
-		for s, tr := range shards {
-			if tr == nil || idx[s] >= len(tr.keys) {
-				continue
-			}
-			k := tr.keys[idx[s]]
-			if best < 0 || k.Before(bestKey) {
-				best, bestKey = s, k
-			}
-		}
-		if best < 0 {
-			return
-		}
-		dst.Spans = append(dst.Spans, shards[best].Spans[idx[best]])
-		idx[best]++
-	}
 }
 
 // Digest returns a SHA-256 hex digest over a canonical encoding of all
