@@ -21,6 +21,9 @@ import (
 // make "bit-identical before/after" a regression test instead of a PR
 // claim. If a change to *model semantics* is ever intended, the table
 // must be regenerated deliberately (see the test failure message).
+// The dataflow entry was re-pinned once, when exact dataflow runs began
+// recording their shuffle spans; its Elapsed, ShuffleTime, WriteTime
+// and BytesWritten did not move.
 type pinnedDigest struct {
 	name   string
 	digest string
@@ -33,7 +36,7 @@ var pinnedDigests = []pinnedDigest{
 	{"write/write-overlap/two-sided/ior", "07af6bb838d82f7c4cfd27c23617d3dc331b6d0ca67a8d03f2d83159bbb27aa3", 134217728},
 	{"write/write-comm-overlap/two-sided/ior", "4596f2c2f75a842ed935e8baf38bed7cb120871afadb85a7ba8c100d98a12681", 134217728},
 	{"write/write-comm-2-overlap/two-sided/ior", "07af6bb838d82f7c4cfd27c23617d3dc331b6d0ca67a8d03f2d83159bbb27aa3", 134217728},
-	{"write/dataflow-overlap/two-sided/ior", "a640752861c2829d11e2f38324ee582b4385d11376eae0da4244721d2fdd5c34", 134217728},
+	{"write/dataflow-overlap/two-sided/ior", "bb0f598bf4ab5ea476370235a2fa62402d101ef66820948272a2e2d95bd0f6c0", 134217728},
 	{"write/write-comm-2-overlap/one-sided-fence/ior", "079744280171fe29c141ac5cd2e398916982d2ae9b60079e82f775a61c06d8eb", 134217728},
 	{"write/write-comm-2-overlap/one-sided-lock/ior", "a71a5ef609eea42f8b19d38f1e5630a67e523822d91125fe5661a339f1ebee20", 134217728},
 	{"write/write-comm-2-overlap/one-sided-pscw/ior", "1082b4e00375b56259dd8f3a8b55957a6f53c32ff31e9981fab8cd7cf0b843a5", 134217728},
