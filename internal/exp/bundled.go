@@ -299,7 +299,7 @@ func executeBundled(spec Spec, obs fcoll.Observer) (Metrics, bool, error) {
 				ag.v = v
 				ag.rank = v.sched.AggRanks()[a]
 				ag.node = ag.rank / b.rpn
-				if err := fcoll.Drive(b.algo, ag); err != nil {
+				if err := fcoll.Drive(b.algo, fcoll.Write, ag); err != nil {
 					driveErr = err
 					return
 				}
@@ -587,8 +587,9 @@ func (b *cohortRun) emitRankTelemetry(pb *probe.Probe, views []*fcoll.JobView) {
 // bundled substitutes are a rendezvous for the cycle alltoall, the
 // precomputed recvDone future for shuffle completion, and the real
 // simulated file for writes. fcoll.Drive runs the selected algorithm on
-// it, the same drivers an exact rank runs. Writes need no slot: the
-// bundled executor moves no bytes through the sub-buffers.
+// it, the same drivers an exact rank runs. Its fill is aggShuffle and
+// its drain aggWrite; both keep their in-flight state per sub-buffer
+// slot, though the bundled executor moves no bytes through them.
 type aggRun struct {
 	b    *cohortRun
 	p    *sim.Proc
@@ -599,30 +600,44 @@ type aggRun struct {
 	sh   [2]struct { // in-flight shuffle per sub-buffer slot
 		cycle  int
 		initAt sim.Time
+		open   bool
 	}
+	wr [2]*sim.Future // in-flight write per sub-buffer slot
 
 	shuffleTime  sim.Time
 	writeTime    sim.Time
 	bytesWritten int64
 }
 
-func (ag *aggRun) NCycles() int { return ag.v.sched.NCycles() }
+func (ag *aggRun) NCycles() int                    { return ag.v.sched.NCycles() }
+func (ag *aggRun) Fill() fcoll.Stage               { return (*aggShuffle)(ag) }
+func (ag *aggRun) Drain() fcoll.Stage              { return (*aggWrite)(ag) }
+func (ag *aggRun) WaitAny(futs ...*sim.Future) int { return ag.p.WaitAny(futs...) }
 
-// ShuffleInit is the bundled cycle opening: arrive at the cycle's
-// alltoall rendezvous and block until it releases (the de-facto global
+// aggShuffle is the bundled shuffle stage.
+type aggShuffle aggRun
+
+// Init is the bundled cycle opening: arrive at the cycle's alltoall
+// rendezvous and block until it releases (the de-facto global
 // synchronisation the exact AlltoallSync provides).
-func (ag *aggRun) ShuffleInit(c, slot int) {
+func (s *aggShuffle) Init(c, slot int) {
+	ag := (*aggRun)(s)
 	t0 := ag.p.Now()
 	ag.b.obs.Cycle(ag.rank, c, slot, t0)
 	ag.v.syncs[c].arrive()
 	ag.p.Wait(ag.v.syncs[c].fut)
 	ag.shuffleTime += ag.p.Now() - t0
-	ag.sh[slot].cycle, ag.sh[slot].initAt = c, t0
+	ag.sh[slot].cycle, ag.sh[slot].initAt, ag.sh[slot].open = c, t0, true
 }
 
-// ShuffleWait blocks until the slot's inbound traffic is delivered, then
-// pays the staged-scatter copy.
-func (ag *aggRun) ShuffleWait(slot int) {
+// Wait blocks until the slot's inbound traffic is delivered, then pays
+// the staged-scatter copy.
+func (s *aggShuffle) Wait(slot int) {
+	ag := (*aggRun)(s)
+	if !ag.sh[slot].open {
+		return
+	}
+	ag.sh[slot].open = false
 	c, initAt := ag.sh[slot].cycle, ag.sh[slot].initAt
 	t0 := ag.p.Now()
 	ag.p.Wait(ag.v.recvDone[c][ag.a])
@@ -634,15 +649,21 @@ func (ag *aggRun) ShuffleWait(slot int) {
 	ag.b.obs.Phase(probe.CauseShuffle, ag.rank, c, initAt, now, 0)
 }
 
-func (ag *aggRun) ShuffleFuture(slot int) *sim.Future {
+func (s *aggShuffle) Sync(c, slot int) {
+	s.Init(c, slot)
+	s.Wait(slot)
+}
+
+func (s *aggShuffle) Future(slot int) *sim.Future {
+	ag := (*aggRun)(s)
 	return ag.v.recvDone[ag.sh[slot].cycle][ag.a]
 }
 
-func (ag *aggRun) WaitAny(futs ...*sim.Future) int { return ag.p.WaitAny(futs...) }
+// aggWrite is the bundled file write stage, on the real simulated file.
+type aggWrite aggRun
 
-func (ag *aggRun) ShuffleReap(slot int) { ag.ShuffleWait(slot) }
-
-func (ag *aggRun) WriteSync(c, _ int) {
+func (w *aggWrite) Sync(c, _ int) {
+	ag := (*aggRun)(w)
 	ext := ag.v.sched.CycleExtent(ag.a, c)
 	if ext.Len == 0 {
 		return
@@ -655,25 +676,32 @@ func (ag *aggRun) WriteSync(c, _ int) {
 	ag.b.obs.Phase(probe.CauseWrite, ag.rank, c, t0, now, ext.Len)
 }
 
-func (ag *aggRun) WriteInit(c, _ int) *sim.Future {
+func (w *aggWrite) Init(c, slot int) {
+	ag := (*aggRun)(w)
+	ag.wr[slot] = nil
 	ext := ag.v.sched.CycleExtent(ag.a, c)
 	if ext.Len == 0 {
-		return nil
+		return
 	}
 	ag.bytesWritten += ext.Len
 	fut := ag.b.file.AIOWrite(ag.node, ext.Off, ext.Len, nil)
+	ag.wr[slot] = fut
 	if ag.b.obs.On() {
 		b, rank, t0 := ag.b, ag.rank, ag.p.Now()
 		fut.OnDone(func() { b.obs.Phase(probe.CauseWrite, rank, c, t0, b.k.Now(), ext.Len) })
 	}
-	return fut
 }
 
-func (ag *aggRun) WriteWait(f *sim.Future) {
+func (w *aggWrite) Wait(slot int) {
+	ag := (*aggRun)(w)
+	f := ag.wr[slot]
 	if f == nil {
 		return
 	}
+	ag.wr[slot] = nil
 	t0 := ag.p.Now()
 	ag.p.Wait(f)
 	ag.writeTime += ag.p.Now() - t0
 }
+
+func (w *aggWrite) Future(slot int) *sim.Future { return w.wr[slot] }

@@ -6,202 +6,234 @@ import (
 	"collio/internal/sim"
 )
 
-// Cycles is the per-cycle substrate the overlap algorithms drive: the
-// operations one rank's cycle loop issues, with in-flight shuffle state
-// keyed by sub-buffer slot (0 or 1). The exact executor implements it
-// per rank over the simulated MPI library; the bundled cohort executor
-// (internal/exp) implements it per aggregator over modelled collectives.
-// Each algorithm is therefore written once, in Drive, for both.
+// Stage is one of the two stages of a collective's cycle pipeline, with
+// its in-flight state kept per sub-buffer slot (0 or 1). The fill stage
+// moves cycle c's data into a slot and the drain stage moves it out: a
+// collective write fills by shuffling and drains by writing the file, a
+// collective read fills by reading the file and drains by scattering.
+type Stage interface {
+	// Init starts cycle c's operation on slot; Wait completes the slot's
+	// in-flight operation and is a no-op when the slot has none.
+	Init(c, slot int)
+	Wait(slot int)
+	// Sync runs cycle c's operation on slot to completion: Init then
+	// Wait for a communication stage, the blocking POSIX call (the rank
+	// leaves the MPI library) for a file I/O stage.
+	Sync(c, slot int)
+	// Future returns the completion future of the slot's in-flight
+	// operation, for the dataflow scheduler. A fill returns nil when the
+	// substrate cannot observe its completion passively (the one-sided
+	// shuffles); a drain returns nil when it has nothing in flight.
+	Future(slot int) *sim.Future
+}
+
+// Cycles is the substrate the overlap algorithms drive: one rank's (or
+// one bundled aggregator's) two pipeline stages. The exact executor
+// implements it per rank over the simulated MPI library, for writes and
+// reads; the bundled cohort executor (internal/exp) implements it per
+// aggregator over modelled collectives. Each algorithm is therefore
+// written once, in Drive, for all of them.
 type Cycles interface {
 	// NCycles is the collective's cycle count (at least one).
 	NCycles() int
-	// ShuffleInit starts cycle c's shuffle into slot; ShuffleWait
-	// completes the slot's in-flight shuffle.
-	ShuffleInit(c, slot int)
-	ShuffleWait(slot int)
-	// WriteSync flushes cycle c's window from slot synchronously.
-	// WriteInit starts the flush asynchronously and returns its
-	// completion future (nil when nothing is written), which WriteWait
-	// completes.
-	WriteSync(c, slot int)
-	WriteInit(c, slot int) *sim.Future
-	WriteWait(f *sim.Future)
-
-	// The dataflow scheduler's operations. ShuffleFuture returns the
-	// completion future of the slot's in-flight shuffle, or nil when the
-	// substrate cannot observe shuffle completion passively (the
-	// one-sided primitives); WaitAny blocks until one of futs completes
-	// and returns its index; ShuffleReap finishes a shuffle whose future
-	// has completed.
-	ShuffleFuture(slot int) *sim.Future
+	Fill() Stage
+	Drain() Stage
+	// WaitAny blocks until one of futs completes and returns its index.
 	WaitAny(futs ...*sim.Future) int
-	ShuffleReap(slot int)
 }
 
-// Drive runs algorithm alg's cycle schedule on cy.
-func Drive(alg Algorithm, cy Cycles) error {
+// Direction is a collective's data direction. Drive learns one fact from
+// it: which of the two stages does the file I/O.
+type Direction int
+
+const (
+	// Write fills by shuffling and drains by writing the file.
+	Write Direction = iota
+	// Read fills by reading the file and drains by scattering.
+	Read
+)
+
+func (d Direction) String() string {
+	if d == Read {
+		return "read"
+	}
+	return "write"
+}
+
+// Drive runs algorithm alg's cycle schedule on cy. The paper's
+// algorithms name which role is non-blocking, communication or file
+// I/O; the direction maps that role to a stage (see DESIGN.md §4):
+//
+//	write CommOverlap, read WriteOverlap  -> driveAsyncFill  (Algorithm 1's shape)
+//	write WriteOverlap, read CommOverlap  -> driveAsyncDrain (Algorithm 2's shape)
+//
+// Where Algorithms 3 and 4 can post two operations at the same point,
+// they post the I/O stage's first.
+func Drive(alg Algorithm, dir Direction, cy Cycles) error {
+	ioFill := dir == Read
+	n, fill, drain := cy.NCycles(), cy.Fill(), cy.Drain()
 	switch alg {
 	case NoOverlap:
-		driveNoOverlap(cy)
-	case CommOverlap:
-		driveCommOverlap(cy)
-	case WriteOverlap:
-		driveWriteOverlap(cy)
+		// The original two-phase algorithm: one full-size collective
+		// buffer, both stages blocking, strictly alternating.
+		for c := 0; c < n; c++ {
+			fill.Sync(c, 0)
+			drain.Sync(c, 0)
+		}
+	case CommOverlap, WriteOverlap:
+		if (alg == WriteOverlap) == ioFill {
+			driveAsyncFill(n, fill, drain)
+		} else {
+			driveAsyncDrain(n, fill, drain)
+		}
 	case WriteCommOverlap:
-		driveWriteCommOverlap(cy)
+		driveBothAsync(n, fill, drain, ioFill)
 	case WriteComm2Overlap:
-		cy.ShuffleInit(0, 0)
-		driveWriteComm2(cy)
+		fill.Init(0, 0)
+		drivePipelined(n, fill, drain, ioFill)
 	case DataflowOverlap:
-		driveDataflow(cy)
+		driveDataflow(cy, ioFill)
 	default:
 		return fmt.Errorf("fcoll: unknown algorithm %v", alg)
 	}
 	return nil
 }
 
-// shuffleBlocking is the blocking shuffle used by the write-overlap
-// family.
-func shuffleBlocking(cy Cycles, c, slot int) {
-	cy.ShuffleInit(c, slot)
-	cy.ShuffleWait(slot)
-}
-
-// driveNoOverlap is the original two-phase algorithm: one full-size
-// collective buffer, strictly alternating shuffle and synchronous write.
-func driveNoOverlap(cy Cycles) {
-	n := cy.NCycles()
-	for c := 0; c < n; c++ {
-		shuffleBlocking(cy, c, 0)
-		cy.WriteSync(c, 0)
-	}
-}
-
-// driveCommOverlap is Algorithm 1: non-blocking shuffles over two
-// sub-buffers, blocking writes. The shuffle of cycle i+1 runs in the
-// background while cycle i is written — but the synchronous write keeps
-// the aggregator outside the MPI library, so background progress is
-// limited (the effect §III-A.1 discusses).
-func driveCommOverlap(cy Cycles) {
-	n := cy.NCycles()
+// driveAsyncFill is Algorithm 1's shape: non-blocking fills over two
+// sub-buffers, blocking drains. Cycle i+1 fills in the background while
+// cycle i drains. For a write the fill is the shuffle, and the
+// synchronous write keeps the aggregator outside the MPI library, so
+// background progress is limited (the effect §III-A.1 discusses); for a
+// read the fill is the OS read-ahead of view-based collective I/O.
+func driveAsyncFill(n int, fill, drain Stage) {
 	p1, p2 := 0, 1
-	cy.ShuffleInit(0, p1)
+	fill.Init(0, p1)
 	for i := 1; i < n; i++ {
-		cy.ShuffleInit(i, p2)
-		cy.ShuffleWait(p1)
-		cy.WriteSync(i-1, p1)
+		fill.Init(i, p2)
+		fill.Wait(p1)
+		drain.Sync(i-1, p1)
 		p1, p2 = p2, p1
 	}
-	cy.ShuffleWait(p1)
-	cy.WriteSync(n-1, p1)
+	fill.Wait(p1)
+	drain.Sync(n-1, p1)
 }
 
-// driveWriteOverlap is Algorithm 2: blocking shuffles, asynchronous
-// writes. While the aggregator shuffles cycle i+1 (inside MPI), the OS
-// progresses cycle i's aio write.
+// driveAsyncDrain is Algorithm 2's shape: blocking fills, non-blocking
+// drains. While a write's aggregator shuffles cycle i+1 (inside MPI),
+// the OS progresses cycle i's aio write; a read's scatter of cycle i
+// runs while cycle i+1 is read.
 //
 // The paper's pseudocode line 11 waits only on p2; that leaks the final
-// write when NumberOfCycles is odd, so we wait whichever write is still
-// outstanding (see DESIGN.md §4).
-func driveWriteOverlap(cy Cycles) {
-	n := cy.NCycles()
-	p1, p2 := 0, 1
-	shuffleBlocking(cy, 0, p1)
-	var w [2]*sim.Future
-	w[p1] = cy.WriteInit(0, p1)
-	for i := 1; i < n; i++ {
-		shuffleBlocking(cy, i, p2)
-		w[p2] = cy.WriteInit(i, p2)
-		cy.WriteWait(w[p1])
-		w[p1] = nil
-		p1, p2 = p2, p1
-	}
-	cy.WriteWait(w[p1])
-	cy.WriteWait(w[p2])
-}
-
-// driveWriteCommOverlap is Algorithm 3: both phases non-blocking; each
-// iteration starts the write of the previous cycle and the shuffle of
-// the next, then waits for both.
-func driveWriteCommOverlap(cy Cycles) {
-	n := cy.NCycles()
-	p1, p2 := 0, 1
-	shuffleBlocking(cy, 0, p1)
-	for c := 1; c < n; c++ {
-		w := cy.WriteInit(c-1, p1)
-		cy.ShuffleInit(c, p2)
-		// wait_all(p1, p2): complete the shuffle and the write
-		// together, inside MPI throughout.
-		cy.ShuffleWait(p2)
-		cy.WriteWait(w)
-		p1, p2 = p2, p1
-	}
-	cy.WriteWait(cy.WriteInit(n-1, p1))
-}
-
-// driveWriteComm2 is Algorithm 4, entered with cycle 0's shuffle already
-// started in slot 0: each completed non-blocking operation is
-// immediately followed by posting its successor. Per cycle the posting
-// order is write_wait on the freed buffer, shuffle_init, shuffle_wait,
-// write_init — the paper's lines 6–13 collapsed to one cycle per step
-// (the printed pseudocode's two-cycle unrolling contains typos; see
+// drain when NumberOfCycles is odd, so we wait both slots (see
 // DESIGN.md §4).
-func driveWriteComm2(cy Cycles) {
-	n := cy.NCycles()
-	var w [2]*sim.Future
-	cy.ShuffleWait(0)
-	w[0] = cy.WriteInit(0, 0)
+func driveAsyncDrain(n int, fill, drain Stage) {
+	p1, p2 := 0, 1
+	fill.Sync(0, p1)
+	drain.Init(0, p1)
+	for i := 1; i < n; i++ {
+		fill.Sync(i, p2)
+		drain.Init(i, p2)
+		drain.Wait(p1)
+		p1, p2 = p2, p1
+	}
+	drain.Wait(p1)
+	drain.Wait(p2)
+}
+
+// driveBothAsync is Algorithm 3: both stages non-blocking; each
+// iteration starts the drain of the previous cycle and the fill of the
+// next, then waits for both (wait_all, inside MPI throughout). The I/O
+// stage's operation is posted first and the communication stage's is
+// waited first.
+func driveBothAsync(n int, fill, drain Stage, ioFill bool) {
+	p1, p2 := 0, 1
+	fill.Sync(0, p1)
+	for c := 1; c < n; c++ {
+		if ioFill {
+			fill.Init(c, p2)
+			drain.Init(c-1, p1)
+			drain.Wait(p1)
+			fill.Wait(p2)
+		} else {
+			drain.Init(c-1, p1)
+			fill.Init(c, p2)
+			fill.Wait(p2)
+			drain.Wait(p1)
+		}
+		p1, p2 = p2, p1
+	}
+	drain.Init(n-1, p1)
+	drain.Wait(p1)
+}
+
+// drivePipelined is Algorithm 4, entered with cycle 0's fill already
+// started in slot 0: each completed non-blocking operation is
+// immediately followed by posting its successor, one cycle per step.
+// When cycle c-1's fill completes, two posts become possible: cycle
+// c-1's drain, and cycle c's fill into slot c%2 once that slot's drain
+// is waited. The I/O stage's post goes first. For a write this is the
+// per-cycle order write_init, write_wait on the freed buffer,
+// shuffle_init, shuffle_wait — the paper's lines 6–13 collapsed to one
+// cycle per step (the printed pseudocode's two-cycle unrolling contains
+// typos; see DESIGN.md §4).
+func drivePipelined(n int, fill, drain Stage, ioFill bool) {
+	fill.Wait(0)
 	for c := 1; c < n; c++ {
 		s := c % 2
-		cy.WriteWait(w[s])
-		w[s] = nil
-		cy.ShuffleInit(c, s)
-		cy.ShuffleWait(s)
-		w[s] = cy.WriteInit(c, s)
+		if ioFill {
+			drain.Wait(s)
+			fill.Init(c, s)
+			drain.Init(c-1, 1-s)
+		} else {
+			drain.Init(c-1, 1-s)
+			drain.Wait(s)
+			fill.Init(c, s)
+		}
+		fill.Wait(s)
 	}
-	cy.WriteWait(w[0])
-	cy.WriteWait(w[1])
+	drain.Init(n-1, (n-1)%2)
+	drain.Wait(0)
+	drain.Wait(1)
 }
 
 // driveDataflow is the extension scheduler (see DataflowOverlap): an
 // event-driven loop that reacts to whichever non-blocking operation
-// completes first. A substrate without a shuffle-completion future falls
-// back to Algorithm 4's static order.
-func driveDataflow(cy Cycles) {
-	n := cy.NCycles()
-	cy.ShuffleInit(0, 0)
-	f := cy.ShuffleFuture(0)
+// completes first. A fill stage that cannot observe its completion
+// passively gets Algorithm 4's static order instead.
+func driveDataflow(cy Cycles, ioFill bool) {
+	n, fill, drain := cy.NCycles(), cy.Fill(), cy.Drain()
+	fill.Init(0, 0)
+	f := fill.Future(0)
 	if f == nil {
-		driveWriteComm2(cy)
+		drivePipelined(n, fill, drain, ioFill)
 		return
 	}
-	type bufState struct {
-		cycle int
-		shFut *sim.Future
-		write *sim.Future
+	type slotState struct {
+		cycle       int
+		fill, drain *sim.Future
 	}
-	st := [2]bufState{{shFut: f}}
-	next := 1 // next cycle to shuffle
+	st := [2]slotState{{fill: f}}
+	next := 1 // next cycle to fill
 	for {
-		// Post shuffles on every free buffer first (follow-up-first
+		// Post fills on every free sub-buffer first (follow-up-first
 		// posting discipline).
 		for s := 0; s < 2 && next < n; s++ {
-			if st[s].shFut == nil && st[s].write == nil {
-				cy.ShuffleInit(next, s)
-				st[s].cycle, st[s].shFut = next, cy.ShuffleFuture(s)
+			if st[s].fill == nil && st[s].drain == nil {
+				fill.Init(next, s)
+				st[s].cycle, st[s].fill = next, fill.Future(s)
 				next++
 			}
 		}
 		// Collect everything in flight.
 		var futs []*sim.Future
-		var what []int // slot*2 + (0 shuffle / 1 write)
+		var what []int // slot*2 + (0 fill / 1 drain)
 		for s := 0; s < 2; s++ {
-			if st[s].shFut != nil {
-				futs = append(futs, st[s].shFut)
+			if st[s].fill != nil {
+				futs = append(futs, st[s].fill)
 				what = append(what, s*2)
 			}
-			if st[s].write != nil {
-				futs = append(futs, st[s].write)
+			if st[s].drain != nil {
+				futs = append(futs, st[s].drain)
 				what = append(what, s*2+1)
 			}
 		}
@@ -211,13 +243,15 @@ func driveDataflow(cy Cycles) {
 		idx := cy.WaitAny(futs...)
 		s := what[idx] / 2
 		if what[idx]%2 == 0 {
-			// Shuffle done: finish it and immediately post the write.
-			cy.ShuffleReap(s)
-			st[s].write = cy.WriteInit(st[s].cycle, s)
-			st[s].shFut = nil
+			// Fill done: finish it and immediately post the drain.
+			fill.Wait(s)
+			st[s].fill = nil
+			drain.Init(st[s].cycle, s)
+			st[s].drain = drain.Future(s)
 		} else {
-			// Write done: buffer is free for the next shuffle.
-			st[s].write = nil
+			// Drain done: the sub-buffer is free for the next fill.
+			drain.Wait(s)
+			st[s].drain = nil
 		}
 	}
 }

@@ -223,13 +223,6 @@ func buildHierPlan(p *plan, rpn int, thr int64) *hierPlan {
 	return h
 }
 
-// stagedComb is a combined receive needing scatter into the sub-buffer
-// (fragmented target ranges, data mode).
-type stagedComb struct {
-	buf []byte
-	op  int32 // index into hierPlan.combOps
-}
-
 // twoSidedInitHier is the hierarchical counterpart of twoSidedInit.
 // Aggregators pre-post receives for the direct traffic (the flat set
 // minus routed ops) and for the combined messages; then each rank runs
@@ -248,38 +241,12 @@ func (ex *exec) twoSidedInitHier(sh *shuffle) {
 			if h.routed(ro.total, int(ro.src)) {
 				continue // arrives inside the leader's combined message
 			}
-			var buf []byte
-			if ro.nseg == 1 {
-				if ex.dataMode {
-					s := ex.p.rsegsOf(ro)[0]
-					buf = ex.bufs[sh.slot][s.off : s.off+s.len]
-				}
-			} else {
-				if ex.dataMode {
-					buf = ex.stageAlloc(sh.slot, ro.total)
-					sh.staged = append(sh.staged, stagedRecv{buf: buf, op: *ro})
-				}
-				sh.unpackBytes += ro.total
-			}
-			sh.reqs = append(sh.reqs, r.Irecv(int(ro.src), tag, ro.total, buf))
+			ex.recvInto(sh, int(ro.src), tag, ex.bufs[sh.slot], ex.p.rsegsOf(ro), ro.total)
 		}
 		ctag := ex.opts.TagBase + tagOffComb + sh.cycle
 		for _, ci := range h.combsAtAgg(ex.aggIdx, sh.cycle) {
 			co := &h.combOps[ci]
-			var buf []byte
-			if co.nseg == 1 {
-				if ex.dataMode {
-					s := h.segsOf(co)[0]
-					buf = ex.bufs[sh.slot][s.off : s.off+s.len]
-				}
-			} else {
-				if ex.dataMode {
-					buf = ex.stageAlloc(sh.slot, co.total)
-					sh.stagedComb = append(sh.stagedComb, stagedComb{buf: buf, op: ci})
-				}
-				sh.unpackBytes += co.total
-			}
-			sh.reqs = append(sh.reqs, r.Irecv(int(co.node)*h.rpn, ctag, co.total, buf))
+			ex.recvInto(sh, int(co.node)*h.rpn, ctag, ex.bufs[sh.slot], h.segsOf(co), co.total)
 		}
 	}
 	if h.isLeader(r.ID()) {
@@ -338,16 +305,7 @@ func (ex *exec) leaderInit(sh *shuffle) {
 	sends := ex.p.sendsAt(r.ID(), c)
 	for i := range sends {
 		so := &sends[i]
-		var pl mpi.Payload
-		if ex.dataMode {
-			pl = mpi.Bytes(ex.pack(so))
-		} else {
-			pl = mpi.Symbolic(so.total)
-			if so.nseg > 1 {
-				ex.chargeCopy(so.total)
-			}
-		}
-		sh.reqs = append(sh.reqs, r.Isend(ex.p.aggRanks[so.agg], tag, pl))
+		sh.reqs = append(sh.reqs, r.Isend(ex.p.aggRanks[so.agg], tag, ex.sendPayload(so)))
 		ex.res.BytesSent += so.total
 	}
 	if len(ex.intraReqs) == 0 {
@@ -420,16 +378,7 @@ func (ex *exec) memberInit(sh *shuffle) {
 		if so.total < h.thr {
 			continue // routed through the node leader below
 		}
-		var pl mpi.Payload
-		if ex.dataMode {
-			pl = mpi.Bytes(ex.pack(so))
-		} else {
-			pl = mpi.Symbolic(so.total)
-			if so.nseg > 1 {
-				ex.chargeCopy(so.total)
-			}
-		}
-		sh.reqs = append(sh.reqs, r.Isend(ex.p.aggRanks[so.agg], tag, pl))
+		sh.reqs = append(sh.reqs, r.Isend(ex.p.aggRanks[so.agg], tag, ex.sendPayload(so)))
 		ex.res.BytesSent += so.total
 	}
 	if ib == 0 {
@@ -449,15 +398,7 @@ func (ex *exec) memberInit(sh *shuffle) {
 	if nrouted == 1 {
 		// Single routed request: its packed payload IS the intra-node
 		// message (zero-copy when contiguous, as on the flat path).
-		so := &sends[firstRouted]
-		if ex.dataMode {
-			pl = mpi.Bytes(ex.pack(so))
-		} else {
-			pl = mpi.Symbolic(so.total)
-			if so.nseg > 1 {
-				ex.chargeCopy(so.total)
-			}
-		}
+		pl = ex.sendPayload(&sends[firstRouted])
 	} else {
 		// Gather all routed requests into one message, in plan order —
 		// the layout the leader's combSrc offsets assume.

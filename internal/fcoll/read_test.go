@@ -80,7 +80,7 @@ func TestCollectiveReadAllAlgorithms(t *testing.T) {
 // TestCollectiveReadStrided exercises the staged-unpack path (multi-
 // segment placement at the destination ranks).
 func TestCollectiveReadStrided(t *testing.T) {
-	for _, algo := range []fcoll.Algorithm{fcoll.NoOverlap, fcoll.WriteOverlap, fcoll.WriteComm2Overlap} {
+	for _, algo := range fcoll.AllAlgorithms {
 		algo := algo
 		t.Run(algo.String(), func(t *testing.T) {
 			rg := newRig(t, 4, 2, 37)
