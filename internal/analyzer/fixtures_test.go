@@ -1,7 +1,6 @@
 package analyzer
 
 import (
-	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
@@ -209,38 +208,6 @@ func TestLookaheadFixtures(t *testing.T) {
 
 func TestMemoSafeFixtures(t *testing.T) {
 	runFixtureTest(t, MemoSafe, "memosafe")
-}
-
-// TestPoolPathSubsumesPayloadAliasRetention pins the acceptance
-// criterion that poolpath generalizes the straight-line pool-retention
-// rule: every pooled-handle diagnostic payloadalias produces on its own
-// fixtures must also be produced — same file, line, and message — by
-// poolpath. (poolpath may report MORE: it also sees leaks the
-// straight-line rule cannot, e.g. a handle left live at return.)
-func TestPoolPathSubsumesPayloadAliasRetention(t *testing.T) {
-	l := newFixtureLoader(t)
-	pkgs := []*Package{l.load("payloadalias")}
-	old, err := Run(pkgs, []*Analyzer{PayloadAlias})
-	if err != nil {
-		t.Fatal(err)
-	}
-	neu, err := Run(pkgs, []*Analyzer{PoolPath})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := map[string]bool{}
-	for _, d := range neu {
-		got[fmt.Sprintf("%s:%d:%s", d.Pos.Filename, d.Pos.Line, d.Message)] = true
-	}
-	for _, d := range old {
-		if !strings.HasPrefix(d.Message, "pooled handle") {
-			continue // buffer-aliasing rule: not poolpath's concern
-		}
-		key := fmt.Sprintf("%s:%d:%s", d.Pos.Filename, d.Pos.Line, d.Message)
-		if !got[key] {
-			t.Errorf("payloadalias retention diagnostic not subsumed by poolpath: %s", d)
-		}
-	}
 }
 
 // TestTreeIsClean is the self-check the verify pipeline leans on: the

@@ -2,7 +2,6 @@ package analyzer
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -22,18 +21,11 @@ import (
 // mpi.Bytes, or via a local payload variable built with mpi.Bytes), and
 // is released by the completion calls Wait/WaitFutures/WinFence/
 // WinUnlock/WinComplete. Writes to an in-flight buffer (element stores,
-// copy into it, append reassignment) are reported.
-//
-// The analyzer also enforces the mirror-image lifetime rule for pooled
-// protocol handles: a *simnet.Transfer handed back with Network.Release,
-// or an *mpi.Request passed to Wait (which recycles it onto the World's
-// free list), must not be touched afterwards — the next Send/Isend may
-// overwrite its fields. Any use after the release point (a field read, a
-// method call, capture in a later closure) is reported; rebinding the
-// variable to a fresh handle clears it.
+// copy into it, append reassignment) are reported. The lifetime of the
+// pooled handles themselves is poolpath's concern.
 var PayloadAlias = &Analyzer{
 	Name: "payloadalias",
-	Doc:  "flag writes to in-flight payload buffers and uses of pooled handles past their release point",
+	Doc:  "flag writes to in-flight payload buffers",
 	Run:  runPayloadAlias,
 }
 
@@ -48,87 +40,6 @@ var payloadCompleters = map[string]bool{
 func runPayloadAlias(pass *Pass) error {
 	for _, fb := range funcDecls(pass.Files) {
 		checkPayloadAliasing(pass, fb.decl)
-		checkPoolRetention(pass, fb.decl)
-	}
-	return nil
-}
-
-// poolRelease records one recycled handle: what recycled it and the
-// source position past which any use is a violation.
-type poolRelease struct {
-	op  string
-	end token.Pos
-}
-
-// checkPoolRetention flags uses of pooled handles after their release
-// point: *simnet.Transfer after Network.Release, *mpi.Request after
-// Wait. Like the payload rule it is a straight-line scan in source
-// order, so a closure defined before the release that runs after it is
-// not seen — the runtime convention for that case is to capture the
-// needed fields into locals before registering the callback.
-func checkPoolRetention(pass *Pass, decl *ast.FuncDecl) {
-	released := map[types.Object]*poolRelease{}
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			fn := calleeFunc(pass.Info, n)
-			switch {
-			case isMethod(fn, "simnet", "Release") && len(n.Args) == 1:
-				if obj := argIdentObj(pass, n.Args[0]); obj != nil {
-					// A second release of the same handle is itself a use
-					// past the release point (and would corrupt the free
-					// list): report it here, since the argument ident sits
-					// inside this call's own span.
-					if rel, ok := released[obj]; ok {
-						pass.Reportf(n.Pos(),
-							"pooled handle %q used after %s: it is on the free list and the next operation may recycle it",
-							obj.Name(), rel.op)
-					}
-					released[obj] = &poolRelease{op: "Network.Release", end: n.End()}
-				}
-			case isMethod(fn, "mpi", "Wait") && !n.Ellipsis.IsValid():
-				// Wait(reqs...) spreads a slice the caller typically
-				// reuses; only direct handle arguments are tracked.
-				for _, a := range n.Args {
-					if obj := argIdentObj(pass, a); obj != nil {
-						if rel, ok := released[obj]; ok {
-							pass.Reportf(n.Pos(),
-								"pooled handle %q used after %s: it is on the free list and the next operation may recycle it",
-								obj.Name(), rel.op)
-						}
-						released[obj] = &poolRelease{op: "Wait", end: n.End()}
-					}
-				}
-			}
-		case *ast.AssignStmt:
-			// Rebinding the variable to a fresh handle ends the epoch.
-			for _, lhs := range n.Lhs {
-				if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
-					if obj := identObj(pass.Info, id); obj != nil {
-						delete(released, obj)
-					}
-				}
-			}
-		case *ast.Ident:
-			obj := identObj(pass.Info, n)
-			if obj == nil {
-				return true
-			}
-			if rel, ok := released[obj]; ok && n.Pos() > rel.end {
-				pass.Reportf(n.Pos(),
-					"pooled handle %q used after %s: it is on the free list and the next operation may recycle it",
-					obj.Name(), rel.op)
-			}
-		}
-		return true
-	})
-}
-
-// argIdentObj resolves a plain identifier argument to its object (nil
-// for composite expressions — only named handles are tracked).
-func argIdentObj(pass *Pass, e ast.Expr) types.Object {
-	if id, ok := ast.Unparen(e).(*ast.Ident); ok {
-		return identObj(pass.Info, id)
 	}
 	return nil
 }

@@ -7,17 +7,15 @@ import (
 	"sort"
 )
 
-// PoolPath is the flow-sensitive generalization of payloadalias's
-// pool-retention rule. Where payloadalias scans one function in source
-// order — so it can only see "handle used after the textually earlier
-// Release" — poolpath runs a may-analysis over the function's CFG
-// (cfg.go) and reports three lifetime violations for pooled handles
-// (*simnet.Transfer, recycled by Network.Release; *mpi.Request,
-// recycled by Rank.Wait):
+// PoolPath checks the lifetime of pooled handles (*simnet.Transfer,
+// recycled by Network.Release; *mpi.Request, recycled by Rank.Wait): the
+// next Send/Isend may overwrite a released handle's fields. It runs a
+// may-analysis over the function's CFG (cfg.go), so it sees more than a
+// source-order scan would, and reports three lifetime violations:
 //
-//   - use after release on ANY path (subsumes payloadalias's rule, and
-//     additionally catches "released in one branch, used after the
-//     join");
+//   - use after release on ANY path (a field read, a method call,
+//     capture in a later closure), including "released in one branch,
+//     used after the join";
 //   - double release: a Release/Wait reached by a path on which the
 //     handle is already back on the free list;
 //   - leak: an acquire with a path to return on which the handle is
@@ -441,4 +439,13 @@ func (f poolFact) relOp2(acqOp string) string {
 		return f.relOp
 	}
 	return acqOp
+}
+
+// argIdentObj resolves a plain identifier argument to its object (nil
+// for composite expressions — only named handles are tracked).
+func argIdentObj(pass *Pass, e ast.Expr) types.Object {
+	if id, ok := ast.Unparen(e).(*ast.Ident); ok {
+		return identObj(pass.Info, id)
+	}
+	return nil
 }

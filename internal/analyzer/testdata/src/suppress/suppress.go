@@ -10,8 +10,8 @@ import (
 	"simnet"
 )
 
-// Trailing-comment form: the waiver sits on the diagnostic's own line
-// and names both analyzers that report here.
+// Trailing-comment form: the waiver sits on the diagnostic's own line.
+// It names two analyzers, of which only poolpath reports here.
 func suppressedUseAfterRelease(net *simnet.Network) int64 {
 	tr := net.Send(0, 1, 64)
 	net.Release(tr)
