@@ -9,9 +9,9 @@ GO ?= go
 SHELL := bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: check build vet collvet test race race-parallel bench bench-diff metrics-smoke scale-smoke select-smoke
+.PHONY: check build vet collvet test race race-parallel bench bench-diff metrics-smoke scale-smoke select-smoke perfbench-smoke
 
-check: build vet collvet race-parallel scale-smoke select-smoke metrics-smoke race
+check: build vet collvet race-parallel scale-smoke select-smoke metrics-smoke perfbench-smoke race
 
 build:
 	$(GO) build ./...
@@ -127,3 +127,14 @@ metrics-smoke:
 	grep -q 'fs.chunk_latency_ns' $(METRICS_SMOKE_DIR)/summary.txt
 	$(GO) run ./cmd/iorbench -np 8 -runs 1 -read -metrics > $(METRICS_SMOKE_DIR)/read.txt
 	grep -q 'phase.read.rank_ns' $(METRICS_SMOKE_DIR)/read.txt
+
+# `make perfbench-smoke` runs the end-to-end benchmark's own tests. The
+# perfbench directory is a nested module (it replaces collio with the
+# parent checkout), so `go test ./...` at the root never reaches it.
+# Its tests run every workload at a tiny size through the same gates as
+# the benchmark — byte conservation, pass-to-pass repeatability, layer
+# coverage — including read-grid's byte-conservation gate on the
+# collective read. Part of `make check` (~15 s);
+# -count=1 defeats the test cache.
+perfbench-smoke:
+	cd perfbench && $(GO) test -count=1 ./...
