@@ -336,7 +336,7 @@ func (la *lookaheadChecker) checkNode(n ast.Node, s symState) {
 // crossLPMethods are the kernel methods that mutate the receiver's
 // event queue (and so must only run on the owning LP's worker).
 var crossLPMethods = map[string]bool{
-	"At": true, "After": true, "Spawn": true, "SpawnAt": true,
+	"At": true, "After": true, "CompleteAfter": true, "Spawn": true, "SpawnAt": true,
 }
 
 func (la *lookaheadChecker) checkCrossLP(call *ast.CallExpr) {

@@ -35,8 +35,8 @@ var MapOrder = &Analyzer{
 var mapOrderHazards = map[string]map[string]bool{
 	"sim": {
 		"At": true, "After": true, "Spawn": true, "SpawnAt": true,
-		"ScheduleRemote": true, "Complete": true, "Fail": true,
-		"CompleteValue": true, "OnDone": true,
+		"ScheduleRemote": true, "Complete": true, "CompleteAfter": true,
+		"OnDone": true, "Then": true,
 	},
 	"probe": {"Emit": true},
 	"trace": {"Record": true},

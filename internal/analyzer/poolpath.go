@@ -22,6 +22,13 @@ import (
 //     never released — including reassigning the variable to a fresh
 //     handle while the previous one may still be live.
 //
+// A request's completion future is embedded in the pooled *mpi.Request,
+// so a future taken with q.Future() is part of the handle: it is
+// tracked as derived from q, released with q, and any use of it after
+// q's Wait is a use after release. Passing it to a call while q is live
+// (WaitAnyFuture, Join) does not hand off q's release, so it stays
+// tracked.
+//
 // Facts are a bitmask per handle object: poolLive means "may hold an
 // unreleased handle", poolRel means "may be on the free list"; the join
 // is bitwise-or, so poolLive|poolRel reads "released on some paths but
@@ -63,10 +70,12 @@ func poolHandleKind(t types.Type) (releaseOp string, ok bool) {
 }
 
 // poolFact is the per-object lattice element. relOp remembers which
-// recycler put the handle on the free list, for the diagnostic text.
+// recycler put the handle on the free list, for the diagnostic text; of
+// is the request a derived future was taken from.
 type poolFact struct {
 	mask  uint8
 	relOp string
+	of    types.Object
 }
 
 type poolState map[types.Object]poolFact
@@ -85,9 +94,12 @@ func joinPool(dst, src poolState) (poolState, bool) {
 	merged := dst
 	for obj, sf := range src {
 		df, ok := merged[obj]
-		nf := poolFact{mask: df.mask | sf.mask, relOp: df.relOp}
+		nf := poolFact{mask: df.mask | sf.mask, relOp: df.relOp, of: df.of}
 		if nf.relOp == "" {
 			nf.relOp = sf.relOp
+		}
+		if nf.of == nil {
+			nf.of = sf.of
 		}
 		if !ok || nf != df {
 			if !changed {
@@ -217,6 +229,20 @@ func (pp *poolPather) report(pos token.Pos, format string, args ...interface{}) 
 	}
 }
 
+// reportUseAfter reports a use of obj, whose fact f says it may be on
+// the free list.
+func (pp *poolPather) reportUseAfter(pos token.Pos, obj types.Object, f poolFact) {
+	if f.of != nil {
+		pp.report(pos,
+			"future %q of pooled request %q used after %s: it lives inside the request, and the next operation may recycle it",
+			obj.Name(), f.of.Name(), f.relOp)
+		return
+	}
+	pp.report(pos,
+		"pooled handle %q used after %s: it is on the free list and the next operation may recycle it",
+		obj.Name(), f.relOp)
+}
+
 // transfer interprets one block. The same function implements both the
 // solver's transfer and the reporting pass (pp.reporting set, called
 // once per block from the solved in-fact).
@@ -277,9 +303,7 @@ func (pp *poolPather) node(n ast.Node, st poolState) {
 			}
 			if f, tracked := st[obj]; tracked {
 				if f.mask&poolRel != 0 {
-					pp.report(id.Pos(),
-						"pooled handle %q used after %s: it is on the free list and the next operation may recycle it",
-						obj.Name(), f.relOp)
+					pp.reportUseAfter(id.Pos(), obj, f)
 				} else {
 					delete(st, obj) // escapes into the closure
 				}
@@ -322,11 +346,14 @@ func (pp *poolPather) node(n ast.Node, st poolState) {
 				continue
 			}
 			if f, tracked := st[obj]; tracked && f.mask&poolRel != 0 {
-				pp.report(call.Pos(),
-					"pooled handle %q used after %s: it is on the free list and the next operation may recycle it",
-					obj.Name(), f.relOp)
+				pp.reportUseAfter(call.Pos(), obj, f)
 			}
 			st[obj] = poolFact{mask: poolRel, relOp: op}
+			for d, f := range st {
+				if f.of == obj {
+					st[d] = poolFact{mask: poolRel, relOp: op, of: obj}
+				}
+			}
 		}
 		return true
 	})
@@ -345,6 +372,15 @@ func (pp *poolPather) node(n ast.Node, st poolState) {
 		for i, rhs := range asg.Rhs {
 			call, ok := ast.Unparen(rhs).(*ast.CallExpr)
 			if !ok {
+				continue
+			}
+			if q := pp.futureOf(call, st); q != nil {
+				if id, ok := ast.Unparen(asg.Lhs[i]).(*ast.Ident); ok && id.Name != "_" {
+					if obj := identObj(pp.pass.Info, id); obj != nil {
+						handled[id] = true
+						st[obj] = poolFact{mask: poolLive, of: q}
+					}
+				}
 				continue
 			}
 			t := pp.pass.Info.TypeOf(call)
@@ -419,17 +455,35 @@ func (pp *poolPather) node(n ast.Node, st poolState) {
 			return true
 		}
 		if f.mask&poolRel != 0 {
-			pp.report(id.Pos(),
-				"pooled handle %q used after %s: it is on the free list and the next operation may recycle it",
-				obj.Name(), f.relOp)
+			pp.reportUseAfter(id.Pos(), obj, f)
 			return true
 		}
 		if sel, ok := parents[id].(*ast.SelectorExpr); ok && sel.X == id {
 			return true // field read / method call on the live handle
 		}
+		if f.of != nil {
+			return true // a derived future in use; its request keeps the release
+		}
 		delete(st, obj) // escapes: return, call arg, alias, store, send
 		return true
 	})
+}
+
+// futureOf returns the tracked, live request whose Future() call is
+// call, or nil.
+func (pp *poolPather) futureOf(call *ast.CallExpr, st poolState) types.Object {
+	if !isMethod(calleeFunc(pp.pass.Info, call), "mpi", "Future") {
+		return nil
+	}
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return nil
+	}
+	q := argIdentObj(pp.pass, sel.X)
+	if f, tracked := st[q]; !tracked || f.mask != poolLive || f.of != nil {
+		return nil
+	}
+	return q
 }
 
 // relOp2 names the expected recycler in the reassign diagnostic: the

@@ -40,6 +40,12 @@ func badCrossLPSchedule(srcK *sim.Kernel, dst int, lat sim.Time) {
 	})
 }
 
+func badCrossLPCompleteAfter(srcK *sim.Kernel, dst int, lat sim.Time, f *sim.Future) {
+	srcK.ScheduleRemote(dst, srcK.Now()+lat, func() {
+		srcK.CompleteAfter(lat, f) // want `cross-LP access: this callback runs on the destination LP of ScheduleRemote, but srcK\.CompleteAfter mutates the sending kernel`
+	})
+}
+
 // --- clean: delta meets or exceeds the constant lookahead ---
 
 func goodAtLookahead() {

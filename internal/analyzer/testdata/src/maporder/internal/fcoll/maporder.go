@@ -47,6 +47,18 @@ func badSchedulePerMapEntry(k *sim.Kernel, delays map[int]sim.Time) {
 	}
 }
 
+func badForwardPerMapEntry(done map[int]*sim.Future, out *sim.Future) {
+	for _, f := range done {
+		f.Then(out) // want `call to sim\.Then inside range over map`
+	}
+}
+
+func badCompleteAfterPerMapEntry(k *sim.Kernel, futs map[int]*sim.Future) {
+	for _, f := range futs {
+		k.CompleteAfter(0, f) // want `call to sim\.CompleteAfter inside range over map`
+	}
+}
+
 func badIsendPerMapEntry(r *mpi.Rank, peers map[int]int64) {
 	for dst, sz := range peers {
 		if sz == 0 {

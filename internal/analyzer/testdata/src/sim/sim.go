@@ -15,16 +15,17 @@ type Future struct{ done bool }
 func (f *Future) Done() bool       { return f.done }
 func (f *Future) Complete()        { f.done = true }
 func (f *Future) OnDone(fn func()) { _ = fn }
+func (f *Future) Then(g *Future)   { _ = g }
 func (f *Future) Join(g *Future)   { _ = g }
 
 // Proc mirrors a simulated process.
 type Proc struct{}
 
-func (p *Proc) Wait(f *Future) error        { return nil }
-func (p *Proc) WaitAll(fs ...*Future) error { return nil }
-func (p *Proc) WaitAny(fs ...*Future) int   { return 0 }
-func (p *Proc) Sleep(d Time)                {}
-func (p *Proc) Yield()                      {}
+func (p *Proc) Wait(f *Future)            {}
+func (p *Proc) WaitAll(fs ...*Future)     {}
+func (p *Proc) WaitAny(fs ...*Future) int { return 0 }
+func (p *Proc) Sleep(d Time)              {}
+func (p *Proc) Yield()                    {}
 
 // Kernel mirrors the DES scheduler surface used by the analyzers.
 type Kernel struct{}
@@ -34,6 +35,7 @@ func (k *Kernel) Now() Time                                 { return 0 }
 func (k *Kernel) ScheduleRemote(dst int, t Time, fn func()) { _ = fn }
 func (k *Kernel) After(d Time, fn func())                   { _ = fn }
 func (k *Kernel) At(t Time, fn func())                      { _ = fn }
+func (k *Kernel) CompleteAfter(d Time, f *Future)           { _ = f }
 func (k *Kernel) NewFuture() *Future                        { return &Future{} }
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc { return &Proc{} }
 func (k *Kernel) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {

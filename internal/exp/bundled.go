@@ -49,21 +49,19 @@ import (
 // rendezvous is a modelled global synchronisation point: need arrivals
 // (every aggregator plus one for the bundled non-aggregator members),
 // release at the latest arrival plus the closed-form collective cost.
+// Arrivals come in time order, so the latest is the one that completes
+// the count.
 type rendezvous struct {
 	k    *sim.Kernel
 	need int
 	n    int
-	last sim.Time
 	cost sim.Time
 	fut  *sim.Future
 }
 
 func (rv *rendezvous) arrive() {
-	if now := rv.k.Now(); now > rv.last {
-		rv.last = now
-	}
 	if rv.n++; rv.n == rv.need {
-		rv.k.At(rv.last+rv.cost, rv.fut.Complete)
+		rv.k.CompleteAfter(rv.cost, rv.fut)
 	}
 }
 
@@ -479,7 +477,7 @@ func (b *cohortRun) issueCycle(v *viewState, c int) {
 	}
 	for a := 0; a < naggs; a++ {
 		done := v.recvDone[c][a]
-		b.k.Join(delivered[a]...).OnDone(done.Complete)
+		b.k.Join(delivered[a]...).Then(done)
 	}
 	b.k.Join(injs...).OnDone(func() {
 		if c+1 < len(v.syncs) {
@@ -511,8 +509,8 @@ func (b *cohortRun) issueBatch(node, aggNode int, size int64, cycle int, release
 				b.obs.Phase(probe.CauseShuffle, m.rank, cycle, release, b.k.Now(), 0)
 			})
 		}
-		tr.Injected.OnDone(injF.Complete)
-		tr.Delivered.OnDone(delF.Complete)
+		tr.Injected.Then(injF)
+		tr.Delivered.Then(delF)
 		b.net.Release(tr)
 		return
 	}
@@ -528,8 +526,8 @@ func (b *cohortRun) issueBatch(node, aggNode int, size int64, cycle int, release
 			}
 		})
 	}
-	tr.Injected.OnDone(injF.Complete)
-	tr.Delivered.OnDone(delF.Complete)
+	tr.Injected.Then(injF)
+	tr.Delivered.Then(delF)
 	b.net.Release(tr)
 }
 

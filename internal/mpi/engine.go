@@ -49,12 +49,13 @@ type rdvChunkPkt struct {
 // everything it needs from the send request at creation: the sender
 // completes locally (and its pooled request may be recycled by Wait) at
 // last-chunk injection, while chunk deliveries keep arriving afterwards.
-// The receive request stays live until rdvDone completes it, so holding
-// it is safe.
+// sfut points into the send request, so it is dropped once the last
+// chunk's injection forward is registered. The receive request stays
+// live until rdvDone completes it, so holding it is safe.
 type rdvState struct {
 	pl        Payload     // sender payload
 	srcID     int         // sender rank id
-	sfut      *sim.Future // sender-side (local) completion
+	sfut      *sim.Future // sender-side (local) completion, until the last chunk
 	rreq      *Request
 	next      int64 // offset of the next chunk to request
 	delivered int64 // bytes fully arrived
@@ -227,7 +228,7 @@ func (e *engine) finishRecv(req *Request, pl Payload, delay sim.Time) {
 		copy(req.buf, pl.Data)
 	}
 	req.recvd = pl.Size
-	e.r.k.After(delay, req.fut.Complete)
+	e.r.k.CompleteAfter(delay, &req.fut)
 }
 
 // finishRecvWithCopy completes a receive whose data sits in the
@@ -241,7 +242,7 @@ func (e *engine) finishRecvWithCopy(req *Request, pl Payload, delay sim.Time) {
 	req.recvd = pl.Size
 	k.After(delay, func() {
 		cp := e.r.w.net.Memcpy(e.r.node, pl.Size)
-		cp.OnDone(req.fut.Complete)
+		cp.Then(&req.fut)
 	})
 }
 
@@ -261,7 +262,7 @@ func (e *engine) sendCTS(p *rtsPkt, rreq *Request) {
 // delivery lets the receiver's progress engine request one more.
 func (e *engine) startRdvData(sreq, rreq *Request) {
 	w := e.r.w
-	st := &rdvState{pl: sreq.pl, srcID: sreq.rank.id, sfut: sreq.fut, rreq: rreq}
+	st := &rdvState{pl: sreq.pl, srcID: sreq.rank.id, sfut: &sreq.fut, rreq: rreq}
 	depth := w.cfg.RendezvousDepth
 	if depth < 1 || w.cfg.RendezvousChunk <= 0 {
 		depth = 1
@@ -292,7 +293,8 @@ func (w *World) sendRdvChunk(st *rdvState) {
 	if last {
 		// Local (sender) completion at last-chunk injection, as with a
 		// zero-copy rendezvous protocol.
-		tr.Injected.OnDone(st.sfut.Complete)
+		tr.Injected.Then(st.sfut)
+		st.sfut = nil // the future lives in the pooled send request
 	}
 	tr.Delivered.OnDone(func() {
 		st.delivered += size

@@ -12,9 +12,11 @@ import (
 // recycles every request passed to it, so a request must not be used
 // after it has been waited on (MPI_Request semantics — the handle is
 // set to MPI_REQUEST_NULL by MPI_Wait). Use Recv's return value, or
-// Received before Wait, for the received byte count.
+// Received before Wait, for the received byte count. The completion
+// future is embedded, so it is pooled with the request and recycled by
+// the same Wait; a future taken from Future() is part of the handle.
 type Request struct {
-	fut   *sim.Future
+	fut   sim.Future
 	rank  *Rank // owning rank
 	recv  bool
 	peer  int // source for receives, destination for sends
@@ -34,8 +36,9 @@ func (q *Request) Done() bool { return q.fut.Done() }
 func (q *Request) Received() int64 { return q.recvd }
 
 // Future exposes the underlying completion, for WaitAny-style dataflow
-// loops in the collective engine.
-func (q *Request) Future() *sim.Future { return q.fut }
+// loops in the collective engine. It lives inside the request: it must
+// not be used after the request's Wait.
+func (q *Request) Future() *sim.Future { return &q.fut }
 
 // Isend starts a non-blocking send of pl to rank dst with the given tag
 // and returns its request. Messages below the eager limit are injected
@@ -61,7 +64,7 @@ func (r *Rank) Isend(dst, tag int, pl Payload) *Request {
 		pl = Bytes(append([]byte(nil), pl.Data...))
 	}
 	req := r.newRequest()
-	req.fut = r.k.NewFuture()
+	r.k.InitFuture(&req.fut)
 	req.rank = r
 	req.peer = dst
 	req.tag = tag
@@ -81,7 +84,7 @@ func (r *Rank) Isend(dst, tag int, pl Payload) *Request {
 	}
 	if pl.Size < cfg.EagerLimit {
 		tr := r.w.net.Send(r.node, dstRank.node, pl.Size+cfg.CtrlBytes)
-		tr.Injected.OnDone(req.fut.Complete)
+		tr.Injected.Then(&req.fut)
 		tr.Delivered.OnDone(func() {
 			dstRank.eng.arrive(&eagerPkt{src: r.id, tag: tag, pl: pl})
 		})
@@ -111,7 +114,7 @@ func (r *Rank) Irecv(src, tag int, size int64, buf []byte) *Request {
 	defer e.exit()
 	cfg := &r.w.cfg
 	req := r.newRequest()
-	req.fut = r.k.NewFuture()
+	r.k.InitFuture(&req.fut)
 	req.rank = r
 	req.recv = true
 	req.peer = src
@@ -143,7 +146,7 @@ func (r *Rank) Wait(reqs ...*Request) {
 		if q == nil {
 			continue
 		}
-		r.p.Wait(q.fut)
+		r.p.Wait(&q.fut)
 		r.releaseRequest(q)
 	}
 }
@@ -201,7 +204,7 @@ func (r *Rank) Recv(src, tag int, size int64, buf []byte) int64 {
 	e.enter()
 	defer e.exit()
 	defer r.waitSpan()()
-	r.p.Wait(q.fut)
+	r.p.Wait(&q.fut)
 	n := q.recvd
 	r.releaseRequest(q)
 	return n

@@ -143,7 +143,7 @@ func (r *Rank) Put(win *Window, target int, offset int64, pl Payload) {
 		tr.Delivered.OnDone(func() {
 			tgt.agent().Submit(0).OnDone(func() {
 				cp := r.w.net.Memcpy(tgt.node, size)
-				cp.OnDone(am.Complete)
+				cp.Then(am)
 			})
 		})
 		done = am
@@ -236,7 +236,7 @@ func (win *Window) grant(typ LockType, origin, target int, fut *sim.Future) {
 	}
 	w := win.w
 	reply := w.net.Send(w.ranks[target].node, w.ranks[origin].node, w.cfg.CtrlBytes)
-	reply.Delivered.OnDone(fut.Complete)
+	reply.Delivered.Then(fut)
 	w.net.Release(reply)
 }
 
@@ -277,7 +277,7 @@ func (r *Rank) WinUnlock(win *Window, target int) {
 		tgt.agent().Submit(0).OnDone(func() {
 			win.release(r.id, target)
 			reply := w.net.Send(tgt.node, r.node, w.cfg.CtrlBytes)
-			reply.Delivered.OnDone(ack.Complete)
+			reply.Delivered.Then(ack)
 			w.net.Release(reply)
 		})
 	})

@@ -162,8 +162,8 @@ type reqShard struct {
 }
 
 // newRequest takes a zeroed request from the free list (or allocates
-// one). The caller fills in the operation fields, including a fresh
-// future.
+// one). The caller fills in the operation fields and binds the embedded
+// future (Kernel.InitFuture).
 func (w *World) newRequest() *Request {
 	q := w.freeReqs
 	if q == nil {

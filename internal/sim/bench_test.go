@@ -55,3 +55,28 @@ func BenchmarkSpawnYield(b *testing.B) {
 	})
 	k.Run()
 }
+
+// BenchmarkKernelSameInstant measures the same-instant lane: bursts of
+// zero-delay events, the shape of completion forwarding, where one
+// operation's completion schedules the next hop at the same instant.
+// One iteration is one zero-delay push, pop and fire.
+func BenchmarkKernelSameInstant(b *testing.B) {
+	b.ReportAllocs()
+	const burst = 64
+	k := NewKernel(1)
+	remaining := b.N
+	hop := func() {}
+	var tick func()
+	tick = func() {
+		n := min(burst, remaining)
+		remaining -= n
+		for i := 0; i < n; i++ {
+			k.After(0, hop)
+		}
+		if remaining > 0 {
+			k.After(Microsecond, tick)
+		}
+	}
+	k.After(Microsecond, tick)
+	k.Run()
+}

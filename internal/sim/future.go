@@ -4,132 +4,138 @@ package sim
 // simulation analogue of an MPI_Request / aio control block: an operation
 // is initiated, a Future is returned, and completion is signalled later
 // from kernel context (a network delivery, a storage target finishing)
-// or from another process.
+// or from another process. DoneAt records when the operation actually
+// finished, even if its waiter looks much later.
 //
-// Futures carry an optional error and an optional completion time, which
-// lets callers measure when the underlying operation actually finished
-// even if they wait much later.
-// The first waiter and the first callback are stored inline: nearly
-// every future in the protocol stack has exactly one of each (the
-// issuing rank waits, one completion callback fires), and growing a
-// slice from nil for that single entry was the single largest
-// allocation source in end-to-end profiles. The slices exist only for
-// the overflow case; completion order is slot first, then slice — the
-// same registration order as before.
+// Two callbacks and the first waiter are stored inline: nearly every
+// future in the protocol stack has one waiter and at most two callbacks
+// (an intra-node transfer's Injected and Delivered are one future, so
+// its local-completion forward and its arrival callback share it).
+// Growing a slice from nil for them was the largest allocation source
+// in end-to-end profiles. The overflow slice holds both kinds, told
+// apart by type: waiters are *Proc, callbacks never are. Completion
+// schedules every callback in registration order, then every waiter in
+// registration order. The layout keeps Future at 88 bytes, inside the
+// 96-byte allocation class.
 type Future struct {
-	k        *Kernel
-	done     bool
-	err      error
-	doneAt   Time
-	waiter0  *Proc
-	waiters  []*Proc
-	onDone0  func()
-	onDone   []func()
-	hasValue bool
-	value    interface{}
+	k       *Kernel
+	done    bool
+	doneAt  Time
+	waiter0 *Proc
+	onDone0 action
+	onDone1 action
+	more    []action
 }
 
 // NewFuture returns an incomplete future bound to k.
 func (k *Kernel) NewFuture() *Future { return &Future{k: k} }
 
+// InitFuture resets f to an incomplete future bound to k. It is for
+// futures embedded by value in pooled objects, which live as long as
+// the object rather than as a separate allocation.
+func (k *Kernel) InitFuture(f *Future) { *f = Future{k: k} }
+
 // Done reports whether the future has completed.
 func (f *Future) Done() bool { return f.done }
-
-// Err returns the error the future completed with, if any.
-func (f *Future) Err() error { return f.err }
 
 // DoneAt returns the virtual time at which the future completed. It is
 // only meaningful once Done() is true.
 func (f *Future) DoneAt() Time { return f.doneAt }
 
-// Value returns the value attached via CompleteValue, or nil.
-func (f *Future) Value() interface{} { return f.value }
-
 // Complete marks the future done at the current virtual time and
-// schedules all waiters to resume. Completing an already-complete future
-// panics — it indicates a protocol bug in the caller.
-func (f *Future) Complete() { f.complete(nil, nil, false) }
-
-// Fail completes the future with an error.
-func (f *Future) Fail(err error) { f.complete(err, nil, false) }
-
-// CompleteValue completes the future carrying a value.
-func (f *Future) CompleteValue(v interface{}) { f.complete(nil, v, true) }
-
-func (f *Future) complete(err error, v interface{}, hasV bool) {
+// schedules all callbacks and waiters to run. Completing an
+// already-complete future panics — it indicates a protocol bug in the
+// caller.
+func (f *Future) Complete() {
 	if f.done {
 		panic("sim: Future completed twice")
 	}
 	f.done = true
-	f.err = err
 	f.doneAt = f.k.now
-	if hasV {
-		f.hasValue = true
-		f.value = v
-	}
 	// Waiters and callbacks are resumed via zero-delay events rather than
 	// inline, so that a process completing a future while running never
 	// results in two simultaneously-running processes.
+	k := f.k
 	if f.onDone0 != nil {
-		f.k.After(0, f.onDone0)
+		k.afterAct(0, f.onDone0)
 		f.onDone0 = nil
 	}
-	for _, cb := range f.onDone {
-		f.k.After(0, cb)
+	if f.onDone1 != nil {
+		k.afterAct(0, f.onDone1)
+		f.onDone1 = nil
 	}
-	f.onDone = nil
+	for _, a := range f.more {
+		if _, waiter := a.(*Proc); !waiter {
+			k.afterAct(0, a)
+		}
+	}
 	if f.waiter0 != nil {
-		f.k.afterDispatch(0, f.waiter0)
+		k.afterAct(0, f.waiter0)
 		f.waiter0 = nil
 	}
-	for _, p := range f.waiters {
-		f.k.afterDispatch(0, p)
+	for _, a := range f.more {
+		if p, waiter := a.(*Proc); waiter {
+			k.afterAct(0, p)
+		}
 	}
-	f.waiters = nil
+	f.more = nil
 }
+
+// fire is the event behind Then and CompleteAfter: it completes f.
+func (f *Future) fire() { f.Complete() }
 
 // OnDone registers fn to run (in kernel context) when the future
 // completes. If the future is already complete, fn is scheduled
 // immediately.
-func (f *Future) OnDone(fn func()) {
+func (f *Future) OnDone(fn func()) { f.register(fnAction(fn)) }
+
+// Then completes g when f completes. It schedules the same event as
+// OnDone(g.Complete) without allocating the method value.
+func (f *Future) Then(g *Future) { f.register(g) }
+
+func (f *Future) register(a action) {
+	switch {
+	case f.done:
+		f.k.afterAct(0, a)
+	case f.onDone0 == nil:
+		f.onDone0 = a
+	case f.onDone1 == nil:
+		f.onDone1 = a
+	default:
+		f.more = append(f.more, a)
+	}
+}
+
+// Wait blocks the calling process until the future completes.
+func (p *Proc) Wait(f *Future) {
 	if f.done {
-		f.k.After(0, fn)
 		return
 	}
-	if f.onDone0 == nil && len(f.onDone) == 0 {
-		f.onDone0 = fn
-		return
+	if f.waiter0 == nil {
+		f.waiter0 = p
+	} else {
+		f.more = append(f.more, p)
 	}
-	f.onDone = append(f.onDone, fn)
+	p.block()
 }
 
-// Wait blocks the calling process until the future completes and returns
-// its error.
-func (p *Proc) Wait(f *Future) error {
-	if !f.done {
-		if f.waiter0 == nil && len(f.waiters) == 0 {
-			f.waiter0 = p
-		} else {
-			f.waiters = append(f.waiters, p)
-		}
-		p.block()
-	}
-	return f.err
-}
-
-// WaitAll blocks until every future in fs has completed and returns the
-// first error encountered (in slice order).
-func (p *Proc) WaitAll(fs ...*Future) error {
-	var first error
+// WaitAll blocks until every non-nil future in fs has completed.
+func (p *Proc) WaitAll(fs ...*Future) {
 	for _, f := range fs {
-		if f == nil {
-			continue
-		}
-		if err := p.Wait(f); err != nil && first == nil {
-			first = err
+		if f != nil {
+			p.Wait(f)
 		}
 	}
-	return first
+}
+
+// anyFuture completes on the first completion among the futures it is
+// registered on, and ignores the rest.
+type anyFuture struct{ out Future }
+
+func (a *anyFuture) fire() {
+	if !a.out.done {
+		a.out.Complete()
+	}
 }
 
 // WaitAny blocks until at least one future in fs has completed and
@@ -140,18 +146,13 @@ func (p *Proc) WaitAny(fs ...*Future) int {
 			return i
 		}
 	}
-	agg := p.k.NewFuture()
+	agg := &anyFuture{out: Future{k: p.k}}
 	for _, f := range fs {
-		if f == nil {
-			continue
+		if f != nil {
+			f.register(agg)
 		}
-		f.OnDone(func() {
-			if !agg.done {
-				agg.Complete()
-			}
-		})
 	}
-	p.Wait(agg)
+	p.Wait(&agg.out)
 	for i, f := range fs {
 		if f != nil && f.done {
 			return i
@@ -160,32 +161,37 @@ func (p *Proc) WaitAny(fs ...*Future) int {
 	panic("sim: WaitAny woke with no completed future")
 }
 
+// joinFuture is Join's output future and its countdown in one
+// allocation; it is itself the callback registered on every input.
+type joinFuture struct {
+	out       Future
+	remaining int
+}
+
+func (j *joinFuture) fire() {
+	if j.remaining--; j.remaining == 0 {
+		j.out.Complete()
+	}
+}
+
 // Join returns a future that completes when all of fs have completed.
 func (k *Kernel) Join(fs ...*Future) *Future {
-	out := k.NewFuture()
-	n := 0
+	j := &joinFuture{out: Future{k: k}}
 	for _, f := range fs {
 		if f != nil && !f.done {
-			n++
+			j.remaining++
 		}
 	}
-	if n == 0 {
+	if j.remaining == 0 {
 		// Everything already done: complete via event to preserve the
 		// "completion happens from kernel context" discipline.
-		k.After(0, out.Complete)
-		return out
+		k.CompleteAfter(0, &j.out)
+		return &j.out
 	}
-	remaining := n
 	for _, f := range fs {
-		if f == nil || f.done {
-			continue
+		if f != nil && !f.done {
+			f.register(j)
 		}
-		f.OnDone(func() {
-			remaining--
-			if remaining == 0 {
-				out.Complete()
-			}
-		})
 	}
-	return out
+	return &j.out
 }

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"errors"
-	"testing"
-)
+import "testing"
 
 func TestFutureWaitBeforeComplete(t *testing.T) {
 	k := NewKernel(1)
@@ -39,29 +36,6 @@ func TestFutureWaitAfterComplete(t *testing.T) {
 	}
 }
 
-func TestFutureError(t *testing.T) {
-	k := NewKernel(1)
-	f := k.NewFuture()
-	sentinel := errors.New("boom")
-	k.At(5, func() { f.Fail(sentinel) })
-	var got error
-	k.Spawn("w", func(p *Proc) { got = p.Wait(f) })
-	k.Run()
-	if got != sentinel {
-		t.Fatalf("Wait error = %v, want sentinel", got)
-	}
-}
-
-func TestFutureValue(t *testing.T) {
-	k := NewKernel(1)
-	f := k.NewFuture()
-	k.At(5, func() { f.CompleteValue(42) })
-	k.Run()
-	if f.Value() != 42 {
-		t.Fatalf("Value = %v, want 42", f.Value())
-	}
-}
-
 func TestFutureDoubleCompletePanics(t *testing.T) {
 	k := NewKernel(1)
 	f := k.NewFuture()
@@ -85,28 +59,12 @@ func TestWaitAll(t *testing.T) {
 	k.At(20, f2.Complete)
 	var woke Time
 	k.Spawn("w", func(p *Proc) {
-		if err := p.WaitAll(f1, nil, f2, f3); err != nil {
-			t.Errorf("WaitAll error: %v", err)
-		}
+		p.WaitAll(f1, nil, f2, f3)
 		woke = p.Now()
 	})
 	k.Run()
 	if woke != 30 {
 		t.Fatalf("WaitAll woke at %v, want 30", woke)
-	}
-}
-
-func TestWaitAllFirstError(t *testing.T) {
-	k := NewKernel(1)
-	f1, f2 := k.NewFuture(), k.NewFuture()
-	e1, e2 := errors.New("one"), errors.New("two")
-	k.At(10, func() { f1.Fail(e1) })
-	k.At(20, func() { f2.Fail(e2) })
-	var got error
-	k.Spawn("w", func(p *Proc) { got = p.WaitAll(f1, f2) })
-	k.Run()
-	if got != e1 {
-		t.Fatalf("WaitAll error = %v, want first error", got)
 	}
 }
 

@@ -56,32 +56,30 @@ func (t Time) String() string {
 	}
 }
 
-// evKind discriminates the pre-bound callback kinds of an event. The
-// dominant schedule sites — process wakeups (timers, future waiters) and
-// bandwidth-server completions — outnumber everything else by orders of
-// magnitude; giving them dedicated kinds avoids allocating a closure per
-// event. Everything else goes through the generic evFunc closure.
-type evKind uint8
+// action is what an event does when it fires. The hot schedule sites
+// are pre-bound: a process wakeup is the *Proc itself, a server
+// completion or arrival is its pooled *serverReq, and a completion
+// forward (Then, CompleteAfter) is the target *Future. Only generic
+// callbacks go through fnAction, whose closure the caller allocated.
+// A two-word interface keeps the event at 48 bytes: the heap moves
+// events by value, and copy cost grows with every byte.
+type action interface{ fire() }
 
-const (
-	evFunc       evKind = iota // run fn (generic closure)
-	evDispatch                 // hand the CPU to proc (timer wakeup, future resume)
-	evServerDone               // complete srv's in-service request req
-)
+// fnAction adapts a plain callback to action. A func value is one
+// pointer, so the conversion does not allocate.
+type fnAction func()
+
+func (f fnAction) fire() { f() }
 
 // event is one scheduled occurrence. Events are stored by value inside
-// the kernel's queue slice, so scheduling allocates nothing for the
-// event itself; only evFunc events carry a heap-allocated closure.
+// the kernel's queues, so scheduling allocates nothing for the event
+// itself.
 type event struct {
 	at      Time
 	schedAt Time // virtual time at which the event was scheduled
 	seq     int64
 	crec    *evRecord // execution record of the creating event (partitioned runs only)
-	kind    evKind
-	fn      func()     // evFunc
-	proc    *Proc      // evDispatch
-	srv     *Server    // evServerDone
-	req     *serverReq // evServerDone
+	act     action
 }
 
 // evRecord is the execution record of one fired event in a partitioned
@@ -205,14 +203,70 @@ func (q *eventQueue) popMin() event {
 	return min
 }
 
+// ring is a FIFO over a power-of-two circular buffer: the kernel's
+// same-instant lane and a server's service rotation. Unlike a slice
+// that appends at the tail and advances its head, which reallocates
+// once per capacity's worth of traffic however short the queue stays,
+// a ring reuses one buffer and grows only with the peak length.
+type ring[T any] struct {
+	buf  []T // len is zero or a power of two
+	head int
+	n    int
+}
+
+func (r *ring[T]) push(v T) {
+	if r.n == len(r.buf) {
+		r.grow()
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
+	r.n++
+}
+
+// pop removes and returns the oldest entry, zeroing its slot so the
+// ring never retains references past an entry's lifetime.
+func (r *ring[T]) pop() T {
+	var zero T
+	v := r.buf[r.head]
+	r.buf[r.head] = zero
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return v
+}
+
+// grow doubles the buffer, unrolling the wrapped contents to the front.
+func (r *ring[T]) grow() {
+	size := 2 * len(r.buf)
+	if size == 0 {
+		size = 16
+	}
+	buf := make([]T, size)
+	for i := 0; i < r.n; i++ {
+		buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+	}
+	r.buf, r.head = buf, 0
+}
+
 // Kernel is the discrete-event simulation engine. A Kernel is not safe for
 // use from multiple user goroutines; all interaction happens either from
 // the goroutine calling Run (via callback events) or from Proc coroutines
 // managed by the kernel itself.
+//
+// Pending events live in two parts. The lane holds those scheduled for
+// the current instant, in push order; the heap holds everything else.
+// Every heap event has at > schedAt (a zero-delay or clamped push goes
+// to the lane), so a heap event due now was scheduled before now and
+// precedes every lane event in (at, schedAt, ...) order. next therefore
+// drains heap events due now, then the lane, before time advances. Lane
+// events share at and schedAt, and their push order is their
+// (creator, seq) order: seq grows with every push, and under
+// partitioned execution the creator record's ord grows with every
+// fired event in the window. So the two parts pop in exactly event.before
+// order, the order a single heap would give.
 type Kernel struct {
 	now    Time
 	seq    int64
-	events eventQueue
+	events eventQueue  // heap part: events with at > schedAt
+	lane   ring[event] // same-instant part: at == schedAt == now
 	rng    *rand.Rand
 	nprocs int // live process count (debugging / deadlock detection)
 
@@ -285,7 +339,21 @@ func (k *Kernel) push(t Time, e event) {
 	if k.part != nil {
 		e.crec = k.creator()
 	}
-	k.events.push(e)
+	if t == k.now {
+		k.lane.push(e)
+	} else {
+		k.events.push(e)
+	}
+}
+
+// next removes and returns the earliest pending event: heap events due
+// now (scheduled earlier) first, then the lane, then the heap's next
+// instant.
+func (k *Kernel) next() event {
+	if k.lane.n > 0 && (len(k.events) == 0 || k.events[0].at != k.now) {
+		return k.lane.pop()
+	}
+	return k.events.popMin()
 }
 
 // creator returns the record the event being scheduled should carry: the
@@ -311,46 +379,29 @@ func (k *Kernel) newRecord() *evRecord {
 
 // At schedules fn to run at absolute virtual time t (clamped to now).
 func (k *Kernel) At(t Time, fn func()) {
-	k.push(t, event{kind: evFunc, fn: fn})
+	k.push(t, event{act: fnAction(fn)})
 }
 
 // After schedules fn to run d nanoseconds from now.
 func (k *Kernel) After(d Time, fn func()) {
+	k.afterAct(d, fnAction(fn))
+}
+
+// CompleteAfter completes f d nanoseconds from now. It schedules the
+// same event as After(d, f.Complete) without allocating the method
+// value.
+func (k *Kernel) CompleteAfter(d Time, f *Future) {
+	k.afterAct(d, f)
+}
+
+// afterAct schedules a pre-bound action after d: a process wakeup
+// (every Sleep, Yield and future resume), a server completion, a
+// completion forward.
+func (k *Kernel) afterAct(d Time, a action) {
 	if d < 0 {
 		d = 0
 	}
-	k.At(k.now+d, fn)
-}
-
-// afterDispatch schedules handing the CPU to p after d, using the
-// pre-bound evDispatch kind instead of a `func() { k.dispatch(p) }`
-// closure — the single hottest schedule site (every Sleep, Yield and
-// future wakeup).
-func (k *Kernel) afterDispatch(d Time, p *Proc) {
-	if d < 0 {
-		d = 0
-	}
-	k.push(k.now+d, event{kind: evDispatch, proc: p})
-}
-
-// afterServerDone schedules completion of srv's in-service request.
-func (k *Kernel) afterServerDone(d Time, srv *Server, req *serverReq) {
-	if d < 0 {
-		d = 0
-	}
-	k.push(k.now+d, event{kind: evServerDone, srv: srv, req: req})
-}
-
-// fire runs one event in kernel context.
-func (k *Kernel) fire(e *event) {
-	switch e.kind {
-	case evFunc:
-		e.fn()
-	case evDispatch:
-		k.dispatch(e.proc)
-	case evServerDone:
-		e.srv.finish(e.req)
-	}
+	k.push(k.now+d, event{act: a})
 }
 
 // Stop aborts the simulation: Run returns after the current event and
@@ -360,17 +411,17 @@ func (k *Kernel) Stop() { k.stopped = true }
 
 // Pending returns the number of scheduled events not yet fired. After a
 // stopped Run returns it is zero: the queue has been drained.
-func (k *Kernel) Pending() int { return len(k.events) }
+func (k *Kernel) Pending() int { return len(k.events) + k.lane.n }
 
 // Run fires events in order until the event queue is empty or Stop is
 // called. It returns the final virtual time.
 func (k *Kernel) Run() Time {
-	for !k.stopped && len(k.events) > 0 {
-		e := k.events.popMin()
+	for !k.stopped && k.Pending() > 0 {
+		e := k.next()
 		k.now = e.at
-		k.fire(&e)
+		e.act.fire()
 		if k.ObserveDepth != nil {
-			k.ObserveDepth(k.now, len(k.events))
+			k.ObserveDepth(k.now, k.Pending())
 		}
 	}
 	if k.stopped {
@@ -387,22 +438,47 @@ func (k *Kernel) Run() Time {
 // whole remaining event heap — futures, procs and their goroutine stacks
 // — for as long as the caller held the kernel.
 func (k *Kernel) drain() {
+	for k.lane.n > 0 {
+		e := k.lane.pop()
+		releaseAction(e.act)
+	}
 	for i := range k.events {
 		e := &k.events[i]
-		if e.kind == evServerDone {
-			e.srv.release(e.req)
-		}
+		releaseAction(e.act)
 		*e = event{}
 	}
 	k.events = k.events[:0]
 }
 
+// releaseAction returns a drained event's pooled server request to its
+// free list.
+func releaseAction(a action) {
+	if req, ok := a.(*serverReq); ok {
+		req.srv.release(req)
+	}
+}
+
 // peek returns the timestamp of the earliest pending event.
 func (k *Kernel) peek() (Time, bool) {
-	if k.stopped || len(k.events) == 0 {
+	switch {
+	case k.stopped:
 		return 0, false
+	case k.lane.n > 0:
+		return k.now, true
+	case len(k.events) > 0:
+		return k.events[0].at, true
 	}
-	return k.events[0].at, true
+	return 0, false
+}
+
+// dueBefore reports whether an event is pending before horizon. It
+// ignores Stop: a worker asks it of an LP before claiming the LP's
+// window, when another LP's event may be stopping the partition.
+func (k *Kernel) dueBefore(horizon Time) bool {
+	if k.lane.n > 0 {
+		return k.now < horizon
+	}
+	return len(k.events) > 0 && k.events[0].at < horizon
 }
 
 // runWindow fires events in key order until the queue is empty or the
@@ -415,8 +491,8 @@ func (k *Kernel) peek() (Time, bool) {
 // order; events and shard-buffer entries created during the firing are
 // stamped with it.
 func (k *Kernel) runWindow(horizon Time) {
-	for !k.stopped && len(k.events) > 0 && k.events[0].at < horizon {
-		e := k.events.popMin()
+	for !k.stopped && k.dueBefore(horizon) {
+		e := k.next()
 		k.now = e.at
 		rec := k.newRecord()
 		rec.at = e.at
@@ -427,7 +503,7 @@ func (k *Kernel) runWindow(horizon Time) {
 		rec.ord = k.execIdx
 		k.curRec = rec
 		k.windowRecs = append(k.windowRecs, rec)
-		k.fire(&e)
+		e.act.fire()
 	}
 }
 

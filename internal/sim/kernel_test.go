@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 )
 
@@ -191,10 +192,139 @@ func TestStopDrainsPendingEvents(t *testing.T) {
 	if ran != 1 {
 		t.Fatalf("ran %d events, want exactly the stopping one", ran)
 	}
-	// The in-service request's evServerDone was drained, so its request
+	// The in-service request's completion was drained, so its request
 	// object must be back on the server's free list, not leaked.
 	if srv.freeReqs == nil {
 		t.Fatal("drained server completion did not return its request to the free list")
+	}
+
+	// Stop in the middle of a same-instant burst: the lane holds delayed
+	// submits' arrival events and a zero-time completion, each carrying
+	// a pooled request.
+	k = NewKernel(1)
+	ipc := k.NewServer("ipc", 0, 0)
+	const burst = 100 // past the lane's initial capacity
+	k.At(5, func() {
+		for i := 0; i < burst; i++ {
+			ipc.SubmitFlowAfterOnArrive(nil, 0, 64, nil)
+		}
+		ipc.Submit(64)
+		k.Stop()
+	})
+	k.Run()
+	if k.Pending() != 0 {
+		t.Fatalf("stopped kernel retains %d pending events", k.Pending())
+	}
+	free := 0
+	for req := ipc.freeReqs; req != nil; req = req.next {
+		free++
+	}
+	if free != burst+1 {
+		t.Fatalf("%d requests back on the free list after the burst, want %d", free, burst+1)
+	}
+	for i, e := range k.lane.buf {
+		if e != (event{}) {
+			t.Fatalf("drained lane slot %d still holds an event", i)
+		}
+	}
+}
+
+// queueMark is the action of one event in TestQueueMatchesReferenceOrder.
+// It has a field so that every mark is a distinct pointer.
+type queueMark struct{ id int }
+
+func (*queueMark) fire() {}
+
+// TestQueueMatchesReferenceOrder checks the two-part queue against a
+// reference: with same-instant, clamped-to-now and later pushes
+// interleaved with pops, every pop must return the smallest pending
+// event by event.before, the order one heap over all events gives. The
+// partitioned variant stamps creator records the way runWindow does and
+// also injects cross-LP events the way Partition.flush does.
+func TestQueueMatchesReferenceOrder(t *testing.T) {
+	for _, partitioned := range []bool{false, true} {
+		for seed := int64(1); seed <= 20; seed++ {
+			checkQueueOrder(t, seed, partitioned)
+		}
+	}
+}
+
+func checkQueueOrder(t *testing.T, seed int64, partitioned bool) {
+	rng := rand.New(rand.NewSource(seed))
+	k := NewKernel(seed)
+	if partitioned {
+		k = NewPartition(seed, 1, 10).Kernel(0)
+	}
+	var ref []event
+	find := func(a action) event {
+		for i := 0; i < k.lane.n; i++ {
+			if e := k.lane.buf[(k.lane.head+i)&(len(k.lane.buf)-1)]; e.act == a {
+				return e
+			}
+		}
+		for _, e := range k.events {
+			if e.act == a {
+				return e
+			}
+		}
+		t.Fatalf("seed %d: pushed event not found in either queue part", seed)
+		return event{}
+	}
+	push := func() {
+		m := &queueMark{id: len(ref)}
+		switch r := rng.Intn(8); {
+		case r < 3: // same instant
+			k.push(k.now, event{act: m})
+		case r < 4: // in the past: clamped to now
+			k.push(k.now-Time(1+rng.Intn(5)), event{act: m})
+		case r < 7 || !partitioned: // later, a few distinct instants
+			k.push(k.now+Time(1+rng.Intn(4)), event{act: m})
+		default: // cross-LP, flushed straight into the heap
+			k.seq++
+			k.events.push(event{
+				at:      k.now + Time(1+rng.Intn(4)),
+				schedAt: k.now - Time(rng.Intn(3)),
+				seq:     k.seq,
+				crec:    &evRecord{ord: rng.Int63n(64)},
+				act:     m,
+			})
+		}
+		ref = append(ref, find(m))
+	}
+	pop := func() {
+		min := 0
+		for i := range ref {
+			if ref[i].before(&ref[min]) {
+				min = i
+			}
+		}
+		e := k.next()
+		if e.act != ref[min].act {
+			t.Fatalf("seed %d partitioned=%v: popped (at %v, schedAt %v, seq %d), reference order wants (at %v, schedAt %v, seq %d)",
+				seed, partitioned, e.at, e.schedAt, e.seq, ref[min].at, ref[min].schedAt, ref[min].seq)
+		}
+		ref = append(ref[:min], ref[min+1:]...)
+		k.now = e.at
+		if partitioned {
+			rec := k.newRecord()
+			rec.at, rec.schedAt, rec.seq, rec.crec = e.at, e.schedAt, e.seq, e.crec
+			k.execIdx++
+			rec.ord = k.execIdx
+			k.curRec = rec
+		}
+	}
+	for step := 0; step < 4000; step++ {
+		if len(ref) == 0 || rng.Intn(5) < 3 {
+			push()
+		} else {
+			pop()
+		}
+		if k.Pending() != len(ref) {
+			t.Fatalf("seed %d: Pending() = %d, reference holds %d", seed, k.Pending(), len(ref))
+		}
+	}
+	for len(ref) > 0 {
+		pop()
 	}
 }
 

@@ -42,7 +42,7 @@ import (
 	"sync/atomic"
 )
 
-// remoteEvent is one cross-LP message: an evFunc event destined for
+// remoteEvent is one cross-LP message: a callback event destined for
 // another LP's queue, carrying the sender's ordering key verbatim.
 type remoteEvent struct {
 	dst     int32
@@ -157,6 +157,8 @@ func (p *Partition) setupStamp() *evRecord {
 // flush moves every buffered cross-LP event into its destination
 // queue. Runs at the barrier (and once before the first window, for
 // events scheduled during model construction), when no LP is active.
+// Remote events always go to the heap part: they land at or past the
+// horizon, so at > schedAt.
 func (p *Partition) flush() {
 	for src := range p.mail {
 		buf := p.mail[src]
@@ -165,7 +167,7 @@ func (p *Partition) flush() {
 			dk := p.kernels[m.dst]
 			dk.events.push(event{
 				at: m.at, schedAt: m.schedAt, seq: m.seq, crec: m.crec,
-				kind: evFunc, fn: m.fn,
+				act: fnAction(m.fn),
 			})
 			*m = remoteEvent{}
 		}
@@ -328,7 +330,7 @@ func (p *Partition) runWindowed(pool *workerPool) {
 		p.horizon = T + p.lookahead
 		if pool == nil {
 			for _, k := range p.kernels {
-				if len(k.events) > 0 && k.events[0].at < p.horizon {
+				if k.dueBefore(p.horizon) {
 					k.runWindow(p.horizon)
 				}
 			}
@@ -378,8 +380,7 @@ func (pool *workerPool) drainClaims() {
 		if i >= n {
 			return
 		}
-		k := p.kernels[i]
-		if len(k.events) > 0 && k.events[0].at < p.horizon {
+		if k := p.kernels[i]; k.dueBefore(p.horizon) {
 			k.runWindow(p.horizon)
 		}
 	}

@@ -49,8 +49,8 @@ func foldLogs(shards []*logShard) []string {
 // buildPingPong wires nlp logical processes that bounce messages
 // between neighbours through ScheduleRemote with delay >= lookahead,
 // each LP also running a local bandwidth server and a sleeping proc so
-// all three event kinds (evFunc, evDispatch, evServerDone) interleave
-// inside windows. kernelFor maps an LP to its kernel: in the
+// the event actions (callbacks, process wakeups, server completions)
+// interleave inside windows. kernelFor maps an LP to its kernel: in the
 // sequential reference every LP maps to the same kernel.
 func buildPingPong(kernelFor func(lp int) *Kernel, shards []*logShard, nlp, rounds int) {
 	for lp := 0; lp < nlp; lp++ {

@@ -33,13 +33,13 @@ func (k *Kernel) SpawnAt(d Time, name string, fn func(p *Proc)) *Proc {
 		fn(p)
 		k.nprocs--
 	})
-	k.afterDispatch(d, p)
+	k.afterAct(d, p)
 	return p
 }
 
-// dispatch hands the CPU to p and returns when p blocks or exits. It
-// must be called from kernel (event-callback) context only.
-func (k *Kernel) dispatch(p *Proc) { p.next() }
+// fire is p's wakeup event: it hands the CPU to p and returns when p
+// blocks or exits. Events fire in kernel context only.
+func (p *Proc) fire() { p.next() }
 
 // Kernel returns the kernel that owns p.
 func (p *Proc) Kernel() *Kernel { return p.k }
@@ -50,15 +50,14 @@ func (p *Proc) Name() string { return p.name }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
 
-// block parks the calling process until another entity calls
-// k.dispatch(p) again (via a scheduled event).
+// block parks the calling process until its wakeup event fires.
 func (p *Proc) block() { p.yield(struct{}{}) }
 
 // Sleep advances the process by d of virtual time (e.g. a compute phase
 // or memory-copy cost). A non-positive d still yields so that other
 // same-time events interleave fairly.
 func (p *Proc) Sleep(d Time) {
-	p.k.afterDispatch(d, p)
+	p.k.afterAct(d, p)
 	p.block()
 }
 

@@ -37,7 +37,7 @@ type Server struct {
 	ObserveService func(start, end Time)
 
 	queues  map[interface{}][]*serverReq
-	ring    []interface{} // flows with pending requests, service order
+	ring    ring[turn] // flows with pending requests, service order
 	serving bool
 
 	serviceEnd Time // completion time of the in-service request
@@ -46,7 +46,6 @@ type Server struct {
 	busyTime Time // total busy nanoseconds, for utilisation accounting
 	ops      int64
 	bytes    int64
-	uniqSeq  int64
 	queued   int // requests queued or in service, for occupancy probes
 
 	// freeReqs is a free list of recycled request objects. A busy server
@@ -57,35 +56,55 @@ type Server struct {
 	freeReqs *serverReq
 }
 
+// serverReq is one pooled request. It is also the action of its own
+// events: the completion event once it is in service and, for
+// SubmitFlowAfterOnArrive, the earlier arrival event that queues it.
 type serverReq struct {
+	srv     *Server
 	d       Time
 	fut     *Future
 	onStart func()
 	next    *serverReq // free-list link, nil while the request is live
+
+	// Delayed-submit state. arriving and its arrival fields hold from
+	// SubmitFlowAfterOnArrive until the arrival event. fwd makes the
+	// request complete its future through one zero-delay hop: the
+	// delayed submit's schedule is an arrival, a service and a
+	// forwarded completion, and every digest pins those events.
+	arriving bool
+	fwd      bool
+	flow     interface{}
+	size     int64
+	onArrive func()
+}
+
+// fire runs the request's pending event: its arrival at the server
+// queue, or its completion.
+func (req *serverReq) fire() {
+	if req.arriving {
+		req.srv.arrive(req)
+		return
+	}
+	req.srv.finish(req)
 }
 
 // newReq takes a request from the free list (or allocates one) and
 // binds a fresh future to it.
-func (s *Server) newReq(d Time, onStart func()) *serverReq {
+func (s *Server) newReq() *serverReq {
 	req := s.freeReqs
 	if req == nil {
-		req = &serverReq{}
+		req = &serverReq{srv: s}
 	} else {
 		s.freeReqs = req.next
 	}
-	req.d = d
 	req.fut = s.k.NewFuture()
-	req.onStart = onStart
 	req.next = nil
 	return req
 }
 
 // release clears a request's references and returns it to the free list.
 func (s *Server) release(req *serverReq) {
-	req.d = 0
-	req.fut = nil
-	req.onStart = nil
-	req.next = s.freeReqs
+	*req = serverReq{srv: s, next: s.freeReqs}
 	s.freeReqs = req
 }
 
@@ -120,7 +139,13 @@ func (s *Server) serviceTime(size int64) Time {
 	return d
 }
 
-type uniqueFlow struct{ seq int64 }
+// turn is one entry of the service rotation: a flow key whose queue
+// holds requests, or a request that is its own flow. A single-request
+// flow needs no queue and no key, so it is stored in the ring itself.
+type turn struct {
+	flow interface{}
+	req  *serverReq
+}
 
 // Submit enqueues a request of size bytes as its own flow and returns a
 // future that completes when the request has been fully served.
@@ -141,6 +166,14 @@ func (s *Server) SubmitFlow(flow interface{}, size int64) *Future {
 // downstream resources (e.g. a receive port reservation one wire
 // latency after transmission starts).
 func (s *Server) SubmitFlowOnStart(flow interface{}, size int64, onStart func()) *Future {
+	req := s.newReq()
+	req.onStart = onStart
+	s.enqueue(req, flow, size)
+	return req.fut
+}
+
+// enqueue draws req's service time and starts or queues it on flow.
+func (s *Server) enqueue(req *serverReq, flow interface{}, size int64) {
 	d := s.serviceTime(size)
 	if s.Noise != nil {
 		f := s.Noise()
@@ -149,58 +182,57 @@ func (s *Server) SubmitFlowOnStart(flow interface{}, size int64, onStart func())
 		}
 		d = Time(float64(d) * f)
 	}
-	req := s.newReq(d, onStart)
+	req.d = d
 	s.ops++
 	s.bytes += size
 	s.queued++
 	if !s.serving {
 		// Idle server: the ring and flow map are empty, so the request
-		// enters service immediately. Bypassing the queue structures
-		// (and the interface boxing of a unique flow key) makes the
-		// common uncontended submit allocation-free beyond the future.
+		// enters service immediately, bypassing the queue structures.
 		s.serving = true
 		s.busyTime += d
 		s.serviceEnd = s.k.now + d
 		if s.ObserveService != nil {
 			s.ObserveService(s.k.now, s.serviceEnd)
 		}
-		if onStart != nil {
-			onStart()
+		if req.onStart != nil {
+			req.onStart()
 		}
-		s.k.afterServerDone(d, s, req)
-		return req.fut
+		s.k.afterAct(d, req)
+		return
 	}
 	if flow == nil {
-		s.uniqSeq++
-		flow = uniqueFlow{s.uniqSeq}
-	}
-	q, existed := s.queues[flow]
-	s.queues[flow] = append(q, req)
-	if !existed || len(q) == 0 {
-		s.ring = append(s.ring, flow)
+		s.ring.push(turn{req: req})
+	} else {
+		q, existed := s.queues[flow]
+		s.queues[flow] = append(q, req)
+		if !existed || len(q) == 0 {
+			s.ring.push(turn{flow: flow})
+		}
 	}
 	s.backlog += d
-	return req.fut
 }
 
 // serveNext picks the next flow in rotation and serves one of its
 // requests. Runs in kernel context.
 func (s *Server) serveNext() {
-	for len(s.ring) > 0 {
-		flow := s.ring[0]
-		s.ring = s.ring[1:]
-		q := s.queues[flow]
-		if len(q) == 0 {
-			delete(s.queues, flow)
-			continue
-		}
-		req := q[0]
-		q = q[1:]
-		if len(q) == 0 {
-			delete(s.queues, flow)
-		} else {
-			s.queues[flow] = q
-			s.ring = append(s.ring, flow) // rotate to the back
+	for s.ring.n > 0 {
+		t := s.ring.pop()
+		req := t.req
+		if req == nil {
+			q := s.queues[t.flow]
+			if len(q) == 0 {
+				delete(s.queues, t.flow)
+				continue
+			}
+			req = q[0]
+			q = q[1:]
+			if len(q) == 0 {
+				delete(s.queues, t.flow)
+			} else {
+				s.queues[t.flow] = q
+				s.ring.push(t) // rotate to the back
+			}
 		}
 		s.busyTime += req.d
 		s.backlog -= req.d
@@ -211,21 +243,26 @@ func (s *Server) serveNext() {
 		if req.onStart != nil {
 			req.onStart()
 		}
-		s.k.afterServerDone(req.d, s, req)
+		s.k.afterAct(req.d, req)
 		return
 	}
 	s.serving = false
 }
 
-// finish completes one served request: the evServerDone pre-bound
-// callback, run in kernel context. The request object returns to the
-// free list before the future fires so a completion callback that
-// submits again can reuse it immediately.
+// finish completes one served request: its completion event, run in
+// kernel context. The request object returns to the free list before
+// the future fires so a completion callback that submits again can
+// reuse it immediately. A delayed request completes its future through
+// a zero-delay hop instead.
 func (s *Server) finish(req *serverReq) {
 	s.queued--
-	fut := req.fut
+	fut, fwd := req.fut, req.fwd
 	s.release(req)
-	fut.Complete()
+	if fwd {
+		s.k.CompleteAfter(0, fut)
+	} else {
+		fut.Complete()
+	}
 	s.serveNext()
 }
 
@@ -244,17 +281,31 @@ func (s *Server) SubmitFlowAfter(flow interface{}, delay Time, size int64) *Futu
 // SubmitFlowAfterOnArrive is SubmitFlowAfter with a callback invoked (in
 // kernel context) when the request reaches the server queue, before it
 // is enqueued — the instant an observer should sample the backlog the
-// request is about to join.
+// request is about to join. The request is taken from the pool now and
+// is itself the arrival event, so the delayed submit allocates only
+// the returned future.
 func (s *Server) SubmitFlowAfterOnArrive(flow interface{}, delay Time, size int64, onArrive func()) *Future {
-	fut := s.k.NewFuture()
-	s.k.After(delay, func() {
-		if onArrive != nil {
-			onArrive()
-		}
-		inner := s.SubmitFlow(flow, size)
-		inner.OnDone(fut.Complete)
-	})
-	return fut
+	req := s.newReq()
+	req.arriving = true
+	req.fwd = true
+	req.flow = flow
+	req.size = size
+	req.onArrive = onArrive
+	s.k.afterAct(delay, req)
+	return req.fut
+}
+
+// arrive is a delayed request's arrival event: the request joins the
+// server exactly as a SubmitFlow made at this instant would.
+func (s *Server) arrive(req *serverReq) {
+	flow, onArrive := req.flow, req.onArrive
+	req.arriving = false
+	req.flow = nil
+	req.onArrive = nil
+	if onArrive != nil {
+		onArrive()
+	}
+	s.enqueue(req, flow, req.size)
 }
 
 // BusyUntil estimates when the server's current backlog drains: the end

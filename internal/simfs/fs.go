@@ -414,7 +414,7 @@ func (f *File) startWrite(clientNode int, off, size int64, data []byte) *sim.Fut
 	ctr.Add(probe.CtrFSWriteBytes, size)
 	if size == 0 {
 		out := k.NewFuture()
-		k.After(f.fs.cfg.ClientPerOp, out.Complete)
+		k.CompleteAfter(f.fs.cfg.ClientPerOp, out)
 		f.fs.observeIO(probe.KindFSWrite, clientNode, off, size, out)
 		return out
 	}
@@ -450,7 +450,7 @@ func (f *File) startWrite(clientNode int, off, size int64, data []byte) *sim.Fut
 				t := srv.SubmitFlowAfterOnArrive(nil, lat, n, func() {
 					f.fs.sampleOSTQueue(clientNode, tgt, n)
 				})
-				t.OnDone(done.Complete)
+				t.Then(done)
 			})
 		} else {
 			// Partitioned: the chunk crosses to the target's LP one
@@ -601,7 +601,7 @@ func (f *File) startRead(clientNode int, off, size int64, buf []byte) *sim.Futur
 	}
 	if size == 0 {
 		out := f.fs.k.NewFuture()
-		f.fs.k.After(f.fs.cfg.ClientPerOp, out.Complete)
+		f.fs.k.CompleteAfter(f.fs.cfg.ClientPerOp, out)
 		f.fs.observeIO(probe.KindFSRead, clientNode, off, size, out)
 		return out
 	}
@@ -635,7 +635,7 @@ func (f *File) startRead(clientNode int, off, size int64, buf []byte) *sim.Futur
 		cl := f.fs.net.TxServer(clientNode)
 		t.OnDone(func() {
 			in := cl.SubmitFlowAfter(flow, lat, n)
-			in.OnDone(done.Complete)
+			in.Then(done)
 		})
 		observeChunkLatency(latH, f.fs.k, done)
 		futs = append(futs, done)

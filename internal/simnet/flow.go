@@ -151,10 +151,10 @@ func (fl *fluidNet) submit(from, to int, size int64, injected, delivered *sim.Fu
 		// Infinite bandwidth, the sim.Server convention: transmission
 		// is instantaneous, only latency remains.
 		for _, m := range marks {
-			fl.k.After(lat, m.fut.Complete)
+			fl.k.CompleteAfter(lat, m.fut)
 		}
-		fl.k.After(0, injected.Complete)
-		fl.k.After(lat, delivered.Complete)
+		fl.k.CompleteAfter(0, injected)
+		fl.k.CompleteAfter(lat, delivered)
 		return
 	}
 	fl.flows = append(fl.flows, &fluidFlow{
@@ -203,16 +203,16 @@ func (fl *fluidNet) advance(now sim.Time) {
 			f.served = f.size
 		}
 		for f.nextMark < len(f.marks) && f.served >= f.marks[f.nextMark].bytes-flowEps {
-			fl.k.After(lat, f.marks[f.nextMark].fut.Complete)
+			fl.k.CompleteAfter(lat, f.marks[f.nextMark].fut)
 			f.nextMark++
 		}
 		if f.served >= f.size-flowEps {
 			for f.nextMark < len(f.marks) { // trailing marks at == size
-				fl.k.After(lat, f.marks[f.nextMark].fut.Complete)
+				fl.k.CompleteAfter(lat, f.marks[f.nextMark].fut)
 				f.nextMark++
 			}
 			f.injected.Complete()
-			fl.k.After(lat, f.delivered.Complete)
+			fl.k.CompleteAfter(lat, f.delivered)
 			continue
 		}
 		live = append(live, f)

@@ -118,8 +118,8 @@ func New(k *sim.Kernel, cfg Config) *Network {
 	}
 	noise := func() float64 { return 1 }
 	if cfg.LinkNoise != nil {
-		rng := k.Rand()
-		noise = func() float64 { return cfg.LinkNoise(rng.Float64) }
+		draw := k.Rand().Float64 // one method value, not one per transfer
+		noise = func() float64 { return cfg.LinkNoise(draw) }
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		nd := newNode(k, cfg, i)
@@ -341,7 +341,7 @@ func (n *Network) SendFlow(flow interface{}, from, to int, size int64) *Transfer
 	lat := n.cfg.InterLatency
 	tr.Injected = src.tx.SubmitFlowOnStart(flow, size, func() {
 		inner := dst.rx.SubmitFlowAfter(flow, lat, size)
-		inner.OnDone(rxDone.Complete)
+		inner.Then(rxDone)
 	})
 	tr.Delivered = n.k.Join(tr.Injected, rxDone)
 	n.observeDeliver(n.probe, n.k, tr)
@@ -445,7 +445,7 @@ func (n *Network) sendFlowPartitioned(flow interface{}, from, to int, size int64
 	outer := dst.k.NewFuture()
 	rxDone := dst.k.NewFuture()
 	txStub := dst.k.NewFuture()
-	outer.OnDone(rxDone.Complete)
+	outer.Then(rxDone)
 	tr.Delivered = dst.k.Join(txStub, rxDone)
 	lat := n.cfg.InterLatency
 	d := src.tx.ServiceTime(size)
@@ -454,7 +454,7 @@ func (n *Network) sendFlowPartitioned(flow interface{}, from, to int, size int64
 		txStart := srcK.Now()
 		srcK.ScheduleRemote(toLP, txStart+lat, func() {
 			inner := dst.rx.SubmitFlow(flow, size)
-			inner.OnDone(outer.Complete)
+			inner.Then(outer)
 		})
 		stubAt := txStart + d
 		if stubAt < txStart+lat {
