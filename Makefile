@@ -35,11 +35,13 @@ race:
 # parallel executor: the sequential-equivalence matrix runs every spec
 # at -jrun 1/2/4, so the window workers, barrier merge and shard fold
 # all execute multi-threaded under the race detector on a small
-# workload. It runs first in `make check` so a data race in the
-# executor surfaces in seconds instead of at the end of the full race
-# suite.
+# workload. The metrics shard-merge and hierarchical matrices run
+# alongside, so the per-LP sink wiring (probe and metrics shards on
+# every layer) and the leaders-only ladder are raced too. It runs first
+# in `make check` so a data race in the executor surfaces in seconds
+# instead of at the end of the full race suite.
 race-parallel:
-	$(GO) test -race -count=1 -run 'TestParallelRunMatchesSequential' ./internal/exp/
+	$(GO) test -race -count=1 -run 'TestParallelRunMatchesSequential|TestMetricsShardMergeMatchesSequential|TestHierarchicalParallelMatchesSequential' ./internal/exp/
 	$(GO) test -race -count=1 -run 'TestPartitionMatchesSequential' ./internal/sim/
 
 # `make bench` also persists the machine-readable perf trajectory for

@@ -35,6 +35,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
@@ -45,10 +46,8 @@ import (
 	"collio/internal/exp"
 	"collio/internal/fcoll"
 	"collio/internal/metrics"
-	mexport "collio/internal/metrics/export"
 	"collio/internal/platform"
 	"collio/internal/probe"
-	"collio/internal/probe/export"
 	"collio/internal/simnet"
 	"collio/internal/stats"
 	"collio/internal/tune"
@@ -354,7 +353,7 @@ func main() {
 
 	if want("probe") || obs {
 		ran = true
-		if err := probeRun(fig1NP[0], *probeF, *traceJSON, *report, *metricsF, *metricsO); err != nil {
+		if err := probeRun(os.Stdout, fig1NP[0], *probeF, *traceJSON, *report, *metricsF, *metricsO); err != nil {
 			fatalf("probe run: %v", err)
 		}
 	}
@@ -386,10 +385,10 @@ func validateExp(name string) error {
 }
 
 // probeRun executes one instrumented Tile I/O 1M collective write
-// (crill, write-comm-2-overlap, two-sided) and emits the requested
-// observability artefacts. With no output flag it prints the counter
-// registry so `-exp probe` alone is not silent.
-func probeRun(np int, counters bool, traceJSON string, report bool, metricsF bool, metricsOut string) error {
+// (crill, write-comm-2-overlap, two-sided) and writes the requested
+// observability artefacts, text ones to out. With no output flag it
+// prints the counter registry so `-exp probe` alone is not silent.
+func probeRun(out io.Writer, np int, counters bool, traceJSON string, report bool, metricsF bool, metricsOut string) error {
 	p := probe.New()
 	var met *metrics.Metrics
 	if metricsF || metricsOut != "" {
@@ -408,43 +407,17 @@ func probeRun(np int, counters bool, traceJSON string, report bool, metricsF boo
 	if _, err := exp.Execute(spec); err != nil {
 		return err
 	}
-	if traceJSON != "" {
-		f, err := os.Create(traceJSON)
-		if err != nil {
-			return err
-		}
-		if err := export.WriteTrace(f, p); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %d probe events to %s (load in ui.perfetto.dev)\n", len(p.Events()), traceJSON)
-	}
-	if report {
-		title := fmt.Sprintf("tileio-1m write-comm-2-overlap/two-sided np=%d", np)
-		if err := export.WriteReport(os.Stdout, p, export.ReportOptions{Title: title}); err != nil {
-			return err
-		}
-	}
-	if metricsF {
-		fmt.Printf("metrics summary (tileio-1m, np=%d):\n", np)
-		if err := mexport.WriteSummary(os.Stdout, met); err != nil {
-			return err
-		}
-	}
-	if metricsOut != "" {
-		title := fmt.Sprintf("tileio-1m write-comm-2-overlap/two-sided np=%d", np)
-		if err := cli.WriteMetricsFiles(metricsOut, met, p, title); err != nil {
-			return err
-		}
-		fmt.Printf("wrote metrics snapshot to %s.{prom,csv,html}\n", metricsOut)
-	}
-	if counters || (traceJSON == "" && !report && !metricsF && metricsOut == "") {
-		fmt.Printf("probe counters (tileio-1m, np=%d):\n%s", np, p.Counters())
-	}
-	return nil
+	return cli.Artefacts{
+		Probe:      p,
+		Metrics:    met,
+		Title:      fmt.Sprintf("tileio-1m write-comm-2-overlap/two-sided np=%d", np),
+		Label:      fmt.Sprintf("tileio-1m, np=%d", np),
+		TraceJSON:  traceJSON,
+		Report:     report,
+		Counters:   counters || (traceJSON == "" && !report && !metricsF && metricsOut == ""),
+		Summary:    metricsF,
+		MetricsOut: metricsOut,
+	}.Write(out)
 }
 
 func progress(verbose bool) *os.File {

@@ -26,8 +26,7 @@ import (
 // Cells the platform cannot host (np beyond MaxProcs) report n/a and
 // are excluded from the tally, as are cells the host cannot afford:
 // beyond exactCellNP ranks a sweep is only attempted when the bundled
-// fast path will actually engage (-bundle set, two-sided-only space,
-// and exp.Collapsible confirms the workload's cohorts collapse) — a
+// fast path will actually engage on every point (sweepBundles) — a
 // single exact flashio run at 4096 ranks exceeds ten minutes of host
 // time, so a 10-config exact sweep of that cell is an hours-long job
 // this driver refuses rather than silently starts.
@@ -63,19 +62,13 @@ func runSelectExperiment(out io.Writer, npList []int, opts tune.Options) error {
 		}
 	}
 
-	// The bundled fast path engages only for two-sided shuffles; any
-	// one-sided point in the space forces the exact executor.
-	twoSidedOnly := len(opts.Space.Primitives) == 0 ||
-		(len(opts.Space.Primitives) == 1 && opts.Space.Primitives[0] == fcoll.TwoSided)
-
 	wins := map[string]int{}
 	ties := map[string]int{}
 	tallied := 0
 	head := []string{"Platform", "Workload", "np", "Best configuration", "Predicted", "Cache"}
 	var rows [][]string
 	for _, c := range cells {
-		if c.np > exactCellNP && c.np <= c.pf.MaxProcs() &&
-			!(opts.Bundle && twoSidedOnly && exp.Collapsible(c.gen, c.pf, c.np)) {
+		if c.np > exactCellNP && c.np <= c.pf.MaxProcs() && !sweepBundles(opts, c.gen, c.pf, c.np) {
 			rows = append(rows, []string{c.pf.Name, c.wl, strconv.Itoa(c.np),
 				"n/a (exact-path sweep impractical at this np; see E12 notes)", "-", "-"})
 			continue
@@ -134,6 +127,27 @@ func runSelectExperiment(out io.Writer, npList []int, opts tune.Options) error {
 		fmt.Sprintf("E12 — tuner vs fixed-algorithm policies (%d cells; a tie means the policy's best point matches the tuner's)", tallied),
 		whead, wrows))
 	return nil
+}
+
+// sweepBundles reports whether every point Select sweeps in a cell
+// runs on the bundled executor, as exp's executor decision has it: -bundle
+// is set, and no point is one-sided or hierarchical, on a noisy
+// platform, or over a workload whose plan does not collapse into
+// cohorts. The decision builds views and plans but simulates nothing.
+func sweepBundles(opts tune.Options, gen workload.Generator, pf platform.Platform, np int) bool {
+	cgen, ok := gen.(workload.Canonical)
+	if !opts.Bundle || !ok {
+		return false
+	}
+	if !opts.Noisy {
+		pf = pf.Deterministic() // as Select normalizes it
+	}
+	for _, cfg := range opts.Space.Configs(exp.Config{Platform: pf, Workload: cgen, NProcs: np, Bundled: true}) {
+		if e, err := exp.ExecutorFor(cfg.Spec()); err != nil || e != exp.BundledExecutor {
+			return false
+		}
+	}
+	return true
 }
 
 // normalizedAlgorithms returns the algorithm axis the sweep actually

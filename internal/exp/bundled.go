@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"collio/internal/fcoll"
-	"collio/internal/metrics"
 	"collio/internal/mpi"
 	"collio/internal/platform"
 	"collio/internal/probe"
@@ -67,6 +66,7 @@ func (rv *rendezvous) arrive() {
 
 // viewState is the per-collective execution state of one JobView.
 type viewState struct {
+	jv    *fcoll.JobView
 	sched *fcoll.Schedule
 	setup sim.Time      // closed-form plan-establishment cost
 	syncs []*rendezvous // per cycle: the cycle-framing alltoall
@@ -77,6 +77,8 @@ type viewState struct {
 	recvDone [][]*sim.Future
 	unpack   [][]int64
 	start    *sim.Future
+	// shufBytes is each rank's shuffled byte count (probed runs only).
+	shufBytes []int64
 }
 
 // cohortRun is the bundled executor for one spec. The name is
@@ -99,9 +101,6 @@ type cohortRun struct {
 
 	views  []*viewState
 	starts []*sim.Future
-
-	// Per-rank counter accumulation (instrumented runs only).
-	shufBytes []int64
 }
 
 // hopAt is the modelled cost of one point-to-point message inside a
@@ -160,86 +159,52 @@ func (b *cohortRun) setupCost(totalExtents int64) sim.Time {
 	return allreduce + allgather + b.ringCost(avg)
 }
 
-// bundleEligible is the static half of the bundled-path gate (the
-// dynamic half is per-view cohort collapse). It mirrors Partitionable's
-// shape: the bundled executor models collective ladders in closed form,
-// which is only meaningful relative to a deterministic two-sided write
-// path.
-func bundleEligible(spec Spec) bool {
-	pf := spec.Platform
-	return !spec.Read && !spec.DataMode && !spec.Hierarchical &&
-		spec.Primitive == fcoll.TwoSided &&
-		!pf.ProgressThread &&
-		pf.NetNoiseSigma == 0 && pf.StorageNoiseSigma == 0 &&
-		pf.RunNoiseNet == 0 && pf.RunNoiseStorage == 0
-}
-
-// Collapsible reports whether gen's views at nprocs collapse into
-// rank-symmetric cohorts — i.e. whether a -bundle run would actually
-// take the bundled fast path rather than silently falling back to the
-// exact executor. It is a static probe: it builds the views and the
-// two-phase plans and runs cohort detection, but simulates nothing, so
-// it costs milliseconds where the exact run it predicts can cost
-// hours. Callers (e.g. evalsuite's E12 driver) use it to refuse
-// exact-path sweeps at rank counts where they are impractical.
-func Collapsible(gen workload.Generator, pf platform.Platform, nprocs int) bool {
-	pf = pf.ScaledTo(nprocs)
-	views, err := gen.Views(nprocs, false, workloadSeed)
-	if err != nil {
-		return false
-	}
-	opts := fcoll.Options{Primitive: fcoll.TwoSided, BufferSize: 32 << 20}
-	for _, jv := range views {
-		s, err := fcoll.BuildSchedule(jv, nprocs, pf.RanksPerNode, opts)
-		if err != nil || !fcoll.DetectCohorts(s).Collapses() {
-			return false
-		}
-	}
-	return true
-}
-
-// executeBundled attempts the bundled cohort fast path. ok=false means
-// the spec is not bundleable (asymmetric workload or ineligible
-// configuration) and the caller must take the exact path; this is a
-// silent fallback, mirroring the JRun contract. JRun itself is ignored
-// here: the bundled executor is sequential (and far cheaper than any
-// partitioned exact run).
-func executeBundled(spec Spec, obs fcoll.Observer) (Metrics, bool, error) {
-	if !bundleEligible(spec) {
-		return Metrics{}, false, nil
-	}
-	bufSize := spec.BufferSize
-	if bufSize == 0 {
-		bufSize = 32 << 20
-	}
-	pf := spec.Platform.ScaledTo(spec.NProcs)
+// cohortPlan is the bundled executor's dynamic gate, shared by routeFor
+// and Collapsible: it builds spec's views and every view's collective
+// plan and runs cohort detection, simulating nothing. It returns the
+// plans when every view collapses into rank-symmetric cohorts, and nil
+// plans otherwise — an asymmetric workload, where bundling would not pay
+// and the batch-level approximation is not certified.
+func cohortPlan(spec Spec) ([]*fcoll.JobView, []*fcoll.Schedule, error) {
 	views, err := spec.Gen.Views(spec.NProcs, false, workloadSeed)
 	if err != nil {
-		return Metrics{}, false, err
+		return nil, nil, err
 	}
-	opts := fcoll.Options{
-		Algorithm:   spec.Algorithm,
-		Primitive:   spec.Primitive,
-		BufferSize:  bufSize,
-		Aggregators: spec.Aggregators,
-	}
+	opts := spec.collOptions()
 	scheds := make([]*fcoll.Schedule, len(views))
 	for i, jv := range views {
-		s, err := fcoll.BuildSchedule(jv, spec.NProcs, pf.RanksPerNode, opts)
+		s, err := fcoll.BuildSchedule(jv, spec.NProcs, spec.Platform.RanksPerNode, opts)
 		if err != nil {
-			return Metrics{}, false, err
+			return nil, nil, err
 		}
 		if !fcoll.DetectCohorts(s).Collapses() {
-			// Asymmetric workload: bundling would not pay and the
-			// batch-level approximation is not certified. Exact path.
-			return Metrics{}, false, nil
+			return views, nil, nil
 		}
 		scheds[i] = s
 	}
-	cl, err := pf.InstantiateBundled(spec.NProcs, spec.Seed)
-	if err != nil {
-		return Metrics{}, false, err
-	}
+	return views, scheds, nil
+}
+
+// Collapsible reports whether gen's views at nprocs collapse into
+// rank-symmetric cohorts under the default collective options — i.e.
+// whether a -bundle run would actually take the bundled fast path
+// rather than silently falling back to the exact executor. It is a
+// static probe (cohortPlan): it builds the views and plans but
+// simulates nothing, so it costs milliseconds where the exact run it
+// predicts can cost hours.
+func Collapsible(gen workload.Generator, pf platform.Platform, nprocs int) bool {
+	_, scheds, err := cohortPlan(Spec{Platform: pf, NProcs: nprocs, Gen: gen})
+	return err == nil && scheds != nil
+}
+
+// runBundled runs spec on the bundled cohort executor over the cluster
+// cl (InstantiateBundled) and the plans routeFor certified, with the
+// collective engine reporting to obs. JRun is ignored: the bundled
+// executor is sequential (and far cheaper than any partitioned exact
+// run).
+func runBundled(spec Spec, cl *platform.Cluster, rt route, obs fcoll.Observer) (Metrics, error) {
+	pf := cl.Platform
+	views, scheds := rt.views, rt.scheds
 	b := &cohortRun{
 		k:     cl.Kernel,
 		net:   cl.Net,
@@ -252,21 +217,6 @@ func executeBundled(spec Spec, obs fcoll.Observer) (Metrics, bool, error) {
 		flow:  pf.NetModel == simnet.ModelFlow,
 		algo:  spec.Algorithm,
 		obs:   obs,
-	}
-	if spec.Probe != nil {
-		cl.Net.SetProbe(spec.Probe)
-		cl.FS.SetProbe(spec.Probe)
-	}
-	if spec.Metrics != nil {
-		cl.Net.SetMetrics(spec.Metrics)
-		cl.FS.SetMetrics(spec.Metrics)
-		kg := spec.Metrics.Gauge(metrics.KernelDepth, metrics.ModeMax)
-		cl.Kernel.ObserveDepth = func(at sim.Time, depth int) {
-			kg.Observe(at, int64(depth))
-		}
-	}
-	if b.obs.On() {
-		b.shufBytes = make([]int64, b.np)
 	}
 
 	// Build per-view state and chain the views: view v+1 starts at view
@@ -310,12 +260,12 @@ func executeBundled(spec Spec, obs fcoll.Observer) (Metrics, bool, error) {
 	}
 	b.k.Run()
 	if driveErr != nil {
-		return Metrics{}, false, driveErr
+		return Metrics{}, driveErr
 	}
 
 	last := b.views[len(b.views)-1]
 	if !last.final.fut.Done() {
-		return Metrics{}, false, fmt.Errorf("exp: bundled execution stalled (deadlocked rendezvous)")
+		return Metrics{}, fmt.Errorf("exp: bundled execution stalled (deadlocked rendezvous)")
 	}
 	var m Metrics
 	m.Elapsed = last.final.fut.DoneAt()
@@ -331,10 +281,8 @@ func executeBundled(spec Spec, obs fcoll.Observer) (Metrics, bool, error) {
 			m.WriteTime = ag.writeTime
 		}
 	}
-	if b.obs.On() {
-		b.emitRankTelemetry(spec.Probe, views)
-	}
-	return m, true, nil
+	b.emitCollOps()
+	return m, nil
 }
 
 // buildView allocates the rendezvous chain and completion futures of
@@ -346,7 +294,10 @@ func (b *cohortRun) buildView(sched *fcoll.Schedule, jv *fcoll.JobView) *viewSta
 	for r := range jv.Ranks {
 		extents += int64(len(jv.Ranks[r].Extents))
 	}
-	v := &viewState{sched: sched, setup: b.setupCost(extents)}
+	v := &viewState{jv: jv, sched: sched, setup: b.setupCost(extents)}
+	if b.obs.Probe != nil {
+		v.shufBytes = make([]int64, b.np)
+	}
 	a2a := b.a2aCost()
 	v.syncs = make([]*rendezvous, nc)
 	for c := range v.syncs {
@@ -450,7 +401,9 @@ func (b *cohortRun) issueCycle(v *viewState, c int) {
 				}
 				if b.obs.On() {
 					bMembers[j] = append(bMembers[j], memberSend{r, total})
-					b.shufBytes[r] += total
+				}
+				if v.shufBytes != nil {
+					v.shufBytes[r] += total
 				}
 			})
 		}
@@ -531,52 +484,31 @@ func (b *cohortRun) issueBatch(node, aggNode int, size int64, cycle int, release
 	b.net.Release(tr)
 }
 
-// emitRankTelemetry emits the per-rank end-of-collective events and
-// counters that exact mode produces inside each rank's coroutine: one
-// KindCollOp span per rank per view plus the per-rank byte counters.
-// Emission happens after the run (ordering differs from exact mode;
-// bundled telemetry is validated for self-consistency, not digest
+// emitCollOps records every rank's end of every view through
+// fcoll.Observer.CollOp, as exact ranks do inside their coroutines: one
+// KindCollOp span per rank per view plus the byte-conservation
+// counters. Emission happens after the run (ordering differs from exact
+// mode; bundled telemetry is validated for self-consistency, not digest
 // equality — DESIGN.md §14).
-func (b *cohortRun) emitRankTelemetry(pb *probe.Probe, views []*fcoll.JobView) {
-	var writeBytes []int64
-	if pb != nil {
-		writeBytes = make([]int64, b.np)
+func (b *cohortRun) emitCollOps() {
+	if b.obs.Probe == nil {
+		return
 	}
+	written := make([]int64, b.np)
+	total := make([]int64, b.np) // each rank's running total, the span size
 	for vi, v := range b.views {
-		vStart := b.starts[vi].DoneAt()
-		vEnd := v.final.fut.DoneAt()
-		naggs := len(v.sched.AggRanks())
-		if pb != nil {
-			for a := 0; a < naggs; a++ {
-				rank := v.sched.AggRanks()[a]
-				var wb int64
-				for c := 0; c < v.sched.NCycles(); c++ {
-					wb += v.sched.CycleExtent(a, c).Len
-				}
-				writeBytes[rank] += wb
+		clear(written)
+		for a, rank := range v.sched.AggRanks() {
+			for c := 0; c < v.sched.NCycles(); c++ {
+				written[rank] += v.sched.CycleExtent(a, c).Len
 			}
-			for r := 0; r < b.np; r++ {
-				pb.Emit(probe.Event{
-					At: vStart, Dur: vEnd - vStart, Layer: probe.LayerFcoll,
-					Kind: probe.KindCollOp, Cause: probe.CauseCollWrite,
-					Rank: r, Peer: -1, Cycle: v.sched.NCycles(), Size: writeBytes[r],
-				})
-			}
-			pb.Counters().Add(probe.CtrCollCycles, int64(v.sched.NCycles()))
+			total[rank] += written[rank]
 		}
-	}
-	if pb != nil {
-		ctr := pb.Counters()
 		for r := 0; r < b.np; r++ {
-			ctr.AddRank(r, probe.CtrCollShufBytes, b.shufBytes[r])
-			ctr.AddRank(r, probe.CtrCollWriteBytes, writeBytes[r])
-			var user int64
-			for _, jv := range views {
-				for _, e := range jv.Ranks[r].Extents {
-					user += e.Len
-				}
-			}
-			ctr.AddRank(r, probe.CtrCollUserBytes, user)
+			b.obs.CollOp(v.jv, fcoll.Write, r, fcoll.CollStats{
+				Start: b.starts[vi].DoneAt(), End: v.final.fut.DoneAt(), Cycles: v.sched.NCycles(),
+				Shuffled: v.shufBytes[r], Written: written[r], Size: total[r],
+			})
 		}
 	}
 }

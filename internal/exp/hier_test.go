@@ -152,7 +152,7 @@ func TestHierarchicalParallelMatchesSequential(t *testing.T) {
 			Algorithm: fcoll.WriteComm2Overlap, Primitive: fcoll.TwoSided,
 			Hierarchical: true, Seed: 7,
 		}
-		if !Partitionable(base) {
+		if e, _ := ExecutorFor(withJRun(base, 2)); e != ParallelExecutor {
 			t.Fatalf("%s: hierarchical spec unexpectedly not partitionable", gen.Name())
 		}
 		seq := base
@@ -178,7 +178,7 @@ func TestHierarchicalParallelMatchesSequential(t *testing.T) {
 
 // TestHierarchicalBundledFallsBackExact pins the satellite contract
 // that a Bundle request on a hierarchical spec drops to the exact path
-// bit-identically: bundleEligible excludes the hierarchical family
+// bit-identically: the executor decision (routeFor) excludes the hierarchical family
 // (its leader store-and-forward breaks the symmetric-cohort collapse),
 // so Bundle:true must be a silent no-op, not an approximation.
 func TestHierarchicalBundledFallsBackExact(t *testing.T) {

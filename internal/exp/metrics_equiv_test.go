@@ -56,7 +56,7 @@ func metricsMatrix(t *testing.T) []metricsCase {
 					Algorithm: fcoll.WriteComm2Overlap,
 					Seed:      seed,
 				}
-				if !Partitionable(spec) {
+				if e, _ := ExecutorFor(withJRun(spec, 2)); e != ParallelExecutor {
 					t.Fatalf("%s/%s: spec unexpectedly not partitionable", pc.name, gc.name)
 				}
 				cases = append(cases, metricsCase{

@@ -65,7 +65,7 @@ func TestParallelRunMatchesSequential(t *testing.T) {
 					Algorithm: fcoll.WriteComm2Overlap,
 					Seed:      seed,
 				}
-				if !Partitionable(base) {
+				if e, _ := ExecutorFor(withJRun(base, 2)); e != ParallelExecutor {
 					t.Fatalf("%s/%s: spec unexpectedly not partitionable", pc.name, gc.name)
 				}
 				seq := base
@@ -133,7 +133,7 @@ func TestParallelFallbackSequential(t *testing.T) {
 	noisy.RanksPerNode = 4
 	base := Spec{Platform: noisy, NProcs: 16, Gen: gen,
 		Algorithm: fcoll.WriteComm2Overlap, Seed: 9}
-	if Partitionable(base) {
+	if e, _ := ExecutorFor(withJRun(base, 4)); e != ExactExecutor {
 		t.Fatalf("noisy spec must not be partitionable")
 	}
 	seq := base

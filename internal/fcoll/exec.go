@@ -90,7 +90,7 @@ func run(ex *exec) (Result, error) {
 	r.EnterMPI() // the whole collective runs inside the MPI library ...
 	defer r.ExitMPI()
 
-	ex.obs = opts.observer(r.Node())
+	ex.obs = opts.observer(r.LP())
 	// A reading rank moves real bytes as soon as it has a destination.
 	ex.dataMode = jv.DataMode() || (ex.dir == Read && jv.Ranks[r.ID()].Data != nil)
 	ex.setup()
@@ -105,32 +105,10 @@ func run(ex *exec) (Result, error) {
 	ex.res.Elapsed = r.Now() - start
 	ex.res.Cycles = ex.p.ncycles
 	ex.res.Aggregator = ex.aggIdx >= 0
-	if p := ex.obs.Probe; p != nil {
-		cause := probe.CauseCollWrite
-		if ex.dir == Read {
-			cause = probe.CauseCollRead
-		}
-		p.Emit(probe.Event{
-			At: start, Dur: ex.res.Elapsed, Layer: probe.LayerFcoll,
-			Kind: probe.KindCollOp, Cause: cause,
-			Rank: r.ID(), Peer: -1, Cycle: ex.p.ncycles, Size: ex.res.BytesWritten,
-		})
-		// Only writes record the conservation counters; reads never
-		// have, and their pinned counter digests hold that.
-		if ex.dir == Write {
-			ctr := p.Counters()
-			ctr.AddRank(r.ID(), probe.CtrCollShufBytes, ex.res.BytesSent)
-			ctr.AddRank(r.ID(), probe.CtrCollWriteBytes, ex.res.BytesWritten)
-			var user int64
-			for _, e := range jv.Ranks[r.ID()].Extents {
-				user += e.Len
-			}
-			ctr.AddRank(r.ID(), probe.CtrCollUserBytes, user)
-			if r.ID() == 0 {
-				ctr.Add(probe.CtrCollCycles, int64(ex.p.ncycles))
-			}
-		}
-	}
+	ex.obs.CollOp(jv, ex.dir, r.ID(), CollStats{
+		Start: start, End: r.Now(), Cycles: ex.p.ncycles,
+		Shuffled: ex.res.BytesSent, Written: ex.res.BytesWritten, Size: ex.res.BytesWritten,
+	})
 	return ex.res, nil
 }
 

@@ -186,16 +186,14 @@ type Options struct {
 	// TagBase offsets the message tags of this collective so that
 	// successive collectives on one file do not cross-match.
 	TagBase int
-	// Observer receives the collective's phase spans, cycle marks and
-	// whole-collective accounting (see Observer). The zero value
-	// observes nothing.
-	Observer Observer
-	// ObserverShards, when non-nil, carries one observer per node LP for
-	// partitioned execution and takes precedence over Observer. Each rank
-	// resolves its node's shard at entry, keeping every emission
-	// single-writer on its LP; probe.MergeShards and metrics.MergeShards
-	// fold the shards back into sequential order after the run.
-	ObserverShards []Observer
+	// Observers receives the collective's phase spans, cycle marks and
+	// whole-collective accounting (see Observer), one observer per LP
+	// indexed by mpi.Rank.LP: a sequential world is one LP, a
+	// partitioned one has one LP per node. Each rank resolves its LP's
+	// observer at entry, keeping every emission single-writer on its LP;
+	// probe.MergeShards and metrics.MergeShards fold per-LP sinks back
+	// into sequential order after the run. Nil observes nothing.
+	Observers []Observer
 }
 
 // DefaultOptions returns the paper's configuration: 32 MiB collective
@@ -205,12 +203,12 @@ func DefaultOptions() Options {
 	return Options{BufferSize: 32 << 20}
 }
 
-// observer resolves the sinks of a rank on the given node.
-func (o *Options) observer(node int) Observer {
-	if o.ObserverShards != nil {
-		return o.ObserverShards[node]
+// observer resolves the sinks of a rank on the given LP.
+func (o *Options) observer(lp int) Observer {
+	if o.Observers == nil {
+		return Observer{}
 	}
-	return o.Observer
+	return o.Observers[lp]
 }
 
 func (o *Options) validate() error {

@@ -7,7 +7,7 @@ import (
 )
 
 // This file is the public face of the collective plan for the bundled
-// cohort executor (exp.executeBundled): a read-only Schedule over the
+// cohort executor (exp.runBundled): a read-only Schedule over the
 // CSR plan arenas, plus rank-symmetry detection. Non-aggregator ranks
 // in regular workloads (IOR, Tile I/O, Flash I/O) are behaviourally
 // identical up to a node offset — the same per-cycle traffic shape to
@@ -36,7 +36,7 @@ func BuildSchedule(jv *JobView, np, rpn int, opts Options) (*Schedule, error) {
 		// The bundled executor replays flat per-rank symmetry; the
 		// hierarchical family's leader/member roles break it, so
 		// hierarchical specs always take the exact per-rank path
-		// (exp.bundleEligible filters them before reaching here).
+		// (exp.routeFor filters them before reaching here).
 		return nil, fmt.Errorf("fcoll: bundled scheduling does not support the hierarchical family")
 	}
 	if len(jv.Ranks) != np {

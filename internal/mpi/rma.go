@@ -118,7 +118,7 @@ func (r *Rank) Put(win *Window, target int, offset int64, pl Payload) {
 	e := r.eng
 	e.enter()
 	defer e.exit()
-	r.w.probe.Counters().AddRank(r.id, probe.CtrMPIPutBytes, pl.Size)
+	r.probeSink().Counters().AddRank(r.id, probe.CtrMPIPutBytes, pl.Size)
 	r.p.Sleep(r.w.cfg.PutOverhead)
 	tgt := r.w.ranks[target]
 	// All puts of one origin on one window form one flow: per-QP
@@ -161,7 +161,7 @@ func (r *Rank) WinFence(win *Window) {
 	e := r.eng
 	e.enter()
 	defer e.exit()
-	if p := r.w.probe; p != nil {
+	if p := r.probeSink(); p != nil {
 		t0 := r.Now()
 		defer func() {
 			d := r.Now() - t0

@@ -132,14 +132,14 @@ type World struct {
 
 	windows []*Window
 	started bool
-	probe   *probe.Probe
 
-	// probeShards, when non-nil, holds one probe sink per node LP for
-	// partitioned execution. Every MPI-layer emission happens in the
-	// context of the rank it concerns (its LP), so routing each rank's
-	// events to its node's shard keeps emission single-writer; the
-	// canonical fold (probe.MergeShards) restores sequential order.
-	probeShards []*probe.Probe
+	// probes holds one probe sink per LP (SetProbe): one for a
+	// sequential world, one per node LP when partitioned. Every
+	// MPI-layer emission happens in the context of the rank it concerns
+	// (its LP), so routing each rank's events to its LP's sink keeps
+	// emission single-writer; the canonical fold (probe.MergeShards)
+	// restores sequential order.
+	probes []*probe.Probe
 
 	// freeReqs is a free list of recycled Request objects, mirroring the
 	// sim.Server request pool: the point-to-point layer turns over one
@@ -216,8 +216,9 @@ func NewWorld(k *sim.Kernel, net *simnet.Network, cfg Config) (*World, error) {
 	if err := cfg.validate(net.NumNodes()); err != nil {
 		return nil, err
 	}
-	w := &World{k: k, net: net, cfg: cfg}
-	if net.Partition() != nil {
+	w := &World{k: k, net: net, cfg: cfg, probes: make([]*probe.Probe, 1)}
+	part := net.Partition() != nil
+	if part {
 		// Partitioned execution: each rank lives on its node's LP. The
 		// rendezvous chunk pump round-trips through the receiver's
 		// progress engine with a 150 ns handler delay — far inside any
@@ -227,12 +228,16 @@ func NewWorld(k *sim.Kernel, net *simnet.Network, cfg Config) (*World, error) {
 			return nil, fmt.Errorf("mpi: partitioned execution requires RendezvousChunk <= 0 (pipelining couples LPs below the lookahead)")
 		}
 		w.reqShards = make([]reqShard, net.NumNodes())
+		w.probes = make([]*probe.Probe, net.NumNodes())
 	}
 	for i := 0; i < cfg.NProcs; i++ {
 		r := &Rank{
 			w:    w,
 			id:   i,
 			node: i / cfg.RanksPerNode,
+		}
+		if part {
+			r.lp = r.node
 		}
 		r.k = net.KernelFor(r.node)
 		r.eng = newEngine(r)
@@ -244,17 +249,16 @@ func NewWorld(k *sim.Kernel, net *simnet.Network, cfg Config) (*World, error) {
 // Kernel returns the simulation kernel.
 func (w *World) Kernel() *sim.Kernel { return w.k }
 
-// SetProbe attaches an observability probe (nil detaches). Probing only
-// observes protocol state; it must never change rank timing.
-func (w *World) SetProbe(p *probe.Probe) { w.probe = p }
-
-// SetProbeShards attaches one probe sink per node LP for partitioned
-// execution. Each rank's MPI-layer events go to its node's shard;
-// probe.MergeShards folds them back into sequential emission order.
-func (w *World) SetProbeShards(shards []*probe.Probe) { w.probeShards = shards }
-
-// Probe returns the attached probe (possibly nil).
-func (w *World) Probe() *probe.Probe { return w.probe }
+// SetProbe attaches LP lp's observability probe (nil detaches): the
+// MPI-layer events of the ranks on that LP go to p. A sequential world
+// is one LP (lp 0); a partitioned one has node i's ranks on LP i, and
+// an LP hosting no rank (external storage) has no MPI sink. Probing
+// only observes protocol state; it must never change rank timing.
+func (w *World) SetProbe(lp int, p *probe.Probe) {
+	if lp < len(w.probes) {
+		w.probes[lp] = p
+	}
+}
 
 // Network returns the interconnect.
 func (w *World) Network() *simnet.Network { return w.net }
@@ -311,6 +315,7 @@ type Rank struct {
 	w    *World
 	id   int
 	node int
+	lp   int         // the node under partitioned execution; 0 sequentially
 	k    *sim.Kernel // the node's LP kernel; the shared kernel sequentially
 	p    *sim.Proc
 	eng  *engine
@@ -346,14 +351,14 @@ func (r *Rank) World() *World { return r.w }
 // this kernel, not the world's.
 func (r *Rank) Kernel() *sim.Kernel { return r.k }
 
+// LP returns the index of the logical process this rank runs on: its
+// node under partitioned execution, 0 on a sequential world. Upper
+// layers index their per-LP sinks with it.
+func (r *Rank) LP() int { return r.lp }
+
 // probeSink returns the probe this rank's events are emitted into: its
-// node's shard under partitioned execution, the shared probe otherwise.
-func (r *Rank) probeSink() *probe.Probe {
-	if s := r.w.probeShards; s != nil {
-		return s[r.node]
-	}
-	return r.w.probe
-}
+// LP's.
+func (r *Rank) probeSink() *probe.Probe { return r.w.probes[r.lp] }
 
 // Proc returns the underlying simulated process.
 func (r *Rank) Proc() *sim.Proc { return r.p }

@@ -72,25 +72,29 @@ type FS struct {
 	cfg     Config
 	targets []*sim.Server
 	files   map[string]*File
-	probe   *probe.Probe
 
 	// Partitioned execution: each target's server lives on one LP —
 	// its hosting compute node's (crill-style node-local storage) or a
 	// dedicated storage LP appended after the compute nodes (ibex-style
-	// external storage). targetK/targetLP record the placement;
-	// probeShards carries one observability sink per LP.
-	part        *sim.Partition
-	targetK     []*sim.Kernel
-	targetLP    []int
-	probeShards []*probe.Probe
+	// external storage). targetK/targetLP record the placement; a
+	// sequential file system places every target on LP 0, the shared
+	// kernel.
+	part     *sim.Partition
+	targetK  []*sim.Kernel
+	targetLP []int
 
-	// Telemetry sinks (see internal/metrics): met for sequential runs,
-	// metShards one per LP when partitioned. ostDepth caches each
-	// target's queue-occupancy gauge so the per-chunk arrival sample is
-	// a slice load, not a map lookup.
-	met       *metrics.Metrics
-	metShards []*metrics.Metrics
-	ostDepth  []*metrics.Gauge
+	// sinks holds each LP's observability sinks (SetSinks): one entry
+	// for a sequential file system, one per partition LP otherwise.
+	// ostDepth caches each target's queue-occupancy gauge so the
+	// per-chunk arrival sample is a slice load, not a map lookup.
+	sinks    []fsSinks
+	ostDepth []*metrics.Gauge
+}
+
+// fsSinks is one LP's probe and telemetry sink.
+type fsSinks struct {
+	probe *probe.Probe
+	met   *metrics.Metrics
 }
 
 // New creates a file system whose chunk traffic shares the given
@@ -99,7 +103,7 @@ func New(k *sim.Kernel, net *simnet.Network, cfg Config) (*FS, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	fs := &FS{k: k, net: net, cfg: cfg, files: make(map[string]*File)}
+	fs := &FS{k: k, net: net, cfg: cfg, files: make(map[string]*File), sinks: make([]fsSinks, 1)}
 	noise := func() float64 { return 1 }
 	if cfg.TargetNoise != nil {
 		rng := k.Rand()
@@ -111,6 +115,8 @@ func New(k *sim.Kernel, net *simnet.Network, cfg Config) (*FS, error) {
 			s.Noise = noise
 		}
 		fs.targets = append(fs.targets, s)
+		fs.targetK = append(fs.targetK, k)
+		fs.targetLP = append(fs.targetLP, 0)
 	}
 	return fs, nil
 }
@@ -145,7 +151,8 @@ func NewPartitioned(part *sim.Partition, net *simnet.Network, cfg Config) (*FS, 
 	if cfg.TargetPerOp < part.Lookahead() {
 		return nil, fmt.Errorf("simfs: TargetPerOp %v below partition lookahead %v (ack precomputation needs it)", cfg.TargetPerOp, part.Lookahead())
 	}
-	fs := &FS{k: part.Kernel(0), net: net, cfg: cfg, files: make(map[string]*File), part: part}
+	fs := &FS{k: part.Kernel(0), net: net, cfg: cfg, files: make(map[string]*File), part: part,
+		sinks: make([]fsSinks, part.NKernels())}
 	for i := 0; i < cfg.NumTargets; i++ {
 		lp := StorageLP(net)
 		if cfg.TargetNode != nil {
@@ -162,11 +169,6 @@ func NewPartitioned(part *sim.Partition, net *simnet.Network, cfg Config) (*FS, 
 	return fs, nil
 }
 
-// SetProbeShards attaches one probe sink per LP for partitioned
-// execution: client-side events go to the client node's shard,
-// per-target counters to the target's LP shard.
-func (fs *FS) SetProbeShards(shards []*probe.Probe) { fs.probeShards = shards }
-
 // kernelFor returns the kernel client-side events for node run on.
 func (fs *FS) kernelFor(node int) *sim.Kernel {
 	if fs.part != nil {
@@ -175,13 +177,12 @@ func (fs *FS) kernelFor(node int) *sim.Kernel {
 	return fs.k
 }
 
-// probeFor returns the observability sink for events emitted on node's
-// LP.
-func (fs *FS) probeFor(node int) *probe.Probe {
-	if fs.probeShards != nil {
-		return fs.probeShards[node]
+// lp returns the LP client-side events for node run on.
+func (fs *FS) lp(node int) int {
+	if fs.part != nil {
+		return node
 	}
-	return fs.probe
+	return 0
 }
 
 // Config returns the file system configuration.
@@ -196,64 +197,39 @@ func (fs *FS) Target(i int) *sim.Server { return fs.targets[i] }
 // NumTargets returns the storage-target count.
 func (fs *FS) NumTargets() int { return len(fs.targets) }
 
-// SetProbe attaches an observability probe (nil detaches). Probing only
-// observes — it never alters write or read timing.
-func (fs *FS) SetProbe(p *probe.Probe) { fs.probe = p }
-
-// SetMetrics attaches a telemetry sink: each storage target reports a
-// busy-time series, a queue-occupancy series and per-chunk service
-// times, and every write/read call records client-observed chunk
-// latency. Recording is host-side appends plus completion observation
-// on already-existing futures — timing and digests are unchanged.
-func (fs *FS) SetMetrics(m *metrics.Metrics) {
-	fs.met = m
-	fs.wireTargetMetrics()
-}
-
-// SetMetricsShards attaches one telemetry sink per LP for partitioned
-// execution: a target's series record on the LP hosting its server,
-// client-side chunk latency on the client node's LP. The run's owner
-// folds the shards with metrics.MergeShards afterwards.
-func (fs *FS) SetMetricsShards(shards []*metrics.Metrics) {
-	fs.metShards = shards
-	fs.wireTargetMetrics()
-}
-
-// metricsFor returns the telemetry sink for state recorded on node's
-// LP (the sequential sink when not partitioned).
-func (fs *FS) metricsFor(node int) *metrics.Metrics {
-	if fs.metShards != nil {
-		return fs.metShards[node]
-	}
-	return fs.met
-}
-
-// wireTargetMetrics binds each target server's per-service observation
-// to the sink of the LP the target lives on.
-func (fs *FS) wireTargetMetrics() {
-	fs.ostDepth = nil
-	depth := make([]*metrics.Gauge, len(fs.targets))
-	any := false
+// SetSinks attaches LP lp's observability sinks (nil detaches): probe p
+// receives the client-side events of the nodes on that LP and the
+// per-target counters and occupancy samples of the targets it hosts;
+// metrics m receives those targets' busy-time, queue-occupancy and
+// per-chunk service series plus the client-observed chunk latency of
+// every write and read issued there. A sequential file system is one
+// LP (lp 0); a partitioned one has node i on LP i and external targets
+// on StorageLP. Recording is host-side appends plus completion
+// observation on already-existing futures — timing and digests are
+// unchanged.
+func (fs *FS) SetSinks(lp int, p *probe.Probe, m *metrics.Metrics) {
+	fs.sinks[lp] = fsSinks{probe: p, met: m}
 	for i, srv := range fs.targets {
-		m := fs.met
-		if fs.metShards != nil {
-			m = fs.metShards[fs.targetLP[i]]
+		if fs.targetLP[i] != lp {
+			continue
 		}
 		if m == nil {
 			srv.ObserveService = nil
+			if fs.ostDepth != nil {
+				fs.ostDepth[i] = nil
+			}
 			continue
 		}
-		any = true
-		depth[i] = m.Gauge(metrics.OSTDepth(i), metrics.ModeMax)
+		if fs.ostDepth == nil {
+			fs.ostDepth = make([]*metrics.Gauge, len(fs.targets))
+		}
+		fs.ostDepth[i] = m.Gauge(metrics.OSTDepth(i), metrics.ModeMax)
 		busy := m.Gauge(metrics.OSTBusy(i), metrics.ModeSum)
 		svc := m.Hist(metrics.OSTService)
 		srv.ObserveService = func(start, end sim.Time) {
 			busy.AddSpan(start, end)
 			svc.Record(int64(end - start))
 		}
-	}
-	if any {
-		fs.ostDepth = depth
 	}
 }
 
@@ -274,7 +250,7 @@ func observeChunkLatency(h *metrics.Hist, k *sim.Kernel, fut *sim.Future) {
 // call's completion future. Rank is the client *node* (the fs layer has
 // no rank notion); V carries the file offset.
 func (fs *FS) observeIO(kind probe.Kind, clientNode int, off, size int64, done *sim.Future) {
-	p := fs.probeFor(clientNode)
+	p := fs.sinks[fs.lp(clientNode)].probe
 	if p == nil {
 		return
 	}
@@ -292,7 +268,7 @@ func (fs *FS) observeIO(kind probe.Kind, clientNode int, off, size int64, done *
 // to a storage target. The occupancy sample itself (KindOSTQueue) is
 // emitted separately at arrival time — see sampleOSTQueue.
 func (fs *FS) observeChunk(clientNode, target int, size int64) {
-	p := fs.probeFor(clientNode)
+	p := fs.sinks[fs.lp(clientNode)].probe
 	if p == nil {
 		return
 	}
@@ -310,15 +286,7 @@ func (fs *FS) observeChunk(clientNode, target int, size int64) {
 // one. Must be called from the arrival context (the target's kernel
 // under partitioned execution).
 func (fs *FS) sampleOSTQueue(clientNode, target int, size int64) {
-	var p *probe.Probe
-	var k *sim.Kernel
-	if fs.part != nil {
-		k = fs.targetK[target]
-		p = fs.probeFor(fs.targetLP[target])
-	} else {
-		k = fs.k
-		p = fs.probeFor(clientNode)
-	}
+	k, p := fs.targetK[target], fs.sinks[fs.targetLP[target]].probe
 	if fs.ostDepth != nil {
 		if g := fs.ostDepth[target]; g != nil {
 			// Occupancy including the arriving chunk (QueueDepth counts
@@ -409,7 +377,8 @@ func (f *File) startWrite(clientNode int, off, size int64, data []byte) *sim.Fut
 	}
 	f.record(off, size, data)
 	k := f.fs.kernelFor(clientNode)
-	ctr := f.fs.probeFor(clientNode).Counters()
+	sinks := f.fs.sinks[f.fs.lp(clientNode)]
+	ctr := sinks.probe.Counters()
 	ctr.Add(probe.CtrFSWrites, 1)
 	ctr.Add(probe.CtrFSWriteBytes, size)
 	if size == 0 {
@@ -420,7 +389,7 @@ func (f *File) startWrite(clientNode int, off, size int64, data []byte) *sim.Fut
 	}
 	var futs []*sim.Future
 	var latH *metrics.Hist
-	if m := f.fs.metricsFor(clientNode); m != nil {
+	if m := sinks.met; m != nil {
 		latH = m.Hist(metrics.ChunkLatency)
 	}
 	// All chunks of one write call share a flow: they stream in order
@@ -593,7 +562,8 @@ func (f *File) startRead(clientNode int, off, size int64, buf []byte) *sim.Futur
 		panic("simfs: read path is not supported under partitioned execution")
 	}
 	f.reads++
-	ctr := f.fs.probe.Counters()
+	sinks := f.fs.sinks[f.fs.lp(clientNode)]
+	ctr := sinks.probe.Counters()
 	ctr.Add(probe.CtrFSReads, 1)
 	ctr.Add(probe.CtrFSReadBytes, size)
 	if buf != nil && off < int64(len(f.data)) {
@@ -607,7 +577,7 @@ func (f *File) startRead(clientNode int, off, size int64, buf []byte) *sim.Futur
 	}
 	var futs []*sim.Future
 	var latH *metrics.Hist
-	if m := f.fs.metricsFor(clientNode); m != nil {
+	if m := sinks.met; m != nil {
 		latH = m.Hist(metrics.ChunkLatency)
 	}
 	flow := new(byte)

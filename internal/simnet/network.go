@@ -192,44 +192,32 @@ func (n *Network) KernelFor(node int) *sim.Kernel { return n.nodes[node].k }
 // their own per-LP state.
 func (n *Network) Partition() *sim.Partition { return n.part }
 
-// SetProbe attaches an observability probe (nil detaches). Probing only
-// observes — it never alters transfer timing.
-func (n *Network) SetProbe(p *probe.Probe) { n.probe = p }
-
-// SetProbeShards attaches one probe sink per LP for partitioned
-// execution: sends emit into the source node's shard, deliveries into
-// the destination node's. A canonical fold (probe.MergeShards) restores
-// the sequential emission order afterwards.
-func (n *Network) SetProbeShards(shards []*probe.Probe) {
-	for i := range n.shards {
-		n.shards[i].probe = shards[i]
+// SetSinks attaches LP lp's observability sinks (nil detaches): probe
+// p receives the events emitted on that LP — sends on the source
+// node's, deliveries on the destination node's — and metrics m the
+// tx/rx link-utilisation series of the nodes it hosts. A sequential
+// network is one LP (lp 0, every node); a partitioned one hosts node i
+// on LP i. Sinks only observe: recording is host-side appends at
+// instants the simulator already visits, so timing and digests are
+// unchanged. Per-LP sinks fold back with probe.MergeShards and
+// metrics.MergeShards in sequential order.
+func (n *Network) SetSinks(lp int, p *probe.Probe, m *metrics.Metrics) {
+	if n.part == nil {
+		n.probe = p
+		for i, nd := range n.nodes {
+			wireNodeMetrics(m, i, nd)
+		}
+		return
 	}
-}
-
-// SetMetrics attaches a telemetry sink: every node's injection (tx) and
-// delivery (rx) port reports its service intervals into a per-node
-// link-utilisation series. Recording is pure host-side appends at
-// service-start instants the simulator already visits, so timing and
-// digests are unchanged (the metrics contract).
-func (n *Network) SetMetrics(m *metrics.Metrics) {
-	for i, nd := range n.nodes {
-		wireNodeMetrics(m, i, nd)
-	}
-}
-
-// SetMetricsShards attaches one telemetry sink per LP for partitioned
-// execution: node i's ports record into shards[i], which the run's
-// owner folds with metrics.MergeShards afterwards. Link series live
-// entirely on their node's LP, so the fold reproduces the sequential
-// recording exactly.
-func (n *Network) SetMetricsShards(shards []*metrics.Metrics) {
-	for i, nd := range n.nodes {
-		wireNodeMetrics(shards[i], i, nd)
+	if lp < len(n.nodes) {
+		n.shards[lp].probe = p
+		wireNodeMetrics(m, lp, n.nodes[lp])
 	}
 }
 
 func wireNodeMetrics(m *metrics.Metrics, i int, nd *Node) {
 	if m == nil {
+		nd.tx.ObserveService, nd.rx.ObserveService = nil, nil
 		return
 	}
 	tx := m.Gauge(metrics.LinkBusy(i, "tx"), metrics.ModeSum)
