@@ -178,7 +178,7 @@ func (c Config) CanonicalBytes() ([]byte, error) {
 func netModelName(m simnet.NetModel) string { return m.String() }
 
 // normalizeBufferSize folds the implicit default into the explicit
-// spelling (run.go applies the same default before execution).
+// spelling (Spec.collOptions applies it before execution).
 func normalizeBufferSize(b int64) int64 {
 	if b == 0 {
 		return 32 << 20
