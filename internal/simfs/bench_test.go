@@ -1,0 +1,33 @@
+package simfs
+
+import "testing"
+
+// benchChunks measures one asynchronous file-system call of two stripe
+// chunks (2 MiB at a 1 MiB stripe): the chunk split, the client NIC and
+// wire legs, the target submissions and the completion join. Calls go
+// out in batches of 16 from alternating client nodes to consecutive
+// offsets, so targets see queueing; each batch runs to completion.
+func benchChunks(b *testing.B, read bool) {
+	const (
+		batch = 16
+		size  = 2 << 20
+	)
+	b.ReportAllocs()
+	k, _, fs := testFS(b, 1, nil)
+	f := fs.Open("bench")
+	for i := 0; i < b.N; i++ {
+		off := int64(i%batch) * size
+		if read {
+			f.AIORead(i%2, off, size, nil)
+		} else {
+			f.AIOWrite(i%2, off, size, nil)
+		}
+		if i%batch == batch-1 {
+			k.Run()
+		}
+	}
+	k.Run()
+}
+
+func BenchmarkAIOWrite(b *testing.B) { benchChunks(b, false) }
+func BenchmarkAIORead(b *testing.B)  { benchChunks(b, true) }

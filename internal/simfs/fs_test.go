@@ -9,7 +9,7 @@ import (
 	"collio/internal/simnet"
 )
 
-func testFS(t *testing.T, seed int64, mut func(*Config)) (*sim.Kernel, *simnet.Network, *FS) {
+func testFS(t testing.TB, seed int64, mut func(*Config)) (*sim.Kernel, *simnet.Network, *FS) {
 	t.Helper()
 	k := sim.NewKernel(seed)
 	net := simnet.New(k, simnet.Config{
