@@ -37,12 +37,15 @@ race:
 # all execute multi-threaded under the race detector on a small
 # workload. The metrics shard-merge and hierarchical matrices run
 # alongside, so the per-LP sink wiring (probe and metrics shards on
-# every layer) and the leaders-only ladder are raced too. It runs first
-# in `make check` so a data race in the executor surfaces in seconds
-# instead of at the end of the full race suite.
+# every layer) and the leaders-only ladder are raced too. The simnet
+# sequential-vs-partitioned test runs at 2 and 4 window workers, so a
+# race on the per-LP transfer free lists or probe shards shows up here.
+# It runs first in `make check` so a data race in the executor surfaces
+# in seconds instead of at the end of the full race suite.
 race-parallel:
 	$(GO) test -race -count=1 -run 'TestParallelRunMatchesSequential|TestMetricsShardMergeMatchesSequential|TestHierarchicalParallelMatchesSequential' ./internal/exp/
 	$(GO) test -race -count=1 -run 'TestPartitionMatchesSequential' ./internal/sim/
+	$(GO) test -race -count=1 -run 'TestPartitionedMatchesSequential' ./internal/simnet/
 
 # `make bench` also persists the machine-readable perf trajectory for
 # this PR: the raw stream passes through cmd/benchjson into BENCHOUT,

@@ -16,7 +16,7 @@ import (
 //
 // The check is intra-procedural and deliberately one-sided: functions
 // that only issue Puts (epoch managed by the caller, as in the
-// collective engine's putAll) are not flagged. Flagged are:
+// collective engine's putOp) are not flagged. Flagged are:
 //
 //   - WinLock with no later WinUnlock for the same (window, target) in
 //     the same function, and WinUnlock with no earlier WinLock;

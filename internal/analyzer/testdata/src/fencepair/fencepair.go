@@ -55,7 +55,7 @@ func balancedPSCW(r *mpi.Rank, win *mpi.Window) {
 	r.WinComplete(win)
 }
 
-// callerManaged mirrors the collective engine's putAll: the epoch is
+// callerManaged mirrors the collective engine's putOp: the epoch is
 // opened and closed by the caller, so a Put-only function is exempt.
 func callerManaged(r *mpi.Rank, win *mpi.Window, tgt int) {
 	r.Put(win, tgt, 0, mpi.Symbolic(8))

@@ -507,27 +507,12 @@ func (ex *exec) twoSidedInit(sh *shuffle) {
 	}
 }
 
-// putAll issues one Put per contiguous window range (one-sided shuffles
-// cannot pack, since nothing unpacks at the passive target).
+// putAll issues this rank's puts of the cycle into an access epoch the
+// caller manages (fence or PSCW).
 func (ex *exec) putAll(sh *shuffle) {
-	r := ex.r
-	data := ex.jv.Ranks[r.ID()].Data
-	sends := ex.p.sendsAt(r.ID(), sh.cycle)
+	sends := ex.p.sendsAt(ex.r.ID(), sh.cycle)
 	for i := range sends {
-		so := &sends[i]
-		tgt := ex.p.aggRanks[so.agg]
-		segs, wsegs := ex.p.segsOf(so), ex.p.wsegsOf(so)
-		for j, ws := range wsegs {
-			var pl mpi.Payload
-			if ex.dataMode {
-				s := segs[j]
-				pl = mpi.Bytes(data[s.off : s.off+s.len])
-			} else {
-				pl = mpi.Symbolic(ws.len)
-			}
-			r.Put(ex.wins[sh.slot], tgt, ws.off, pl)
-		}
-		ex.res.BytesSent += so.total
+		ex.putOp(sh, &sends[i])
 	}
 }
 
@@ -535,26 +520,33 @@ func (ex *exec) putAll(sh *shuffle) {
 // lock/unlock epoch (passive target).
 func (ex *exec) lockPutUnlockAll(sh *shuffle) {
 	r := ex.r
-	data := ex.jv.Ranks[r.ID()].Data
 	sends := ex.p.sendsAt(r.ID(), sh.cycle)
 	for i := range sends {
-		so := &sends[i]
-		tgt := ex.p.aggRanks[so.agg]
+		tgt := ex.p.aggRanks[sends[i].agg]
 		r.WinLock(ex.wins[sh.slot], mpi.LockShared, tgt)
-		segs, wsegs := ex.p.segsOf(so), ex.p.wsegsOf(so)
-		for j, ws := range wsegs {
-			var pl mpi.Payload
-			if ex.dataMode {
-				s := segs[j]
-				pl = mpi.Bytes(data[s.off : s.off+s.len])
-			} else {
-				pl = mpi.Symbolic(ws.len)
-			}
-			r.Put(ex.wins[sh.slot], tgt, ws.off, pl)
-		}
+		ex.putOp(sh, &sends[i])
 		r.WinUnlock(ex.wins[sh.slot], tgt)
-		ex.res.BytesSent += so.total
 	}
+}
+
+// putOp issues one Put per contiguous window range of send op so
+// (one-sided shuffles cannot pack, since nothing unpacks at the passive
+// target).
+func (ex *exec) putOp(sh *shuffle, so *sendOp) {
+	data := ex.jv.Ranks[ex.r.ID()].Data
+	tgt := ex.p.aggRanks[so.agg]
+	segs, wsegs := ex.p.segsOf(so), ex.p.wsegsOf(so)
+	for j, ws := range wsegs {
+		var pl mpi.Payload
+		if ex.dataMode {
+			s := segs[j]
+			pl = mpi.Bytes(data[s.off : s.off+s.len])
+		} else {
+			pl = mpi.Symbolic(ws.len)
+		}
+		ex.r.Put(ex.wins[sh.slot], tgt, ws.off, pl)
+	}
+	ex.res.BytesSent += so.total
 }
 
 // fileStage is the file I/O stage: cycle c's aggregator window moves

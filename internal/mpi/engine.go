@@ -74,10 +74,6 @@ type engine struct {
 	unexpected []*eagerPkt // eager arrivals awaiting a receive
 	pendingRTS []*rtsPkt   // rendezvous announcements awaiting a receive
 
-	// Peak queue lengths, for diagnostics and tests.
-	maxUnexpected int
-	maxPosted     int
-
 	// stallSince is the arrival time of the oldest packet in pending —
 	// the start of the current handshake-stall interval (§III-A.1).
 	// Only meaningful while len(pending) > 0.
@@ -174,9 +170,6 @@ func (e *engine) handle(pkt packet) {
 		req, scanned := e.matchPosted(p.src, p.tag)
 		if req == nil {
 			e.unexpected = append(e.unexpected, p)
-			if len(e.unexpected) > e.maxUnexpected {
-				e.maxUnexpected = len(e.unexpected)
-			}
 			if pr := e.r.probeSink(); pr != nil {
 				pr.Emit(probe.Event{
 					At: k.Now(), Layer: probe.LayerMPI, Kind: probe.KindUnexpected,
@@ -335,14 +328,5 @@ func (e *engine) postRecv(req *Request) sim.Time {
 		}
 	}
 	e.posted = append(e.posted, req)
-	if len(e.posted) > e.maxPosted {
-		e.maxPosted = len(e.posted)
-	}
 	return cost
-}
-
-// QueueHighWater returns the peak unexpected-queue and posted-queue
-// lengths observed on rank r (diagnostics).
-func (r *Rank) QueueHighWater() (unexpected, posted int) {
-	return r.eng.maxUnexpected, r.eng.maxPosted
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"collio/internal/probe"
 	"collio/internal/sim"
 	"collio/internal/simnet"
 )
@@ -76,6 +77,8 @@ func TestUnexpectedQueueMatch(t *testing.T) {
 	// receive; messages must match in order by tag, through the
 	// unexpected queue.
 	k, w := testWorld(t, 2, 1, 1, nil)
+	p := probe.New()
+	w.SetProbe(0, p)
 	var got [3]byte
 	w.Launch(func(r *Rank) {
 		switch r.ID() {
@@ -96,7 +99,7 @@ func TestUnexpectedQueueMatch(t *testing.T) {
 	if got != [3]byte{10, 11, 12} {
 		t.Fatalf("got %v, want [10 11 12]", got)
 	}
-	if un, _ := w.Rank(1).QueueHighWater(); un != 3 {
+	if un := p.Counters().Get(probe.CtrMPIUnexpPeak); un != 3 {
 		t.Fatalf("unexpected-queue high water = %d, want 3", un)
 	}
 }

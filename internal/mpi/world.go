@@ -133,65 +133,38 @@ type World struct {
 	windows []*Window
 	started bool
 
-	// probes holds one probe sink per LP (SetProbe): one for a
-	// sequential world, one per node LP when partitioned. Every
-	// MPI-layer emission happens in the context of the rank it concerns
-	// (its LP), so routing each rank's events to its LP's sink keeps
-	// emission single-writer; the canonical fold (probe.MergeShards)
-	// restores sequential order.
-	probes []*probe.Probe
-
-	// freeReqs is a free list of recycled Request objects, mirroring the
-	// sim.Server request pool: the point-to-point layer turns over one
-	// request per operation, and at multi-thousand-rank scale those
-	// allocations dominate the model-layer heap churn. Requests return
-	// to the list in Wait (after their future has completed). Rank
-	// goroutines are serialised by the simulation kernel, so the list
-	// needs no locking — the same discipline as sim.Server.freeReqs.
-	// Partitioned worlds shard the list per node LP (reqShards) instead,
-	// because ranks on different LPs allocate concurrently.
-	freeReqs  *Request
-	reqShards []reqShard
+	// shards holds each LP's host state (one for a sequential world,
+	// one per node LP when partitioned), so ranks on different LPs never
+	// share a mutable field.
+	shards []lpShard
 }
 
-// reqShard is one LP's request free list, padded so adjacent shards
+// lpShard is one LP's MPI-layer host state, padded so adjacent shards
 // never share a cache line under concurrent window execution.
-type reqShard struct {
-	free *Request
-	_    [56]byte
+//
+// probe is the LP's sink (SetProbe). Every MPI-layer emission happens
+// in the context of the rank it concerns (its LP), so routing each
+// rank's events to its LP's sink keeps emission single-writer; the
+// canonical fold (probe.MergeShards) restores sequential order.
+//
+// free is a free list of recycled Request objects, mirroring the
+// sim.Server request pool: the point-to-point layer turns over one
+// request per operation, and at multi-thousand-rank scale those
+// allocations dominate the model-layer heap churn. Requests return to
+// the list in Wait (after their future has completed). An LP's ranks
+// are serialised by its kernel, so the list needs no locking — the
+// same discipline as sim.Server.freeReqs.
+type lpShard struct {
+	probe *probe.Probe
+	free  *Request
+	_     [48]byte
 }
 
-// newRequest takes a zeroed request from the free list (or allocates
-// one). The caller fills in the operation fields and binds the embedded
-// future (Kernel.InitFuture).
-func (w *World) newRequest() *Request {
-	q := w.freeReqs
-	if q == nil {
-		return &Request{}
-	}
-	w.freeReqs = q.next
-	*q = Request{}
-	return q
-}
-
-// releaseRequest clears a request's references and returns it to the
-// free list. Callers guarantee the protocol engine holds no live
-// reference: sends are only released after local completion (and the
-// rendezvous path snapshots what it needs into rdvState), receives only
-// after delivery.
-func (w *World) releaseRequest(q *Request) {
-	*q = Request{next: w.freeReqs}
-	w.freeReqs = q
-}
-
-// newRequest / releaseRequest on a Rank route through the rank's LP
-// shard under partitioned execution (each LP owns its ranks' request
-// turnover) and fall back to the world-wide list sequentially.
+// newRequest takes a zeroed request from the rank's LP free list (or
+// allocates one). The caller fills in the operation fields and binds
+// the embedded future (Kernel.InitFuture).
 func (r *Rank) newRequest() *Request {
-	if r.w.reqShards == nil {
-		return r.w.newRequest()
-	}
-	sh := &r.w.reqShards[r.node]
+	sh := r.sh
 	q := sh.free
 	if q == nil {
 		return &Request{}
@@ -201,45 +174,39 @@ func (r *Rank) newRequest() *Request {
 	return q
 }
 
+// releaseRequest clears a request's references and returns it to the
+// rank's LP free list. Callers guarantee the protocol engine holds no
+// live reference: sends are only released after local completion (and
+// the rendezvous path snapshots what it needs into rdvState), receives
+// only after delivery.
 func (r *Rank) releaseRequest(q *Request) {
-	if r.w.reqShards == nil {
-		r.w.releaseRequest(q)
-		return
-	}
-	sh := &r.w.reqShards[r.node]
+	sh := r.sh
 	*q = Request{next: sh.free}
 	sh.free = q
 }
 
-// NewWorld creates the rank set. Ranks do not run until Launch.
+// NewWorld creates the rank set. Ranks do not run until Launch. Each
+// rank lives on its node's LP (see simnet.Network.LPFor).
 func NewWorld(k *sim.Kernel, net *simnet.Network, cfg Config) (*World, error) {
 	if err := cfg.validate(net.NumNodes()); err != nil {
 		return nil, err
 	}
-	w := &World{k: k, net: net, cfg: cfg, probes: make([]*probe.Probe, 1)}
-	part := net.Partition() != nil
-	if part {
-		// Partitioned execution: each rank lives on its node's LP. The
-		// rendezvous chunk pump round-trips through the receiver's
-		// progress engine with a 150 ns handler delay — far inside any
-		// realistic lookahead window — so pipelining must be disabled
-		// (single-shot hardware transfers) before partitioning.
-		if cfg.RendezvousChunk > 0 {
-			return nil, fmt.Errorf("mpi: partitioned execution requires RendezvousChunk <= 0 (pipelining couples LPs below the lookahead)")
-		}
-		w.reqShards = make([]reqShard, net.NumNodes())
-		w.probes = make([]*probe.Probe, net.NumNodes())
+	// The rendezvous chunk pump round-trips through the receiver's
+	// progress engine with a 150 ns handler delay — far inside any
+	// realistic lookahead window — so pipelining must be disabled
+	// (single-shot hardware transfers) before partitioning.
+	if net.Partition() != nil && cfg.RendezvousChunk > 0 {
+		return nil, fmt.Errorf("mpi: partitioned execution requires RendezvousChunk <= 0 (pipelining couples LPs below the lookahead)")
 	}
+	w := &World{k: k, net: net, cfg: cfg, shards: make([]lpShard, net.NumLPs())}
 	for i := 0; i < cfg.NProcs; i++ {
 		r := &Rank{
 			w:    w,
 			id:   i,
 			node: i / cfg.RanksPerNode,
 		}
-		if part {
-			r.lp = r.node
-		}
 		r.k = net.KernelFor(r.node)
+		r.sh = &w.shards[net.LPFor(r.node)]
 		r.eng = newEngine(r)
 		w.ranks = append(w.ranks, r)
 	}
@@ -255,8 +222,8 @@ func (w *World) Kernel() *sim.Kernel { return w.k }
 // an LP hosting no rank (external storage) has no MPI sink. Probing
 // only observes protocol state; it must never change rank timing.
 func (w *World) SetProbe(lp int, p *probe.Probe) {
-	if lp < len(w.probes) {
-		w.probes[lp] = p
+	if lp < len(w.shards) {
+		w.shards[lp].probe = p
 	}
 }
 
@@ -315,8 +282,8 @@ type Rank struct {
 	w    *World
 	id   int
 	node int
-	lp   int         // the node under partitioned execution; 0 sequentially
 	k    *sim.Kernel // the node's LP kernel; the shared kernel sequentially
+	sh   *lpShard    // the node's LP host state
 	p    *sim.Proc
 	eng  *engine
 
@@ -325,12 +292,6 @@ type Rank struct {
 
 	winCalls int         // WinAllocate call counter (collective-order matching)
 	rmaAgent *sim.Server // passive-target RMA agent (lock/unlock serialisation)
-
-	// Accounting: time spent inside communication operations vs file
-	// I/O (set by the mpiio layer), used for the paper's §IV-A
-	// comm/IO breakdown experiment.
-	CommTime sim.Time
-	IOTime   sim.Time
 }
 
 // ID returns the rank number.
@@ -354,11 +315,11 @@ func (r *Rank) Kernel() *sim.Kernel { return r.k }
 // LP returns the index of the logical process this rank runs on: its
 // node under partitioned execution, 0 on a sequential world. Upper
 // layers index their per-LP sinks with it.
-func (r *Rank) LP() int { return r.lp }
+func (r *Rank) LP() int { return r.w.net.LPFor(r.node) }
 
 // probeSink returns the probe this rank's events are emitted into: its
 // LP's.
-func (r *Rank) probeSink() *probe.Probe { return r.w.probes[r.lp] }
+func (r *Rank) probeSink() *probe.Probe { return r.sh.probe }
 
 // Proc returns the underlying simulated process.
 func (r *Rank) Proc() *sim.Proc { return r.p }

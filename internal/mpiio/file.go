@@ -42,11 +42,9 @@ func (f *File) Raw() *simfs.File { return f.f }
 // communication progress happens on its behalf — the property that
 // penalises Comm-Overlap in the paper.
 func (f *File) WriteSync(r *mpi.Rank, off, size int64, data []byte) {
-	t0 := r.Now()
 	r.ExitMPI()
 	f.f.Write(r.Proc(), r.Node(), off, size, data)
 	r.EnterMPI()
-	r.IOTime += r.Now() - t0
 }
 
 // WriteAsync starts an independent non-blocking write
@@ -66,18 +64,13 @@ func (f *File) WriteAll(r *mpi.Rank, jv *fcoll.JobView) (fcoll.Result, error) {
 	// Ranks call collectives in lockstep, so per-rank counters agree;
 	// shifting spaces the tags of successive collectives apart.
 	opts.TagBase = f.seqs[r.ID()] << 20
-	res, err := f.Run(r, jv, opts)
-	return res, err
+	return f.Run(r, jv, opts)
 }
 
 // Run executes one collective write with explicit options (WriteAll with
 // per-call configuration).
 func (f *File) Run(r *mpi.Rank, jv *fcoll.JobView, opts fcoll.Options) (fcoll.Result, error) {
-	res, err := fcoll.Run(r, jv, f, opts)
-	if err == nil {
-		r.IOTime += res.WriteTime
-	}
-	return res, err
+	return fcoll.Run(r, jv, f, opts)
 }
 
 var _ fcoll.Writer = (*File)(nil)
@@ -85,11 +78,9 @@ var _ fcoll.Writer = (*File)(nil)
 // ReadSync performs an independent blocking read (POSIX pread): the
 // rank leaves the MPI library for the duration.
 func (f *File) ReadSync(r *mpi.Rank, off, size int64, buf []byte) {
-	t0 := r.Now()
 	r.ExitMPI()
 	f.f.Read(r.Proc(), r.Node(), off, size, buf)
 	r.EnterMPI()
-	r.IOTime += r.Now() - t0
 }
 
 // ReadAsync starts an independent non-blocking read (aio_read), OS-
@@ -105,11 +96,7 @@ func (f *File) ReadAll(r *mpi.Rank, jv *fcoll.JobView) (fcoll.Result, error) {
 	opts := f.opts
 	f.seqs[r.ID()]++
 	opts.TagBase = f.seqs[r.ID()] << 20
-	res, err := fcoll.RunRead(r, jv, f, opts)
-	if err == nil {
-		r.IOTime += res.WriteTime
-	}
-	return res, err
+	return fcoll.RunRead(r, jv, f, opts)
 }
 
 var _ fcoll.Reader = (*File)(nil)

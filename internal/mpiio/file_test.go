@@ -7,12 +7,20 @@ import (
 	"collio/internal/datatype"
 	"collio/internal/fcoll"
 	"collio/internal/mpi"
+	"collio/internal/probe"
 	"collio/internal/sim"
 	"collio/internal/simfs"
 	"collio/internal/simnet"
 )
 
 func testStack(t *testing.T, nprocs int) (*sim.Kernel, *mpi.World, *File) {
+	t.Helper()
+	k, w, f, _ := probedStack(t, nprocs)
+	return k, w, f
+}
+
+// probedStack is testStack with one probe attached to every layer.
+func probedStack(t *testing.T, nprocs int) (*sim.Kernel, *mpi.World, *File, *probe.Probe) {
 	t.Helper()
 	k := sim.NewKernel(1)
 	net := simnet.New(k, simnet.Config{
@@ -38,7 +46,11 @@ func testStack(t *testing.T, nprocs int) (*sim.Kernel, *mpi.World, *File) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return k, w, Open(w, fs.Open("f"))
+	p := probe.New()
+	net.SetSinks(0, p, nil)
+	w.SetProbe(0, p)
+	fs.SetSinks(0, p, nil)
+	return k, w, Open(w, fs.Open("f")), p
 }
 
 func TestWriteSyncLeavesMPI(t *testing.T) {
@@ -64,17 +76,32 @@ func TestWriteSyncLeavesMPI(t *testing.T) {
 	}
 }
 
+// TestWriteSyncAccountsIOTime: the blocking write's file-access time is
+// the file-system write span the probe records, and the rank spends
+// exactly that plus the client's syscall overhead inside WriteSync.
 func TestWriteSyncAccountsIOTime(t *testing.T) {
-	k, w, f := testStack(t, 1)
+	k, w, f, p := probedStack(t, 1)
+	var inWrite sim.Time
 	w.Launch(func(r *mpi.Rank) {
 		r.EnterMPI()
+		t0 := r.Now()
 		f.WriteSync(r, 0, 1<<20, nil)
+		inWrite = r.Now() - t0
 		r.ExitMPI()
-		if r.IOTime <= 0 {
-			t.Error("IOTime not accounted")
-		}
 	})
 	k.Run()
+	var spans []probe.Event
+	for _, ev := range p.Events() {
+		if ev.Kind == probe.KindFSWrite {
+			spans = append(spans, ev)
+		}
+	}
+	if len(spans) != 1 || spans[0].Dur <= 0 {
+		t.Fatalf("file-system write spans = %+v, want one of positive length", spans)
+	}
+	if want := 5*sim.Microsecond + spans[0].Dur; inWrite != want {
+		t.Fatalf("rank spent %v in WriteSync, want %v (ClientPerOp + write span)", inWrite, want)
+	}
 }
 
 func TestWriteAsyncReturnsImmediately(t *testing.T) {
@@ -127,7 +154,7 @@ func TestWriteAllDataIntegrity(t *testing.T) {
 
 func TestTagBasesAdvancePerCollective(t *testing.T) {
 	const np = 2
-	k, w, f := testStack(t, np)
+	k, w, f, p := probedStack(t, np)
 	jv, err := fcoll.NewJobView([]fcoll.RankView{
 		{Extents: []datatype.Extent{{Off: 0, Len: 4 << 10}}},
 		{Extents: []datatype.Extent{{Off: 4 << 10, Len: 4 << 10}}},
@@ -150,7 +177,7 @@ func TestTagBasesAdvancePerCollective(t *testing.T) {
 	if count != 3 {
 		t.Fatal("collectives did not complete")
 	}
-	if writes, _ := f.Raw().Stats(); writes == 0 {
+	if p.Counters().Get(probe.CtrFSWrites) == 0 {
 		t.Fatal("no writes reached the file system")
 	}
 }

@@ -42,11 +42,8 @@ type Server struct {
 
 	serviceEnd Time // completion time of the in-service request
 
-	backlog  Time // total queued (unserved) service time, for estimates
-	busyTime Time // total busy nanoseconds, for utilisation accounting
-	ops      int64
-	bytes    int64
-	queued   int // requests queued or in service, for occupancy probes
+	backlog Time // total queued (unserved) service time, for estimates
+	queued  int  // requests queued or in service, for occupancy probes
 
 	// freeReqs is a free list of recycled request objects. A busy server
 	// turns over one request per served operation; pooling them removes
@@ -183,14 +180,11 @@ func (s *Server) enqueue(req *serverReq, flow interface{}, size int64) {
 		d = Time(float64(d) * f)
 	}
 	req.d = d
-	s.ops++
-	s.bytes += size
 	s.queued++
 	if !s.serving {
 		// Idle server: the ring and flow map are empty, so the request
 		// enters service immediately, bypassing the queue structures.
 		s.serving = true
-		s.busyTime += d
 		s.serviceEnd = s.k.now + d
 		if s.ObserveService != nil {
 			s.ObserveService(s.k.now, s.serviceEnd)
@@ -234,7 +228,6 @@ func (s *Server) serveNext() {
 				s.ring.push(t) // rotate to the back
 			}
 		}
-		s.busyTime += req.d
 		s.backlog -= req.d
 		s.serviceEnd = s.k.now + req.d
 		if s.ObserveService != nil {
@@ -316,11 +309,6 @@ func (s *Server) BusyUntil() Time {
 		base = s.serviceEnd
 	}
 	return base + s.backlog
-}
-
-// Stats returns cumulative operation count, byte count and busy time.
-func (s *Server) Stats() (ops int64, bytes int64, busy Time) {
-	return s.ops, s.bytes, s.busyTime
 }
 
 // QueueDepth returns the number of requests currently queued or in

@@ -88,14 +88,27 @@ func TestServerSubmitAfter(t *testing.T) {
 	}
 }
 
+// observeBusy counts the requests s serves and sums their service
+// intervals through ObserveService, the server's one busy-time path.
+func observeBusy(s *Server) (ops *int, busy *Time) {
+	ops, busy = new(int), new(Time)
+	s.ObserveService = func(start, end Time) {
+		*ops++
+		*busy += end - start
+	}
+	return ops, busy
+}
+
 func TestServerStats(t *testing.T) {
 	k := NewKernel(1)
 	s := k.NewServer("t", float64(Second), 5)
+	nops, nbusy := observeBusy(s)
 	s.Submit(10)
 	s.Submit(20)
 	k.Run()
-	ops, bytes, busy := s.Stats()
-	if ops != 2 || bytes != 30 {
+	ops, busy := *nops, *nbusy
+	// At 1 byte/ns the bytes served are the busy time less PerOp per op.
+	if bytes := busy - Time(ops)*s.PerOp; ops != 2 || bytes != 30 {
 		t.Fatalf("ops=%d bytes=%d, want 2/30", ops, bytes)
 	}
 	if busy != 40 { // (10+5)+(20+5)
@@ -116,6 +129,7 @@ func TestServerFIFOProperty(t *testing.T) {
 		}
 		k := NewKernel(3)
 		s := k.NewServer("p", float64(Second), 3)
+		_, busy := observeBusy(s)
 		futs := make([]*Future, len(sizes))
 		for i, sz := range sizes {
 			futs[i] = s.Submit(int64(sz))
@@ -130,8 +144,7 @@ func TestServerFIFOProperty(t *testing.T) {
 			prev = f.DoneAt()
 			sum += s.serviceTime(int64(sizes[i]))
 		}
-		_, _, busy := s.Stats()
-		return busy == sum
+		return *busy == sum
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)

@@ -49,10 +49,13 @@ type Config struct {
 }
 
 // Node is one compute node's network endpoints. k is the kernel the
-// node's servers live on: the shared kernel of a sequential run, or the
-// node's own LP kernel under partitioned execution.
+// node's servers live on, lp the logical process that owns them and sh
+// that LP's host state: the shared kernel and LP 0 on a sequential
+// network, the node's own LP under partitioned execution.
 type Node struct {
 	ID  int
+	lp  int
+	sh  *netShard
 	k   *sim.Kernel
 	tx  *sim.Server
 	rx  *sim.Server
@@ -60,17 +63,21 @@ type Node struct {
 	mem *sim.Server
 }
 
-// netShard is the per-LP slice of the network's mutable host state
-// under partitioned execution: counters, the Transfer free list and the
-// probe sink, each touched only by the owning LP's worker. Padded so
-// adjacent shards never share a cache line across workers.
+// netShard is one LP's slice of the network's mutable host state: the
+// Transfer free list and the probe sink, each touched only by the
+// owning LP (the single LP of a sequential run, or one window worker
+// under partitioned execution). Padded so adjacent shards never share a
+// cache line across workers.
+//
+// The free list mirrors the sim.Server request pool: every message, RMA
+// put and rendezvous chunk turns over one handle, and at
+// multi-thousand-rank scale those allocations dominate the network
+// layer's heap churn. Handles return via Release; callers that never
+// release (tests, one-shot tools) simply leave their handles to the GC.
 type netShard struct {
 	probe         *probe.Probe
-	interBytes    int64
-	intraBytes    int64
-	messages      int64
 	freeTransfers *Transfer
-	_             [24]byte
+	_             [48]byte
 }
 
 // Network is the instantiated interconnect.
@@ -78,38 +85,24 @@ type Network struct {
 	k     *sim.Kernel
 	cfg   Config
 	nodes []*Node
-	probe *probe.Probe
 
-	// part and shards are set under partitioned execution: node i's
-	// servers live on LP i's kernel and all mutable host state moves
-	// into shards[i] (see NewPartitioned).
+	// part is the LP partition (nil on a sequential network). shards
+	// holds each LP's host state: one shard for a sequential network,
+	// one per node under partitioned execution (see NewPartitioned).
 	part   *sim.Partition
 	shards []netShard
-
-	// Cumulative transferred bytes, for reporting.
-	interBytes int64
-	intraBytes int64
-	messages   int64
-
-	// freeTransfers is a free list of recycled Transfer handles,
-	// mirroring the sim.Server request pool: every message, RMA put and
-	// rendezvous chunk turns over one handle, and at multi-thousand-rank
-	// scale those allocations dominate the network layer's heap churn.
-	// Handles return via Release; callers that never release (tests,
-	// one-shot tools) simply leave their handles to the GC.
-	freeTransfers *Transfer
 
 	// fluid is the max-min fair solver bulk transfers ride under
 	// ModelFlow (nil under ModelChunked).
 	fluid *fluidNet
 }
 
-// New builds a network on kernel k from cfg.
+// New builds a network on kernel k from cfg: one LP, every node on k.
 func New(k *sim.Kernel, cfg Config) *Network {
 	if cfg.Nodes <= 0 {
 		panic("simnet: Config.Nodes must be positive")
 	}
-	n := &Network{k: k, cfg: cfg}
+	n := &Network{k: k, cfg: cfg, shards: make([]netShard, 1)}
 	if cfg.NetModel == ModelFlow {
 		if cfg.LinkNoise != nil {
 			panic("simnet: ModelFlow computes deterministic fluid rates; LinkNoise requires ModelChunked")
@@ -122,7 +115,7 @@ func New(k *sim.Kernel, cfg Config) *Network {
 		noise = func() float64 { return cfg.LinkNoise(draw) }
 	}
 	for i := 0; i < cfg.Nodes; i++ {
-		nd := newNode(k, cfg, i)
+		nd := newNode(k, 0, &n.shards[0], cfg, i)
 		if cfg.LinkNoise != nil {
 			nd.tx.Noise = noise
 			nd.rx.Noise = noise
@@ -133,13 +126,13 @@ func New(k *sim.Kernel, cfg Config) *Network {
 }
 
 // NewPartitioned builds a network whose node i lives entirely on LP i
-// of part: servers, counters, free lists and probe sinks are all
-// node-local, so windows on different LPs never share network state.
-// Cross-node interactions ride the partition mailboxes with delay >=
-// InterLatency — the lookahead that makes conservative execution safe.
-// LinkNoise is rejected: a noise stream drawn from one shared RNG in
-// global submission order is a zero-lookahead coupling between all
-// nodes, exactly the case that must fall back to sequential execution.
+// of part: servers, free lists and probe sinks are all node-local, so
+// windows on different LPs never share network state. Cross-node
+// interactions ride the partition mailboxes with delay >= InterLatency
+// — the lookahead that makes conservative execution safe. LinkNoise is
+// rejected: a noise stream drawn from one shared RNG in global
+// submission order is a zero-lookahead coupling between all nodes,
+// exactly the case that must fall back to sequential execution.
 func NewPartitioned(part *sim.Partition, cfg Config) *Network {
 	if cfg.Nodes <= 0 {
 		panic("simnet: Config.Nodes must be positive")
@@ -163,14 +156,16 @@ func NewPartitioned(part *sim.Partition, cfg Config) *Network {
 		shards: make([]netShard, cfg.Nodes),
 	}
 	for i := 0; i < cfg.Nodes; i++ {
-		n.nodes = append(n.nodes, newNode(part.Kernel(i), cfg, i))
+		n.nodes = append(n.nodes, newNode(part.Kernel(i), i, &n.shards[i], cfg, i))
 	}
 	return n
 }
 
-func newNode(k *sim.Kernel, cfg Config, i int) *Node {
+func newNode(k *sim.Kernel, lp int, sh *netShard, cfg Config, i int) *Node {
 	return &Node{
 		ID:  i,
+		lp:  lp,
+		sh:  sh,
 		k:   k,
 		tx:  k.NewServer(fmt.Sprintf("node%d.tx", i), cfg.InterBandwidth, 0),
 		rx:  k.NewServer(fmt.Sprintf("node%d.rx", i), cfg.InterBandwidth, 0),
@@ -187,9 +182,17 @@ func (n *Network) Kernel() *sim.Kernel { return n.k }
 // kernel of a sequential run, or node i's LP kernel when partitioned.
 func (n *Network) KernelFor(node int) *sim.Kernel { return n.nodes[node].k }
 
+// LPFor returns the logical process node i runs on: 0 on a sequential
+// network, i when partitioned. Upper layers index their per-LP state
+// with it.
+func (n *Network) LPFor(node int) int { return n.nodes[node].lp }
+
+// NumLPs returns the number of logical processes hosting nodes: 1 on a
+// sequential network, one per node when partitioned.
+func (n *Network) NumLPs() int { return len(n.shards) }
+
 // Partition returns the LP partition this network runs on, or nil for a
-// sequential network. Upper layers use it to decide whether to shard
-// their own per-LP state.
+// sequential network.
 func (n *Network) Partition() *sim.Partition { return n.part }
 
 // SetSinks attaches LP lp's observability sinks (nil detaches): probe
@@ -197,21 +200,20 @@ func (n *Network) Partition() *sim.Partition { return n.part }
 // node's, deliveries on the destination node's — and metrics m the
 // tx/rx link-utilisation series of the nodes it hosts. A sequential
 // network is one LP (lp 0, every node); a partitioned one hosts node i
-// on LP i. Sinks only observe: recording is host-side appends at
-// instants the simulator already visits, so timing and digests are
-// unchanged. Per-LP sinks fold back with probe.MergeShards and
-// metrics.MergeShards in sequential order.
+// on LP i, and an LP hosting no node (external storage) has no network
+// sink. Sinks only observe: recording is host-side appends at instants
+// the simulator already visits, so timing and digests are unchanged.
+// Per-LP sinks fold back with probe.MergeShards and metrics.MergeShards
+// in sequential order.
 func (n *Network) SetSinks(lp int, p *probe.Probe, m *metrics.Metrics) {
-	if n.part == nil {
-		n.probe = p
-		for i, nd := range n.nodes {
-			wireNodeMetrics(m, i, nd)
-		}
+	if lp >= len(n.shards) {
 		return
 	}
-	if lp < len(n.nodes) {
-		n.shards[lp].probe = p
-		wireNodeMetrics(m, lp, n.nodes[lp])
+	n.shards[lp].probe = p
+	// LP lp's nodes are contiguous from index lp: every node on a
+	// sequential network, node lp alone on a partitioned one.
+	for i := lp; i < len(n.nodes) && n.nodes[i].lp == lp; i++ {
+		wireNodeMetrics(m, i, n.nodes[i])
 	}
 }
 
@@ -252,19 +254,14 @@ type Transfer struct {
 	next      *Transfer // free-list link, nil while the handle is live
 }
 
-// newTransfer takes a handle from the free list (or allocates one).
-// Partitioned runs pool per source LP so concurrent windows never race
-// on the list head.
-func (n *Network) newTransfer(size int64, from, to int) *Transfer {
-	head := &n.freeTransfers
-	if n.shards != nil {
-		head = &n.shards[from].freeTransfers
-	}
-	tr := *head
+// newTransfer takes a handle from the source LP's free list sh (or
+// allocates one), so concurrent windows never race on a list head.
+func (sh *netShard) newTransfer(size int64, from, to int) *Transfer {
+	tr := sh.freeTransfers
 	if tr == nil {
 		return &Transfer{Size: size, From: from, To: to}
 	}
-	*head = tr.next
+	sh.freeTransfers = tr.next
 	*tr = Transfer{Size: size, From: from, To: to}
 	return tr
 }
@@ -272,17 +269,14 @@ func (n *Network) newTransfer(size int64, from, to int) *Transfer {
 // Release clears a transfer handle's references and returns it to the
 // free list. Callers must have extracted or registered everything they
 // need from the handle first: the futures keep completing on their own,
-// but the handle's fields may be overwritten by the next Send. Under
-// partitioned execution a handle must be released by its sending LP
-// (every call site releases at the Send call site, so this holds by
-// construction); it returns to that LP's pool.
+// but the handle's fields may be overwritten by the next Send. A handle
+// must be released by its sending LP (every call site releases at the
+// Send call site, so this holds by construction); it returns to that
+// LP's pool.
 func (n *Network) Release(tr *Transfer) {
-	head := &n.freeTransfers
-	if n.shards != nil {
-		head = &n.shards[tr.From].freeTransfers
-	}
-	*tr = Transfer{next: *head}
-	*head = tr
+	sh := n.nodes[tr.From].sh
+	*tr = Transfer{next: sh.freeTransfers}
+	sh.freeTransfers = tr
 }
 
 // Send moves size bytes from node `from` to node `to` and returns the
@@ -297,43 +291,93 @@ func (n *Network) Send(from, to int, size int64) *Transfer {
 // SendFlow is Send with an explicit flow key: transfers sharing a flow
 // are served in order, while distinct flows share each port fairly (see
 // sim.Server). Rendezvous pipelines, RMA epochs and file-write bursts
-// each form one flow.
+// each form one flow. The caller must be running on the source node's
+// LP (all senders in this codebase are: ranks, engines and node-local
+// services pin to their node's kernel). Intra-node sends stay on that
+// LP; only the inter-node leg differs between a sequential and a
+// partitioned network (joinSequential, joinPartitioned).
 func (n *Network) SendFlow(flow interface{}, from, to int, size int64) *Transfer {
 	if size < 0 {
 		panic("simnet: negative transfer size")
 	}
-	if n.part != nil {
-		return n.sendFlowPartitioned(flow, from, to, size)
-	}
 	if n.fluid != nil && size >= n.fluid.minBytes {
 		return n.sendFluid(from, to, size, nil)
 	}
-	n.messages++
-	tr := n.newTransfer(size, from, to)
+	src, dst := n.nodes[from], n.nodes[to]
+	tr := src.sh.newTransfer(size, from, to)
 	if from == to {
-		n.intraBytes += size
-		n.observeSend(n.probe, tr, probe.CauseIntra, n.nodes[from].ipc)
-		f := n.nodes[from].ipc.SubmitFlowAfter(flow, n.cfg.IntraLatency, size)
+		observeSend(src, tr, probe.CauseIntra, src.ipc)
+		f := src.ipc.SubmitFlowAfter(flow, n.cfg.IntraLatency, size)
 		tr.Injected = f
 		tr.Delivered = f
-		n.observeDeliver(n.probe, n.k, tr)
-		return tr
+	} else {
+		observeSend(src, tr, probe.CauseInter, src.tx)
+		if n.part == nil {
+			n.joinSequential(flow, src, dst, tr)
+		} else {
+			n.joinPartitioned(flow, src, dst, tr)
+		}
 	}
-	n.interBytes += size
-	src, dst := n.nodes[from], n.nodes[to]
-	n.observeSend(n.probe, tr, probe.CauseInter, src.tx)
-	// The first byte reaches the destination one wire latency after the
-	// source NIC starts transmitting; tx and rx then stream concurrently
-	// (cut-through), so delivery completes when both ports have finished.
+	observeDeliver(dst, tr)
+	return tr
+}
+
+// joinSequential wires an inter-node transfer on one kernel. The first
+// byte reaches the destination one wire latency after the source NIC
+// starts transmitting; tx and rx then stream concurrently (cut-through),
+// so delivery completes when both ports have finished.
+func (n *Network) joinSequential(flow interface{}, src, dst *Node, tr *Transfer) {
 	rxDone := n.k.NewFuture()
-	lat := n.cfg.InterLatency
+	lat, size := n.cfg.InterLatency, tr.Size
 	tr.Injected = src.tx.SubmitFlowOnStart(flow, size, func() {
 		inner := dst.rx.SubmitFlowAfter(flow, lat, size)
 		inner.Then(rxDone)
 	})
 	tr.Delivered = n.k.Join(tr.Injected, rxDone)
-	n.observeDeliver(n.probe, n.k, tr)
-	return tr
+}
+
+// joinPartitioned wires an inter-node transfer whose destination half
+// lives on the destination LP, replicating joinSequential's event
+// chain:
+//
+//   - The rx-leg submission crosses LPs at txStart+InterLatency >=
+//     lookahead — the same After(InterLatency) hop the sequential path
+//     schedules, so event keys and zero-delay hop depths line up and
+//     the merged event order is bit-identical.
+//   - The sequential Delivered = Join(Injected, rxDone) would share a
+//     countdown between two LPs; instead the destination joins rxDone
+//     with a tx-completion stub. Service times are deterministic here
+//     (no noise), so the tx leg's completion instant txStart+d is known
+//     at transmission start and can be sent ahead as a future-stamped
+//     message — precomputability converts the tx-done edge's zero
+//     delay into usable lookahead. The stub completes strictly before
+//     the rx leg finishes (rx starts one latency later and serves at
+//     the same bandwidth), so Delivered still completes at the rx
+//     instant with the sequential hop depth.
+func (n *Network) joinPartitioned(flow interface{}, src, dst *Node, tr *Transfer) {
+	// Destination-side futures are created and wired here, before the
+	// window barrier first exposes them to the destination LP — the
+	// barrier's happens-before edge transfers ownership.
+	outer := dst.k.NewFuture()
+	rxDone := dst.k.NewFuture()
+	txStub := dst.k.NewFuture()
+	outer.Then(rxDone)
+	tr.Delivered = dst.k.Join(txStub, rxDone)
+	lat, size := n.cfg.InterLatency, tr.Size
+	d := src.tx.ServiceTime(size)
+	srcK, toLP := src.k, dst.lp
+	tr.Injected = src.tx.SubmitFlowOnStart(flow, size, func() {
+		txStart := srcK.Now()
+		srcK.ScheduleRemote(toLP, txStart+lat, func() {
+			inner := dst.rx.SubmitFlow(flow, size)
+			inner.Then(outer)
+		})
+		stubAt := txStart + d
+		if stubAt < txStart+lat {
+			stubAt = txStart + lat
+		}
+		srcK.ScheduleRemote(toLP, stubAt, txStub.Complete)
+	})
 }
 
 // sendFluid routes one bulk transfer through the fluid model: Injected
@@ -345,19 +389,17 @@ func (n *Network) SendFlow(flow interface{}, from, to int, size int64) *Transfer
 // exact path's hooks (the queue-depth sample reads the idle server and
 // reports 0).
 func (n *Network) sendFluid(from, to int, size int64, marks []flowMark) *Transfer {
-	n.messages++
-	tr := n.newTransfer(size, from, to)
+	src := n.nodes[from]
+	tr := src.sh.newTransfer(size, from, to)
 	if from == to {
-		n.intraBytes += size
-		n.observeSend(n.probe, tr, probe.CauseIntra, n.nodes[from].ipc)
+		observeSend(src, tr, probe.CauseIntra, src.ipc)
 	} else {
-		n.interBytes += size
-		n.observeSend(n.probe, tr, probe.CauseInter, n.nodes[from].tx)
+		observeSend(src, tr, probe.CauseInter, src.tx)
 	}
 	tr.Injected = n.k.NewFuture()
 	tr.Delivered = n.k.NewFuture()
 	n.fluid.submit(from, to, size, tr.Injected, tr.Delivered, marks)
-	n.observeDeliver(n.probe, n.k, tr)
+	observeDeliver(n.nodes[to], tr)
 	return tr
 }
 
@@ -366,10 +408,11 @@ func (n *Network) sendFluid(from, to int, size int64, marks []flowMark) *Transfe
 // cumulative transmitted bytes cross offsets[i] (ascending, each in
 // (0, size]). The bundled cohort executor uses it to replay per-member
 // completion instants out of one aggregate transfer. Requires ModelFlow
-// and an inter-node pair; unlike SendFlow there is no FlowMinBytes
-// cutoff — the caller asked for fluid semantics explicitly.
+// (which is sequential-only) and an inter-node pair; unlike SendFlow
+// there is no FlowMinBytes cutoff — the caller asked for fluid
+// semantics explicitly.
 func (n *Network) SendFlowMilestones(from, to int, size int64, offsets []int64) (*Transfer, []*sim.Future) {
-	if n.fluid == nil || n.part != nil {
+	if n.fluid == nil {
 		panic("simnet: SendFlowMilestones requires ModelFlow on a sequential network")
 	}
 	if from == to {
@@ -389,79 +432,16 @@ func (n *Network) SendFlowMilestones(from, to int, size int64, offsets []int64) 
 	return n.sendFluid(from, to, size, marks), futs
 }
 
-// sendFlowPartitioned is the SendFlow path under partitioned
-// execution. The caller must be running on the source node's LP (all
-// senders in this codebase are: ranks, engines and node-local services
-// pin to their node's kernel). Intra-node sends stay entirely on one
-// LP. Inter-node sends replicate the sequential event chain with the
-// destination half living on the destination LP:
-//
-//   - The rx-leg submission crosses LPs at txStart+InterLatency >=
-//     lookahead — the same After(InterLatency) hop the sequential path
-//     schedules, so event keys and zero-delay hop depths line up and
-//     the merged event order is bit-identical.
-//   - The sequential Delivered = Join(Injected, rxDone) would share a
-//     countdown between two LPs; instead the destination joins rxDone
-//     with a tx-completion stub. Service times are deterministic here
-//     (no noise), so the tx leg's completion instant txStart+d is known
-//     at transmission start and can be sent ahead as a future-stamped
-//     message — precomputability converts the tx-done edge's zero
-//     delay into usable lookahead. The stub completes strictly before
-//     the rx leg finishes (rx starts one latency later and serves at
-//     the same bandwidth), so Delivered still completes at the rx
-//     instant with the sequential hop depth.
-func (n *Network) sendFlowPartitioned(flow interface{}, from, to int, size int64) *Transfer {
-	sh := &n.shards[from]
-	sh.messages++
-	tr := n.newTransfer(size, from, to)
-	src := n.nodes[from]
-	if from == to {
-		sh.intraBytes += size
-		n.observeSend(sh.probe, tr, probe.CauseIntra, src.ipc)
-		f := src.ipc.SubmitFlowAfter(flow, n.cfg.IntraLatency, size)
-		tr.Injected = f
-		tr.Delivered = f
-		n.observeDeliver(sh.probe, src.k, tr)
-		return tr
-	}
-	sh.interBytes += size
-	dst := n.nodes[to]
-	n.observeSend(sh.probe, tr, probe.CauseInter, src.tx)
-	// Destination-side futures are created and wired here, before the
-	// window barrier first exposes them to the destination LP — the
-	// barrier's happens-before edge transfers ownership.
-	outer := dst.k.NewFuture()
-	rxDone := dst.k.NewFuture()
-	txStub := dst.k.NewFuture()
-	outer.Then(rxDone)
-	tr.Delivered = dst.k.Join(txStub, rxDone)
-	lat := n.cfg.InterLatency
-	d := src.tx.ServiceTime(size)
-	srcK, toLP := src.k, to
-	tr.Injected = src.tx.SubmitFlowOnStart(flow, size, func() {
-		txStart := srcK.Now()
-		srcK.ScheduleRemote(toLP, txStart+lat, func() {
-			inner := dst.rx.SubmitFlow(flow, size)
-			inner.Then(outer)
-		})
-		stubAt := txStart + d
-		if stubAt < txStart+lat {
-			stubAt = txStart + lat
-		}
-		srcK.ScheduleRemote(toLP, stubAt, txStub.Complete)
-	})
-	n.observeDeliver(n.shards[to].probe, dst.k, tr)
-	return tr
-}
-
 // observeSend emits the submit-time events for one transfer into the
 // sending LP's probe: the send itself plus an injection-port occupancy
-// sample (depth before this request joins the queue).
-func (n *Network) observeSend(p *probe.Probe, tr *Transfer, path probe.Cause, port *sim.Server) {
+// sample (depth before this request joins the queue). src is the
+// sending node.
+func observeSend(src *Node, tr *Transfer, path probe.Cause, port *sim.Server) {
+	p := src.sh.probe
 	if p == nil {
 		return
 	}
-	now := n.nodes[tr.From].k.Now()
+	now := src.k.Now()
 	p.Emit(probe.Event{
 		At: now, Layer: probe.LayerNet, Kind: probe.KindNetSend,
 		Cause: path, Rank: tr.From, Peer: tr.To, Cycle: -1, Size: tr.Size,
@@ -481,16 +461,18 @@ func (n *Network) observeSend(p *probe.Probe, tr *Transfer, path probe.Cause, po
 }
 
 // observeDeliver registers a delivery event on the transfer's completion
-// future, emitting into the probe of the LP the completion fires on
-// (the destination's, under partitioned execution). The extra
-// zero-delay callback cannot reorder pre-existing kernel events (see
-// package probe), so probing stays digest-invariant. The handle may be
-// released (and recycled) before delivery, so the callback captures
-// the fields, never the handle.
-func (n *Network) observeDeliver(p *probe.Probe, k *sim.Kernel, tr *Transfer) {
+// future, emitting into the probe of the LP the completion fires on:
+// the destination node's. The extra zero-delay callback cannot reorder
+// pre-existing kernel events (see package probe), so probing stays
+// digest-invariant. The handle may be released (and recycled) before
+// delivery, so the callback captures the fields, never the handle. dst
+// is the destination node.
+func observeDeliver(dst *Node, tr *Transfer) {
+	p := dst.sh.probe
 	if p == nil {
 		return
 	}
+	k := dst.k
 	from, to, size := tr.From, tr.To, tr.Size
 	tr.Delivered.OnDone(func() {
 		p.Emit(probe.Event{
@@ -510,17 +492,3 @@ func (n *Network) Memcpy(node int, size int64) *sim.Future {
 // TxServer exposes node i's injection port so that co-located services
 // (e.g. node-local storage on the crill model) can share it.
 func (n *Network) TxServer(node int) *sim.Server { return n.nodes[node].tx }
-
-// Stats returns cumulative inter-node bytes, intra-node bytes and
-// message count, folding per-LP shards under partitioned execution
-// (sums commute, so the fold order is immaterial).
-func (n *Network) Stats() (inter, intra, messages int64) {
-	inter, intra, messages = n.interBytes, n.intraBytes, n.messages
-	for i := range n.shards {
-		sh := &n.shards[i]
-		inter += sh.interBytes
-		intra += sh.intraBytes
-		messages += sh.messages
-	}
-	return inter, intra, messages
-}

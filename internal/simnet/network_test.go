@@ -3,6 +3,7 @@ package simnet
 import (
 	"testing"
 
+	"collio/internal/probe"
 	"collio/internal/sim"
 )
 
@@ -107,10 +108,13 @@ func TestLinkNoiseApplied(t *testing.T) {
 func TestStatsAccumulate(t *testing.T) {
 	k := sim.NewKernel(1)
 	n := New(k, testConfig())
+	p := probe.New()
+	n.SetSinks(0, p, nil)
 	n.Send(0, 1, 500)
 	n.Send(2, 2, 300)
 	k.Run()
-	inter, intra, msgs := n.Stats()
+	ctr := p.Counters()
+	inter, intra, msgs := ctr.Get(probe.CtrNetInterBytes), ctr.Get(probe.CtrNetIntraBytes), ctr.Get(probe.CtrNetMsgs)
 	if inter != 500 || intra != 300 || msgs != 2 {
 		t.Fatalf("stats = %d/%d/%d, want 500/300/2", inter, intra, msgs)
 	}
