@@ -45,13 +45,14 @@ var processSpawners = map[string]bool{
 // blockingMPIMethods are mpi-package methods that park the calling
 // process. Every MPI entry point that charges CPU time through
 // Proc.Sleep blocks — including the "non-blocking" Isend/Irecv, whose
-// call itself sleeps for its software overhead.
+// call itself sleeps for its software overhead. TestRankMethodCensus
+// holds every exported *mpi.Rank method to this list or to
+// nonBlockingRankMethods.
 var blockingMPIMethods = map[string]bool{
 	"Wait": true, "WaitFutures": true, "WaitAnyFuture": true,
 	"Send": true, "Recv": true, "Isend": true, "Irecv": true,
-	"Barrier": true, "Bcast": true,
-	"AllreduceI64": true, "AllgatherI64": true, "AlltoallI64": true,
-	"AlltoallSync": true, "Allgatherv": true,
+	"Barrier": true, "AllreduceSync": true, "AllgathervSync": true,
+	"AlltoallSync": true, "AlltoallSyncAmong": true,
 	"Put": true, "WinAllocate": true, "WinFence": true,
 	"WinLock": true, "WinUnlock": true,
 	"WinPost": true, "WinStart": true, "WinComplete": true, "WinWait": true,

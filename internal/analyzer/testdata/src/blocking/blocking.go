@@ -26,6 +26,19 @@ func badAt(k *sim.Kernel, p *sim.Proc) {
 	})
 }
 
+func badLeaderLadder(f *sim.Future, r *mpi.Rank, leaders []int) {
+	f.OnDone(func() {
+		r.AlltoallSyncAmong(leaders, 8) // want `blocking call mpi.AlltoallSyncAmong inside a kernel event callback`
+	})
+}
+
+func badSetupCollectives(k *sim.Kernel, r *mpi.Rank, sizes []int64) {
+	k.After(10, func() {
+		r.AllreduceSync(16)     // want `blocking call mpi.AllreduceSync inside a kernel event callback`
+		r.AllgathervSync(sizes) // want `blocking call mpi.AllgathervSync inside a kernel event callback`
+	})
+}
+
 func helperBlocks(r *mpi.Rank) {
 	r.Barrier()
 }

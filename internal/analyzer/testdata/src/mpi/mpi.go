@@ -48,6 +48,10 @@ func (r *Rank) WaitAnyFuture(fs ...*sim.Future) int             { return 0 }
 func (r *Rank) Send(dst, tag int, pl Payload)                   {}
 func (r *Rank) Recv(src, tag int, size int64, buf []byte) int64 { return 0 }
 func (r *Rank) Barrier()                                        {}
+func (r *Rank) AllreduceSync(bytes int64)                       {}
+func (r *Rank) AllgathervSync(sizes []int64)                    {}
+func (r *Rank) AlltoallSync(entryBytes int64)                   {}
+func (r *Rank) AlltoallSyncAmong(ranks []int, entryBytes int64) {}
 func (r *Rank) Compute(d int64)                                 {}
 
 func (r *Rank) Put(win *Window, target int, offset int64, pl Payload) {}

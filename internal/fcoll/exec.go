@@ -119,32 +119,20 @@ func run(ex *exec) (Result, error) {
 func (ex *exec) setup() {
 	r := ex.r
 	if ex.dir == Write {
-		// Bounds agreement: min start / max end, one small allreduce.
-		myStart, myEnd := int64(1)<<62, int64(0)
-		for _, e := range ex.jv.Ranks[r.ID()].Extents {
-			if e.Off < myStart {
-				myStart = e.Off
-			}
-			if e.End() > myEnd {
-				myEnd = e.End()
-			}
-		}
-		r.AllreduceI64([]int64{myStart, -myEnd}, func(a, b int64) int64 {
-			if a < b {
-				return a
-			}
-			return b
-		})
+		// Bounds agreement: min start / max end, one 2-value allreduce.
+		r.AllreduceSync(16)
 	}
-	// Flattened-view metadata exchange: 16 bytes per extent, ring
-	// allgatherv (vulcan exchanges the per-process offset/length lists
-	// so every rank can compute identical send/receive maps).
-	counts := r.AllgatherI64(int64(len(ex.jv.Ranks[r.ID()].Extents)))
-	sizes := make([]int64, len(counts))
-	for i, c := range counts {
-		sizes[i] = 16 * c
+	// Flattened-view metadata exchange: every rank's extent count (an
+	// allgather, charged as an allreduce over the P-vector), then 16
+	// bytes per extent over a ring allgatherv (vulcan exchanges the
+	// per-process offset/length lists so every rank can compute
+	// identical send/receive maps). The shared plan already holds both.
+	sizes := make([]int64, len(ex.jv.Ranks))
+	for i := range sizes {
+		sizes[i] = 16 * int64(len(ex.jv.Ranks[i].Extents))
 	}
-	r.Allgatherv(mpi.Symbolic(sizes[r.ID()]), sizes)
+	r.AllreduceSync(8 * int64(len(sizes)))
+	r.AllgathervSync(sizes)
 
 	window := ex.opts.BufferSize
 	ex.slots = 1

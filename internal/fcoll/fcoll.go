@@ -180,8 +180,8 @@ type Options struct {
 	// shuffles only. With one rank per node the hierarchy is empty and
 	// execution is bit-identical to the flat family.
 	Hierarchical bool
-	// Layout selects the file-domain strategy (round-robin windows by
-	// default).
+	// Layout selects the file-domain strategy (contiguous domains by
+	// default, the zero value).
 	Layout DomainLayout
 	// TagBase offsets the message tags of this collective so that
 	// successive collectives on one file do not cross-match.

@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"collio/internal/probe"
@@ -11,7 +10,7 @@ import (
 // below tagInternalBase.
 const (
 	tagInternalBase = 1 << 28
-	tagBarrier      = tagInternalBase + 0    // + round
+	tagBarrier      = tagInternalBase + 0    // + round, dissemination barrier
 	tagBcast        = tagInternalBase + 64   // binomial broadcast
 	tagReduce       = tagInternalBase + 65   // binomial reduction
 	tagRing         = tagInternalBase + 128  // + step, ring allgatherv
@@ -19,219 +18,32 @@ const (
 	tagRMACtl       = tagInternalBase + 1024 // RMA lock/unlock control
 )
 
+// The collectives charge cost only: each sends the messages of its
+// algorithm (sizes, tags, round order) with symbolic payloads and
+// returns nothing. The collective-I/O engine already knows every value
+// they would carry from its shared plan; only their timing and the
+// synchronisation they impose shape a run. There is one implementation
+// per communication pattern: a dissemination ladder (Barrier and the
+// Bruck all-to-alls), a binomial tree (AllreduceSync) and a ring
+// (AllgathervSync).
+
 // Barrier blocks until every rank in the world has entered it.
-// Implemented as a dissemination barrier: ceil(log2 P) rounds of small
+// Implemented as a dissemination barrier: ceil(log2 P) rounds of 1-byte
 // point-to-point messages, the standard cost shape for
 // MPI_Barrier/MPI_Win_fence synchronisation on InfiniBand clusters.
 func (r *Rank) Barrier() {
-	e := r.eng
-	e.enter()
-	defer e.exit()
-	defer r.span(probe.KindCollective, probe.CauseBarrier)()
-	p := r.w.cfg.NProcs
-	if p == 1 {
-		r.p.Sleep(r.w.cfg.CallOverhead)
-		return
-	}
-	round := 0
-	for k := 1; k < p; k <<= 1 {
-		dst := (r.id + k) % p
-		src := (r.id - k%p + p) % p
-		sreq := r.Isend(dst, tagBarrier+round, Symbolic(1))
-		rreq := r.Irecv(src, tagBarrier+round, 1, nil)
-		r.Wait(sreq, rreq)
-		round++
-	}
-}
-
-// Bcast broadcasts buf (data mode) or a symbolic payload of size bytes
-// from root to all ranks over a binomial tree. It returns the payload as
-// seen by this rank.
-func (r *Rank) Bcast(root int, pl Payload) Payload {
-	e := r.eng
-	e.enter()
-	defer e.exit()
-	defer r.span(probe.KindCollective, probe.CauseBcast)()
-	p := r.w.cfg.NProcs
-	if p == 1 {
-		r.p.Sleep(r.w.cfg.CallOverhead)
-		return pl
-	}
-	vrank := (r.id - root + p) % p
-	real := func(v int) int { return (v + root) % p }
-
-	var buf []byte
-	if pl.Data != nil {
-		buf = make([]byte, pl.Size)
-		if r.id == root {
-			copy(buf, pl.Data)
-		}
-	}
-	// Receive phase: each non-root rank receives exactly once, from the
-	// rank that differs in its lowest set bit.
-	mask := 1
-	if vrank != 0 {
-		for mask < p {
-			if vrank&mask != 0 {
-				src := vrank - mask
-				r.Recv(real(src), tagBcast, pl.Size, buf)
-				break
-			}
-			mask <<= 1
-		}
-	} else {
-		for mask < p {
-			mask <<= 1
-		}
-	}
-	// Send phase: forward to all ranks that would receive from us.
-	var out Payload
-	if buf != nil {
-		out = Bytes(buf)
-	} else {
-		out = Symbolic(pl.Size)
-	}
-	mask >>= 1
-	for ; mask > 0; mask >>= 1 {
-		if vrank&mask == 0 && vrank+mask < p {
-			r.Send(real(vrank+mask), tagBcast, out)
-		}
-	}
-	return out
-}
-
-func encodeI64s(vals []int64) []byte {
-	b := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(b[8*i:], uint64(v))
-	}
-	return b
-}
-
-func decodeI64s(b []byte) []int64 {
-	vals := make([]int64, len(b)/8)
-	for i := range vals {
-		vals[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return vals
-}
-
-// AllreduceI64 combines each rank's vals element-wise with op across all
-// ranks and returns the result (identical on every rank). Implemented as
-// a binomial-tree reduction to rank 0 followed by a broadcast.
-func (r *Rank) AllreduceI64(vals []int64, op func(a, b int64) int64) []int64 {
-	e := r.eng
-	e.enter()
-	defer e.exit()
-	defer r.span(probe.KindCollective, probe.CauseAllreduce)()
-	p := r.w.cfg.NProcs
-	acc := append([]int64(nil), vals...)
-	if p > 1 {
-		size := int64(8 * len(vals))
-		// Reduction: ranks with the lowest unset bit receive and fold.
-		mask := 1
-		for mask < p {
-			if r.id&mask == 0 {
-				peer := r.id | mask
-				if peer < p {
-					buf := make([]byte, size)
-					r.Recv(peer, tagReduce, size, buf)
-					for i, v := range decodeI64s(buf) {
-						acc[i] = op(acc[i], v)
-					}
-				}
-			} else {
-				peer := r.id &^ mask
-				r.Send(peer, tagReduce, Bytes(encodeI64s(acc)))
-				break
-			}
-			mask <<= 1
-		}
-	}
-	out := r.Bcast(0, Bytes(encodeI64s(acc)))
-	return decodeI64s(out.Data)
-}
-
-// AllgatherI64 gathers one int64 from every rank; result[i] is rank i's
-// contribution.
-func (r *Rank) AllgatherI64(v int64) []int64 {
-	vec := make([]int64, r.w.cfg.NProcs)
-	vec[r.id] = v
-	return r.AllreduceI64(vec, func(a, b int64) int64 { return a + b })
-}
-
-// AlltoallI64 performs a personalised all-to-all exchange: vals[j] is
-// this rank's value for rank j; out[j] is rank j's value for this rank.
-// Implemented with the Bruck algorithm (ceil(log2 P) rounds, each
-// moving up to P/2 entries), the standard small-message all-to-all.
-//
-// Two-phase collective I/O implementations call this every internal
-// cycle to exchange transfer sizes, which makes the cycle structure a
-// de-facto global synchronisation point — load-bearing for the
-// reproduced paper's baseline behaviour.
-func (r *Rank) AlltoallI64(vals []int64) []int64 {
-	e := r.eng
-	e.enter()
-	defer e.exit()
-	defer r.span(probe.KindCollective, probe.CauseAlltoall)()
-	p := r.w.cfg.NProcs
-	if len(vals) != p {
-		panic("mpi: AlltoallI64 needs one value per rank")
-	}
-	if p == 1 {
-		r.p.Sleep(r.w.cfg.CallOverhead)
-		return append([]int64(nil), vals...)
-	}
-	// Phase 1: local rotation. tmp[i] holds the block destined for rank
-	// (rank+i) mod p.
-	tmp := make([]int64, p)
-	for i := 0; i < p; i++ {
-		tmp[i] = vals[(r.id+i)%p]
-	}
-	// Phase 2: log rounds. In round k we ship every block whose index
-	// has bit k set to rank+k, receiving the same index set from
-	// rank-k.
-	round := 0
-	for k := 1; k < p; k <<= 1 {
-		dst := (r.id + k) % p
-		src := (r.id - k + p) % p
-		var idx []int
-		for i := 0; i < p; i++ {
-			if i&k != 0 {
-				idx = append(idx, i)
-			}
-		}
-		send := make([]int64, len(idx))
-		for n, i := range idx {
-			send[n] = tmp[i]
-		}
-		rbuf := make([]byte, 8*len(idx))
-		sreq := r.Isend(dst, tagAlltoall+round, Bytes(encodeI64s(send)))
-		rreq := r.Irecv(src, tagAlltoall+round, int64(len(rbuf)), rbuf)
-		r.Wait(sreq, rreq)
-		got := decodeI64s(rbuf)
-		for n, i := range idx {
-			tmp[i] = got[n]
-		}
-		round++
-	}
-	// Phase 3: inverse rotation. After the rounds, tmp[i] holds the
-	// block from rank (rank-i) mod p; place it at its source index.
-	out := make([]int64, p)
-	for i := 0; i < p; i++ {
-		out[(r.id-i+p)%p] = tmp[i]
-	}
-	return out
+	r.ladder(probe.CauseBarrier, tagBarrier, r.id, r.w.cfg.NProcs, identityRank, 1)
 }
 
 // AlltoallSync charges the cost of a small personalised all-to-all
-// (entryBytes per rank pair) without materialising the data: the Bruck
-// rounds run with symbolic payloads. The collective-write engine uses
-// it for the per-cycle transfer-size exchange, where only the timing
-// and the global synchronisation matter (the sizes themselves are
-// already known host-side from the shared plan).
+// (entryBytes per rank pair) with the Bruck algorithm: ceil(log2 P)
+// rounds, each moving up to P/2 entries. The collective-write engine
+// uses it for the per-cycle transfer-size exchange, which makes the
+// cycle structure a de-facto global synchronisation point —
+// load-bearing for the reproduced paper's baseline behaviour.
 func (r *Rank) AlltoallSync(entryBytes int64) {
-	r.alltoallSyncLadder(r.id, r.w.cfg.NProcs, identityRank, entryBytes)
+	p := r.w.cfg.NProcs
+	r.ladder(probe.CauseAlltoall, tagAlltoall, r.id, p, identityRank, bruckRoundBytes(p, entryBytes))
 }
 
 // AlltoallSyncAmong is AlltoallSync restricted to a sub-group: only the
@@ -253,84 +65,107 @@ func (r *Rank) AlltoallSyncAmong(ranks []int, entryBytes int64) {
 	if idx < 0 {
 		panic(fmt.Sprintf("mpi: rank %d called AlltoallSyncAmong without being in the group", r.id))
 	}
-	r.alltoallSyncLadder(idx, len(ranks), func(i int) int { return ranks[i] }, entryBytes)
+	p := len(ranks)
+	r.ladder(probe.CauseAlltoall, tagAlltoall, idx, p, func(i int) int { return ranks[i] }, bruckRoundBytes(p, entryBytes))
+}
+
+// bruckRoundBytes is the per-round message of a Bruck all-to-all over
+// p members: up to p/2 entries, at least one.
+func bruckRoundBytes(p int, entryBytes int64) int64 {
+	return max(int64(p/2)*entryBytes, entryBytes)
 }
 
 func identityRank(i int) int { return i }
 
-// alltoallSyncLadder is the shared Bruck ladder behind AlltoallSync and
-// AlltoallSyncAmong: idx is the caller's position in a p-member group
-// and rankOf maps group positions to world ranks.
-func (r *Rank) alltoallSyncLadder(idx, p int, rankOf func(int) int, entryBytes int64) {
+// ladder is the dissemination pattern behind Barrier and the Bruck
+// all-to-alls: in round k the caller sends size bytes to the member k
+// positions ahead and receives from the one k behind. idx is the
+// caller's position in a p-member group and rankOf maps positions to
+// world ranks.
+func (r *Rank) ladder(cause probe.Cause, tagBase, idx, p int, rankOf func(int) int, size int64) {
 	e := r.eng
 	e.enter()
 	defer e.exit()
-	defer r.span(probe.KindCollective, probe.CauseAlltoall)()
+	defer r.span(probe.KindCollective, cause)()
 	if p == 1 {
 		r.p.Sleep(r.w.cfg.CallOverhead)
 		return
 	}
 	round := 0
 	for k := 1; k < p; k <<= 1 {
-		dst := rankOf((idx + k) % p)
-		src := rankOf((idx - k + p) % p)
-		n := int64(p/2) * entryBytes
-		if n < entryBytes {
-			n = entryBytes
-		}
-		sreq := r.Isend(dst, tagAlltoall+round, Symbolic(n))
-		rreq := r.Irecv(src, tagAlltoall+round, n, nil)
+		sreq := r.Isend(rankOf((idx+k)%p), tagBase+round, Symbolic(size))
+		rreq := r.Irecv(rankOf((idx-k+p)%p), tagBase+round, size, nil)
 		r.Wait(sreq, rreq)
 		round++
 	}
 }
 
-// Allgatherv gathers variable-size blocks from every rank using a ring:
-// P-1 steps, each rank forwarding the newest block to its right
-// neighbour. sizes must hold every rank's block size (all ranks know it,
-// e.g. from a prior AllgatherI64). In data mode (mine.Data non-nil) the
-// returned slice holds every rank's bytes; in symbolic mode the returned
-// slice is nil and only the time cost is charged.
-func (r *Rank) Allgatherv(mine Payload, sizes []int64) [][]byte {
+// AllreduceSync charges the cost of an allreduce over a bytes-sized
+// vector: a binomial-tree reduction to rank 0 followed by a binomial
+// broadcast from it. An allgather of one value per rank costs the same
+// as an allreduce over the P-vector.
+func (r *Rank) AllreduceSync(bytes int64) {
+	e := r.eng
+	e.enter()
+	defer e.exit()
+	defer r.span(probe.KindCollective, probe.CauseAllreduce)()
+	p := r.w.cfg.NProcs
+	// Reduction: a rank receives from the peer at each of its low unset
+	// bits, then sends once to the peer at its lowest set bit.
+	for mask := 1; mask < p; mask <<= 1 {
+		if r.id&mask != 0 {
+			r.Send(r.id&^mask, tagReduce, Symbolic(bytes))
+			break
+		}
+		if peer := r.id | mask; peer < p {
+			r.Recv(peer, tagReduce, bytes, nil)
+		}
+	}
+	r.bcast(bytes)
+}
+
+// bcast is AllreduceSync's broadcast phase, a binomial tree from rank
+// 0 with its own span: each other rank receives once, from the rank
+// that differs in its lowest set bit, then forwards to every rank that
+// would receive from it.
+func (r *Rank) bcast(bytes int64) {
+	defer r.span(probe.KindCollective, probe.CauseBcast)()
+	p := r.w.cfg.NProcs
+	if p == 1 {
+		r.p.Sleep(r.w.cfg.CallOverhead)
+		return
+	}
+	mask := 1
+	for ; mask < p; mask <<= 1 {
+		if r.id&mask != 0 {
+			r.Recv(r.id-mask, tagBcast, bytes, nil)
+			break
+		}
+	}
+	for mask >>= 1; mask > 0; mask >>= 1 {
+		if r.id+mask < p {
+			r.Send(r.id+mask, tagBcast, Symbolic(bytes))
+		}
+	}
+}
+
+// AllgathervSync charges the cost of gathering sizes[i] bytes from
+// every rank i with a ring: P-1 steps, each rank forwarding the newest
+// block to its right neighbour. Every rank passes the same sizes.
+func (r *Rank) AllgathervSync(sizes []int64) {
 	e := r.eng
 	e.enter()
 	defer e.exit()
 	defer r.span(probe.KindCollective, probe.CauseAllgatherv)()
 	p := r.w.cfg.NProcs
-	if int(mine.Size) != int(sizes[r.id]) {
-		panic("mpi: Allgatherv size mismatch with sizes vector")
-	}
-	dataMode := mine.Data != nil
-	var blocks [][]byte
-	if dataMode {
-		blocks = make([][]byte, p)
-		blocks[r.id] = append([]byte(nil), mine.Data...)
-	}
 	if p == 1 {
 		r.p.Sleep(r.w.cfg.CallOverhead)
-		return blocks
+		return
 	}
-	right := (r.id + 1) % p
-	left := (r.id - 1 + p) % p
+	right, left := (r.id+1)%p, (r.id-1+p)%p
 	for s := 0; s < p-1; s++ {
-		sendIdx := (r.id - s + p) % p
-		recvIdx := (r.id - s - 1 + p) % p
-		var out Payload
-		if dataMode {
-			out = Bytes(blocks[sendIdx])
-		} else {
-			out = Symbolic(sizes[sendIdx])
-		}
-		var rbuf []byte
-		if dataMode {
-			rbuf = make([]byte, sizes[recvIdx])
-		}
-		sreq := r.Isend(right, tagRing+s, out)
-		rreq := r.Irecv(left, tagRing+s, sizes[recvIdx], rbuf)
+		sreq := r.Isend(right, tagRing+s, Symbolic(sizes[(r.id-s+p)%p]))
+		rreq := r.Irecv(left, tagRing+s, sizes[(r.id-s-1+p)%p], nil)
 		r.Wait(sreq, rreq)
-		if dataMode {
-			blocks[recvIdx] = rbuf
-		}
 	}
-	return blocks
 }

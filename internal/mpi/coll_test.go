@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
@@ -47,195 +46,69 @@ func TestBarrierSequenceDoesNotCrossTalk(t *testing.T) {
 	}
 }
 
-func TestBcastData(t *testing.T) {
-	for _, n := range []int{1, 2, 5, 8, 13} {
-		for root := 0; root < n; root += max(1, n/2) {
-			n, root := n, root
-			t.Run(fmt.Sprintf("np=%d root=%d", n, root), func(t *testing.T) {
-				k, w := testWorld(t, n, 4, 1, nil)
-				msg := []byte("broadcast payload 0123456789")
-				got := make([][]byte, n)
-				w.Launch(func(r *Rank) {
-					var pl Payload
-					if r.ID() == root {
-						pl = Bytes(msg)
-					} else {
-						pl = Payload{Size: int64(len(msg)), Data: make([]byte, len(msg))}
-					}
-					out := r.Bcast(root, pl)
-					got[r.ID()] = out.Data
-				})
-				k.Run()
-				for i := range got {
-					if !bytes.Equal(got[i], msg) {
-						t.Fatalf("rank %d got %q", i, got[i])
-					}
-				}
-			})
-		}
-	}
-}
-
-func TestAllreduceSumAndMax(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 6, 9, 16} {
-		n := n
-		t.Run(fmt.Sprintf("np=%d", n), func(t *testing.T) {
-			k, w := testWorld(t, n, 4, 1, nil)
-			sums := make([][]int64, n)
-			w.Launch(func(r *Rank) {
-				in := []int64{int64(r.ID()), int64(r.ID() * 10)}
-				sums[r.ID()] = r.AllreduceI64(in, func(a, b int64) int64 { return a + b })
-			})
-			k.Run()
-			var wantA, wantB int64
-			for i := 0; i < n; i++ {
-				wantA += int64(i)
-				wantB += int64(i * 10)
-			}
-			for i := 0; i < n; i++ {
-				if sums[i][0] != wantA || sums[i][1] != wantB {
-					t.Fatalf("rank %d allreduce = %v, want [%d %d]", i, sums[i], wantA, wantB)
-				}
-			}
-		})
-	}
-}
-
-func TestAllreduceMax(t *testing.T) {
-	k, w := testWorld(t, 7, 4, 1, nil)
-	results := make([][]int64, 7)
-	w.Launch(func(r *Rank) {
-		in := []int64{int64((r.ID() * 13) % 7)}
-		results[r.ID()] = r.AllreduceI64(in, func(a, b int64) int64 {
-			if a > b {
-				return a
-			}
-			return b
-		})
-	})
-	k.Run()
-	for i, v := range results {
-		if v[0] != 6 {
-			t.Fatalf("rank %d max = %d, want 6", i, v[0])
-		}
-	}
-}
-
-func TestAllgatherI64(t *testing.T) {
-	k, w := testWorld(t, 6, 3, 1, nil)
-	out := make([][]int64, 6)
-	w.Launch(func(r *Rank) {
-		out[r.ID()] = r.AllgatherI64(int64(100 + r.ID()))
-	})
-	k.Run()
-	for i := range out {
-		for j := 0; j < 6; j++ {
-			if out[i][j] != int64(100+j) {
-				t.Fatalf("rank %d slot %d = %d", i, j, out[i][j])
-			}
-		}
-	}
-}
-
-func TestAllgathervData(t *testing.T) {
-	for _, n := range []int{1, 2, 4, 7} {
-		n := n
-		t.Run(fmt.Sprintf("np=%d", n), func(t *testing.T) {
-			k, w := testWorld(t, n, 2, 1, nil)
-			sizes := make([]int64, n)
-			for i := range sizes {
-				sizes[i] = int64(3 + 2*i)
-			}
-			out := make([][][]byte, n)
-			w.Launch(func(r *Rank) {
-				mine := make([]byte, sizes[r.ID()])
-				for i := range mine {
-					mine[i] = byte(r.ID())
-				}
-				out[r.ID()] = r.Allgatherv(Bytes(mine), sizes)
-			})
-			k.Run()
-			for i := 0; i < n; i++ {
-				for j := 0; j < n; j++ {
-					if int64(len(out[i][j])) != sizes[j] {
-						t.Fatalf("rank %d block %d has len %d, want %d", i, j, len(out[i][j]), sizes[j])
-					}
-					for _, b := range out[i][j] {
-						if b != byte(j) {
-							t.Fatalf("rank %d block %d contains %d", i, j, b)
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
 func TestAllgathervSymbolic(t *testing.T) {
 	k, w := testWorld(t, 4, 2, 1, nil)
 	var elapsed sim.Time
 	w.Launch(func(r *Rank) {
-		sizes := []int64{1000, 1000, 1000, 1000}
-		if got := r.Allgatherv(Symbolic(1000), sizes); got != nil {
-			t.Errorf("symbolic allgatherv returned data")
-		}
+		r.AllgathervSync([]int64{1000, 1000, 1000, 1000})
 		elapsed = r.Now()
 	})
 	k.Run()
 	if elapsed == 0 {
-		t.Fatal("symbolic allgatherv charged no time")
+		t.Fatal("allgatherv charged no time")
 	}
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func TestAlltoallI64(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 4, 5, 8, 13} {
-		n := n
-		t.Run(fmt.Sprintf("np=%d", n), func(t *testing.T) {
-			k, w := testWorld(t, n, 4, 1, nil)
-			out := make([][]int64, n)
-			w.Launch(func(r *Rank) {
-				vals := make([]int64, n)
-				for j := range vals {
-					vals[j] = int64(r.ID()*1000 + j) // value from r for j
-				}
-				out[r.ID()] = r.AlltoallI64(vals)
-			})
-			k.Run()
-			for i := 0; i < n; i++ {
-				for j := 0; j < n; j++ {
-					// out[i][j] must be rank j's value for rank i.
-					if out[i][j] != int64(j*1000+i) {
-						t.Fatalf("rank %d slot %d = %d, want %d", i, j, out[i][j], j*1000+i)
-					}
-				}
+// assertSynchronises checks that coll is a full synchronisation on np
+// ranks: whichever rank enters last, no rank leaves before it entered.
+// It proves that the collective's pattern connects every rank to every
+// other.
+func assertSynchronises(t *testing.T, np int, coll func(r *Rank)) {
+	t.Helper()
+	const slow = 10 * sim.Millisecond
+	for late := 0; late < np; late++ {
+		k, w := testWorld(t, np, 3, 1, nil)
+		exits := make([]sim.Time, np)
+		w.Launch(func(r *Rank) {
+			if r.ID() == late {
+				r.Compute(slow)
 			}
+			coll(r)
+			exits[r.ID()] = r.Now()
 		})
+		k.Run()
+		for i, e := range exits {
+			if e < slow {
+				t.Fatalf("rank %d left at %v, before rank %d entered at %v", i, e, late, slow)
+			}
+		}
 	}
 }
 
 func TestAlltoallSynchronises(t *testing.T) {
-	// No rank can finish the all-to-all before the slowest rank starts.
-	k, w := testWorld(t, 6, 3, 1, nil)
-	slow := 10 * sim.Millisecond
-	exits := make([]sim.Time, 6)
-	w.Launch(func(r *Rank) {
-		if r.ID() == 4 {
-			r.Compute(slow)
-		}
-		r.AlltoallI64(make([]int64, 6))
-		exits[r.ID()] = r.Now()
-	})
-	k.Run()
-	for i, e := range exits {
-		if e < slow {
-			t.Fatalf("rank %d left all-to-all at %v, before slowest entered", i, e)
-		}
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 8, 13} {
+		t.Run(fmt.Sprintf("np=%d", n), func(t *testing.T) {
+			assertSynchronises(t, n, func(r *Rank) { r.AlltoallSync(8) })
+		})
+	}
+}
+
+func TestAllreduceSyncSynchronises(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 6, 7, 9, 16} {
+		t.Run(fmt.Sprintf("np=%d", n), func(t *testing.T) {
+			assertSynchronises(t, n, func(r *Rank) { r.AllreduceSync(16) })
+		})
+	}
+}
+
+func TestAllgathervSyncSynchronises(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 4, 5, 7, 13} {
+		t.Run(fmt.Sprintf("np=%d", n), func(t *testing.T) {
+			sizes := make([]int64, n)
+			for i := range sizes {
+				sizes[i] = int64(3 + 2*i)
+			}
+			assertSynchronises(t, n, func(r *Rank) { r.AllgathervSync(sizes) })
+		})
 	}
 }

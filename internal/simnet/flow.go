@@ -73,8 +73,9 @@ type flowMark struct {
 
 // fluidFlow is one bulk transfer progressing through the fluid model.
 type fluidFlow struct {
-	from, to  int
-	intra     bool // same-node transfer: rides the ipc link class
+	intra     bool     // same-node transfer: rides the ipc link class
+	links     [2]int32 // fluidNet link ids it consumes; links[:nlinks]
+	nlinks    int
 	size      float64
 	served    float64 // bytes transmitted as of fluidNet.lastAt
 	rate      float64 // current max-min allocation, bytes/second
@@ -90,10 +91,12 @@ type fluidFlow struct {
 // InterBandwidth; every intra-node flow consumes its node's single ipc
 // link at IntraBandwidth — the distinct intra-node link class, so
 // same-node bulk transfers contend with each other but never with the
-// NIC. Rates are recomputed by progressive filling whenever a flow
-// arrives or departs, and the next departure/milestone crossing is
-// scheduled as a single kernel event (invalidated by a generation
-// counter when an earlier arrival forces an earlier recompute).
+// NIC. All links live in one table: node n's tx link is n, its rx link
+// nodes+n and its ipc link 2·nodes+n. Rates are recomputed by
+// progressive filling whenever a flow arrives or departs, and the next
+// departure/milestone crossing is scheduled as a single kernel event
+// (invalidated by a generation counter when an earlier arrival forces
+// an earlier recompute).
 //
 // All state is plain slices iterated in deterministic order, so flow
 // mode is exactly reproducible for a given seed and submission order.
@@ -104,16 +107,18 @@ type fluidNet struct {
 	ibw      float64 // per-node ipc capacity, bytes per second
 	ilat     sim.Time
 	minBytes int64
+	nodes    int
 
 	flows   []*fluidFlow // active, in submission order
 	lastAt  sim.Time
 	gen     uint64
 	pending bool
 
-	// Solver scratch, reused across recomputes.
-	txCount, rxCount, ipcCount []int32
-	txCap, rxCap, ipcCap       []float64
-	txNodes, rxNodes, ipcNodes []int32
+	// Solver scratch, reused across recomputes: per-link unfrozen flow
+	// count and remaining capacity, and the links in use.
+	count  []int32
+	cap    []float64
+	active []int32
 }
 
 func newFluidNet(k *sim.Kernel, cfg Config) *fluidNet {
@@ -128,12 +133,9 @@ func newFluidNet(k *sim.Kernel, cfg Config) *fluidNet {
 		ibw:      cfg.IntraBandwidth,
 		ilat:     cfg.IntraLatency,
 		minBytes: min,
-		txCount:  make([]int32, cfg.Nodes),
-		rxCount:  make([]int32, cfg.Nodes),
-		ipcCount: make([]int32, cfg.Nodes),
-		txCap:    make([]float64, cfg.Nodes),
-		rxCap:    make([]float64, cfg.Nodes),
-		ipcCap:   make([]float64, cfg.Nodes),
+		nodes:    cfg.Nodes,
+		count:    make([]int32, 3*cfg.Nodes),
+		cap:      make([]float64, 3*cfg.Nodes),
 	}
 }
 
@@ -157,10 +159,16 @@ func (fl *fluidNet) submit(from, to int, size int64, injected, delivered *sim.Fu
 		fl.k.CompleteAfter(lat, delivered)
 		return
 	}
-	fl.flows = append(fl.flows, &fluidFlow{
-		from: from, to: to, intra: intra, size: float64(size),
+	f := &fluidFlow{
+		intra: intra, size: float64(size),
 		injected: injected, delivered: delivered, marks: marks,
-	})
+	}
+	if intra {
+		f.links[0], f.nlinks = int32(2*fl.nodes+from), 1
+	} else {
+		f.links, f.nlinks = [2]int32{int32(from), int32(fl.nodes + to)}, 2
+	}
+	fl.flows = append(fl.flows, f)
 	fl.poke()
 }
 
@@ -222,71 +230,37 @@ func (fl *fluidNet) advance(now sim.Time) {
 
 // recompute assigns every active flow its max-min fair rate by
 // progressive filling: repeatedly find the most-contended link, freeze
-// its flows at the bottleneck share, subtract their demand from the
-// other link each uses, and continue with the rest. Scan order (tx
-// links in node order, then rx links, then ipc links; flows in
-// submission order) is fixed, so the allocation is deterministic.
-// Inter-node flows use their source tx and destination rx link;
-// intra-node flows use only their node's ipc link.
+// its flows at the bottleneck share, subtract their demand from every
+// link they use, and continue with the rest. Flows are scanned in
+// submission order, so the allocation is deterministic. Inter-node
+// flows use their source tx and destination rx link; intra-node flows
+// use only their node's ipc link.
 func (fl *fluidNet) recompute() {
-	tx, rx, ipc := fl.txNodes[:0], fl.rxNodes[:0], fl.ipcNodes[:0]
+	ipcBase := int32(2 * fl.nodes)
+	active := fl.active[:0]
 	for _, f := range fl.flows {
-		if f.intra {
-			if fl.ipcCount[f.from] == 0 {
-				ipc = append(ipc, int32(f.from))
+		for _, l := range f.links[:f.nlinks] {
+			if fl.count[l] == 0 {
+				active = append(active, l)
+				fl.cap[l] = fl.bw
+				if l >= ipcBase {
+					fl.cap[l] = fl.ibw
+				}
 			}
-			fl.ipcCount[f.from]++
-			f.rate = -1 // unfrozen
-			continue
+			fl.count[l]++
 		}
-		if fl.txCount[f.from] == 0 {
-			tx = append(tx, int32(f.from))
-		}
-		fl.txCount[f.from]++
-		if fl.rxCount[f.to] == 0 {
-			rx = append(rx, int32(f.to))
-		}
-		fl.rxCount[f.to]++
 		f.rate = -1 // unfrozen
 	}
-	fl.txNodes, fl.rxNodes, fl.ipcNodes = tx, rx, ipc
-	for _, n := range tx {
-		fl.txCap[n] = fl.bw
-	}
-	for _, n := range rx {
-		fl.rxCap[n] = fl.bw
-	}
-	for _, n := range ipc {
-		fl.ipcCap[n] = fl.ibw
-	}
-	share := func(cap float64, cnt int32) float64 {
-		if cap < 0 {
-			cap = 0
-		}
-		return cap / float64(cnt)
+	fl.active = active
+	share := func(l int32) float64 {
+		return max(fl.cap[l], 0) / float64(fl.count[l])
 	}
 	remaining := len(fl.flows)
 	for remaining > 0 {
 		best := math.MaxFloat64
-		for _, n := range tx {
-			if c := fl.txCount[n]; c > 0 {
-				if s := share(fl.txCap[n], c); s < best {
-					best = s
-				}
-			}
-		}
-		for _, n := range rx {
-			if c := fl.rxCount[n]; c > 0 {
-				if s := share(fl.rxCap[n], c); s < best {
-					best = s
-				}
-			}
-		}
-		for _, n := range ipc {
-			if c := fl.ipcCount[n]; c > 0 {
-				if s := share(fl.ipcCap[n], c); s < best {
-					best = s
-				}
+		for _, l := range active {
+			if fl.count[l] > 0 {
+				best = min(best, share(l))
 			}
 		}
 		// Freeze every unfrozen flow that touches a link saturating at
@@ -297,34 +271,21 @@ func (fl *fluidNet) recompute() {
 			if f.rate >= 0 {
 				continue
 			}
+			links := f.links[:f.nlinks]
 			sat := false
-			if f.intra {
-				if c := fl.ipcCount[f.from]; c > 0 && share(fl.ipcCap[f.from], c) <= lim {
+			for _, l := range links {
+				if fl.count[l] > 0 && share(l) <= lim {
 					sat = true
 				}
-				if !sat {
-					continue
-				}
-				f.rate = best
-				fl.ipcCount[f.from]--
-				fl.ipcCap[f.from] -= best
-				remaining--
-				continue
-			}
-			if c := fl.txCount[f.from]; c > 0 && share(fl.txCap[f.from], c) <= lim {
-				sat = true
-			}
-			if c := fl.rxCount[f.to]; c > 0 && share(fl.rxCap[f.to], c) <= lim {
-				sat = true
 			}
 			if !sat {
 				continue
 			}
 			f.rate = best
-			fl.txCount[f.from]--
-			fl.txCap[f.from] -= best
-			fl.rxCount[f.to]--
-			fl.rxCap[f.to] -= best
+			for _, l := range links {
+				fl.count[l]--
+				fl.cap[l] -= best
+			}
 			remaining--
 		}
 	}
