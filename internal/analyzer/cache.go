@@ -32,7 +32,7 @@ import (
 // cacheSchema versions both the on-disk entry format and, implicitly,
 // the analyzer implementations: bump it when a suite change must
 // invalidate previously cached results wholesale.
-const cacheSchema = "collvet-cache-v1"
+const cacheSchema = "collvet-cache-v2"
 
 // Cache is a directory of per-package analysis results.
 type Cache struct {

@@ -191,7 +191,7 @@ func TestKernelShareFixtures(t *testing.T) {
 }
 
 func TestPoolPathFixtures(t *testing.T) {
-	runFixtureTest(t, PoolPath, "poolpath")
+	runFixtureTest(t, PoolPath, "poolpath", "poolpath/msgpool")
 }
 
 func TestMapOrderFixtures(t *testing.T) {

@@ -149,14 +149,14 @@ func (w *memoWalker) report(path string, t types.Type, what string) {
 // liveHandleLabel names t if it is one of the simulator-owned handle
 // types the suite already polices elsewhere: the kernelshare
 // single-owner types (*sim.Kernel, *sim.Proc) and the poolpath pooled
-// types (*mpi.Request, *simnet.Transfer). Matching is by package NAME,
+// types (*mpi.Request, *mpi.msg, *simnet.Transfer). Matching is by package NAME,
 // as in those analyzers, so the testdata stubs behave like the real
 // packages.
 func liveHandleLabel(t types.Type) (string, bool) {
 	if isKernelOwnedType(t) {
 		return typeLabel(t), true
 	}
-	if _, pooled := poolHandleKind(t); pooled {
+	if _, _, pooled := poolHandleKind(t); pooled {
 		return typeLabel(t), true
 	}
 	return "", false

@@ -50,10 +50,10 @@ func TestSuppressMalformed(t *testing.T) {
 		{"collvet", "suppression without a reason"},
 		{"collvet", "suppression names unknown analyzer \"nosuchanalyzer\""},
 		{"collvet", "suppression without an analyzer name"},
-		{"poolpath", "used after Network.Release"},               // bareSuppression: not waived
-		{"poolpath", "may reach return without Network.Release"}, // unknownAnalyzer
-		{"poolpath", "may reach return without Network.Release"}, // missingName
-		{"poolpath", "may reach return without Network.Release"}, // mismatched
+		{"poolpath", "used after Wait"},               // bareSuppression: not waived
+		{"poolpath", "may reach return without Wait"}, // unknownAnalyzer
+		{"poolpath", "may reach return without Wait"}, // missingName
+		{"poolpath", "may reach return without Wait"}, // mismatched
 	}
 	if len(diags) != len(wants) {
 		t.Fatalf("got %d diagnostics, want %d:\n%v", len(diags), len(wants), diags)

@@ -1,8 +1,9 @@
 // Fixtures for the poolpath analyzer: flow-sensitive lifetime checking
-// of pooled handles (*simnet.Transfer, *mpi.Request). Unlike the
-// straight-line payloadalias rule, these shapes need real path
-// reasoning: a Release missing on only the error path, a double
-// release reached through a join, a use after a conditional release.
+// of pooled handles. An *mpi.Request is released by Wait, so these
+// shapes need real path reasoning: a Wait missing on only the error
+// path, a double release reached through a join, a use after a
+// conditional release. A *simnet.Transfer is lent for its sending event
+// only: the network recycles it, futures included, at its last event.
 package poolpath
 
 import (
@@ -13,12 +14,12 @@ import (
 
 // --- flagged: release missing on some path ---
 
-func badErrorPathLeaksTransfer(net *simnet.Network, fail bool) {
-	tr := net.Send(0, 1, 4096) // want `pooled handle "tr" acquired here may reach return without Network.Release \(released on some paths but not all\)`
+func badErrorPathLeaksRequest(r *mpi.Rank, fail bool) {
+	q := r.Isend(1, 0, mpi.Symbolic(4096)) // want `pooled handle "q" acquired here may reach return without Wait \(released on some paths but not all\)`
 	if fail {
-		return // leaks tr
+		return // leaks q
 	}
-	net.Release(tr)
+	r.Wait(q)
 }
 
 func badRequestNeverWaited(r *mpi.Rank, n int) int64 {
@@ -29,20 +30,20 @@ func badRequestNeverWaited(r *mpi.Rank, n int) int64 {
 	return q.Received()
 }
 
-func badReassignWhileLive(net *simnet.Network) {
-	tr := net.Send(0, 1, 64)
-	tr = net.Send(1, 0, 128) // want `pooled handle "tr" reassigned before Network.Release: the previous handle leaks`
-	net.Release(tr)
+func badReassignWhileLive(r *mpi.Rank) {
+	q := r.Isend(1, 0, mpi.Symbolic(64))
+	q = r.Isend(2, 0, mpi.Symbolic(128)) // want `pooled handle "q" reassigned before Wait: the previous handle leaks`
+	r.Wait(q)
 }
 
 // --- flagged: double release through a join ---
 
-func badDoubleReleaseOnOnePath(net *simnet.Network, early bool) {
-	tr := net.Send(0, 1, 64)
+func badDoubleWaitOnOnePath(r *mpi.Rank, early bool) {
+	q := r.Isend(1, 0, mpi.Symbolic(64))
 	if early {
-		net.Release(tr)
+		r.Wait(q)
 	}
-	net.Release(tr) // want `pooled handle "tr" used after Network.Release`
+	r.Wait(q) // want `pooled handle "q" used after Wait`
 }
 
 // --- flagged: use after a conditional release ---
@@ -81,24 +82,65 @@ func badFuturePassedThenWaited(r *mpi.Rank, other *sim.Future) {
 	r.WaitFutures(f) // want `future "f" of pooled request "q" used after Wait`
 }
 
-// --- clean: released on every path ---
+// --- flagged: a lent transfer kept past its sending event ---
 
-func goodReleasedBothBranches(net *simnet.Network, fast bool) {
-	tr := net.Send(0, 1, 256)
-	if fast {
-		net.Release(tr)
-		return
-	}
-	net.Release(tr)
+func badTransferInCallback(net *simnet.Network) {
+	tr := net.SendFlow(nil, 0, 1, 1024)
+	tr.Delivered.OnDone(func() {
+		_ = tr.From // want `pooled transfer "tr" used in a callback: the network recycles it at its last event`
+	})
 }
 
-func goodDeferRelease(net *simnet.Network, fail bool) int64 {
+func badDeliveredFutureInCallback(net *simnet.Network, k *sim.Kernel) {
+	tr := net.Send(0, 1, 64)
+	done := tr.Delivered
+	k.After(10, func() {
+		_ = done.Done() // want `future "done" of pooled transfer "tr" used in a callback`
+	})
+}
+
+type epoch struct {
+	puts []*sim.Future
+	last *simnet.Transfer
+}
+
+func badDeliveredFutureKept(net *simnet.Network, ep *epoch) {
 	tr := net.Send(0, 1, 4096)
-	defer net.Release(tr)
+	done := tr.Delivered
+	ep.puts = append(ep.puts, done) // want `future "done" of pooled transfer "tr" stored past its sending event`
+}
+
+func badTransferStored(net *simnet.Network, ep *epoch) {
+	tr := net.Send(0, 1, 64)
+	ep.last = tr // want `pooled transfer "tr" stored past its sending event`
+}
+
+func badTransferAliasInCallback(net *simnet.Network, k *sim.Kernel) {
+	tr := net.Send(0, 1, 64)
+	alias := tr
+	k.After(5, func() {
+		_ = alias.Size // want `pooled transfer "alias" used in a callback`
+	})
+}
+
+// --- clean: released on every path ---
+
+func goodWaitedBothBranches(r *mpi.Rank, fast bool) {
+	q := r.Isend(1, 0, mpi.Symbolic(256))
+	if fast {
+		r.Wait(q)
+		return
+	}
+	r.Wait(q)
+}
+
+func goodDeferWait(r *mpi.Rank, fail bool) int64 {
+	q := r.Irecv(0, 1, 4096, nil)
+	defer r.Wait(q)
 	if fail {
 		return 0
 	}
-	return tr.Size
+	return q.Received()
 }
 
 // --- clean: escapes transfer ownership of the release ---
@@ -114,10 +156,10 @@ func goodAppendsToReapList(r *mpi.Rank, reqs []*mpi.Request) []*mpi.Request {
 	return reqs
 }
 
-func goodCallbackOwnsRelease(net *simnet.Network) {
-	tr := net.SendFlow(nil, 0, 1, 1024)
-	tr.Delivered.OnDone(func() {
-		net.Release(tr) // the callback owns the handle now
+func goodCallbackOwnsWait(r *mpi.Rank, f *sim.Future) {
+	q := r.Isend(1, 0, mpi.Symbolic(8))
+	f.OnDone(func() {
+		r.Wait(q) // the callback owns the handle now
 	})
 }
 
@@ -137,14 +179,56 @@ func goodFutureRebound(r *mpi.Rank, k *sim.Kernel) {
 	r.WaitFutures(f)
 }
 
+// --- clean: a lent transfer used inside its sending event ---
+
+func goodTransferRegistersInEvent(net *simnet.Network, inj, del *sim.Future, cb func()) int64 {
+	tr := net.Send(0, 1, 4096)
+	tr.Injected.Then(inj)
+	tr.Delivered.Then(del)
+	tr.Delivered.OnDone(cb)
+	return tr.Size // no release: the network recycles the transfer
+}
+
+func goodTransferFieldsCapturedByValue(net *simnet.Network, sink func(int, int64)) {
+	tr := net.Send(0, 1, 64)
+	to, size := tr.To, tr.Size
+	tr.Delivered.OnDone(func() { sink(to, size) })
+}
+
+func goodCallerOwnedDeliveredKept(net *simnet.Network, k *sim.Kernel, ep *epoch) {
+	done := k.NewFuture()
+	tr := net.SendFlowTo(done, nil, 0, 1, 4096)
+	tr.Injected.Then(k.NewFuture())
+	ep.puts = append(ep.puts, done) // the caller's own future, not the transfer's
+}
+
+func goodDeliveredFuturePassedInEvent(net *simnet.Network, f *sim.Future) {
+	tr := net.Send(0, 1, 64)
+	forward(tr.Delivered, f)
+	done := tr.Delivered
+	forward(done, f)
+}
+
+func forward(from, to *sim.Future) { from.Then(to) }
+
 // --- clean: loop-carried acquire/release ---
 
-func goodLoopAcquireRelease(net *simnet.Network, n int) int64 {
+func goodLoopSendWait(r *mpi.Rank, n int) int64 {
+	var total int64
+	for i := 0; i < n; i++ {
+		q := r.Irecv(i, 0, 64, nil)
+		total += q.Received()
+		r.Wait(q)
+	}
+	return total
+}
+
+func goodLoopTransfers(net *simnet.Network, n int, f *sim.Future) int64 {
 	var total int64
 	for i := 0; i < n; i++ {
 		tr := net.Send(i, i+1, 64)
 		total += tr.Size
-		net.Release(tr)
+		tr.Delivered.Then(f)
 	}
 	return total
 }

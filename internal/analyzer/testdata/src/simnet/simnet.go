@@ -5,7 +5,8 @@ package simnet
 
 import "sim"
 
-// Transfer mirrors the runtime's pooled transfer handle.
+// Transfer mirrors the runtime's pooled transfer handle, lent to the
+// caller for the sending event only.
 type Transfer struct {
 	Injected  *sim.Future
 	Delivered *sim.Future
@@ -24,4 +25,6 @@ func (n *Network) SendFlow(flow interface{}, from, to int, size int64) *Transfer
 	return n.Send(from, to, size)
 }
 
-func (n *Network) Release(tr *Transfer) {}
+func (n *Network) SendFlowTo(delivered *sim.Future, flow interface{}, from, to int, size int64) *Transfer {
+	return &Transfer{Injected: &sim.Future{}, Delivered: delivered, Size: size, From: from, To: to}
+}

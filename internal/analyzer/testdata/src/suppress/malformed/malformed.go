@@ -5,35 +5,35 @@
 package malformed
 
 import (
-	"simnet"
+	"mpi"
 )
 
 // No reason: the waiver is itself a finding, and suppresses nothing —
 // the use-after-release fires too.
-func bareSuppression(net *simnet.Network) int64 {
-	tr := net.Send(0, 1, 64)
-	net.Release(tr)
-	return tr.Size //collvet:ignore poolpath
+func bareSuppression(r *mpi.Rank) int64 {
+	q := r.Irecv(0, 1, 64, nil)
+	r.Wait(q)
+	return q.Received() //collvet:ignore poolpath
 }
 
 // Unknown analyzer name: reported, and the leak below still fires.
-func unknownAnalyzer(net *simnet.Network) {
+func unknownAnalyzer(r *mpi.Rank) {
 	//collvet:ignore nosuchanalyzer -- the name is wrong on purpose
-	tr := net.Send(0, 1, 64)
-	_ = tr.Size
+	q := r.Isend(1, 0, mpi.Symbolic(64))
+	_ = q.Done()
 }
 
 // Missing analyzer name: reported, and the leak below still fires.
-func missingName(net *simnet.Network) {
+func missingName(r *mpi.Rank) {
 	//collvet:ignore -- which analyzer?
-	tr := net.Send(0, 1, 64)
-	_ = tr.Size
+	q := r.Isend(1, 0, mpi.Symbolic(64))
+	_ = q.Done()
 }
 
 // Well-formed but naming a different analyzer: not a finding itself,
 // and the poolpath leak below is NOT covered.
-func mismatched(net *simnet.Network) {
+func mismatched(r *mpi.Rank) {
 	//collvet:ignore requestleak -- fixture: names the wrong analyzer on purpose
-	tr := net.Send(0, 1, 64)
-	_ = tr.Size
+	q := r.Isend(1, 0, mpi.Symbolic(64))
+	_ = q.Done()
 }

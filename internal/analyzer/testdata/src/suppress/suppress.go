@@ -7,28 +7,28 @@
 package suppress
 
 import (
-	"simnet"
+	"mpi"
 )
 
 // Trailing-comment form: the waiver sits on the diagnostic's own line.
 // It names two analyzers, of which only poolpath reports here.
-func suppressedUseAfterRelease(net *simnet.Network) int64 {
-	tr := net.Send(0, 1, 64)
-	net.Release(tr)
-	return tr.Size //collvet:ignore payloadalias,poolpath -- fixture: accounting reads the size back before the pool can recycle
+func suppressedUseAfterRelease(r *mpi.Rank) int64 {
+	q := r.Irecv(0, 1, 64, nil)
+	r.Wait(q)
+	return q.Received() //collvet:ignore payloadalias,poolpath -- fixture: accounting reads the count back before the pool can recycle
 }
 
 // Full-line form: the waiver sits on the line above the diagnostic
 // (poolpath reports the leak at the acquire site).
-func suppressedLeakLineAbove(net *simnet.Network) {
-	//collvet:ignore poolpath -- fixture: the reaper goroutine owns and releases this handle
-	tr := net.Send(0, 1, 64)
-	_ = tr.Size
+func suppressedLeakLineAbove(r *mpi.Rank) {
+	//collvet:ignore poolpath -- fixture: the reaper goroutine owns and waits this request
+	q := r.Isend(1, 0, mpi.Symbolic(64))
+	_ = q.Done()
 }
 
 // An unrelated finding in the same package still fires: suppression is
 // per-line, not per-file.
-func unsuppressedLeak(net *simnet.Network) {
-	tr := net.Send(0, 1, 64) // want `pooled handle "tr" acquired here may reach return without Network\.Release`
-	_ = tr.Size
+func unsuppressedLeak(r *mpi.Rank) {
+	q := r.Isend(1, 0, mpi.Symbolic(64)) // want `pooled handle "q" acquired here may reach return without Wait`
+	_ = q.Done()
 }

@@ -136,8 +136,9 @@ func (b *cohortRun) ladder(bytes int64) sim.Time {
 func (b *cohortRun) barrierCost() sim.Time { return b.ladder(1) }
 
 // a2aCost models the per-cycle AlltoallSync(8): Bruck's algorithm,
-// a ladder moving half the 8-byte-per-peer vector each round.
-func (b *cohortRun) a2aCost() sim.Time { return b.ladder(8 * int64(b.np) / 2) }
+// a ladder moving half the 8-byte-per-peer vector each round — the
+// exact ladder's per-round message, mpi.BruckRoundBytes.
+func (b *cohortRun) a2aCost() sim.Time { return b.ladder(mpi.BruckRoundBytes(b.np, 8)) }
 
 // ringCost models the pipelined ring allgatherv: P-1 steps clocked by
 // the slowest (inter-node) edge, but self-clocked rather than globally
@@ -464,7 +465,6 @@ func (b *cohortRun) issueBatch(node, aggNode int, size int64, cycle int, release
 		}
 		tr.Injected.Then(injF)
 		tr.Delivered.Then(delF)
-		b.net.Release(tr)
 		return
 	}
 	tr := b.net.SendFlow(nil, node, aggNode, size)
@@ -481,7 +481,6 @@ func (b *cohortRun) issueBatch(node, aggNode int, size int64, cycle int, release
 	}
 	tr.Injected.Then(injF)
 	tr.Delivered.Then(delF)
-	b.net.Release(tr)
 }
 
 // emitCollOps records every rank's end of every view through

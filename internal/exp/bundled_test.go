@@ -5,7 +5,10 @@ import (
 	"time"
 
 	"collio/internal/fcoll"
+	"collio/internal/mpi"
 	"collio/internal/platform"
+	"collio/internal/probe"
+	"collio/internal/sim"
 	"collio/internal/simnet"
 	"collio/internal/trace"
 	"collio/internal/workload"
@@ -314,4 +317,43 @@ func TestScaleSmoke65k(t *testing.T) {
 	}
 	t.Logf("65536 ranks: simulated %v in %v wall (%d aggregators, %d cycles)",
 		m.Elapsed, time.Since(start), m.Aggregators, m.Cycles)
+}
+
+// TestBundledA2ACostMatchesExactBruck holds the bundled executor's
+// closed-form per-cycle all-to-all to the messages the exact Bruck
+// ladder sends: at odd np, where half the ranks is not a whole number,
+// the per-round bytes of both must agree. The exact side is measured
+// (every KindIsend of an AlltoallSync(8) on a real world), the bundled
+// side is a2aCost, which must equal the ladder of hopAt over the
+// measured round size.
+func TestBundledA2ACostMatchesExactBruck(t *testing.T) {
+	for _, np := range []int{3, 7, 13} {
+		pf := platform.Crill().Deterministic()
+		cl, err := pf.Instantiate(np, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := probe.New()
+		cl.World.SetProbe(0, p)
+		cl.World.Launch(func(r *mpi.Rank) { r.AlltoallSync(8) })
+		cl.Kernel.Run()
+		var round int64
+		for _, e := range p.Events() {
+			if e.Kind != probe.KindIsend {
+				continue
+			}
+			if round != 0 && e.Size != round {
+				t.Fatalf("np %d: exact Bruck rounds send %d and %d bytes", np, round, e.Size)
+			}
+			round = e.Size
+		}
+		b := &cohortRun{pf: pf, cfg: mpi.DefaultConfig(np, pf.RanksPerNode), np: np, rpn: pf.RanksPerNode}
+		var want sim.Time
+		for k := 1; k < np; k <<= 1 {
+			want += b.hopAt(round, k)
+		}
+		if got := b.a2aCost(); got != want {
+			t.Errorf("np %d: bundled all-to-all charges %v, the exact %d-byte rounds cost %v", np, got, round, want)
+		}
+	}
 }

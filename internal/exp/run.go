@@ -209,7 +209,27 @@ func Execute(spec Spec) (Metrics, error) {
 		m, err = runExact(spec, cl, obs)
 	}
 	fold()
+	if err == nil {
+		err = checkPooled(cl)
+	}
 	return m, err
+}
+
+// checkPooled is the world-end leak check: once a run has drained,
+// every pooled transfer, request and protocol message must be back in
+// a pool, on whichever LP. A live one is a request never waited or a
+// message never consumed — a defect in the protocol stack, so the run
+// fails rather than report a result.
+func checkPooled(cl *platform.Cluster) error {
+	transfers := cl.Net.LiveTransfers()
+	var requests, msgs int
+	if cl.World != nil {
+		requests, msgs = cl.World.LivePooled()
+	}
+	if transfers != 0 || requests != 0 || msgs != 0 {
+		return fmt.Errorf("exp: %d transfers, %d requests and %d protocol messages still live at world end", transfers, requests, msgs)
+	}
+	return nil
 }
 
 // wireSinks attaches spec's instrumentation to every layer of cl — the

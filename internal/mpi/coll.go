@@ -43,7 +43,7 @@ func (r *Rank) Barrier() {
 // load-bearing for the reproduced paper's baseline behaviour.
 func (r *Rank) AlltoallSync(entryBytes int64) {
 	p := r.w.cfg.NProcs
-	r.ladder(probe.CauseAlltoall, tagAlltoall, r.id, p, identityRank, bruckRoundBytes(p, entryBytes))
+	r.ladder(probe.CauseAlltoall, tagAlltoall, r.id, p, identityRank, BruckRoundBytes(p, entryBytes))
 }
 
 // AlltoallSyncAmong is AlltoallSync restricted to a sub-group: only the
@@ -66,12 +66,13 @@ func (r *Rank) AlltoallSyncAmong(ranks []int, entryBytes int64) {
 		panic(fmt.Sprintf("mpi: rank %d called AlltoallSyncAmong without being in the group", r.id))
 	}
 	p := len(ranks)
-	r.ladder(probe.CauseAlltoall, tagAlltoall, idx, p, func(i int) int { return ranks[i] }, bruckRoundBytes(p, entryBytes))
+	r.ladder(probe.CauseAlltoall, tagAlltoall, idx, p, func(i int) int { return ranks[i] }, BruckRoundBytes(p, entryBytes))
 }
 
-// bruckRoundBytes is the per-round message of a Bruck all-to-all over
-// p members: up to p/2 entries, at least one.
-func bruckRoundBytes(p int, entryBytes int64) int64 {
+// BruckRoundBytes is the per-round message of a Bruck all-to-all over
+// p members: up to p/2 entries, at least one. The bundled executor's
+// closed-form cost of the same exchange charges it too.
+func BruckRoundBytes(p int, entryBytes int64) int64 {
 	return max(int64(p/2)*entryBytes, entryBytes)
 }
 

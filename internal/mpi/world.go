@@ -151,13 +151,18 @@ type World struct {
 // sim.Server request pool: the point-to-point layer turns over one
 // request per operation, and at multi-thousand-rank scale those
 // allocations dominate the model-layer heap churn. Requests return to
-// the list in Wait (after their future has completed). An LP's ranks
-// are serialised by its kernel, so the list needs no locking — the
-// same discipline as sim.Server.freeReqs.
+// the list in Wait (after their future has completed). freeMsgs is the
+// pool of protocol messages (msg), which leave the sender's LP pool and
+// return to the consuming engine's. An LP's ranks are serialised by its
+// kernel, so the lists need no locking — the same discipline as
+// sim.Server.freeReqs. reqs and msgs count the objects this LP took
+// minus those it returned (World.LivePooled).
 type lpShard struct {
-	probe *probe.Probe
-	free  *Request
-	_     [48]byte
+	probe      *probe.Probe
+	free       *Request
+	freeMsgs   *msg
+	reqs, msgs int
+	_          [24]byte
 }
 
 // newRequest takes a zeroed request from the rank's LP free list (or
@@ -165,6 +170,7 @@ type lpShard struct {
 // the embedded future (Kernel.InitFuture).
 func (r *Rank) newRequest() *Request {
 	sh := r.sh
+	sh.reqs++
 	q := sh.free
 	if q == nil {
 		return &Request{}
@@ -183,6 +189,19 @@ func (r *Rank) releaseRequest(q *Request) {
 	sh := r.sh
 	*q = Request{next: sh.free}
 	sh.free = q
+	sh.reqs--
+}
+
+// LivePooled returns the number of requests and protocol messages taken
+// from the pools and not yet returned, over all LPs: both are zero
+// after a run in which every request was waited and every message
+// consumed. Read it after the run, not from inside one.
+func (w *World) LivePooled() (requests, msgs int) {
+	for i := range w.shards {
+		requests += w.shards[i].reqs
+		msgs += w.shards[i].msgs
+	}
+	return requests, msgs
 }
 
 // NewWorld creates the rank set. Ranks do not run until Launch. Each

@@ -256,7 +256,7 @@ func checkQueueOrder(t *testing.T, seed int64, partitioned bool) {
 		k = NewPartition(seed, 1, 10).Kernel(0)
 	}
 	var ref []event
-	find := func(a action) event {
+	find := func(a Action) event {
 		for i := 0; i < k.lane.n; i++ {
 			if e := k.lane.buf[(k.lane.head+i)&(len(k.lane.buf)-1)]; e.act == a {
 				return e

@@ -167,7 +167,7 @@ func (p *Partition) flush() {
 			dk := p.kernels[m.dst]
 			dk.events.push(event{
 				at: m.at, schedAt: m.schedAt, seq: m.seq, crec: m.crec,
-				act: fnAction(m.fn),
+				act: Func(m.fn),
 			})
 			*m = remoteEvent{}
 		}

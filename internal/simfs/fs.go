@@ -311,9 +311,10 @@ type File struct {
 
 	// mu serialises host-side bookkeeping under partitioned execution,
 	// where write calls arrive concurrently from several LPs. The
-	// recorded state is order-independent (coalesce sorts), so locking
-	// order never affects results. Sequential runs pay one uncontended
-	// lock per call.
+	// recorded state is order-independent (the merged extents are the
+	// union of the writes, whatever their order), so locking order never
+	// affects results. Sequential runs pay one uncontended lock per
+	// call.
 	mu      sync.Mutex
 	data    []byte   // sparse backing store, grown on demand (data mode)
 	written []extent // merged written ranges (both modes)
@@ -515,27 +516,31 @@ func (f *File) record(off, size int64, data []byte) {
 		}
 		copy(f.data[off:off+size], data)
 	}
-	f.written = append(f.written, extent{off, off + size})
-	f.coalesce()
+	f.written = addExtent(f.written, extent{off, off + size})
 }
 
-func (f *File) coalesce() {
-	if len(f.written) < 2 {
-		return
+// addExtent adds e to ws, a list of extents sorted by offset with a gap
+// between neighbours, and returns the list. Binary search finds the
+// first extent e reaches (its end at or past e.off); e absorbs that one
+// and every later one it overlaps or touches, or is inserted before it
+// if it reaches none. A collective write's extents mostly arrive in
+// ascending order, so the common case appends or extends the last.
+func addExtent(ws []extent, e extent) []extent {
+	i := sort.Search(len(ws), func(k int) bool { return ws[k].end >= e.off })
+	j := i
+	for j < len(ws) && ws[j].off <= e.end {
+		j++
 	}
-	sort.Slice(f.written, func(i, j int) bool { return f.written[i].off < f.written[j].off })
-	out := f.written[:1]
-	for _, e := range f.written[1:] {
-		last := &out[len(out)-1]
-		if e.off <= last.end {
-			if e.end > last.end {
-				last.end = e.end
-			}
-			continue
-		}
-		out = append(out, e)
+	if i == j {
+		ws = append(ws, extent{})
+		copy(ws[i+1:], ws[i:])
+		ws[i] = e
+		return ws
 	}
-	f.written = out
+	e.off = min(e.off, ws[i].off)
+	e.end = max(e.end, ws[j-1].end)
+	ws[i] = e
+	return append(ws[:i+1], ws[j:]...)
 }
 
 // Size returns the file size (highest written offset).

@@ -41,7 +41,7 @@ func TestFlowUncontendedCompletion(t *testing.T) {
 	// model's uncontended cut-through.
 	k, n := flowNet(t, 2, 1e9) // 1 byte/ns
 	const size = 1 << 20
-	tr := n.Send(0, 1, size)
+	tr := send(n, 0, 1, size)
 	k.Run()
 	if !tr.Injected.Done() || !tr.Delivered.Done() {
 		t.Fatal("flow transfer did not complete")
@@ -55,8 +55,8 @@ func TestFlowFairShareOnSharedTx(t *testing.T) {
 	// split the injection bandwidth and finish together at 2·S/bw.
 	k, n := flowNet(t, 3, 1e9)
 	const size = 1 << 20
-	a := n.Send(0, 1, size)
-	b := n.Send(0, 2, size)
+	a := send(n, 0, 1, size)
+	b := send(n, 0, 2, size)
 	k.Run()
 	approx(t, "a.Injected", a.Injected.DoneAt(), 2*sim.Time(size), 4)
 	approx(t, "b.Injected", b.Injected.DoneAt(), 2*sim.Time(size), 4)
@@ -68,15 +68,15 @@ func TestFlowMaxMinAsymmetric(t *testing.T) {
 	// node 0's tx link: 2bw/3. Progressive filling, not equal split.
 	k, n := flowNet(t, 4, 1e9)
 	const size = 1 << 20
-	a := n.Send(0, 1, size)
-	b := n.Send(0, 2, size)
-	c := n.Send(3, 2, size)
-	d := n.Send(3, 2, size)
+	a := send(n, 0, 1, size)
+	b := send(n, 0, 2, size)
+	c := send(n, 3, 2, size)
+	d := send(n, 3, 2, size)
 	k.Run()
 	// A at rate 2bw/3 finishes at 1.5·S; B, C, D at bw/3 finish at 3·S
 	// (A's departure does not lift the rx-2 bottleneck).
 	approx(t, "a.Injected", a.Injected.DoneAt(), sim.Time(3*size/2), 8)
-	for name, tr := range map[string]*Transfer{"b": b, "c": c, "d": d} {
+	for name, tr := range map[string]sent{"b": b, "c": c, "d": d} {
 		approx(t, name+".Injected", tr.Injected.DoneAt(), sim.Time(3*size), 8)
 	}
 }
@@ -87,9 +87,9 @@ func TestFlowArrivalRecomputesRates(t *testing.T) {
 	k, n := flowNet(t, 3, 1e9)
 	const sa = 2 << 20 // ~2.1 ms alone
 	const sb = 1 << 20
-	a := n.Send(0, 1, sa)
-	var b *Transfer
-	k.After(sim.Millisecond, func() { b = n.Send(0, 2, sb) })
+	a := send(n, 0, 1, sa)
+	var b sent
+	k.After(sim.Millisecond, func() { b = send(n, 0, 2, sb) })
 	k.Run()
 	// B: sb bytes at bw/2 — it never runs uncontended (A finishes later).
 	wantB := sim.Millisecond + 2*sim.Time(sb)
@@ -106,12 +106,13 @@ func TestFlowMilestones(t *testing.T) {
 	k, n := flowNet(t, 2, 1e9)
 	const size = 1 << 20
 	tr, ms := n.SendFlowMilestones(0, 1, size, []int64{size / 4, size / 2, size})
+	kept := keep(n, tr)
 	k.Run()
 	lat := sim.Microsecond
 	approx(t, "ms[0]", ms[0].DoneAt(), sim.Time(size/4)+lat, 4)
 	approx(t, "ms[1]", ms[1].DoneAt(), sim.Time(size/2)+lat, 4)
 	approx(t, "ms[2]", ms[2].DoneAt(), sim.Time(size)+lat, 4)
-	approx(t, "Delivered", tr.Delivered.DoneAt(), sim.Time(size)+lat, 4)
+	approx(t, "Delivered", kept.Delivered.DoneAt(), sim.Time(size)+lat, 4)
 	if ms[1].DoneAt() < ms[0].DoneAt() || ms[2].DoneAt() < ms[1].DoneAt() {
 		t.Error("milestones completed out of order")
 	}
@@ -123,12 +124,12 @@ func TestFlowSmallMessagesKeepExactPath(t *testing.T) {
 	// to a ModelChunked network.
 	k, n := flowNet(t, 2, 1e9)
 	const size = 1 << 10 // 1 KiB < 64 KiB threshold
-	tr := n.Send(0, 1, size)
+	tr := send(n, 0, 1, size)
 
 	kc := sim.NewKernel(1)
 	nc := New(kc, Config{Nodes: 2, InterBandwidth: 1e9, InterLatency: sim.Microsecond,
 		IntraBandwidth: 5e9, IntraLatency: 100 * sim.Nanosecond, MemBandwidth: 10e9})
-	trc := nc.Send(0, 1, size)
+	trc := send(nc, 0, 1, size)
 
 	k.Run()
 	kc.Run()
@@ -140,7 +141,7 @@ func TestFlowSmallMessagesKeepExactPath(t *testing.T) {
 func TestFlowIntraNodeKeepsExactPath(t *testing.T) {
 	k, n := flowNet(t, 2, 1e9)
 	const size = 8 << 20 // far above the threshold, but intra-node
-	tr := n.Send(1, 1, size)
+	tr := send(n, 1, 1, size)
 	k.Run()
 	// ipc server: IntraLatency + size/IntraBandwidth.
 	svc := float64(size) / 5e9 * 1e9
@@ -151,13 +152,13 @@ func TestFlowIntraNodeKeepsExactPath(t *testing.T) {
 func TestFlowDeterminism(t *testing.T) {
 	run := func() []sim.Time {
 		k, n := flowNet(t, 4, 3.4e9)
-		var trs []*Transfer
+		var trs []sent
 		for i := 0; i < 12; i++ {
 			from, to := i%3, 1+i%3
 			if from == to {
 				to = (to + 1) % 4
 			}
-			trs = append(trs, n.Send(from, to, int64(1<<20+i*4096)))
+			trs = append(trs, send(n, from, to, int64(1<<20+i*4096)))
 		}
 		k.Run()
 		var out []sim.Time

@@ -18,10 +18,31 @@ func testConfig() Config {
 	}
 }
 
+// sent is what a test keeps of one transfer: futures it owns, completed
+// by forwards (Then) from the transfer's at the same instants. The
+// transfer itself is lent only for the sending event.
+type sent struct{ Injected, Delivered *sim.Future }
+
+// keep forwards tr's completions into test-owned futures; an intra-node
+// transfer's single completion stays single.
+func keep(n *Network, tr *Transfer) sent {
+	s := sent{Injected: n.KernelFor(tr.From).NewFuture()}
+	tr.Injected.Then(s.Injected)
+	s.Delivered = s.Injected
+	if tr.Delivered != tr.Injected {
+		s.Delivered = n.KernelFor(tr.To).NewFuture()
+		tr.Delivered.Then(s.Delivered)
+	}
+	return s
+}
+
+// send is n.Send with its completions kept.
+func send(n *Network, from, to int, size int64) sent { return keep(n, n.Send(from, to, size)) }
+
 func TestInterNodeTransferTime(t *testing.T) {
 	k := sim.NewKernel(1)
 	n := New(k, testConfig())
-	tr := n.Send(0, 1, 1000)
+	tr := send(n, 0, 1, 1000)
 	k.Run()
 	// Uncontended: latency(100) + size/bw(1000) = 1100.
 	if tr.Delivered.DoneAt() != 1100 {
@@ -36,7 +57,7 @@ func TestInterNodeTransferTime(t *testing.T) {
 func TestIntraNodeTransfer(t *testing.T) {
 	k := sim.NewKernel(1)
 	n := New(k, testConfig())
-	tr := n.Send(2, 2, 4000)
+	tr := send(n, 2, 2, 4000)
 	k.Run()
 	// 10 latency + 4000/4 = 1010.
 	if tr.Delivered.DoneAt() != 1010 {
@@ -47,12 +68,38 @@ func TestIntraNodeTransfer(t *testing.T) {
 	}
 }
 
+// TestTransfersReturnToPool checks the network's ownership of its
+// transfers: each returns to a pool at its delivery, so no transfer is
+// live once the kernel drains, and a burst of sends after the first
+// allocates no transfers.
+func TestTransfersReturnToPool(t *testing.T) {
+	k := sim.NewKernel(1)
+	n := New(k, testConfig())
+	burst := func() {
+		for i := 0; i < 8; i++ {
+			n.Send(i%4, (i+1)%4, 512)
+			n.Send(i%4, i%4, 512)
+		}
+		if n.LiveTransfers() != 16 {
+			t.Fatalf("%d live transfers in flight, want 16", n.LiveTransfers())
+		}
+		k.Run()
+	}
+	burst()
+	if live := n.LiveTransfers(); live != 0 {
+		t.Fatalf("%d transfers live after the run, want 0", live)
+	}
+	if allocs := testing.AllocsPerRun(10, burst); allocs != 0 {
+		t.Fatalf("a burst from the warm pool allocates %.1f times, want 0", allocs)
+	}
+}
+
 func TestTxContention(t *testing.T) {
 	k := sim.NewKernel(1)
 	n := New(k, testConfig())
 	// Two messages from node 0 serialise on its tx port.
-	t1 := n.Send(0, 1, 1000)
-	t2 := n.Send(0, 2, 1000)
+	t1 := send(n, 0, 1, 1000)
+	t2 := send(n, 0, 2, 1000)
 	k.Run()
 	if t1.Delivered.DoneAt() != 1100 {
 		t.Fatalf("first delivered at %v, want 1100", t1.Delivered.DoneAt())
@@ -67,10 +114,10 @@ func TestRxContentionAtAggregator(t *testing.T) {
 	k := sim.NewKernel(1)
 	n := New(k, testConfig())
 	// Nodes 1,2,3 all send to node 0: rx port of 0 serialises.
-	trs := []*Transfer{
-		n.Send(1, 0, 1000),
-		n.Send(2, 0, 1000),
-		n.Send(3, 0, 1000),
+	trs := []sent{
+		send(n, 1, 0, 1000),
+		send(n, 2, 0, 1000),
+		send(n, 3, 0, 1000),
 	}
 	k.Run()
 	// rx occupied [100,1100],[1100,2100],[2100,3100].
@@ -97,7 +144,7 @@ func TestLinkNoiseApplied(t *testing.T) {
 	cfg.LinkNoise = func(rng func() float64) float64 { return 3.0 }
 	k := sim.NewKernel(1)
 	n := New(k, cfg)
-	tr := n.Send(0, 1, 1000)
+	tr := send(n, 0, 1, 1000)
 	k.Run()
 	// Both legs tripled: tx takes 3000, rx leg finishes at 100+3000.
 	if tr.Delivered.DoneAt() != 3100 {
@@ -146,7 +193,7 @@ func TestDeterministicNoise(t *testing.T) {
 		cfg.LinkNoise = func(rng func() float64) float64 { return 1 + rng() }
 		k := sim.NewKernel(99)
 		n := New(k, cfg)
-		tr := n.Send(0, 1, 10000)
+		tr := send(n, 0, 1, 10000)
 		k.Run()
 		return tr.Delivered.DoneAt()
 	}

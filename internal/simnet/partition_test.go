@@ -46,8 +46,9 @@ type sendResult struct {
 }
 
 // runPattern issues equivPattern on net, each send scheduled on its
-// source node's kernel. Handles go back to the pool right after their
-// futures are captured, so the per-LP free lists turn over.
+// source node's kernel. The transfers' completions are forwarded into
+// futures the test keeps; the transfers themselves return to the per-LP
+// pools at delivery, so the pools turn over.
 func runPattern(net *Network, run func()) sendResult {
 	ops := equivPattern()
 	inj := make([]*sim.Future, len(ops))
@@ -55,12 +56,14 @@ func runPattern(net *Network, run func()) sendResult {
 	for i, op := range ops {
 		i, op := i, op
 		net.KernelFor(op.from).At(op.at, func() {
-			tr := net.Send(op.from, op.to, op.size)
-			inj[i], del[i] = tr.Injected, tr.Delivered
-			net.Release(tr)
+			kept := keep(net, net.Send(op.from, op.to, op.size))
+			inj[i], del[i] = kept.Injected, kept.Delivered
 		})
 	}
 	run()
+	if live := net.LiveTransfers(); live != 0 {
+		panic(fmt.Sprintf("%d transfers live after the run", live))
+	}
 	var res sendResult
 	for i := range ops {
 		res.injected = append(res.injected, inj[i].DoneAt())
