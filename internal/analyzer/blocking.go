@@ -17,10 +17,11 @@ import (
 // (a function run on a Proc via Spawn/Launch) may block.
 //
 // Detection: function literals (and bound method values) passed to
-// OnDone/After/At are event context; the analyzer walks them, following
-// same-package static calls transitively, and reports any path to a
-// blocking call. Literals passed to Spawn/SpawnAt/Launch start a fresh
-// process and are exempt.
+// OnDone/After/At are event context, and so is the method a
+// sim.NewEvent binds (an Event only ever fires in kernel context); the
+// analyzer walks them, following same-package static calls
+// transitively, and reports any path to a blocking call. Literals
+// passed to Spawn/SpawnAt/Launch start a fresh process and are exempt.
 var BlockingOutsideRank = &Analyzer{
 	Name: "blockingoutsiderank",
 	Doc:  "flag blocking MPI/process calls inside kernel event callbacks (OnDone/After/At)",
@@ -28,11 +29,13 @@ var BlockingOutsideRank = &Analyzer{
 }
 
 // eventRegistrars schedule their function argument in kernel context:
-// method name -> index of the callback argument.
+// name -> index of the callback argument. All are methods except
+// NewEvent, the package function that binds a pooled object's Event.
 var eventRegistrars = map[string]int{
-	"OnDone": 0, // sim.Future
-	"After":  1, // sim.Kernel
-	"At":     1, // sim.Kernel
+	"OnDone":   0, // sim.Future
+	"After":    1, // sim.Kernel
+	"At":       1, // sim.Kernel
+	"NewEvent": 1, // sim.NewEvent(obj, (*T).method)
 }
 
 // processSpawners run their function argument on a fresh simulated
@@ -159,7 +162,7 @@ func eventRegistrarCall(fn *types.Func) (int, bool) {
 		return 0, false
 	}
 	sig, sok := fn.Type().(*types.Signature)
-	if !sok || sig.Recv() == nil {
+	if !sok || (sig.Recv() == nil) != (fn.Name() == "NewEvent") {
 		return 0, false
 	}
 	return idx, true

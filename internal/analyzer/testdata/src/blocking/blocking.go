@@ -1,6 +1,7 @@
 // Fixtures for the blockingoutsiderank analyzer: blocking MPI/process
-// calls are forbidden inside kernel event callbacks (OnDone/After/At),
-// which run inline in the kernel goroutine with no process to park.
+// calls are forbidden inside kernel event callbacks (OnDone/After/At,
+// and the methods sim.NewEvent binds), which run inline in the kernel
+// goroutine with no process to park.
 package blocking
 
 import (
@@ -53,7 +54,27 @@ func badBoundMethod(f *sim.Future, p *sim.Proc) {
 	f.OnDone(p.Yield) // want `blocking call sim.Yield registered as a kernel event callback`
 }
 
+// stepper is a pooled object whose steps are sim.Events.
+type stepper struct {
+	r    *mpi.Rank
+	step sim.Event[stepper]
+	done sim.Event[stepper]
+}
+
+func (s *stepper) syncStep() { s.r.Barrier() }
+
+func (s *stepper) finish() {}
+
+func badEventMethod(s *stepper) {
+	s.step = sim.NewEvent(s, (*stepper).syncStep) // want `syncStep, reached from a kernel event callback, calls blocking mpi.Barrier`
+}
+
 // --- near misses: non-blocking callbacks and fresh-process bodies stay silent ---
+
+func goodEventMethod(s *stepper, f *sim.Future) {
+	s.done = sim.NewEvent(s, (*stepper).finish)
+	f.Then(&s.done)
+}
 
 func goodComplete(f, g *sim.Future) {
 	f.OnDone(g.Complete) // Complete never parks a process

@@ -15,8 +15,21 @@ type Future struct{ done bool }
 func (f *Future) Done() bool       { return f.done }
 func (f *Future) Complete()        { f.done = true }
 func (f *Future) OnDone(fn func()) { _ = fn }
-func (f *Future) Then(g *Future)   { _ = g }
+func (f *Future) Then(a Action)    { _ = a }
 func (f *Future) Join(g *Future)   { _ = g }
+
+// Action mirrors what an event does when it fires: a *Future, a Func
+// or an Event.
+type Action interface{}
+
+// Event mirrors an Action bound to a method of a pooled object.
+type Event[T any] struct {
+	obj *T
+	fn  func(*T)
+}
+
+// NewEvent mirrors binding fn (a method expression) to obj.
+func NewEvent[T any](obj *T, fn func(*T)) Event[T] { return Event[T]{obj: obj, fn: fn} }
 
 // Proc mirrors a simulated process.
 type Proc struct{}
@@ -36,6 +49,7 @@ func (k *Kernel) ScheduleRemote(dst int, t Time, fn func()) { _ = fn }
 func (k *Kernel) After(d Time, fn func())                   { _ = fn }
 func (k *Kernel) At(t Time, fn func())                      { _ = fn }
 func (k *Kernel) CompleteAfter(d Time, f *Future)           { _ = f }
+func (k *Kernel) AfterAction(d Time, a Action)              { _ = a }
 func (k *Kernel) NewFuture() *Future                        { return &Future{} }
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc { return &Proc{} }
 func (k *Kernel) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {

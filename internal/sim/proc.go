@@ -33,7 +33,7 @@ func (k *Kernel) SpawnAt(d Time, name string, fn func(p *Proc)) *Proc {
 		fn(p)
 		k.nprocs--
 	})
-	k.afterAct(d, p)
+	k.AfterAction(d, p)
 	return p
 }
 
@@ -57,7 +57,7 @@ func (p *Proc) block() { p.yield(struct{}{}) }
 // or memory-copy cost). A non-positive d still yields so that other
 // same-time events interleave fairly.
 func (p *Proc) Sleep(d Time) {
-	p.k.afterAct(d, p)
+	p.k.AfterAction(d, p)
 	p.block()
 }
 
