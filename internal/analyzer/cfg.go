@@ -4,7 +4,7 @@ package analyzer
 // the solver). The first six collvet analyzers are per-node syntactic
 // matchers; the lifetime and determinism rules added on top of the
 // pooled-object runtime (poolpath, simtime, lookahead) need to answer
-// path questions — "is Release called on *every* path from this Send
+// path questions — "is Wait called on *every* path from this Isend
 // to a return?" — so this file lowers one function body into basic
 // blocks of *atomic* nodes connected by control edges.
 //
@@ -25,7 +25,7 @@ package analyzer
 //     *ast.DeferStmt node is emitted so argument evaluation is
 //     visible at the defer site; transfer functions that care about
 //     the call itself apply Defers at the Exit block (a deferred
-//     Release releases on every exit path).
+//     Wait releases on every exit path).
 //   - panic(...): terminates its block with no successor. Must-style
 //     exit checks therefore do not constrain panic paths, matching
 //     the runtime (a panicking simulation never recycles handles).
