@@ -14,12 +14,8 @@
 //
 // The shipped analyzers and the invariant each enforces:
 //
-//	requestleak          every *mpi.Request from Isend/Irecv reaches a
-//	                     Wait-family sink (MPI progress is pull-based;
-//	                     an unwaited request is lost protocol state)
-//	wallclock            no wall-clock time, global math/rand, or
-//	                     map-iteration-order-dependent writes inside the
-//	                     deterministic simulator packages
+//	wallclock            no wall-clock time or global math/rand inside
+//	                     the deterministic simulator packages
 //	fencepair            RMA epochs are locally balanced: WinLock pairs
 //	                     with WinUnlock, WinStart with WinComplete, and
 //	                     no Put escapes its epoch
@@ -32,14 +28,19 @@
 //	                     a goroutine boundary outside the kernel (the
 //	                     parallel sweep runner's one-kernel-per-worker
 //	                     rule)
-//	maporder             no trace/probe emission, event scheduling or
-//	                     plan-arena append inside a range over a map in
-//	                     the deterministic zone (iteration order is
+//	maporder             no trace/probe emission, event scheduling,
+//	                     plan-arena append or order-dependent write
+//	                     (unsorted append, last-writer-wins store,
+//	                     string concatenation) inside a range over a map
+//	                     in the deterministic zone (iteration order is
 //	                     randomized per process)
-//	poolpath             pooled simnet.Transfer / mpi.Request handles
-//	                     are released on every path, exactly once, and
-//	                     never used after release (path-sensitive over
-//	                     the CFG)
+//	poolpath             pooled mpi.Request and mpi.msg handles are
+//	                     released on every path, exactly once, and never
+//	                     used after release; a dropped Isend/Irecv result
+//	                     is a leak (MPI progress is pull-based: an
+//	                     unwaited request is lost protocol state); a lent
+//	                     simnet.Transfer is not kept past its sending
+//	                     event (path-sensitive over the CFG)
 //	simtime              no sim.Time <-> time.Duration casts and no raw
 //	                     byte count cast to sim.Time without a cost
 //	                     scale inside the deterministic zone
@@ -104,13 +105,12 @@ type Analyzer struct {
 	Run  func(*Pass) error
 }
 
-// All returns the full collvet suite in stable order. The first six
+// All returns the full collvet suite in stable order. The first five
 // are per-node syntactic matchers; the next four are flow-sensitive
 // analyzers over the CFG/dataflow core (cfg.go, dataflow.go); memosafe
 // is a type-shape check over marked declarations.
 func All() []*Analyzer {
 	return []*Analyzer{
-		RequestLeak,
 		WallClock,
 		FencePair,
 		BlockingOutsideRank,
@@ -272,6 +272,16 @@ func methodIn(fn *types.Func, pkgName string, set map[string]bool) bool {
 	return ok && sig.Recv() != nil
 }
 
+// isBuiltinCall reports whether call invokes the builtin named name.
+func isBuiltinCall(info *types.Info, call *ast.CallExpr, name string) bool {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return false
+	}
+	b, ok := info.Uses[id].(*types.Builtin)
+	return ok && b.Name() == name
+}
+
 // rootIdent returns the leftmost identifier of an lvalue-ish expression
 // chain (x, x[i], x.f, x[i:j], *x, (x)), or nil.
 func rootIdent(e ast.Expr) *ast.Ident {
@@ -321,4 +331,22 @@ func funcDecls(files []*ast.File) []funcBody {
 		}
 	}
 	return out
+}
+
+// buildParents records each node's syntactic parent within root.
+func buildParents(root ast.Node) map[ast.Node]ast.Node {
+	parents := map[ast.Node]ast.Node{}
+	var stack []ast.Node
+	ast.Inspect(root, func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		if len(stack) > 0 {
+			parents[n] = stack[len(stack)-1]
+		}
+		stack = append(stack, n)
+		return true
+	})
+	return parents
 }

@@ -31,8 +31,12 @@ import (
 
 // cacheSchema versions both the on-disk entry format and, implicitly,
 // the analyzer implementations: bump it when a suite change must
-// invalidate previously cached results wholesale.
-const cacheSchema = "collvet-cache-v2"
+// invalidate previously cached results wholesale. The key hashes only
+// analyzer names, so a rule that changes under an unchanged name needs
+// a bump: v3 is the change that moved map-order writes into maporder
+// and request leaks into poolpath, which would otherwise replay the
+// old rules' results for a warm `-only maporder` or `-only poolpath`.
+const cacheSchema = "collvet-cache-v3"
 
 // Cache is a directory of per-package analysis results.
 type Cache struct {

@@ -1,12 +1,12 @@
 package analyzer
 
 // Control-flow graphs for the dataflow analyzers (see dataflow.go for
-// the solver). The first six collvet analyzers are per-node syntactic
-// matchers; the lifetime and determinism rules added on top of the
-// pooled-object runtime (poolpath, simtime, lookahead) need to answer
-// path questions — "is Wait called on *every* path from this Isend
-// to a return?" — so this file lowers one function body into basic
-// blocks of *atomic* nodes connected by control edges.
+// the solver). The first five collvet analyzers are per-node syntactic
+// matchers; the flow-sensitive rules (maporder, poolpath, simtime,
+// lookahead) need to answer path questions — "is Wait called on
+// *every* path from this Isend to a return?" — so this file lowers one
+// function body into basic blocks of *atomic* nodes connected by
+// control edges.
 //
 // Atomic nodes are simple statements (assignments, expression and
 // send statements, declarations, inc/dec, returns) and the *condition

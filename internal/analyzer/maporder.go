@@ -2,29 +2,37 @@ package analyzer
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
 // MapOrder flags range loops over maps, inside the deterministic zone,
-// whose body feeds the simulator's ordered streams: scheduling an
-// event, emitting a probe/trace record, or initiating an MPI/network
-// operation from inside `range m` bakes Go's randomized map iteration
-// order into the event queue — and therefore into the gseq sequence
-// and the pinned trace digests the reproduction depends on.
+// whose body depends on Go's randomized map iteration order. Two kinds
+// of hazard are reported:
 //
-// It complements wallclock's map-range rule, which owns order-dependent
-// WRITES (appends, last-writer-wins stores): maporder owns order-
-// dependent CALLS, and looks one call level deep — a loop body invoking
-// a same-package helper that schedules, emits, or appends to non-local
-// state (a plan arena, a CSR buffer) is flagged even though the hazard
-// is not textually inside the loop.
+//   - order-dependent CALLS: scheduling an event, emitting a
+//     probe/trace record, or initiating an MPI/network operation from
+//     inside `range m` bakes the iteration order into the event queue,
+//     and therefore into the gseq sequence and the pinned trace
+//     digests the reproduction depends on. The check looks one call
+//     level deep: a loop body invoking a same-package helper that
+//     schedules, emits, or appends to non-local state (a plan arena, a
+//     CSR buffer) is flagged even though the hazard is not textually
+//     inside the loop.
+//   - order-dependent WRITES to variables declared outside the loop,
+//     with values computed inside it: an append (unless the slice is
+//     sorted after the loop, the collect-then-sort idiom), a
+//     last-writer-wins store, and string concatenation. Writes that
+//     commute are exempt: map inserts, writes indexed by a loop
+//     variable (distinct cells), and numeric accumulation.
 //
 // The loop extent is computed on the CFG (cfg.go): all blocks of the
 // natural loop of the range head, so hazards in nested ifs, switches
-// and inner loops are found without re-walking the syntax tree.
+// and inner loops are found without re-walking the syntax tree; "sorted
+// after the loop" means a sort/slices call on a path from the append.
 var MapOrder = &Analyzer{
 	Name: "maporder",
-	Doc:  "forbid scheduling, emission and arena appends driven by map iteration order in deterministic packages",
+	Doc:  "forbid scheduling, emission, arena appends and order-dependent writes driven by map iteration order in deterministic packages",
 	Run:  runMapOrder,
 }
 
@@ -102,12 +110,18 @@ func checkMapOrderBody(pass *Pass, body *ast.BlockStmt, decls map[*types.Func]*a
 		if _, isMap := t.Underlying().(*types.Map); !isMap {
 			continue
 		}
-		for _, b := range cfg.LoopMembers(loop) {
-			for _, n := range b.Nodes {
+		members := cfg.LoopMembers(loop)
+		inner := loopDefs(pass, members)
+		for _, b := range members {
+			for i, n := range b.Nodes {
 				if n == loop.Rng.X || n == loop.Rng.Key || n == loop.Rng.Value {
 					continue // the range header itself
 				}
 				ast.Inspect(n, func(x ast.Node) bool {
+					if asg, ok := x.(*ast.AssignStmt); ok {
+						checkMapOrderWrite(pass, asg, inner, b, i, report)
+						return true
+					}
 					call, ok := x.(*ast.CallExpr)
 					if !ok {
 						return true
@@ -148,6 +162,137 @@ func checkMapOrderBody(pass *Pass, body *ast.BlockStmt, decls map[*types.Func]*a
 	})
 }
 
+// loopDefs returns the objects declared inside a loop (its range
+// key/value included): values computed from them differ per iteration.
+func loopDefs(pass *Pass, members []*Block) map[types.Object]bool {
+	inner := map[types.Object]bool{}
+	for _, b := range members {
+		for _, n := range b.Nodes {
+			ast.Inspect(n, func(x ast.Node) bool {
+				if id, ok := x.(*ast.Ident); ok {
+					if obj := pass.Info.Defs[id]; obj != nil {
+						inner[obj] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	return inner
+}
+
+// checkMapOrderWrite reports asg, inside a range over a map, when it
+// writes a loop-dependent value to a variable declared outside the
+// loop in a way whose result depends on iteration order. asg is in
+// node i of block b, where the search for a later sort starts.
+func checkMapOrderWrite(pass *Pass, asg *ast.AssignStmt, inner map[types.Object]bool, b *Block, i int, report func(ast.Node, string, ...interface{})) {
+	if asg.Tok == token.DEFINE {
+		return
+	}
+	uses := func(e ast.Expr) bool {
+		used := false
+		if e != nil {
+			ast.Inspect(e, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && inner[pass.Info.Uses[id]] {
+					used = true
+				}
+				return !used
+			})
+		}
+		return used
+	}
+	for i, lhs := range asg.Lhs {
+		id := rootIdent(lhs)
+		if id == nil {
+			continue
+		}
+		root := identObj(pass.Info, id)
+		if root == nil || inner[root] {
+			continue
+		}
+		var rhs ast.Expr
+		if i < len(asg.Rhs) {
+			rhs = asg.Rhs[i]
+		} else if len(asg.Rhs) == 1 {
+			rhs = asg.Rhs[0]
+		}
+		if asg.Tok != token.ASSIGN {
+			// Op-assign: numeric accumulation commutes; string
+			// concatenation does not.
+			if asg.Tok == token.ADD_ASSIGN && uses(rhs) {
+				if bt, ok := pass.Info.TypeOf(lhs).Underlying().(*types.Basic); ok && bt.Info()&types.IsString != 0 {
+					report(asg, "string concatenation onto %q inside range over map depends on iteration order", root.Name())
+				}
+			}
+			continue
+		}
+		if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok && isBuiltinCall(pass.Info, call, "append") && uses(call) {
+			if !sortedLater(pass, b, i, root) {
+				report(asg, "append to %q inside range over map: element order depends on map iteration order", root.Name())
+			}
+			continue
+		}
+		if idx, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok {
+			if bt := pass.Info.TypeOf(idx.X); bt != nil {
+				if _, isMap := bt.Underlying().(*types.Map); isMap {
+					continue // map inserts commute
+				}
+			}
+			if uses(idx.Index) {
+				continue // out[k] = v writes distinct cells
+			}
+		}
+		if uses(rhs) {
+			report(asg, "write to %q inside range over map depends on iteration order (last writer wins nondeterministically)", root.Name())
+		}
+	}
+}
+
+// sortedLater reports whether obj is passed to a sort/slices function
+// on a path from node i of block b: the collect-then-sort idiom
+// re-establishes a deterministic order.
+func sortedLater(pass *Pass, b *Block, i int, obj types.Object) bool {
+	seen := map[*Block]bool{}
+	for stack := []*Block{b}; len(stack) > 0; i = 0 {
+		b := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, n := range b.Nodes[i:] {
+			if sortsObj(pass, n, obj) {
+				return true
+			}
+		}
+		for _, s := range b.Succs {
+			if !seen[s] {
+				seen[s] = true
+				stack = append(stack, s)
+			}
+		}
+	}
+	return false
+}
+
+// sortsObj reports whether n contains a sort/slices call taking obj.
+func sortsObj(pass *Pass, n ast.Node, obj types.Object) bool {
+	found := false
+	ast.Inspect(n, func(x ast.Node) bool {
+		call, ok := x.(*ast.CallExpr)
+		if !ok || found {
+			return !found
+		}
+		fn := calleeFunc(pass.Info, call)
+		if fn == nil || fn.Pkg() == nil || (fn.Pkg().Path() != "sort" && fn.Pkg().Path() != "slices") {
+			return true
+		}
+		for _, a := range call.Args {
+			if id := rootIdent(a); id != nil && identObj(pass.Info, id) == obj {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
+}
+
 // calleeOrderHazard reports whether the body of fd (a same-package
 // helper invoked from inside a map-range loop) contains an ordered-
 // stream hazard: a direct hazard call, or an append whose destination
@@ -168,17 +313,7 @@ func calleeOrderHazard(pass *Pass, fd *ast.FuncDecl) (string, bool) {
 		case *ast.AssignStmt:
 			for i, rhs := range x.Rhs {
 				call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-				if !ok {
-					continue
-				}
-				fid, ok := ast.Unparen(call.Fun).(*ast.Ident)
-				if !ok {
-					continue
-				}
-				if b, ok := pass.Info.Uses[fid].(*types.Builtin); !ok || b.Name() != "append" {
-					continue
-				}
-				if i >= len(x.Lhs) {
+				if !ok || !isBuiltinCall(pass.Info, call, "append") || i >= len(x.Lhs) {
 					continue
 				}
 				if lhsOutlivesFunc(pass, fd, x.Lhs[i]) {

@@ -31,7 +31,12 @@ import (
 //     handle is already back on the free list;
 //   - leak: an acquire with a path to return on which the handle is
 //     never released — including reassigning the variable to a fresh
-//     handle while the previous one may still be live;
+//     handle while the previous one may still be live, and an acquire
+//     whose result is dropped (an Isend as a statement, or assigned to
+//     _). Comparing a handle (q != nil) observes it and keeps it
+//     tracked. A local slice that collects fresh handles
+//     (reqs = append(reqs, r.Isend(..))) is live until it escapes,
+//     typically into Wait(reqs...);
 //   - a lent transfer, or a future read from it, captured by a closure
 //     (a callback runs in a later event) or stored into a field, an
 //     element, an append or a channel (it outlives the event). A caller
@@ -60,7 +65,7 @@ import (
 // are skipped (CFG.Unstructured).
 var PoolPath = &Analyzer{
 	Name: "poolpath",
-	Doc:  "flag pooled Request/msg handles released on only some paths, double-released or used past release, and lent Transfers kept past their event",
+	Doc:  "flag pooled Request/msg handles dropped, released on only some paths, double-released or used past release, and lent Transfers kept past their event",
 	Run:  runPoolPath,
 }
 
@@ -110,12 +115,14 @@ func poolRelease(info *types.Info, call *ast.CallExpr) (string, bool) {
 // poolFact is the per-object lattice element. relOp remembers which
 // recycler put the handle on the free list, for the diagnostic text; of
 // is the handle a derived future was taken from; lent marks a lent
-// transfer and the futures read from it.
+// transfer and the futures read from it; slice marks a local slice
+// collecting fresh handles.
 type poolFact struct {
 	mask  uint8
 	relOp string
 	of    types.Object
 	lent  bool
+	slice bool
 }
 
 type poolState map[types.Object]poolFact
@@ -134,7 +141,7 @@ func joinPool(dst, src poolState) (poolState, bool) {
 	merged := dst
 	for obj, sf := range src {
 		df, ok := merged[obj]
-		nf := poolFact{mask: df.mask | sf.mask, relOp: df.relOp, of: df.of, lent: df.lent || sf.lent}
+		nf := poolFact{mask: df.mask | sf.mask, relOp: df.relOp, of: df.of, lent: df.lent || sf.lent, slice: df.slice || sf.slice}
 		if nf.relOp == "" {
 			nf.relOp = sf.relOp
 		}
@@ -214,13 +221,16 @@ func checkPoolPathBody(pass *Pass, body *ast.BlockStmt) {
 		}
 		sort.Slice(leaks, func(i, j int) bool { return leaks[i].pos < leaks[j].pos })
 		for _, l := range leaks {
-			suffix := ""
+			what, suffix := "pooled handle", ""
+			if exit[l.obj].slice {
+				what = "pooled handles appended to"
+			}
 			if exit[l.obj].mask&poolRel != 0 {
 				suffix = " (released on some paths but not all)"
 			}
 			pass.Reportf(l.pos,
-				"pooled handle %q acquired here may reach return without %s%s: it leaks from the free list",
-				l.obj.Name(), l.op, suffix)
+				"%s %q acquired here may reach return without %s%s: it leaks from the free list",
+				what, l.obj.Name(), l.op, suffix)
 		}
 	}
 
@@ -429,11 +439,24 @@ func (pp *poolPather) node(n ast.Node, st poolState) {
 		case *ast.FuncLit, *ast.DeferStmt:
 			return false
 		}
+		if es, ok := x.(*ast.ExprStmt); ok {
+			pp.reportDropped(es.X)
+			return true
+		}
 		asg, ok := x.(*ast.AssignStmt)
 		if !ok || len(asg.Lhs) != len(asg.Rhs) {
 			return true
 		}
 		for i, rhs := range asg.Rhs {
+			if id, ok := ast.Unparen(asg.Lhs[i]).(*ast.Ident); ok && id.Name == "_" {
+				pp.reportDropped(rhs)
+				continue
+			}
+			if obj, op := pp.appendsHandle(asg.Lhs[i], rhs, handled); obj != nil {
+				st[obj] = poolFact{mask: poolLive, slice: true}
+				pp.recordAcquire(obj, asg.Pos(), op)
+				continue
+			}
 			if f, ok := pp.lentOf(rhs, st); ok {
 				if id, ok := ast.Unparen(asg.Lhs[i]).(*ast.Ident); ok && id.Name != "_" {
 					if obj := identObj(pp.pass.Info, id); obj != nil {
@@ -477,18 +500,13 @@ func (pp *poolPather) node(n ast.Node, st poolState) {
 				st[obj] = poolFact{mask: poolLive, lent: true}
 				continue
 			}
-			if f, tracked := st[obj]; tracked && f.mask&poolLive != 0 && !f.lent {
+			if f, tracked := st[obj]; tracked && f.mask&poolLive != 0 && !f.lent && !f.slice {
 				pp.report(asg.Pos(),
 					"pooled handle %q reassigned before %s: the previous handle leaks from the free list",
 					obj.Name(), f.relOp2(op))
 			}
 			st[obj] = poolFact{mask: poolLive}
-			if pp.reporting {
-				if pp.acquires == nil {
-					pp.acquires = map[types.Object][]acquireSite{}
-				}
-				pp.acquires[obj] = append(pp.acquires[obj], acquireSite{asg.Pos(), op})
-			}
+			pp.recordAcquire(obj, asg.Pos(), op)
 		}
 		// A plain rebind (non-handle RHS) closes the epoch for the lhs.
 		for _, lhs := range asg.Lhs {
@@ -531,6 +549,9 @@ func (pp *poolPather) node(n ast.Node, st poolState) {
 		if !tracked {
 			return true
 		}
+		if _, ok := parents[id].(*ast.BinaryExpr); ok {
+			return true // a comparison (q != nil) observes the pointer
+		}
 		if f.lent {
 			// Selectors, call arguments and returns stay inside the
 			// sending event; a store outlives it.
@@ -555,6 +576,62 @@ func (pp *poolPather) node(n ast.Node, st poolState) {
 		delete(st, obj) // escapes: return, call arg, alias, store, send
 		return true
 	})
+}
+
+// recordAcquire notes, in the reporting pass, that obj acquires at pos.
+func (pp *poolPather) recordAcquire(obj types.Object, pos token.Pos, op string) {
+	if !pp.reporting {
+		return
+	}
+	if pp.acquires == nil {
+		pp.acquires = map[types.Object][]acquireSite{}
+	}
+	pp.acquires[obj] = append(pp.acquires[obj], acquireSite{pos, op})
+}
+
+// reportDropped reports e, an expression whose value is discarded, if
+// it acquires a pooled handle that must be released: nothing can ever
+// release it.
+func (pp *poolPather) reportDropped(e ast.Expr) {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok {
+		return
+	}
+	fn := calleeFunc(pp.pass.Info, call)
+	if op, lent, ok := poolHandleKind(pp.pass.Info.TypeOf(call)); ok && !lent && fn != nil {
+		pp.report(call.Pos(), "result of %s is dropped: the pooled handle can never reach %s", fn.Name(), op)
+	}
+}
+
+// appendsHandle reports whether `lhs = append(..., acquire(), ...)`
+// collects a freshly acquired handle into a local slice, returning the
+// slice variable and the handle's recycler. The slice then stays live
+// until it escapes, for instance into Wait(reqs...). Its own occurrence
+// in the first argument is marked handled: it is the same slice, not
+// an escape.
+func (pp *poolPather) appendsHandle(lhs, rhs ast.Expr, handled map[*ast.Ident]bool) (types.Object, string) {
+	id, ok := ast.Unparen(lhs).(*ast.Ident)
+	call, isCall := ast.Unparen(rhs).(*ast.CallExpr)
+	if !ok || !isCall || len(call.Args) < 2 || !isBuiltinCall(pp.pass.Info, call, "append") {
+		return nil, ""
+	}
+	obj := identObj(pp.pass.Info, id)
+	if obj == nil || obj.Parent() == pp.pass.Pkg.Scope() {
+		return nil, "" // a package-level slice outlives the function
+	}
+	for _, a := range call.Args[1:] {
+		if _, ok := ast.Unparen(a).(*ast.CallExpr); !ok {
+			continue
+		}
+		if op, lent, ok := poolHandleKind(pp.pass.Info.TypeOf(a)); ok && !lent {
+			handled[id] = true
+			if root := rootIdent(call.Args[0]); root != nil && identObj(pp.pass.Info, root) == obj {
+				handled[root] = true
+			}
+			return obj, op
+		}
+	}
+	return nil, ""
 }
 
 // lentOf returns the fact a local bound to rhs inherits from a lent
@@ -590,12 +667,7 @@ func isStore(info *types.Info, parents map[ast.Node]ast.Node, id *ast.Ident) boo
 			}
 		}
 	case *ast.CallExpr:
-		fun, ok := ast.Unparen(p.Fun).(*ast.Ident)
-		if !ok || len(p.Args) == 0 || p.Args[0] == ast.Expr(id) {
-			return false
-		}
-		b, isBuiltin := info.Uses[fun].(*types.Builtin)
-		return isBuiltin && b.Name() == "append"
+		return len(p.Args) > 0 && p.Args[0] != ast.Expr(id) && isBuiltinCall(info, p, "append")
 	case *ast.CompositeLit, *ast.KeyValueExpr:
 		return true
 	case *ast.SendStmt:

@@ -1,8 +1,8 @@
 // Fixtures for the maporder analyzer: map-iteration-order hazards in a
 // deterministic-zone package (the import path contains internal/fcoll).
-// wallclock owns order-dependent WRITES inside range-over-map; maporder
-// owns order-dependent CALLS — scheduling, probe/trace emission, MPI
-// initiation — directly or one call level deep.
+// This file holds the order-dependent CALLS — scheduling, probe/trace
+// emission, MPI initiation — directly or one call level deep; the
+// order-dependent WRITES are in the sim, probe and metrics fixtures.
 package fcoll
 
 import (

@@ -33,7 +33,7 @@ func missingName(r *mpi.Rank) {
 // Well-formed but naming a different analyzer: not a finding itself,
 // and the poolpath leak below is NOT covered.
 func mismatched(r *mpi.Rank) {
-	//collvet:ignore requestleak -- fixture: names the wrong analyzer on purpose
+	//collvet:ignore payloadalias -- fixture: names the wrong analyzer on purpose
 	q := r.Isend(1, 0, mpi.Symbolic(64))
 	_ = q.Done()
 }

@@ -1,14 +1,10 @@
 // Fixtures for the metrics zone entry: the telemetry samplers live on
 // a deterministic-zone import path (…/internal/metrics), so wall-clock
-// reads and map-order-dependent writes are forbidden in this file —
-// samples must be folded at virtual-time instants the kernel already
-// produces.
+// reads are forbidden in this file — samples must be folded at
+// virtual-time instants the kernel already produces.
 package metrics
 
-import (
-	"sort"
-	"time"
-)
+import "time"
 
 func badCadence() time.Time {
 	return time.Now() // want `wall-clock call time.Now`
@@ -16,29 +12,4 @@ func badCadence() time.Time {
 
 func badTicker() *time.Ticker {
 	return time.NewTicker(time.Second) // want `wall-clock call time.NewTicker`
-}
-
-func badNameCollect(series map[string]int64) []string {
-	var names []string
-	for n := range series {
-		names = append(names, n) // want `append to "names" inside range over map`
-	}
-	return names
-}
-
-// --- near misses: deterministic by construction, must stay silent ---
-
-func goodSortedNames(series map[string]int64) []string {
-	names := make([]string, 0, len(series))
-	for n := range series {
-		names = append(names, n) // order re-established by the sort below
-	}
-	sort.Strings(names)
-	return names
-}
-
-func goodMergeShards(dst, shard map[string]int64) {
-	for n, v := range shard {
-		dst[n] += v // keyed map writes commute across shards
-	}
 }

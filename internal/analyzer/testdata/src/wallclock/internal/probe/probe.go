@@ -1,13 +1,10 @@
 // Fixtures for the wallclock analyzer's probe zone: the probe core
 // (…/internal/probe) records events inside the simulators and is part
-// of the deterministic zone, so host time and global randomness are
-// forbidden here just like in the sim packages.
+// of the deterministic zone, so host time is forbidden here just like
+// in the sim packages.
 package probe
 
-import (
-	"sort"
-	"time"
-)
+import "time"
 
 type event struct {
 	at   time.Duration
@@ -18,24 +15,7 @@ func badStamp() time.Time {
 	return time.Now() // want `wall-clock call time.Now`
 }
 
-func badCounterDump(counters map[string]int64) []string {
-	var lines []string
-	for name := range counters {
-		lines = append(lines, name) // want `append to "lines" inside range over map`
-	}
-	return lines
-}
-
 // --- deterministic idioms that must stay silent ---
-
-func goodSnapshot(counters map[string]int64) []string {
-	names := make([]string, 0, len(counters))
-	for name := range counters {
-		names = append(names, name) // sorted below
-	}
-	sort.Strings(names)
-	return names
-}
 
 func goodVirtualTime(evs []event) time.Duration {
 	var last time.Duration

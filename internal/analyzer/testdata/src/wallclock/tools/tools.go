@@ -19,11 +19,3 @@ func Stamp() time.Time {
 func Jitter() int {
 	return rand.Intn(100)
 }
-
-func Keys(m map[string]int) []string {
-	var out []string
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
-}

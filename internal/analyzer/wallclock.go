@@ -10,7 +10,7 @@ import (
 // WallClock enforces the determinism contract of the simulator core:
 // inside the deterministic zone (the DES kernel and everything whose
 // behaviour feeds the virtual clock) all time comes from the sim kernel
-// and all randomness from an explicitly seeded source. Three hazard
+// and all randomness from an explicitly seeded source. Two hazard
 // classes are flagged:
 //
 //  1. wall-clock calls (time.Now, time.Since, ...) — host time leaking
@@ -18,17 +18,15 @@ import (
 //  2. top-level math/rand functions (rand.Intn, rand.Float64, ...) —
 //     they draw from the global, unseeded, process-wide source
 //     (constructors like rand.New/rand.NewSource are the sanctioned
-//     path and are exempt);
-//  3. map-iteration-order-dependent writes — appending to an outer
-//     slice, building strings, or writing through outer variables from
-//     inside a `range m` loop over a map bakes Go's randomized
-//     iteration order into simulation results.
+//     path and are exempt).
 //
-// Packages outside DeterministicZones may use all of the above freely
-// (CLI tools print wall-clock progress, tests time themselves).
+// Map-iteration order, the third source of irreproducibility, is
+// maporder's. Packages outside DeterministicZones may use all of the
+// above freely (CLI tools print wall-clock progress, tests time
+// themselves).
 var WallClock = &Analyzer{
 	Name: "wallclock",
-	Doc:  "forbid wall-clock time, global math/rand and map-order-dependent writes in simulator packages",
+	Doc:  "forbid wall-clock time and global math/rand in simulator packages",
 	Run:  runWallClock,
 }
 
@@ -144,13 +142,9 @@ func runWallClock(pass *Pass) error {
 		if wallClockFileExempt(pass, file) {
 			continue
 		}
-		parents := buildParents(file)
 		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CallExpr:
-				checkWallClockCall(pass, n)
-			case *ast.RangeStmt:
-				checkMapRange(pass, n, parents)
+			if call, ok := n.(*ast.CallExpr); ok {
+				checkWallClockCall(pass, call)
 			}
 			return true
 		})
@@ -181,185 +175,4 @@ func checkWallClockCall(pass *Pass, call *ast.CallExpr) {
 				fn.Name(), pass.Pkg.Path())
 		}
 	}
-}
-
-// checkMapRange flags order-dependent writes inside `for ... range m`
-// when m is a map. Writes that are order-independent by construction are
-// exempted: inserts keyed by the range variable (m2[k] = v), writes
-// whose destination index is the range key, commutative numeric
-// accumulation (sum += v), and appends whose result is subsequently
-// sorted in the same function (the sanctioned collect-then-sort idiom).
-func checkMapRange(pass *Pass, rng *ast.RangeStmt, parents map[ast.Node]ast.Node) {
-	t := pass.Info.TypeOf(rng.X)
-	if t == nil {
-		return
-	}
-	if _, ok := t.Underlying().(*types.Map); !ok {
-		return
-	}
-	// Objects introduced by the range statement and its body are "inner";
-	// writes through anything else are order-sensitive candidates.
-	inner := map[types.Object]bool{}
-	for _, e := range []ast.Expr{rng.Key, rng.Value} {
-		if id, ok := e.(*ast.Ident); ok && id != nil {
-			if obj := pass.Info.Defs[id]; obj != nil {
-				inner[obj] = true
-			}
-		}
-	}
-	ast.Inspect(rng.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			if n.Tok.String() == ":=" {
-				for _, lhs := range n.Lhs {
-					if id, ok := lhs.(*ast.Ident); ok {
-						if obj := pass.Info.Defs[id]; obj != nil {
-							inner[obj] = true
-						}
-					}
-				}
-			}
-		case *ast.ValueSpec:
-			for _, id := range n.Names {
-				if obj := pass.Info.Defs[id]; obj != nil {
-					inner[obj] = true
-				}
-			}
-		}
-		return true
-	})
-	rangeVarUsed := func(e ast.Expr) bool {
-		if e == nil {
-			return false
-		}
-		used := false
-		ast.Inspect(e, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				if obj := pass.Info.Uses[id]; obj != nil && inner[obj] {
-					used = true
-				}
-			}
-			return !used
-		})
-		return used
-	}
-	outerRoot := func(e ast.Expr) types.Object {
-		id := rootIdent(e)
-		if id == nil {
-			return nil
-		}
-		obj := identObj(pass.Info, id)
-		if obj == nil || inner[obj] {
-			return nil
-		}
-		return obj
-	}
-	ast.Inspect(rng.Body, func(n ast.Node) bool {
-		asg, ok := n.(*ast.AssignStmt)
-		if !ok {
-			return true
-		}
-		for i, lhs := range asg.Lhs {
-			root := outerRoot(lhs)
-			if root == nil {
-				continue
-			}
-			var rhs ast.Expr
-			if i < len(asg.Rhs) {
-				rhs = asg.Rhs[i]
-			} else if len(asg.Rhs) == 1 {
-				rhs = asg.Rhs[0]
-			}
-			switch asg.Tok.String() {
-			case ":=":
-				continue
-			case "=":
-				// append into an outer slice with loop-dependent values:
-				// element order follows map iteration order.
-				if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok {
-					if fid, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-						if b, ok := pass.Info.Uses[fid].(*types.Builtin); ok && b.Name() == "append" && rangeVarUsed(call) {
-							if !sortedLaterInFunc(pass, parents, rng, root) {
-								pass.Reportf(asg.Pos(),
-									"append to %q inside range over map: element order depends on map iteration order", root.Name())
-							}
-							continue
-						}
-					}
-				}
-				// Map inserts keyed by the range variable commute.
-				if idx, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok {
-					if bt := pass.Info.TypeOf(idx.X); bt != nil {
-						if _, isMap := bt.Underlying().(*types.Map); isMap {
-							continue
-						}
-					}
-					if rangeVarUsed(idx.Index) {
-						continue // out[k] = v writes distinct cells
-					}
-				}
-				if rangeVarUsed(rhs) {
-					pass.Reportf(asg.Pos(),
-						"write to %q inside range over map depends on iteration order (last writer wins nondeterministically)", root.Name())
-				}
-			default:
-				// Op-assign: numeric accumulation commutes; string
-				// concatenation does not.
-				if asg.Tok.String() == "+=" && rhs != nil && rangeVarUsed(rhs) {
-					if bt, ok := pass.Info.TypeOf(lhs).Underlying().(*types.Basic); ok && bt.Info()&types.IsString != 0 {
-						pass.Reportf(asg.Pos(),
-							"string concatenation onto %q inside range over map depends on iteration order", root.Name())
-					}
-				}
-			}
-		}
-		return true
-	})
-}
-
-// sortedLaterInFunc reports whether obj is passed to a sort/slices
-// function anywhere in the function enclosing rng. The collect-then-sort
-// idiom (append all keys inside the range, sort.Strings after the loop)
-// re-establishes a deterministic order, so the in-loop append is
-// harmless and must not be flagged.
-func sortedLaterInFunc(pass *Pass, parents map[ast.Node]ast.Node, rng ast.Node, obj types.Object) bool {
-	var scope ast.Node
-	for n := parents[rng]; n != nil; n = parents[n] {
-		if fd, ok := n.(*ast.FuncDecl); ok {
-			scope = fd.Body
-			break
-		}
-		if fl, ok := n.(*ast.FuncLit); ok {
-			scope = fl.Body
-			break
-		}
-	}
-	if scope == nil {
-		return false
-	}
-	found := false
-	ast.Inspect(scope, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := calleeFunc(pass.Info, call)
-		if fn == nil || fn.Pkg() == nil {
-			return true
-		}
-		if p := fn.Pkg().Path(); p != "sort" && p != "slices" {
-			return true
-		}
-		for _, a := range call.Args {
-			if id := rootIdent(a); id != nil && identObj(pass.Info, id) == obj {
-				found = true
-				break
-			}
-		}
-		return !found
-	})
-	return found
 }

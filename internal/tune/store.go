@@ -62,8 +62,9 @@ type Store struct {
 // mid-append — is dropped silently AND truncated away, so subsequent
 // appends restart on a record boundary instead of gluing new records
 // onto the torn fragment (which would turn a recoverable torn tail
-// into unrecoverable interior corruption on the next open). A
-// malformed interior line is a corruption error.
+// into unrecoverable interior corruption on the next open). An intact
+// final record that lacks only its newline is kept and terminated, for
+// the same reason. A malformed interior line is a corruption error.
 func OpenStore(path string) (*Store, map[exp.Digest]exp.Result, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -121,6 +122,14 @@ func OpenStore(path string) (*Store, map[exp.Digest]exp.Result, error) {
 	if _, err := f.Seek(int64(goodEnd), 0); err != nil {
 		f.Close()
 		return nil, nil, err
+	}
+	if goodEnd > 0 && data[goodEnd-1] != '\n' {
+		// An intact final record without its newline: terminate it, or
+		// the next append would glue onto the same line.
+		if _, err := f.Write([]byte{'\n'}); err != nil {
+			f.Close()
+			return nil, nil, err
+		}
 	}
 	return &Store{path: path, f: f, w: bufio.NewWriter(f), n: n}, entries, nil
 }

@@ -1,6 +1,7 @@
 package tune
 
 import (
+	"bytes"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -146,6 +147,57 @@ func TestStoreTruncatesTornTailBeforeAppend(t *testing.T) {
 	}
 	if got := entries[exp.Digest{2}]; got.Elapsed != 7 {
 		t.Fatalf("appended record reloaded as %+v", got)
+	}
+}
+
+// TestStoreTerminatesUnterminatedTail: an intact final record that
+// lacks only its newline is kept, and the next append starts a new
+// line. Without that, the append glues onto the record, the next open
+// drops the glued line as a torn tail, and both records vanish.
+func TestStoreTerminatesUnterminatedTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cache.jsonl")
+	s, _, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(exp.Digest{1}, exp.Result{Elapsed: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, bytes.TrimSuffix(whole, []byte("\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, entries, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("got %d entries, want 1", len(entries))
+	}
+	if err := s2.Put(exp.Digest{2}, exp.Result{Elapsed: 7}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s3, entries, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	if len(entries) != 2 {
+		t.Fatalf("got %d entries, want 2", len(entries))
+	}
+	if entries[exp.Digest{1}].Elapsed != 5 || entries[exp.Digest{2}].Elapsed != 7 {
+		t.Fatalf("reloaded %+v", entries)
 	}
 }
 
