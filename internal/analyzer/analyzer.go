@@ -252,16 +252,6 @@ func isMethod(fn *types.Func, pkgName, name string) bool {
 	return ok && sig.Recv() != nil
 }
 
-// isPkgFunc reports whether fn is the package-level function
-// pkgPath.name (exact import path, no receiver).
-func isPkgFunc(fn *types.Func, pkgPath, name string) bool {
-	if fn == nil || fn.Name() != name || fn.Pkg() == nil || fn.Pkg().Path() != pkgPath {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	return ok && sig.Recv() == nil
-}
-
 // methodIn reports whether fn is a method declared in package pkgName
 // whose name is in set.
 func methodIn(fn *types.Func, pkgName string, set map[string]bool) bool {

@@ -55,7 +55,7 @@ var blockingMPIMethods = map[string]bool{
 	"Wait": true, "WaitFutures": true, "WaitAnyFuture": true,
 	"Send": true, "Recv": true, "Isend": true, "Irecv": true,
 	"Barrier": true, "AllreduceSync": true, "AllgathervSync": true,
-	"AlltoallSync": true, "AlltoallSyncAmong": true,
+	"AlltoallSync": true, "AlltoallSyncAmong": true, "Collective": true,
 	"Put": true, "WinAllocate": true, "WinFence": true,
 	"WinLock": true, "WinUnlock": true,
 	"WinPost": true, "WinStart": true, "WinComplete": true, "WinWait": true,

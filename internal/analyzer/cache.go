@@ -35,8 +35,10 @@ import (
 // analyzer names, so a rule that changes under an unchanged name needs
 // a bump: v3 is the change that moved map-order writes into maporder
 // and request leaks into poolpath, which would otherwise replay the
-// old rules' results for a warm `-only maporder` or `-only poolpath`.
-const cacheSchema = "collvet-cache-v3"
+// old rules' results for a warm `-only maporder` or `-only poolpath`;
+// v4 is wallclock reporting a global math/rand function passed as a
+// value, which a warm v3 cache would replay as clean.
+const cacheSchema = "collvet-cache-v4"
 
 // Cache is a directory of per-package analysis results.
 type Cache struct {

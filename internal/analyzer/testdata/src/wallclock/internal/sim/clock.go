@@ -20,7 +20,18 @@ func badGlobalRand() int {
 	return rand.Intn(10) // want `global math/rand source via rand.Intn`
 }
 
+// badRandValue hands the global source to a noise hook as a function
+// value: no call in sight, the same nondeterminism.
+func badRandValue(noise func(func() float64) float64) float64 {
+	return noise(rand.Float64) // want `global math/rand source via rand.Float64`
+}
+
 // --- near misses: deterministic by construction, must stay silent ---
+
+func goodSeededMethodValue(seed int64, noise func(func() float64) float64) float64 {
+	rng := rand.New(rand.NewSource(seed))
+	return noise(rng.Float64) // a method value on a seeded source
+}
 
 func goodSeededRand(seed int64) int {
 	rng := rand.New(rand.NewSource(seed)) // constructor + method calls on a seeded source

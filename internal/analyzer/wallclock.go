@@ -20,6 +20,8 @@ import (
 //     (constructors like rand.New/rand.NewSource are the sanctioned
 //     path and are exempt).
 //
+// Both are reported wherever the function is named, called or not.
+//
 // Map-iteration order, the third source of irreproducibility, is
 // maporder's. Packages outside DeterministicZones may use all of the
 // above freely (CLI tools print wall-clock progress, tests time
@@ -99,21 +101,7 @@ func inDeterministicZone(p string) bool {
 // frag occurs, segment-aligned, inside path ("a/internal/sim/b" matches
 // "internal/sim"; "a/internal/simnet" does not).
 func pathHasSegments(path, frag string) bool {
-	segs := strings.Split(path, "/")
-	want := strings.Split(frag, "/")
-	for i := 0; i+len(want) <= len(segs); i++ {
-		match := true
-		for j := range want {
-			if segs[i+j] != want[j] {
-				match = false
-				break
-			}
-		}
-		if match {
-			return true
-		}
-	}
-	return false
+	return strings.Contains("/"+path+"/", "/"+frag+"/")
 }
 
 // wallClockFuncs are the package-level time functions that read or act
@@ -143,8 +131,8 @@ func runWallClock(pass *Pass) error {
 			continue
 		}
 		ast.Inspect(file, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				checkWallClockCall(pass, call)
+			if id, ok := n.(*ast.Ident); ok {
+				checkWallClockRef(pass, id)
 			}
 			return true
 		})
@@ -152,25 +140,27 @@ func runWallClock(pass *Pass) error {
 	return nil
 }
 
-func checkWallClockCall(pass *Pass, call *ast.CallExpr) {
-	fn := calleeFunc(pass.Info, call)
-	if fn == nil || fn.Pkg() == nil {
+// checkWallClockRef reports id if it names a forbidden package-level
+// function, called or not: rand.Float64 passed as a value (a noise
+// hook) draws from the global source as surely as a call does.
+func checkWallClockRef(pass *Pass, id *ast.Ident) {
+	fn, ok := pass.Info.Uses[id].(*types.Func)
+	if !ok || fn.Pkg() == nil {
 		return
 	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() != nil {
+	if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
 		return // methods (e.g. (*rand.Rand).Intn on a seeded source) are fine
 	}
 	switch fn.Pkg().Path() {
 	case "time":
 		if wallClockFuncs[fn.Name()] {
-			pass.Reportf(call.Pos(),
+			pass.Reportf(id.Pos(),
 				"wall-clock call time.%s inside deterministic simulator package %s; all time must come from the sim kernel",
 				fn.Name(), pass.Pkg.Path())
 		}
 	case "math/rand", "math/rand/v2":
 		if !seededRandConstructors[fn.Name()] {
-			pass.Reportf(call.Pos(),
+			pass.Reportf(id.Pos(),
 				"global math/rand source via rand.%s inside deterministic simulator package %s; use an explicitly seeded *rand.Rand (e.g. the kernel's)",
 				fn.Name(), pass.Pkg.Path())
 		}

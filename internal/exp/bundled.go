@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 
 	"collio/internal/fcoll"
 	"collio/internal/mpi"
@@ -33,11 +34,11 @@ import (
 //   - Aggregators stay real: one sim.Proc each, running the selected
 //     overlap algorithm's fcoll.Drive driver — the same code an exact
 //     rank runs — against the real simulated file system and network.
-//   - Collective control ladders (setup allreduce/allgather(v), the
-//     per-cycle alltoall, the final barrier) are charged in closed form
-//     from the same mpi.Config constants the exact ladders use, at
-//     rendezvous points that preserve their global-synchronisation
-//     semantics.
+//   - Collective control ladders (JobView.Control: the setup
+//     allreduces and allgatherv, the per-cycle alltoall, the final
+//     barrier) are charged in closed form (mpi.CostModel, over the same
+//     rounds the exact ladders send), at rendezvous points that
+//     preserve their global-synchronisation semantics.
 //
 // The result is O(aggregators + nodes) simulation state instead of
 // O(ranks), at the price of modelled rather than simulated collective
@@ -89,8 +90,7 @@ type cohortRun struct {
 	k     *sim.Kernel
 	net   *simnet.Network
 	file  *simfs.File
-	pf    platform.Platform
-	cfg   mpi.Config
+	cost  mpi.CostModel
 	np    int
 	rpn   int
 	nodes int
@@ -99,65 +99,7 @@ type cohortRun struct {
 
 	obs fcoll.Observer
 
-	views  []*viewState
-	starts []*sim.Future
-}
-
-// hopAt is the modelled cost of one point-to-point message inside a
-// collective ladder, for peers at the given rank distance: caller +
-// handler software overheads, then the wire. Rank-to-node mapping is
-// block, so peers closer than a node width are (for most ranks)
-// node-local and pay the shared-memory latency and bandwidth instead of
-// the NIC's.
-func (b *cohortRun) hopAt(bytes int64, dist int) sim.Time {
-	base := 2*b.cfg.CallOverhead + b.cfg.HandlerCost
-	if dist < b.rpn {
-		wire := float64(bytes) / b.pf.IntraBandwidth * 1e9
-		return base + b.pf.IntraLatency + sim.Time(wire)
-	}
-	wire := float64(bytes+b.cfg.CtrlBytes) / b.pf.InterBandwidth * 1e9
-	return base + b.pf.InterLatency + sim.Time(wire)
-}
-
-// ladder sums the rounds of a distance-doubling exchange (dissemination
-// barrier, Bruck alltoall, binomial reduce/bcast): round k talks to a
-// peer 2^k ranks away, and each round waits on the previous one, so
-// latency stacks.
-func (b *cohortRun) ladder(bytes int64) sim.Time {
-	var t sim.Time
-	for k := 1; k < b.np; k <<= 1 {
-		t += b.hopAt(bytes, k)
-	}
-	return t
-}
-
-// barrierCost models the dissemination barrier: a ladder of one-byte
-// exchanges.
-func (b *cohortRun) barrierCost() sim.Time { return b.ladder(1) }
-
-// a2aCost models the per-cycle AlltoallSync(8): Bruck's algorithm,
-// a ladder moving half the 8-byte-per-peer vector each round — the
-// exact ladder's per-round message, mpi.BruckRoundBytes.
-func (b *cohortRun) a2aCost() sim.Time { return b.ladder(mpi.BruckRoundBytes(b.np, 8)) }
-
-// ringCost models the pipelined ring allgatherv: P-1 steps clocked by
-// the slowest (inter-node) edge, but self-clocked rather than globally
-// synchronised, so the wire latency is paid once, not per step.
-func (b *cohortRun) ringCost(avgBytes int64) sim.Time {
-	step := 2*b.cfg.CallOverhead + b.cfg.HandlerCost +
-		sim.Time(float64(avgBytes+b.cfg.CtrlBytes)/b.pf.InterBandwidth*1e9)
-	return b.pf.InterLatency + sim.Time(b.np-1)*step
-}
-
-// setupCost models the plan-establishment collectives of exec.setup:
-// the 2-value bounds allreduce (binomial reduce + broadcast: two
-// ladders), the extent-count allgather (allreduce over a P-vector), and
-// the ring allgatherv of the 16-byte-per-extent flattened views.
-func (b *cohortRun) setupCost(totalExtents int64) sim.Time {
-	allreduce := 2 * b.ladder(16)
-	allgather := 2 * b.ladder(8*int64(b.np))
-	avg := 16 * totalExtents / int64(b.np)
-	return allreduce + allgather + b.ringCost(avg)
+	views []*viewState
 }
 
 // cohortPlan is the bundled executor's dynamic gate, shared by routeFor
@@ -210,8 +152,7 @@ func runBundled(spec Spec, cl *platform.Cluster, rt route, obs fcoll.Observer) (
 		k:     cl.Kernel,
 		net:   cl.Net,
 		file:  cl.FS.Open(spec.Gen.Name()),
-		pf:    pf,
-		cfg:   mpi.DefaultConfig(spec.NProcs, pf.RanksPerNode),
+		cost:  mpi.CostModel{Config: mpi.DefaultConfig(spec.NProcs, pf.RanksPerNode), Net: cl.Net.Config()},
 		np:    spec.NProcs,
 		rpn:   pf.RanksPerNode,
 		nodes: (spec.NProcs + pf.RanksPerNode - 1) / pf.RanksPerNode,
@@ -228,7 +169,6 @@ func runBundled(spec Spec, cl *platform.Cluster, rt route, obs fcoll.Observer) (
 		v := b.buildView(s, views[i])
 		v.start = start
 		b.views = append(b.views, v)
-		b.starts = append(b.starts, start)
 		b.wireMembers(v)
 		start = v.final.fut
 	}
@@ -242,8 +182,8 @@ func runBundled(spec Spec, cl *platform.Cluster, rt route, obs fcoll.Observer) (
 		ag.b, ag.a = b, a
 		b.k.Spawn(fmt.Sprintf("agg%d", a), func(p *sim.Proc) {
 			ag.p = p
-			for vi, v := range b.views {
-				p.Wait(b.starts[vi])
+			for _, v := range b.views {
+				p.Wait(v.start)
 				p.Sleep(v.setup)
 				ag.v = v
 				ag.rank = v.sched.AggRanks()[a]
@@ -291,20 +231,20 @@ func runBundled(spec Spec, cl *platform.Cluster, rt route, obs fcoll.Observer) (
 func (b *cohortRun) buildView(sched *fcoll.Schedule, jv *fcoll.JobView) *viewState {
 	nc := sched.NCycles()
 	naggs := len(sched.AggRanks())
-	var extents int64
-	for r := range jv.Ranks {
-		extents += int64(len(jv.Ranks[r].Extents))
+	ctl := jv.Control(fcoll.Write)
+	v := &viewState{jv: jv, sched: sched}
+	for _, c := range ctl.Setup {
+		v.setup += b.cost.Cost(c)
 	}
-	v := &viewState{jv: jv, sched: sched, setup: b.setupCost(extents)}
 	if b.obs.Probe != nil {
 		v.shufBytes = make([]int64, b.np)
 	}
-	a2a := b.a2aCost()
+	a2a := b.cost.Cost(ctl.Cycle)
 	v.syncs = make([]*rendezvous, nc)
 	for c := range v.syncs {
 		v.syncs[c] = &rendezvous{k: b.k, need: naggs + 1, cost: a2a, fut: b.k.NewFuture()}
 	}
-	v.final = &rendezvous{k: b.k, need: naggs + 1, cost: b.barrierCost(), fut: b.k.NewFuture()}
+	v.final = &rendezvous{k: b.k, need: naggs + 1, cost: b.cost.Cost(ctl.Final), fut: b.k.NewFuture()}
 	v.recvDone = make([][]*sim.Future, nc)
 	v.unpack = make([][]int64, nc)
 	for c := 0; c < nc; c++ {
@@ -380,13 +320,7 @@ func (b *cohortRun) issueCycle(v *viewState, c int) {
 		for r := lo; r < hi; r++ {
 			r := r
 			sched.EachSend(r, c, func(agg int, total int64, nseg int) {
-				j := -1
-				for i, a := range bAgg {
-					if a == agg {
-						j = i
-						break
-					}
-				}
+				j := slices.Index(bAgg, agg)
 				if j < 0 {
 					j = len(bAgg)
 					bAgg = append(bAgg, agg)
@@ -495,7 +429,7 @@ func (b *cohortRun) emitCollOps() {
 	}
 	written := make([]int64, b.np)
 	total := make([]int64, b.np) // each rank's running total, the span size
-	for vi, v := range b.views {
+	for _, v := range b.views {
 		clear(written)
 		for a, rank := range v.sched.AggRanks() {
 			for c := 0; c < v.sched.NCycles(); c++ {
@@ -505,7 +439,7 @@ func (b *cohortRun) emitCollOps() {
 		}
 		for r := 0; r < b.np; r++ {
 			b.obs.CollOp(v.jv, fcoll.Write, r, fcoll.CollStats{
-				Start: b.starts[vi].DoneAt(), End: v.final.fut.DoneAt(), Cycles: v.sched.NCycles(),
+				Start: v.start.DoneAt(), End: v.final.fut.DoneAt(), Cycles: v.sched.NCycles(),
 				Shuffled: v.shufBytes[r], Written: written[r], Size: total[r],
 			})
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"collio/internal/datatype"
 	"collio/internal/fcoll"
 	"collio/internal/mpi"
 	"collio/internal/platform"
@@ -324,8 +325,10 @@ func TestScaleSmoke65k(t *testing.T) {
 // ladder sends: at odd np, where half the ranks is not a whole number,
 // the per-round bytes of both must agree. The exact side is measured
 // (every KindIsend of an AlltoallSync(8) on a real world), the bundled
-// side is a2aCost, which must equal the ladder of hopAt over the
-// measured round size.
+// side is the closed form of the per-cycle exchange the bundled
+// executor charges (mpi.CostModel.Cost of JobView.Control's Cycle),
+// which must equal the ladder of CostModel.Hop over the measured round
+// size.
 func TestBundledA2ACostMatchesExactBruck(t *testing.T) {
 	for _, np := range []int{3, 7, 13} {
 		pf := platform.Crill().Deterministic()
@@ -347,12 +350,20 @@ func TestBundledA2ACostMatchesExactBruck(t *testing.T) {
 			}
 			round = e.Size
 		}
-		b := &cohortRun{pf: pf, cfg: mpi.DefaultConfig(np, pf.RanksPerNode), np: np, rpn: pf.RanksPerNode}
+		m := mpi.CostModel{Config: mpi.DefaultConfig(np, pf.RanksPerNode), Net: cl.Net.Config()}
 		var want sim.Time
 		for k := 1; k < np; k <<= 1 {
-			want += b.hopAt(round, k)
+			want += m.Hop(round, k)
 		}
-		if got := b.a2aCost(); got != want {
+		ranks := make([]fcoll.RankView, np)
+		for i := range ranks {
+			ranks[i].Extents = []datatype.Extent{{Off: int64(i) << 10, Len: 1 << 10}}
+		}
+		jv, err := fcoll.NewJobView(ranks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Cost(jv.Control(fcoll.Write).Cycle); got != want {
 			t.Errorf("np %d: bundled all-to-all charges %v, the exact %d-byte rounds cost %v", np, got, round, want)
 		}
 	}

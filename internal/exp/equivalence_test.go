@@ -14,8 +14,8 @@ import (
 // byte buffers and with symbolic payloads and requires bit-identical
 // trace digests plus identical per-rank phase totals. This is what
 // licenses the symbolic fast path in fcoll (skipping pack/unpack/staging
-// bookkeeping when Payload.IsSymbolic()): the two modes may differ only
-// in host-side copies, never in simulated time.
+// bookkeeping for payloads without backing bytes): the two modes may
+// differ only in host-side copies, never in simulated time.
 func TestDataSymbolicEquivalence(t *testing.T) {
 	cases := []struct {
 		name string

@@ -100,7 +100,7 @@ func run(ex *exec) (Result, error) {
 	// The collective completes on all ranks together (write_all is
 	// collective; vulcan's final synchronisation).
 	tSync := r.Now()
-	r.Barrier()
+	r.Collective(jv.Control(ex.dir).Final)
 	ex.obs.Phase(probe.CauseSync, r.ID(), -1, tSync, r.Now(), 0)
 	ex.res.Elapsed = r.Now() - start
 	ex.res.Cycles = ex.p.ncycles
@@ -112,35 +112,15 @@ func run(ex *exec) (Result, error) {
 	return ex.res, nil
 }
 
-// setup charges the plan-establishment collectives (offset reduction and
-// flattened-view metadata exchange) and resolves the shared plan. A read
-// skips the offset reduction: its cost model has never charged it, and
-// adding it would move every pinned read digest.
+// setup charges the plan-establishment collectives (JobView.Control)
+// and resolves the shared plan.
 func (ex *exec) setup() {
 	r := ex.r
-	if ex.dir == Write {
-		// Bounds agreement: min start / max end, one 2-value allreduce.
-		r.AllreduceSync(16)
+	for _, c := range ex.jv.Control(ex.dir).Setup {
+		r.Collective(c)
 	}
-	// Flattened-view metadata exchange: every rank's extent count (an
-	// allgather, charged as an allreduce over the P-vector), then 16
-	// bytes per extent over a ring allgatherv (vulcan exchanges the
-	// per-process offset/length lists so every rank can compute
-	// identical send/receive maps). The shared plan already holds both.
-	sizes := make([]int64, len(ex.jv.Ranks))
-	for i := range sizes {
-		sizes[i] = 16 * int64(len(ex.jv.Ranks[i].Extents))
-	}
-	r.AllreduceSync(8 * int64(len(sizes)))
-	r.AllgathervSync(sizes)
-
-	window := ex.opts.BufferSize
-	ex.slots = 1
-	if ex.opts.Algorithm != NoOverlap {
-		// Two sub-buffers of half the collective buffer (§III-A).
-		window /= 2
-		ex.slots = 2
-	}
+	window, slots := ex.opts.subBuffers()
+	ex.slots = slots
 	// The hierarchical routing threshold is the eager limit: below it a
 	// message costs a matching-queue entry and handler work per op at
 	// the aggregator (what pre-combining amortises); at or above it the
@@ -254,22 +234,18 @@ func (ex *exec) openSlot(c, slot int) *shuffle {
 	sh.unpackBytes = 0
 	ex.stageUsed[slot] = 0
 	ex.obs.Cycle(ex.r.ID(), c, slot, t0)
-	// Per-cycle transfer-size exchange: ROMIO/vulcan run an
-	// MPI_Alltoall of send sizes at the start of every cycle. Besides
-	// its cost, it makes each cycle a de-facto global synchronisation
-	// point — the reason the non-overlapping baseline's shuffle and
-	// file-access phases strictly alternate machine-wide. The
-	// hierarchical family restricts the exchange to node leaders —
-	// log2(nodes) rounds instead of log2(ranks), every hop inter-node
-	// either way — and throttles members with per-cycle credits instead
-	// (memberInit).
+	// The per-cycle transfer-size exchange (Control.Cycle). The
+	// hierarchical family restricts it to node leaders — log2(nodes)
+	// rounds instead of log2(ranks), every hop inter-node either way —
+	// and throttles members with per-cycle credits instead (memberInit).
+	sync := ex.jv.Control(ex.dir).Cycle
 	if h := ex.p.hier; h != nil {
-		if h.isLeader(ex.r.ID()) {
-			ex.r.AlltoallSyncAmong(h.leaders, 8)
+		sync.Group = h.leaders
+		if !h.isLeader(ex.r.ID()) {
+			return sh
 		}
-	} else {
-		ex.r.AlltoallSync(8)
 	}
+	ex.r.Collective(sync)
 	return sh
 }
 

@@ -211,6 +211,15 @@ func (o *Options) observer(lp int) Observer {
 	return o.Observers[lp]
 }
 
+// subBuffers returns the per-cycle flush window and the sub-buffer count:
+// two halves of the collective buffer (§III-A), or all of it for NoOverlap.
+func (o *Options) subBuffers() (window int64, slots int) {
+	if o.Algorithm == NoOverlap {
+		return o.BufferSize, 1
+	}
+	return o.BufferSize / 2, 2
+}
+
 func (o *Options) validate() error {
 	if o.BufferSize <= 0 {
 		return fmt.Errorf("fcoll: BufferSize must be positive, got %d", o.BufferSize)

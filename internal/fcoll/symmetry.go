@@ -42,34 +42,17 @@ func BuildSchedule(jv *JobView, np, rpn int, opts Options) (*Schedule, error) {
 	if len(jv.Ranks) != np {
 		return nil, fmt.Errorf("fcoll: JobView has %d ranks, world has %d", len(jv.Ranks), np)
 	}
-	window := opts.BufferSize
-	if opts.Algorithm != NoOverlap {
-		// Two sub-buffers of half the collective buffer (§III-A), as in
-		// exec.setup.
-		window /= 2
-	}
+	window, _ := opts.subBuffers()
 	p := buildPlan(jv, np, rpn, window, opts.Aggregators, opts.Layout, 0)
 	return &Schedule{p: p, np: np, rpn: rpn}, nil
 }
 
-// NP returns the rank count the schedule was planned for.
-func (s *Schedule) NP() int { return s.np }
-
-// RanksPerNode returns the node packing the schedule was planned for.
-func (s *Schedule) RanksPerNode() int { return s.rpn }
-
 // NCycles returns the global cycle count.
 func (s *Schedule) NCycles() int { return s.p.ncycles }
-
-// Window returns the per-cycle flush window in bytes.
-func (s *Schedule) Window() int64 { return s.p.window }
 
 // AggRanks returns the world ranks acting as aggregators. Callers must
 // not mutate the returned slice.
 func (s *Schedule) AggRanks() []int { return s.p.aggRanks }
-
-// AggIndexOf returns the aggregator index of a world rank, or -1.
-func (s *Schedule) AggIndexOf(rank int) int { return s.p.aggIndexOf(rank) }
 
 // CycleExtent returns the file extent aggregator a flushes in cycle c.
 func (s *Schedule) CycleExtent(a, c int) datatype.Extent { return s.p.cycleExtent(a, c) }

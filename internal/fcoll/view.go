@@ -5,6 +5,8 @@ import (
 	"sort"
 
 	"collio/internal/datatype"
+	"collio/internal/mpi"
+	"collio/internal/probe"
 )
 
 // RankView is one rank's file view for a collective write: the sorted
@@ -26,7 +28,42 @@ func (v *RankView) Size() int64 { return datatype.TotalLen(v.Extents) }
 type JobView struct {
 	Ranks []RankView
 
+	control   [2]Control // per Direction (controlOf)
 	planCache map[planKey]*plan
+}
+
+// Control is the control traffic of one collective, stated once: exec
+// runs it and the bundled executor charges its closed form.
+type Control struct {
+	Setup []mpi.Coll // plan establishment, in order
+	Cycle mpi.Coll   // the per-cycle transfer-size exchange (§III-A)
+	Final mpi.Coll   // the closing barrier
+}
+
+// Control returns the control traffic of a collective over jv in
+// direction dir.
+func (jv *JobView) Control(dir Direction) Control { return jv.control[dir] }
+
+// controlOf lists the control collectives over jv per direction. Setup
+// is the bounds agreement (min start / max end, one 2-value allreduce;
+// a read skips it, as its cost model always has), then the
+// flattened-view exchange: every rank's extent count (an allgather,
+// charged as an allreduce over the P-vector) and 16 bytes per extent
+// over a ring allgatherv (vulcan exchanges the per-process offset/length
+// lists so every rank can compute identical send/receive maps). The
+// shared plan already holds every value they would carry. Cycle is
+// ROMIO/vulcan's MPI_Alltoall of send sizes at the start of every
+// cycle: besides its cost, it makes each cycle a de-facto global
+// synchronisation point, which is why the non-overlapping baseline's
+// shuffle and file-access phases strictly alternate machine-wide.
+func controlOf(jv *JobView) [2]Control {
+	setup := []mpi.Coll{
+		{Op: probe.CauseAllreduce, Bytes: 16},
+		{Op: probe.CauseAllreduce, Bytes: 8 * int64(len(jv.Ranks))},
+		{Op: probe.CauseAllgatherv, Block: func(i int) int64 { return 16 * int64(len(jv.Ranks[i].Extents)) }},
+	}
+	cycle, final := mpi.Coll{Op: probe.CauseAlltoall, Bytes: 8}, mpi.Coll{Op: probe.CauseBarrier}
+	return [2]Control{Write: {setup, cycle, final}, Read: {setup[1:], cycle, final}}
 }
 
 type planKey struct {
@@ -75,7 +112,9 @@ func NewJobView(ranks []RankView) (*JobView, error) {
 				prev.e.End(), cur.e.Off)
 		}
 	}
-	return &JobView{Ranks: ranks}, nil
+	jv := &JobView{Ranks: ranks}
+	jv.control = controlOf(jv)
+	return jv, nil
 }
 
 // Bounds returns the first and one-past-last file offsets accessed.
@@ -116,12 +155,7 @@ func (jv *JobView) DataMode() bool {
 // ExpectedFile assembles the byte image a correct collective write must
 // produce (data mode only; verification helper).
 func (jv *JobView) ExpectedFile() []byte {
-	start, end := jv.Bounds()
-	if start != 0 {
-		// Views are dense from their start; normalise to offset 0 view
-		// of the file prefix too.
-		_ = start
-	}
+	_, end := jv.Bounds()
 	out := make([]byte, end)
 	for i := range jv.Ranks {
 		v := &jv.Ranks[i]

@@ -28,9 +28,6 @@ type Request struct {
 	next  *Request // free-list link, nil while the request is live
 }
 
-// Done reports whether the operation has completed.
-func (q *Request) Done() bool { return q.fut.Done() }
-
 // Received returns the number of bytes received (receives only). Only
 // valid before the request is recycled by Wait.
 func (q *Request) Received() int64 { return q.recvd }

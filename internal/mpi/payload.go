@@ -15,6 +15,3 @@ func Bytes(b []byte) Payload { return Payload{Size: int64(len(b)), Data: b} }
 
 // Symbolic builds a size-only payload.
 func Symbolic(size int64) Payload { return Payload{Size: size} }
-
-// IsSymbolic reports whether the payload carries no backing bytes.
-func (p Payload) IsSymbolic() bool { return p.Data == nil }

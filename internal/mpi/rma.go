@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 
 	"collio/internal/probe"
 	"collio/internal/sim"
@@ -28,16 +29,24 @@ type Window struct {
 	sizes []int64
 	data  [][]byte // per-rank backing store, nil in symbolic mode
 
-	outstanding  [][]*sim.Future         // per-origin unfinished puts (all targets)
-	perTarget    []map[int][]*sim.Future // per-origin, per-target unfinished puts
-	locks        []windowLockState       // per-target passive lock state
-	flowKeys     []byte                  // per-origin flow identities for put streams
-	heldLocks    []map[int]bool          // per-origin set of locked targets
-	postOrigins  [][]int                 // per-target PSCW exposure group
-	startTargets [][]int                 // per-origin PSCW access group
-	ctlSends     [][]*Request            // per-rank in-flight PSCW control sends
+	puts         [][]putEntry      // per-origin ledger of the epoch's puts, in put order
+	locks        []windowLockState // per-target passive lock state
+	flowKeys     []byte            // per-origin flow identities for put streams
+	heldLocks    [][]int           // per-origin locked targets
+	postOrigins  [][]int           // per-target PSCW exposure group
+	startTargets [][]int           // per-origin PSCW access group
+	ctlSends     [][]*Request      // per-rank in-flight PSCW control sends
 
 	allocBarrier int // ranks still to arrive at creation barrier
+}
+
+// putEntry is one put in an origin's ledger: its target and the future
+// that completes it remotely. An epoch close waits the entries it
+// covers in put order — all of them (WinFence), or one target's
+// (WinUnlock, WinComplete).
+type putEntry struct {
+	target int
+	done   *sim.Future
 }
 
 type lockWaiter struct {
@@ -74,18 +83,13 @@ func (r *Rank) WinAllocate(size int64, withData bool) *Window {
 			id:           idx,
 			sizes:        make([]int64, w.cfg.NProcs),
 			data:         make([][]byte, w.cfg.NProcs),
-			outstanding:  make([][]*sim.Future, w.cfg.NProcs),
-			perTarget:    make([]map[int][]*sim.Future, w.cfg.NProcs),
+			puts:         make([][]putEntry, w.cfg.NProcs),
 			locks:        make([]windowLockState, w.cfg.NProcs),
 			flowKeys:     make([]byte, w.cfg.NProcs),
-			heldLocks:    make([]map[int]bool, w.cfg.NProcs),
+			heldLocks:    make([][]int, w.cfg.NProcs),
 			postOrigins:  make([][]int, w.cfg.NProcs),
 			startTargets: make([][]int, w.cfg.NProcs),
 			ctlSends:     make([][]*Request, w.cfg.NProcs),
-		}
-		for i := range nw.perTarget {
-			nw.perTarget[i] = make(map[int][]*sim.Future)
-			nw.heldLocks[i] = make(map[int]bool)
 		}
 		w.windows = append(w.windows, nw)
 	}
@@ -97,9 +101,6 @@ func (r *Rank) WinAllocate(size int64, withData bool) *Window {
 	r.Barrier()
 	return win
 }
-
-// Size returns the window extent exposed by rank i.
-func (win *Window) Size(i int) int64 { return win.sizes[i] }
 
 // Data returns rank i's backing store (nil in symbolic mode). The
 // collective-write engine reads an aggregator's own region when flushing
@@ -130,7 +131,7 @@ func (r *Rank) Put(win *Window, target int, offset int64, pl Payload) {
 	// synchronisation. Either way the epoch keeps done past this
 	// event, so it is a future of its own: the transfer's delivery
 	// (fence) or the agent's bounce-copy completion (lock).
-	locked := win.heldLocks[r.id][target]
+	locked := slices.Contains(win.heldLocks[r.id], target)
 	done := r.w.k.NewFuture()
 	delivered := done
 	if locked {
@@ -149,8 +150,19 @@ func (r *Rank) Put(win *Window, target int, offset int64, pl Payload) {
 		m.pl, m.fut = pl, done
 		tr.Delivered.Then(&m.onArrive)
 	}
-	win.outstanding[r.id] = append(win.outstanding[r.id], done)
-	win.perTarget[r.id][target] = append(win.perTarget[r.id][target], done)
+	win.puts[r.id] = append(win.puts[r.id], putEntry{target, done})
+}
+
+// closePuts waits r's puts to target (every target if target < 0) in
+// put order, then drops them from the ledger.
+func (win *Window) closePuts(r *Rank, target int) {
+	covered := func(pe putEntry) bool { return target < 0 || pe.target == target }
+	for _, pe := range win.puts[r.id] {
+		if covered(pe) {
+			r.p.Wait(pe.done)
+		}
+	}
+	win.puts[r.id] = slices.DeleteFunc(win.puts[r.id], covered)
 }
 
 // WinFence closes the current active-target epoch and opens the next:
@@ -175,10 +187,7 @@ func (r *Rank) WinFence(win *Window) {
 	// Window-wide completion accounting (reduce-scatter of RMA counts,
 	// remote flushes) before the synchronisation itself.
 	r.p.Sleep(r.w.cfg.CallOverhead + r.w.cfg.FenceCost)
-	outs := win.outstanding[r.id]
-	win.outstanding[r.id] = nil
-	win.perTarget[r.id] = make(map[int][]*sim.Future)
-	r.p.WaitAll(outs...)
+	win.closePuts(r, -1)
 	r.Barrier()
 }
 
@@ -209,7 +218,7 @@ func (r *Rank) WinLock(win *Window, typ LockType, target int) {
 	tr := w.net.Send(r.node, w.ranks[target].node, w.cfg.CtrlBytes)
 	tr.Delivered.Then(&m.onArrive)
 	r.p.Wait(fut) // completes when the grant reply arrives at the origin
-	win.heldLocks[r.id][target] = true
+	win.heldLocks[r.id] = append(win.heldLocks[r.id], target)
 }
 
 // runAgent is the target's RMA agent acting on request m (kernel
@@ -265,25 +274,9 @@ func (r *Rank) WinUnlock(win *Window, target int) {
 	defer e.exit()
 	defer r.span(probe.KindRMA, probe.CauseUnlock)()
 	r.p.Sleep(r.w.cfg.CallOverhead)
-	delete(win.heldLocks[r.id], target)
+	win.heldLocks[r.id] = slices.DeleteFunc(win.heldLocks[r.id], func(t int) bool { return t == target })
 	w := r.w
-	outs := win.perTarget[r.id][target]
-	delete(win.perTarget[r.id], target)
-	if len(outs) > 0 {
-		// Remove from the all-targets list as well.
-		kept := win.outstanding[r.id][:0]
-		done := make(map[*sim.Future]bool, len(outs))
-		for _, f := range outs {
-			done[f] = true
-		}
-		for _, f := range win.outstanding[r.id] {
-			if !done[f] {
-				kept = append(kept, f)
-			}
-		}
-		win.outstanding[r.id] = kept
-	}
-	r.p.WaitAll(outs...)
+	win.closePuts(r, target)
 	// Unlock control message; the agent releases and serves the queue.
 	ack := w.k.NewFuture()
 	m := r.newMsg(msgUnlock, w.ranks[target])
@@ -377,17 +370,13 @@ func (r *Rank) WinComplete(win *Window) {
 	win.startTargets[r.id] = nil
 	notify := make([]*Request, 0, len(targets))
 	for _, t := range targets {
-		outs := win.perTarget[r.id][t]
-		delete(win.perTarget[r.id], t)
-		r.p.WaitAll(outs...)
+		win.closePuts(r, t)
 		notify = append(notify, r.Isend(t, pscwTag(win.id)+1, Symbolic(r.w.cfg.CtrlBytes)))
 	}
 	// Local completion of the epoch-close notifications before the call
 	// returns: the implementation cannot recycle its internal request
 	// slots (nor, here, drop the futures) while the sends are in flight.
 	r.Wait(notify...)
-	// Epoch closed: drop the completed puts from the all-target list.
-	win.outstanding[r.id] = win.outstanding[r.id][:0]
 }
 
 // WinWait closes the exposure epoch (MPI_Win_wait): it blocks until

@@ -339,3 +339,52 @@ func TestPSCWRepeatedEpochs(t *testing.T) {
 	})
 	k.Run()
 }
+
+// TestUnlockWaitsOnlyItsTarget holds locks on two targets, puts to
+// both and unlocks them one at a time: each unlock waits for its own
+// target's puts and no others, and the other target's stay in the
+// ledger until its own unlock. Target 1 shares the origin's node, so
+// its unlock traffic does not queue behind target 2's put on the NIC.
+func TestUnlockWaitsOnlyItsTarget(t *testing.T) {
+	const small, large = 1 << 10, 16 << 20
+	k, w := testWorld(t, 3, 2, 1, nil)
+	var win *Window
+	var unlocked [3]sim.Time
+	var pending int
+	w.Launch(func(r *Rank) {
+		size := int64(0)
+		if r.ID() != 0 {
+			size = large
+		}
+		win = r.WinAllocate(size, false)
+		if r.ID() == 0 {
+			r.WinLock(win, LockShared, 1)
+			r.WinLock(win, LockShared, 2)
+			r.Put(win, 2, 0, Symbolic(large))
+			r.Put(win, 1, 0, Symbolic(small))
+			r.WinUnlock(win, 1)
+			unlocked[1] = r.Now()
+			pending = len(win.puts[0])
+			r.WinUnlock(win, 2)
+			unlocked[2] = r.Now()
+		}
+		r.Barrier()
+	})
+	k.Run()
+	// The large put alone needs its wire time; the small one is done
+	// long before.
+	wire := sim.Time(float64(large) / w.Network().Config().InterBandwidth * 1e9)
+	if unlocked[1] >= wire {
+		t.Errorf("unlock of target 1 returned at %v, after the %v target 2's put needs: it waited for target 2", unlocked[1], wire)
+	}
+	if unlocked[2] < wire {
+		t.Errorf("unlock of target 2 returned at %v, before its %d-byte put could complete (%v)", unlocked[2], large, wire)
+	}
+	if pending != 1 {
+		t.Errorf("after the first unlock the ledger holds %d puts, want target 2's one", pending)
+	}
+	if n := len(win.puts[0]); n != 0 {
+		t.Errorf("after both unlocks the ledger holds %d puts, want 0", n)
+	}
+	t.Logf("unlock(1) at %v, unlock(2) at %v, target 2's put wire time %v", unlocked[1], unlocked[2], wire)
+}

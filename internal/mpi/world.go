@@ -232,9 +232,6 @@ func NewWorld(k *sim.Kernel, net *simnet.Network, cfg Config) (*World, error) {
 	return w, nil
 }
 
-// Kernel returns the simulation kernel.
-func (w *World) Kernel() *sim.Kernel { return w.k }
-
 // SetProbe attaches LP lp's observability probe (nil detaches): the
 // MPI-layer events of the ranks on that LP go to p. A sequential world
 // is one LP (lp 0); a partitioned one has node i's ranks on LP i, and
@@ -254,9 +251,6 @@ func (w *World) Config() Config { return w.cfg }
 
 // Size returns the number of ranks.
 func (w *World) Size() int { return w.cfg.NProcs }
-
-// Rank returns rank i's handle (mostly for tests and tools).
-func (w *World) Rank(i int) *Rank { return w.ranks[i] }
 
 // Launch starts every rank running body. Call kernel.Run afterwards;
 // Elapsed reports when the slowest rank finished.

@@ -291,6 +291,8 @@ type Kernel struct {
 	lane   ring[event] // same-instant part: at == schedAt == now
 	rng    *rand.Rand
 	nprocs int // live process count (debugging / deadlock detection)
+	// running is the process Proc.fire resumed, nil in kernel context.
+	running *Proc
 
 	// stopped is set by Stop; Run drains no further events.
 	stopped bool
@@ -528,14 +530,6 @@ func (k *Kernel) runWindow(horizon Time) {
 		e.act.fire()
 	}
 }
-
-// LP returns this kernel's logical-process ID within a Partition, or 0
-// for a sequential kernel.
-func (k *Kernel) LP() int { return int(k.lp) }
-
-// Partition returns the partition this kernel belongs to, or nil for a
-// sequential kernel.
-func (k *Kernel) Partition() *Partition { return k.part }
 
 // Stamp marks one emission point (a trace span, a probe event) inside a
 // partitioned run with the firing event's execution record and a

@@ -39,7 +39,11 @@ func (k *Kernel) SpawnAt(d Time, name string, fn func(p *Proc)) *Proc {
 
 // fire is p's wakeup event: it hands the CPU to p and returns when p
 // blocks or exits. Events fire in kernel context only.
-func (p *Proc) fire() { p.next() }
+func (p *Proc) fire() {
+	p.k.running = p
+	p.next()
+	p.k.running = nil
+}
 
 // Kernel returns the kernel that owns p.
 func (p *Proc) Kernel() *Kernel { return p.k }
@@ -50,8 +54,15 @@ func (p *Proc) Name() string { return p.name }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
 
-// block parks the calling process until its wakeup event fires.
-func (p *Proc) block() { p.yield(struct{}{}) }
+// block parks the calling process until its wakeup event fires. Only
+// p's own body may: a call from kernel-callback context (an OnDone, an
+// observer hook) has no coroutine of p's to suspend.
+func (p *Proc) block() {
+	if p.k.running != p {
+		panic("sim: process " + p.name + " blocked from kernel-callback context; only its own body may block it")
+	}
+	p.yield(struct{}{})
+}
 
 // Sleep advances the process by d of virtual time (e.g. a compute phase
 // or memory-copy cost). A non-positive d still yields so that other

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -23,6 +24,29 @@ func TestProcPanicReraisesFromRun(t *testing.T) {
 	}()
 	k.Run()
 	t.Fatal("Run returned normally after a process panicked")
+}
+
+// TestBlockFromCallbackPanics pins that a blocking call made from
+// kernel-callback context — here a Sleep from an After callback, the
+// shape of a Compute in an observer hook — panics with a message that
+// names the process, and that the panic is recoverable around a
+// sequential Kernel.Run like any other.
+func TestBlockFromCallbackPanics(t *testing.T) {
+	k := NewKernel(1)
+	var rank *Proc
+	k.Spawn("rank7", func(p *Proc) {
+		rank = p
+		p.Sleep(10)
+	})
+	k.After(5, func() { rank.Sleep(1) })
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "process rank7 ") || !strings.Contains(msg, "kernel-callback context") {
+			t.Fatalf("recovered %q, want a panic naming rank7 and kernel-callback context", msg)
+		}
+	}()
+	k.Run()
+	t.Fatal("Run returned normally after a callback blocked a process")
 }
 
 // TestFinishedProcsReleaseGoroutines pins that a process whose body
