@@ -63,7 +63,7 @@ var bundledGoldens = []bundledGolden{
 	{"ibex/flashio/write-comm-overlap", 4825412, 315950, 4141396, 10485760, "275d2d4dd3d78025365536d9cff8031d84e83e478cc4dc6e5109839d9af5faa2"},
 	{"ibex/flashio/write-comm-2-overlap", 4825412, 315950, 4141396, 10485760, "275d2d4dd3d78025365536d9cff8031d84e83e478cc4dc6e5109839d9af5faa2"},
 	{"ibex/flashio/dataflow-overlap", 4825412, 24080, 0, 10485760, "275d2d4dd3d78025365536d9cff8031d84e83e478cc4dc6e5109839d9af5faa2"},
-	{"crill-flow/flashio/write-comm-2-overlap", 28546207, 595320, 27524850, 14155776, "2e8ab938925d51a4584897532a6aae84b273219014773ce9a927e65ba6051084"},
+	{"crill-flow/flashio/write-comm-2-overlap", 28546207, 595320, 27524850, 14155776, "4e084e05afc7ba8fcde774996d85cbf05a0b43e02b855d5559e5ed78a1d2632d"},
 }
 
 // bundledGoldenCells is the DESIGN.md §14 matrix plus one fluid-model

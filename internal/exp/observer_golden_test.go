@@ -129,7 +129,7 @@ var observerGoldens = []observerGolden{
 	{"hier/write-comm-2-overlap/crill-tile256/seed5", "65f4aabec11f528de9a362606959ea7cc35ac6c30d2f585514dcaca018c89aa1", "6f295d5ad1e7dd1e81bb2e9075fc807fcc1216f2953b81de7b33defc25d12aee", "c82464c002c08028cf7717863a0a4af809a462277585c9277cda6e4d1ae5483d", "34fb7273ae14dd8be384ce7eb18f96d401cfea28010ab7fb8fc30f55c2293fa1"},
 	{"hier/write-overlap/ibex-flashio/seed9", "e04340b2ded3f02abda2fe986a2372433df33b61860ef86dd30c8a60ce2442a5", "58b0cddccb4154013f5c612c0d206630ef495dc99baf642657f7e91b0e3ce5a4", "62402676529122ed78687039b8937caf047437ed201e6d537e69560768b5f8b4", "d1bfb83b811a251b74accbcec83962983a3a0d95626d24d722cb74e59924a6e1"},
 	{"bundled/ibex/ior/write-comm-2-overlap", "195ba145ad817c85fe6d1f3b017d25aad62f2aade6cb437011636715a0129139", "55869cfd86f86d1040e274c556886aae234b77dd27a6e8182443fa43f2953e48", "3d813c014ce2b4b93bd182a2fa43e3909ad693032b18ca5410da3bacd7ddb049", "ff250396a30c212e8705740d593db9314dff421522b04a7462c5c6b2a0465d48"},
-	{"bundled/crill-flow/flashio/write-comm-2-overlap", "2e8ab938925d51a4584897532a6aae84b273219014773ce9a927e65ba6051084", "55fd2f160935d1676dc04ba81e86a2bcd4da73510ba839f5296454d2f85df318", "80be58414bef53c708d1e26999023aebc74c68516b35b618cc84abde2cfdd9f3", "fc8c0cb0a0b17623f211669c70cd136569a1ac87cae4a44a3f2c1dbd3484f518"},
+	{"bundled/crill-flow/flashio/write-comm-2-overlap", "4e084e05afc7ba8fcde774996d85cbf05a0b43e02b855d5559e5ed78a1d2632d", "ab156c4c1220df23e2bb9713d7a2630ec85999e5d8299f494fbee54930ea68af", "80be58414bef53c708d1e26999023aebc74c68516b35b618cc84abde2cfdd9f3", "d25614fb4372248344374c37d8a220bea5ed2c1531e60b2a5192d81cca04ce90"},
 	{"jrun2/crill/ior/write-comm-2-overlap", "71fae507b35e280b13680fb4a85c75ec7e3db8e4ef2581b716d15fed4b9ef65f", "41299b01311c3dbce8f9db14c644621875a54a73737b78d9dbf41b0578ae3638", "972c87dba0807fde2528aac1db258198d4c80d3b719f48246dfb939c845bbdf5", "03ad305aad5b8ac8efb5597f3327d68b04922dadedcc928c73802239a7aeee42"},
 }
 

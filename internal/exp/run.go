@@ -133,9 +133,10 @@ type route struct {
 //     ladders are only meaningful relative to that model;
 //   - parallel needs JRun >= 1, RendezvousChunk < 0 (the chunk pump
 //     round-trips through the receiver's progress engine in 150 ns) and
-//     the chunked network model (flow mode recomputes global rates at
-//     every arrival): every cross-LP interaction must be at least one
-//     lookahead of deterministic latency away.
+//     the chunked network model (flow mode re-rates flows on other
+//     nodes at the instant of every arrival): every cross-LP
+//     interaction must be at least one lookahead of deterministic
+//     latency away.
 func routeFor(spec Spec) (route, error) {
 	pf := spec.Platform
 	core := !spec.Read && !spec.DataMode && spec.Primitive == fcoll.TwoSided &&

@@ -368,7 +368,7 @@ func (pf Platform) InstantiateParallel(nprocs int, seed int64) (*Cluster, error)
 			return substrate{}, fmt.Errorf("platform: %s: partitioned execution requires RendezvousChunk < 0 (use Deterministic())", pf.Name)
 		}
 		if pf.NetModel != simnet.ModelChunked {
-			return substrate{}, fmt.Errorf("platform: %s: partitioned execution requires the chunked network model (flow mode recomputes global rates at every arrival, zero lookahead)", pf.Name)
+			return substrate{}, fmt.Errorf("platform: %s: partitioned execution requires the chunked network model (flow mode re-rates flows on other nodes at the instant of every arrival, zero lookahead)", pf.Name)
 		}
 		nlps := nodes
 		if !pf.NodeLocalStorage {

@@ -173,12 +173,6 @@ func newFS(net *simnet.Network, cfg Config, part *sim.Partition, nlps int, kerne
 // Config returns the file system configuration.
 func (fs *FS) Config() Config { return fs.cfg }
 
-// Kernel returns the owning kernel.
-func (fs *FS) Kernel() *sim.Kernel { return fs.k }
-
-// Target exposes storage target i (diagnostics, utilisation reports).
-func (fs *FS) Target(i int) *sim.Server { return fs.targets[i] }
-
 // NumTargets returns the storage-target count.
 func (fs *FS) NumTargets() int { return len(fs.targets) }
 

@@ -142,7 +142,7 @@ func NewPartitioned(part *sim.Partition, cfg Config) *Network {
 		panic("simnet: LinkNoise is a zero-lookahead coupling; partitioned execution requires a noise-free config")
 	}
 	if cfg.NetModel == ModelFlow {
-		panic("simnet: ModelFlow recomputes global rates at every arrival (zero lookahead); partitioned execution requires ModelChunked")
+		panic("simnet: ModelFlow re-rates flows on other nodes at the instant of every arrival (zero lookahead); partitioned execution requires ModelChunked")
 	}
 	if part.NKernels() < cfg.Nodes {
 		panic("simnet: partition has fewer LPs than nodes")
@@ -174,10 +174,6 @@ func newNode(k *sim.Kernel, lp int, sh *netShard, cfg Config, i int) *Node {
 		mem: k.NewServer(fmt.Sprintf("node%d.mem", i), cfg.MemBandwidth, 0),
 	}
 }
-
-// Kernel returns the owning kernel (LP 0's under partitioned
-// execution).
-func (n *Network) Kernel() *sim.Kernel { return n.k }
 
 // KernelFor returns the kernel node i's servers live on: the shared
 // kernel of a sequential run, or node i's LP kernel when partitioned.
