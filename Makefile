@@ -55,10 +55,13 @@ race-parallel:
 # steady wall-clock measurements. Rows are keyed by (name, GOMAXPROCS)
 # and every committed BENCH_*.json was recorded at GOMAXPROCS=1, so on a
 # multi-core host run `GOMAXPROCS=1 make bench` (and bench-diff) or the
-# diff finds no shared benchmarks. -timeout 30m: the exact 4096-rank
-# cells of internal/exp take several minutes each, and together they
-# outrun go test's 10-minute default on a loaded host, which cut the
-# package off and dropped its remaining rows from the record.
+# diff finds no shared benchmarks. benchjson folds the repeated rows of
+# a `-count N` run into one row per benchmark with the median and
+# quartiles of each metric, and diffs on the median. -timeout 30m: the
+# exact 4096-rank cells of internal/exp take several minutes each, and
+# together they outrun go test's 10-minute default on a loaded host,
+# which cut the package off and dropped its remaining rows from the
+# record.
 #
 # Note the division of labour with `make race`: benchmarks and the
 # parallel sweep runner (-j) measure throughput, while the race lane
@@ -66,8 +69,8 @@ race-parallel:
 # equivalence tests — under the race detector. Perf numbers come from
 # bench, concurrency-correctness evidence from race.
 BENCHTIME ?= 1x
-BENCHOUT ?= BENCH_PR21.json
-BENCHBASE ?= BENCH_PR10.json
+BENCHOUT ?= BENCH_PR26.json
+BENCHBASE ?= BENCH_PR21.json
 BENCHDIFF = $(if $(wildcard $(BENCHBASE)),-diff $(BENCHBASE),)
 
 bench:

@@ -4,10 +4,15 @@
 //
 //	go test -run '^$' -bench . -benchmem ./... | go run ./cmd/benchjson > BENCH_PR4.json
 //
+// Repeated rows of one benchmark (`-count N`) are folded into one row
+// holding the median, quartiles and sample count of each metric
+// (benchfmt.Run.Fold).
+//
 // With -diff FILE the run is also compared against a prior BENCH_*.json
 // baseline: per-benchmark metric deltas go to stderr (stdout stays pure
 // JSON for redirection). Benchmarks appearing in only one of the two
-// runs are skipped.
+// runs are skipped. The baseline is folded too, so the deltas compare
+// medians.
 //
 // With -fail-above PCT the comparison becomes a regression gate (the
 // Makefile's bench-diff target): any ns/op delta worse than +PCT% makes
@@ -50,6 +55,7 @@ func main() {
 	if len(run.Results) == 0 {
 		fatal(fmt.Errorf("no benchmark lines on stdin"))
 	}
+	run.Fold()
 	var deltas []benchfmt.Delta
 	if *diffFile != "" {
 		if deltas, err = printDiff(*diffFile, run); err != nil {
@@ -95,6 +101,7 @@ func printDiff(path string, run *benchfmt.Run) ([]benchfmt.Delta, error) {
 	if err := json.Unmarshal(data, &base); err != nil {
 		return nil, fmt.Errorf("baseline %s: %v", path, err)
 	}
+	base.Fold()
 	deltas := benchfmt.Diff(&base, run)
 	if len(deltas) == 0 {
 		fmt.Fprintf(os.Stderr, "benchjson: no benchmarks shared with baseline %s\n", path)

@@ -13,6 +13,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -28,8 +29,14 @@ type Result struct {
 	Iterations int64 `json:"iterations"`
 	// Metrics maps unit → value for every "value unit" pair on the
 	// line (ns/op, B/op, allocs/op, custom b.ReportMetric units like
-	// sim-ms/op).
+	// sim-ms/op). A folded row (Fold) holds each unit's median.
 	Metrics map[string]float64 `json:"metrics"`
+	// Samples is the number of rows Fold merged into this one, zero for
+	// a benchmark reported once; Q1 and Q3 then hold each unit's lower
+	// and upper quartile, and Iterations the total over the samples.
+	Samples int                `json:"samples,omitempty"`
+	Q1      map[string]float64 `json:"q1,omitempty"`
+	Q3      map[string]float64 `json:"q3,omitempty"`
 }
 
 // Run is a parsed benchmark stream.
@@ -98,4 +105,56 @@ func parseLine(line string) (Result, error) {
 		res.Metrics[fields[i+1]] = v
 	}
 	return res, nil
+}
+
+// Fold merges the repeated rows of each benchmark — same name and
+// procs, as `go test -count N` prints them — into one row at the
+// benchmark's first position, holding the median, quartiles and sample
+// count of every unit (see Result). Quantiles interpolate linearly
+// between order statistics, so five samples give the 2nd, 3rd and 4th
+// smallest. A benchmark reported once is left as it is.
+func (run *Run) Fold() {
+	groups := map[string][]Result{}
+	var order []string
+	for _, r := range run.Results {
+		k := key(r)
+		if _, seen := groups[k]; !seen {
+			order = append(order, k)
+		}
+		groups[k] = append(groups[k], r)
+	}
+	out := make([]Result, 0, len(order))
+	for _, k := range order {
+		rows := groups[k]
+		if len(rows) == 1 {
+			out = append(out, rows[0])
+			continue
+		}
+		f := Result{Name: rows[0].Name, Procs: rows[0].Procs, Samples: len(rows),
+			Metrics: map[string]float64{}, Q1: map[string]float64{}, Q3: map[string]float64{}}
+		vals := map[string][]float64{}
+		for _, r := range rows {
+			f.Iterations += r.Iterations
+			for u, v := range r.Metrics {
+				vals[u] = append(vals[u], v)
+			}
+		}
+		for u, vs := range vals {
+			sort.Float64s(vs)
+			f.Q1[u], f.Metrics[u], f.Q3[u] = quantile(vs, 0.25), quantile(vs, 0.5), quantile(vs, 0.75)
+		}
+		out = append(out, f)
+	}
+	run.Results = out
+}
+
+// quantile returns the p-quantile of sorted vs, interpolated linearly
+// at rank p·(n−1).
+func quantile(vs []float64, p float64) float64 {
+	pos := p * float64(len(vs)-1)
+	i := int(pos)
+	if i+1 >= len(vs) {
+		return vs[len(vs)-1]
+	}
+	return vs[i] + (pos-float64(i))*(vs[i+1]-vs[i])
 }

@@ -60,3 +60,52 @@ func TestParseMalformed(t *testing.T) {
 		}
 	}
 }
+
+// TestFoldRepeatedRows pins how a `-count 5` stream is recorded: the
+// five rows of one benchmark become one row at its first position with
+// the median and quartiles of each unit, and a benchmark reported once
+// (or at another GOMAXPROCS) keeps its row unchanged.
+func TestFoldRepeatedRows(t *testing.T) {
+	run, err := Parse(strings.NewReader(`BenchmarkAIOWrite 	 100	 500 ns/op	 9 allocs/op
+BenchmarkOnce 	 7	 42 ns/op
+BenchmarkAIOWrite 	 100	 100 ns/op	 9 allocs/op
+BenchmarkAIOWrite-2 	 50	 60 ns/op
+BenchmarkAIOWrite 	 120	 400 ns/op	 9 allocs/op
+BenchmarkAIOWrite 	 100	 200 ns/op	 9 allocs/op
+BenchmarkAIOWrite 	 80	 300 ns/op	 9 allocs/op
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run.Fold()
+	if len(run.Results) != 3 {
+		t.Fatalf("%d rows after folding, want 3: %+v", len(run.Results), run.Results)
+	}
+	f := run.Results[0]
+	if f.Name != "BenchmarkAIOWrite" || f.Procs != 1 || f.Samples != 5 || f.Iterations != 500 {
+		t.Fatalf("folded row = %+v", f)
+	}
+	if f.Metrics["ns/op"] != 300 || f.Q1["ns/op"] != 200 || f.Q3["ns/op"] != 400 {
+		t.Fatalf("ns/op median %v, quartiles %v/%v; want 300, 200/400", f.Metrics["ns/op"], f.Q1["ns/op"], f.Q3["ns/op"])
+	}
+	if f.Metrics["allocs/op"] != 9 || f.Q1["allocs/op"] != 9 || f.Q3["allocs/op"] != 9 {
+		t.Fatalf("allocs/op = %v %v %v", f.Q1, f.Metrics, f.Q3)
+	}
+	if once := run.Results[1]; once.Name != "BenchmarkOnce" || once.Samples != 0 || once.Q1 != nil || once.Metrics["ns/op"] != 42 {
+		t.Fatalf("single row = %+v", once)
+	}
+	if p2 := run.Results[2]; p2.Procs != 2 || p2.Samples != 0 || p2.Metrics["ns/op"] != 60 {
+		t.Fatalf("procs-2 row = %+v", p2)
+	}
+}
+
+// TestQuantileInterpolates checks the quantile rule between order
+// statistics.
+func TestQuantileInterpolates(t *testing.T) {
+	vs := []float64{1, 2, 4, 8}
+	for _, c := range []struct{ p, want float64 }{{0, 1}, {0.25, 1.75}, {0.5, 3}, {0.75, 5}, {1, 8}} {
+		if got := quantile(vs, c.p); got != c.want {
+			t.Errorf("quantile(%v, %v) = %v, want %v", vs, c.p, got, c.want)
+		}
+	}
+}

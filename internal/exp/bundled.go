@@ -357,7 +357,8 @@ func (b *cohortRun) issueCycle(v *viewState, c int) {
 				}
 			}(nd)
 			if bPack[j] > 0 {
-				b.net.Memcpy(nd, bPack[j]).OnDone(issue)
+				// One hop after the copy, as a future's callback ran.
+				b.net.MemcpyTo(sim.Func(func() { b.k.After(0, issue) }), nd, bPack[j])
 			} else {
 				issue()
 			}
@@ -465,7 +466,8 @@ type aggRun struct {
 		initAt sim.Time
 		open   bool
 	}
-	wr [2]*sim.Future // in-flight write per sub-buffer slot
+	wr     [2]*sim.Future // in-flight write per sub-buffer slot
+	copied sim.Future     // the staged-scatter copy's completion
 
 	shuffleTime  sim.Time
 	writeTime    sim.Time
@@ -505,7 +507,9 @@ func (s *aggShuffle) Wait(slot int) {
 	t0 := ag.p.Now()
 	ag.p.Wait(ag.v.recvDone[c][ag.a])
 	if u := ag.v.unpack[c][ag.a]; u > 0 {
-		ag.p.Wait(ag.b.net.Memcpy(ag.node, u))
+		ag.b.k.InitFuture(&ag.copied)
+		ag.b.net.MemcpyTo(&ag.copied, ag.node, u)
+		ag.p.Wait(&ag.copied)
 	}
 	now := ag.p.Now()
 	ag.shuffleTime += now - t0

@@ -217,18 +217,18 @@ func Execute(spec Spec) (Metrics, error) {
 }
 
 // checkPooled is the world-end leak check: once a run has drained,
-// every pooled transfer, request and protocol message must be back in
-// a pool, on whichever LP. A live one is a request never waited or a
-// message never consumed — a defect in the protocol stack, so the run
-// fails rather than report a result.
+// every pooled transfer, request, protocol message and stripe chunk must
+// be back in a pool, on whichever LP. A live one (a request never
+// waited, a message never consumed, a chunk never finished) is a defect
+// in the protocol stack, so the run fails rather than report a result.
 func checkPooled(cl *platform.Cluster) error {
-	transfers := cl.Net.LiveTransfers()
+	transfers, chunks := cl.Net.LiveTransfers(), cl.FS.LiveChunks()
 	var requests, msgs int
 	if cl.World != nil {
 		requests, msgs = cl.World.LivePooled()
 	}
-	if transfers != 0 || requests != 0 || msgs != 0 {
-		return fmt.Errorf("exp: %d transfers, %d requests and %d protocol messages still live at world end", transfers, requests, msgs)
+	if transfers != 0 || requests != 0 || msgs != 0 || chunks != 0 {
+		return fmt.Errorf("exp: %d transfers, %d requests, %d protocol messages and %d stripe chunks still live at world end", transfers, requests, msgs, chunks)
 	}
 	return nil
 }

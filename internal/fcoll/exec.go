@@ -33,6 +33,7 @@ type exec struct {
 
 	shState   [2]shuffle     // per-slot shuffle or scatter state, reused across cycles
 	ioFut     [2]*sim.Future // per-slot asynchronous file I/O in flight
+	copied    sim.Future     // chargeCopy's completion, reused per copy
 	stageBuf  [2][]byte      // per-slot staged-receive arenas (data mode)
 	stageUsed [2]int64
 	packBuf   []byte // payload scratch; reusable because Isend snapshots data
@@ -161,8 +162,9 @@ func (ex *exec) chargeCopy(n int64) {
 	if n <= 0 {
 		return
 	}
-	fut := ex.r.World().Network().Memcpy(ex.r.Node(), n)
-	ex.r.WaitFutures(fut)
+	ex.r.Kernel().InitFuture(&ex.copied)
+	ex.r.World().Network().MemcpyTo(&ex.copied, ex.r.Node(), n)
+	ex.r.WaitFutures(&ex.copied)
 }
 
 // stageAlloc carves n bytes out of the slot's grow-only staging arena.

@@ -19,7 +19,7 @@ func BenchmarkKernelEventThroughput(b *testing.B) {
 	remaining := b.N
 	k.Spawn("driver", func(p *Proc) {
 		for ; remaining > 0; remaining-- {
-			p.Wait(srv.Submit(1024))
+			p.Wait(submit(srv, 1024))
 		}
 	})
 	k.Run()

@@ -180,7 +180,7 @@ func TestStopDrainsPendingEvents(t *testing.T) {
 	k := NewKernel(1)
 	srv := k.NewServer("disk", 1e9, Microsecond)
 	for i := 0; i < 8; i++ {
-		srv.Submit(1 << 20)
+		submit(srv, 1<<20)
 		k.After(Time(i+1)*Millisecond, func() {})
 	}
 	ran := 0
@@ -206,9 +206,9 @@ func TestStopDrainsPendingEvents(t *testing.T) {
 	const burst = 100 // past the lane's initial capacity
 	k.At(5, func() {
 		for i := 0; i < burst; i++ {
-			ipc.SubmitFlowAfterOnArrive(nil, 0, 64, nil)
+			submitAfter(ipc, 0, 64)
 		}
-		ipc.Submit(64)
+		submit(ipc, 64)
 		k.Stop()
 	})
 	k.Run()

@@ -61,7 +61,7 @@ func buildPingPong(kernelFor func(lp int) *Kernel, shards []*logShard, nlp, roun
 		var bounce func(round int)
 		bounce = func(round int) {
 			sh.add(k, fmt.Sprintf("lp%d recv r%d", lp, round))
-			srv.Submit(int64(64 * (round + 1))).OnDone(func() {
+			submit(srv, int64(64*(round+1))).OnDone(func() {
 				sh.add(k, fmt.Sprintf("lp%d served r%d", lp, round))
 			})
 			if round < rounds {
@@ -88,7 +88,7 @@ func buildPingPong(kernelFor func(lp int) *Kernel, shards []*logShard, nlp, roun
 func bounceOn(kernelFor func(lp int) *Kernel, shards []*logShard, lp, round, rounds int) {
 	k := kernelFor(lp)
 	srv := k.NewServer("hop", 2e9, 5*Nanosecond)
-	srv.Submit(128).OnDone(func() {
+	submit(srv, 128).OnDone(func() {
 		shards[lp].add(k, fmt.Sprintf("lp%d hop-served r%d", lp, round))
 	})
 	if round < rounds {

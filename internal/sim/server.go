@@ -60,7 +60,7 @@ type Server struct {
 
 // serverReq is one pooled request. It is also the action of its own
 // events: the completion event once it is in service and, for
-// SubmitFlowAfterOnArrive, the earlier arrival event that queues it.
+// SubmitFlowAfterOnArriveTo, the earlier arrival event that queues it.
 // done is the caller's completion, fired at the end of service; hook
 // is the caller's start hook, or a delayed request's arrival hook
 // until it arrives. The request stays at 80 bytes: a busy server pools
@@ -73,7 +73,7 @@ type serverReq struct {
 	next *serverReq // free-list link, nil while the request is live
 
 	// Delayed-submit state. arriving and flow hold from
-	// SubmitFlowAfterOnArrive until the arrival event. fwd makes the
+	// SubmitFlowAfterOnArriveTo until the arrival event. fwd makes the
 	// request fire its completion through one zero-delay hop: the
 	// delayed submit's schedule is an arrival, a service and a
 	// forwarded completion, and every digest pins those events.
@@ -129,10 +129,7 @@ func (k *Kernel) NewServer(name string, bandwidth float64, perOp Time) *Server {
 // callers precompute a completion instant before service starts (the
 // precomputability-as-lookahead trick in simnet). Noise, when present,
 // perturbs the actual service on top of this value.
-func (s *Server) ServiceTime(size int64) Time { return s.serviceTime(size) }
-
-// serviceTime computes the unperturbed service time for size bytes.
-func (s *Server) serviceTime(size int64) Time {
+func (s *Server) ServiceTime(size int64) Time {
 	d := s.PerOp
 	if s.Bandwidth > 0 && size > 0 {
 		d += Time(float64(size) / s.Bandwidth * float64(Second))
@@ -151,45 +148,15 @@ type turn struct {
 	req  *serverReq
 }
 
-// Submit enqueues a request of size bytes as its own flow and returns a
-// future that completes when the request has been fully served.
-func (s *Server) Submit(size int64) *Future {
-	return s.SubmitFlow(nil, size)
-}
-
-// SubmitFlow enqueues a request of size bytes on the given flow. A nil
-// flow key makes the request its own flow. Requests within one flow are
-// served in submission order; distinct flows share the server
-// round-robin.
-func (s *Server) SubmitFlow(flow interface{}, size int64) *Future {
-	return s.SubmitFlowOnStart(flow, size, nil)
-}
-
-// SubmitFlowOnStart is SubmitFlow with a callback invoked (in kernel
-// context) the moment the request begins service — used to anchor
-// downstream resources (e.g. a receive port reservation one wire
-// latency after transmission starts).
-func (s *Server) SubmitFlowOnStart(flow interface{}, size int64, onStart func()) *Future {
-	f := s.k.NewFuture()
-	s.SubmitFlowOnStartTo(f, flow, size, optFunc(onStart))
-	return f
-}
-
-// optFunc adapts an optional callback: nil stays a nil Action.
-func optFunc(fn func()) Action {
-	if fn == nil {
-		return nil
-	}
-	return Func(fn)
-}
-
-// SubmitFlowOnStartTo is SubmitFlowOnStart for a caller that owns its
-// completion: done fires at the instant SubmitFlowOnStart's future
-// would complete, and the server allocates nothing. A *Future done
-// completes there; a Func or Event done runs there, in kernel context,
-// so a caller mirroring the allocating form's OnDone callback
-// schedules it zero-delay from done. onStart, if non-nil, fires the
-// moment the request begins service.
+// SubmitFlowOnStartTo enqueues a request of size bytes on the given
+// flow; done fires at the end of its service. A nil flow key makes the
+// request its own flow. Requests within one flow are served in
+// submission order; distinct flows share the server round-robin. done
+// and onStart are Actions the caller owns, so the server allocates
+// nothing: a *Future done completes there, a Func or Event done runs
+// there, in kernel context. onStart, if non-nil, fires the moment the
+// request begins service — used to anchor downstream resources (e.g. a
+// receive port reservation one wire latency after transmission starts).
 func (s *Server) SubmitFlowOnStartTo(done Action, flow interface{}, size int64, onStart Action) {
 	req := s.newReq(done)
 	req.hook = onStart
@@ -198,7 +165,7 @@ func (s *Server) SubmitFlowOnStartTo(done Action, flow interface{}, size int64, 
 
 // enqueue draws req's service time and starts or queues it on flow.
 func (s *Server) enqueue(req *serverReq, flow interface{}, size int64) {
-	d := s.serviceTime(size)
+	d := s.ServiceTime(size)
 	if s.Noise != nil {
 		f := s.Noise()
 		if f < 0 {
@@ -290,34 +257,13 @@ func (s *Server) finish(req *serverReq) {
 	s.serveNext()
 }
 
-// SubmitAfter behaves like SubmitFlow but the request only reaches the
-// server queue after delay (e.g. network latency before a storage target
-// sees a write).
-func (s *Server) SubmitAfter(delay Time, size int64) *Future {
-	return s.SubmitFlowAfter(nil, delay, size)
-}
-
-// SubmitFlowAfter is SubmitFlow with an arrival delay.
-func (s *Server) SubmitFlowAfter(flow interface{}, delay Time, size int64) *Future {
-	return s.SubmitFlowAfterOnArrive(flow, delay, size, nil)
-}
-
-// SubmitFlowAfterOnArrive is SubmitFlowAfter with a callback invoked (in
-// kernel context) when the request reaches the server queue, before it
-// is enqueued — the instant an observer should sample the backlog the
-// request is about to join. The request is taken from the pool now and
-// is itself the arrival event, so the delayed submit allocates only
-// the returned future.
-func (s *Server) SubmitFlowAfterOnArrive(flow interface{}, delay Time, size int64, onArrive func()) *Future {
-	f := s.k.NewFuture()
-	s.SubmitFlowAfterOnArriveTo(f, flow, delay, size, optFunc(onArrive))
-	return f
-}
-
-// SubmitFlowAfterOnArriveTo is SubmitFlowAfterOnArrive for a caller
-// that owns its completion: done fires (see SubmitFlowOnStartTo) at the
-// instant SubmitFlowAfterOnArrive's future would complete, one
-// zero-delay hop after service ends, and the server allocates nothing.
+// SubmitFlowAfterOnArriveTo is SubmitFlowOnStartTo for a request that
+// reaches the server queue only after delay (e.g. network latency before
+// a storage target sees a write). onArrive, if non-nil, fires (in kernel
+// context) when the request arrives, before it is enqueued — the instant
+// an observer should sample the backlog the request is about to join.
+// done fires one zero-delay hop after service ends. The request is taken
+// from the pool now and is itself the arrival event.
 func (s *Server) SubmitFlowAfterOnArriveTo(done Action, flow interface{}, delay Time, size int64, onArrive Action) {
 	req := s.newReq(done)
 	req.arriving = true
@@ -329,7 +275,7 @@ func (s *Server) SubmitFlowAfterOnArriveTo(done Action, flow interface{}, delay 
 }
 
 // arrive is a delayed request's arrival event: the request joins the
-// server exactly as a SubmitFlow made at this instant would.
+// server exactly as a SubmitFlowOnStartTo made at this instant would.
 func (s *Server) arrive(req *serverReq) {
 	flow, onArrive, size := req.flow, req.hook, int64(req.d)
 	req.arriving = false
@@ -352,6 +298,6 @@ func (s *Server) BusyUntil() Time {
 
 // QueueDepth returns the number of requests currently queued or in
 // service — the instantaneous occupancy an observability probe samples
-// at submit time. Requests submitted via SubmitFlowAfter count only
-// once their arrival delay has elapsed.
+// at submit time. Requests submitted via SubmitFlowAfterOnArriveTo
+// count only once their arrival delay has elapsed.
 func (s *Server) QueueDepth() int { return s.queued }

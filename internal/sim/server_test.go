@@ -5,11 +5,26 @@ import (
 	"testing/quick"
 )
 
+// submit enqueues a request of size bytes on s as its own flow and
+// returns a future that completes when it has been served.
+func submit(s *Server, size int64) *Future {
+	f := s.k.NewFuture()
+	s.SubmitFlowOnStartTo(f, nil, size, nil)
+	return f
+}
+
+// submitAfter is submit for a request that reaches s after delay.
+func submitAfter(s *Server, delay Time, size int64) *Future {
+	f := s.k.NewFuture()
+	s.SubmitFlowAfterOnArriveTo(f, nil, delay, size, nil)
+	return f
+}
+
 func TestServerSingleRequest(t *testing.T) {
 	k := NewKernel(1)
 	// 1000 bytes/s, 10ns per op.
 	s := k.NewServer("disk", 1000, 10)
-	f := s.Submit(500) // 0.5s + 10ns
+	f := submit(s, 500) // 0.5s + 10ns
 	k.Run()
 	want := Time(float64(500)/1000*float64(Second)) + 10
 	if f.DoneAt() != want {
@@ -20,8 +35,8 @@ func TestServerSingleRequest(t *testing.T) {
 func TestServerFIFOQueueing(t *testing.T) {
 	k := NewKernel(1)
 	s := k.NewServer("nic", float64(Second), 0) // 1 byte per ns
-	f1 := s.Submit(100)
-	f2 := s.Submit(50)
+	f1 := submit(s, 100)
+	f2 := submit(s, 50)
 	k.Run()
 	if f1.DoneAt() != 100 {
 		t.Fatalf("first done at %v, want 100", f1.DoneAt())
@@ -35,9 +50,9 @@ func TestServerIdleGapResets(t *testing.T) {
 	k := NewKernel(1)
 	s := k.NewServer("nic", float64(Second), 0)
 	var done Time
-	k.At(0, func() { s.Submit(10) })
+	k.At(0, func() { submit(s, 10) })
 	k.At(1000, func() {
-		f := s.Submit(10)
+		f := submit(s, 10)
 		f.OnDone(func() { done = k.Now() })
 	})
 	k.Run()
@@ -49,7 +64,7 @@ func TestServerIdleGapResets(t *testing.T) {
 func TestServerZeroBandwidthIsInfinite(t *testing.T) {
 	k := NewKernel(1)
 	s := k.NewServer("inf", 0, 7)
-	f := s.Submit(1 << 40)
+	f := submit(s, 1<<40)
 	k.Run()
 	if f.DoneAt() != 7 {
 		t.Fatalf("done at %v, want 7 (PerOp only)", f.DoneAt())
@@ -60,7 +75,7 @@ func TestServerNoise(t *testing.T) {
 	k := NewKernel(1)
 	s := k.NewServer("noisy", float64(Second), 0)
 	s.Noise = func() float64 { return 2.0 }
-	f := s.Submit(100)
+	f := submit(s, 100)
 	k.Run()
 	if f.DoneAt() != 200 {
 		t.Fatalf("noisy request done at %v, want 200", f.DoneAt())
@@ -71,7 +86,7 @@ func TestServerNegativeNoiseClamped(t *testing.T) {
 	k := NewKernel(1)
 	s := k.NewServer("noisy", float64(Second), 0)
 	s.Noise = func() float64 { return -3 }
-	f := s.Submit(100)
+	f := submit(s, 100)
 	k.Run()
 	if f.DoneAt() != 0 {
 		t.Fatalf("done at %v, want 0 (noise clamped to 0)", f.DoneAt())
@@ -81,7 +96,7 @@ func TestServerNegativeNoiseClamped(t *testing.T) {
 func TestServerSubmitAfter(t *testing.T) {
 	k := NewKernel(1)
 	s := k.NewServer("t", float64(Second), 0)
-	f := s.SubmitAfter(40, 10)
+	f := submitAfter(s, 40, 10)
 	k.Run()
 	if f.DoneAt() != 50 {
 		t.Fatalf("done at %v, want 50", f.DoneAt())
@@ -103,8 +118,8 @@ func TestServerStats(t *testing.T) {
 	k := NewKernel(1)
 	s := k.NewServer("t", float64(Second), 5)
 	nops, nbusy := observeBusy(s)
-	s.Submit(10)
-	s.Submit(20)
+	submit(s, 10)
+	submit(s, 20)
 	k.Run()
 	ops, busy := *nops, *nbusy
 	// At 1 byte/ns the bytes served are the busy time less PerOp per op.
@@ -132,7 +147,7 @@ func TestServerFIFOProperty(t *testing.T) {
 		_, busy := observeBusy(s)
 		futs := make([]*Future, len(sizes))
 		for i, sz := range sizes {
-			futs[i] = s.Submit(int64(sz))
+			futs[i] = submit(s, int64(sz))
 		}
 		k.Run()
 		var prev Time = -1
@@ -142,7 +157,7 @@ func TestServerFIFOProperty(t *testing.T) {
 				return false
 			}
 			prev = f.DoneAt()
-			sum += s.serviceTime(int64(sizes[i]))
+			sum += s.ServiceTime(int64(sizes[i]))
 		}
 		return *busy == sum
 	}

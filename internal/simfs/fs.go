@@ -67,7 +67,6 @@ func (c *Config) validate() error {
 
 // FS is an instantiated file system.
 type FS struct {
-	k       *sim.Kernel
 	net     *simnet.Network
 	cfg     Config
 	targets []*sim.Server
@@ -84,18 +83,25 @@ type FS struct {
 	targetK  []*sim.Kernel
 	targetLP []int
 
-	// sinks holds each LP's observability sinks (SetSinks): one entry
-	// for a sequential file system, one per partition LP otherwise.
-	// ostDepth caches each target's queue-occupancy gauge so the
-	// per-chunk arrival sample is a slice load, not a map lookup.
-	sinks    []fsSinks
+	// shards holds each LP's host state: one for a sequential file
+	// system, one per partition LP otherwise. ostDepth caches each
+	// target's queue-occupancy gauge, and ostCtr its "bytes" and "ops"
+	// counter names (built when a probe is first attached), so the
+	// per-chunk observations make no map lookup and no string.
+	shards   []fsShard
 	ostDepth []*metrics.Gauge
+	ostCtr   [][2]string
 }
 
-// fsSinks is one LP's probe and telemetry sink.
-type fsSinks struct {
+// fsShard is one LP's sinks and the pool of the chunks its clients
+// issue; live counts those taken and not returned. Padded to a cache
+// line.
+type fsShard struct {
 	probe *probe.Probe
 	met   *metrics.Metrics
+	free  *chunk
+	live  int
+	_     [32]byte
 }
 
 // New creates a file system whose chunk traffic shares the given
@@ -149,7 +155,7 @@ func NewPartitioned(part *sim.Partition, net *simnet.Network, cfg Config) (*FS, 
 // kernel(lp). LP 0's kernel owns the file system.
 func newFS(net *simnet.Network, cfg Config, part *sim.Partition, nlps int, kernel func(lp int) *sim.Kernel, targetLP func(i int) int) (*FS, error) {
 	k := kernel(0)
-	fs := &FS{k: k, net: net, cfg: cfg, files: make(map[string]*File), part: part, sinks: make([]fsSinks, nlps)}
+	fs := &FS{net: net, cfg: cfg, files: make(map[string]*File), part: part, shards: make([]fsShard, nlps), ostDepth: make([]*metrics.Gauge, cfg.NumTargets)}
 	var noise func() float64
 	if cfg.TargetNoise != nil {
 		rng := k.Rand()
@@ -183,24 +189,24 @@ func (fs *FS) NumTargets() int { return len(fs.targets) }
 // per-chunk service series plus the client-observed chunk latency of
 // every write and read issued there. A sequential file system is one
 // LP (lp 0); a partitioned one has node i on LP i and external targets
-// on StorageLP. Recording is host-side appends plus completion
-// observation on already-existing futures — timing and digests are
-// unchanged.
+// on StorageLP. Recording is host-side appends at instants the chunk
+// path already visits, plus one zero-delay latency event per chunk —
+// timing and digests are unchanged.
 func (fs *FS) SetSinks(lp int, p *probe.Probe, m *metrics.Metrics) {
-	fs.sinks[lp] = fsSinks{probe: p, met: m}
+	fs.shards[lp].probe, fs.shards[lp].met = p, m
+	if p != nil && fs.ostCtr == nil {
+		fs.ostCtr = make([][2]string, len(fs.targets))
+		for i := range fs.ostCtr {
+			fs.ostCtr[i] = [2]string{probe.OSTCounter(i, "bytes"), probe.OSTCounter(i, "ops")}
+		}
+	}
 	for i, srv := range fs.targets {
 		if fs.targetLP[i] != lp {
 			continue
 		}
+		srv.ObserveService, fs.ostDepth[i] = nil, nil
 		if m == nil {
-			srv.ObserveService = nil
-			if fs.ostDepth != nil {
-				fs.ostDepth[i] = nil
-			}
 			continue
-		}
-		if fs.ostDepth == nil {
-			fs.ostDepth = make([]*metrics.Gauge, len(fs.targets))
 		}
 		fs.ostDepth[i] = m.Gauge(metrics.OSTDepth(i), metrics.ModeMax)
 		busy := m.Gauge(metrics.OSTBusy(i), metrics.ModeSum)
@@ -212,67 +218,18 @@ func (fs *FS) SetSinks(lp int, p *probe.Probe, m *metrics.Metrics) {
 	}
 }
 
-// observeChunkLatency records the client-observed submit-to-persist
-// latency of one chunk when its completion future fires. OnDone on an
-// already-created future is the sanctioned observation hook: it adds a
-// zero-delay continuation on the client's own LP and cannot reorder
-// events, so digests stay bit-identical with metrics on or off.
-func observeChunkLatency(h *metrics.Hist, k *sim.Kernel, fut *sim.Future) {
-	if h == nil {
-		return
-	}
-	t0 := k.Now()
-	fut.OnDone(func() { h.Record(int64(k.Now() - t0)) })
-}
-
-// observeIO registers a begin/end span for one file-system call on the
-// call's completion future. Rank is the client *node* (the fs layer has
-// no rank notion); V carries the file offset.
-func (fs *FS) observeIO(kind probe.Kind, clientNode int, off, size int64, done *sim.Future) {
-	p := fs.sinks[fs.net.LPFor(clientNode)].probe
-	if p == nil {
-		return
-	}
-	k := fs.net.KernelFor(clientNode)
-	t0 := k.Now()
-	done.OnDone(func() {
-		p.Emit(probe.Event{
-			At: t0, Dur: k.Now() - t0, Layer: probe.LayerFS, Kind: kind,
-			Rank: clientNode, Peer: -1, Cycle: -1, Size: size, V: off,
-		})
-	})
-}
-
-// observeChunk records the per-OST counters for one stripe chunk routed
-// to a storage target. The occupancy sample itself (KindOSTQueue) is
-// emitted separately at arrival time — see sampleOSTQueue.
-func (fs *FS) observeChunk(clientNode, target int, size int64) {
-	p := fs.sinks[fs.net.LPFor(clientNode)].probe
-	if p == nil {
-		return
-	}
-	p.Counters().Add(probe.OSTCounter(target, "bytes"), size)
-	p.Counters().Add(probe.OSTCounter(target, "ops"), 1)
-}
-
 // sampleOSTQueue emits the occupancy sample for one stripe chunk: the
-// backlog the chunk finds when it reaches its storage target, measured
-// in the arrival callback just before the chunk enqueues. Sampling at
-// arrival (rather than at the client-side submit) keeps the estimate
-// exact under partitioned execution too: the arrival code runs on the
-// target's own LP, where the server state is local — no cross-LP read,
-// and the parallel probe stream stays bit-identical to the sequential
-// one. Must be called from the arrival context (the target's kernel
-// under partitioned execution).
+// backlog the chunk finds when it reaches its storage target, just
+// before it enqueues. Sampling at arrival, on the target's own LP under
+// partitioned execution, reads only local server state, so the parallel
+// probe stream stays bit-identical to the sequential one.
 func (fs *FS) sampleOSTQueue(clientNode, target int, size int64) {
-	k, p := fs.targetK[target], fs.sinks[fs.targetLP[target]].probe
-	if fs.ostDepth != nil {
-		if g := fs.ostDepth[target]; g != nil {
-			// Occupancy including the arriving chunk (QueueDepth counts
-			// only once arrival delays have elapsed, and the chunk has
-			// not yet enqueued here).
-			g.Observe(k.Now(), int64(fs.targets[target].QueueDepth()+1))
-		}
+	k, p := fs.targetK[target], fs.shards[fs.targetLP[target]].probe
+	if g := fs.ostDepth[target]; g != nil {
+		// Occupancy including the arriving chunk (QueueDepth counts only
+		// once arrival delays have elapsed, and the chunk has not yet
+		// enqueued here).
+		g.Observe(k.Now(), int64(fs.targets[target].QueueDepth()+1))
 	}
 	if p == nil {
 		return
@@ -327,8 +284,8 @@ func (f *File) targetFor(off int64) int {
 
 // chunkify splits [off, off+size) at stripe boundaries.
 func (f *File) chunkify(off, size int64) []extent {
-	var out []extent
 	ss := f.fs.cfg.StripeSize
+	out := make([]extent, 0, (off+size+ss-1)/ss-off/ss)
 	for size > 0 {
 		n := ss - off%ss
 		if n > size {
@@ -359,9 +316,9 @@ var (
 // [off, off+size) into stripe chunks and move each between the client
 // and its target. A chunk on a target hosted by clientNode queues at
 // the target after ClientPerOp and skips the NIC; a remote chunk takes
-// the direction's network leg (writeChunk, readChunk). Writes record
-// buf into the file first; reads copy the file into buf. The returned
-// future completes when every chunk is done.
+// the direction's two legs (see chunk). Writes record buf into the file
+// first; reads copy the file into buf. The returned future completes
+// when every chunk is done.
 func (f *File) startIO(dir *ioDir, clientNode int, off, size int64, buf []byte) *sim.Future {
 	if size < 0 || off < 0 {
 		panic(fmt.Sprintf("simfs: bad %s off=%d size=%d", dir.verb, off, size))
@@ -369,8 +326,9 @@ func (f *File) startIO(dir *ioDir, clientNode int, off, size int64, buf []byte) 
 	if buf != nil && int64(len(buf)) != size {
 		panic("simfs: " + dir.verb + " buffer length does not match size")
 	}
+	fs := f.fs
 	if dir.read {
-		if f.fs.part != nil {
+		if fs.part != nil {
 			// The read path submits at the target instantly (zero
 			// lookahead from client to target); the exp-layer gate routes
 			// read specs to the sequential executor, so reaching here is a
@@ -383,101 +341,196 @@ func (f *File) startIO(dir *ioDir, clientNode int, off, size int64, buf []byte) 
 	} else {
 		f.record(off, size, buf)
 	}
-	k := f.fs.net.KernelFor(clientNode)
-	sinks := f.fs.sinks[f.fs.net.LPFor(clientNode)]
-	ctr := sinks.probe.Counters()
+	k := fs.net.KernelFor(clientNode)
+	sh := &fs.shards[fs.net.LPFor(clientNode)]
+	ctr := sh.probe.Counters()
 	ctr.Add(dir.ctrCalls, 1)
 	ctr.Add(dir.ctrBytes, size)
+	call := &ioCall{fs: fs, sh: sh, k: k, dir: dir, client: clientNode, off: off, size: size, t0: k.Now()}
+	k.InitFuture(&call.out)
 	if size == 0 {
-		out := k.NewFuture()
-		k.CompleteAfter(f.fs.cfg.ClientPerOp, out)
-		f.fs.observeIO(dir.kind, clientNode, off, size, out)
-		return out
+		k.CompleteAfter(fs.cfg.ClientPerOp, &call.out)
+	} else if sh.met != nil {
+		call.lat = sh.met.Hist(metrics.ChunkLatency)
 	}
-	var futs []*sim.Future
-	var latH *metrics.Hist
-	if m := sinks.met; m != nil {
-		latH = m.Hist(metrics.ChunkLatency)
-	}
-	// All chunks of one call share a flow: they stream in order through
-	// the client NIC without starving concurrent transfers.
-	flow := new(byte)
 	for _, ch := range f.chunkify(off, size) {
 		tgt := f.targetFor(ch.off)
 		n := ch.end - ch.off
-		local := f.fs.cfg.TargetNode != nil && f.fs.cfg.TargetNode(tgt) == clientNode
-		f.fs.observeChunk(clientNode, tgt, n)
-		if local {
-			fut := f.fs.targets[tgt].SubmitFlowAfterOnArrive(nil, f.fs.cfg.ClientPerOp, n, func() {
-				f.fs.sampleOSTQueue(clientNode, tgt, n)
-			})
-			observeChunkLatency(latH, k, fut)
-			futs = append(futs, fut)
-			continue
+		if sh.probe != nil {
+			ctr.Add(fs.ostCtr[tgt][0], n) // the per-OST counters
+			ctr.Add(fs.ostCtr[tgt][1], 1)
 		}
-		done := k.NewFuture()
-		if dir.read {
-			f.readChunk(flow, clientNode, tgt, n, done)
-		} else {
-			f.writeChunk(k, flow, clientNode, tgt, n, done)
+		c := call.newChunk(tgt, n)
+		switch {
+		case fs.cfg.TargetNode != nil && fs.cfg.TargetNode(tgt) == clientNode:
+			c.hops = 0
+			fs.targets[tgt].SubmitFlowAfterOnArriveTo(&c.persisted, nil, fs.cfg.ClientPerOp, n, &c.arrive)
+		case dir.read:
+			fs.sampleOSTQueue(clientNode, tgt, n)
+			fs.targets[tgt].SubmitFlowOnStartTo(&c.leg1, nil, n, nil)
+		default:
+			fs.net.TxServer(clientNode).SubmitFlowOnStartTo(&c.leg1, call, n, nil)
 		}
-		observeChunkLatency(latH, k, done)
-		futs = append(futs, done)
 	}
-	out := k.Join(futs...)
-	f.fs.observeIO(dir.kind, clientNode, off, size, out)
-	return out
+	if sh.probe != nil {
+		call.emit = sim.NewEvent(call, (*ioCall).emitSpan)
+		call.out.Then(&call.emit)
+	}
+	return &call.out
 }
 
-// writeChunk moves one remote chunk to its target: inject on the client
-// NIC, cross the wire, queue at the target; done completes when the
-// chunk is persisted. k is the client's kernel.
-func (f *File) writeChunk(k *sim.Kernel, flow *byte, clientNode, tgt int, n int64, done *sim.Future) {
-	srv := f.fs.targets[tgt]
-	tx := f.fs.net.TxServer(clientNode).SubmitFlow(flow, n)
-	lat := f.fs.cfg.NetLatency
-	if f.fs.part == nil {
-		tx.OnDone(func() {
-			t := srv.SubmitFlowAfterOnArrive(nil, lat, n, func() {
-				f.fs.sampleOSTQueue(clientNode, tgt, n)
-			})
-			t.Then(done)
-		})
+// ioCall is one file-system call in flight: its completion, the count
+// of its chunks still pending, the begin/end span it reports (emit,
+// with a probe) and the chunk-latency histogram (lat, with metrics). It is also the flow its chunks share on the client
+// NIC, so they stream in order without starving concurrent transfers.
+type ioCall struct {
+	out     sim.Future
+	pending int
+
+	fs     *FS
+	sh     *fsShard // the client LP's shard
+	k      *sim.Kernel
+	dir    *ioDir
+	client int
+	off    int64
+	size   int64
+	t0     sim.Time
+	lat    *metrics.Hist
+	emit   sim.Event[ioCall]
+}
+
+// emitSpan reports the call's span. Rank is the client *node* (the fs
+// layer has no rank notion); V carries the file offset.
+func (c *ioCall) emitSpan() {
+	c.sh.probe.Emit(probe.Event{
+		At: c.t0, Dur: c.k.Now() - c.t0, Layer: probe.LayerFS, Kind: c.dir.kind,
+		Rank: c.client, Peer: -1, Cycle: -1, Size: c.size, V: c.off,
+	})
+}
+
+// chunk is one stripe chunk in flight, pooled per client LP. It is
+// every action of its own event chain, each a sim.Event bound when the
+// chunk is first allocated. leg1 ends the first leg (a write's NIC
+// inject, a read's target service) and relays, one hop later, to the
+// second: NetLatency away at the target (a write; arrive samples the
+// OST queue) or on the client NIC (a read's return leg). persisted ends
+// the chunk after hops zero-delay hops — one where a remote chunk's
+// target future forwarded into its own — and schedules the latency
+// record (with metrics) and join, the last event, which counts the call
+// down and returns the chunk to its pool. A node-local chunk is one
+// delayed submit at its target. A partitioned write crosses to the
+// target's LP where the sequential arrival runs, and ack ships persisted
+// back at service start; both ride Kernel.ScheduleRemote, which takes a
+// func, as method values bound on first allocation.
+type chunk struct {
+	call *ioCall
+	tgt  int
+	n    int64
+	hops int
+
+	leg1, relay, arrive, ack, persisted, record, join sim.Event[chunk]
+	crossFn, persistFn                                func()
+
+	next *chunk // free-list link, nil while the chunk is live
+}
+
+// newChunk takes a chunk for the call from its client LP's pool (or
+// allocates one and binds its actions).
+func (call *ioCall) newChunk(tgt int, n int64) *chunk {
+	sh := call.sh
+	c := sh.free
+	if c == nil {
+		c = &chunk{}
+		c.leg1 = sim.NewEvent(c, (*chunk).relayNext)
+		c.relay = sim.NewEvent(c, (*chunk).startLeg2)
+		c.arrive = sim.NewEvent(c, (*chunk).sample)
+		c.ack = sim.NewEvent(c, (*chunk).sendAck)
+		c.persisted = sim.NewEvent(c, (*chunk).persist)
+		c.record = sim.NewEvent(c, (*chunk).recordLatency)
+		c.join = sim.NewEvent(c, (*chunk).done)
+		if call.fs.part != nil {
+			c.crossFn, c.persistFn = c.cross, c.persist
+		}
+	} else {
+		sh.free = c.next
+		c.next = nil
+	}
+	sh.live++
+	call.pending++
+	c.call, c.tgt, c.n, c.hops = call, tgt, n, 1
+	return c
+}
+
+func (c *chunk) relayNext() { c.call.k.AfterAction(0, &c.relay) }
+
+func (c *chunk) startLeg2() {
+	call := c.call
+	fs, lat := call.fs, call.fs.cfg.NetLatency
+	switch {
+	case call.dir.read:
+		fs.net.TxServer(call.client).SubmitFlowAfterOnArriveTo(&c.persisted, call, lat, c.n, nil)
+	case fs.part != nil:
+		c.hops = 0
+		call.k.ScheduleRemote(fs.targetLP[c.tgt], call.k.Now()+lat, c.crossFn)
+	default:
+		fs.targets[c.tgt].SubmitFlowAfterOnArriveTo(&c.persisted, nil, lat, c.n, &c.arrive)
+	}
+}
+
+func (c *chunk) sample() { c.call.fs.sampleOSTQueue(c.call.client, c.tgt, c.n) }
+
+// cross is a partitioned write chunk's arrival on its target's LP. Its
+// service end has nothing left to do: sendAck already shipped it.
+func (c *chunk) cross() {
+	c.sample()
+	c.call.fs.targets[c.tgt].SubmitFlowOnStartTo(acked, nil, c.n, &c.ack)
+}
+
+var acked = sim.Func(func() {})
+
+// sendAck runs on the target's LP as a partitioned write chunk enters
+// service. Service times are noise-free, so the completion instant
+// start+d is known a full TargetPerOp (>= lookahead) ahead, and
+// persisted is shipped to the client's LP as a future-stamped event.
+func (c *chunk) sendAck() {
+	fs, tk := c.call.fs, c.call.fs.targetK[c.tgt]
+	tk.ScheduleRemote(fs.net.LPFor(c.call.client), tk.Now()+fs.targets[c.tgt].ServiceTime(c.n), c.persistFn)
+}
+
+func (c *chunk) persist() {
+	k := c.call.k
+	if c.hops > 0 {
+		c.hops--
+		k.AfterAction(0, &c.persisted)
 		return
 	}
-	// Partitioned: the chunk crosses to the target's LP one NetLatency
-	// (>= lookahead) after injection finishes, exactly where
-	// SubmitAfter's arrival event would run. The persistence ack exploits
-	// precomputability: service times are noise-free, so at service
-	// start the completion instant start+d is known a full TargetPerOp
-	// (>= lookahead) ahead, and the ack is shipped back to the client LP
-	// as a future-stamped event.
-	tgtLP, tk := f.fs.targetLP[tgt], f.fs.targetK[tgt]
-	d := srv.ServiceTime(n)
-	tx.OnDone(func() {
-		k.ScheduleRemote(tgtLP, k.Now()+lat, func() {
-			f.fs.sampleOSTQueue(clientNode, tgt, n)
-			srv.SubmitFlowOnStart(nil, n, func() {
-				tk.ScheduleRemote(clientNode, tk.Now()+d, done.Complete)
-			})
-		})
-	})
+	if c.call.lat != nil {
+		k.AfterAction(0, &c.record)
+	}
+	k.AfterAction(0, &c.join)
 }
 
-// readChunk moves one remote chunk to the client: the target serves it,
-// then it crosses the wire into the client NIC (charged on the tx
-// server, as BeeGFS clients are bandwidth-symmetric); done completes on
-// arrival. Reads submit at the target instantly, so the occupancy
-// sample is taken at submission.
-func (f *File) readChunk(flow *byte, clientNode, tgt int, n int64, done *sim.Future) {
-	f.fs.sampleOSTQueue(clientNode, tgt, n)
-	t := f.fs.targets[tgt].Submit(n)
-	lat := f.fs.cfg.NetLatency
-	cl := f.fs.net.TxServer(clientNode)
-	t.OnDone(func() {
-		in := cl.SubmitFlowAfter(flow, lat, n)
-		in.Then(done)
-	})
+// recordLatency records the client-observed submit-to-persist latency.
+func (c *chunk) recordLatency() { c.call.lat.Record(int64(c.call.k.Now() - c.call.t0)) }
+
+func (c *chunk) done() {
+	call, sh := c.call, c.call.sh
+	c.call, c.next, sh.free = nil, sh.free, c
+	sh.live--
+	if call.pending--; call.pending == 0 {
+		call.out.Complete()
+	}
+}
+
+// LiveChunks returns the number of stripe chunks taken from the pools
+// and not yet returned: zero once every call has completed. Read it
+// after the run, not from inside one.
+func (fs *FS) LiveChunks() int {
+	live := 0
+	for i := range fs.shards {
+		live += fs.shards[i].live
+	}
+	return live
 }
 
 // Write performs a synchronous write from process p running on

@@ -569,16 +569,9 @@ func observeDeliver(dst *Node, tr *Transfer) {
 	})
 }
 
-// Memcpy charges a memory-copy of size bytes on node i and returns its
-// completion future. Used for pack/unpack and collective-buffer
-// assembly costs.
-func (n *Network) Memcpy(node int, size int64) *sim.Future {
-	return n.nodes[node].mem.Submit(size)
-}
-
-// MemcpyTo is Memcpy for a caller that owns its completion: done fires
-// (sim.Server.SubmitFlowOnStartTo) where Memcpy's future would
-// complete, and nothing is allocated.
+// MemcpyTo charges a memory copy of size bytes on node i — pack/unpack
+// and collective-buffer assembly costs. done, which the caller owns,
+// fires when the copy ends (sim.Server.SubmitFlowOnStartTo).
 func (n *Network) MemcpyTo(done sim.Action, node int, size int64) {
 	n.nodes[node].mem.SubmitFlowOnStartTo(done, nil, size, nil)
 }

@@ -132,7 +132,8 @@ func TestRxContentionAtAggregator(t *testing.T) {
 func TestMemcpyCost(t *testing.T) {
 	k := sim.NewKernel(1)
 	n := New(k, testConfig())
-	f := n.Memcpy(1, 8000)
+	f := k.NewFuture()
+	n.MemcpyTo(f, 1, 8000)
 	k.Run()
 	if f.DoneAt() != 1000 { // 8000 / 8 per ns
 		t.Fatalf("memcpy done at %v, want 1000", f.DoneAt())
