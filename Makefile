@@ -51,8 +51,13 @@ race-parallel:
 # this PR: the raw stream passes through cmd/benchjson into BENCHOUT,
 # and when BENCHBASE names a prior BENCH_*.json the per-benchmark deltas
 # print to stderr. BENCHTIME=1x (the default) runs every simulation
-# once — enough for the deterministic sim-ms/op numbers; raise it to
-# steady wall-clock measurements. Rows are keyed by (name, GOMAXPROCS)
+# benchmark once — enough for the deterministic sim-ms/op numbers; raise
+# it to steady wall-clock measurements. The micro-benchmarks of the
+# kernel, network, file-system and MPI hot paths (internal/sim, simfs,
+# simnet, mpi: AIOWrite, AIORead, Fluid*, Send, the kernel and
+# ping-pong rows) cost
+# microseconds per op, where one iteration measures only warm-up, so
+# they always run at -benchtime 1s -count 5. Rows are keyed by (name, GOMAXPROCS)
 # and every committed BENCH_*.json was recorded at GOMAXPROCS=1, so on a
 # multi-core host run `GOMAXPROCS=1 make bench` (and bench-diff) or the
 # diff finds no shared benchmarks. benchjson folds the repeated rows of
@@ -69,12 +74,13 @@ race-parallel:
 # equivalence tests — under the race detector. Perf numbers come from
 # bench, concurrency-correctness evidence from race.
 BENCHTIME ?= 1x
-BENCHOUT ?= BENCH_PR26.json
+BENCHOUT ?= BENCH_PR27.json
 BENCHBASE ?= BENCH_PR21.json
 BENCHDIFF = $(if $(wildcard $(BENCHBASE)),-diff $(BENCHBASE),)
 
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -timeout 30m ./... | tee /dev/stderr | $(GO) run ./cmd/benchjson $(BENCHDIFF) > $(BENCHOUT)
+	{ $(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -timeout 30m $$($(GO) list ./... | grep -v -x -e 'collio/internal/sim\(fs\|net\)\?' -e collio/internal/mpi) && \
+	  $(GO) test -run '^$$' -bench . -benchmem -benchtime 1s -count 5 ./internal/sim ./internal/simfs ./internal/simnet ./internal/mpi; } | tee /dev/stderr | $(GO) run ./cmd/benchjson $(BENCHDIFF) > $(BENCHOUT)
 
 # `make bench-diff` is the CI-style regression gate: re-run the
 # benchmarks and fail non-zero if ns/op regressed beyond BENCHFAIL

@@ -2,9 +2,12 @@
 // enforces the simulator's correctness invariants at compile time. The
 // reproduced paper's measurements depend on protocol-level properties of
 // the simulated MPI progress engine — a leaked request, a wall-clock
-// call inside the deterministic kernel, or an unpaired RMA epoch
+// call inside the deterministic kernel, or a map-order dependency
 // silently corrupts the overlap numbers the reproduction exists to
 // produce — so the invariants are checked mechanically on every tree.
+// Rules whose state lives at run time are checked there instead: RMA
+// epoch balance by mpi.Window on every call, blocking from kernel
+// context by sim.Proc.
 //
 // The package is built only on the standard library (go/ast, go/parser,
 // go/types and a `go list`-based package enumerator); the module stays
@@ -16,12 +19,6 @@
 //
 //	wallclock            no wall-clock time or global math/rand inside
 //	                     the deterministic simulator packages
-//	fencepair            RMA epochs are locally balanced: WinLock pairs
-//	                     with WinUnlock, WinStart with WinComplete, and
-//	                     no Put escapes its epoch
-//	blockingoutsiderank  blocking MPI/process calls never run in kernel
-//	                     event-callback context (OnDone/After/At), where
-//	                     they would deadlock the DES scheduler
 //	payloadalias         a buffer handed to Isend/Put is not mutated
 //	                     before the operation completes
 //	kernelshare          no *sim.Kernel, *sim.Proc or *rand.Rand crosses
@@ -105,15 +102,13 @@ type Analyzer struct {
 	Run  func(*Pass) error
 }
 
-// All returns the full collvet suite in stable order. The first five
+// All returns the full collvet suite in stable order. The first three
 // are per-node syntactic matchers; the next four are flow-sensitive
 // analyzers over the CFG/dataflow core (cfg.go, dataflow.go); memosafe
 // is a type-shape check over marked declarations.
 func All() []*Analyzer {
 	return []*Analyzer{
 		WallClock,
-		FencePair,
-		BlockingOutsideRank,
 		PayloadAlias,
 		KernelShare,
 		MapOrder,

@@ -170,14 +170,6 @@ func TestWallClockFixtures(t *testing.T) {
 		"wallclock/internal/metrics", "wallclock/internal/metrics/export")
 }
 
-func TestFencePairFixtures(t *testing.T) {
-	runFixtureTest(t, FencePair, "fencepair")
-}
-
-func TestBlockingOutsideRankFixtures(t *testing.T) {
-	runFixtureTest(t, BlockingOutsideRank, "blocking")
-}
-
 func TestPayloadAliasFixtures(t *testing.T) {
 	runFixtureTest(t, PayloadAlias, "payloadalias")
 }

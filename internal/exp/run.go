@@ -217,18 +217,24 @@ func Execute(spec Spec) (Metrics, error) {
 }
 
 // checkPooled is the world-end leak check: once a run has drained,
-// every pooled transfer, request, protocol message and stripe chunk must
-// be back in a pool, on whichever LP. A live one (a request never
-// waited, a message never consumed, a chunk never finished) is a defect
-// in the protocol stack, so the run fails rather than report a result.
+// every RMA epoch must be closed (mpi.World.OpenEpochs: no unclosed
+// put, held lock or open start/post group) and every pooled transfer,
+// request, protocol message, put completion and stripe chunk back in a
+// pool, on whichever LP. A live one (a request never waited, a message
+// never consumed, a put never closed, a chunk never finished) is a
+// defect in the protocol stack, so the run fails rather than report a
+// result.
 func checkPooled(cl *platform.Cluster) error {
 	transfers, chunks := cl.Net.LiveTransfers(), cl.FS.LiveChunks()
-	var requests, msgs int
+	var requests, msgs, puts int
 	if cl.World != nil {
-		requests, msgs = cl.World.LivePooled()
+		if err := cl.World.OpenEpochs(); err != nil {
+			return fmt.Errorf("exp: RMA epoch open at world end: %w", err)
+		}
+		requests, msgs, puts = cl.World.LivePooled()
 	}
-	if transfers != 0 || requests != 0 || msgs != 0 || chunks != 0 {
-		return fmt.Errorf("exp: %d transfers, %d requests, %d protocol messages and %d stripe chunks still live at world end", transfers, requests, msgs, chunks)
+	if transfers != 0 || requests != 0 || msgs != 0 || puts != 0 || chunks != 0 {
+		return fmt.Errorf("exp: %d transfers, %d requests, %d protocol messages, %d put completions and %d stripe chunks still live at world end", transfers, requests, msgs, puts, chunks)
 	}
 	return nil
 }

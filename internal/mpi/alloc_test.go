@@ -100,3 +100,68 @@ func TestRendezvousAllocsPerMessage(t *testing.T) {
 		t.Fatalf("%.2f allocs per rendezvous message, gate is %.2f", perMsg, maxRendezvousAllocsPerMsg)
 	}
 }
+
+// putEpochs runs epochs in which ranks 1-3 each put 16 8-byte pieces
+// into rank 0's data-mode window, inside a fence epoch or, when lock is
+// set, a shared lock on rank 0. Rank 1 shares rank 0's node; ranks 2
+// and 3 put across the network.
+func putEpochs(t testing.TB, epochs int, lock bool) {
+	const n = 16
+	k, w := testWorld(t, 4, 2, 1, nil)
+	w.Launch(func(r *Rank) {
+		var size int64
+		if r.ID() == 0 {
+			size = 8 * n * 4
+		}
+		win := r.WinAllocate(size, true)
+		b := make([]byte, 8)
+		for e := 0; e < epochs; e++ {
+			switch {
+			case !lock:
+				r.WinFence(win)
+			case r.ID() != 0:
+				r.WinLock(win, LockShared, 0)
+			}
+			if r.ID() != 0 {
+				for i := 0; i < n; i++ {
+					r.Put(win, 0, 8*int64(r.ID()*n+i), Bytes(b))
+				}
+			}
+			switch {
+			case !lock:
+				r.WinFence(win)
+			case r.ID() != 0:
+				r.WinUnlock(win, 0)
+			}
+		}
+	})
+	k.Run()
+}
+
+// maxAllocsPerPut gates the host allocations of one Put in steady
+// state. The put's completion is pooled and its data copy a bound
+// sim.Event, so the epochs measure 0.00 under both synchronisations;
+// the margin of 0.5 is the message gates'.
+const maxAllocsPerPut = 0.5
+
+// TestPutAllocsPerPut is the allocation gate for the one-sided hot
+// path. Window setup cancels out: the figure is the difference between
+// a long and a short run of equal epochs, over the extra puts, so it
+// is the cost of one Put and of its share of the epoch's
+// synchronisation.
+func TestPutAllocsPerPut(t *testing.T) {
+	if testing.CoverMode() != "" {
+		t.Skip("coverage instrumentation allocates")
+	}
+	const short, long = 16, 80
+	for _, lock := range []bool{false, true} {
+		aShort := testing.AllocsPerRun(5, func() { putEpochs(t, short, lock) })
+		aLong := testing.AllocsPerRun(5, func() { putEpochs(t, long, lock) })
+		extra := 3 * 16 * (long - short)
+		perPut := (aLong - aShort) / float64(extra)
+		t.Logf("lock=%v: %.2f allocs per Put (%d extra puts)", lock, perPut, extra)
+		if perPut > maxAllocsPerPut {
+			t.Errorf("lock=%v: %.2f allocs per Put, gate is %.2f", lock, perPut, maxAllocsPerPut)
+		}
+	}
+}

@@ -23,30 +23,89 @@ const (
 // Window is a one-sided communication window (MPI_Win). Each rank
 // exposes Size(rank) bytes; in the collective-write engine aggregators
 // expose one sub-buffer and non-aggregators expose zero bytes.
+//
+// The window owns every rank's epoch state and checks the epoch rules
+// on each call: a Put must be covered by the origin's fence epoch, a
+// lock it holds on the target or its start group, and a closing call
+// without its opener (WinUnlock, WinComplete, WinWait), a second
+// WinLock on a held target or a second WinStart/WinPost on an open
+// group panics at the caller, naming rank, target and window.
+// World.OpenEpochs reports what a finished run left open.
 type Window struct {
 	w     *World
 	id    int
 	sizes []int64
 	data  [][]byte // per-rank backing store, nil in symbolic mode
 
-	puts         [][]putEntry      // per-origin ledger of the epoch's puts, in put order
-	locks        []windowLockState // per-target passive lock state
-	flowKeys     []byte            // per-origin flow identities for put streams
-	heldLocks    [][]int           // per-origin locked targets
-	postOrigins  [][]int           // per-target PSCW exposure group
-	startTargets [][]int           // per-origin PSCW access group
-	ctlSends     [][]*Request      // per-rank in-flight PSCW control sends
-
-	allocBarrier int // ranks still to arrive at creation barrier
+	origins []originState     // per-rank epoch state
+	locks   []windowLockState // per-target passive lock state
 }
 
-// putEntry is one put in an origin's ledger: its target and the future
-// that completes it remotely. An epoch close waits the entries it
-// covers in put order — all of them (WinFence), or one target's
-// (WinUnlock, WinComplete).
-type putEntry struct {
-	target int
-	done   *sim.Future
+// originState is one rank's epoch state on a window: the epochs it has
+// open as an origin and the put ledger they close, and (PSCW) the
+// exposure group it posted to as a target. A nil group is a closed
+// epoch; an open one is non-nil, even when empty.
+type originState struct {
+	fenced   bool       // a WinFence has opened the fence epoch
+	held     []int      // targets this rank holds a passive lock on
+	start    []int      // access group, WinStart to WinComplete
+	post     []int      // exposure group, WinPost to WinWait
+	ctlSends []*Request // in-flight post notifications, drained at WinWait
+	puts     []*putDone // the open epochs' puts, in put order
+	flow     byte       // its address is the flow key of the rank's put stream
+}
+
+// putDone is one put's completion, pooled per LP: the future an epoch
+// close waits, the target it counts against and, in data mode, the copy
+// into the target's window that its delivery performs (onCopy). It has
+// one holder per pending use — the ledger, and a copy not yet run — and
+// returns to the origin's LP pool when the last one lets go. That is
+// closePuts, unless the copy is still queued: a zero-delay event, it
+// can trail the origin's wakeup when an earlier put's delivery wakes
+// the origin in the same instant, and then the copy releases it.
+type putDone struct {
+	fut      sim.Future
+	target   int
+	holds    int
+	sh       *lpShard
+	dst, src []byte
+	onCopy   sim.Event[putDone]
+	next     *putDone // free-list link, nil while the put is live
+}
+
+// newPut takes a put completion for target from the rank's LP pool, or
+// allocates one and binds its copy event.
+func (r *Rank) newPut(target int) *putDone {
+	sh := r.sh
+	p := sh.freePuts
+	if p == nil {
+		p = &putDone{}
+		p.onCopy = sim.NewEvent(p, (*putDone).copy)
+	} else {
+		sh.freePuts = p.next
+		p.next = nil
+	}
+	sh.puts++
+	r.k.InitFuture(&p.fut)
+	p.target, p.holds, p.sh = target, 1, sh
+	return p
+}
+
+// copy lands a data-mode put's bytes in the target window at delivery.
+func (p *putDone) copy() {
+	copy(p.dst, p.src)
+	p.release()
+}
+
+// release drops one holder and returns p to its LP pool after the last.
+func (p *putDone) release() {
+	if p.holds--; p.holds > 0 {
+		return
+	}
+	sh := p.sh
+	*p = putDone{onCopy: p.onCopy, next: sh.freePuts}
+	sh.freePuts = p
+	sh.puts--
 }
 
 type lockWaiter struct {
@@ -59,6 +118,39 @@ type windowLockState struct {
 	shared    int
 	exclusive bool
 	queue     []lockWaiter
+}
+
+// misuse panics on an epoch rule rank r broke on win.
+func (win *Window) misuse(r *Rank, format string, args ...interface{}) {
+	panic(fmt.Sprintf("mpi: rank %d, window %d: ", r.id, win.id) + fmt.Sprintf(format, args...))
+}
+
+// OpenEpochs reports the first epoch left open, over every window and
+// rank: unclosed puts, a held lock, an access or exposure group never
+// completed or waited. It is nil when every epoch closed. Read it after
+// the run: exp checks it at world end, and the kernel appends it to a
+// deadlock panic.
+func (w *World) OpenEpochs() error {
+	for _, win := range w.windows {
+		for i := range win.origins {
+			o := &win.origins[i]
+			var open string
+			switch {
+			case len(o.puts) > 0:
+				open = fmt.Sprintf("%d puts (first to target %d) not closed by WinFence, WinUnlock or WinComplete", len(o.puts), o.puts[0].target)
+			case len(o.held) > 0:
+				open = fmt.Sprintf("lock on target %d held (no WinUnlock)", o.held[0])
+			case o.start != nil:
+				open = fmt.Sprintf("access epoch to %v open (no WinComplete)", o.start)
+			case o.post != nil:
+				open = fmt.Sprintf("exposure epoch to %v open (no WinWait)", o.post)
+			default:
+				continue
+			}
+			return fmt.Errorf("mpi: rank %d, window %d: %s", i, win.id, open)
+		}
+	}
+	return nil
 }
 
 // WinAllocate collectively creates a window where this rank exposes size
@@ -79,17 +171,12 @@ func (r *Rank) WinAllocate(size int64, withData bool) *Window {
 	w := r.w
 	if idx == len(w.windows) {
 		nw := &Window{
-			w:            w,
-			id:           idx,
-			sizes:        make([]int64, w.cfg.NProcs),
-			data:         make([][]byte, w.cfg.NProcs),
-			puts:         make([][]putEntry, w.cfg.NProcs),
-			locks:        make([]windowLockState, w.cfg.NProcs),
-			flowKeys:     make([]byte, w.cfg.NProcs),
-			heldLocks:    make([][]int, w.cfg.NProcs),
-			postOrigins:  make([][]int, w.cfg.NProcs),
-			startTargets: make([][]int, w.cfg.NProcs),
-			ctlSends:     make([][]*Request, w.cfg.NProcs),
+			w:       w,
+			id:      idx,
+			sizes:   make([]int64, w.cfg.NProcs),
+			data:    make([][]byte, w.cfg.NProcs),
+			origins: make([]originState, w.cfg.NProcs),
+			locks:   make([]windowLockState, w.cfg.NProcs),
 		}
 		w.windows = append(w.windows, nw)
 	}
@@ -110,11 +197,19 @@ func (win *Window) Data(i int) []byte { return win.data[i] }
 // Put starts a one-sided transfer of pl into target's window region at
 // offset. No matching happens at the target and the target CPU is not
 // involved; the transfer completes remotely when the data has crossed
-// the network. Completion is observed through WinFence or WinUnlock.
+// the network. Completion is observed through the epoch's close:
+// WinFence, WinUnlock or WinComplete. The put must lie inside one of
+// those epochs: the origin's fence epoch, a lock it holds on target, or
+// a start group naming target.
 func (r *Rank) Put(win *Window, target int, offset int64, pl Payload) {
 	if pl.Size+offset > win.sizes[target] {
 		panic(fmt.Sprintf("mpi: Put beyond window: off=%d size=%d winsize=%d target=%d",
 			offset, pl.Size, win.sizes[target], target))
+	}
+	o := &win.origins[r.id]
+	locked := slices.Contains(o.held, target)
+	if !locked && !o.fenced && !slices.Contains(o.start, target) {
+		win.misuse(r, "Put to target %d outside any epoch (no fence, no lock on the target, not in the start group)", target)
 	}
 	e := r.eng
 	e.enter()
@@ -128,41 +223,49 @@ func (r *Rank) Put(win *Window, target int, offset int64, pl Payload) {
 	// through target memory before it reaches the window. Fence epochs
 	// use true RDMA and skip both costs — which is why the paper's lock
 	// variant trails the fence variant despite the cheaper
-	// synchronisation. Either way the epoch keeps done past this
-	// event, so it is a future of its own: the transfer's delivery
-	// (fence) or the agent's bounce-copy completion (lock).
-	locked := slices.Contains(win.heldLocks[r.id], target)
-	done := r.w.k.NewFuture()
-	delivered := done
+	// synchronisation. Either way the epoch keeps the completion past
+	// this event, so it is a pooled object of its own, completed by the
+	// transfer's delivery (fence) or the agent's bounce copy (lock).
+	p := r.newPut(target)
+	delivered := &p.fut
 	if locked {
 		delivered = nil
 	}
 	// All puts of one origin on one window form one flow: per-QP
 	// ordering without starving concurrent streams.
-	tr := r.w.net.SendFlowTo(delivered, &win.flowKeys[r.id], r.node, tgt.node, pl.Size)
+	tr := r.w.net.SendFlowTo(delivered, &o.flow, r.node, tgt.node, pl.Size)
 	if pl.Data != nil && win.data[target] != nil {
-		dst := win.data[target][offset : offset+pl.Size]
-		src := pl.Data
-		tr.Delivered.OnDone(func() { copy(dst, src) })
+		p.dst, p.src = win.data[target][offset:offset+pl.Size], pl.Data
+		p.holds++
+		tr.Delivered.Then(&p.onCopy)
 	}
 	if locked {
 		m := r.newMsg(msgPut, tgt)
-		m.pl, m.fut = pl, done
+		m.pl, m.fut = pl, &p.fut
 		tr.Delivered.Then(&m.onArrive)
 	}
-	win.puts[r.id] = append(win.puts[r.id], putEntry{target, done})
+	o.puts = append(o.puts, p)
 }
 
 // closePuts waits r's puts to target (every target if target < 0) in
-// put order, then drops them from the ledger.
+// put order, then drops them from the ledger and releases them. The
+// ledger stays whole while the waits block, so OpenEpochs reads it
+// intact from a deadlock.
 func (win *Window) closePuts(r *Rank, target int) {
-	covered := func(pe putEntry) bool { return target < 0 || pe.target == target }
-	for _, pe := range win.puts[r.id] {
-		if covered(pe) {
-			r.p.Wait(pe.done)
+	o := &win.origins[r.id]
+	covered := func(p *putDone) bool { return target < 0 || p.target == target }
+	for _, p := range o.puts {
+		if covered(p) {
+			r.p.Wait(&p.fut)
 		}
 	}
-	win.puts[r.id] = slices.DeleteFunc(win.puts[r.id], covered)
+	o.puts = slices.DeleteFunc(o.puts, func(p *putDone) bool {
+		if !covered(p) {
+			return false
+		}
+		p.release()
+		return true
+	})
 }
 
 // WinFence closes the current active-target epoch and opens the next:
@@ -188,6 +291,7 @@ func (r *Rank) WinFence(win *Window) {
 	// remote flushes) before the synchronisation itself.
 	r.p.Sleep(r.w.cfg.CallOverhead + r.w.cfg.FenceCost)
 	win.closePuts(r, -1)
+	win.origins[r.id].fenced = true
 	r.Barrier()
 }
 
@@ -204,21 +308,26 @@ func (r *Rank) agent() *sim.Server {
 }
 
 // WinLock acquires a passive-target lock on target's window region.
-// Shared locks admit concurrent origins; exclusive locks serialise.
+// Shared locks admit concurrent origins; exclusive locks serialise. A
+// rank holds at most one lock per target.
 func (r *Rank) WinLock(win *Window, typ LockType, target int) {
+	o := &win.origins[r.id]
+	if slices.Contains(o.held, target) {
+		win.misuse(r, "WinLock on target %d, which it already holds", target)
+	}
 	e := r.eng
 	e.enter()
 	defer e.exit()
 	defer r.span(probe.KindRMA, probe.CauseLock)()
 	r.p.Sleep(r.w.cfg.CallOverhead)
 	w := r.w
-	fut := w.k.NewFuture()
+	r.k.InitFuture(&r.rmaCtl)
 	m := r.newMsg(msgLock, w.ranks[target])
-	m.win, m.typ, m.fut = win, typ, fut
+	m.win, m.typ, m.fut = win, typ, &r.rmaCtl
 	tr := w.net.Send(r.node, w.ranks[target].node, w.cfg.CtrlBytes)
 	tr.Delivered.Then(&m.onArrive)
-	r.p.Wait(fut) // completes when the grant reply arrives at the origin
-	win.heldLocks[r.id] = append(win.heldLocks[r.id], target)
+	r.p.Wait(&r.rmaCtl) // completes when the grant reply arrives at the origin
+	o.held = append(o.held, target)
 }
 
 // runAgent is the target's RMA agent acting on request m (kernel
@@ -269,33 +378,36 @@ func (win *Window) grant(typ LockType, origin, target int, fut *sim.Future) {
 // (MPI_Win_unlock semantics: on return, transfers are complete at the
 // target).
 func (r *Rank) WinUnlock(win *Window, target int) {
+	o := &win.origins[r.id]
+	i := slices.Index(o.held, target)
+	if i < 0 {
+		win.misuse(r, "WinUnlock on target %d without a WinLock", target)
+	}
 	e := r.eng
 	e.enter()
 	defer e.exit()
 	defer r.span(probe.KindRMA, probe.CauseUnlock)()
 	r.p.Sleep(r.w.cfg.CallOverhead)
-	win.heldLocks[r.id] = slices.DeleteFunc(win.heldLocks[r.id], func(t int) bool { return t == target })
+	o.held = slices.Delete(o.held, i, i+1)
 	w := r.w
 	win.closePuts(r, target)
 	// Unlock control message; the agent releases and serves the queue.
-	ack := w.k.NewFuture()
+	r.k.InitFuture(&r.rmaCtl)
 	m := r.newMsg(msgUnlock, w.ranks[target])
-	m.win, m.fut = win, ack
+	m.win, m.fut = win, &r.rmaCtl
 	tr := w.net.Send(r.node, w.ranks[target].node, w.cfg.CtrlBytes)
 	tr.Delivered.Then(&m.onArrive)
-	r.p.Wait(ack)
+	r.p.Wait(&r.rmaCtl)
 }
 
-// release runs at the target agent when an unlock arrives. It assumes
-// well-formed lock/unlock pairing (our collective engine guarantees it).
+// release runs at the target agent when an unlock arrives; WinUnlock
+// has checked at the origin that the lock is held.
 func (win *Window) release(origin, target int) {
 	st := &win.locks[target]
 	if st.exclusive {
 		st.exclusive = false
-	} else if st.shared > 0 {
-		st.shared--
 	} else {
-		panic("mpi: WinUnlock without a held lock")
+		st.shared--
 	}
 	// Serve queued waiters that are now grantable.
 	for len(st.queue) > 0 {
@@ -327,24 +439,32 @@ func pscwTag(winID int) int { return tagInternalBase + 2048 + 2*winID }
 // (MPI_Win_post, no-block flavour): a control message is sent to every
 // origin; the call does not wait for them.
 func (r *Rank) WinPost(win *Window, origins []int) {
+	o := &win.origins[r.id]
+	if o.post != nil {
+		win.misuse(r, "WinPost while its exposure epoch to %v is open", o.post)
+	}
 	e := r.eng
 	e.enter()
 	defer e.exit()
 	defer r.span(probe.KindRMA, probe.CausePost)()
 	r.p.Sleep(r.w.cfg.CallOverhead)
-	for _, o := range origins {
+	for _, origin := range origins {
 		// The notification request is tracked in the window and drained
 		// at WinWait, by which point every origin has acted on it — the
 		// drain observes completion without adding synchronisation.
-		req := r.Isend(o, pscwTag(win.id), Symbolic(r.w.cfg.CtrlBytes))
-		win.ctlSends[r.id] = append(win.ctlSends[r.id], req)
+		req := r.Isend(origin, pscwTag(win.id), Symbolic(r.w.cfg.CtrlBytes))
+		o.ctlSends = append(o.ctlSends, req)
 	}
-	win.postOrigins[r.id] = append([]int(nil), origins...)
+	o.post = append(make([]int, 0, len(origins)), origins...) // non-nil: open
 }
 
 // WinStart opens an access epoch to the target group (MPI_Win_start):
 // it blocks until every target's post notification has arrived.
 func (r *Rank) WinStart(win *Window, targets []int) {
+	o := &win.origins[r.id]
+	if o.start != nil {
+		win.misuse(r, "WinStart while its access epoch to %v is open", o.start)
+	}
 	e := r.eng
 	e.enter()
 	defer e.exit()
@@ -355,19 +475,23 @@ func (r *Rank) WinStart(win *Window, targets []int) {
 		reqs = append(reqs, r.Irecv(t, pscwTag(win.id), r.w.cfg.CtrlBytes, nil))
 	}
 	r.Wait(reqs...)
-	win.startTargets[r.id] = append([]int(nil), targets...)
+	o.start = append(make([]int, 0, len(targets)), targets...) // non-nil: open
 }
 
 // WinComplete closes the access epoch (MPI_Win_complete): it forces
 // remote completion of the epoch's puts and notifies each target.
 func (r *Rank) WinComplete(win *Window) {
+	o := &win.origins[r.id]
+	if o.start == nil {
+		win.misuse(r, "WinComplete without a WinStart")
+	}
 	e := r.eng
 	e.enter()
 	defer e.exit()
 	defer r.span(probe.KindRMA, probe.CauseComplete)()
 	r.p.Sleep(r.w.cfg.CallOverhead)
-	targets := win.startTargets[r.id]
-	win.startTargets[r.id] = nil
+	targets := o.start
+	o.start = nil
 	notify := make([]*Request, 0, len(targets))
 	for _, t := range targets {
 		win.closePuts(r, t)
@@ -382,23 +506,27 @@ func (r *Rank) WinComplete(win *Window) {
 // WinWait closes the exposure epoch (MPI_Win_wait): it blocks until
 // every origin of the posted group has completed.
 func (r *Rank) WinWait(win *Window) {
+	o := &win.origins[r.id]
+	if o.post == nil {
+		win.misuse(r, "WinWait without a WinPost")
+	}
 	e := r.eng
 	e.enter()
 	defer e.exit()
 	defer r.span(probe.KindRMA, probe.CauseWaitEpoch)()
 	r.p.Sleep(r.w.cfg.CallOverhead)
-	origins := win.postOrigins[r.id]
-	win.postOrigins[r.id] = nil
+	origins := o.post
+	o.post = nil
 	reqs := make([]*Request, 0, len(origins))
-	for _, o := range origins {
-		reqs = append(reqs, r.Irecv(o, pscwTag(win.id)+1, r.w.cfg.CtrlBytes, nil))
+	for _, origin := range origins {
+		reqs = append(reqs, r.Irecv(origin, pscwTag(win.id)+1, r.w.cfg.CtrlBytes, nil))
 	}
 	r.Wait(reqs...)
 	// Drain the post-notification sends tracked by WinPost. Every origin
 	// of the epoch has already received them (their completion messages
 	// just arrived above), so this observes guaranteed-complete requests
 	// and costs no additional synchronisation.
-	ctl := win.ctlSends[r.id]
-	win.ctlSends[r.id] = nil
+	ctl := o.ctlSends
+	o.ctlSends = nil
 	r.Wait(ctl...)
 }

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"strings"
 	"testing"
 
 	"collio/internal/sim"
@@ -364,7 +365,7 @@ func TestUnlockWaitsOnlyItsTarget(t *testing.T) {
 			r.Put(win, 1, 0, Symbolic(small))
 			r.WinUnlock(win, 1)
 			unlocked[1] = r.Now()
-			pending = len(win.puts[0])
+			pending = len(win.origins[0].puts)
 			r.WinUnlock(win, 2)
 			unlocked[2] = r.Now()
 		}
@@ -383,8 +384,135 @@ func TestUnlockWaitsOnlyItsTarget(t *testing.T) {
 	if pending != 1 {
 		t.Errorf("after the first unlock the ledger holds %d puts, want target 2's one", pending)
 	}
-	if n := len(win.puts[0]); n != 0 {
+	if n := len(win.origins[0].puts); n != 0 {
 		t.Errorf("after both unlocks the ledger holds %d puts, want 0", n)
 	}
 	t.Logf("unlock(1) at %v, unlock(2) at %v, target 2's put wire time %v", unlocked[1], unlocked[2], wire)
+}
+
+// TestEpochMisusePanics runs each broken epoch pattern on rank 0 of a
+// two-rank world (rank 1 only exposes 8 bytes) and checks the call
+// panics at the origin with a message naming rank, window and, where
+// one is involved, target.
+func TestEpochMisusePanics(t *testing.T) {
+	cases := []struct {
+		name string
+		body func(r *Rank, win *Window)
+		want string
+	}{
+		{"put without epoch", func(r *Rank, win *Window) {
+			r.Put(win, 1, 0, Symbolic(8))
+		}, "rank 0, window 0: Put to target 1 outside any epoch"},
+		{"put after unlock", func(r *Rank, win *Window) {
+			r.WinLock(win, LockShared, 1)
+			r.Put(win, 1, 0, Symbolic(8))
+			r.WinUnlock(win, 1)
+			r.Put(win, 1, 0, Symbolic(8))
+		}, "rank 0, window 0: Put to target 1 outside any epoch"},
+		{"unlock without lock", func(r *Rank, win *Window) {
+			r.WinUnlock(win, 1)
+		}, "rank 0, window 0: WinUnlock on target 1 without a WinLock"},
+		{"complete without start", func(r *Rank, win *Window) {
+			r.WinComplete(win)
+		}, "rank 0, window 0: WinComplete without a WinStart"},
+		{"wait without post", func(r *Rank, win *Window) {
+			r.WinWait(win)
+		}, "rank 0, window 0: WinWait without a WinPost"},
+		{"double lock", func(r *Rank, win *Window) {
+			r.WinLock(win, LockShared, 1)
+			r.WinLock(win, LockShared, 1)
+		}, "rank 0, window 0: WinLock on target 1, which it already holds"},
+		{"double start", func(r *Rank, win *Window) {
+			r.WinPost(win, []int{0})
+			r.WinStart(win, []int{0})
+			r.WinStart(win, []int{0})
+		}, "rank 0, window 0: WinStart while its access epoch to [0] is open"},
+		{"double post", func(r *Rank, win *Window) {
+			r.WinPost(win, nil)
+			r.WinPost(win, nil)
+		}, "rank 0, window 0: WinPost while its exposure epoch to [] is open"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			k, w := testWorld(t, 2, 1, 1, nil)
+			w.Launch(func(r *Rank) {
+				win := r.WinAllocate(int64(8*r.ID()), false)
+				if r.ID() == 0 {
+					tc.body(r, win)
+				}
+			})
+			var got interface{}
+			func() {
+				defer func() { got = recover() }()
+				k.Run()
+			}()
+			msg, _ := got.(string)
+			if !strings.Contains(msg, tc.want) {
+				t.Fatalf("panic %v, want one containing %q", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestOpenEpochsAtWorldEnd leaves one epoch of each kind open at the
+// end of a two-rank run (body runs on both ranks): World.OpenEpochs
+// names it, and a put left in an unclosed epoch is still counted live
+// by LivePooled.
+func TestOpenEpochsAtWorldEnd(t *testing.T) {
+	cases := []struct {
+		name     string
+		body     func(r *Rank, win *Window)
+		want     string
+		livePuts int
+	}{
+		{"closed", func(r *Rank, win *Window) {
+			r.WinFence(win)
+			if r.ID() == 0 {
+				r.Put(win, 1, 0, Symbolic(8))
+			}
+			r.WinFence(win)
+		}, "", 0},
+		{"unclosed put", func(r *Rank, win *Window) {
+			r.WinFence(win)
+			if r.ID() == 0 {
+				r.Put(win, 1, 0, Symbolic(8))
+			}
+		}, "rank 0, window 0: 1 puts (first to target 1) not closed", 1},
+		{"held lock", func(r *Rank, win *Window) {
+			if r.ID() == 0 {
+				r.WinLock(win, LockShared, 1)
+			}
+		}, "rank 0, window 0: lock on target 1 held", 0},
+		{"open access epoch", func(r *Rank, win *Window) {
+			if r.ID() == 0 {
+				r.WinStart(win, []int{1})
+			} else {
+				r.WinPost(win, []int{0})
+			}
+		}, "rank 0, window 0: access epoch to [1] open", 0},
+		{"open exposure epoch", func(r *Rank, win *Window) {
+			if r.ID() == 1 {
+				r.WinPost(win, nil)
+			}
+		}, "rank 1, window 0: exposure epoch to [] open", 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			k, w := testWorld(t, 2, 1, 1, nil)
+			w.Launch(func(r *Rank) {
+				tc.body(r, r.WinAllocate(int64(8*r.ID()), false))
+			})
+			k.Run()
+			err := w.OpenEpochs()
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("OpenEpochs = %v, want nil", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("OpenEpochs = %v, want an error containing %q", err, tc.want)
+			}
+			if _, _, puts := w.LivePooled(); puts != tc.livePuts {
+				t.Fatalf("%d put completions live, want %d", puts, tc.livePuts)
+			}
+		})
+	}
 }

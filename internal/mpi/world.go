@@ -148,21 +148,24 @@ type World struct {
 // canonical fold (probe.MergeShards) restores sequential order.
 //
 // free is a free list of recycled Request objects, mirroring the
-// sim.Server request pool: the point-to-point layer turns over one
-// request per operation, and at multi-thousand-rank scale those
+// sim.Kernel server-request pool: the point-to-point layer turns over
+// one request per operation, and at multi-thousand-rank scale those
 // allocations dominate the model-layer heap churn. Requests return to
 // the list in Wait (after their future has completed). freeMsgs is the
 // pool of protocol messages (msg), which leave the sender's LP pool and
-// return to the consuming engine's. An LP's ranks are serialised by its
-// kernel, so the lists need no locking — the same discipline as
-// sim.Server.freeReqs. reqs and msgs count the objects this LP took
-// minus those it returned (World.LivePooled).
+// return to the consuming engine's; freePuts the pool of put
+// completions (putDone), which return at their epoch's close. An LP's
+// ranks are serialised by its kernel, so the lists need no locking —
+// the same discipline as the kernel's request list. reqs, msgs and puts
+// count the objects this LP took minus those it returned
+// (World.LivePooled).
 type lpShard struct {
-	probe      *probe.Probe
-	free       *Request
-	freeMsgs   *msg
-	reqs, msgs int
-	_          [24]byte
+	probe            *probe.Probe
+	free             *Request
+	freeMsgs         *msg
+	freePuts         *putDone
+	reqs, msgs, puts int
+	_                [8]byte
 }
 
 // newRequest takes a zeroed request from the rank's LP free list (or
@@ -192,16 +195,18 @@ func (r *Rank) releaseRequest(q *Request) {
 	sh.reqs--
 }
 
-// LivePooled returns the number of requests and protocol messages taken
-// from the pools and not yet returned, over all LPs: both are zero
-// after a run in which every request was waited and every message
-// consumed. Read it after the run, not from inside one.
-func (w *World) LivePooled() (requests, msgs int) {
+// LivePooled returns the number of requests, protocol messages and put
+// completions taken from the pools and not yet returned, over all LPs:
+// all are zero after a run in which every request was waited, every
+// message consumed and every put closed by its epoch. Read it after
+// the run, not from inside one.
+func (w *World) LivePooled() (requests, msgs, puts int) {
 	for i := range w.shards {
 		requests += w.shards[i].reqs
 		msgs += w.shards[i].msgs
+		puts += w.shards[i].puts
 	}
-	return requests, msgs
+	return requests, msgs, puts
 }
 
 // NewWorld creates the rank set. Ranks do not run until Launch. Each
@@ -229,6 +234,7 @@ func NewWorld(k *sim.Kernel, net *simnet.Network, cfg Config) (*World, error) {
 		r.eng = newEngine(r)
 		w.ranks = append(w.ranks, r)
 	}
+	k.Explain(w.OpenEpochs)
 	return w, nil
 }
 
@@ -305,6 +311,9 @@ type Rank struct {
 
 	winCalls int         // WinAllocate call counter (collective-order matching)
 	rmaAgent *sim.Server // passive-target RMA agent (lock/unlock serialisation)
+	// rmaCtl is the lock grant of WinLock and the unlock ack of
+	// WinUnlock: both block until it completes, so one is live at a time.
+	rmaCtl sim.Future
 }
 
 // ID returns the rank number.

@@ -330,6 +330,19 @@ type Kernel struct {
 	// recSlab batch-allocates evRecords so the per-event record costs an
 	// allocation only every len(slab) events.
 	recSlab []evRecord
+
+	// explain describes the open protocol state a deadlock leaves
+	// behind (Explain); nil when no model layer set it.
+	explain func() error
+
+	// freeReqs is the free list of recycled server requests, shared by
+	// every Server on this kernel (one list per LP). A busy server turns
+	// over one request per served operation; pooling them removes the
+	// dominant steady-state allocation of the DES hot path, and one list
+	// per kernel warms up once per world rather than once per server.
+	// Requests return on completion (Server.finish) and when a stopped
+	// kernel drains its queue (drain).
+	freeReqs *serverReq
 }
 
 // NewKernel returns a kernel whose random source is seeded with seed.
@@ -451,34 +464,46 @@ func (k *Kernel) Run() Time {
 	if k.stopped {
 		k.drain()
 	} else if k.nprocs > 0 {
-		panic(fmt.Sprintf("sim: deadlock — %d process(es) still blocked with no pending events at t=%v", k.nprocs, k.now))
+		msg := fmt.Sprintf("sim: deadlock — %d process(es) still blocked with no pending events at t=%v", k.nprocs, k.now)
+		if k.explain != nil {
+			if err := k.explain(); err != nil {
+				msg += "; " + err.Error()
+			}
+		}
+		panic(msg)
 	}
 	return k.now
 }
 
+// Explain sets fn to name, when Run finds the processes deadlocked, the
+// protocol state a model layer holds open — the likely reason they
+// wait forever. Its error is appended to the deadlock panic; a nil
+// error adds nothing.
+func (k *Kernel) Explain(fn func() error) { k.explain = fn }
+
 // drain releases every pending event of a stopped kernel: closures and
 // process references are dropped and pooled server requests returned to
-// their server's free list. Without this a stopped kernel pinned the
-// whole remaining event heap — futures, procs and their goroutine stacks
-// — for as long as the caller held the kernel.
+// the free list. Without this a stopped kernel pinned the whole
+// remaining event heap — futures, procs and their goroutine stacks — for
+// as long as the caller held the kernel.
 func (k *Kernel) drain() {
 	for k.lane.n > 0 {
 		e := k.lane.pop()
-		releaseAction(e.act)
+		k.releaseAction(e.act)
 	}
 	for i := range k.events {
 		e := &k.events[i]
-		releaseAction(e.act)
+		k.releaseAction(e.act)
 		*e = event{}
 	}
 	k.events = k.events[:0]
 }
 
-// releaseAction returns a drained event's pooled server request to its
+// releaseAction returns a drained event's pooled server request to the
 // free list.
-func releaseAction(a Action) {
+func (k *Kernel) releaseAction(a Action) {
 	if req, ok := a.(*serverReq); ok {
-		req.srv.release(req)
+		k.releaseReq(req)
 	}
 }
 

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -125,13 +127,17 @@ func TestSpawnAt(t *testing.T) {
 	}
 }
 
+// TestDeadlockDetection checks a deadlocked Run panics, and that the
+// panic carries what the Explain hook reports.
 func TestDeadlockDetection(t *testing.T) {
 	defer func() {
-		if recover() == nil {
-			t.Fatal("expected deadlock panic")
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "sim: deadlock") || !strings.HasSuffix(msg, "; lock held") {
+			t.Fatalf("panic %q, want a deadlock ending in the explanation", msg)
 		}
 	}()
 	k := NewKernel(1)
+	k.Explain(func() error { return errors.New("lock held") })
 	f := k.NewFuture()
 	k.Spawn("stuck", func(p *Proc) { p.Wait(f) }) // never completed
 	k.Run()
@@ -193,8 +199,8 @@ func TestStopDrainsPendingEvents(t *testing.T) {
 		t.Fatalf("ran %d events, want exactly the stopping one", ran)
 	}
 	// The in-service request's completion was drained, so its request
-	// object must be back on the server's free list, not leaked.
-	if srv.freeReqs == nil {
+	// object must be back on the kernel's free list, not leaked.
+	if k.freeReqs == nil {
 		t.Fatal("drained server completion did not return its request to the free list")
 	}
 
@@ -216,7 +222,7 @@ func TestStopDrainsPendingEvents(t *testing.T) {
 		t.Fatalf("stopped kernel retains %d pending events", k.Pending())
 	}
 	free := 0
-	for req := ipc.freeReqs; req != nil; req = req.next {
+	for req := k.freeReqs; req != nil; req = req.next {
 		free++
 	}
 	if free != burst+1 {

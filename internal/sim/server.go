@@ -49,13 +49,6 @@ type Server struct {
 
 	backlog Time // total queued (unserved) service time, for estimates
 	queued  int  // requests queued or in service, for occupancy probes
-
-	// freeReqs is a free list of recycled request objects. A busy server
-	// turns over one request per served operation; pooling them removes
-	// the dominant steady-state allocation of the DES hot path. Requests
-	// return to the list on completion (finish) and when a stopped kernel
-	// drains its queue (release via Kernel.drain).
-	freeReqs *serverReq
 }
 
 // serverReq is one pooled request. It is also the action of its own
@@ -92,24 +85,27 @@ func (req *serverReq) fire() {
 	req.srv.finish(req)
 }
 
-// newReq takes a request from the free list (or allocates one) and
-// binds the caller's completion to it.
+// newReq takes a request from the kernel's free list (or allocates
+// one) and binds it to s and the caller's completion.
 func (s *Server) newReq(done Action) *serverReq {
-	req := s.freeReqs
+	k := s.k
+	req := k.freeReqs
 	if req == nil {
-		req = &serverReq{srv: s}
+		req = &serverReq{}
 	} else {
-		s.freeReqs = req.next
+		k.freeReqs = req.next
 	}
+	req.srv = s
 	req.done = done
 	req.next = nil
 	return req
 }
 
-// release clears a request's references and returns it to the free list.
-func (s *Server) release(req *serverReq) {
-	*req = serverReq{srv: s, next: s.freeReqs}
-	s.freeReqs = req
+// releaseReq clears a request's references and returns it to k's free
+// list.
+func (k *Kernel) releaseReq(req *serverReq) {
+	*req = serverReq{next: k.freeReqs}
+	k.freeReqs = req
 }
 
 // NewServer creates a round-robin bandwidth server. bandwidth is in
@@ -248,7 +244,7 @@ func (s *Server) serveNext() {
 func (s *Server) finish(req *serverReq) {
 	s.queued--
 	done, fwd := req.done, req.fwd
-	s.release(req)
+	s.k.releaseReq(req)
 	if fwd {
 		s.k.AfterAction(0, done)
 	} else {
