@@ -85,14 +85,55 @@ func serveCacheNote(opts tune.Options) string {
 	return ", cache file " + opts.CachePath
 }
 
+// serveCmd is one parsed request line: op is "" for a blank line,
+// "quit", "stats" or "select", and a select carries its question.
+type serveCmd struct {
+	op  string
+	pf  platform.Platform
+	gen workload.Generator
+	np  int
+}
+
+// parseServeRequest parses one input line into a command, or returns
+// the error serveRequest reports for it. It reads nothing but line.
+func parseServeRequest(line string) (serveCmd, error) {
+	fields := strings.Fields(line)
+	if len(fields) == 0 {
+		return serveCmd{}, nil
+	}
+	switch fields[0] {
+	case "quit", "stats":
+		return serveCmd{op: fields[0]}, nil
+	case "select":
+		if len(fields) != 4 {
+			return serveCmd{}, fmt.Errorf("usage: select <crill|ibex> <workload> <np>")
+		}
+		pf, ok := servePlatform(fields[1])
+		if !ok {
+			return serveCmd{}, fmt.Errorf("unknown platform %q (want crill|ibex)", fields[1])
+		}
+		gen, ok := serveWorkload(fields[2])
+		if !ok {
+			return serveCmd{}, fmt.Errorf("unknown workload %q (want %s)", fields[2], strings.Join(serveWorkloadNames, "|"))
+		}
+		np, err := strconv.Atoi(fields[3])
+		if err != nil || np <= 0 {
+			return serveCmd{}, fmt.Errorf("bad rank count %q", fields[3])
+		}
+		return serveCmd{op: "select", pf: pf, gen: gen, np: np}, nil
+	}
+	return serveCmd{}, fmt.Errorf("unknown command %q (want select|stats|quit)", fields[0])
+}
+
 // serveRequest handles one input line, reporting errors to out rather
 // than failing the loop. It returns true for the quit command.
 func serveRequest(out io.Writer, t *tune.Tuner, line string) (quit bool) {
-	fields := strings.Fields(line)
-	if len(fields) == 0 {
+	cmd, err := parseServeRequest(line)
+	if err != nil {
+		fmt.Fprintf(out, "error: %v\n", err)
 		return false
 	}
-	switch fields[0] {
+	switch cmd.op {
 	case "quit":
 		return true
 	case "stats":
@@ -100,27 +141,8 @@ func serveRequest(out io.Writer, t *tune.Tuner, line string) (quit bool) {
 		fmt.Fprintf(out, "stats: entries=%d hits=%d misses=%d simulations=%d coalesced=%d\n",
 			s.Entries, s.Hits, s.Misses, s.Simulations, s.Coalesced)
 	case "select":
-		if len(fields) != 4 {
-			fmt.Fprintf(out, "error: usage: select <crill|ibex> <workload> <np>\n")
-			return false
-		}
-		pf, ok := servePlatform(fields[1])
-		if !ok {
-			fmt.Fprintf(out, "error: unknown platform %q (want crill|ibex)\n", fields[1])
-			return false
-		}
-		gen, ok := serveWorkload(fields[2])
-		if !ok {
-			fmt.Fprintf(out, "error: unknown workload %q (want %s)\n", fields[2], strings.Join(serveWorkloadNames, "|"))
-			return false
-		}
-		np, err := strconv.Atoi(fields[3])
-		if err != nil || np <= 0 {
-			fmt.Fprintf(out, "error: bad rank count %q\n", fields[3])
-			return false
-		}
 		before := t.Cache().Stats().Simulations
-		sel, err := t.Select(gen, pf, np)
+		sel, err := t.Select(cmd.gen, cmd.pf, cmd.np)
 		if err != nil {
 			fmt.Fprintf(out, "error: %v\n", err)
 			return false
@@ -135,8 +157,6 @@ func serveRequest(out io.Writer, t *tune.Tuner, line string) (quit bool) {
 			b.Config.Algorithm, b.Config.Primitive, b.Config.BufferSize>>20,
 			b.Config.Aggregators, b.Result.Elapsed,
 			temp, sel.Hits, sel.Evaluated, simulated)
-	default:
-		fmt.Fprintf(out, "error: unknown command %q (want select|stats|quit)\n", fields[0])
 	}
 	return false
 }

@@ -68,25 +68,61 @@ func TestServeQueryLoop(t *testing.T) {
 }
 
 // TestServeBadRequests: malformed requests report errors without
-// killing the loop.
+// killing the loop, each as one line byte for byte.
 func TestServeBadRequests(t *testing.T) {
-	in := strings.NewReader("select nowhere ior 8\nselect crill nothing 8\nselect crill ior zero\nselect\nquit\n")
+	in := strings.NewReader("select nowhere ior 8\nselect crill nothing 8\nselect crill ior zero\nselect\nfrobnicate now\n\nquit\n")
 	var out syncBuffer
 	if err := runServe(in, &out, make(chan os.Signal), tune.Options{Parallel: 1}); err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()
 	for _, w := range []string{
-		`unknown platform "nowhere"`,
-		`unknown workload "nothing"`,
-		`bad rank count "zero"`,
-		"usage: select",
+		"error: unknown platform \"nowhere\" (want crill|ibex)\n",
+		"error: unknown workload \"nothing\" (want ior|tileio-256|tileio-1m|flashio)\n",
+		"error: bad rank count \"zero\"\n",
+		"error: usage: select <crill|ibex> <workload> <np>\n",
+		"error: unknown command \"frobnicate\" (want select|stats|quit)\n",
 		"serve: quit",
 	} {
 		if !strings.Contains(got, w) {
 			t.Errorf("serve output missing %q:\n%s", w, got)
 		}
 	}
+	if n := strings.Count(got, "error: "); n != 5 {
+		t.Errorf("serve output has %d error lines, want 5:\n%s", n, got)
+	}
+}
+
+// FuzzServeRequest: any input line parses to a command or to an error
+// of one line, and a parsed select carries a question the tuner can
+// ask. The seed corpus under testdata/fuzz covers every command and
+// every error.
+func FuzzServeRequest(f *testing.F) {
+	f.Fuzz(func(t *testing.T, line string) {
+		cmd, err := parseServeRequest(line)
+		if err != nil {
+			if cmd != (serveCmd{}) {
+				t.Errorf("%q: error %v with command %+v", line, err, cmd)
+			}
+			if strings.ContainsAny(err.Error(), "\r\n") {
+				t.Errorf("%q: error %q spans lines", line, err)
+			}
+			return
+		}
+		switch cmd.op {
+		case "":
+			if strings.TrimSpace(line) != "" {
+				t.Errorf("%q: non-blank line parsed as blank", line)
+			}
+		case "quit", "stats":
+		case "select":
+			if cmd.gen == nil || cmd.np <= 0 || cmd.pf.Name == "" {
+				t.Errorf("%q: select without a question: %+v", line, cmd)
+			}
+		default:
+			t.Errorf("%q: unknown op %q", line, cmd.op)
+		}
+	})
 }
 
 // sigOnSecondRead delivers one request line, then — on the serve

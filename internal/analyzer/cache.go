@@ -37,8 +37,9 @@ import (
 // and request leaks into poolpath, which would otherwise replay the
 // old rules' results for a warm `-only maporder` or `-only poolpath`;
 // v4 is wallclock reporting a global math/rand function passed as a
-// value, which a warm v3 cache would replay as clean.
-const cacheSchema = "collvet-cache-v4"
+// value, which a warm v3 cache would replay as clean; v5 is maporder
+// dropping the deleted Future.OnDone from its hazards.
+const cacheSchema = "collvet-cache-v5"
 
 // Cache is a directory of per-package analysis results.
 type Cache struct {

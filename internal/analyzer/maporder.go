@@ -44,7 +44,7 @@ var mapOrderHazards = map[string]map[string]bool{
 	"sim": {
 		"At": true, "After": true, "Spawn": true, "SpawnAt": true,
 		"ScheduleRemote": true, "Complete": true, "CompleteAfter": true,
-		"OnDone": true, "Then": true,
+		"Then": true,
 	},
 	"probe": {"Emit": true},
 	"trace": {"Record": true},

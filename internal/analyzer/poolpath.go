@@ -17,7 +17,7 @@ import (
 //   - Lent for one event: *simnet.Transfer. The network owns it and
 //     recycles it at its last event, so the caller may use it, and the
 //     Injected/Delivered futures read from it, only in the event that
-//     called Send: registering callbacks (Then, OnDone) is the whole
+//     called Send: registering steps on them (Then) is the whole
 //     protocol.
 //
 // It runs a may-analysis over the function's CFG (cfg.go), so it sees
@@ -52,7 +52,7 @@ import (
 // so a future taken with q.Future() is part of the handle: it is
 // tracked as derived from q, released with q, and any use of it after
 // q's Wait is a use after release. Passing it to a call while q is live
-// (WaitAnyFuture, Join) does not hand off q's release, so it stays
+// (WaitAnyFuture, InitJoin) does not hand off q's release, so it stays
 // tracked.
 //
 // Facts are a bitmask per handle object: poolLive means "may hold an

@@ -22,9 +22,9 @@ func (b *cohortRun) badRemoteDirect(dst int) {
 // --- flagged: in replay wiring (a closure built by a cohort method) ---
 
 func (b *cohortRun) badRemoteInWiring(dst int, fut *sim.Future) {
-	fut.OnDone(func() {
+	fut.Then(sim.Func(func() {
 		b.k.ScheduleRemote(dst, b.k.Now()+1000000, func() {}) // want `ScheduleRemote inside cohort replay`
-	})
+	}))
 }
 
 // --- flagged: case-insensitive match, value receiver ---
@@ -50,7 +50,7 @@ func (b *flatRun) goodRemoteLargeDelta(dst int) {
 // --- clean: non-remote kernel use inside a cohort method is fine ---
 
 func (b *cohortRun) goodLocalScheduling(fut *sim.Future) {
-	fut.OnDone(func() {
+	fut.Then(sim.Func(func() {
 		b.k.After(10, func() {})
-	})
+	}))
 }

@@ -86,9 +86,9 @@ func badFuturePassedThenWaited(r *mpi.Rank, other *sim.Future) {
 
 func badTransferInCallback(net *simnet.Network) {
 	tr := net.SendFlow(nil, 0, 1, 1024)
-	tr.Delivered.OnDone(func() {
+	tr.Delivered.Then(sim.Func(func() {
 		_ = tr.From // want `pooled transfer "tr" used in a callback: the network recycles it at its last event`
-	})
+	}))
 }
 
 func badDeliveredFutureInCallback(net *simnet.Network, k *sim.Kernel) {
@@ -158,9 +158,9 @@ func goodAppendsToReapList(r *mpi.Rank, reqs []*mpi.Request) []*mpi.Request {
 
 func goodCallbackOwnsWait(r *mpi.Rank, f *sim.Future) {
 	q := r.Isend(1, 0, mpi.Symbolic(8))
-	f.OnDone(func() {
+	f.Then(sim.Func(func() {
 		r.Wait(q) // the callback owns the handle now
-	})
+	}))
 }
 
 func goodFutureBeforeWait(r *mpi.Rank, other *sim.Future) int {
@@ -175,7 +175,8 @@ func goodFutureRebound(r *mpi.Rank, k *sim.Kernel) {
 	q := r.Isend(1, 0, mpi.Symbolic(8))
 	f := q.Future()
 	r.Wait(q)
-	f = k.NewFuture() // a fresh future, not the recycled one
+	f = new(sim.Future) // a fresh future, not the recycled one
+	k.InitFuture(f)
 	r.WaitFutures(f)
 }
 
@@ -185,20 +186,21 @@ func goodTransferRegistersInEvent(net *simnet.Network, inj, del *sim.Future, cb 
 	tr := net.Send(0, 1, 4096)
 	tr.Injected.Then(inj)
 	tr.Delivered.Then(del)
-	tr.Delivered.OnDone(cb)
+	tr.Delivered.Then(sim.Func(cb))
 	return tr.Size // no release: the network recycles the transfer
 }
 
 func goodTransferFieldsCapturedByValue(net *simnet.Network, sink func(int, int64)) {
 	tr := net.Send(0, 1, 64)
 	to, size := tr.To, tr.Size
-	tr.Delivered.OnDone(func() { sink(to, size) })
+	tr.Delivered.Then(sim.Func(func() { sink(to, size) }))
 }
 
-func goodCallerOwnedDeliveredKept(net *simnet.Network, k *sim.Kernel, ep *epoch) {
-	done := k.NewFuture()
+func goodCallerOwnedDeliveredKept(net *simnet.Network, k *sim.Kernel, ep *epoch, inj *sim.Future) {
+	done := new(sim.Future)
+	k.InitFuture(done)
 	tr := net.SendFlowTo(done, nil, 0, 1, 4096)
-	tr.Injected.Then(k.NewFuture())
+	tr.Injected.Then(inj)
 	ep.puts = append(ep.puts, done) // the caller's own future, not the transfer's
 }
 

@@ -20,9 +20,9 @@ func badReadAfterWait(r *mpi.Rank) int64 {
 func badCallbackAfterWait(r *mpi.Rank, f *sim.Future) {
 	q := r.Irecv(0, 3, 4096, nil)
 	r.Wait(q)
-	f.OnDone(func() {
+	f.Then(sim.Func(func() {
 		_ = q.Done() // want `pooled handle "q" used after Wait`
-	})
+	}))
 }
 
 func badDoubleWait(r *mpi.Rank) {
@@ -43,7 +43,7 @@ func goodCaptureBeforeWait(r *mpi.Rank, f *sim.Future) int64 {
 	q := r.Irecv(0, 3, 4096, nil)
 	done := q.Done()
 	r.Wait(q)
-	f.OnDone(func() { _ = done })
+	f.Then(sim.Func(func() { _ = done }))
 	return 0
 }
 

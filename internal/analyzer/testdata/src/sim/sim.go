@@ -12,15 +12,16 @@ type Time int64
 // Future mirrors the kernel's completion handle.
 type Future struct{ done bool }
 
-func (f *Future) Done() bool       { return f.done }
-func (f *Future) Complete()        { f.done = true }
-func (f *Future) OnDone(fn func()) { _ = fn }
-func (f *Future) Then(a Action)    { _ = a }
-func (f *Future) Join(g *Future)   { _ = g }
+func (f *Future) Done() bool    { return f.done }
+func (f *Future) Complete()     { f.done = true }
+func (f *Future) Then(a Action) { _ = a }
 
 // Action mirrors what an event does when it fires: a *Future, a Func
 // or an Event.
 type Action interface{}
+
+// Func mirrors the adapter from a plain callback to an Action.
+type Func func()
 
 // Event mirrors an Action bound to a method of a pooled object.
 type Event[T any] struct {
@@ -50,7 +51,7 @@ func (k *Kernel) After(d Time, fn func())                   { _ = fn }
 func (k *Kernel) At(t Time, fn func())                      { _ = fn }
 func (k *Kernel) CompleteAfter(d Time, f *Future)           { _ = f }
 func (k *Kernel) AfterAction(d Time, a Action)              { _ = a }
-func (k *Kernel) NewFuture() *Future                        { return &Future{} }
+func (k *Kernel) InitFuture(f *Future)                      { *f = Future{} }
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc { return &Proc{} }
 func (k *Kernel) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 	return &Proc{}

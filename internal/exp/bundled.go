@@ -56,30 +56,104 @@ type rendezvous struct {
 	need int
 	n    int
 	cost sim.Time
-	fut  *sim.Future
+	fut  sim.Future
+}
+
+func (rv *rendezvous) init(k *sim.Kernel, need int, cost sim.Time) {
+	rv.k, rv.need, rv.cost = k, need, cost
+	k.InitFuture(&rv.fut)
 }
 
 func (rv *rendezvous) arrive() {
 	if rv.n++; rv.n == rv.need {
-		rv.k.CompleteAfter(rv.cost, rv.fut)
+		rv.k.CompleteAfter(rv.cost, &rv.fut)
 	}
 }
 
-// viewState is the per-collective execution state of one JobView.
-type viewState struct {
+// cohortView is the per-collective execution state of one JobView and
+// the start of its member wiring: one setup cost after the view starts
+// (begin), the members arrive at the first cycle's alltoall (enter).
+type cohortView struct {
+	b     *cohortRun
 	jv    *fcoll.JobView
 	sched *fcoll.Schedule
-	setup sim.Time      // closed-form plan-establishment cost
-	syncs []*rendezvous // per cycle: the cycle-framing alltoall
-	final *rendezvous   // the collective's closing barrier
-	// recvDone[c][a] completes when aggregator a's cycle-c inbound
-	// traffic has been delivered; unpack[c][a] is the staged-scatter
-	// copy volume the aggregator then pays.
-	recvDone [][]*sim.Future
-	unpack   [][]int64
-	start    *sim.Future
+	setup sim.Time     // closed-form plan-establishment cost
+	start *sim.Future  // the previous view's closing barrier, or the run's start
+	syncs []rendezvous // per cycle: the cycle-framing alltoall
+	final rendezvous   // the collective's closing barrier
+	// cycles[c] is cycle c's member wiring and what aggregator a waits
+	// for: cycles[c].recv[a].
+	cycles []cohortCycle
 	// shufBytes is each rank's shuffled byte count (probed runs only).
 	shufBytes []int64
+
+	begin, enter sim.Event[cohortView]
+}
+
+// cohortCycle is one cycle of the member wiring: at its alltoall's
+// release (open) it sends its batches, and when the last batch is
+// injected (injected, a join; the members' local send completion) the
+// members advance to the next rendezvous.
+type cohortCycle struct {
+	v        *cohortView
+	c        int
+	batches  []cohortBatch
+	injs     []*sim.Future // every batch's inj, in send order
+	injected sim.Future
+	recv     []cohortRecv // per aggregator
+	open     sim.Event[cohortCycle]
+	advance  sim.Event[cohortCycle]
+}
+
+// cohortRecv is one aggregator's inbound side of one cycle: delivered
+// joins its batches' deliveries and forwards into done, which the
+// aggregator waits on; unpack is the staged-scatter copy volume it
+// then pays.
+type cohortRecv struct {
+	dels      []*sim.Future
+	delivered sim.Future
+	done      sim.Future
+	unpack    int64
+}
+
+// cohortBatch is one (source node, aggregator) transfer of one cycle:
+// the cycle's shuffle from the node's members to the aggregator, with
+// the pack copy (multi-segment sends) charged on the source node's
+// memory engine before the wire sees it. copied ends the copy and
+// relays, one hop later, to send, which puts the batch on the wire;
+// inj and del forward the transfer's completions into the cycle's
+// joins.
+type cohortBatch struct {
+	cy         *cohortCycle
+	node       int // source node
+	agg        int // aggregator index
+	size, pack int64
+	obs        *cohortMembers // observed runs only
+	t0         sim.Time       // when send ran
+	inj, del   sim.Future
+	copied     sim.Event[cohortBatch]
+	send       sim.Event[cohortBatch]
+	spread     sim.Event[cohortBatch]
+}
+
+// cohortMembers is an observed batch's member ranks, and under -netmodel
+// flow, across nodes and with more than one member, their byte
+// milestones: the fluid solver completes notes[i].done when the flow
+// has carried offsets[i] bytes.
+type cohortMembers struct {
+	mems    []memberSend
+	offsets []int64
+	futs    []*sim.Future
+	notes   []cohortNote
+}
+
+// cohortNote is one member's milestone in a flow batch; its step
+// records the member's shuffle span.
+type cohortNote struct {
+	bt   *cohortBatch
+	rank int
+	done sim.Future
+	emit sim.Event[cohortNote]
 }
 
 // cohortRun is the bundled executor for one spec. The name is
@@ -99,7 +173,8 @@ type cohortRun struct {
 
 	obs fcoll.Observer
 
-	views []*viewState
+	started sim.Future // the first view's start, complete from the outset
+	views   []*cohortView
 }
 
 // cohortPlan is the bundled executor's dynamic gate, shared by routeFor
@@ -140,14 +215,12 @@ func Collapsible(gen workload.Generator, pf platform.Platform, nprocs int) bool 
 	return err == nil && scheds != nil
 }
 
-// runBundled runs spec on the bundled cohort executor over the cluster
-// cl (InstantiateBundled) and the plans routeFor certified, with the
-// collective engine reporting to obs. JRun is ignored: the bundled
-// executor is sequential (and far cheaper than any partitioned exact
-// run).
-func runBundled(spec Spec, cl *platform.Cluster, rt route, obs fcoll.Observer) (Metrics, error) {
+// newCohortRun builds the bundled executor for spec over the cluster
+// cl and the plans routeFor certified: every view's state and member
+// wiring, the views chained so that view v+1 starts at view v's
+// closing barrier. The aggregators are runBundled's.
+func newCohortRun(spec Spec, cl *platform.Cluster, rt route, obs fcoll.Observer) *cohortRun {
 	pf := cl.Platform
-	views, scheds := rt.views, rt.scheds
 	b := &cohortRun{
 		k:     cl.Kernel,
 		net:   cl.Net,
@@ -160,26 +233,36 @@ func runBundled(spec Spec, cl *platform.Cluster, rt route, obs fcoll.Observer) (
 		algo:  spec.Algorithm,
 		obs:   obs,
 	}
-
-	// Build per-view state and chain the views: view v+1 starts at view
-	// v's closing barrier.
-	start := b.k.NewFuture()
-	start.Complete()
-	for i, s := range scheds {
-		v := b.buildView(s, views[i])
-		v.start = start
+	b.k.InitFuture(&b.started)
+	b.started.Complete()
+	start := &b.started
+	for i, s := range rt.scheds {
+		v := b.buildView(s, rt.views[i], start)
 		b.views = append(b.views, v)
 		b.wireMembers(v)
-		start = v.final.fut
+		start = &v.final.fut
 	}
+	return b
+}
 
-	aggs := make([]aggRun, len(scheds[0].AggRanks()))
+// runBundled runs spec on the bundled cohort executor over the cluster
+// cl (InstantiateBundled) and the plans routeFor certified, with the
+// collective engine reporting to obs. JRun is ignored: the bundled
+// executor is sequential (and far cheaper than any partitioned exact
+// run).
+func runBundled(spec Spec, cl *platform.Cluster, rt route, obs fcoll.Observer) (Metrics, error) {
+	b := newCohortRun(spec, cl, rt, obs)
+	aggs := make([]aggRun, len(rt.scheds[0].AggRanks()))
 	// Drive fails only on an unknown algorithm, before any operation:
 	// every aggregator then stops at its first view.
 	var driveErr error
 	for a := range aggs {
 		ag := &aggs[a]
 		ag.b, ag.a = b, a
+		for s := range ag.wr {
+			ag.wr[s].ag = ag
+			ag.wr[s].span = sim.NewEvent(&ag.wr[s], (*cohortWrite).record)
+		}
 		b.k.Spawn(fmt.Sprintf("agg%d", a), func(p *sim.Proc) {
 			ag.p = p
 			for _, v := range b.views {
@@ -194,7 +277,7 @@ func runBundled(spec Spec, cl *platform.Cluster, rt route, obs fcoll.Observer) (
 				}
 				tSync := p.Now()
 				v.final.arrive()
-				p.Wait(v.final.fut)
+				p.Wait(&v.final.fut)
 				b.obs.Phase(probe.CauseSync, ag.rank, -1, tSync, p.Now(), 0)
 			}
 		})
@@ -226,13 +309,15 @@ func runBundled(spec Spec, cl *platform.Cluster, rt route, obs fcoll.Observer) (
 	return m, nil
 }
 
-// buildView allocates the rendezvous chain and completion futures of
-// one collective.
-func (b *cohortRun) buildView(sched *fcoll.Schedule, jv *fcoll.JobView) *viewState {
+// buildView allocates the rendezvous chain, completion futures and
+// member batches of one collective, which starts when start completes.
+// Everything the member wiring touches per cycle is allocated here,
+// once per view, with its steps bound.
+func (b *cohortRun) buildView(sched *fcoll.Schedule, jv *fcoll.JobView, start *sim.Future) *cohortView {
 	nc := sched.NCycles()
 	naggs := len(sched.AggRanks())
 	ctl := jv.Control(fcoll.Write)
-	v := &viewState{jv: jv, sched: sched}
+	v := &cohortView{b: b, jv: jv, sched: sched, start: start}
 	for _, c := range ctl.Setup {
 		v.setup += b.cost.Cost(c)
 	}
@@ -240,47 +325,163 @@ func (b *cohortRun) buildView(sched *fcoll.Schedule, jv *fcoll.JobView) *viewSta
 		v.shufBytes = make([]int64, b.np)
 	}
 	a2a := b.cost.Cost(ctl.Cycle)
-	v.syncs = make([]*rendezvous, nc)
+	v.syncs = make([]rendezvous, nc)
 	for c := range v.syncs {
-		v.syncs[c] = &rendezvous{k: b.k, need: naggs + 1, cost: a2a, fut: b.k.NewFuture()}
+		v.syncs[c].init(b.k, naggs+1, a2a)
 	}
-	v.final = &rendezvous{k: b.k, need: naggs + 1, cost: b.cost.Cost(ctl.Final), fut: b.k.NewFuture()}
-	v.recvDone = make([][]*sim.Future, nc)
-	v.unpack = make([][]int64, nc)
-	for c := 0; c < nc; c++ {
-		v.recvDone[c] = make([]*sim.Future, naggs)
-		v.unpack[c] = make([]int64, naggs)
-		for a := 0; a < naggs; a++ {
-			v.recvDone[c][a] = b.k.NewFuture()
-			sched.EachRecv(a, c, func(_ int, total int64, nseg int) {
-				if nseg > 1 {
-					v.unpack[c][a] += total
-				}
-			})
-		}
+	v.final.init(b.k, naggs+1, b.cost.Cost(ctl.Final))
+	v.begin = sim.NewEvent(v, (*cohortView).delaySetup)
+	v.enter = sim.NewEvent(v, (*cohortView).arriveFirst)
+	v.cycles = make([]cohortCycle, nc)
+	for c := range v.cycles {
+		b.buildCycle(v, c)
 	}
 	return v
 }
 
+// buildCycle fills cycle c's member wiring: one batch per (source
+// node, aggregator) pair the cycle's shuffle uses, in the order the
+// nodes' ranks first send to each aggregator, and each aggregator's
+// inbound join and unpack volume.
+func (b *cohortRun) buildCycle(v *cohortView, c int) {
+	sched := v.sched
+	naggs := len(sched.AggRanks())
+	cy := &v.cycles[c]
+	cy.v, cy.c = v, c
+	// Count the batches first, so the array is allocated at its final
+	// size: growing it by append would allocate it several times over.
+	var aggs []int
+	n := 0
+	for nd := 0; nd < b.nodes; nd++ {
+		aggs = aggs[:0]
+		for r := nd * b.rpn; r < min((nd+1)*b.rpn, b.np); r++ {
+			sched.EachSend(r, c, func(agg int, _ int64, _ int) {
+				if !slices.Contains(aggs, agg) {
+					aggs = append(aggs, agg)
+				}
+			})
+		}
+		n += len(aggs)
+	}
+	bs := make([]cohortBatch, 0, n)
+	for nd := 0; nd < b.nodes; nd++ {
+		first := len(bs)
+		for r := nd * b.rpn; r < min((nd+1)*b.rpn, b.np); r++ {
+			sched.EachSend(r, c, func(agg int, total int64, nseg int) {
+				j := first
+				for j < len(bs) && bs[j].agg != agg {
+					j++
+				}
+				if j == len(bs) {
+					bs = append(bs, cohortBatch{node: nd, agg: agg})
+					if b.obs.On() {
+						bs[j].obs = &cohortMembers{}
+					}
+				}
+				bt := &bs[j]
+				bt.size += total
+				if nseg > 1 {
+					bt.pack += total
+				}
+				if bt.obs != nil {
+					bt.obs.mems = append(bt.obs.mems, memberSend{r, total})
+				}
+				if v.shufBytes != nil {
+					v.shufBytes[r] += total
+				}
+			})
+		}
+	}
+	cy.batches = bs
+	cy.recv = make([]cohortRecv, naggs)
+	cy.injs = make([]*sim.Future, len(cy.batches))
+	dels := make([]*sim.Future, len(cy.batches))
+	nDels := make([]int, naggs+1)
+	for i := range cy.batches {
+		bt := &cy.batches[i]
+		bt.cy = cy
+		b.k.InitFuture(&bt.inj)
+		b.k.InitFuture(&bt.del)
+		bt.copied = sim.NewEvent(bt, (*cohortBatch).relay)
+		bt.send = sim.NewEvent(bt, (*cohortBatch).transmit)
+		bt.spread = sim.NewEvent(bt, (*cohortBatch).interpolate)
+		cy.injs[i] = &bt.inj
+		nDels[bt.agg+1]++
+		if bt.obs != nil && b.flow && bt.node != b.aggNode(v, bt.agg) && len(bt.obs.mems) > 1 {
+			bt.milestones()
+		}
+	}
+	// Each aggregator's deliveries, in send order, as one slice of dels.
+	for a := 0; a < naggs; a++ {
+		nDels[a+1] += nDels[a]
+	}
+	for i := range cy.batches {
+		bt := &cy.batches[i]
+		dels[nDels[bt.agg]] = &bt.del
+		nDels[bt.agg]++
+	}
+	lo := 0
+	for a := range cy.recv {
+		rc := &cy.recv[a]
+		rc.dels, lo = dels[lo:nDels[a]], nDels[a]
+		b.k.InitFuture(&rc.done)
+		sched.EachRecv(a, c, func(_ int, total int64, nseg int) {
+			if nseg > 1 {
+				rc.unpack += total
+			}
+		})
+	}
+	cy.open = sim.NewEvent(cy, (*cohortCycle).sendBatches)
+	cy.advance = sim.NewEvent(cy, (*cohortCycle).arriveNext)
+}
+
+// milestones sets up a flow batch's member notes: note i completes
+// when the flow has carried members 0..i's bytes.
+func (bt *cohortBatch) milestones() {
+	k, m := bt.cy.v.b.k, bt.obs
+	n := len(m.mems)
+	m.offsets = make([]int64, n)
+	m.futs = make([]*sim.Future, n)
+	m.notes = make([]cohortNote, n)
+	var cum int64
+	for i, ms := range m.mems {
+		cum += ms.bytes
+		m.offsets[i] = cum
+		nt := &m.notes[i]
+		nt.bt, nt.rank = bt, ms.rank
+		k.InitFuture(&nt.done)
+		nt.emit = sim.NewEvent(nt, (*cohortNote).record)
+		nt.done.Then(&nt.emit)
+		m.futs[i] = &nt.done
+	}
+}
+
+// aggNode is the node of aggregator a of v.
+func (b *cohortRun) aggNode(v *cohortView, a int) int { return v.sched.AggRanks()[a] / b.rpn }
+
 // wireMembers installs the event chain that stands in for every
 // non-aggregator coroutine: arrive at the first cycle's alltoall one
-// setup cost after the view starts, issue each cycle's batched traffic
+// setup cost after the view starts, send each cycle's batched traffic
 // at its alltoall release, and advance to the next rendezvous when the
 // cycle's last batch has been injected.
-func (b *cohortRun) wireMembers(v *viewState) {
-	v.start.OnDone(func() {
-		b.k.After(v.setup, func() {
-			if len(v.syncs) == 0 {
-				v.final.arrive()
-				return
-			}
-			v.syncs[0].arrive()
-		})
-	})
-	for c := range v.syncs {
-		c := c
-		v.syncs[c].fut.OnDone(func() { b.issueCycle(v, c) })
+func (b *cohortRun) wireMembers(v *cohortView) {
+	v.start.Then(&v.begin)
+	for c := range v.cycles {
+		v.syncs[c].fut.Then(&v.cycles[c].open)
 	}
+}
+
+// delaySetup waits out the view's closed-form setup cost.
+func (v *cohortView) delaySetup() { v.b.k.AfterAction(v.setup, &v.enter) }
+
+// arriveFirst brings the members to the first cycle's alltoall, or
+// straight to the closing barrier when the view has no cycles.
+func (v *cohortView) arriveFirst() {
+	if len(v.syncs) == 0 {
+		v.final.arrive()
+		return
+	}
+	v.syncs[0].arrive()
 }
 
 // memberSend is one rank's contribution to a batched transfer
@@ -290,132 +491,88 @@ type memberSend struct {
 	bytes int64
 }
 
-// issueCycle issues cycle c's complete shuffle as one transfer per
-// (source node, aggregator) pair. Pack copies (multi-segment sends) are
-// charged on the source node's memory engine before the wire sees the
-// batch. Aggregator a's recvDone completes when its inbound batches are
-// delivered; the member bundle arrives at the next rendezvous when all
-// batches are injected (the members' local send completion).
-func (b *cohortRun) issueCycle(v *viewState, c int) {
-	sched := v.sched
-	naggs := len(sched.AggRanks())
-	release := v.syncs[c].fut.DoneAt()
-	var injs []*sim.Future
-	delivered := make([][]*sim.Future, naggs)
-
-	// Per-node batch scratch, reset per node.
-	var (
-		bAgg     []int
-		bBytes   []int64
-		bPack    []int64
-		bMembers [][]memberSend
-	)
-	for nd := 0; nd < b.nodes; nd++ {
-		bAgg, bBytes, bPack = bAgg[:0], bBytes[:0], bPack[:0]
-		bMembers = bMembers[:0]
-		lo, hi := nd*b.rpn, (nd+1)*b.rpn
-		if hi > b.np {
-			hi = b.np
-		}
-		for r := lo; r < hi; r++ {
-			r := r
-			sched.EachSend(r, c, func(agg int, total int64, nseg int) {
-				j := slices.Index(bAgg, agg)
-				if j < 0 {
-					j = len(bAgg)
-					bAgg = append(bAgg, agg)
-					bBytes = append(bBytes, 0)
-					bPack = append(bPack, 0)
-					if b.obs.On() {
-						bMembers = append(bMembers, nil)
-					}
-				}
-				bBytes[j] += total
-				if nseg > 1 {
-					bPack[j] += total
-				}
-				if b.obs.On() {
-					bMembers[j] = append(bMembers[j], memberSend{r, total})
-				}
-				if v.shufBytes != nil {
-					v.shufBytes[r] += total
-				}
-			})
-		}
-		for j := range bAgg {
-			agg, size := bAgg[j], bBytes[j]
-			var mems []memberSend
-			if b.obs.On() {
-				mems = bMembers[j]
-			}
-			injF, delF := b.k.NewFuture(), b.k.NewFuture()
-			injs = append(injs, injF)
-			delivered[agg] = append(delivered[agg], delF)
-			issue := func(node int) func() {
-				return func() {
-					b.issueBatch(node, sched.AggRanks()[agg]/b.rpn, size, c, release, mems, injF, delF)
-				}
-			}(nd)
-			if bPack[j] > 0 {
-				// One hop after the copy, as a future's callback ran.
-				b.net.MemcpyTo(sim.Func(func() { b.k.After(0, issue) }), nd, bPack[j])
-			} else {
-				issue()
-			}
-		}
-	}
-	for a := 0; a < naggs; a++ {
-		done := v.recvDone[c][a]
-		b.k.Join(delivered[a]...).Then(done)
-	}
-	b.k.Join(injs...).OnDone(func() {
-		if c+1 < len(v.syncs) {
-			v.syncs[c+1].arrive()
+// sendBatches sends the cycle's complete shuffle as one transfer per
+// (source node, aggregator) pair, each after its pack copy. Aggregator
+// a's recv[a].done completes when its inbound batches are delivered;
+// the member bundle arrives at the next rendezvous when all batches
+// are injected (the members' local send completion).
+func (cy *cohortCycle) sendBatches() {
+	b := cy.v.b
+	for i := range cy.batches {
+		bt := &cy.batches[i]
+		if bt.pack > 0 {
+			b.net.MemcpyTo(&bt.copied, bt.node, bt.pack)
 		} else {
-			v.final.arrive()
+			bt.transmit()
 		}
-	})
+	}
+	for a := range cy.recv {
+		rc := &cy.recv[a]
+		b.k.InitJoin(&rc.delivered, rc.dels...)
+		rc.delivered.Then(&rc.done)
+	}
+	b.k.InitJoin(&cy.injected, cy.injs...)
+	cy.injected.Then(&cy.advance)
 }
 
-// issueBatch puts one batched transfer on the wire and forwards its
-// completion futures. Under -netmodel flow with instrumentation, the
-// batch carries per-member byte milestones so each member's completion
-// instant comes from the fluid solver; otherwise member instants are
-// interpolated linearly when the batch completes.
-func (b *cohortRun) issueBatch(node, aggNode int, size int64, cycle int, release sim.Time, mems []memberSend, injF, delF *sim.Future) {
-	t0 := b.k.Now()
-	if b.flow && node != aggNode && len(mems) > 1 {
-		offsets := make([]int64, len(mems))
-		var cum int64
-		for i, m := range mems {
-			cum += m.bytes
-			offsets[i] = cum
-		}
-		tr, ms := b.net.SendFlowMilestones(node, aggNode, size, offsets)
-		for i, f := range ms {
-			m := mems[i]
-			f.OnDone(func() {
-				b.obs.Phase(probe.CauseShuffle, m.rank, cycle, release, b.k.Now(), 0)
-			})
-		}
-		tr.Injected.Then(injF)
-		tr.Delivered.Then(delF)
-		return
+// arriveNext brings the members to the next cycle's alltoall, or to the
+// closing barrier after the last cycle.
+func (cy *cohortCycle) arriveNext() {
+	v := cy.v
+	if cy.c+1 < len(v.syncs) {
+		v.syncs[cy.c+1].arrive()
+	} else {
+		v.final.arrive()
 	}
-	tr := b.net.SendFlow(nil, node, aggNode, size)
-	if len(mems) > 0 {
-		tr.Injected.OnDone(func() {
-			end := b.k.Now()
-			var cum int64
-			for _, m := range mems {
-				cum += m.bytes
-				t := t0 + sim.Time(float64(end-t0)*float64(cum)/float64(size))
-				b.obs.Phase(probe.CauseShuffle, m.rank, cycle, release, t, 0)
-			}
-		})
+}
+
+// release is when the cycle's alltoall released the members.
+func (cy *cohortCycle) release() sim.Time { return cy.v.syncs[cy.c].fut.DoneAt() }
+
+// relay ends the pack copy; the batch goes on the wire one hop later.
+func (bt *cohortBatch) relay() { bt.cy.v.b.k.AfterAction(0, &bt.send) }
+
+// transmit puts the batch on the wire and forwards its completions.
+// Under -netmodel flow with instrumentation, the batch carries
+// per-member byte milestones so each member's completion instant
+// comes from the fluid solver; otherwise member instants are
+// interpolated linearly when the batch is injected (spread).
+func (bt *cohortBatch) transmit() {
+	b := bt.cy.v.b
+	bt.t0 = b.k.Now()
+	aggNode := b.aggNode(bt.cy.v, bt.agg)
+	var tr *simnet.Transfer
+	if m := bt.obs; m != nil && m.notes != nil {
+		tr = b.net.SendFlowMilestones(bt.node, aggNode, bt.size, m.offsets, m.futs)
+	} else {
+		tr = b.net.SendFlow(nil, bt.node, aggNode, bt.size)
+		if m != nil && len(m.mems) > 0 {
+			tr.Injected.Then(&bt.spread)
+		}
 	}
-	tr.Injected.Then(injF)
-	tr.Delivered.Then(delF)
+	tr.Injected.Then(&bt.inj)
+	tr.Delivered.Then(&bt.del)
+}
+
+// interpolate records each member's shuffle span at the instant the
+// batch had carried its bytes, interpolated linearly over the batch's
+// injection.
+func (bt *cohortBatch) interpolate() {
+	b := bt.cy.v.b
+	end := b.k.Now()
+	var cum int64
+	for _, m := range bt.obs.mems {
+		cum += m.bytes
+		t := bt.t0 + sim.Time(float64(end-bt.t0)*float64(cum)/float64(bt.size))
+		b.obs.Phase(probe.CauseShuffle, m.rank, bt.cy.c, bt.cy.release(), t, 0)
+	}
+}
+
+// record is a flow note's step: its member's bytes have arrived.
+func (nt *cohortNote) record() {
+	cy := nt.bt.cy
+	b := cy.v.b
+	b.obs.Phase(probe.CauseShuffle, nt.rank, cy.c, cy.release(), b.k.Now(), 0)
 }
 
 // emitCollOps records every rank's end of every view through
@@ -457,7 +614,7 @@ func (b *cohortRun) emitCollOps() {
 type aggRun struct {
 	b    *cohortRun
 	p    *sim.Proc
-	v    *viewState
+	v    *cohortView
 	a    int
 	rank int
 	node int
@@ -466,7 +623,7 @@ type aggRun struct {
 		initAt sim.Time
 		open   bool
 	}
-	wr     [2]*sim.Future // in-flight write per sub-buffer slot
+	wr     [2]cohortWrite // in-flight write per sub-buffer slot
 	copied sim.Future     // the staged-scatter copy's completion
 
 	shuffleTime  sim.Time
@@ -490,7 +647,7 @@ func (s *aggShuffle) Init(c, slot int) {
 	t0 := ag.p.Now()
 	ag.b.obs.Cycle(ag.rank, c, slot, t0)
 	ag.v.syncs[c].arrive()
-	ag.p.Wait(ag.v.syncs[c].fut)
+	ag.p.Wait(&ag.v.syncs[c].fut)
 	ag.shuffleTime += ag.p.Now() - t0
 	ag.sh[slot].cycle, ag.sh[slot].initAt, ag.sh[slot].open = c, t0, true
 }
@@ -505,8 +662,9 @@ func (s *aggShuffle) Wait(slot int) {
 	ag.sh[slot].open = false
 	c, initAt := ag.sh[slot].cycle, ag.sh[slot].initAt
 	t0 := ag.p.Now()
-	ag.p.Wait(ag.v.recvDone[c][ag.a])
-	if u := ag.v.unpack[c][ag.a]; u > 0 {
+	rc := &ag.v.cycles[c].recv[ag.a]
+	ag.p.Wait(&rc.done)
+	if u := rc.unpack; u > 0 {
 		ag.b.k.InitFuture(&ag.copied)
 		ag.b.net.MemcpyTo(&ag.copied, ag.node, u)
 		ag.p.Wait(&ag.copied)
@@ -523,7 +681,7 @@ func (s *aggShuffle) Sync(c, slot int) {
 
 func (s *aggShuffle) Future(slot int) *sim.Future {
 	ag := (*aggRun)(s)
-	return ag.v.recvDone[ag.sh[slot].cycle][ag.a]
+	return &ag.v.cycles[ag.sh[slot].cycle].recv[ag.a].done
 }
 
 // aggWrite is the bundled file write stage, on the real simulated file.
@@ -543,32 +701,58 @@ func (w *aggWrite) Sync(c, _ int) {
 	ag.b.obs.Phase(probe.CauseWrite, ag.rank, c, t0, now, ext.Len)
 }
 
+// cohortWrite is one sub-buffer slot's asynchronous write: the
+// operation in flight and, in observed runs, the span its completion
+// records (span, a step bound once per aggregator).
+type cohortWrite struct {
+	ag    *aggRun
+	fut   *sim.Future // in flight, nil when idle
+	rank  int
+	cycle int
+	t0    sim.Time
+	n     int64
+	open  bool // span registered and not yet recorded
+	span  sim.Event[cohortWrite]
+}
+
+// record is the span step: the write of n bytes started at t0 is done.
+func (wr *cohortWrite) record() {
+	wr.open = false
+	ag := wr.ag
+	ag.b.obs.Phase(probe.CauseWrite, wr.rank, wr.cycle, wr.t0, ag.b.k.Now(), wr.n)
+}
+
 func (w *aggWrite) Init(c, slot int) {
 	ag := (*aggRun)(w)
-	ag.wr[slot] = nil
+	wr := &ag.wr[slot]
+	wr.fut = nil
 	ext := ag.v.sched.CycleExtent(ag.a, c)
 	if ext.Len == 0 {
 		return
 	}
 	ag.bytesWritten += ext.Len
-	fut := ag.b.file.AIOWrite(ag.node, ext.Off, ext.Len, nil)
-	ag.wr[slot] = fut
+	wr.fut = ag.b.file.AIOWrite(ag.node, ext.Off, ext.Len, nil)
 	if ag.b.obs.On() {
-		b, rank, t0 := ag.b, ag.rank, ag.p.Now()
-		fut.OnDone(func() { b.obs.Phase(probe.CauseWrite, rank, c, t0, b.k.Now(), ext.Len) })
+		// A future's steps run before its waiters, so the slot's last
+		// span has been recorded by the time the driver reuses it.
+		if wr.open {
+			panic(fmt.Sprintf("exp: aggregator %d reused write slot %d before its cycle-%d span was recorded", ag.rank, slot, wr.cycle))
+		}
+		wr.rank, wr.cycle, wr.t0, wr.n, wr.open = ag.rank, c, ag.p.Now(), ext.Len, true
+		wr.fut.Then(&wr.span)
 	}
 }
 
 func (w *aggWrite) Wait(slot int) {
 	ag := (*aggRun)(w)
-	f := ag.wr[slot]
+	f := ag.wr[slot].fut
 	if f == nil {
 		return
 	}
-	ag.wr[slot] = nil
+	ag.wr[slot].fut = nil
 	t0 := ag.p.Now()
 	ag.p.Wait(f)
 	ag.writeTime += ag.p.Now() - t0
 }
 
-func (w *aggWrite) Future(slot int) *sim.Future { return w.wr[slot] }
+func (w *aggWrite) Future(slot int) *sim.Future { return w.wr[slot].fut }

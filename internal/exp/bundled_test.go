@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -366,5 +367,87 @@ func TestBundledA2ACostMatchesExactBruck(t *testing.T) {
 		if got := m.Cost(jv.Control(fcoll.Write).Cycle); got != want {
 			t.Errorf("np %d: bundled all-to-all charges %v, the exact %d-byte rounds cost %v", np, got, round, want)
 		}
+	}
+}
+
+// memberWiringRun builds spec's bundled executor without its
+// aggregators and stands in for them at every rendezvous, so running
+// the kernel runs the member wiring alone: every view's batches, pack
+// copies, transfers and joins. It returns the run and the number of
+// batches its views send.
+func memberWiringRun(t *testing.T, spec Spec) (*cohortRun, int) {
+	t.Helper()
+	rt, err := routeFor(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rt.exec != BundledExecutor {
+		t.Fatalf("spec routes to %v, want the bundled executor", rt.exec)
+	}
+	cl, err := spec.Platform.ScaledTo(spec.NProcs).InstantiateBundled(spec.NProcs, spec.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := newCohortRun(spec, cl, rt, fcoll.Observer{})
+	batches := 0
+	for _, v := range b.views {
+		naggs := len(v.sched.AggRanks())
+		for c := range v.syncs {
+			for a := 0; a < naggs; a++ {
+				v.syncs[c].arrive()
+			}
+			batches += len(v.cycles[c].batches)
+		}
+		for a := 0; a < naggs; a++ {
+			v.final.arrive()
+		}
+	}
+	return b, batches
+}
+
+// maxAllocsPerBatch gates the host allocations of one member batch once
+// its view is built: the batch, its futures and steps and the cycle's
+// joins are allocated with the view, the transfers pool, so the wiring
+// measures 0.00; the margin of 0.5 is the message gates'.
+const maxAllocsPerBatch = 0.5
+
+// TestMemberWiringAllocsPerBatch is the allocation gate for the bundled
+// member wiring. Setup cancels out: the figure is the difference in
+// allocations of running a long and a short IOR view (more cycles,
+// the same batches per cycle), over the extra batches.
+func TestMemberWiringAllocsPerBatch(t *testing.T) {
+	if testing.CoverMode() != "" {
+		t.Skip("coverage instrumentation allocates")
+	}
+	run := func(block int64) (uint64, int) {
+		spec := Spec{
+			Platform:  platform.Ibex().Deterministic(),
+			NProcs:    160,
+			Gen:       ior.Config{BlockSize: block, Segments: 1},
+			Algorithm: fcoll.WriteComm2Overlap,
+			Bundle:    true,
+			Seed:      1,
+		}
+		b, batches := memberWiringRun(t, spec)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b.k.Run()
+		runtime.ReadMemStats(&after)
+		for _, v := range b.views {
+			if !v.final.fut.Done() {
+				t.Fatal("member wiring stalled before the closing barrier")
+			}
+		}
+		return after.Mallocs - before.Mallocs, batches
+	}
+	aShort, bShort := run(1 << 20)
+	aLong, bLong := run(16 << 20)
+	if bLong <= bShort {
+		t.Fatalf("long view sends %d batches, short %d: want more", bLong, bShort)
+	}
+	per := float64(aLong-aShort) / float64(bLong-bShort)
+	t.Logf("%.2f allocs per member batch (%d extra batches)", per, bLong-bShort)
+	if per > maxAllocsPerBatch {
+		t.Fatalf("%.2f allocs per member batch, gate is %.2f", per, maxAllocsPerBatch)
 	}
 }

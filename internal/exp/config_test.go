@@ -281,3 +281,19 @@ func TestExecuteConfigMatchesExecute(t *testing.T) {
 		t.Fatalf("ExecuteConfig = %+v, Execute = %+v", got, want)
 	}
 }
+
+// FuzzParseDigest: ParseDigest either returns an error or a digest
+// whose String is the input up to hex case; it never panics. The seed
+// corpus under testdata/fuzz holds a pinned digest, its upper-case
+// form, a short, a long and a non-hex input.
+func FuzzParseDigest(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		d, err := ParseDigest(s)
+		if err != nil {
+			return
+		}
+		if got := d.String(); got != strings.ToLower(s) {
+			t.Errorf("ParseDigest(%q).String() = %q", s, got)
+		}
+	})
+}

@@ -74,7 +74,7 @@ func metricsMatrix(t *testing.T) []metricsCase {
 // event — for every cell of the matrix, the trace digest, probe event
 // stream and probe counters of a metrics-on run are bit-identical to
 // the metrics-off baseline. The samplers only fold state at instants
-// the kernel already produces (AddSpan at service edges, OnDone on
+// the kernel already produces (AddSpan at service edges, Then on
 // already-existing futures), so any divergence here is a contract
 // violation, not noise.
 func TestMetricsDigestInvariance(t *testing.T) {

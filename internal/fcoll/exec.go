@@ -31,10 +31,11 @@ type exec struct {
 	wins     [2]*mpi.Window
 	res      Result
 
-	shState   [2]shuffle     // per-slot shuffle or scatter state, reused across cycles
-	ioFut     [2]*sim.Future // per-slot asynchronous file I/O in flight
-	copied    sim.Future     // chargeCopy's completion, reused per copy
-	stageBuf  [2][]byte      // per-slot staged-receive arenas (data mode)
+	shState   [2]shuffle         // per-slot shuffle or scatter state, reused across cycles
+	ioFut     [2]*sim.Future     // per-slot asynchronous file I/O in flight
+	wire      *[2]slotCompletion // per-slot joins and I/O spans, allocated on first use
+	copied    sim.Future         // chargeCopy's completion, reused per copy
+	stageBuf  [2][]byte          // per-slot staged-receive arenas (data mode)
 	stageUsed [2]int64
 	packBuf   []byte // payload scratch; reusable because Isend snapshots data
 	peersBuf  []int  // cycleOrigins/cycleTargets scratch
@@ -259,13 +260,53 @@ func (ex *exec) closeSlot(sh *shuffle, t0 sim.Time) {
 	sh.open = false
 }
 
-// reqFuture returns a completion future covering all of sh's requests.
+// reqFuture arms the slot's join over all of sh's requests and returns
+// it. The drivers ask for it once per opening and wait on it before the
+// slot reopens, so the join has completed by the time it is re-armed.
 func (ex *exec) reqFuture(sh *shuffle) *sim.Future {
 	sh.futs = sh.futs[:0]
 	for _, q := range sh.reqs {
 		sh.futs = append(sh.futs, q.Future())
 	}
-	return ex.r.Kernel().Join(sh.futs...)
+	w := &ex.wiring()[sh.slot]
+	ex.r.Kernel().InitJoin(&w.reqs, sh.futs...)
+	return &w.reqs
+}
+
+// slotCompletion is one sub-buffer slot's caller-owned completions: the
+// join over the slot's requests (reqFuture), the completion of a read's
+// fill that moves nothing, and the span an observed asynchronous file
+// I/O records when it completes (span, a step bound once).
+type slotCompletion struct {
+	ex    *exec
+	reqs  sim.Future
+	none  sim.Future
+	cycle int
+	t0    sim.Time
+	n     int64
+	open  bool // span registered and not yet recorded
+	span  sim.Event[slotCompletion]
+}
+
+// wiring returns the per-slot completions, allocated on first use: only
+// the dataflow driver and observed runs need them, and an exec is
+// allocated per rank and collective.
+func (ex *exec) wiring() *[2]slotCompletion {
+	if ex.wire == nil {
+		ex.wire = new([2]slotCompletion)
+		for s := range ex.wire {
+			w := &ex.wire[s]
+			w.ex = ex
+			w.span = sim.NewEvent(w, (*slotCompletion).record)
+		}
+	}
+	return ex.wire
+}
+
+// record is the span step: the I/O of n bytes started at t0 is done.
+func (w *slotCompletion) record() {
+	w.open = false
+	w.ex.ioPhase(w.cycle, w.t0, w.ex.r.Kernel().Now(), w.n)
 }
 
 // recvInto posts the receive of a total-byte message from src whose
@@ -581,8 +622,14 @@ func (s *fileStage) Init(c, slot int) {
 	}
 	ex.ioFut[slot] = fut
 	if ex.obs.On() {
-		t0 := ex.r.Now()
-		fut.OnDone(func() { ex.ioPhase(c, t0, ex.r.Kernel().Now(), ext.Len) })
+		// A future's steps run before its waiters, so the slot's last
+		// span has been recorded by the time the driver reuses it.
+		w := &ex.wiring()[slot]
+		if w.open {
+			panic(fmt.Sprintf("fcoll: rank %d reused I/O slot %d before its cycle-%d span was recorded", ex.r.ID(), slot, w.cycle))
+		}
+		w.cycle, w.t0, w.n, w.open = c, ex.r.Now(), ext.Len, true
+		fut.Then(&w.span)
 	}
 }
 
@@ -602,12 +649,15 @@ func (s *fileStage) Wait(slot int) {
 }
 
 // Future returns the slot's I/O completion. A read's fill must stay
-// observable when this rank reads nothing, so it completes at once.
+// observable when this rank reads nothing, so it completes at once:
+// the slot's empty join, one hop after arming.
 func (s *fileStage) Future(slot int) *sim.Future {
 	ex := (*exec)(s)
 	f := ex.ioFut[slot]
 	if f == nil && ex.dir == Read {
-		f = ex.r.Kernel().Join()
+		w := &ex.wiring()[slot]
+		ex.r.Kernel().InitJoin(&w.none)
+		return &w.none
 	}
 	return f
 }

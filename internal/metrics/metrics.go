@@ -14,7 +14,7 @@
 //     probe digests are bit-identical with metrics on or off (enforced
 //     by TestMetricsDigestInvariance). The one sanctioned kernel
 //     interaction is the same as the probe layer's: completion
-//     observation via Future.OnDone on futures that already exist.
+//     observation via Future.Then on futures that already exist.
 //   - Under partitioned execution (-jrun) every LP records into its own
 //     shard and MergeShards folds the shards after the run. All series
 //     combiners are commutative and associative over int64 (sum, max),

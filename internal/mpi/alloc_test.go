@@ -165,3 +165,55 @@ func TestPutAllocsPerPut(t *testing.T) {
 		}
 	}
 }
+
+// pscwEpochs runs PSCW epochs in which rank 0 exposes its data-mode
+// window to ranks 1-3 (WinPost, WinWait) and each of them puts one
+// 8-byte piece inside its access epoch (WinStart, WinComplete).
+func pscwEpochs(t testing.TB, epochs int) {
+	origins, target := []int{1, 2, 3}, []int{0}
+	k, w := testWorld(t, 4, 2, 1, nil)
+	w.Launch(func(r *Rank) {
+		var size int64
+		if r.ID() == 0 {
+			size = 8 * 4
+		}
+		win := r.WinAllocate(size, true)
+		b := make([]byte, 8)
+		for e := 0; e < epochs; e++ {
+			if r.ID() == 0 {
+				r.WinPost(win, origins)
+				r.WinWait(win)
+				continue
+			}
+			r.WinStart(win, target)
+			r.Put(win, 0, 8*int64(r.ID()), Bytes(b))
+			r.WinComplete(win)
+		}
+	})
+	k.Run()
+}
+
+// maxAllocsPerEpoch gates the host allocations of one PSCW epoch in
+// steady state: the groups and request scratch keep their backing
+// arrays per origin, so the epochs measure 0.00; the margin of 0.5 is
+// the message gates'.
+const maxAllocsPerEpoch = 0.5
+
+// TestPSCWAllocsPerEpoch is the allocation gate for generalised
+// active-target synchronisation: the difference between a long and a
+// short run of epochs, over the extra epochs, is the cost of one
+// epoch's post, start, complete and wait calls at one target and three
+// origins, their control messages and puts included.
+func TestPSCWAllocsPerEpoch(t *testing.T) {
+	if testing.CoverMode() != "" {
+		t.Skip("coverage instrumentation allocates")
+	}
+	const short, long = 16, 80
+	aShort := testing.AllocsPerRun(5, func() { pscwEpochs(t, short) })
+	aLong := testing.AllocsPerRun(5, func() { pscwEpochs(t, long) })
+	perEpoch := (aLong - aShort) / float64(long-short)
+	t.Logf("%.2f allocs per PSCW epoch (%d extra epochs)", perEpoch, long-short)
+	if perEpoch > maxAllocsPerEpoch {
+		t.Fatalf("%.2f allocs per PSCW epoch, gate is %.2f", perEpoch, maxAllocsPerEpoch)
+	}
+}

@@ -43,16 +43,28 @@ type Window struct {
 
 // originState is one rank's epoch state on a window: the epochs it has
 // open as an origin and the put ledger they close, and (PSCW) the
-// exposure group it posted to as a target. A nil group is a closed
-// epoch; an open one is non-nil, even when empty.
+// exposure group it posted to as a target. The group slices are copies
+// that keep their backing arrays from epoch to epoch; startOpen and
+// postOpen say whether their epochs are open.
 type originState struct {
-	fenced   bool       // a WinFence has opened the fence epoch
-	held     []int      // targets this rank holds a passive lock on
-	start    []int      // access group, WinStart to WinComplete
-	post     []int      // exposure group, WinPost to WinWait
-	ctlSends []*Request // in-flight post notifications, drained at WinWait
-	puts     []*putDone // the open epochs' puts, in put order
-	flow     byte       // its address is the flow key of the rank's put stream
+	fenced    bool       // a WinFence has opened the fence epoch
+	held      []int      // targets this rank holds a passive lock on
+	startOpen bool       // WinStart to WinComplete
+	postOpen  bool       // WinPost to WinWait
+	start     []int      // access group
+	post      []int      // exposure group
+	ctlSends  []*Request // in-flight post notifications, drained at WinWait
+	reqs      []*Request // WinStart/WinComplete/WinWait request scratch
+	puts      []*putDone // the open epochs' puts, in put order
+	flow      byte       // its address is the flow key of the rank's put stream
+}
+
+// waitAll waits the requests in *reqs and empties the slice, keeping
+// its backing array for the next epoch.
+func waitAll(r *Rank, reqs *[]*Request) {
+	r.Wait(*reqs...)
+	clear(*reqs)
+	*reqs = (*reqs)[:0]
 }
 
 // putDone is one put's completion, pooled per LP: the future an epoch
@@ -140,9 +152,9 @@ func (w *World) OpenEpochs() error {
 				open = fmt.Sprintf("%d puts (first to target %d) not closed by WinFence, WinUnlock or WinComplete", len(o.puts), o.puts[0].target)
 			case len(o.held) > 0:
 				open = fmt.Sprintf("lock on target %d held (no WinUnlock)", o.held[0])
-			case o.start != nil:
+			case o.startOpen:
 				open = fmt.Sprintf("access epoch to %v open (no WinComplete)", o.start)
-			case o.post != nil:
+			case o.postOpen:
 				open = fmt.Sprintf("exposure epoch to %v open (no WinWait)", o.post)
 			default:
 				continue
@@ -208,7 +220,7 @@ func (r *Rank) Put(win *Window, target int, offset int64, pl Payload) {
 	}
 	o := &win.origins[r.id]
 	locked := slices.Contains(o.held, target)
-	if !locked && !o.fenced && !slices.Contains(o.start, target) {
+	if !locked && !o.fenced && !(o.startOpen && slices.Contains(o.start, target)) {
 		win.misuse(r, "Put to target %d outside any epoch (no fence, no lock on the target, not in the start group)", target)
 	}
 	e := r.eng
@@ -440,7 +452,7 @@ func pscwTag(winID int) int { return tagInternalBase + 2048 + 2*winID }
 // origin; the call does not wait for them.
 func (r *Rank) WinPost(win *Window, origins []int) {
 	o := &win.origins[r.id]
-	if o.post != nil {
+	if o.postOpen {
 		win.misuse(r, "WinPost while its exposure epoch to %v is open", o.post)
 	}
 	e := r.eng
@@ -455,14 +467,15 @@ func (r *Rank) WinPost(win *Window, origins []int) {
 		req := r.Isend(origin, pscwTag(win.id), Symbolic(r.w.cfg.CtrlBytes))
 		o.ctlSends = append(o.ctlSends, req)
 	}
-	o.post = append(make([]int, 0, len(origins)), origins...) // non-nil: open
+	o.post = append(o.post[:0], origins...)
+	o.postOpen = true
 }
 
 // WinStart opens an access epoch to the target group (MPI_Win_start):
 // it blocks until every target's post notification has arrived.
 func (r *Rank) WinStart(win *Window, targets []int) {
 	o := &win.origins[r.id]
-	if o.start != nil {
+	if o.startOpen {
 		win.misuse(r, "WinStart while its access epoch to %v is open", o.start)
 	}
 	e := r.eng
@@ -470,19 +483,19 @@ func (r *Rank) WinStart(win *Window, targets []int) {
 	defer e.exit()
 	defer r.span(probe.KindRMA, probe.CauseStart)()
 	r.p.Sleep(r.w.cfg.CallOverhead)
-	reqs := make([]*Request, 0, len(targets))
 	for _, t := range targets {
-		reqs = append(reqs, r.Irecv(t, pscwTag(win.id), r.w.cfg.CtrlBytes, nil))
+		o.reqs = append(o.reqs, r.Irecv(t, pscwTag(win.id), r.w.cfg.CtrlBytes, nil))
 	}
-	r.Wait(reqs...)
-	o.start = append(make([]int, 0, len(targets)), targets...) // non-nil: open
+	waitAll(r, &o.reqs)
+	o.start = append(o.start[:0], targets...)
+	o.startOpen = true
 }
 
 // WinComplete closes the access epoch (MPI_Win_complete): it forces
 // remote completion of the epoch's puts and notifies each target.
 func (r *Rank) WinComplete(win *Window) {
 	o := &win.origins[r.id]
-	if o.start == nil {
+	if !o.startOpen {
 		win.misuse(r, "WinComplete without a WinStart")
 	}
 	e := r.eng
@@ -490,24 +503,22 @@ func (r *Rank) WinComplete(win *Window) {
 	defer e.exit()
 	defer r.span(probe.KindRMA, probe.CauseComplete)()
 	r.p.Sleep(r.w.cfg.CallOverhead)
-	targets := o.start
-	o.start = nil
-	notify := make([]*Request, 0, len(targets))
-	for _, t := range targets {
+	o.startOpen = false
+	for _, t := range o.start {
 		win.closePuts(r, t)
-		notify = append(notify, r.Isend(t, pscwTag(win.id)+1, Symbolic(r.w.cfg.CtrlBytes)))
+		o.reqs = append(o.reqs, r.Isend(t, pscwTag(win.id)+1, Symbolic(r.w.cfg.CtrlBytes)))
 	}
 	// Local completion of the epoch-close notifications before the call
 	// returns: the implementation cannot recycle its internal request
 	// slots (nor, here, drop the futures) while the sends are in flight.
-	r.Wait(notify...)
+	waitAll(r, &o.reqs)
 }
 
 // WinWait closes the exposure epoch (MPI_Win_wait): it blocks until
 // every origin of the posted group has completed.
 func (r *Rank) WinWait(win *Window) {
 	o := &win.origins[r.id]
-	if o.post == nil {
+	if !o.postOpen {
 		win.misuse(r, "WinWait without a WinPost")
 	}
 	e := r.eng
@@ -515,18 +526,14 @@ func (r *Rank) WinWait(win *Window) {
 	defer e.exit()
 	defer r.span(probe.KindRMA, probe.CauseWaitEpoch)()
 	r.p.Sleep(r.w.cfg.CallOverhead)
-	origins := o.post
-	o.post = nil
-	reqs := make([]*Request, 0, len(origins))
-	for _, origin := range origins {
-		reqs = append(reqs, r.Irecv(origin, pscwTag(win.id)+1, r.w.cfg.CtrlBytes, nil))
+	o.postOpen = false
+	for _, origin := range o.post {
+		o.reqs = append(o.reqs, r.Irecv(origin, pscwTag(win.id)+1, r.w.cfg.CtrlBytes, nil))
 	}
-	r.Wait(reqs...)
+	waitAll(r, &o.reqs)
 	// Drain the post-notification sends tracked by WinPost. Every origin
 	// of the epoch has already received them (their completion messages
 	// just arrived above), so this observes guaranteed-complete requests
 	// and costs no additional synchronisation.
-	ctl := o.ctlSends
-	o.ctlSends = nil
-	r.Wait(ctl...)
+	waitAll(r, &o.ctlSends)
 }

@@ -7,6 +7,9 @@ package sim
 // or from another process. DoneAt records when the operation actually
 // finished, even if its waiter looks much later.
 //
+// A future armed by InitJoin is also a join: it counts its inputs down
+// and completes on the last.
+//
 // Two callbacks and the first waiter are stored inline: nearly every
 // future in the protocol stack has one waiter and at most two callbacks
 // (an intra-node transfer's Injected and Delivered are one future, so
@@ -20,6 +23,7 @@ package sim
 type Future struct {
 	k       *Kernel
 	done    bool
+	pending int32 // inputs an armed join still waits for
 	doneAt  Time
 	waiter0 *Proc
 	onDone0 Action
@@ -27,13 +31,33 @@ type Future struct {
 	more    []Action
 }
 
-// NewFuture returns an incomplete future bound to k.
-func (k *Kernel) NewFuture() *Future { return &Future{k: k} }
-
-// InitFuture resets f to an incomplete future bound to k. It is for
-// futures embedded by value in pooled objects, which live as long as
-// the object rather than as a separate allocation.
+// InitFuture resets f to an incomplete future bound to k. A future is
+// embedded by value in the object that owns the operation, and lives
+// as long as that object rather than as a separate allocation.
 func (k *Kernel) InitFuture(f *Future) { *f = Future{k: k} }
+
+// InitJoin resets f to an incomplete future bound to k that completes
+// once every non-nil future in fs has completed: it is registered on
+// each input still pending and counts them down. If none is pending it
+// completes one zero-delay hop later, so completion still comes from
+// kernel context. A join is re-armed in place once it has completed.
+func (k *Kernel) InitJoin(f *Future, fs ...*Future) {
+	*f = Future{k: k}
+	for _, in := range fs {
+		if in != nil && !in.done {
+			f.pending++
+		}
+	}
+	if f.pending == 0 {
+		k.CompleteAfter(0, f)
+		return
+	}
+	for _, in := range fs {
+		if in != nil && !in.done {
+			in.register(f)
+		}
+	}
+}
 
 // Done reports whether the future has completed.
 func (f *Future) Done() bool { return f.done }
@@ -81,18 +105,22 @@ func (f *Future) Complete() {
 	f.more = nil
 }
 
-// fire is the event behind Then and CompleteAfter: it completes f.
-func (f *Future) fire() { f.Complete() }
+// fire is the event behind Then and CompleteAfter: it completes f, or
+// counts an armed join down and completes it on its last input.
+func (f *Future) fire() {
+	if f.pending > 0 {
+		if f.pending--; f.pending > 0 {
+			return
+		}
+	}
+	f.Complete()
+}
 
-// OnDone registers fn to run (in kernel context) when the future
-// completes. If the future is already complete, fn is scheduled
-// immediately.
-func (f *Future) OnDone(fn func()) { f.register(Func(fn)) }
-
-// Then fires a when f completes: a *Future completes, a Func is
-// called, an Event calls its method. It schedules the same event as
-// OnDone with the equivalent callback (OnDone(g.Complete) for a future
-// g) without allocating a method value.
+// Then fires a (in kernel context) when f completes: a *Future
+// completes (or an armed join counts down), an Event calls its method,
+// a Func is called. If f is already complete, a is scheduled at once.
+// Every step of an event chain is an Event bound once by its owner, so
+// registering one allocates nothing.
 func (f *Future) Then(a Action) { f.register(a) }
 
 func (f *Future) register(a Action) {
@@ -161,39 +189,4 @@ func (p *Proc) WaitAny(fs ...*Future) int {
 		}
 	}
 	panic("sim: WaitAny woke with no completed future")
-}
-
-// joinFuture is Join's output future and its countdown in one
-// allocation; it is itself the callback registered on every input.
-type joinFuture struct {
-	out       Future
-	remaining int
-}
-
-func (j *joinFuture) fire() {
-	if j.remaining--; j.remaining == 0 {
-		j.out.Complete()
-	}
-}
-
-// Join returns a future that completes when all of fs have completed.
-func (k *Kernel) Join(fs ...*Future) *Future {
-	j := &joinFuture{out: Future{k: k}}
-	for _, f := range fs {
-		if f != nil && !f.done {
-			j.remaining++
-		}
-	}
-	if j.remaining == 0 {
-		// Everything already done: complete via event to preserve the
-		// "completion happens from kernel context" discipline.
-		k.CompleteAfter(0, &j.out)
-		return &j.out
-	}
-	for _, f := range fs {
-		if f != nil && !f.done {
-			f.register(j)
-		}
-	}
-	return &j.out
 }

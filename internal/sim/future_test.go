@@ -2,9 +2,17 @@ package sim
 
 import "testing"
 
+// newFuture returns an incomplete future bound to k, as an owner
+// embedding one would arm it.
+func newFuture(k *Kernel) *Future {
+	f := new(Future)
+	k.InitFuture(f)
+	return f
+}
+
 func TestFutureWaitBeforeComplete(t *testing.T) {
 	k := NewKernel(1)
-	f := k.NewFuture()
+	f := newFuture(k)
 	var woke Time
 	k.Spawn("w", func(p *Proc) {
 		p.Wait(f)
@@ -22,7 +30,7 @@ func TestFutureWaitBeforeComplete(t *testing.T) {
 
 func TestFutureWaitAfterComplete(t *testing.T) {
 	k := NewKernel(1)
-	f := k.NewFuture()
+	f := newFuture(k)
 	k.At(10, f.Complete)
 	var woke Time
 	k.Spawn("w", func(p *Proc) {
@@ -38,7 +46,7 @@ func TestFutureWaitAfterComplete(t *testing.T) {
 
 func TestFutureDoubleCompletePanics(t *testing.T) {
 	k := NewKernel(1)
-	f := k.NewFuture()
+	f := newFuture(k)
 	k.At(1, f.Complete)
 	k.At(2, func() {
 		defer func() {
@@ -53,7 +61,7 @@ func TestFutureDoubleCompletePanics(t *testing.T) {
 
 func TestWaitAll(t *testing.T) {
 	k := NewKernel(1)
-	f1, f2, f3 := k.NewFuture(), k.NewFuture(), k.NewFuture()
+	f1, f2, f3 := newFuture(k), newFuture(k), newFuture(k)
 	k.At(10, f1.Complete)
 	k.At(30, f3.Complete)
 	k.At(20, f2.Complete)
@@ -70,7 +78,7 @@ func TestWaitAll(t *testing.T) {
 
 func TestWaitAny(t *testing.T) {
 	k := NewKernel(1)
-	f1, f2 := k.NewFuture(), k.NewFuture()
+	f1, f2 := newFuture(k), newFuture(k)
 	k.At(50, f1.Complete)
 	k.At(10, f2.Complete)
 	var idx int
@@ -90,7 +98,7 @@ func TestWaitAny(t *testing.T) {
 
 func TestWaitAnyAlreadyDone(t *testing.T) {
 	k := NewKernel(1)
-	f1, f2 := k.NewFuture(), k.NewFuture()
+	f1, f2 := newFuture(k), newFuture(k)
 	k.At(1, f1.Complete)
 	k.Spawn("w", func(p *Proc) {
 		p.Sleep(5)
@@ -107,39 +115,66 @@ func TestWaitAnyAlreadyDone(t *testing.T) {
 
 func TestJoin(t *testing.T) {
 	k := NewKernel(1)
-	f1, f2 := k.NewFuture(), k.NewFuture()
+	f1, f2 := newFuture(k), newFuture(k)
 	k.At(10, f1.Complete)
 	k.At(40, f2.Complete)
-	j := k.Join(f1, f2)
+	var j Future
+	k.InitJoin(&j, f1, f2)
 	k.Run()
 	if !j.Done() || j.DoneAt() != 40 {
 		t.Fatalf("Join done=%v at %v, want done at 40", j.Done(), j.DoneAt())
+	}
+	// Re-armed in place once complete, as a per-slot join is every
+	// cycle.
+	f3 := newFuture(k)
+	k.At(70, f3.Complete)
+	k.InitJoin(&j, f1, nil, f3)
+	if j.Done() {
+		t.Fatal("re-armed Join still done")
+	}
+	k.Run()
+	if !j.Done() || j.DoneAt() != 70 {
+		t.Fatalf("re-armed Join done=%v at %v, want done at 70", j.Done(), j.DoneAt())
 	}
 }
 
 func TestJoinEmptyAndDone(t *testing.T) {
 	k := NewKernel(1)
-	f := k.NewFuture()
+	f := newFuture(k)
 	k.At(1, f.Complete)
+	var j Future
 	done := false
 	k.At(2, func() {
-		j := k.Join(f)
-		j.OnDone(func() { done = true })
+		k.InitJoin(&j, f)
+		j.Then(Func(func() { done = true }))
 	})
 	k.Run()
 	if !done {
 		t.Fatal("Join of completed futures never completed")
 	}
+	// An empty join completes one hop after arming, and re-arms.
+	for round := 0; round < 2; round++ {
+		done = false
+		at := k.Now() + 5
+		k.At(at, func() {
+			k.InitJoin(&j)
+			j.Then(Func(func() { done = true }))
+		})
+		k.Run()
+		if !done || j.DoneAt() != at {
+			t.Fatalf("round %d: empty Join done=%v at %v, want done at %v", round, done, j.DoneAt(), at)
+		}
+	}
 }
 
 func TestOnDoneAfterCompletion(t *testing.T) {
 	k := NewKernel(1)
-	f := k.NewFuture()
+	f := newFuture(k)
 	k.At(1, f.Complete)
 	called := false
-	k.At(5, func() { f.OnDone(func() { called = true }) })
+	k.At(5, func() { f.Then(Func(func() { called = true })) })
 	k.Run()
 	if !called {
-		t.Fatal("OnDone on completed future never ran")
+		t.Fatal("Then on a completed future never ran")
 	}
 }

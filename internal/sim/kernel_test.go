@@ -138,7 +138,7 @@ func TestDeadlockDetection(t *testing.T) {
 	}()
 	k := NewKernel(1)
 	k.Explain(func() error { return errors.New("lock held") })
-	f := k.NewFuture()
+	f := newFuture(k)
 	k.Spawn("stuck", func(p *Proc) { p.Wait(f) }) // never completed
 	k.Run()
 }

@@ -61,9 +61,9 @@ func buildPingPong(kernelFor func(lp int) *Kernel, shards []*logShard, nlp, roun
 		var bounce func(round int)
 		bounce = func(round int) {
 			sh.add(k, fmt.Sprintf("lp%d recv r%d", lp, round))
-			submit(srv, int64(64*(round+1))).OnDone(func() {
+			submit(srv, int64(64*(round+1))).Then(Func(func() {
 				sh.add(k, fmt.Sprintf("lp%d served r%d", lp, round))
-			})
+			}))
 			if round < rounds {
 				dst := (lp + 1) % nlp
 				k.ScheduleRemote(dst, k.Now()+testLookahead+Time(lp), func() {
@@ -88,9 +88,9 @@ func buildPingPong(kernelFor func(lp int) *Kernel, shards []*logShard, nlp, roun
 func bounceOn(kernelFor func(lp int) *Kernel, shards []*logShard, lp, round, rounds int) {
 	k := kernelFor(lp)
 	srv := k.NewServer("hop", 2e9, 5*Nanosecond)
-	submit(srv, 128).OnDone(func() {
+	submit(srv, 128).Then(Func(func() {
 		shards[lp].add(k, fmt.Sprintf("lp%d hop-served r%d", lp, round))
-	})
+	}))
 	if round < rounds {
 		dst := (lp + 1) % len(shards)
 		k.ScheduleRemote(dst, k.Now()+testLookahead, func() {
@@ -188,7 +188,7 @@ func TestPartitionLookaheadViolationPanics(t *testing.T) {
 func TestPartitionDeadlockPanics(t *testing.T) {
 	p := NewPartition(1, 2, testLookahead)
 	p.Kernel(0).Spawn("stuck", func(pr *Proc) {
-		pr.Wait(pr.Kernel().NewFuture()) // never completed
+		pr.Wait(newFuture(pr.Kernel())) // never completed
 	})
 	p.Kernel(1).At(10, func() {})
 	defer func() {

@@ -55,8 +55,8 @@ func (p *Proc) Name() string { return p.name }
 func (p *Proc) Now() Time { return p.k.now }
 
 // block parks the calling process until its wakeup event fires. Only
-// p's own body may: a call from kernel-callback context (an OnDone, an
-// observer hook) has no coroutine of p's to suspend.
+// p's own body may: a call from kernel-callback context (a step
+// registered with Then, an observer hook) has no coroutine of p's to suspend.
 func (p *Proc) block() {
 	if p.k.running != p {
 		panic("sim: process " + p.name + " blocked from kernel-callback context; only its own body may block it")

@@ -8,14 +8,14 @@ import (
 // submit enqueues a request of size bytes on s as its own flow and
 // returns a future that completes when it has been served.
 func submit(s *Server, size int64) *Future {
-	f := s.k.NewFuture()
+	f := newFuture(s.k)
 	s.SubmitFlowOnStartTo(f, nil, size, nil)
 	return f
 }
 
 // submitAfter is submit for a request that reaches s after delay.
 func submitAfter(s *Server, delay Time, size int64) *Future {
-	f := s.k.NewFuture()
+	f := newFuture(s.k)
 	s.SubmitFlowAfterOnArriveTo(f, nil, delay, size, nil)
 	return f
 }
@@ -53,7 +53,7 @@ func TestServerIdleGapResets(t *testing.T) {
 	k.At(0, func() { submit(s, 10) })
 	k.At(1000, func() {
 		f := submit(s, 10)
-		f.OnDone(func() { done = k.Now() })
+		f.Then(Func(func() { done = k.Now() }))
 	})
 	k.Run()
 	if done != 1010 {

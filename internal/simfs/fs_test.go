@@ -89,7 +89,7 @@ func TestAIOWriteProgressesWhileProcessBusy(t *testing.T) {
 	var writeDone, procDone sim.Time
 	k.Spawn("writer", func(p *sim.Proc) {
 		fut := f.AIOWrite(0, 0, 4<<20, nil)
-		fut.OnDone(func() { writeDone = k.Now() })
+		fut.Then(sim.Func(func() { writeDone = k.Now() }))
 		p.Sleep(100 * sim.Millisecond) // process busy elsewhere
 		p.Wait(fut)
 		procDone = p.Now()

@@ -103,12 +103,21 @@ func TestFlowArrivalRecomputesRates(t *testing.T) {
 	approx(t, "a.Injected", a.Injected.DoneAt(), wantA, 8)
 }
 
+// sendMilestones is SendFlowMilestones completing test-made futures.
+func sendMilestones(n *Network, from, to int, size int64, offs []int64) (*Transfer, []*sim.Future) {
+	ms := make([]*sim.Future, len(offs))
+	for i := range ms {
+		ms[i] = newFuture(n.KernelFor(from))
+	}
+	return n.SendFlowMilestones(from, to, size, offs, ms), ms
+}
+
 func TestFlowMilestones(t *testing.T) {
 	// Milestones complete one latency after their byte offset crosses,
 	// in order, and the final milestone coincides with delivery.
 	k, n := flowNet(t, 2, 1e9)
 	const size = 1 << 20
-	tr, ms := n.SendFlowMilestones(0, 1, size, []int64{size / 4, size / 2, size})
+	tr, ms := sendMilestones(n, 0, 1, size, []int64{size / 4, size / 2, size})
 	kept := keep(n, tr)
 	k.Run()
 	lat := sim.Microsecond
@@ -208,7 +217,7 @@ func TestFlowIndependentOfDisjointFlows(t *testing.T) {
 		for i := range offs {
 			offs[i] = int64(i+1) * k
 		}
-		tr, ms := n.SendFlowMilestones(0, 1, 13*k, offs)
+		tr, ms := sendMilestones(n, 0, 1, 13*k, offs)
 		s := keep(n, tr)
 		if others {
 			rng := rand.New(rand.NewSource(seed))
@@ -282,7 +291,7 @@ func newRefFluid(k *sim.Kernel, nodes int, bw, ibw float64, lat, ilat sim.Time) 
 // futures; each mark's future completes one latency after its offset.
 func (fl *refFluid) submit(from, to int, size int64, marks []flowMark) (inj, del *sim.Future) {
 	f := &refFlow{intra: from == to, size: float64(size), marks: marks,
-		injected: fl.k.NewFuture(), delivered: fl.k.NewFuture()}
+		injected: newFuture(fl.k), delivered: newFuture(fl.k)}
 	if f.intra {
 		f.links[0], f.nlinks = int32(2*fl.nodes+from), 1
 	} else {
@@ -467,7 +476,7 @@ func TestFlowMatchesGlobalSolver(t *testing.T) {
 					tr = n.Send(from, to, size)
 				} else {
 					var ms []*sim.Future
-					tr, ms = n.SendFlowMilestones(from, to, size, offs)
+					tr, ms = sendMilestones(n, from, to, size, offs)
 					copy(got[base+2:], ms)
 				}
 				s := keep(n, tr)
@@ -475,7 +484,7 @@ func TestFlowMatchesGlobalSolver(t *testing.T) {
 			})
 			marks := make([]flowMark, len(offs))
 			for j, off := range offs {
-				marks[j] = flowMark{bytes: float64(off), fut: rk.NewFuture()}
+				marks[j] = flowMark{bytes: float64(off), fut: newFuture(rk)}
 			}
 			w := len(want)
 			want = append(want, nil, nil)

@@ -242,19 +242,19 @@ func (n *Network) Node(i int) *Node { return n.nodes[i] }
 //
 // Transfers are pooled, and the network owns them. A handle is lent to
 // the caller for the event that called Send only: the caller registers
-// what it needs on the futures (Then, OnDone) before it returns to the
-// kernel, and keeps neither the handle nor a future read from it. The
-// network returns the transfer to the pool of the LP that runs its
-// last event, Delivered's completion, and the next Send there reuses
-// it, futures included. A caller that must keep the delivery
-// completion past the sending event passes its own future to
-// SendFlowTo.
+// what it needs on the futures (Then) before it returns to the kernel,
+// and keeps neither the handle nor a future read from it. The network
+// returns the transfer to the pool of the LP that runs its last event
+// — Delivered's completion, or with a probe the delivery record one
+// hop later — and the next Send there reuses it, futures included. A
+// caller that must keep the delivery completion past the sending event
+// passes its own future to SendFlowTo.
 //
 // The transfer is also every action of its own event chain: the tx
 // start that submits the rx leg, the zero-delay hops of that leg, the
-// join of both legs and the delivery. Each is a sim.Event bound once,
-// when the transfer is first allocated, so a message allocates
-// nothing.
+// join of both legs, the delivery and its probe record. Each is a
+// sim.Event bound once, when the transfer is first allocated, so a
+// message allocates nothing.
 type Transfer struct {
 	Injected  *sim.Future
 	Delivered *sim.Future
@@ -272,7 +272,11 @@ type Transfer struct {
 	// zero-delay hops left before it reaches the join.
 	pending, hops int
 
-	txStart, rxHop, join, deliver sim.Event[Transfer]
+	// probed is set when a probe records the delivery (record), which
+	// then ends the chain.
+	probed bool
+
+	txStart, rxHop, join, deliver, record sim.Event[Transfer]
 	// The partitioned leg's events cross LPs through
 	// Kernel.ScheduleRemote, which takes a func: method values, bound
 	// on the transfer's first partitioned send.
@@ -293,6 +297,7 @@ func (n *Network) newTransfer(src, dst *Node, flow interface{}, size int64, deli
 		tr.rxHop = sim.NewEvent(tr, (*Transfer).hopRx)
 		tr.join = sim.NewEvent(tr, (*Transfer).joinLeg)
 		tr.deliver = sim.NewEvent(tr, (*Transfer).complete)
+		tr.record = sim.NewEvent(tr, (*Transfer).recordDeliver)
 	} else {
 		sh.freeTransfers = tr.next
 		tr.next = nil
@@ -313,7 +318,7 @@ func (n *Network) newTransfer(src, dst *Node, flow interface{}, size int64, deli
 // running that event: the destination node's.
 func (n *Network) release(tr *Transfer) {
 	sh := tr.dst.sh
-	tr.Injected, tr.Delivered, tr.dst, tr.flow = nil, nil, nil, nil
+	tr.Injected, tr.Delivered, tr.dst, tr.flow, tr.probed = nil, nil, nil, nil, false
 	tr.next = sh.freeTransfers
 	sh.freeTransfers = tr
 	sh.live--
@@ -462,11 +467,13 @@ func (tr *Transfer) joinLeg() {
 	tr.complete()
 }
 
-// complete completes Delivered — the transfer's last event — and
-// returns the transfer to the pool.
+// complete completes Delivered and, unless a probe's delivery record
+// follows, returns the transfer to the pool.
 func (tr *Transfer) complete() {
 	tr.Delivered.Complete()
-	tr.net.release(tr)
+	if !tr.probed {
+		tr.net.release(tr)
+	}
 }
 
 // sendFluid routes one bulk transfer through the fluid model: Injected
@@ -491,21 +498,23 @@ func (n *Network) sendFluid(from, to int, size int64, marks []flowMark, delivere
 }
 
 // SendFlowMilestones is SendFlow through the fluid model with progress
-// milestones: future i completes one wire latency after the flow's
-// cumulative transmitted bytes cross offsets[i] (ascending, each in
-// (0, size]). The bundled cohort executor uses it to replay per-member
-// completion instants out of one aggregate transfer. Requires ModelFlow
-// (which is sequential-only) and an inter-node pair; unlike SendFlow
-// there is no FlowMinBytes cutoff — the caller asked for fluid
-// semantics explicitly.
-func (n *Network) SendFlowMilestones(from, to int, size int64, offsets []int64) (*Transfer, []*sim.Future) {
+// milestones: the caller's future futs[i] completes one wire latency
+// after the flow's cumulative transmitted bytes cross offsets[i]
+// (ascending, each in (0, size]). The bundled cohort executor uses it
+// to replay per-member completion instants out of one aggregate
+// transfer. Requires ModelFlow (which is sequential-only) and an
+// inter-node pair; unlike SendFlow there is no FlowMinBytes cutoff —
+// the caller asked for fluid semantics explicitly.
+func (n *Network) SendFlowMilestones(from, to int, size int64, offsets []int64, futs []*sim.Future) *Transfer {
 	if n.fluid == nil {
 		panic("simnet: SendFlowMilestones requires ModelFlow on a sequential network")
 	}
 	if from == to {
 		panic("simnet: SendFlowMilestones requires an inter-node transfer")
 	}
-	futs := make([]*sim.Future, len(offsets))
+	if len(futs) != len(offsets) {
+		panic("simnet: SendFlowMilestones needs one future per offset")
+	}
 	marks := make([]flowMark, len(offsets))
 	prev := int64(0)
 	for i, off := range offsets {
@@ -513,10 +522,9 @@ func (n *Network) SendFlowMilestones(from, to int, size int64, offsets []int64) 
 			panic("simnet: SendFlowMilestones offsets must ascend within (0, size]")
 		}
 		prev = off
-		futs[i] = n.k.NewFuture()
 		marks[i] = flowMark{bytes: float64(off), fut: futs[i]}
 	}
-	return n.sendFluid(from, to, size, marks, nil), futs
+	return n.sendFluid(from, to, size, marks, nil)
 }
 
 // observeSend emits the submit-time events for one transfer into the
@@ -547,26 +555,28 @@ func observeSend(src *Node, tr *Transfer, path probe.Cause, port *sim.Server) {
 	}
 }
 
-// observeDeliver registers a delivery event on the transfer's completion
-// future, emitting into the probe of the LP the completion fires on:
-// the destination node's. The extra zero-delay callback cannot reorder
-// pre-existing kernel events (see package probe), so probing stays
-// digest-invariant. The handle may be released (and recycled) before
-// delivery, so the callback captures the fields, never the handle. dst
-// is the destination node.
+// observeDeliver registers the transfer's delivery record on its
+// completion future, emitting into the probe of the LP the completion
+// fires on: the destination node's. The extra zero-delay step cannot
+// reorder pre-existing kernel events (see package probe), so probing
+// stays digest-invariant. With a probe attached the record is the
+// transfer's last event, so it, not complete, returns the transfer to
+// the pool. dst is the destination node.
 func observeDeliver(dst *Node, tr *Transfer) {
-	p := dst.sh.probe
-	if p == nil {
+	if dst.sh.probe == nil {
 		return
 	}
-	k := dst.k
-	from, to, size := tr.From, tr.To, tr.Size
-	tr.Delivered.OnDone(func() {
-		p.Emit(probe.Event{
-			At: k.Now(), Layer: probe.LayerNet, Kind: probe.KindNetDeliver,
-			Rank: to, Peer: from, Cycle: -1, Size: size,
-		})
+	tr.probed = true
+	tr.Delivered.Then(&tr.record)
+}
+
+// recordDeliver emits the delivery event and releases the transfer.
+func (tr *Transfer) recordDeliver() {
+	tr.dst.sh.probe.Emit(probe.Event{
+		At: tr.dst.k.Now(), Layer: probe.LayerNet, Kind: probe.KindNetDeliver,
+		Rank: tr.To, Peer: tr.From, Cycle: -1, Size: tr.Size,
 	})
+	tr.net.release(tr)
 }
 
 // MemcpyTo charges a memory copy of size bytes on node i — pack/unpack

@@ -23,14 +23,22 @@ func testConfig() Config {
 // transfer itself is lent only for the sending event.
 type sent struct{ Injected, Delivered *sim.Future }
 
+// newFuture returns an incomplete future bound to k, as an owner
+// embedding one would arm it.
+func newFuture(k *sim.Kernel) *sim.Future {
+	f := new(sim.Future)
+	k.InitFuture(f)
+	return f
+}
+
 // keep forwards tr's completions into test-owned futures; an intra-node
 // transfer's single completion stays single.
 func keep(n *Network, tr *Transfer) sent {
-	s := sent{Injected: n.KernelFor(tr.From).NewFuture()}
+	s := sent{Injected: newFuture(n.KernelFor(tr.From))}
 	tr.Injected.Then(s.Injected)
 	s.Delivered = s.Injected
 	if tr.Delivered != tr.Injected {
-		s.Delivered = n.KernelFor(tr.To).NewFuture()
+		s.Delivered = newFuture(n.KernelFor(tr.To))
 		tr.Delivered.Then(s.Delivered)
 	}
 	return s
@@ -132,7 +140,7 @@ func TestRxContentionAtAggregator(t *testing.T) {
 func TestMemcpyCost(t *testing.T) {
 	k := sim.NewKernel(1)
 	n := New(k, testConfig())
-	f := k.NewFuture()
+	f := newFuture(k)
 	n.MemcpyTo(f, 1, 8000)
 	k.Run()
 	if f.DoneAt() != 1000 { // 8000 / 8 per ns
