@@ -39,7 +39,7 @@ race:
 # alongside, so the per-LP sink wiring (probe and metrics shards on
 # every layer) and the leaders-only ladder are raced too. The simnet
 # sequential-vs-partitioned test runs at 2 and 4 window workers, so a
-# race on the per-LP transfer free lists or probe shards shows up here.
+# race on the per-LP transfer pools or probe shards shows up here.
 # It runs first in `make check` so a data race in the executor surfaces
 # in seconds instead of at the end of the full race suite.
 race-parallel:
@@ -54,8 +54,8 @@ race-parallel:
 # benchmark once — enough for the deterministic sim-ms/op numbers; raise
 # it to steady wall-clock measurements. The micro-benchmarks of the
 # kernel, network, file-system and MPI hot paths (internal/sim, simfs,
-# simnet, mpi: AIOWrite, AIORead, Fluid*, Send, the kernel and
-# ping-pong rows) cost
+# simnet, mpi: AIOWrite, AIORead, their cold-pool AIOWriteCold and
+# AIOReadCold, Fluid*, Send, the kernel and ping-pong rows) cost
 # microseconds per op, where one iteration measures only warm-up, so
 # they always run at -benchtime 1s -count 5. Rows are keyed by (name, GOMAXPROCS)
 # and every committed BENCH_*.json was recorded at GOMAXPROCS=1, so on a
@@ -74,7 +74,7 @@ race-parallel:
 # equivalence tests — under the race detector. Perf numbers come from
 # bench, concurrency-correctness evidence from race.
 BENCHTIME ?= 1x
-BENCHOUT ?= BENCH_PR27.json
+BENCHOUT ?= BENCH_PR29.json
 BENCHBASE ?= BENCH_PR21.json
 BENCHDIFF = $(if $(wildcard $(BENCHBASE)),-diff $(BENCHBASE),)
 

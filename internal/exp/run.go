@@ -218,13 +218,21 @@ func Execute(spec Spec) (Metrics, error) {
 
 // checkPooled is the world-end leak check: once a run has drained,
 // every RMA epoch must be closed (mpi.World.OpenEpochs: no unclosed
-// put, held lock or open start/post group) and every pooled transfer,
-// request, protocol message, put completion and stripe chunk back in a
-// pool, on whichever LP. A live one (a request never waited, a message
-// never consumed, a put never closed, a chunk never finished) is a
-// defect in the protocol stack, so the run fails rather than report a
-// result.
+// put, held lock or open start/post group) and every pooled server
+// request, transfer, MPI request, protocol message, put completion and
+// stripe chunk back in a pool, on whichever LP. A live one (a server
+// request never served, a request never waited, a message never
+// consumed, a put never closed, a chunk never finished) is a defect in
+// the protocol stack, so the run fails rather than report a result.
 func checkPooled(cl *platform.Cluster) error {
+	var served int
+	if cl.Part == nil {
+		served = cl.Kernel.LiveRequests()
+	} else {
+		for lp := 0; lp < cl.Part.NKernels(); lp++ {
+			served += cl.Part.Kernel(lp).LiveRequests()
+		}
+	}
 	transfers, chunks := cl.Net.LiveTransfers(), cl.FS.LiveChunks()
 	var requests, msgs, puts int
 	if cl.World != nil {
@@ -233,8 +241,8 @@ func checkPooled(cl *platform.Cluster) error {
 		}
 		requests, msgs, puts = cl.World.LivePooled()
 	}
-	if transfers != 0 || requests != 0 || msgs != 0 || puts != 0 || chunks != 0 {
-		return fmt.Errorf("exp: %d transfers, %d requests, %d protocol messages, %d put completions and %d stripe chunks still live at world end", transfers, requests, msgs, puts, chunks)
+	if served != 0 || transfers != 0 || requests != 0 || msgs != 0 || puts != 0 || chunks != 0 {
+		return fmt.Errorf("exp: %d server requests, %d transfers, %d MPI requests, %d protocol messages, %d put completions and %d stripe chunks still live at world end", served, transfers, requests, msgs, puts, chunks)
 	}
 	return nil
 }

@@ -25,8 +25,8 @@ const (
 // notices — and every request served by a target's passive-target RMA
 // agent (rma.go). The sender takes it from its LP's pool (Rank.newMsg)
 // and registers it on its transfer's Delivered: the msg is itself every
-// action of its chain, through sim.Events bound once when it is first
-// allocated, so a message allocates nothing. The
+// action of its chain, through sim.Events bound once when its pool slab
+// is made, so a message allocates nothing. The
 // engine that consumes it returns it to its own LP's pool
 // (engine.releaseMsg): an eager message when its receive completes, an
 // RTS (turned CTS) when the sender starts the data transfer, a chunk
@@ -53,25 +53,12 @@ type msg struct {
 	fut *sim.Future
 
 	onArrive, onServed, onRun, onCopied sim.Event[msg]
-	next                                *msg // free-list link, nil while the msg is live
+	next                                *msg // pool link, nil while the msg is live
 }
 
-// newMsg takes a zeroed msg from the rank's LP pool, or allocates one
-// and binds its actions.
+// newMsg takes a zeroed msg, its actions bound, from the rank's LP pool.
 func (r *Rank) newMsg(kind msgKind, dst *Rank) *msg {
-	sh := r.sh
-	m := sh.freeMsgs
-	if m == nil {
-		m = &msg{}
-		m.onArrive = sim.NewEvent(m, (*msg).arrive)
-		m.onServed = sim.NewEvent(m, (*msg).served)
-		m.onRun = sim.NewEvent(m, (*msg).run)
-		m.onCopied = sim.NewEvent(m, (*msg).copied)
-	} else {
-		sh.freeMsgs = m.next
-		m.next = nil
-	}
-	sh.msgs++
+	m := r.sh.msgs.Get()
 	m.kind, m.src, m.eng = kind, r.id, dst.eng
 	return m
 }
@@ -79,11 +66,8 @@ func (r *Rank) newMsg(kind msgKind, dst *Rank) *msg {
 // releaseMsg returns a consumed msg to this engine's LP pool. Callers
 // have read everything they need from it.
 func (e *engine) releaseMsg(m *msg) {
-	sh := e.r.sh
-	arrive, served, run, copied := m.onArrive, m.onServed, m.onRun, m.onCopied
-	*m = msg{onArrive: arrive, onServed: served, onRun: run, onCopied: copied, next: sh.freeMsgs}
-	sh.freeMsgs = m
-	sh.msgs--
+	*m = msg{onArrive: m.onArrive, onServed: m.onServed, onRun: m.onRun, onCopied: m.onCopied}
+	e.r.sh.msgs.Put(m)
 }
 
 // arrive is the msg's delivery, registered on its transfer's Delivered:

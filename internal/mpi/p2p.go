@@ -8,7 +8,7 @@ import (
 )
 
 // Request is a non-blocking operation handle, the analogue of
-// MPI_Request. Handles are pooled on the World's free list: Wait
+// MPI_Request. Handles are pooled per LP: Wait
 // recycles every request passed to it, so a request must not be used
 // after it has been waited on (MPI_Request semantics — the handle is
 // set to MPI_REQUEST_NULL by MPI_Wait). Use Recv's return value, or
@@ -25,7 +25,7 @@ type Request struct {
 	buf   []byte   // receive destination (nil in symbolic mode)
 	size  int64    // receive capacity
 	recvd int64    // bytes actually received
-	next  *Request // free-list link, nil while the request is live
+	next  *Request // pool link, nil while the request is live
 }
 
 // Received returns the number of bytes received (receives only). Only
@@ -130,7 +130,7 @@ func (r *Rank) Irecv(src, tag int, size int64, buf []byte) *Request {
 // Wait blocks until every request has completed. The rank is inside the
 // MPI library for the duration, so protocol progress (matching,
 // rendezvous handshakes) continues while it waits. Each request is
-// recycled onto the World's free list as its wait finishes; callers
+// recycled into its LP's pool as its wait finishes; callers
 // must not touch a request after Wait returns.
 func (r *Rank) Wait(reqs ...*Request) {
 	e := r.eng

@@ -82,22 +82,14 @@ type putDone struct {
 	sh       *lpShard
 	dst, src []byte
 	onCopy   sim.Event[putDone]
-	next     *putDone // free-list link, nil while the put is live
+	next     *putDone // pool link, nil while the put is live
 }
 
-// newPut takes a put completion for target from the rank's LP pool, or
-// allocates one and binds its copy event.
+// newPut takes a put completion for target, its copy event bound, from
+// the rank's LP pool.
 func (r *Rank) newPut(target int) *putDone {
 	sh := r.sh
-	p := sh.freePuts
-	if p == nil {
-		p = &putDone{}
-		p.onCopy = sim.NewEvent(p, (*putDone).copy)
-	} else {
-		sh.freePuts = p.next
-		p.next = nil
-	}
-	sh.puts++
+	p := sh.puts.Get()
 	r.k.InitFuture(&p.fut)
 	p.target, p.holds, p.sh = target, 1, sh
 	return p
@@ -115,9 +107,8 @@ func (p *putDone) release() {
 		return
 	}
 	sh := p.sh
-	*p = putDone{onCopy: p.onCopy, next: sh.freePuts}
-	sh.freePuts = p
-	sh.puts--
+	*p = putDone{onCopy: p.onCopy}
+	sh.puts.Put(p)
 }
 
 type lockWaiter struct {
@@ -314,7 +305,7 @@ func (r *Rank) WinFence(win *Window) {
 // the lock variant scale poorly with many origins per aggregator.
 func (r *Rank) agent() *sim.Server {
 	if r.rmaAgent == nil {
-		r.rmaAgent = r.w.k.NewServer(fmt.Sprintf("rma-agent%d", r.id), 0, r.w.cfg.RMAAgentDelay)
+		r.rmaAgent = r.w.k.NewServer(0, r.w.cfg.RMAAgentDelay)
 	}
 	return r.rmaAgent
 }

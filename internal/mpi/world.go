@@ -147,52 +147,53 @@ type World struct {
 // rank's events to its LP's sink keeps emission single-writer; the
 // canonical fold (probe.MergeShards) restores sequential order.
 //
-// free is a free list of recycled Request objects, mirroring the
-// sim.Kernel server-request pool: the point-to-point layer turns over
-// one request per operation, and at multi-thousand-rank scale those
+// reqs pools Request objects: the point-to-point layer turns over one
+// request per operation, and at multi-thousand-rank scale those
 // allocations dominate the model-layer heap churn. Requests return to
-// the list in Wait (after their future has completed). freeMsgs is the
-// pool of protocol messages (msg), which leave the sender's LP pool and
-// return to the consuming engine's; freePuts the pool of put
-// completions (putDone), which return at their epoch's close. An LP's
-// ranks are serialised by its kernel, so the lists need no locking —
-// the same discipline as the kernel's request list. reqs, msgs and puts
-// count the objects this LP took minus those it returned
-// (World.LivePooled).
+// the pool in Wait (after their future has completed). msgs pools the
+// protocol messages (msg), which leave the sender's LP pool and return
+// to the consuming engine's; puts the put completions (putDone), which
+// return at their epoch's close. An LP's ranks are serialised by its
+// kernel, so the pools need no locking — the same discipline as the
+// kernel's request pool. Their live counts sum to World.LivePooled.
 type lpShard struct {
-	probe            *probe.Probe
-	free             *Request
-	freeMsgs         *msg
-	freePuts         *putDone
-	reqs, msgs, puts int
-	_                [8]byte
+	probe *probe.Probe
+	reqs  sim.Pool[Request]
+	msgs  sim.Pool[msg]
+	puts  sim.Pool[putDone]
+	_     [24]byte
 }
 
-// newRequest takes a zeroed request from the rank's LP free list (or
-// allocates one). The caller fills in the operation fields and binds
-// the embedded future (Kernel.InitFuture).
-func (r *Rank) newRequest() *Request {
-	sh := r.sh
-	sh.reqs++
-	q := sh.free
-	if q == nil {
-		return &Request{}
+// newLPShard returns an LP shard with empty pools whose slabs bind
+// every message's and put completion's actions.
+func newLPShard() lpShard {
+	return lpShard{
+		reqs: sim.NewPool(func(q *Request) **Request { return &q.next }, nil),
+		msgs: sim.NewPool(func(m *msg) **msg { return &m.next }, func(m *msg) {
+			m.onArrive = sim.NewEvent(m, (*msg).arrive)
+			m.onServed = sim.NewEvent(m, (*msg).served)
+			m.onRun = sim.NewEvent(m, (*msg).run)
+			m.onCopied = sim.NewEvent(m, (*msg).copied)
+		}),
+		puts: sim.NewPool(func(p *putDone) **putDone { return &p.next }, func(p *putDone) {
+			p.onCopy = sim.NewEvent(p, (*putDone).copy)
+		}),
 	}
-	sh.free = q.next
-	*q = Request{}
-	return q
 }
+
+// newRequest takes a zeroed request from the rank's LP pool. The caller
+// fills in the operation fields and binds the embedded future
+// (Kernel.InitFuture).
+func (r *Rank) newRequest() *Request { return r.sh.reqs.Get() }
 
 // releaseRequest clears a request's references and returns it to the
-// rank's LP free list. Callers guarantee the protocol engine holds no
-// live reference: sends are only released after local completion (and
-// the rendezvous path snapshots what it needs into rdvState), receives
-// only after delivery.
+// rank's LP pool. Callers guarantee the protocol engine holds no live
+// reference: sends are only released after local completion (and the
+// rendezvous path snapshots what it needs into rdvState), receives only
+// after delivery.
 func (r *Rank) releaseRequest(q *Request) {
-	sh := r.sh
-	*q = Request{next: sh.free}
-	sh.free = q
-	sh.reqs--
+	*q = Request{}
+	r.sh.reqs.Put(q)
 }
 
 // LivePooled returns the number of requests, protocol messages and put
@@ -202,9 +203,10 @@ func (r *Rank) releaseRequest(q *Request) {
 // the run, not from inside one.
 func (w *World) LivePooled() (requests, msgs, puts int) {
 	for i := range w.shards {
-		requests += w.shards[i].reqs
-		msgs += w.shards[i].msgs
-		puts += w.shards[i].puts
+		sh := &w.shards[i]
+		requests += sh.reqs.Live()
+		msgs += sh.msgs.Live()
+		puts += sh.puts.Live()
 	}
 	return requests, msgs, puts
 }
@@ -223,6 +225,9 @@ func NewWorld(k *sim.Kernel, net *simnet.Network, cfg Config) (*World, error) {
 		return nil, fmt.Errorf("mpi: partitioned execution requires RendezvousChunk <= 0 (pipelining couples LPs below the lookahead)")
 	}
 	w := &World{k: k, net: net, cfg: cfg, shards: make([]lpShard, net.NumLPs())}
+	for i := range w.shards {
+		w.shards[i] = newLPShard()
+	}
 	for i := 0; i < cfg.NProcs; i++ {
 		r := &Rank{
 			w:    w,

@@ -15,7 +15,7 @@ import "testing"
 func BenchmarkKernelEventThroughput(b *testing.B) {
 	b.ReportAllocs()
 	k := NewKernel(1)
-	srv := k.NewServer("nic", 1e9, 100*Nanosecond)
+	srv := k.NewServer(1e9, 100*Nanosecond)
 	remaining := b.N
 	k.Spawn("driver", func(p *Proc) {
 		for ; remaining > 0; remaining-- {

@@ -81,8 +81,9 @@ func (f Func) fire() { f() }
 // function, so binding one allocates nothing, where a method value
 // (obj.step) allocates a closure per object. An object keeps one Event
 // per step of its event chain, binds each once with NewEvent when the
-// object is first allocated, and registers them for the rest of its
-// life without allocating. An Event fires only in kernel context.
+// object is made (a pooled one as its Pool slab is made), and
+// registers them for the rest of its life without allocating. An Event
+// fires only in kernel context.
 type Event[T any] struct {
 	obj *T
 	fn  func(*T)
@@ -335,14 +336,14 @@ type Kernel struct {
 	// behind (Explain); nil when no model layer set it.
 	explain func() error
 
-	// freeReqs is the free list of recycled server requests, shared by
-	// every Server on this kernel (one list per LP). A busy server turns
-	// over one request per served operation; pooling them removes the
-	// dominant steady-state allocation of the DES hot path, and one list
-	// per kernel warms up once per world rather than once per server.
-	// Requests return on completion (Server.finish) and when a stopped
-	// kernel drains its queue (drain).
-	freeReqs *serverReq
+	// reqs pools the server requests of every Server on this kernel
+	// (one pool per LP). A busy server turns over one request per
+	// served operation; pooling them removes the dominant steady-state
+	// allocation of the DES hot path, and one pool per kernel warms up
+	// once per world rather than once per server. Requests return on
+	// completion (Server.finish) and when a stopped kernel drains its
+	// queue (drain).
+	reqs Pool[serverReq]
 }
 
 // NewKernel returns a kernel whose random source is seeded with seed.
@@ -351,6 +352,7 @@ func NewKernel(seed int64) *Kernel {
 	return &Kernel{
 		rng:    rand.New(rand.NewSource(seed)),
 		events: make(eventQueue, 0, 64),
+		reqs:   NewPool(func(req *serverReq) **serverReq { return &req.next }, nil),
 	}
 }
 
@@ -483,7 +485,7 @@ func (k *Kernel) Explain(fn func() error) { k.explain = fn }
 
 // drain releases every pending event of a stopped kernel: closures and
 // process references are dropped and pooled server requests returned to
-// the free list. Without this a stopped kernel pinned the whole
+// the pool. Without this a stopped kernel pinned the whole
 // remaining event heap — futures, procs and their goroutine stacks — for
 // as long as the caller held the kernel.
 func (k *Kernel) drain() {
@@ -500,7 +502,7 @@ func (k *Kernel) drain() {
 }
 
 // releaseAction returns a drained event's pooled server request to the
-// free list.
+// pool.
 func (k *Kernel) releaseAction(a Action) {
 	if req, ok := a.(*serverReq); ok {
 		k.releaseReq(req)

@@ -184,7 +184,7 @@ func TestRandDeterminism(t *testing.T) {
 // the kernel's lifetime.
 func TestStopDrainsPendingEvents(t *testing.T) {
 	k := NewKernel(1)
-	srv := k.NewServer("disk", 1e9, Microsecond)
+	srv := k.NewServer(1e9, Microsecond)
 	for i := 0; i < 8; i++ {
 		submit(srv, 1<<20)
 		k.After(Time(i+1)*Millisecond, func() {})
@@ -199,34 +199,36 @@ func TestStopDrainsPendingEvents(t *testing.T) {
 		t.Fatalf("ran %d events, want exactly the stopping one", ran)
 	}
 	// The in-service request's completion was drained, so its request
-	// object must be back on the kernel's free list, not leaked.
-	if k.freeReqs == nil {
-		t.Fatal("drained server completion did not return its request to the free list")
+	// object must be back in the kernel's pool, not leaked; the seven
+	// still queued stay with their server.
+	if live := k.LiveRequests(); live != 7 {
+		t.Fatalf("%d server requests live after the drain, want the 7 queued", live)
 	}
 
 	// Stop in the middle of a same-instant burst: the lane holds delayed
 	// submits' arrival events and a zero-time completion, each carrying
 	// a pooled request.
 	k = NewKernel(1)
-	ipc := k.NewServer("ipc", 0, 0)
+	ipc := k.NewServer(0, 0)
 	const burst = 100 // past the lane's initial capacity
+	inFlight := 0
 	k.At(5, func() {
 		for i := 0; i < burst; i++ {
 			submitAfter(ipc, 0, 64)
 		}
 		submit(ipc, 64)
+		inFlight = k.LiveRequests()
 		k.Stop()
 	})
 	k.Run()
 	if k.Pending() != 0 {
 		t.Fatalf("stopped kernel retains %d pending events", k.Pending())
 	}
-	free := 0
-	for req := k.freeReqs; req != nil; req = req.next {
-		free++
+	if inFlight != burst+1 {
+		t.Fatalf("%d server requests live during the burst, want %d", inFlight, burst+1)
 	}
-	if free != burst+1 {
-		t.Fatalf("%d requests back on the free list after the burst, want %d", free, burst+1)
+	if live := k.LiveRequests(); live != 0 {
+		t.Fatalf("%d server requests live after the drain, want 0", live)
 	}
 	for i, e := range k.lane.buf {
 		if e != (event{}) {

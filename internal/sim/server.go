@@ -18,8 +18,6 @@ package sim
 // runs remain reproducible.
 type Server struct {
 	k *Kernel
-	// Name identifies the server in traces.
-	Name string
 	// Bandwidth in bytes per virtual second. Zero means infinite
 	// bandwidth (only PerOp applies).
 	Bandwidth float64
@@ -63,7 +61,7 @@ type serverReq struct {
 	d    Time // service time; a delayed request's size until it arrives
 	done Action
 	hook Action
-	next *serverReq // free-list link, nil while the request is live
+	next *serverReq // pool link, nil while the request is live
 
 	// Delayed-submit state. arriving and flow hold from
 	// SubmitFlowAfterOnArriveTo until the arrival event. fwd makes the
@@ -85,35 +83,32 @@ func (req *serverReq) fire() {
 	req.srv.finish(req)
 }
 
-// newReq takes a request from the kernel's free list (or allocates
-// one) and binds it to s and the caller's completion.
+// newReq takes a request from the kernel's pool and binds it to s and
+// the caller's completion.
 func (s *Server) newReq(done Action) *serverReq {
-	k := s.k
-	req := k.freeReqs
-	if req == nil {
-		req = &serverReq{}
-	} else {
-		k.freeReqs = req.next
-	}
+	req := s.k.reqs.Get()
 	req.srv = s
 	req.done = done
-	req.next = nil
 	return req
 }
 
-// releaseReq clears a request's references and returns it to k's free
-// list.
+// releaseReq clears a request's references and returns it to k's pool.
 func (k *Kernel) releaseReq(req *serverReq) {
-	*req = serverReq{next: k.freeReqs}
-	k.freeReqs = req
+	*req = serverReq{}
+	k.reqs.Put(req)
 }
+
+// LiveRequests returns the number of server requests taken from the
+// kernel's pool and not yet returned: zero once every submitted request
+// has been served, or drained by Stop. Read it after the run, not from
+// inside one.
+func (k *Kernel) LiveRequests() int { return k.reqs.Live() }
 
 // NewServer creates a round-robin bandwidth server. bandwidth is in
 // bytes per virtual second; perOp is fixed per-request overhead.
-func (k *Kernel) NewServer(name string, bandwidth float64, perOp Time) *Server {
+func (k *Kernel) NewServer(bandwidth float64, perOp Time) *Server {
 	return &Server{
 		k:         k,
-		Name:      name,
 		Bandwidth: bandwidth,
 		PerOp:     perOp,
 		queues:    make(map[interface{}]*ring[*serverReq]),
@@ -237,7 +232,7 @@ func (s *Server) serveNext() {
 }
 
 // finish completes one served request: its completion event, run in
-// kernel context. The request object returns to the free list before
+// kernel context. The request object returns to the pool before
 // its completion fires so a completion callback that submits again can
 // reuse it immediately. A delayed request fires its completion through
 // a zero-delay hop instead.

@@ -23,7 +23,7 @@ func submitAfter(s *Server, delay Time, size int64) *Future {
 func TestServerSingleRequest(t *testing.T) {
 	k := NewKernel(1)
 	// 1000 bytes/s, 10ns per op.
-	s := k.NewServer("disk", 1000, 10)
+	s := k.NewServer(1000, 10)
 	f := submit(s, 500) // 0.5s + 10ns
 	k.Run()
 	want := Time(float64(500)/1000*float64(Second)) + 10
@@ -34,10 +34,16 @@ func TestServerSingleRequest(t *testing.T) {
 
 func TestServerFIFOQueueing(t *testing.T) {
 	k := NewKernel(1)
-	s := k.NewServer("nic", float64(Second), 0) // 1 byte per ns
+	s := k.NewServer(float64(Second), 0) // 1 byte per ns
 	f1 := submit(s, 100)
 	f2 := submit(s, 50)
+	if live := k.LiveRequests(); live != 2 {
+		t.Fatalf("%d server requests live before the run, want 2", live)
+	}
 	k.Run()
+	if live := k.LiveRequests(); live != 0 {
+		t.Fatalf("%d server requests live after the run, want 0", live)
+	}
 	if f1.DoneAt() != 100 {
 		t.Fatalf("first done at %v, want 100", f1.DoneAt())
 	}
@@ -48,7 +54,7 @@ func TestServerFIFOQueueing(t *testing.T) {
 
 func TestServerIdleGapResets(t *testing.T) {
 	k := NewKernel(1)
-	s := k.NewServer("nic", float64(Second), 0)
+	s := k.NewServer(float64(Second), 0)
 	var done Time
 	k.At(0, func() { submit(s, 10) })
 	k.At(1000, func() {
@@ -63,7 +69,7 @@ func TestServerIdleGapResets(t *testing.T) {
 
 func TestServerZeroBandwidthIsInfinite(t *testing.T) {
 	k := NewKernel(1)
-	s := k.NewServer("inf", 0, 7)
+	s := k.NewServer(0, 7)
 	f := submit(s, 1<<40)
 	k.Run()
 	if f.DoneAt() != 7 {
@@ -73,7 +79,7 @@ func TestServerZeroBandwidthIsInfinite(t *testing.T) {
 
 func TestServerNoise(t *testing.T) {
 	k := NewKernel(1)
-	s := k.NewServer("noisy", float64(Second), 0)
+	s := k.NewServer(float64(Second), 0)
 	s.Noise = func() float64 { return 2.0 }
 	f := submit(s, 100)
 	k.Run()
@@ -84,7 +90,7 @@ func TestServerNoise(t *testing.T) {
 
 func TestServerNegativeNoiseClamped(t *testing.T) {
 	k := NewKernel(1)
-	s := k.NewServer("noisy", float64(Second), 0)
+	s := k.NewServer(float64(Second), 0)
 	s.Noise = func() float64 { return -3 }
 	f := submit(s, 100)
 	k.Run()
@@ -95,7 +101,7 @@ func TestServerNegativeNoiseClamped(t *testing.T) {
 
 func TestServerSubmitAfter(t *testing.T) {
 	k := NewKernel(1)
-	s := k.NewServer("t", float64(Second), 0)
+	s := k.NewServer(float64(Second), 0)
 	f := submitAfter(s, 40, 10)
 	k.Run()
 	if f.DoneAt() != 50 {
@@ -116,7 +122,7 @@ func observeBusy(s *Server) (ops *int, busy *Time) {
 
 func TestServerStats(t *testing.T) {
 	k := NewKernel(1)
-	s := k.NewServer("t", float64(Second), 5)
+	s := k.NewServer(float64(Second), 5)
 	nops, nbusy := observeBusy(s)
 	submit(s, 10)
 	submit(s, 20)
@@ -143,7 +149,7 @@ func TestServerFIFOProperty(t *testing.T) {
 			sizes = sizes[:64]
 		}
 		k := NewKernel(3)
-		s := k.NewServer("p", float64(Second), 3)
+		s := k.NewServer(float64(Second), 3)
 		_, busy := observeBusy(s)
 		futs := make([]*Future, len(sizes))
 		for i, sz := range sizes {

@@ -87,3 +87,63 @@ func TestChunksReturnToPool(t *testing.T) {
 		t.Fatalf("%d chunks live after the run, want 0", live)
 	}
 }
+
+// maxColdAllocsPerChunk gates the host allocations of one stripe chunk
+// issued on a fresh file system, whose pools start empty: the chunk and
+// its server requests come from pool slabs, so a cold chunk pays a
+// share of one slab allocation rather than an allocation each. It
+// measures 0.14 for writes and 0.08 for reads; a pool that allocated
+// per object would pay one per chunk and one per server request, two
+// or more.
+const maxColdAllocsPerChunk = 0.25
+
+// TestAIOColdAllocsPerChunk is the cold-pool sibling of
+// TestAIOWriteAllocsPerChunk: every run builds its own kernel, network
+// and file system, as every simulation does, and issues all its calls
+// before the kernel runs, so every chunk is in flight at once and the
+// pools fill to the whole count. The difference between runs of many
+// and of few chunks per call cancels the setup. Each call's chunks
+// queue in one flow ring on the client NIC, which doubles as it
+// grows; at 64 chunks per call those doublings cost about 0.06 allocs
+// per chunk of a write, at 20 they would cost 0.20.
+func TestAIOColdAllocsPerChunk(t *testing.T) {
+	if testing.CoverMode() != "" {
+		t.Skip("coverage instrumentation allocates")
+	}
+	const calls, few, many = 16, 4, 64
+	for _, read := range []bool{false, true} {
+		t.Run(map[bool]string{false: "write", true: "read"}[read], func(t *testing.T) {
+			issue := func(chunks int) func() {
+				return func() { coldCalls(t, read, calls, chunks) }
+			}
+			aFew := testing.AllocsPerRun(5, issue(few))
+			aMany := testing.AllocsPerRun(5, issue(many))
+			extra := calls * (many - few)
+			perChunk := (aMany - aFew) / float64(extra)
+			t.Logf("%.2f allocs per cold stripe chunk (%d extra chunks)", perChunk, extra)
+			if perChunk > maxColdAllocsPerChunk {
+				t.Fatalf("%.2f allocs per cold chunk, gate is %.2f", perChunk, maxColdAllocsPerChunk)
+			}
+		})
+	}
+}
+
+// coldCalls builds a fresh file system, issues calls asynchronous calls
+// of chunks stripe chunks each from alternating client nodes to
+// consecutive offsets, and runs them to completion.
+func coldCalls(t testing.TB, read bool, calls, chunks int) {
+	k, _, fs := testFS(t, 1, nil)
+	f := fs.Open("cold")
+	size := int64(chunks) << 20
+	for i := 0; i < calls; i++ {
+		if read {
+			f.AIORead(i%2, int64(i)*size, size, nil)
+		} else {
+			f.AIOWrite(i%2, int64(i)*size, size, nil)
+		}
+	}
+	k.Run()
+	if live := fs.LiveChunks(); live != 0 {
+		t.Fatalf("%d chunks live after the run, want 0", live)
+	}
+}

@@ -31,3 +31,17 @@ func benchChunks(b *testing.B, read bool) {
 
 func BenchmarkAIOWrite(b *testing.B) { benchChunks(b, false) }
 func BenchmarkAIORead(b *testing.B)  { benchChunks(b, true) }
+
+// benchColdChunks measures a whole cold simulation of 16 asynchronous
+// calls of 64 stripe chunks each, all in flight at once, on a fresh
+// file system per iteration (the TestAIOColdAllocsPerChunk shape at
+// its larger size): setup, the pools' fill from empty and the run.
+func benchColdChunks(b *testing.B, read bool) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		coldCalls(b, read, 16, 64)
+	}
+}
+
+func BenchmarkAIOWriteCold(b *testing.B) { benchColdChunks(b, false) }
+func BenchmarkAIOReadCold(b *testing.B)  { benchColdChunks(b, true) }

@@ -94,14 +94,13 @@ type FS struct {
 }
 
 // fsShard is one LP's sinks and the pool of the chunks its clients
-// issue; live counts those taken and not returned. Padded to a cache
-// line.
+// issue, whose live count is those taken and not returned. Padded to a
+// cache line.
 type fsShard struct {
-	probe *probe.Probe
-	met   *metrics.Metrics
-	free  *chunk
-	live  int
-	_     [32]byte
+	probe  *probe.Probe
+	met    *metrics.Metrics
+	chunks sim.Pool[chunk]
+	_      [16]byte
 }
 
 // New creates a file system whose chunk traffic shares the given
@@ -156,10 +155,14 @@ func NewPartitioned(part *sim.Partition, net *simnet.Network, cfg Config) (*FS, 
 func newFS(net *simnet.Network, cfg Config, part *sim.Partition, nlps int, kernel func(lp int) *sim.Kernel, targetLP func(i int) int) (*FS, error) {
 	k := kernel(0)
 	fs := &FS{net: net, cfg: cfg, files: make(map[string]*File), part: part, shards: make([]fsShard, nlps), ostDepth: make([]*metrics.Gauge, cfg.NumTargets)}
+	bind := fs.bindChunk
+	for i := range fs.shards {
+		fs.shards[i].chunks = sim.NewPool(func(c *chunk) **chunk { return &c.next }, bind)
+	}
 	var noise func() float64
 	if cfg.TargetNoise != nil {
-		rng := k.Rand()
-		noise = func() float64 { return cfg.TargetNoise(rng.Float64) }
+		draw := k.Rand().Float64 // one method value, not one per service
+		noise = func() float64 { return cfg.TargetNoise(draw) }
 	}
 	for i := 0; i < cfg.NumTargets; i++ {
 		lp := targetLP(i)
@@ -167,7 +170,7 @@ func newFS(net *simnet.Network, cfg Config, part *sim.Partition, nlps int, kerne
 			return nil, fmt.Errorf("simfs: target %d needs LP %d, partition has %d", i, lp, nlps)
 		}
 		tk := kernel(lp)
-		srv := tk.NewServer(fmt.Sprintf("ost%d", i), cfg.TargetBandwidth, cfg.TargetPerOp)
+		srv := tk.NewServer(cfg.TargetBandwidth, cfg.TargetPerOp)
 		srv.Noise = noise
 		fs.targets = append(fs.targets, srv)
 		fs.targetK = append(fs.targetK, tk)
@@ -410,7 +413,7 @@ func (c *ioCall) emitSpan() {
 
 // chunk is one stripe chunk in flight, pooled per client LP. It is
 // every action of its own event chain, each a sim.Event bound when the
-// chunk is first allocated. leg1 ends the first leg (a write's NIC
+// chunk's pool slab is made. leg1 ends the first leg (a write's NIC
 // inject, a read's target service) and relays, one hop later, to the
 // second: NetLatency away at the target (a write; arrive samples the
 // OST queue) or on the client NIC (a read's return leg). persisted ends
@@ -421,7 +424,7 @@ func (c *ioCall) emitSpan() {
 // delayed submit at its target. A partitioned write crosses to the
 // target's LP where the sequential arrival runs, and ack ships persisted
 // back at service start; both ride Kernel.ScheduleRemote, which takes a
-// func, as method values bound on first allocation.
+// func, as method values bound with the events.
 type chunk struct {
 	call *ioCall
 	tgt  int
@@ -431,31 +434,26 @@ type chunk struct {
 	leg1, relay, arrive, ack, persisted, record, join sim.Event[chunk]
 	crossFn, persistFn                                func()
 
-	next *chunk // free-list link, nil while the chunk is live
+	next *chunk // pool link, nil while the chunk is live
 }
 
-// newChunk takes a chunk for the call from its client LP's pool (or
-// allocates one and binds its actions).
-func (call *ioCall) newChunk(tgt int, n int64) *chunk {
-	sh := call.sh
-	c := sh.free
-	if c == nil {
-		c = &chunk{}
-		c.leg1 = sim.NewEvent(c, (*chunk).relayNext)
-		c.relay = sim.NewEvent(c, (*chunk).startLeg2)
-		c.arrive = sim.NewEvent(c, (*chunk).sample)
-		c.ack = sim.NewEvent(c, (*chunk).sendAck)
-		c.persisted = sim.NewEvent(c, (*chunk).persist)
-		c.record = sim.NewEvent(c, (*chunk).recordLatency)
-		c.join = sim.NewEvent(c, (*chunk).done)
-		if call.fs.part != nil {
-			c.crossFn, c.persistFn = c.cross, c.persist
-		}
-	} else {
-		sh.free = c.next
-		c.next = nil
+// bindChunk binds a new chunk's actions, once, as its pool slab is made.
+func (fs *FS) bindChunk(c *chunk) {
+	c.leg1 = sim.NewEvent(c, (*chunk).relayNext)
+	c.relay = sim.NewEvent(c, (*chunk).startLeg2)
+	c.arrive = sim.NewEvent(c, (*chunk).sample)
+	c.ack = sim.NewEvent(c, (*chunk).sendAck)
+	c.persisted = sim.NewEvent(c, (*chunk).persist)
+	c.record = sim.NewEvent(c, (*chunk).recordLatency)
+	c.join = sim.NewEvent(c, (*chunk).done)
+	if fs.part != nil {
+		c.crossFn, c.persistFn = c.cross, c.persist
 	}
-	sh.live++
+}
+
+// newChunk takes a chunk for the call from its client LP's pool.
+func (call *ioCall) newChunk(tgt int, n int64) *chunk {
+	c := call.sh.chunks.Get()
 	call.pending++
 	c.call, c.tgt, c.n, c.hops = call, tgt, n, 1
 	return c
@@ -514,9 +512,9 @@ func (c *chunk) persist() {
 func (c *chunk) recordLatency() { c.call.lat.Record(int64(c.call.k.Now() - c.call.t0)) }
 
 func (c *chunk) done() {
-	call, sh := c.call, c.call.sh
-	c.call, c.next, sh.free = nil, sh.free, c
-	sh.live--
+	call := c.call
+	c.call = nil
+	call.sh.chunks.Put(c)
 	if call.pending--; call.pending == 0 {
 		call.out.Complete()
 	}
@@ -528,7 +526,7 @@ func (c *chunk) done() {
 func (fs *FS) LiveChunks() int {
 	live := 0
 	for i := range fs.shards {
-		live += fs.shards[i].live
+		live += fs.shards[i].chunks.Live()
 	}
 	return live
 }

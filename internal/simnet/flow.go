@@ -78,8 +78,8 @@ type flowMark struct {
 // fluidFlow is one bulk transfer progressing through the fluid model.
 // Its progress is integrated lazily: served holds the bytes transmitted
 // as of instant at, and between integrations the flow moves at rate, so
-// only a rate change or a crossing touches it. Retired flows wait on
-// their net's free list, linked through next[0].
+// only a rate change or a crossing touches it. Retired flows wait in
+// their net's pool, linked through next[0].
 type fluidFlow struct {
 	tr     *Transfer
 	marks  []flowMark // milestones not yet crossed, ascending byte offsets
@@ -211,13 +211,13 @@ type fluidTick struct {
 	fl   *fluidNet
 	gen  uint64
 	ev   sim.Event[fluidTick]
-	next *fluidTick
+	next *fluidTick // pool link
 }
 
 func (t *fluidTick) expire() {
 	fl := t.fl
 	live := t.gen == fl.gen
-	t.next, fl.freeTicks = fl.freeTicks, t
+	fl.ticks.Put(t)
 	if live {
 		fl.step()
 	}
@@ -265,8 +265,8 @@ type fluidNet struct {
 	pending bool
 	stepEv  sim.Event[fluidNet]
 
-	freeFlows *fluidFlow
-	freeTicks *fluidTick
+	flows sim.Pool[fluidFlow]
+	ticks sim.Pool[fluidTick]
 
 	// Walk and filling scratch, reused across steps: the component's
 	// flows (in submission order) with the walk positions of their
@@ -301,6 +301,11 @@ func newFluidNet(k *sim.Kernel, cfg Config) *fluidNet {
 		links:    make([]fluidLink, 3*cfg.Nodes),
 	}
 	fl.stepEv = sim.NewEvent(fl, (*fluidNet).step)
+	fl.flows = sim.NewPool(func(f *fluidFlow) **fluidFlow { return &f.next[0] }, nil)
+	fl.ticks = sim.NewPool(func(t *fluidTick) **fluidTick { return &t.next }, func(t *fluidTick) {
+		t.fl = fl
+		t.ev = sim.NewEvent(t, (*fluidTick).expire)
+	})
 	return fl
 }
 
@@ -325,12 +330,7 @@ func (fl *fluidNet) submit(tr *Transfer, marks []flowMark) {
 		fl.k.AfterAction(lat, &tr.deliver)
 		return
 	}
-	f := fl.freeFlows
-	if f == nil {
-		f = &fluidFlow{}
-	} else {
-		fl.freeFlows = f.next[0]
-	}
+	f := fl.flows.Get()
 	fl.seq++
 	*f = fluidFlow{tr: tr, marks: marks, size: float64(size), at: fl.k.Now(), seq: fl.seq, hi: -1, intra: intra}
 	if intra {
@@ -347,7 +347,7 @@ func (fl *fluidNet) submit(tr *Transfer, marks []flowMark) {
 }
 
 // retire unlinks a finished flow from its links, marking those still
-// carrying flows dirty, and returns it to the free list.
+// carrying flows dirty, and returns it to the pool.
 func (fl *fluidNet) retire(f *fluidFlow) {
 	for i, l := range f.links[:f.nlinks] {
 		lk := &fl.links[l]
@@ -362,7 +362,7 @@ func (fl *fluidNet) retire(f *fluidFlow) {
 		}
 	}
 	*f = fluidFlow{}
-	f.next[0], fl.freeFlows = fl.freeFlows, f
+	fl.flows.Put(f)
 }
 
 func (fl *fluidNet) markDirty(l int32) {
@@ -394,13 +394,7 @@ func (fl *fluidNet) step() {
 	if len(fl.heap) == 0 {
 		return
 	}
-	t := fl.freeTicks
-	if t == nil {
-		t = &fluidTick{fl: fl}
-		t.ev = sim.NewEvent(t, (*fluidTick).expire)
-	} else {
-		fl.freeTicks = t.next
-	}
+	t := fl.ticks.Get()
 	t.gen = fl.gen
 	fl.k.AfterAction(fl.heap[0].crossAt-now, &t.ev)
 }

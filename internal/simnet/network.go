@@ -11,8 +11,6 @@
 package simnet
 
 import (
-	"fmt"
-
 	"collio/internal/metrics"
 	"collio/internal/probe"
 	"collio/internal/sim"
@@ -69,16 +67,14 @@ type Node struct {
 // partitioned execution). Padded so adjacent shards never share a
 // cache line across workers.
 //
-// The pool mirrors the sim.Server request pool: every message, RMA put
-// and rendezvous chunk turns over one transfer, and at
-// multi-thousand-rank scale those allocations dominate the network
-// layer's heap churn. live counts the transfers this LP took minus
-// those it returned (LiveTransfers).
+// Every message, RMA put and rendezvous chunk turns over one transfer,
+// and at multi-thousand-rank scale those allocations dominate the
+// network layer's heap churn. The pool's live count is the transfers
+// this LP took minus those it returned (LiveTransfers).
 type netShard struct {
-	probe         *probe.Probe
-	freeTransfers *Transfer
-	live          int
-	_             [40]byte
+	probe     *probe.Probe
+	transfers sim.Pool[Transfer]
+	_         [24]byte
 }
 
 // Network is the instantiated interconnect.
@@ -103,7 +99,8 @@ func New(k *sim.Kernel, cfg Config) *Network {
 	if cfg.Nodes <= 0 {
 		panic("simnet: Config.Nodes must be positive")
 	}
-	n := &Network{k: k, cfg: cfg, shards: make([]netShard, 1)}
+	n := &Network{k: k, cfg: cfg}
+	n.makeShards(1)
 	if cfg.NetModel == ModelFlow {
 		if cfg.LinkNoise != nil {
 			panic("simnet: ModelFlow computes deterministic fluid rates; LinkNoise requires ModelChunked")
@@ -127,7 +124,7 @@ func New(k *sim.Kernel, cfg Config) *Network {
 }
 
 // NewPartitioned builds a network whose node i lives entirely on LP i
-// of part: servers, free lists and probe sinks are all node-local, so
+// of part: servers, pools and probe sinks are all node-local, so
 // windows on different LPs never share network state. Cross-node
 // interactions ride the partition mailboxes with delay >= InterLatency
 // — the lookahead that makes conservative execution safe. LinkNoise is
@@ -150,16 +147,29 @@ func NewPartitioned(part *sim.Partition, cfg Config) *Network {
 	if cfg.InterLatency < part.Lookahead() {
 		panic("simnet: InterLatency below partition lookahead")
 	}
-	n := &Network{
-		k:      part.Kernel(0),
-		cfg:    cfg,
-		part:   part,
-		shards: make([]netShard, cfg.Nodes),
-	}
+	n := &Network{k: part.Kernel(0), cfg: cfg, part: part}
+	n.makeShards(cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
 		n.nodes = append(n.nodes, newNode(part.Kernel(i), i, &n.shards[i], cfg, i))
 	}
 	return n
+}
+
+// makeShards gives the network nlps LP shards, each with an empty
+// transfer pool whose slabs bind every transfer's actions.
+func (n *Network) makeShards(nlps int) {
+	bind := func(tr *Transfer) {
+		tr.net = n
+		tr.txStart = sim.NewEvent(tr, (*Transfer).startTx)
+		tr.rxHop = sim.NewEvent(tr, (*Transfer).hopRx)
+		tr.join = sim.NewEvent(tr, (*Transfer).joinLeg)
+		tr.deliver = sim.NewEvent(tr, (*Transfer).complete)
+		tr.record = sim.NewEvent(tr, (*Transfer).recordDeliver)
+	}
+	n.shards = make([]netShard, nlps)
+	for i := range n.shards {
+		n.shards[i].transfers = sim.NewPool(func(tr *Transfer) **Transfer { return &tr.next }, bind)
+	}
 }
 
 func newNode(k *sim.Kernel, lp int, sh *netShard, cfg Config, i int) *Node {
@@ -168,10 +178,10 @@ func newNode(k *sim.Kernel, lp int, sh *netShard, cfg Config, i int) *Node {
 		lp:  lp,
 		sh:  sh,
 		k:   k,
-		tx:  k.NewServer(fmt.Sprintf("node%d.tx", i), cfg.InterBandwidth, 0),
-		rx:  k.NewServer(fmt.Sprintf("node%d.rx", i), cfg.InterBandwidth, 0),
-		ipc: k.NewServer(fmt.Sprintf("node%d.ipc", i), cfg.IntraBandwidth, 0),
-		mem: k.NewServer(fmt.Sprintf("node%d.mem", i), cfg.MemBandwidth, 0),
+		tx:  k.NewServer(cfg.InterBandwidth, 0),
+		rx:  k.NewServer(cfg.InterBandwidth, 0),
+		ipc: k.NewServer(cfg.IntraBandwidth, 0),
+		mem: k.NewServer(cfg.MemBandwidth, 0),
 	}
 }
 
@@ -253,7 +263,7 @@ func (n *Network) Node(i int) *Node { return n.nodes[i] }
 // The transfer is also every action of its own event chain: the tx
 // start that submits the rx leg, the zero-delay hops of that leg, the
 // join of both legs, the delivery and its probe record. Each is a
-// sim.Event bound once, when the transfer is first allocated, so a
+// sim.Event bound once, when the transfer's pool slab is made, so a
 // message allocates nothing.
 type Transfer struct {
 	Injected  *sim.Future
@@ -282,27 +292,14 @@ type Transfer struct {
 	// on the transfer's first partitioned send.
 	rxArriveFn, stubFn func()
 
-	next *Transfer // free-list link, nil while the handle is live
+	next *Transfer // pool link, nil while the handle is live
 }
 
-// newTransfer takes a transfer from the source LP's pool (or allocates
-// one and binds its actions), so concurrent windows never race on a
-// list head. delivered, when non-nil, is the caller's delivery future.
+// newTransfer takes a transfer from the source LP's pool, so concurrent
+// windows never race on a list head. delivered, when non-nil, is the
+// caller's delivery future.
 func (n *Network) newTransfer(src, dst *Node, flow interface{}, size int64, delivered *sim.Future) *Transfer {
-	sh := src.sh
-	tr := sh.freeTransfers
-	if tr == nil {
-		tr = &Transfer{net: n}
-		tr.txStart = sim.NewEvent(tr, (*Transfer).startTx)
-		tr.rxHop = sim.NewEvent(tr, (*Transfer).hopRx)
-		tr.join = sim.NewEvent(tr, (*Transfer).joinLeg)
-		tr.deliver = sim.NewEvent(tr, (*Transfer).complete)
-		tr.record = sim.NewEvent(tr, (*Transfer).recordDeliver)
-	} else {
-		sh.freeTransfers = tr.next
-		tr.next = nil
-	}
-	sh.live++
+	tr := src.sh.transfers.Get()
 	tr.Size, tr.From, tr.To = size, src.ID, dst.ID
 	tr.dst, tr.flow = dst, flow
 	src.k.InitFuture(&tr.tx)
@@ -319,9 +316,7 @@ func (n *Network) newTransfer(src, dst *Node, flow interface{}, size int64, deli
 func (n *Network) release(tr *Transfer) {
 	sh := tr.dst.sh
 	tr.Injected, tr.Delivered, tr.dst, tr.flow, tr.probed = nil, nil, nil, nil, false
-	tr.next = sh.freeTransfers
-	sh.freeTransfers = tr
-	sh.live--
+	sh.transfers.Put(tr)
 }
 
 // LiveTransfers returns the number of transfers taken from the pools
@@ -332,7 +327,7 @@ func (n *Network) release(tr *Transfer) {
 func (n *Network) LiveTransfers() int {
 	live := 0
 	for i := range n.shards {
-		live += n.shards[i].live
+		live += n.shards[i].transfers.Live()
 	}
 	return live
 }
