@@ -218,19 +218,23 @@ func Execute(spec Spec) (Metrics, error) {
 
 // checkPooled is the world-end leak check: once a run has drained,
 // every RMA epoch must be closed (mpi.World.OpenEpochs: no unclosed
-// put, held lock or open start/post group) and every pooled server
-// request, transfer, MPI request, protocol message, put completion and
-// stripe chunk back in a pool, on whichever LP. A live one (a server
-// request never served, a request never waited, a message never
-// consumed, a put never closed, a chunk never finished) is a defect in
-// the protocol stack, so the run fails rather than report a result.
+// put, held lock or open start/post group), every kernel's flow table
+// empty (sim.Kernel.OpenFlows) and every pooled server request,
+// transfer, MPI request, protocol message, put completion and stripe
+// chunk back in a pool, on whichever LP. A live one (a server request
+// never served, a flow never closed, a request never waited, a message
+// never consumed, a put never closed, a chunk never finished) is a
+// defect in the protocol stack, so the run fails rather than report a
+// result.
 func checkPooled(cl *platform.Cluster) error {
-	var served int
+	var served, flows int
 	if cl.Part == nil {
-		served = cl.Kernel.LiveRequests()
+		served, flows = cl.Kernel.LiveRequests(), cl.Kernel.OpenFlows()
 	} else {
 		for lp := 0; lp < cl.Part.NKernels(); lp++ {
-			served += cl.Part.Kernel(lp).LiveRequests()
+			k := cl.Part.Kernel(lp)
+			served += k.LiveRequests()
+			flows += k.OpenFlows()
 		}
 	}
 	transfers, chunks := cl.Net.LiveTransfers(), cl.FS.LiveChunks()
@@ -241,8 +245,8 @@ func checkPooled(cl *platform.Cluster) error {
 		}
 		requests, msgs, puts = cl.World.LivePooled()
 	}
-	if served != 0 || transfers != 0 || requests != 0 || msgs != 0 || puts != 0 || chunks != 0 {
-		return fmt.Errorf("exp: %d server requests, %d transfers, %d MPI requests, %d protocol messages, %d put completions and %d stripe chunks still live at world end", served, transfers, requests, msgs, puts, chunks)
+	if served != 0 || flows != 0 || transfers != 0 || requests != 0 || msgs != 0 || puts != 0 || chunks != 0 {
+		return fmt.Errorf("exp: %d server requests, %d server flows, %d transfers, %d MPI requests, %d protocol messages, %d put completions and %d stripe chunks still live at world end", served, flows, transfers, requests, msgs, puts, chunks)
 	}
 	return nil
 }

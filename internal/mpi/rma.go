@@ -303,12 +303,7 @@ func (r *Rank) WinFence(win *Window) {
 // to the rank's process (the target need not be inside MPI), but
 // requests from concurrent origins serialise — the behaviour that makes
 // the lock variant scale poorly with many origins per aggregator.
-func (r *Rank) agent() *sim.Server {
-	if r.rmaAgent == nil {
-		r.rmaAgent = r.w.k.NewServer(0, r.w.cfg.RMAAgentDelay)
-	}
-	return r.rmaAgent
-}
+func (r *Rank) agent() *sim.Server { return &r.rmaAgent }
 
 // WinLock acquires a passive-target lock on target's window region.
 // Shared locks admit concurrent origins; exclusive locks serialise. A

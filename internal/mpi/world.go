@@ -236,6 +236,7 @@ func NewWorld(k *sim.Kernel, net *simnet.Network, cfg Config) (*World, error) {
 		}
 		r.k = net.KernelFor(r.node)
 		r.sh = &w.shards[net.LPFor(r.node)]
+		k.InitServer(&r.rmaAgent, 0, cfg.RMAAgentDelay)
 		r.eng = newEngine(r)
 		w.ranks = append(w.ranks, r)
 	}
@@ -314,8 +315,8 @@ type Rank struct {
 	fin   bool     // body returned (per-rank so LPs don't contend)
 	finAt sim.Time // virtual finish time
 
-	winCalls int         // WinAllocate call counter (collective-order matching)
-	rmaAgent *sim.Server // passive-target RMA agent (lock/unlock serialisation)
+	winCalls int        // WinAllocate call counter (collective-order matching)
+	rmaAgent sim.Server // passive-target RMA agent (lock/unlock serialisation)
 	// rmaCtl is the lock grant of WinLock and the unlock ack of
 	// WinUnlock: both block until it completes, so one is live at a time.
 	rmaCtl sim.Future

@@ -15,7 +15,7 @@ import "testing"
 func BenchmarkKernelEventThroughput(b *testing.B) {
 	b.ReportAllocs()
 	k := NewKernel(1)
-	srv := k.NewServer(1e9, 100*Nanosecond)
+	srv := newServer(k, 1e9, 100*Nanosecond)
 	remaining := b.N
 	k.Spawn("driver", func(p *Proc) {
 		for ; remaining > 0; remaining-- {
@@ -23,6 +23,37 @@ func BenchmarkKernelEventThroughput(b *testing.B) {
 		}
 	})
 	k.Run()
+}
+
+// BenchmarkServerColdFlows measures the server queue from cold, the way
+// every simulation starts: one iteration builds a fresh kernel with 16
+// servers and submits 8 requests on each of 64 keyed flows to every
+// server before the kernel runs, so 1,024 flows queue behind busy
+// servers at once, each flow key on all 16 servers, as a rendezvous
+// transfer's key is on its sender's and receiver's ports. allocs/op is
+// what the queues cost beyond the kernel, the servers and the pooled
+// requests.
+func BenchmarkServerColdFlows(b *testing.B) {
+	const servers, flows, reqs = 16, 64, 8
+	keys := make([]interface{}, flows)
+	for i := range keys {
+		keys[i] = &keys[i]
+	}
+	done := Func(func() {})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		k := NewKernel(1)
+		srvs := make([]Server, servers)
+		for s := range srvs {
+			k.InitServer(&srvs[s], 1e9, 10*Nanosecond)
+			for r := 0; r < reqs; r++ {
+				for _, key := range keys {
+					srvs[s].SubmitFlowOnStartTo(done, key, 1024, nil)
+				}
+			}
+		}
+		k.Run()
+	}
 }
 
 // BenchmarkKernelTimerWheel measures bare timer events: schedule-only

@@ -227,10 +227,10 @@ func (q *eventQueue) popMin() event {
 }
 
 // ring is a FIFO over a power-of-two circular buffer: the kernel's
-// same-instant lane and a server's service rotation. Unlike a slice
-// that appends at the tail and advances its head, which reallocates
-// once per capacity's worth of traffic however short the queue stays,
-// a ring reuses one buffer and grows only with the peak length.
+// same-instant lane. Unlike a slice that appends at the tail and
+// advances its head, which reallocates once per capacity's worth of
+// traffic however short the queue stays, a ring reuses one buffer and
+// grows only with the peak length.
 type ring[T any] struct {
 	buf  []T // len is zero or a power of two
 	head int
@@ -344,6 +344,13 @@ type Kernel struct {
 	// completion (Server.finish) and when a stopped kernel drains its
 	// queue (drain).
 	reqs Pool[serverReq]
+	// flows is the flow table of every Server on this kernel: each
+	// keyed flow with a queued request, keyed by (server, flow key),
+	// maps to its newest queued request. An entry opens when a flow's
+	// first request queues behind a busy server and closes when its
+	// last queued request enters service, so one table serves every
+	// server and flow of the run.
+	flows map[flowKey]*serverReq
 }
 
 // NewKernel returns a kernel whose random source is seeded with seed.
@@ -353,6 +360,7 @@ func NewKernel(seed int64) *Kernel {
 		rng:    rand.New(rand.NewSource(seed)),
 		events: make(eventQueue, 0, 64),
 		reqs:   NewPool(func(req *serverReq) **serverReq { return &req.next }, nil),
+		flows:  make(map[flowKey]*serverReq),
 	}
 }
 

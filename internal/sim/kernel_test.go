@@ -184,7 +184,7 @@ func TestRandDeterminism(t *testing.T) {
 // the kernel's lifetime.
 func TestStopDrainsPendingEvents(t *testing.T) {
 	k := NewKernel(1)
-	srv := k.NewServer(1e9, Microsecond)
+	srv := newServer(k, 1e9, Microsecond)
 	for i := 0; i < 8; i++ {
 		submit(srv, 1<<20)
 		k.After(Time(i+1)*Millisecond, func() {})
@@ -209,7 +209,7 @@ func TestStopDrainsPendingEvents(t *testing.T) {
 	// submits' arrival events and a zero-time completion, each carrying
 	// a pooled request.
 	k = NewKernel(1)
-	ipc := k.NewServer(0, 0)
+	ipc := newServer(k, 0, 0)
 	const burst = 100 // past the lane's initial capacity
 	inFlight := 0
 	k.At(5, func() {

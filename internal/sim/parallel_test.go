@@ -57,7 +57,7 @@ func buildPingPong(kernelFor func(lp int) *Kernel, shards []*logShard, nlp, roun
 		lp := lp
 		k := kernelFor(lp)
 		sh := shards[lp]
-		srv := k.NewServer(1e9, 10*Nanosecond)
+		srv := newServer(k, 1e9, 10*Nanosecond)
 		var bounce func(round int)
 		bounce = func(round int) {
 			sh.add(k, fmt.Sprintf("lp%d recv r%d", lp, round))
@@ -87,7 +87,7 @@ func buildPingPong(kernelFor func(lp int) *Kernel, shards []*logShard, nlp, roun
 // and pass it along while rounds remain.
 func bounceOn(kernelFor func(lp int) *Kernel, shards []*logShard, lp, round, rounds int) {
 	k := kernelFor(lp)
-	srv := k.NewServer(2e9, 5*Nanosecond)
+	srv := newServer(k, 2e9, 5*Nanosecond)
 	submit(srv, 128).Then(Func(func() {
 		shards[lp].add(k, fmt.Sprintf("lp%d hop-served r%d", lp, round))
 	}))

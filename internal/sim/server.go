@@ -34,13 +34,13 @@ type Server struct {
 	// cost on the telemetry-off hot path.
 	ObserveService func(start, end Time)
 
-	// queues holds each flow's pending requests in submission order;
-	// an emptied queue returns to freeQueues, so a busy server opening
-	// and closing flows (one per rendezvous transfer, one per file
-	// write) reuses their buffers instead of allocating one per flow.
-	queues     map[interface{}]*ring[*serverReq]
-	freeQueues []*ring[*serverReq]
-	ring       ring[turn] // flows with pending requests, service order
+	// head and tail delimit the service rotation, a FIFO threaded
+	// through the queued requests' turn links: the oldest queued request
+	// of each keyed flow, and every queued request without a flow (its
+	// own turn). A keyed flow's later requests hang off its oldest one
+	// through their later links; the kernel's flow table (flowKey) holds
+	// its newest, where the next request of the flow is appended.
+	head, tail *serverReq
 	serving    bool
 
 	serviceEnd Time // completion time of the in-service request
@@ -54,23 +54,34 @@ type Server struct {
 // SubmitFlowAfterOnArriveTo, the earlier arrival event that queues it.
 // done is the caller's completion, fired at the end of service; hook
 // is the caller's start hook, or a delayed request's arrival hook
-// until it arrives. The request stays at 80 bytes: a busy server pools
-// one per queued request.
+// until it arrives. turn and later are its queue links while it waits
+// (see Server.head), flow its flow key from submission on. The request
+// is 96 bytes: a busy server pools one per queued request.
 type serverReq struct {
-	srv  *Server
-	d    Time // service time; a delayed request's size until it arrives
-	done Action
-	hook Action
-	next *serverReq // pool link, nil while the request is live
+	srv   *Server
+	d     Time // service time; a delayed request's size until it arrives
+	done  Action
+	hook  Action
+	next  *serverReq // pool link, nil while the request is live
+	turn  *serverReq // next in the service rotation
+	later *serverReq // its flow's next queued request
+	flow  interface{}
 
-	// Delayed-submit state. arriving and flow hold from
-	// SubmitFlowAfterOnArriveTo until the arrival event. fwd makes the
-	// request fire its completion through one zero-delay hop: the
-	// delayed submit's schedule is an arrival, a service and a
-	// forwarded completion, and every digest pins those events.
+	// arriving holds from SubmitFlowAfterOnArriveTo until the arrival
+	// event. fwd makes the request fire its completion through one
+	// zero-delay hop: the delayed submit's schedule is an arrival, a
+	// service and a forwarded completion, and every digest pins those
+	// events.
 	arriving bool
 	fwd      bool
-	flow     interface{}
+}
+
+// flowKey names one keyed flow of one server in its kernel's flow
+// table. A key is per server: simnet uses one flow key on a sender's
+// tx port and a receiver's rx port at the same time.
+type flowKey struct {
+	srv  *Server
+	flow interface{}
 }
 
 // fire runs the request's pending event: its arrival at the server
@@ -83,12 +94,13 @@ func (req *serverReq) fire() {
 	req.srv.finish(req)
 }
 
-// newReq takes a request from the kernel's pool and binds it to s and
-// the caller's completion.
-func (s *Server) newReq(done Action) *serverReq {
+// newReq takes a request from the kernel's pool and binds it to s, the
+// caller's completion and flow.
+func (s *Server) newReq(done Action, flow interface{}) *serverReq {
 	req := s.k.reqs.Get()
 	req.srv = s
 	req.done = done
+	req.flow = flow
 	return req
 }
 
@@ -104,15 +116,18 @@ func (k *Kernel) releaseReq(req *serverReq) {
 // inside one.
 func (k *Kernel) LiveRequests() int { return k.reqs.Live() }
 
-// NewServer creates a round-robin bandwidth server. bandwidth is in
-// bytes per virtual second; perOp is fixed per-request overhead.
-func (k *Kernel) NewServer(bandwidth float64, perOp Time) *Server {
-	return &Server{
-		k:         k,
-		Bandwidth: bandwidth,
-		PerOp:     perOp,
-		queues:    make(map[interface{}]*ring[*serverReq]),
-	}
+// OpenFlows returns the number of keyed flows with a request queued on
+// one of the kernel's servers: zero once every server is idle. Read it
+// after the run, not from inside one.
+func (k *Kernel) OpenFlows() int { return len(k.flows) }
+
+// InitServer resets s to an idle round-robin bandwidth server on k.
+// bandwidth is in bytes per virtual second; perOp is fixed per-request
+// overhead. A server is embedded by value in the object that owns it (a
+// node's ports, a file system's targets), and neither it nor its flows
+// allocate.
+func (k *Kernel) InitServer(s *Server, bandwidth float64, perOp Time) {
+	*s = Server{k: k, Bandwidth: bandwidth, PerOp: perOp}
 }
 
 // ServiceTime returns the unperturbed service time for size bytes —
@@ -131,14 +146,6 @@ func (s *Server) ServiceTime(size int64) Time {
 	return d
 }
 
-// turn is one entry of the service rotation: a flow key whose queue
-// holds requests, or a request that is its own flow. A single-request
-// flow needs no queue and no key, so it is stored in the ring itself.
-type turn struct {
-	flow interface{}
-	req  *serverReq
-}
-
 // SubmitFlowOnStartTo enqueues a request of size bytes on the given
 // flow; done fires at the end of its service. A nil flow key makes the
 // request its own flow. Requests within one flow are served in
@@ -149,13 +156,13 @@ type turn struct {
 // request begins service — used to anchor downstream resources (e.g. a
 // receive port reservation one wire latency after transmission starts).
 func (s *Server) SubmitFlowOnStartTo(done Action, flow interface{}, size int64, onStart Action) {
-	req := s.newReq(done)
+	req := s.newReq(done, flow)
 	req.hook = onStart
-	s.enqueue(req, flow, size)
+	s.enqueue(req, size)
 }
 
-// enqueue draws req's service time and starts or queues it on flow.
-func (s *Server) enqueue(req *serverReq, flow interface{}, size int64) {
+// enqueue draws req's service time and starts or queues it on its flow.
+func (s *Server) enqueue(req *serverReq, size int64) {
 	d := s.ServiceTime(size)
 	if s.Noise != nil {
 		f := s.Noise()
@@ -167,8 +174,8 @@ func (s *Server) enqueue(req *serverReq, flow interface{}, size int64) {
 	req.d = d
 	s.queued++
 	if !s.serving {
-		// Idle server: the ring and flow map are empty, so the request
-		// enters service immediately, bypassing the queue structures.
+		// Idle server: the rotation and the server's flows are empty, so
+		// the request enters service immediately, bypassing the queue.
 		s.serving = true
 		s.serviceEnd = s.k.now + d
 		if s.ObserveService != nil {
@@ -180,44 +187,48 @@ func (s *Server) enqueue(req *serverReq, flow interface{}, size int64) {
 		s.k.AfterAction(d, req)
 		return
 	}
-	if flow == nil {
-		s.ring.push(turn{req: req})
+	if req.flow == nil {
+		s.rotate(req)
 	} else {
-		q := s.queues[flow]
-		if q == nil {
-			if n := len(s.freeQueues); n > 0 {
-				q = s.freeQueues[n-1]
-				s.freeQueues = s.freeQueues[:n-1]
-			} else {
-				q = new(ring[*serverReq])
-			}
-			s.queues[flow] = q
-			s.ring.push(turn{flow: flow})
+		key := flowKey{s, req.flow}
+		if last := s.k.flows[key]; last != nil {
+			last.later = req
+		} else {
+			s.rotate(req) // the flow's first queued request takes its turn
 		}
-		q.push(req)
+		s.k.flows[key] = req
 	}
 	s.backlog += d
 }
 
-// serveNext picks the next flow in rotation and serves one of its
-// requests. Runs in kernel context.
+// rotate puts req at the back of the service rotation.
+func (s *Server) rotate(req *serverReq) {
+	if s.tail == nil {
+		s.head = req
+	} else {
+		s.tail.turn = req
+	}
+	s.tail = req
+}
+
+// serveNext serves the request at the front of the rotation. If its
+// flow has requests left, the next one goes to the back of the
+// rotation; otherwise the flow leaves the kernel's flow table. Runs in
+// kernel context.
 func (s *Server) serveNext() {
-	if s.ring.n == 0 {
+	req := s.head
+	if req == nil {
 		s.serving = false
 		return
 	}
-	t := s.ring.pop()
-	req := t.req
-	if req == nil {
-		// A flow's turn is in the ring exactly while its queue is
-		// non-empty.
-		q := s.queues[t.flow]
-		req = q.pop()
-		if q.n == 0 {
-			delete(s.queues, t.flow)
-			s.freeQueues = append(s.freeQueues, q)
+	if s.head = req.turn; s.head == nil {
+		s.tail = nil
+	}
+	if req.flow != nil {
+		if req.later != nil {
+			s.rotate(req.later)
 		} else {
-			s.ring.push(t) // rotate to the back
+			delete(s.k.flows, flowKey{s, req.flow})
 		}
 	}
 	s.backlog -= req.d
@@ -256,10 +267,9 @@ func (s *Server) finish(req *serverReq) {
 // done fires one zero-delay hop after service ends. The request is taken
 // from the pool now and is itself the arrival event.
 func (s *Server) SubmitFlowAfterOnArriveTo(done Action, flow interface{}, delay Time, size int64, onArrive Action) {
-	req := s.newReq(done)
+	req := s.newReq(done, flow)
 	req.arriving = true
 	req.fwd = true
-	req.flow = flow
 	req.d = Time(size)
 	req.hook = onArrive
 	s.k.AfterAction(delay, req)
@@ -268,13 +278,13 @@ func (s *Server) SubmitFlowAfterOnArriveTo(done Action, flow interface{}, delay 
 // arrive is a delayed request's arrival event: the request joins the
 // server exactly as a SubmitFlowOnStartTo made at this instant would.
 func (s *Server) arrive(req *serverReq) {
-	flow, onArrive, size := req.flow, req.hook, int64(req.d)
+	onArrive, size := req.hook, int64(req.d)
 	req.arriving = false
-	req.flow, req.hook = nil, nil
+	req.hook = nil
 	if onArrive != nil {
 		onArrive.fire()
 	}
-	s.enqueue(req, flow, size)
+	s.enqueue(req, size)
 }
 
 // BusyUntil estimates when the server's current backlog drains: the end

@@ -5,6 +5,14 @@ import (
 	"testing/quick"
 )
 
+// newServer returns a server on k, as an owner embedding one would
+// initialise it.
+func newServer(k *Kernel, bandwidth float64, perOp Time) *Server {
+	s := new(Server)
+	k.InitServer(s, bandwidth, perOp)
+	return s
+}
+
 // submit enqueues a request of size bytes on s as its own flow and
 // returns a future that completes when it has been served.
 func submit(s *Server, size int64) *Future {
@@ -23,7 +31,7 @@ func submitAfter(s *Server, delay Time, size int64) *Future {
 func TestServerSingleRequest(t *testing.T) {
 	k := NewKernel(1)
 	// 1000 bytes/s, 10ns per op.
-	s := k.NewServer(1000, 10)
+	s := newServer(k, 1000, 10)
 	f := submit(s, 500) // 0.5s + 10ns
 	k.Run()
 	want := Time(float64(500)/1000*float64(Second)) + 10
@@ -34,7 +42,7 @@ func TestServerSingleRequest(t *testing.T) {
 
 func TestServerFIFOQueueing(t *testing.T) {
 	k := NewKernel(1)
-	s := k.NewServer(float64(Second), 0) // 1 byte per ns
+	s := newServer(k, float64(Second), 0) // 1 byte per ns
 	f1 := submit(s, 100)
 	f2 := submit(s, 50)
 	if live := k.LiveRequests(); live != 2 {
@@ -54,7 +62,7 @@ func TestServerFIFOQueueing(t *testing.T) {
 
 func TestServerIdleGapResets(t *testing.T) {
 	k := NewKernel(1)
-	s := k.NewServer(float64(Second), 0)
+	s := newServer(k, float64(Second), 0)
 	var done Time
 	k.At(0, func() { submit(s, 10) })
 	k.At(1000, func() {
@@ -69,7 +77,7 @@ func TestServerIdleGapResets(t *testing.T) {
 
 func TestServerZeroBandwidthIsInfinite(t *testing.T) {
 	k := NewKernel(1)
-	s := k.NewServer(0, 7)
+	s := newServer(k, 0, 7)
 	f := submit(s, 1<<40)
 	k.Run()
 	if f.DoneAt() != 7 {
@@ -79,7 +87,7 @@ func TestServerZeroBandwidthIsInfinite(t *testing.T) {
 
 func TestServerNoise(t *testing.T) {
 	k := NewKernel(1)
-	s := k.NewServer(float64(Second), 0)
+	s := newServer(k, float64(Second), 0)
 	s.Noise = func() float64 { return 2.0 }
 	f := submit(s, 100)
 	k.Run()
@@ -90,7 +98,7 @@ func TestServerNoise(t *testing.T) {
 
 func TestServerNegativeNoiseClamped(t *testing.T) {
 	k := NewKernel(1)
-	s := k.NewServer(float64(Second), 0)
+	s := newServer(k, float64(Second), 0)
 	s.Noise = func() float64 { return -3 }
 	f := submit(s, 100)
 	k.Run()
@@ -101,7 +109,7 @@ func TestServerNegativeNoiseClamped(t *testing.T) {
 
 func TestServerSubmitAfter(t *testing.T) {
 	k := NewKernel(1)
-	s := k.NewServer(float64(Second), 0)
+	s := newServer(k, float64(Second), 0)
 	f := submitAfter(s, 40, 10)
 	k.Run()
 	if f.DoneAt() != 50 {
@@ -122,7 +130,7 @@ func observeBusy(s *Server) (ops *int, busy *Time) {
 
 func TestServerStats(t *testing.T) {
 	k := NewKernel(1)
-	s := k.NewServer(float64(Second), 5)
+	s := newServer(k, float64(Second), 5)
 	nops, nbusy := observeBusy(s)
 	submit(s, 10)
 	submit(s, 20)
@@ -149,7 +157,7 @@ func TestServerFIFOProperty(t *testing.T) {
 			sizes = sizes[:64]
 		}
 		k := NewKernel(3)
-		s := k.NewServer(float64(Second), 3)
+		s := newServer(k, float64(Second), 3)
 		_, busy := observeBusy(s)
 		futs := make([]*Future, len(sizes))
 		for i, sz := range sizes {

@@ -90,27 +90,28 @@ func TestChunksReturnToPool(t *testing.T) {
 
 // maxColdAllocsPerChunk gates the host allocations of one stripe chunk
 // issued on a fresh file system, whose pools start empty: the chunk and
-// its server requests come from pool slabs, so a cold chunk pays a
-// share of one slab allocation rather than an allocation each. It
-// measures 0.14 for writes and 0.08 for reads; a pool that allocated
-// per object would pay one per chunk and one per server request, two
-// or more.
-const maxColdAllocsPerChunk = 0.25
+// its server requests come from pool slabs, and the server queues they
+// wait in are threaded through the requests themselves, so a cold chunk
+// pays a share of one slab allocation and nothing else. It measures
+// 0.07 for writes and for reads; a pool that allocated per object would
+// pay one per chunk and one per server request, two or more, and a
+// server queue that grew per flow would add about 0.2.
+const maxColdAllocsPerChunk = 0.15
 
 // TestAIOColdAllocsPerChunk is the cold-pool sibling of
 // TestAIOWriteAllocsPerChunk: every run builds its own kernel, network
 // and file system, as every simulation does, and issues all its calls
 // before the kernel runs, so every chunk is in flight at once and the
 // pools fill to the whole count. The difference between runs of many
-// and of few chunks per call cancels the setup. Each call's chunks
-// queue in one flow ring on the client NIC, which doubles as it
-// grows; at 64 chunks per call those doublings cost about 0.06 allocs
-// per chunk of a write, at 20 they would cost 0.20.
+// and of few chunks per call cancels the setup. Each call is one flow
+// on the client NIC, and its chunks queue there behind each other; 20
+// chunks per call is a shape where a per-flow queue that doubled as it
+// grew paid about 0.2 allocs per chunk of a write.
 func TestAIOColdAllocsPerChunk(t *testing.T) {
 	if testing.CoverMode() != "" {
 		t.Skip("coverage instrumentation allocates")
 	}
-	const calls, few, many = 16, 4, 64
+	const calls, few, many = 16, 4, 20
 	for _, read := range []bool{false, true} {
 		t.Run(map[bool]string{false: "write", true: "read"}[read], func(t *testing.T) {
 			issue := func(chunks int) func() {

@@ -1,3 +1,5 @@
+//go:build go1.23
+
 // Package simfs models a striped parallel file system in the style of
 // BeeGFS, the file system used on both clusters in the reproduced paper.
 // A file is striped round-robin over storage targets; each target is a
@@ -18,6 +20,7 @@ package simfs
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 	"sync"
 
@@ -69,7 +72,7 @@ func (c *Config) validate() error {
 type FS struct {
 	net     *simnet.Network
 	cfg     Config
-	targets []*sim.Server
+	targets []sim.Server
 	files   map[string]*File
 
 	// Each target's server lives on one LP. Partitioned, that is its
@@ -164,15 +167,15 @@ func newFS(net *simnet.Network, cfg Config, part *sim.Partition, nlps int, kerne
 		draw := k.Rand().Float64 // one method value, not one per service
 		noise = func() float64 { return cfg.TargetNoise(draw) }
 	}
-	for i := 0; i < cfg.NumTargets; i++ {
+	fs.targets = make([]sim.Server, cfg.NumTargets)
+	for i := range fs.targets {
 		lp := targetLP(i)
 		if lp >= nlps {
 			return nil, fmt.Errorf("simfs: target %d needs LP %d, partition has %d", i, lp, nlps)
 		}
 		tk := kernel(lp)
-		srv := tk.NewServer(cfg.TargetBandwidth, cfg.TargetPerOp)
-		srv.Noise = noise
-		fs.targets = append(fs.targets, srv)
+		tk.InitServer(&fs.targets[i], cfg.TargetBandwidth, cfg.TargetPerOp)
+		fs.targets[i].Noise = noise
 		fs.targetK = append(fs.targetK, tk)
 		fs.targetLP = append(fs.targetLP, lp)
 	}
@@ -203,10 +206,11 @@ func (fs *FS) SetSinks(lp int, p *probe.Probe, m *metrics.Metrics) {
 			fs.ostCtr[i] = [2]string{probe.OSTCounter(i, "bytes"), probe.OSTCounter(i, "ops")}
 		}
 	}
-	for i, srv := range fs.targets {
+	for i := range fs.targets {
 		if fs.targetLP[i] != lp {
 			continue
 		}
+		srv := &fs.targets[i]
 		srv.ObserveService, fs.ostDepth[i] = nil, nil
 		if m == nil {
 			continue
@@ -285,20 +289,20 @@ func (f *File) targetFor(off int64) int {
 	return int((off / f.fs.cfg.StripeSize) % int64(f.fs.cfg.NumTargets))
 }
 
-// chunkify splits [off, off+size) at stripe boundaries.
-func (f *File) chunkify(off, size int64) []extent {
+// chunkify yields the extents of [off, off+size) split at stripe
+// boundaries, in file order. It allocates nothing: a range over it
+// inlines into the caller's loop.
+func (f *File) chunkify(off, size int64) iter.Seq[extent] {
 	ss := f.fs.cfg.StripeSize
-	out := make([]extent, 0, (off+size+ss-1)/ss-off/ss)
-	for size > 0 {
-		n := ss - off%ss
-		if n > size {
-			n = size
+	return func(yield func(extent) bool) {
+		for off, end := off, off+size; off < end; {
+			n := min(ss-off%ss, end-off)
+			if !yield(extent{off, off + n}) {
+				return
+			}
+			off += n
 		}
-		out = append(out, extent{off, off + n})
-		off += n
-		size -= n
 	}
-	return out
 }
 
 // ioDir is one direction of the chunk path: its name, probe span kind
@@ -356,7 +360,7 @@ func (f *File) startIO(dir *ioDir, clientNode int, off, size int64, buf []byte) 
 	} else if sh.met != nil {
 		call.lat = sh.met.Hist(metrics.ChunkLatency)
 	}
-	for _, ch := range f.chunkify(off, size) {
+	for ch := range f.chunkify(off, size) {
 		tgt := f.targetFor(ch.off)
 		n := ch.end - ch.off
 		if sh.probe != nil {

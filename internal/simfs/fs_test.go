@@ -1,3 +1,5 @@
+//go:build go1.23
+
 package simfs
 
 import (
@@ -41,7 +43,10 @@ func testFS(t testing.TB, seed int64, mut func(*Config)) (*sim.Kernel, *simnet.N
 func TestChunkifyAlignment(t *testing.T) {
 	_, _, fs := testFS(t, 1, func(c *Config) { c.StripeSize = 100 })
 	f := fs.Open("x")
-	chunks := f.chunkify(250, 300)
+	var chunks []extent
+	for ch := range f.chunkify(250, 300) {
+		chunks = append(chunks, ch)
+	}
 	want := []extent{{250, 300}, {300, 400}, {400, 500}, {500, 550}}
 	if len(chunks) != len(want) {
 		t.Fatalf("chunks = %v, want %v", chunks, want)
@@ -227,12 +232,14 @@ func TestChunkifyProperty(t *testing.T) {
 	f := fs.Open("p")
 	prop := func(off16 uint16, size16 uint16) bool {
 		off, size := int64(off16), int64(size16)
-		chunks := f.chunkify(off, size)
 		if size == 0 {
-			return len(chunks) == 0
+			for range f.chunkify(off, size) {
+				return false
+			}
+			return true
 		}
 		cur := off
-		for _, ch := range chunks {
+		for ch := range f.chunkify(off, size) {
 			if ch.off != cur || ch.end <= ch.off {
 				return false
 			}

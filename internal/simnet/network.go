@@ -55,10 +55,10 @@ type Node struct {
 	lp  int
 	sh  *netShard
 	k   *sim.Kernel
-	tx  *sim.Server
-	rx  *sim.Server
-	ipc *sim.Server
-	mem *sim.Server
+	tx  sim.Server
+	rx  sim.Server
+	ipc sim.Server
+	mem sim.Server
 }
 
 // netShard is one LP's slice of the network's mutable host state: the
@@ -81,7 +81,7 @@ type netShard struct {
 type Network struct {
 	k     *sim.Kernel
 	cfg   Config
-	nodes []*Node
+	nodes []Node
 
 	// part is the LP partition (nil on a sequential network). shards
 	// holds each LP's host state: one shard for a sequential network,
@@ -112,13 +112,14 @@ func New(k *sim.Kernel, cfg Config) *Network {
 		draw := k.Rand().Float64 // one method value, not one per transfer
 		noise = func() float64 { return cfg.LinkNoise(draw) }
 	}
-	for i := 0; i < cfg.Nodes; i++ {
-		nd := newNode(k, 0, &n.shards[0], cfg, i)
+	n.nodes = make([]Node, cfg.Nodes)
+	for i := range n.nodes {
+		nd := &n.nodes[i]
+		nd.init(k, 0, &n.shards[0], cfg, i)
 		if cfg.LinkNoise != nil {
 			nd.tx.Noise = noise
 			nd.rx.Noise = noise
 		}
-		n.nodes = append(n.nodes, nd)
 	}
 	return n
 }
@@ -149,8 +150,9 @@ func NewPartitioned(part *sim.Partition, cfg Config) *Network {
 	}
 	n := &Network{k: part.Kernel(0), cfg: cfg, part: part}
 	n.makeShards(cfg.Nodes)
-	for i := 0; i < cfg.Nodes; i++ {
-		n.nodes = append(n.nodes, newNode(part.Kernel(i), i, &n.shards[i], cfg, i))
+	n.nodes = make([]Node, cfg.Nodes)
+	for i := range n.nodes {
+		n.nodes[i].init(part.Kernel(i), i, &n.shards[i], cfg, i)
 	}
 	return n
 }
@@ -172,17 +174,13 @@ func (n *Network) makeShards(nlps int) {
 	}
 }
 
-func newNode(k *sim.Kernel, lp int, sh *netShard, cfg Config, i int) *Node {
-	return &Node{
-		ID:  i,
-		lp:  lp,
-		sh:  sh,
-		k:   k,
-		tx:  k.NewServer(cfg.InterBandwidth, 0),
-		rx:  k.NewServer(cfg.InterBandwidth, 0),
-		ipc: k.NewServer(cfg.IntraBandwidth, 0),
-		mem: k.NewServer(cfg.MemBandwidth, 0),
-	}
+// init makes nd node i on LP lp, whose kernel is k and host state sh.
+func (nd *Node) init(k *sim.Kernel, lp int, sh *netShard, cfg Config, i int) {
+	nd.ID, nd.lp, nd.sh, nd.k = i, lp, sh, k
+	k.InitServer(&nd.tx, cfg.InterBandwidth, 0)
+	k.InitServer(&nd.rx, cfg.InterBandwidth, 0)
+	k.InitServer(&nd.ipc, cfg.IntraBandwidth, 0)
+	k.InitServer(&nd.mem, cfg.MemBandwidth, 0)
 }
 
 // KernelFor returns the kernel node i's servers live on: the shared
@@ -220,7 +218,7 @@ func (n *Network) SetSinks(lp int, p *probe.Probe, m *metrics.Metrics) {
 	// LP lp's nodes are contiguous from index lp: every node on a
 	// sequential network, node lp alone on a partitioned one.
 	for i := lp; i < len(n.nodes) && n.nodes[i].lp == lp; i++ {
-		wireNodeMetrics(m, i, n.nodes[i])
+		wireNodeMetrics(m, i, &n.nodes[i])
 	}
 }
 
@@ -242,7 +240,7 @@ func (n *Network) Config() Config { return n.cfg }
 func (n *Network) NumNodes() int { return len(n.nodes) }
 
 // Node returns node i.
-func (n *Network) Node(i int) *Node { return n.nodes[i] }
+func (n *Network) Node(i int) *Node { return &n.nodes[i] }
 
 // Transfer is one message in flight. Injected completes when the
 // sender-side NIC has finished injecting the message (local
@@ -364,14 +362,14 @@ func (n *Network) SendFlowTo(delivered *sim.Future, flow interface{}, from, to i
 	if n.fluid != nil && size >= n.fluid.minBytes {
 		return n.sendFluid(from, to, size, nil, delivered)
 	}
-	src, dst := n.nodes[from], n.nodes[to]
+	src, dst := &n.nodes[from], &n.nodes[to]
 	tr := n.newTransfer(src, dst, flow, size, delivered)
 	if from == to {
-		observeSend(src, tr, probe.CauseIntra, src.ipc)
+		observeSend(src, tr, probe.CauseIntra, &src.ipc)
 		tr.Injected = tr.Delivered
 		src.ipc.SubmitFlowAfterOnArriveTo(&tr.deliver, flow, n.cfg.IntraLatency, size, nil)
 	} else {
-		observeSend(src, tr, probe.CauseInter, src.tx)
+		observeSend(src, tr, probe.CauseInter, &src.tx)
 		// The join waits for the tx completion and the rx chain. The rx
 		// chain is three zero-delay hops after the rx port: a delayed
 		// submit forwards its completion once (sequential), an
@@ -422,7 +420,7 @@ func (tr *Transfer) startTx() {
 	if tr.stubFn == nil {
 		tr.rxArriveFn, tr.stubFn = tr.rxArrive, tr.stub
 	}
-	src := n.nodes[tr.From]
+	src := &n.nodes[tr.From]
 	txStart := src.k.Now()
 	src.k.ScheduleRemote(tr.dst.lp, txStart+lat, tr.rxArriveFn)
 	stubAt := txStart + src.tx.ServiceTime(tr.Size)
@@ -480,12 +478,12 @@ func (tr *Transfer) complete() {
 // exact path's hooks (the queue-depth sample reads the idle server and
 // reports 0).
 func (n *Network) sendFluid(from, to int, size int64, marks []flowMark, delivered *sim.Future) *Transfer {
-	src, dst := n.nodes[from], n.nodes[to]
+	src, dst := &n.nodes[from], &n.nodes[to]
 	tr := n.newTransfer(src, dst, nil, size, delivered)
 	if from == to {
-		observeSend(src, tr, probe.CauseIntra, src.ipc)
+		observeSend(src, tr, probe.CauseIntra, &src.ipc)
 	} else {
-		observeSend(src, tr, probe.CauseInter, src.tx)
+		observeSend(src, tr, probe.CauseInter, &src.tx)
 	}
 	n.fluid.submit(tr, marks)
 	observeDeliver(dst, tr)
@@ -583,4 +581,4 @@ func (n *Network) MemcpyTo(done sim.Action, node int, size int64) {
 
 // TxServer exposes node i's injection port so that co-located services
 // (e.g. node-local storage on the crill model) can share it.
-func (n *Network) TxServer(node int) *sim.Server { return n.nodes[node].tx }
+func (n *Network) TxServer(node int) *sim.Server { return &n.nodes[node].tx }
