@@ -74,7 +74,7 @@ race-parallel:
 # equivalence tests — under the race detector. Perf numbers come from
 # bench, concurrency-correctness evidence from race.
 BENCHTIME ?= 1x
-BENCHOUT ?= BENCH_PR30.json
+BENCHOUT ?= BENCH_PR31.json
 BENCHBASE ?= BENCH_PR21.json
 BENCHDIFF = $(if $(wildcard $(BENCHBASE)),-diff $(BENCHBASE),)
 

@@ -277,20 +277,6 @@ func BenchmarkAblationAggregators(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDataflow compares the paper's Write-Comm-2 static
-// posting order with the event-driven extension scheduler.
-func BenchmarkAblationDataflow(b *testing.B) {
-	gen := ior.Config{BlockSize: 8 << 20, Segments: 1}
-	for _, algo := range []fcoll.Algorithm{fcoll.WriteComm2Overlap, fcoll.DataflowOverlap} {
-		b.Run(algo.String(), func(b *testing.B) {
-			benchSpec(b, exp.Spec{
-				Platform: platform.Ibex(), NProcs: benchNP,
-				Gen: gen, Algorithm: algo,
-			})
-		})
-	}
-}
-
 // BenchmarkSimulatorThroughput measures the simulator itself (events
 // per wall second) on a communication-heavy pattern — useful when
 // sizing full-sweep runs.

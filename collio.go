@@ -72,15 +72,13 @@ type (
 	RankView = fcoll.RankView
 )
 
-// Overlap algorithms (paper Algorithms 1–4 plus the baseline, and the
-// event-driven extension scheduler).
+// Overlap algorithms (paper Algorithms 1–4 plus the baseline).
 const (
 	NoOverlap         = fcoll.NoOverlap
 	CommOverlap       = fcoll.CommOverlap
 	WriteOverlap      = fcoll.WriteOverlap
 	WriteCommOverlap  = fcoll.WriteCommOverlap
 	WriteComm2Overlap = fcoll.WriteComm2Overlap
-	DataflowOverlap   = fcoll.DataflowOverlap
 )
 
 // Shuffle transfer primitives (the paper's three plus the PSCW
@@ -98,12 +96,8 @@ const (
 	RoundRobinWindows = fcoll.RoundRobinWindows
 )
 
-// Algorithms lists the paper's overlap strategies in paper order;
-// AllAlgorithms adds the extensions.
-var (
-	Algorithms    = fcoll.Algorithms
-	AllAlgorithms = fcoll.AllAlgorithms
-)
+// Algorithms lists the paper's overlap strategies in paper order.
+var Algorithms = fcoll.Algorithms
 
 // Primitives lists the paper's shuffle primitives in paper order;
 // AllPrimitives adds the extensions.

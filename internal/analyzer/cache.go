@@ -38,8 +38,11 @@ import (
 // old rules' results for a warm `-only maporder` or `-only poolpath`;
 // v4 is wallclock reporting a global math/rand function passed as a
 // value, which a warm v3 cache would replay as clean; v5 is maporder
-// dropping the deleted Future.OnDone from its hazards.
-const cacheSchema = "collvet-cache-v5"
+// dropping the deleted Future.OnDone from its hazards; v6 is poolpath
+// dropping its rule for a future taken from a pooled request, and
+// payloadalias dropping a completer, both with the MPI calls they
+// checked.
+const cacheSchema = "collvet-cache-v6"
 
 // Cache is a directory of per-package analysis results.
 type Cache struct {

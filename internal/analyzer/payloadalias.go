@@ -32,7 +32,7 @@ var PayloadAlias = &Analyzer{
 // payloadCompleters end all in-flight epochs in this straight-line
 // model.
 var payloadCompleters = map[string]bool{
-	"Wait": true, "WaitFutures": true, "WaitAnyFuture": true,
+	"Wait": true, "WaitFutures": true,
 	"WinFence": true, "WinUnlock": true, "WinComplete": true,
 	"Send": true, "Recv": true, // blocking: completes on return
 }

@@ -48,13 +48,6 @@ import (
 // method value) to a call hands the handle to that callback: it is no
 // longer this function's to release.
 //
-// A request's completion future is embedded in the pooled *mpi.Request,
-// so a future taken with q.Future() is part of the handle: it is
-// tracked as derived from q, released with q, and any use of it after
-// q's Wait is a use after release. Passing it to a call while q is live
-// (WaitAnyFuture, InitJoin) does not hand off q's release, so it stays
-// tracked.
-//
 // Facts are a bitmask per handle object: poolLive means "may hold an
 // unreleased handle", poolRel means "may be on the free list"; the join
 // is bitwise-or, so poolLive|poolRel reads "released on some paths but
@@ -114,7 +107,7 @@ func poolRelease(info *types.Info, call *ast.CallExpr) (string, bool) {
 
 // poolFact is the per-object lattice element. relOp remembers which
 // recycler put the handle on the free list, for the diagnostic text; of
-// is the handle a derived future was taken from; lent marks a lent
+// is the lent transfer a future was read from; lent marks a lent
 // transfer and the futures read from it; slice marks a local slice
 // collecting fresh handles.
 type poolFact struct {
@@ -295,12 +288,6 @@ func (pp *poolPather) reportLent(pos token.Pos, obj types.Object, f poolFact, ho
 // reportUseAfter reports a use of obj, whose fact f says it may be on
 // the free list.
 func (pp *poolPather) reportUseAfter(pos token.Pos, obj types.Object, f poolFact) {
-	if f.of != nil {
-		pp.report(pos,
-			"future %q of pooled request %q used after %s: it lives inside the request, and the next operation may recycle it",
-			obj.Name(), f.of.Name(), f.relOp)
-		return
-	}
 	pp.report(pos,
 		"pooled handle %q used after %s: it is on the free list and the next operation may recycle it",
 		obj.Name(), f.relOp)
@@ -423,11 +410,6 @@ func (pp *poolPather) node(n ast.Node, st poolState) {
 				pp.reportUseAfter(call.Pos(), obj, f)
 			}
 			st[obj] = poolFact{mask: poolRel, relOp: op}
-			for d, f := range st {
-				if f.of == obj {
-					st[d] = poolFact{mask: poolRel, relOp: op, of: obj}
-				}
-			}
 		}
 		return true
 	})
@@ -468,15 +450,6 @@ func (pp *poolPather) node(n ast.Node, st poolState) {
 			}
 			call, ok := ast.Unparen(rhs).(*ast.CallExpr)
 			if !ok {
-				continue
-			}
-			if q := pp.futureOf(call, st); q != nil {
-				if id, ok := ast.Unparen(asg.Lhs[i]).(*ast.Ident); ok && id.Name != "_" {
-					if obj := identObj(pp.pass.Info, id); obj != nil {
-						handled[id] = true
-						st[obj] = poolFact{mask: poolLive, of: q}
-					}
-				}
 				continue
 			}
 			t := pp.pass.Info.TypeOf(call)
@@ -569,9 +542,6 @@ func (pp *poolPather) node(n ast.Node, st poolState) {
 				delete(st, obj) // a bound action registered: the callback owns it
 			}
 			return true // field read / method call on the live handle
-		}
-		if f.of != nil {
-			return true // a derived future in use; its request keeps the release
 		}
 		delete(st, obj) // escapes: return, call arg, alias, store, send
 		return true
@@ -706,23 +676,6 @@ func handsOff(info *types.Info, parents map[ast.Node]ast.Node, sel *ast.Selector
 		}
 	}
 	return false
-}
-
-// futureOf returns the tracked, live request whose Future() call is
-// call, or nil.
-func (pp *poolPather) futureOf(call *ast.CallExpr, st poolState) types.Object {
-	if !isMethod(calleeFunc(pp.pass.Info, call), "mpi", "Future") {
-		return nil
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	q := argIdentObj(pp.pass, sel.X)
-	if f, tracked := st[q]; !tracked || f.mask != poolLive || f.of != nil {
-		return nil
-	}
-	return q
 }
 
 // relOp2 names the expected recycler in the reassign diagnostic: the

@@ -20,9 +20,8 @@ func Symbolic(n int64) Payload { return Payload{Size: n} }
 // Request mirrors a non-blocking operation handle.
 type Request struct{ fut *sim.Future }
 
-func (q *Request) Done() bool          { return q.fut.Done() }
-func (q *Request) Future() *sim.Future { return q.fut }
-func (q *Request) Received() int64     { return 0 }
+func (q *Request) Done() bool      { return q.fut.Done() }
+func (q *Request) Received() int64 { return 0 }
 
 // LockType selects shared or exclusive passive-target locking.
 type LockType int
@@ -44,7 +43,6 @@ func (r *Rank) Irecv(src, tag int, size int64, buf []byte) *Request {
 }
 func (r *Rank) Wait(reqs ...*Request)                           {}
 func (r *Rank) WaitFutures(fs ...*sim.Future)                   {}
-func (r *Rank) WaitAnyFuture(fs ...*sim.Future) int             { return 0 }
 func (r *Rank) Send(dst, tag int, pl Payload)                   {}
 func (r *Rank) Recv(src, tag int, size int64, buf []byte) int64 { return 0 }
 func (r *Rank) Barrier()                                        {}

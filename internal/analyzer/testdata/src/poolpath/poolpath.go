@@ -56,32 +56,6 @@ func badUseAfterConditionalWait(r *mpi.Rank, drain bool) int64 {
 	return q.Received() // want `pooled handle "q" used after Wait`
 }
 
-// --- flagged: a request's future used after the request's Wait ---
-
-func badFutureAfterWait(r *mpi.Rank) {
-	q := r.Isend(1, 0, mpi.Symbolic(8))
-	f := q.Future()
-	r.Wait(q)
-	r.WaitFutures(f) // want `future "f" of pooled request "q" used after Wait`
-}
-
-func badFutureAfterConditionalWait(r *mpi.Rank, early bool) bool {
-	q := r.Irecv(0, 1, 64, nil) // want `pooled handle "q" acquired here may reach return without Wait \(released on some paths but not all\)`
-	f := q.Future()
-	if early {
-		r.Wait(q)
-	}
-	return f.Done() // want `future "f" of pooled request "q" used after Wait`
-}
-
-func badFuturePassedThenWaited(r *mpi.Rank, other *sim.Future) {
-	q := r.Isend(2, 0, mpi.Symbolic(8))
-	f := q.Future()
-	r.WaitAnyFuture(f, other) // still the request's future, still tracked
-	r.Wait(q)
-	r.WaitFutures(f) // want `future "f" of pooled request "q" used after Wait`
-}
-
 // --- flagged: a lent transfer kept past its sending event ---
 
 func badTransferInCallback(net *simnet.Network) {
@@ -161,23 +135,6 @@ func goodCallbackOwnsWait(r *mpi.Rank, f *sim.Future) {
 	f.Then(sim.Func(func() {
 		r.Wait(q) // the callback owns the handle now
 	}))
-}
-
-func goodFutureBeforeWait(r *mpi.Rank, other *sim.Future) int {
-	q := r.Isend(1, 0, mpi.Symbolic(8))
-	f := q.Future()
-	idx := r.WaitAnyFuture(f, other)
-	r.Wait(q)
-	return idx
-}
-
-func goodFutureRebound(r *mpi.Rank, k *sim.Kernel) {
-	q := r.Isend(1, 0, mpi.Symbolic(8))
-	f := q.Future()
-	r.Wait(q)
-	f = new(sim.Future) // a fresh future, not the recycled one
-	k.InitFuture(f)
-	r.WaitFutures(f)
 }
 
 // --- clean: a lent transfer used inside its sending event ---

@@ -32,11 +32,6 @@ func polled(r *mpi.Rank) {
 	}
 }
 
-func waitedViaFuture(r *mpi.Rank) {
-	req := r.Irecv(0, 0, 8, make([]byte, 8)) // want `pooled handle "req" acquired here may reach return without Wait`
-	r.WaitFutures(req.Future())              // completes the future, never releases the request
-}
-
 // --- near misses: every shape below releases or hands off the request ---
 
 func waited(r *mpi.Rank) {

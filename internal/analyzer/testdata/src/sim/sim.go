@@ -35,11 +35,10 @@ func NewEvent[T any](obj *T, fn func(*T)) Event[T] { return Event[T]{obj: obj, f
 // Proc mirrors a simulated process.
 type Proc struct{}
 
-func (p *Proc) Wait(f *Future)            {}
-func (p *Proc) WaitAll(fs ...*Future)     {}
-func (p *Proc) WaitAny(fs ...*Future) int { return 0 }
-func (p *Proc) Sleep(d Time)              {}
-func (p *Proc) Yield()                    {}
+func (p *Proc) Wait(f *Future)        {}
+func (p *Proc) WaitAll(fs ...*Future) {}
+func (p *Proc) Sleep(d Time)          {}
+func (p *Proc) Yield()                {}
 
 // Kernel mirrors the DES scheduler surface used by the analyzers.
 type Kernel struct{}

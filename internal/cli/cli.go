@@ -73,7 +73,7 @@ func (c *Common) RegisterFlags() {
 
 func algoList() string {
 	var names []string
-	for _, a := range fcoll.AllAlgorithms {
+	for _, a := range fcoll.Algorithms {
 		names = append(names, a.String())
 	}
 	return strings.Join(names, "|")
@@ -91,7 +91,7 @@ func (c *Common) ResolvePlatform() (platform.Platform, error) {
 
 // ResolveAlgorithm maps the -algo flag to an Algorithm.
 func (c *Common) ResolveAlgorithm() (fcoll.Algorithm, error) {
-	for _, a := range fcoll.AllAlgorithms {
+	for _, a := range fcoll.Algorithms {
 		if a.String() == c.Algorithm {
 			return a, nil
 		}

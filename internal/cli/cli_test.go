@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"strings"
 	"testing"
 
 	"collio/internal/fcoll"
@@ -25,9 +26,17 @@ func TestResolveAlgorithm(t *testing.T) {
 	if err != nil || a != fcoll.WriteCommOverlap {
 		t.Fatalf("a=%v err=%v", a, err)
 	}
-	c.Algorithm = "dataflow-overlap" // extension algorithms resolvable too
-	if _, err := c.ResolveAlgorithm(); err != nil {
-		t.Fatalf("extension algorithm rejected: %v", err)
+	// A stale name from an older -algo list is rejected, and the error
+	// lists the five accepted names.
+	c.Algorithm = "dataflow-overlap"
+	_, err = c.ResolveAlgorithm()
+	if err == nil {
+		t.Fatal("dataflow-overlap accepted")
+	}
+	for _, a := range fcoll.Algorithms {
+		if !strings.Contains(err.Error(), a.String()) {
+			t.Errorf("error %q does not list %v", err, a)
+		}
 	}
 	c.Algorithm = "bogus"
 	if _, err := c.ResolveAlgorithm(); err == nil {

@@ -631,10 +631,9 @@ type aggRun struct {
 	bytesWritten int64
 }
 
-func (ag *aggRun) NCycles() int                    { return ag.v.sched.NCycles() }
-func (ag *aggRun) Fill() fcoll.Stage               { return (*aggShuffle)(ag) }
-func (ag *aggRun) Drain() fcoll.Stage              { return (*aggWrite)(ag) }
-func (ag *aggRun) WaitAny(futs ...*sim.Future) int { return ag.p.WaitAny(futs...) }
+func (ag *aggRun) NCycles() int       { return ag.v.sched.NCycles() }
+func (ag *aggRun) Fill() fcoll.Stage  { return (*aggShuffle)(ag) }
+func (ag *aggRun) Drain() fcoll.Stage { return (*aggWrite)(ag) }
 
 // aggShuffle is the bundled shuffle stage.
 type aggShuffle aggRun
@@ -677,11 +676,6 @@ func (s *aggShuffle) Wait(slot int) {
 func (s *aggShuffle) Sync(c, slot int) {
 	s.Init(c, slot)
 	s.Wait(slot)
-}
-
-func (s *aggShuffle) Future(slot int) *sim.Future {
-	ag := (*aggRun)(s)
-	return &ag.v.cycles[ag.sh[slot].cycle].recv[ag.a].done
 }
 
 // aggWrite is the bundled file write stage, on the real simulated file.
@@ -754,5 +748,3 @@ func (w *aggWrite) Wait(slot int) {
 	ag.p.Wait(f)
 	ag.writeTime += ag.p.Now() - t0
 }
-
-func (w *aggWrite) Future(slot int) *sim.Future { return w.wr[slot].fut }

@@ -76,7 +76,7 @@ func bundledMatrix() []bundledCell {
 	var out []bundledCell
 	for _, pf := range []platform.Platform{platform.Crill().Deterministic(), platform.Ibex().Deterministic()} {
 		for _, g := range gens {
-			for _, algo := range fcoll.AllAlgorithms {
+			for _, algo := range fcoll.Algorithms {
 				out = append(out, bundledCell{pf.Name + "/" + g.name + "/" + algo.String(), Spec{
 					Platform: pf,
 					// Four-plus nodes: cohorts are node slots, so the

@@ -21,14 +21,10 @@ import (
 // make "bit-identical before/after" a regression test instead of a PR
 // claim. If a change to *model semantics* is ever intended, the table
 // must be regenerated deliberately (see the test failure message).
-// The dataflow entry was re-pinned once, when exact dataflow runs began
-// recording their shuffle spans; its Elapsed, ShuffleTime, WriteTime
-// and BytesWritten did not move. The read rows cover every algorithm.
-// Two were re-pinned when reads moved onto the write drivers (Drive):
-// read/write-overlap now runs Algorithm 1's shape with the file read as
-// the non-blocking fill (Elapsed 147.086 -> 116.956 ms), and
-// read/dataflow-overlap runs the dataflow scheduler instead of silently
-// falling back to Algorithm 4 (Elapsed 147.086 -> 116.956 ms).
+// The read rows cover every algorithm. read/write-overlap was re-pinned
+// when reads moved onto the write drivers (Drive): it now runs
+// Algorithm 1's shape with the file read as the non-blocking fill
+// (Elapsed 147.086 -> 116.956 ms).
 type pinnedDigest struct {
 	name   string
 	digest string
@@ -41,7 +37,6 @@ var pinnedDigests = []pinnedDigest{
 	{"write/write-overlap/two-sided/ior", "07af6bb838d82f7c4cfd27c23617d3dc331b6d0ca67a8d03f2d83159bbb27aa3", 134217728},
 	{"write/write-comm-overlap/two-sided/ior", "4596f2c2f75a842ed935e8baf38bed7cb120871afadb85a7ba8c100d98a12681", 134217728},
 	{"write/write-comm-2-overlap/two-sided/ior", "07af6bb838d82f7c4cfd27c23617d3dc331b6d0ca67a8d03f2d83159bbb27aa3", 134217728},
-	{"write/dataflow-overlap/two-sided/ior", "bb0f598bf4ab5ea476370235a2fa62402d101ef66820948272a2e2d95bd0f6c0", 134217728},
 	{"write/write-comm-2-overlap/one-sided-fence/ior", "079744280171fe29c141ac5cd2e398916982d2ae9b60079e82f775a61c06d8eb", 134217728},
 	{"write/write-comm-2-overlap/one-sided-lock/ior", "a71a5ef609eea42f8b19d38f1e5630a67e523822d91125fe5661a339f1ebee20", 134217728},
 	{"write/write-comm-2-overlap/one-sided-pscw/ior", "1082b4e00375b56259dd8f3a8b55957a6f53c32ff31e9981fab8cd7cf0b843a5", 134217728},
@@ -50,7 +45,6 @@ var pinnedDigests = []pinnedDigest{
 	{"read/write-overlap/two-sided/ior", "15817a4f316e50f11a5a9f8125ce3dd6123b46f15a46e791b3bbef1f0e5ce924", 134217728},
 	{"read/write-comm-overlap/two-sided/ior", "8f8d3fad98ab957369cd8a2c4228c6f083d0bb6ddaffc4c2859f448148bfb4e4", 134217728},
 	{"read/write-comm-2-overlap/two-sided/ior", "fa6673d34b9d3e3724cff72d38ed84b214b592b07482acc363d80473933e1b50", 134217728},
-	{"read/dataflow-overlap/two-sided/ior", "f89fa1042602bafb529a416a0bccde9522b31dc4a3c7093e350ec42b76834ae3", 134217728},
 	{"write/write-comm-2-overlap/two-sided/tile-ibex", "3731dd42a7f09806cfddc6cf85ad23d1431997105abca51a08d3004f88b92a34", 268435456},
 	{"write/no-overlap/two-sided/tile-ibex", "cc15c93981aa816e7dbef05f1977abaf3f7a289580acd8afc5683d923ccea379", 268435456},
 	{"write/write-comm-2-overlap/one-sided-fence/tile-crill", "08e057cbba8b0f447a4e078b0b5c24bc6b72ebeb724a61ba7a949edb23d686f8", 201326592},
@@ -76,7 +70,7 @@ func pinnedSpecs() []struct {
 			Algorithm: algo, Primitive: prim, Seed: seed, Read: read,
 		}})
 	}
-	for _, algo := range fcoll.AllAlgorithms {
+	for _, algo := range fcoll.Algorithms {
 		add(fmt.Sprintf("write/%v/two-sided/ior", algo),
 			platform.Crill(), iorGen, algo, fcoll.TwoSided, false, 3, 16)
 	}
@@ -84,7 +78,7 @@ func pinnedSpecs() []struct {
 		add(fmt.Sprintf("write/write-comm-2-overlap/%v/ior", prim),
 			platform.Crill(), iorGen, fcoll.WriteComm2Overlap, prim, false, 3, 16)
 	}
-	for _, algo := range fcoll.AllAlgorithms {
+	for _, algo := range fcoll.Algorithms {
 		add(fmt.Sprintf("read/%v/two-sided/ior", algo),
 			platform.Crill(), iorGen, algo, fcoll.TwoSided, true, 5, 16)
 	}

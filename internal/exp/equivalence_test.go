@@ -26,11 +26,6 @@ func TestDataSymbolicEquivalence(t *testing.T) {
 			Gen:       ior.Config{BlockSize: 2 << 20, Segments: 2},
 			Algorithm: fcoll.WriteComm2Overlap, Primitive: fcoll.TwoSided, Seed: 7,
 		}},
-		{"ior/dataflow/two-sided", Spec{
-			Platform: platform.Crill(), NProcs: 16,
-			Gen:       ior.Config{BlockSize: 2 << 20, Segments: 1},
-			Algorithm: fcoll.DataflowOverlap, Primitive: fcoll.TwoSided, Seed: 7,
-		}},
 		{"tile/write-comm-2/one-sided-fence", Spec{
 			Platform: platform.Crill(), NProcs: 24,
 			Gen:       tileio.Config{ElemSize: 1 << 14, ElemsX: 16, ElemsY: 8, Label: "eq"},

@@ -83,8 +83,8 @@ func QuickSweep() SweepConfig {
 	}
 }
 
-// FullSweep extends the sweep towards the paper's process counts
-// (16–704); expect a long runtime.
+// FullSweep extends the quick sweep's process counts to 16–256 (the
+// paper's reach 704 on crill and 729 on Ibex); expect a long runtime.
 func FullSweep() SweepConfig {
 	return SweepConfig{
 		Platforms:  platform.Platforms(),

@@ -44,7 +44,7 @@ func TestHierarchicalMatchesFlatWhenOneRankPerNode(t *testing.T) {
 		{"crill-flashio", onePerNode(platform.Crill(), 16), flashio.Default(), 16},
 	}
 	for _, tc := range cases {
-		for _, algo := range fcoll.AllAlgorithms {
+		for _, algo := range fcoll.Algorithms {
 			t.Run(fmt.Sprintf("%s/%v", tc.name, algo), func(t *testing.T) {
 				digest := func(hier bool) string {
 					rec := trace.New()

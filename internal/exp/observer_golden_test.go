@@ -23,8 +23,8 @@ type observerCell struct {
 }
 
 // observerCells covers every executor and every phase cause the
-// collective engine reports: exact two-sided writes under three overlap
-// algorithms (dataflow included), both one-sided synchronisation
+// collective engine reports: exact two-sided writes under two overlap
+// algorithms, both one-sided synchronisation
 // flavours, two collective reads, two hierarchical cells (the flashio one
 // pre-combines on its leaders), two bundled cells (chunked, and fluid-model with
 // per-member milestones) and one partitioned (-jrun 2) cell.
@@ -41,7 +41,6 @@ func observerCells() []observerCell {
 	for _, name := range []string{
 		"write/no-overlap/two-sided/ior",
 		"write/write-comm-2-overlap/two-sided/ior",
-		"write/dataflow-overlap/two-sided/ior",
 		"write/write-comm-2-overlap/one-sided-fence/ior",
 		"write/write-comm-2-overlap/one-sided-lock/ior",
 		"read/no-overlap/two-sided/ior",
@@ -121,7 +120,6 @@ type observerGolden struct {
 var observerGoldens = []observerGolden{
 	{"write/no-overlap/two-sided/ior", "93762b61abb494eca057d27b81da4b40d2b47bdf90214fd5e56f36b491dd9977", "3c018aeafe34dc0f48fada5fa0d915de9349f73e7152254f4ee080c68ea0d4ab", "f331ebd27db2c348c1dba93fe4ce675ef47d46cc998ee1b8df3f6f65b644dbb3", "b3d4cd7ad5260e3eb23dd09698fb387bcc646d052a81bf7abcde6661442f36ca"},
 	{"write/write-comm-2-overlap/two-sided/ior", "07af6bb838d82f7c4cfd27c23617d3dc331b6d0ca67a8d03f2d83159bbb27aa3", "8a166673fdd008bdd1116b1e36aff53cb4e13f355101b67a700ea6c9a4f1a9dd", "fbb987fb602e4de786ace087e8d70956d01d189b7b26b1eefeb03de0acaba4e7", "466cd0a70077419d52c6372f7b4c4867823669c681e042631b4929208bf647d0"},
-	{"write/dataflow-overlap/two-sided/ior", "bb0f598bf4ab5ea476370235a2fa62402d101ef66820948272a2e2d95bd0f6c0", "3b193137c140a95204d87b9ec134f22d22eec643f203fbbd0cb38dc934adf7fa", "fbb987fb602e4de786ace087e8d70956d01d189b7b26b1eefeb03de0acaba4e7", "c0bdbeadd703236c2f85cf1c64563c7c738d672caa750f92e5f2209b8579527b"},
 	{"write/write-comm-2-overlap/one-sided-fence/ior", "079744280171fe29c141ac5cd2e398916982d2ae9b60079e82f775a61c06d8eb", "6fc935523be9968ed4d3bb300f237d55c3f82f15824b9f09c1301f8ca2096d05", "a10ea292c7684931a73bfc71a7bcd5c30cdf595270b5746da6e842fbd89d2d42", "b76a6b867e6bcd4630eed59ed43ade41fd942b2ad2f3032078257a5dd082bc76"},
 	{"write/write-comm-2-overlap/one-sided-lock/ior", "a71a5ef609eea42f8b19d38f1e5630a67e523822d91125fe5661a339f1ebee20", "8d992c68204d63d6e24a94790bcc6224dbb3104ac25f1af7d2d281d0c174c225", "6bc5901f959341632e8ba749d65edaa5df6266d4522bb13d89a55fffe6a11870", "b67ae4f695014e35a930684571745ba36352a4ab3ee14cfdd8c7606d3f044139"},
 	{"read/no-overlap/two-sided/ior", "3bccde82c45c3eac9c227fd8e49463946af4ec9ba222793a5afc6c4ba79ea853", "1cceb2881c13c7f860ffa78e81ccba87b074e6f6aa7547b5cd3b8e4e7c54eb9e", "4251625c6318c8c9a167d88f5809f156d6a79a5c059e9aa991c89770a541525f", "95fa98a3a6cb86e868b2454f28a2ce934eb3bfee082e28121a5ae98657b3248b"},

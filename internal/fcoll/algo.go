@@ -1,10 +1,6 @@
 package fcoll
 
-import (
-	"fmt"
-
-	"collio/internal/sim"
-)
+import "fmt"
 
 // Stage is one of the two stages of a collective's cycle pipeline, with
 // its in-flight state kept per sub-buffer slot (0 or 1). The fill stage
@@ -20,11 +16,6 @@ type Stage interface {
 	// Wait for a communication stage, the blocking POSIX call (the rank
 	// leaves the MPI library) for a file I/O stage.
 	Sync(c, slot int)
-	// Future returns the completion future of the slot's in-flight
-	// operation, for the dataflow scheduler. A fill returns nil when the
-	// substrate cannot observe its completion passively (the one-sided
-	// shuffles); a drain returns nil when it has nothing in flight.
-	Future(slot int) *sim.Future
 }
 
 // Cycles is the substrate the overlap algorithms drive: one rank's (or
@@ -38,8 +29,6 @@ type Cycles interface {
 	NCycles() int
 	Fill() Stage
 	Drain() Stage
-	// WaitAny blocks until one of futs completes and returns its index.
-	WaitAny(futs ...*sim.Future) int
 }
 
 // Direction is a collective's data direction. Drive learns one fact from
@@ -91,8 +80,6 @@ func Drive(alg Algorithm, dir Direction, cy Cycles) error {
 	case WriteComm2Overlap:
 		fill.Init(0, 0)
 		drivePipelined(n, fill, drain, ioFill)
-	case DataflowOverlap:
-		driveDataflow(cy, ioFill)
 	default:
 		return fmt.Errorf("fcoll: unknown algorithm %v", alg)
 	}
@@ -194,64 +181,4 @@ func drivePipelined(n int, fill, drain Stage, ioFill bool) {
 	drain.Init(n-1, (n-1)%2)
 	drain.Wait(0)
 	drain.Wait(1)
-}
-
-// driveDataflow is the extension scheduler (see DataflowOverlap): an
-// event-driven loop that reacts to whichever non-blocking operation
-// completes first. A fill stage that cannot observe its completion
-// passively gets Algorithm 4's static order instead.
-func driveDataflow(cy Cycles, ioFill bool) {
-	n, fill, drain := cy.NCycles(), cy.Fill(), cy.Drain()
-	fill.Init(0, 0)
-	f := fill.Future(0)
-	if f == nil {
-		drivePipelined(n, fill, drain, ioFill)
-		return
-	}
-	type slotState struct {
-		cycle       int
-		fill, drain *sim.Future
-	}
-	st := [2]slotState{{fill: f}}
-	next := 1 // next cycle to fill
-	for {
-		// Post fills on every free sub-buffer first (follow-up-first
-		// posting discipline).
-		for s := 0; s < 2 && next < n; s++ {
-			if st[s].fill == nil && st[s].drain == nil {
-				fill.Init(next, s)
-				st[s].cycle, st[s].fill = next, fill.Future(s)
-				next++
-			}
-		}
-		// Collect everything in flight.
-		var futs []*sim.Future
-		var what []int // slot*2 + (0 fill / 1 drain)
-		for s := 0; s < 2; s++ {
-			if st[s].fill != nil {
-				futs = append(futs, st[s].fill)
-				what = append(what, s*2)
-			}
-			if st[s].drain != nil {
-				futs = append(futs, st[s].drain)
-				what = append(what, s*2+1)
-			}
-		}
-		if len(futs) == 0 {
-			break
-		}
-		idx := cy.WaitAny(futs...)
-		s := what[idx] / 2
-		if what[idx]%2 == 0 {
-			// Fill done: finish it and immediately post the drain.
-			fill.Wait(s)
-			st[s].fill = nil
-			drain.Init(st[s].cycle, s)
-			st[s].drain = drain.Future(s)
-		} else {
-			// Drain done: the sub-buffer is free for the next fill.
-			drain.Wait(s)
-			st[s].drain = nil
-		}
-	}
 }

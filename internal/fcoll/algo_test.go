@@ -6,24 +6,15 @@ import (
 	"testing"
 
 	"collio/internal/fcoll"
-	"collio/internal/sim"
 )
 
 // fakeCycles records the operations Drive issues on two fake stages,
 // fill ("f") and drain ("d"), as op(cycle,slot), and checks the
 // substrate contract as it goes, recording a BUG: op on a violation.
-// Init hands out a fresh future per operation; with passive unset the
-// fill's Future is nil (the one-sided shuffles). WaitAny reports the
-// earliest-posted live future as the first to complete; the driver then
-// reaps it with Wait.
 type fakeCycles struct {
-	n       int
-	passive bool
+	n int
 
 	ops         []string
-	label       map[*sim.Future]string
-	posted      map[*sim.Future]int // posting order of each live future
-	seq         int
 	fill, drain fakeStage
 	filled      [2]int // cycle filled into each slot awaiting its drain, -1 when none
 }
@@ -31,18 +22,12 @@ type fakeCycles struct {
 type fakeStage struct {
 	f     *fakeCycles
 	name  string
-	open  [2]int // cycle in flight per slot, -1 when idle
-	fut   [2]*sim.Future
+	open  [2]int      // cycle in flight per slot, -1 when idle
 	count map[int]int // completions per cycle
 }
 
-func newFake(n int, passive bool) *fakeCycles {
-	f := &fakeCycles{
-		n: n, passive: passive,
-		label:  map[*sim.Future]string{},
-		posted: map[*sim.Future]int{},
-		filled: [2]int{-1, -1},
-	}
+func newFake(n int) *fakeCycles {
+	f := &fakeCycles{n: n, filled: [2]int{-1, -1}}
 	f.fill = fakeStage{f: f, name: "f", open: [2]int{-1, -1}, count: map[int]int{}}
 	f.drain = fakeStage{f: f, name: "d", open: [2]int{-1, -1}, count: map[int]int{}}
 	return f
@@ -87,11 +72,6 @@ func (s *fakeStage) Init(c, slot int) {
 	s.post(c, slot)
 	s.f.rec("%si(%d,%d)", s.name, c, slot)
 	s.open[slot] = c
-	fut := new(sim.Future)
-	s.f.label[fut] = fmt.Sprint(s.name, c)
-	s.f.posted[fut] = s.f.seq
-	s.f.seq++
-	s.fut[slot] = fut
 }
 
 func (s *fakeStage) Wait(slot int) {
@@ -103,8 +83,7 @@ func (s *fakeStage) Wait(slot int) {
 		s.f.rec("%sw(-,%d)", s.name, slot)
 		return
 	}
-	delete(s.f.posted, s.fut[slot])
-	s.open[slot], s.fut[slot] = -1, nil
+	s.open[slot] = -1
 	s.f.rec("%sw(%d,%d)", s.name, c, slot)
 	s.done(c, slot)
 }
@@ -115,32 +94,9 @@ func (s *fakeStage) Sync(c, slot int) {
 	s.done(c, slot)
 }
 
-func (s *fakeStage) Future(slot int) *sim.Future {
-	if s.isFill() && !s.f.passive {
-		return nil
-	}
-	return s.fut[slot]
-}
-
-func (f *fakeCycles) WaitAny(futs ...*sim.Future) int {
-	best := -1
-	for i, fut := range futs {
-		if _, ok := f.posted[fut]; ok && (best < 0 || f.posted[fut] < f.posted[futs[best]]) {
-			best = i
-		}
-	}
-	if best < 0 {
-		f.rec("BUG:waitany-nothing-live")
-		return 0
-	}
-	delete(f.posted, futs[best])
-	f.rec("any(%s)", f.label[futs[best]])
-	return best
-}
-
-func drive(t *testing.T, alg fcoll.Algorithm, dir fcoll.Direction, n int, passive bool) *fakeCycles {
+func drive(t *testing.T, alg fcoll.Algorithm, dir fcoll.Direction, n int) *fakeCycles {
 	t.Helper()
-	f := newFake(n, passive)
+	f := newFake(n)
 	if err := fcoll.Drive(alg, dir, f); err != nil {
 		t.Fatal(err)
 	}
@@ -148,14 +104,13 @@ func drive(t *testing.T, alg fcoll.Algorithm, dir fcoll.Direction, n int, passiv
 }
 
 // driverOrder pins the exact operation sequence of every algorithm in
-// both directions at one, two and three cycles (dataflow with passive
-// fill completion; its nil-future fallback is
-// TestDriveDataflowFallsBackToStatic). A write fills by shuffling and
-// drains by writing, a read fills by reading and drains by scattering,
-// so the rows show the direction's mapping: write comm-overlap and read
-// write-overlap share Algorithm 1's shape, write write-overlap and read
-// comm-overlap Algorithm 2's; Algorithms 3 and 4 post the I/O stage's
-// operation first (di before fi on a write, fi before di on a read).
+// both directions at one, two and three cycles. A write fills by
+// shuffling and drains by writing, a read fills by reading and drains by
+// scattering, so the rows show the direction's mapping: write
+// comm-overlap and read write-overlap share Algorithm 1's shape, write
+// write-overlap and read comm-overlap Algorithm 2's; Algorithms 3 and 4
+// post the I/O stage's operation first (di before fi on a write, fi
+// before di on a read).
 var driverOrder = map[string]string{
 	"write/no-overlap/1": "fs(0,0) ds(0,0)",
 	"write/no-overlap/2": "fs(0,0) ds(0,0) fs(1,0) ds(1,0)",
@@ -177,10 +132,6 @@ var driverOrder = map[string]string{
 	"write/write-comm-2-overlap/2": "fi(0,0) fw(0,0) di(0,0) dw(-,1) fi(1,1) fw(1,1) di(1,1) dw(0,0) dw(1,1)",
 	"write/write-comm-2-overlap/3": "fi(0,0) fw(0,0) di(0,0) dw(-,1) fi(1,1) fw(1,1) di(1,1) dw(0,0) fi(2,0) fw(2,0) di(2,0) dw(2,0) dw(1,1)",
 
-	"write/dataflow-overlap/1": "fi(0,0) any(f0) fw(0,0) di(0,0) any(d0) dw(0,0)",
-	"write/dataflow-overlap/2": "fi(0,0) fi(1,1) any(f0) fw(0,0) di(0,0) any(f1) fw(1,1) di(1,1) any(d0) dw(0,0) any(d1) dw(1,1)",
-	"write/dataflow-overlap/3": "fi(0,0) fi(1,1) any(f0) fw(0,0) di(0,0) any(f1) fw(1,1) di(1,1) any(d0) dw(0,0) fi(2,0) any(d1) dw(1,1) any(f2) fw(2,0) di(2,0) any(d2) dw(2,0)",
-
 	"read/no-overlap/1": "fs(0,0) ds(0,0)",
 	"read/no-overlap/2": "fs(0,0) ds(0,0) fs(1,0) ds(1,0)",
 	"read/no-overlap/3": "fs(0,0) ds(0,0) fs(1,0) ds(1,0) fs(2,0) ds(2,0)",
@@ -200,10 +151,6 @@ var driverOrder = map[string]string{
 	"read/write-comm-2-overlap/1": "fi(0,0) fw(0,0) di(0,0) dw(0,0) dw(-,1)",
 	"read/write-comm-2-overlap/2": "fi(0,0) fw(0,0) dw(-,1) fi(1,1) di(0,0) fw(1,1) di(1,1) dw(0,0) dw(1,1)",
 	"read/write-comm-2-overlap/3": "fi(0,0) fw(0,0) dw(-,1) fi(1,1) di(0,0) fw(1,1) dw(0,0) fi(2,0) di(1,1) fw(2,0) di(2,0) dw(2,0) dw(1,1)",
-
-	"read/dataflow-overlap/1": "fi(0,0) any(f0) fw(0,0) di(0,0) any(d0) dw(0,0)",
-	"read/dataflow-overlap/2": "fi(0,0) fi(1,1) any(f0) fw(0,0) di(0,0) any(f1) fw(1,1) di(1,1) any(d0) dw(0,0) any(d1) dw(1,1)",
-	"read/dataflow-overlap/3": "fi(0,0) fi(1,1) any(f0) fw(0,0) di(0,0) any(f1) fw(1,1) di(1,1) any(d0) dw(0,0) fi(2,0) any(d1) dw(1,1) any(f2) fw(2,0) di(2,0) any(d2) dw(2,0)",
 }
 
 // TestDriveOrder pins the operation sequence Drive issues per direction,
@@ -213,10 +160,10 @@ var driverOrder = map[string]string{
 // drained exactly once, nothing left in flight.
 func TestDriveOrder(t *testing.T) {
 	for _, dir := range []fcoll.Direction{fcoll.Write, fcoll.Read} {
-		for _, alg := range fcoll.AllAlgorithms {
+		for _, alg := range fcoll.Algorithms {
 			for n := 1; n <= 3; n++ {
 				name := fmt.Sprintf("%v/%v/%d", dir, alg, n)
-				f := drive(t, alg, dir, n, true)
+				f := drive(t, alg, dir, n)
 				got := strings.Join(f.ops, " ")
 				if got != driverOrder[name] {
 					t.Errorf("%s:\n  got:  %s\n  want: %s", name, got, driverOrder[name])
@@ -250,7 +197,7 @@ func checkContract(t *testing.T, name string, f *fakeCycles) {
 // guards against: a fill posted into a slot whose drain is still in
 // flight.
 func TestDriveOrderFlagsReopenedSlot(t *testing.T) {
-	f := newFake(2, true)
+	f := newFake(2)
 	f.fill.Sync(0, 0)
 	f.drain.Init(0, 0)
 	f.fill.Init(1, 0)
@@ -269,7 +216,7 @@ func TestDriveWriteOverlapWaitsEveryWrite(t *testing.T) {
 		dir fcoll.Direction
 	}{{fcoll.WriteOverlap, fcoll.Write}, {fcoll.CommOverlap, fcoll.Read}} {
 		for _, n := range []int{1, 3, 5} {
-			f := drive(t, run.alg, run.dir, n, true)
+			f := drive(t, run.alg, run.dir, n)
 			last := fmt.Sprintf("dw(%d,%d)", n-1, (n-1)%2)
 			tail := f.ops[len(f.ops)-2:]
 			if tail[0] != last && tail[1] != last {
@@ -290,7 +237,7 @@ func TestDriveWriteOverlapWaitsEveryWrite(t *testing.T) {
 func TestDriveWriteComm2CycleOrder(t *testing.T) {
 	const n = 5
 	for _, dir := range []fcoll.Direction{fcoll.Write, fcoll.Read} {
-		got := strings.Join(drive(t, fcoll.WriteComm2Overlap, dir, n, true).ops, " ")
+		got := strings.Join(drive(t, fcoll.WriteComm2Overlap, dir, n).ops, " ")
 		for c := 1; c < n; c++ {
 			s, freed := c%2, "-"
 			if c >= 2 {
@@ -310,23 +257,8 @@ func TestDriveWriteComm2CycleOrder(t *testing.T) {
 	}
 }
 
-// TestDriveDataflowFallsBackToStatic: a substrate without a fill
-// completion future (the one-sided shuffles) gets Algorithm 4's static
-// order from the dataflow scheduler.
-func TestDriveDataflowFallsBackToStatic(t *testing.T) {
-	for _, dir := range []fcoll.Direction{fcoll.Write, fcoll.Read} {
-		for n := 1; n <= 3; n++ {
-			df := strings.Join(drive(t, fcoll.DataflowOverlap, dir, n, false).ops, " ")
-			static := strings.Join(drive(t, fcoll.WriteComm2Overlap, dir, n, false).ops, " ")
-			if df != static {
-				t.Errorf("%v %d cycles: dataflow without completion futures\n  got:  %s\n  want: %s", dir, n, df, static)
-			}
-		}
-	}
-}
-
 func TestDriveRejectsUnknownAlgorithm(t *testing.T) {
-	if err := fcoll.Drive(fcoll.Algorithm(99), fcoll.Write, newFake(1, true)); err == nil {
+	if err := fcoll.Drive(fcoll.Algorithm(99), fcoll.Write, newFake(1)); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
 }

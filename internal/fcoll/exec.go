@@ -33,7 +33,7 @@ type exec struct {
 
 	shState   [2]shuffle         // per-slot shuffle or scatter state, reused across cycles
 	ioFut     [2]*sim.Future     // per-slot asynchronous file I/O in flight
-	wire      *[2]slotCompletion // per-slot joins and I/O spans, allocated on first use
+	wire      *[2]slotCompletion // per-slot I/O spans, allocated on first use
 	copied    sim.Future         // chargeCopy's completion, reused per copy
 	stageBuf  [2][]byte          // per-slot staged-receive arenas (data mode)
 	stageUsed [2]int64
@@ -60,8 +60,7 @@ func Run(r *mpi.Rank, jv *JobView, file Writer, opts Options) (Result, error) {
 // — and runs on the same drivers (Drive), so each overlap algorithm's
 // non-blocking role lands on the other stage: CommOverlap scatters
 // asynchronously, WriteOverlap reads ahead (the read-ahead of view-based
-// collective I/O the paper's related work discusses), and
-// DataflowOverlap reacts to read and scatter completions. Only the
+// collective I/O the paper's related work discusses). Only the
 // two-sided primitive and flat aggregation are implemented for the
 // scatter. Result.BytesWritten and WriteTime account the file reads.
 //
@@ -195,7 +194,6 @@ type shuffle struct {
 	reqs        []*mpi.Request // two-sided: sends + receives
 	staged      []stagedRecv   // data mode: receives needing unpacking
 	unpackBytes int64
-	futs        []*sim.Future // reqFuture scratch
 }
 
 // stagedRecv is a fragmented receive: the packed message holds the
@@ -222,8 +220,6 @@ func (ex *exec) Drain() Stage {
 	}
 	return (*fileStage)(ex)
 }
-
-func (ex *exec) WaitAny(futs ...*sim.Future) int { return ex.r.WaitAnyFuture(futs...) }
 
 // openSlot opens cycle c's communication on slot and returns the slot's
 // recycled state: it stays valid until the next openSlot on the same
@@ -260,27 +256,11 @@ func (ex *exec) closeSlot(sh *shuffle, t0 sim.Time) {
 	sh.open = false
 }
 
-// reqFuture arms the slot's join over all of sh's requests and returns
-// it. The drivers ask for it once per opening and wait on it before the
-// slot reopens, so the join has completed by the time it is re-armed.
-func (ex *exec) reqFuture(sh *shuffle) *sim.Future {
-	sh.futs = sh.futs[:0]
-	for _, q := range sh.reqs {
-		sh.futs = append(sh.futs, q.Future())
-	}
-	w := &ex.wiring()[sh.slot]
-	ex.r.Kernel().InitJoin(&w.reqs, sh.futs...)
-	return &w.reqs
-}
-
-// slotCompletion is one sub-buffer slot's caller-owned completions: the
-// join over the slot's requests (reqFuture), the completion of a read's
-// fill that moves nothing, and the span an observed asynchronous file
-// I/O records when it completes (span, a step bound once).
+// slotCompletion is one sub-buffer slot's span wiring: the span an
+// observed asynchronous file I/O records when it completes (span, a
+// step bound once).
 type slotCompletion struct {
 	ex    *exec
-	reqs  sim.Future
-	none  sim.Future
 	cycle int
 	t0    sim.Time
 	n     int64
@@ -288,9 +268,9 @@ type slotCompletion struct {
 	span  sim.Event[slotCompletion]
 }
 
-// wiring returns the per-slot completions, allocated on first use: only
-// the dataflow driver and observed runs need them, and an exec is
-// allocated per rank and collective.
+// wiring returns the per-slot span wiring, allocated on first use: only
+// observed runs need it, and an exec is allocated per rank and
+// collective.
 func (ex *exec) wiring() *[2]slotCompletion {
 	if ex.wire == nil {
 		ex.wire = new([2]slotCompletion)
@@ -455,16 +435,6 @@ func (s *shuffleStage) Wait(slot int) {
 func (s *shuffleStage) Sync(c, slot int) {
 	s.Init(c, slot)
 	s.Wait(slot)
-}
-
-// Future covers all of the slot's shuffle requests. Only the two-sided
-// primitive completes passively; the one-sided ones return nil.
-func (s *shuffleStage) Future(slot int) *sim.Future {
-	ex := (*exec)(s)
-	if ex.opts.Primitive != TwoSided {
-		return nil
-	}
-	return ex.reqFuture(&ex.shState[slot])
 }
 
 // cycleOrigins lists the world ranks sending into this aggregator's
@@ -646,18 +616,4 @@ func (s *fileStage) Wait(slot int) {
 	t0 := ex.r.Now()
 	ex.r.WaitFutures(f)
 	ex.res.WriteTime += ex.r.Now() - t0
-}
-
-// Future returns the slot's I/O completion. A read's fill must stay
-// observable when this rank reads nothing, so it completes at once:
-// the slot's empty join, one hop after arming.
-func (s *fileStage) Future(slot int) *sim.Future {
-	ex := (*exec)(s)
-	f := ex.ioFut[slot]
-	if f == nil && ex.dir == Read {
-		w := &ex.wiring()[slot]
-		ex.r.Kernel().InitJoin(&w.none)
-		return &w.none
-	}
-	return f
 }

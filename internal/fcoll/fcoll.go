@@ -42,21 +42,10 @@ const (
 	// completed non-blocking operation is immediately followed by
 	// posting its successor, one cycle per step.
 	WriteComm2Overlap
-	// DataflowOverlap is an extension beyond the paper: a fully
-	// event-driven scheduler that reacts to whichever operation
-	// (shuffle or write) completes first and immediately posts its
-	// follow-up on the freed sub-buffer. Only the two-sided primitive
-	// can observe shuffle completion passively; one-sided primitives
-	// fall back to WriteComm2Overlap's static order.
-	DataflowOverlap
 )
 
 // Algorithms lists the paper's overlap strategies in paper order.
 var Algorithms = []Algorithm{NoOverlap, CommOverlap, WriteOverlap, WriteCommOverlap, WriteComm2Overlap}
-
-// AllAlgorithms additionally includes the extension strategies built on
-// top of the paper's design space.
-var AllAlgorithms = append(append([]Algorithm(nil), Algorithms...), DataflowOverlap)
 
 func (a Algorithm) String() string {
 	switch a {
@@ -70,8 +59,6 @@ func (a Algorithm) String() string {
 		return "write-comm-overlap"
 	case WriteComm2Overlap:
 		return "write-comm-2-overlap"
-	case DataflowOverlap:
-		return "dataflow-overlap"
 	}
 	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
@@ -80,7 +67,7 @@ func (a Algorithm) String() string {
 // writes (the property Table I's 71% observation groups by).
 func (a Algorithm) UsesAsyncWrite() bool {
 	switch a {
-	case WriteOverlap, WriteCommOverlap, WriteComm2Overlap, DataflowOverlap:
+	case WriteOverlap, WriteCommOverlap, WriteComm2Overlap:
 		return true
 	}
 	return false

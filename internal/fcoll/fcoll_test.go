@@ -182,7 +182,7 @@ func verifyFile(t *testing.T, rg *rig, jv *fcoll.JobView) {
 // a byte-identical file for the 1-D block (IOR-style) pattern, with a
 // buffer small enough to force many cycles.
 func TestAllCombinationsBlockView(t *testing.T) {
-	for _, algo := range fcoll.AllAlgorithms {
+	for _, algo := range fcoll.Algorithms {
 		for _, prim := range fcoll.AllPrimitives {
 			algo, prim := algo, prim
 			t.Run(fmt.Sprintf("%v/%v", algo, prim), func(t *testing.T) {
@@ -206,7 +206,7 @@ func TestAllCombinationsBlockView(t *testing.T) {
 // pattern that produces multi-segment send and receive maps (packing,
 // unpacking, multi-Put paths).
 func TestAllCombinationsStridedView(t *testing.T) {
-	for _, algo := range fcoll.AllAlgorithms {
+	for _, algo := range fcoll.Algorithms {
 		for _, prim := range fcoll.AllPrimitives {
 			algo, prim := algo, prim
 			t.Run(fmt.Sprintf("%v/%v", algo, prim), func(t *testing.T) {

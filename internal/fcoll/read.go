@@ -18,8 +18,7 @@ type Reader interface {
 
 // scatterStage is a collective read's drain, the reverse shuffle: every
 // rank receives its view pieces of cycle c, and aggregators pack and
-// send each destination's data out of the slot's sub-buffer. Its
-// completion future plays the role the shuffle's does for a write.
+// send each destination's data out of the slot's sub-buffer.
 type scatterStage exec
 
 func (s *scatterStage) Init(c, slot int) {
@@ -64,9 +63,4 @@ func (s *scatterStage) Wait(slot int) {
 func (s *scatterStage) Sync(c, slot int) {
 	s.Init(c, slot)
 	s.Wait(slot)
-}
-
-func (s *scatterStage) Future(slot int) *sim.Future {
-	ex := (*exec)(s)
-	return ex.reqFuture(&ex.shState[slot])
 }

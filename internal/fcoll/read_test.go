@@ -48,7 +48,7 @@ func verifyRead(t *testing.T, jv *fcoll.JobView, want *fcoll.JobView) {
 // placed in the file, each overlap algorithm collectively reads it, and
 // every rank's buffer must match its view bytes exactly.
 func TestCollectiveReadAllAlgorithms(t *testing.T) {
-	for _, algo := range fcoll.AllAlgorithms {
+	for _, algo := range fcoll.Algorithms {
 		algo := algo
 		t.Run(algo.String(), func(t *testing.T) {
 			rg := newRig(t, 6, 2, 31)
@@ -80,7 +80,7 @@ func TestCollectiveReadAllAlgorithms(t *testing.T) {
 // TestCollectiveReadStrided exercises the staged-unpack path (multi-
 // segment placement at the destination ranks).
 func TestCollectiveReadStrided(t *testing.T) {
-	for _, algo := range fcoll.AllAlgorithms {
+	for _, algo := range fcoll.Algorithms {
 		algo := algo
 		t.Run(algo.String(), func(t *testing.T) {
 			rg := newRig(t, 4, 2, 37)

@@ -32,11 +32,6 @@ type Request struct {
 // valid before the request is recycled by Wait.
 func (q *Request) Received() int64 { return q.recvd }
 
-// Future exposes the underlying completion, for WaitAny-style dataflow
-// loops in the collective engine. It lives inside the request: it must
-// not be used after the request's Wait.
-func (q *Request) Future() *sim.Future { return &q.fut }
-
 // Isend starts a non-blocking send of pl to rank dst with the given tag
 // and returns its request. Messages below the eager limit are injected
 // immediately and buffered at the receiver if unmatched; larger messages
@@ -174,15 +169,6 @@ func (r *Rank) WaitFutures(fs ...*sim.Future) {
 	defer e.exit()
 	defer r.waitSpan()()
 	r.p.WaitAll(fs...)
-}
-
-// WaitAnyFuture blocks inside MPI until one of fs completes, returning
-// its index.
-func (r *Rank) WaitAnyFuture(fs ...*sim.Future) int {
-	e := r.eng
-	e.enter()
-	defer e.exit()
-	return r.p.WaitAny(fs...)
 }
 
 // Send is a blocking send (Isend + Wait).

@@ -157,36 +157,3 @@ func (p *Proc) WaitAll(fs ...*Future) {
 		}
 	}
 }
-
-// anyFuture completes on the first completion among the futures it is
-// registered on, and ignores the rest.
-type anyFuture struct{ out Future }
-
-func (a *anyFuture) fire() {
-	if !a.out.done {
-		a.out.Complete()
-	}
-}
-
-// WaitAny blocks until at least one future in fs has completed and
-// returns the index of a completed future. fs must be non-empty.
-func (p *Proc) WaitAny(fs ...*Future) int {
-	for i, f := range fs {
-		if f != nil && f.done {
-			return i
-		}
-	}
-	agg := &anyFuture{out: Future{k: p.k}}
-	for _, f := range fs {
-		if f != nil {
-			f.register(agg)
-		}
-	}
-	p.Wait(&agg.out)
-	for i, f := range fs {
-		if f != nil && f.done {
-			return i
-		}
-	}
-	panic("sim: WaitAny woke with no completed future")
-}

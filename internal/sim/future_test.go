@@ -76,43 +76,6 @@ func TestWaitAll(t *testing.T) {
 	}
 }
 
-func TestWaitAny(t *testing.T) {
-	k := NewKernel(1)
-	f1, f2 := newFuture(k), newFuture(k)
-	k.At(50, f1.Complete)
-	k.At(10, f2.Complete)
-	var idx int
-	var woke Time
-	k.Spawn("w", func(p *Proc) {
-		idx = p.WaitAny(f1, f2)
-		woke = p.Now()
-	})
-	k.Run()
-	if idx != 1 {
-		t.Fatalf("WaitAny index = %d, want 1", idx)
-	}
-	if woke != 10 {
-		t.Fatalf("WaitAny woke at %v, want 10", woke)
-	}
-}
-
-func TestWaitAnyAlreadyDone(t *testing.T) {
-	k := NewKernel(1)
-	f1, f2 := newFuture(k), newFuture(k)
-	k.At(1, f1.Complete)
-	k.Spawn("w", func(p *Proc) {
-		p.Sleep(5)
-		if idx := p.WaitAny(f1, f2); idx != 0 {
-			t.Errorf("WaitAny = %d, want 0", idx)
-		}
-		if p.Now() != 5 {
-			t.Errorf("WaitAny blocked until %v, want 5", p.Now())
-		}
-	})
-	k.At(100, f2.Complete) // keep queue alive so f2 eventually completes
-	k.Run()
-}
-
 func TestJoin(t *testing.T) {
 	k := NewKernel(1)
 	f1, f2 := newFuture(k), newFuture(k)
