@@ -7,7 +7,9 @@
 // produce — so the invariants are checked mechanically on every tree.
 // Rules whose state lives at run time are checked there instead: RMA
 // epoch balance by mpi.Window on every call, blocking from kernel
-// context by sim.Proc.
+// context by sim.Proc, and the lifetime of pooled handles (requests,
+// protocol messages, transfers, put completions) and of Put payloads
+// by the handles themselves.
 //
 // The package is built only on the standard library (go/ast, go/parser,
 // go/types and a `go list`-based package enumerator); the module stays
@@ -19,8 +21,6 @@
 //
 //	wallclock            no wall-clock time or global math/rand inside
 //	                     the deterministic simulator packages
-//	payloadalias         a buffer handed to Isend/Put is not mutated
-//	                     before the operation completes
 //	kernelshare          no *sim.Kernel, *sim.Proc or *rand.Rand crosses
 //	                     a goroutine boundary outside the kernel (the
 //	                     parallel sweep runner's one-kernel-per-worker
@@ -31,13 +31,6 @@
 //	                     string concatenation) inside a range over a map
 //	                     in the deterministic zone (iteration order is
 //	                     randomized per process)
-//	poolpath             pooled mpi.Request and mpi.msg handles are
-//	                     released on every path, exactly once, and never
-//	                     used after release; a dropped Isend/Irecv result
-//	                     is a leak (MPI progress is pull-based: an
-//	                     unwaited request is lost protocol state); a lent
-//	                     simnet.Transfer is not kept past its sending
-//	                     event (path-sensitive over the CFG)
 //	simtime              no sim.Time <-> time.Duration casts and no raw
 //	                     byte count cast to sim.Time without a cost
 //	                     scale inside the deterministic zone
@@ -102,17 +95,15 @@ type Analyzer struct {
 	Run  func(*Pass) error
 }
 
-// All returns the full collvet suite in stable order. The first three
-// are per-node syntactic matchers; the next four are flow-sensitive
+// All returns the full collvet suite in stable order. The first two
+// are per-node syntactic matchers; the next three are flow-sensitive
 // analyzers over the CFG/dataflow core (cfg.go, dataflow.go); memosafe
 // is a type-shape check over marked declarations.
 func All() []*Analyzer {
 	return []*Analyzer{
 		WallClock,
-		PayloadAlias,
 		KernelShare,
 		MapOrder,
-		PoolPath,
 		SimTime,
 		Lookahead,
 		MemoSafe,

@@ -41,8 +41,9 @@ import (
 // dropping the deleted Future.OnDone from its hazards; v6 is poolpath
 // dropping its rule for a future taken from a pooled request, and
 // payloadalias dropping a completer, both with the MPI calls they
-// checked.
-const cacheSchema = "collvet-cache-v6"
+// checked; v7 is the deletion of poolpath and payloadalias, whose
+// rules the pooled handles now check at run time.
+const cacheSchema = "collvet-cache-v7"
 
 // Cache is a directory of per-package analysis results.
 type Cache struct {

@@ -40,7 +40,7 @@ func TestRunCached(t *testing.T) {
 
 	// A different analyzer selection is a different config hash: the
 	// warm entries must not be served.
-	_, s3, err := RunCached("", patterns, []*Analyzer{PoolPath}, cache)
+	_, s3, err := RunCached("", patterns, []*Analyzer{MapOrder}, cache)
 	if err != nil {
 		t.Fatal(err)
 	}

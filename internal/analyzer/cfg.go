@@ -1,12 +1,12 @@
 package analyzer
 
 // Control-flow graphs for the dataflow analyzers (see dataflow.go for
-// the solver). The first five collvet analyzers are per-node syntactic
-// matchers; the flow-sensitive rules (maporder, poolpath, simtime,
-// lookahead) need to answer path questions — "is Wait called on
-// *every* path from this Isend to a return?" — so this file lowers one
-// function body into basic blocks of *atomic* nodes connected by
-// control edges.
+// the solver). Two collvet analyzers are per-node syntactic matchers;
+// the flow-sensitive rules (maporder, simtime, lookahead) need to
+// answer path questions — "which blocks does this map loop's body
+// reach?", "is this variable Now()+c on every path here?" — so this
+// file lowers one function body into basic blocks of *atomic* nodes
+// connected by control edges.
 //
 // Atomic nodes are simple statements (assignments, expression and
 // send statements, declarations, inc/dec, returns) and the *condition
@@ -16,8 +16,7 @@ package analyzer
 // transfer function may ast.Inspect every node of a block without
 // ever seeing the same source construct twice. Function literals DO
 // appear inline (inside whatever expression carries them): analyzers
-// decide per-rule whether a closure body is "executed here"
-// (conservatively true for lifetime rules — matching payloadalias).
+// decide per-rule whether a closure body is "executed here".
 //
 // Two constructs get special treatment:
 //

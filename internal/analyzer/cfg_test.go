@@ -49,7 +49,7 @@ func blockCalling(cfg *CFG, name string) *Block {
 }
 
 // mustReach solves "is a call to name guaranteed on every path from
-// entry to exit?" — the shape of poolpath's must-release property.
+// entry to exit?" — the shape of a must-release property.
 func mustReach(cfg *CFG, name string) bool {
 	if cfg.Unstructured {
 		return false

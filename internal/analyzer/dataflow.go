@@ -4,9 +4,8 @@ package analyzer
 // deliberately tiny: facts are whatever map/struct an analyzer wants,
 // the lattice is expressed through two callbacks (join, transfer), and
 // may/must distinctions live entirely inside the analyzer's fact
-// encoding (poolpath, for example, keeps a bitmask of possible handle
-// states per object, so "must be released" is the singleton {released}
-// and "released on some path only" is {live, released}).
+// encoding (a bitmask of possible states per object, say, makes "must"
+// a singleton and "on some path only" a two-bit mask).
 //
 // Protocol:
 //

@@ -17,7 +17,7 @@ import (
 // fixture package under testdata/src carries `// want "regex"` comments
 // on the lines where a diagnostic is expected; the test fails on any
 // unmatched expectation and on any unexpected diagnostic. Fixture-local
-// imports (the mpi and sim stubs) resolve to sibling directories under
+// imports (the mpi, sim and simnet stubs) resolve to sibling directories under
 // testdata/src, everything else to the standard library.
 
 type fixtureLoader struct {
@@ -170,23 +170,8 @@ func TestWallClockFixtures(t *testing.T) {
 		"wallclock/internal/metrics", "wallclock/internal/metrics/export")
 }
 
-func TestPayloadAliasFixtures(t *testing.T) {
-	runFixtureTest(t, PayloadAlias, "payloadalias")
-}
-
 func TestKernelShareFixtures(t *testing.T) {
 	runFixtureTest(t, KernelShare, "kernelshare")
-}
-
-func TestPoolPathFixtures(t *testing.T) {
-	runFixtureTest(t, PoolPath, "poolpath", "poolpath/msgpool")
-}
-
-// TestRequestLeakFixtures pins poolpath's request-leak shapes (dropped
-// Isend/Irecv results, observe-only uses, request slices) on their own
-// fixture package.
-func TestRequestLeakFixtures(t *testing.T) {
-	runFixtureTest(t, PoolPath, "poolpath/requestleak")
 }
 
 func TestMapOrderFixtures(t *testing.T) {

@@ -20,7 +20,7 @@ import (
 //
 //   - Live simulator handles — *sim.Kernel, *sim.Proc (the kernelshare
 //     single-owner types) and the pooled *mpi.Request /
-//     *simnet.Transfer (the poolpath recycled types). A memoized value
+//     *simnet.Transfer (recycled by their pools). A memoized value
 //     holding one pins freed protocol state past its simulation, and a
 //     warm cache hit would resurrect a handle whose pool slot has long
 //     been recycled by a different run.
@@ -147,17 +147,24 @@ func (w *memoWalker) report(path string, t types.Type, what string) {
 }
 
 // liveHandleLabel names t if it is one of the simulator-owned handle
-// types the suite already polices elsewhere: the kernelshare
-// single-owner types (*sim.Kernel, *sim.Proc) and the poolpath pooled
-// types (*mpi.Request, *mpi.msg, *simnet.Transfer). Matching is by package NAME,
-// as in those analyzers, so the testdata stubs behave like the real
-// packages.
+// types: the kernelshare single-owner types (*sim.Kernel, *sim.Proc)
+// and the pooled types (*mpi.Request, *mpi.msg, *simnet.Transfer).
+// Matching is by package NAME, as in kernelshare, so the testdata
+// stubs behave like the real packages.
 func liveHandleLabel(t types.Type) (string, bool) {
-	if isKernelOwnedType(t) {
-		return typeLabel(t), true
-	}
-	if _, _, pooled := poolHandleKind(t); pooled {
+	if isKernelOwnedType(t) || isPooledHandle(t) {
 		return typeLabel(t), true
 	}
 	return "", false
+}
+
+// isPooledHandle reports whether t points to a type whose objects a
+// sim.Pool recycles and that leaves its package as a handle.
+func isPooledHandle(t types.Type) bool {
+	ptr, ok := t.(*types.Pointer)
+	if !ok {
+		return false
+	}
+	e := ptr.Elem()
+	return isNamedType(e, "mpi", "Request") || isNamedType(e, "mpi", "msg") || isNamedType(e, "simnet", "Transfer")
 }

@@ -291,5 +291,9 @@ func isByteSlice(t types.Type) bool {
 		return false
 	}
 	s, ok := t.Underlying().(*types.Slice)
-	return ok && isByte(s.Elem())
+	if !ok {
+		return false
+	}
+	b, ok := s.Elem().Underlying().(*types.Basic)
+	return ok && b.Kind() == types.Byte
 }

@@ -5,28 +5,28 @@ import (
 	"testing"
 )
 
-// TestSuppressHonored runs a legacy analyzer and a CFG-based one over
-// the suppress fixture: the waived findings vanish (one waiver names
-// both analyzers), the unrelated one survives (it has a want comment),
-// and the suppressed count is exact.
+// TestSuppressHonored runs a syntactic analyzer and a CFG-based one
+// over the suppress fixture: the waived findings vanish (one waiver
+// names both analyzers), the unrelated one survives (it has a want
+// comment), and the suppressed count is exact.
 func TestSuppressHonored(t *testing.T) {
-	runFixtureAnalyzers(t, []*Analyzer{PayloadAlias, PoolPath}, "suppress")
+	runFixtureAnalyzers(t, []*Analyzer{WallClock, MapOrder}, "suppress/internal/fcoll")
 }
 
 func TestSuppressHonoredCount(t *testing.T) {
 	l := newFixtureLoader(t)
-	pkgs := []*Package{l.load("suppress")}
-	diags, stats, err := RunWithStats(pkgs, []*Analyzer{PayloadAlias, PoolPath})
+	pkgs := []*Package{l.load("suppress/internal/fcoll")}
+	diags, stats, err := RunWithStats(pkgs, []*Analyzer{WallClock, MapOrder})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// suppressedUseAfterRelease: one poolpath use after release on the
-	// waived line; suppressedLeakLineAbove: one poolpath leak.
+	// suppressedMapSchedule: one maporder finding on the waived line;
+	// suppressedClockLineAbove: one wallclock finding below its waiver.
 	if stats.Suppressed != 2 {
 		t.Errorf("suppressed = %d, want 2; kept: %v", stats.Suppressed, diags)
 	}
 	if len(diags) != 1 {
-		t.Errorf("kept %d diagnostics, want 1 (the unsuppressed leak): %v", len(diags), diags)
+		t.Errorf("kept %d diagnostics, want 1 (the unsuppressed clock read): %v", len(diags), diags)
 	}
 }
 
@@ -37,8 +37,8 @@ func TestSuppressHonoredCount(t *testing.T) {
 // silent but equally ineffective.
 func TestSuppressMalformed(t *testing.T) {
 	l := newFixtureLoader(t)
-	pkgs := []*Package{l.load("suppress/malformed")}
-	diags, err := Run(pkgs, []*Analyzer{PoolPath})
+	pkgs := []*Package{l.load("suppress/internal/fcoll/malformed")}
+	diags, err := Run(pkgs, []*Analyzer{WallClock, MapOrder})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,10 +50,10 @@ func TestSuppressMalformed(t *testing.T) {
 		{"collvet", "suppression without a reason"},
 		{"collvet", "suppression names unknown analyzer \"nosuchanalyzer\""},
 		{"collvet", "suppression without an analyzer name"},
-		{"poolpath", "used after Wait"},               // bareSuppression: not waived
-		{"poolpath", "may reach return without Wait"}, // unknownAnalyzer
-		{"poolpath", "may reach return without Wait"}, // missingName
-		{"poolpath", "may reach return without Wait"}, // mismatched
+		{"wallclock", "wall-clock call time.Now"},               // bareSuppression: not waived
+		{"wallclock", "wall-clock call time.Now"},               // unknownAnalyzer
+		{"wallclock", "wall-clock call time.Now"},               // missingName
+		{"maporder", "call to sim.After inside range over map"}, // mismatched
 	}
 	if len(diags) != len(wants) {
 		t.Fatalf("got %d diagnostics, want %d:\n%v", len(diags), len(wants), diags)

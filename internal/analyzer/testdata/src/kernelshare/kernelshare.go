@@ -47,7 +47,7 @@ func cleanParallelism(seeds []int64, results chan sim.Time) {
 	for range seeds {
 		go func() {
 			k := &sim.Kernel{} // fresh kernel, goroutine-local: ok
-			k.Spawn("p", func(p *sim.Proc) {
+			k.Spawn("p", 0, func(p *sim.Proc) {
 				p.Sleep(10) // p is local to the literal: ok
 			})
 			results <- 0 // sim.Time is a value, not kernel-owned: ok

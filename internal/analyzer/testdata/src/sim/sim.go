@@ -10,35 +10,22 @@ import "math/rand"
 type Time int64
 
 // Future mirrors the kernel's completion handle.
-type Future struct{ done bool }
+type Future struct{}
 
-func (f *Future) Done() bool    { return f.done }
-func (f *Future) Complete()     { f.done = true }
 func (f *Future) Then(a Action) { _ = a }
 
-// Action mirrors what an event does when it fires: a *Future, a Func
-// or an Event.
+// Action mirrors what an event does when it fires: a *Future or a
+// Func.
 type Action interface{}
 
 // Func mirrors the adapter from a plain callback to an Action.
 type Func func()
 
-// Event mirrors an Action bound to a method of a pooled object.
-type Event[T any] struct {
-	obj *T
-	fn  func(*T)
-}
-
-// NewEvent mirrors binding fn (a method expression) to obj.
-func NewEvent[T any](obj *T, fn func(*T)) Event[T] { return Event[T]{obj: obj, fn: fn} }
-
 // Proc mirrors a simulated process.
 type Proc struct{}
 
-func (p *Proc) Wait(f *Future)        {}
-func (p *Proc) WaitAll(fs ...*Future) {}
-func (p *Proc) Sleep(d Time)          {}
-func (p *Proc) Yield()                {}
+func (p *Proc) Sleep(d Time) {}
+func (p *Proc) Yield()       {}
 
 // Kernel mirrors the DES scheduler surface used by the analyzers.
 type Kernel struct{}
@@ -49,10 +36,7 @@ func (k *Kernel) ScheduleRemote(dst int, t Time, fn func()) { _ = fn }
 func (k *Kernel) After(d Time, fn func())                   { _ = fn }
 func (k *Kernel) At(t Time, fn func())                      { _ = fn }
 func (k *Kernel) CompleteAfter(d Time, f *Future)           { _ = f }
-func (k *Kernel) AfterAction(d Time, a Action)              { _ = a }
-func (k *Kernel) InitFuture(f *Future)                      { *f = Future{} }
-func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc { return &Proc{} }
-func (k *Kernel) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
+func (k *Kernel) Spawn(name string, id int, fn func(p *Proc)) *Proc {
 	return &Proc{}
 }
 

@@ -160,9 +160,12 @@ func BenchmarkHierarchicalSweep(b *testing.B) {
 	}
 }
 
+// BenchmarkParallelRun runs the E9 scale point on the partitioned
+// executor's jrun ladder; jrun0 is the exact sequential executor on the
+// same spec, the baseline the ladder's speedup is read against.
 func BenchmarkParallelRun(b *testing.B) {
 	for _, np := range []int{1024, 4096} {
-		jruns := []int{1, 2, 4, 8}
+		jruns := []int{0, 1, 2, 4, 8}
 		if np >= 4096 {
 			jruns = []int{1, 4}
 		}

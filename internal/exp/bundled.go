@@ -263,7 +263,7 @@ func runBundled(spec Spec, cl *platform.Cluster, rt route, obs fcoll.Observer) (
 			ag.wr[s].ag = ag
 			ag.wr[s].span = sim.NewEvent(&ag.wr[s], (*cohortWrite).record)
 		}
-		b.k.Spawn(fmt.Sprintf("agg%d", a), func(p *sim.Proc) {
+		b.k.Spawn("agg", a, func(p *sim.Proc) {
 			ag.p = p
 			for _, v := range b.views {
 				p.Wait(v.start)
@@ -547,11 +547,11 @@ func (bt *cohortBatch) transmit() {
 	} else {
 		tr = b.net.SendFlow(nil, bt.node, aggNode, bt.size)
 		if m != nil && len(m.mems) > 0 {
-			tr.Injected.Then(&bt.spread)
+			tr.Injected().Then(&bt.spread)
 		}
 	}
-	tr.Injected.Then(&bt.inj)
-	tr.Delivered.Then(&bt.del)
+	tr.Injected().Then(&bt.inj)
+	tr.Delivered().Then(&bt.del)
 }
 
 // interpolate records each member's shuffle span at the instant the

@@ -31,6 +31,11 @@ func TestDataSymbolicEquivalence(t *testing.T) {
 			Gen:       tileio.Config{ElemSize: 1 << 14, ElemsX: 16, ElemsY: 8, Label: "eq"},
 			Algorithm: fcoll.WriteComm2Overlap, Primitive: fcoll.OneSidedFence, Seed: 13,
 		}},
+		{"tile/write-comm-2/hierarchical", Spec{
+			Platform: platform.Crill(), NProcs: 96,
+			Gen:       tileio.Config{ElemSize: 1 << 10, ElemsX: 8, ElemsY: 8, Label: "eq-hier"},
+			Algorithm: fcoll.WriteComm2Overlap, Primitive: fcoll.TwoSided, Hierarchical: true, Seed: 11,
+		}},
 		{"ior/no-overlap/read", Spec{
 			Platform: platform.Crill(), NProcs: 16,
 			Gen:       ior.Config{BlockSize: 2 << 20, Segments: 2},

@@ -37,7 +37,7 @@ type exec struct {
 	copied    sim.Future         // chargeCopy's completion, reused per copy
 	stageBuf  [2][]byte          // per-slot staged-receive arenas (data mode)
 	stageUsed [2]int64
-	packBuf   []byte // payload scratch; reusable because Isend snapshots data
+	packBuf   []byte // payload scratch for every packed send: Isend copies data at post
 	peersBuf  []int  // cycleOrigins/cycleTargets scratch
 
 	// Hierarchical-family scratch (hier.go).
@@ -316,9 +316,11 @@ func (ex *exec) recvInto(sh *shuffle, src, tag int, dst []byte, segs []seg, tota
 
 // payload packs the pieces at segs of src into one total-byte message:
 // zero-copy when contiguous, gathered into ex.packBuf and charged as a
-// copy when fragmented (reusable as soon as Isend returns: Isend
-// snapshots data payloads). Without real bytes the message is symbolic
-// and the fragmented pack is charged all the same.
+// copy when fragmented. Every fragmented send of a cycle reuses
+// ex.packBuf as soon as its Isend returns: mpi.Isend copies a data
+// payload when it is posted, unlike MPI_Isend, whose buffer stays the
+// library's until the send completes. Without real bytes the message
+// is symbolic and the fragmented pack is charged all the same.
 func (ex *exec) payload(src []byte, segs []seg, total int64) mpi.Payload {
 	if !ex.dataMode {
 		if len(segs) > 1 {

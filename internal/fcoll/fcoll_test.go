@@ -10,6 +10,7 @@ import (
 	"collio/internal/fcoll"
 	"collio/internal/mpi"
 	"collio/internal/mpiio"
+	"collio/internal/probe"
 	"collio/internal/sim"
 	"collio/internal/simfs"
 	"collio/internal/simnet"
@@ -218,6 +219,52 @@ func TestAllCombinationsStridedView(t *testing.T) {
 					BufferSize: 24 << 10,
 				})
 				verifyFile(t, rg, jv)
+			})
+		}
+	}
+}
+
+// TestHierarchicalReadBack is the ReadBack matrix of the two-level
+// family. Several ranks share a node and every request is below the
+// routing threshold (the rig's 8 KiB eager limit), so members ship
+// their requests to the node leader — one routed request as is, several
+// gathered into one message — and leaders assemble the combined
+// messages. Every overlap algorithm must produce the byte-identical
+// file on a block and a strided view, and the pre-combine phase must
+// have run.
+func TestHierarchicalReadBack(t *testing.T) {
+	views := []struct {
+		name    string
+		np, rpn int
+		jv      func(t *testing.T) *fcoll.JobView
+	}{
+		{"block", 6, 3, func(t *testing.T) *fcoll.JobView { return blockView(t, 6, 6<<10, true, 23) }},
+		{"strided", 8, 4, func(t *testing.T) *fcoll.JobView { return stridedView(t, 8, 500, 48, true, 21) }},
+	}
+	for _, v := range views {
+		for _, algo := range fcoll.Algorithms {
+			v, algo := v, algo
+			t.Run(fmt.Sprintf("%s/%v", v.name, algo), func(t *testing.T) {
+				rg := newRig(t, v.np, v.rpn, 17)
+				jv := v.jv(t)
+				p := probe.New()
+				rg.run(t, jv, fcoll.Options{
+					Algorithm:    algo,
+					Primitive:    fcoll.TwoSided,
+					BufferSize:   16 << 10,
+					Hierarchical: true,
+					Observers:    []fcoll.Observer{{Probe: p}},
+				})
+				verifyFile(t, rg, jv)
+				combines := 0
+				for _, e := range p.Events() {
+					if e.Kind == probe.KindPhase && e.Cause == probe.CausePreCombine {
+						combines++
+					}
+				}
+				if combines == 0 {
+					t.Fatal("no pre-combine phase ran: nothing was routed through a node leader")
+				}
 			})
 		}
 	}

@@ -341,7 +341,9 @@ func (ex *exec) leaderInit(sh *shuffle) {
 
 // assembleComb packs one combined message from the members' received
 // payloads, in window order (the order hierPlan.srcs stores). The
-// result aliases ex.combBuf, reusable as soon as Isend returns.
+// result aliases ex.combBuf, which the next combined message reuses as
+// soon as this one's Isend returns: mpi.Isend copies data payloads at
+// post, unlike MPI_Isend.
 func (ex *exec) assembleComb(co *combOp, bufs [][]byte, lo int) []byte {
 	h := ex.p.hier
 	out := ex.combBuf[:0]

@@ -15,7 +15,7 @@ import (
 func prepFile(rg *rig, jv *fcoll.JobView) {
 	img := jv.ExpectedFile()
 	raw := rg.file.Raw()
-	rg.k.Spawn("prep", func(p *sim.Proc) {
+	rg.k.Spawn("prep", 0, func(p *sim.Proc) {
 		raw.Write(p, 0, 0, int64(len(img)), img)
 	})
 }

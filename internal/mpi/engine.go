@@ -56,6 +56,14 @@ type msg struct {
 	next                                *msg // pool link, nil while the msg is live
 }
 
+// check panics, naming op, when m has been released: the release
+// clears eng, which every live message has.
+func (m *msg) check(op string) {
+	if m.eng == nil {
+		panic("mpi: " + op + " of a released protocol message (msg)")
+	}
+}
+
 // newMsg takes a zeroed msg, its actions bound, from the rank's LP pool.
 func (r *Rank) newMsg(kind msgKind, dst *Rank) *msg {
 	m := r.sh.msgs.Get()
@@ -66,6 +74,7 @@ func (r *Rank) newMsg(kind msgKind, dst *Rank) *msg {
 // releaseMsg returns a consumed msg to this engine's LP pool. Callers
 // have read everything they need from it.
 func (e *engine) releaseMsg(m *msg) {
+	m.check("release")
 	*m = msg{onArrive: m.onArrive, onServed: m.onServed, onRun: m.onRun, onCopied: m.onCopied}
 	e.r.sh.msgs.Put(m)
 }
@@ -77,6 +86,7 @@ func (e *engine) releaseMsg(m *msg) {
 // then hears of it only if it completes the data or is not the last
 // chunk (the last one's notice would request nothing).
 func (m *msg) arrive() {
+	m.check("delivery")
 	e := m.eng
 	switch m.kind {
 	case msgLock, msgUnlock, msgPut:
@@ -97,12 +107,16 @@ func (m *msg) arrive() {
 
 // served is the agent's completion; the request is acted on one
 // zero-delay hop later.
-func (m *msg) served() { m.eng.r.k.AfterAction(0, &m.onRun) }
+func (m *msg) served() {
+	m.check("agent service")
+	m.eng.r.k.AfterAction(0, &m.onRun)
+}
 
 // run is the msg's delayed step: the CTS of a matched RTS, the bounce
 // copy of a late-matched eager message, the data transfer a CTS starts,
 // the next chunk a chunk notice requests, or the agent's action.
 func (m *msg) run() {
+	m.check("delayed step")
 	e := m.eng
 	switch m.kind {
 	case msgRTS:
@@ -125,6 +139,7 @@ func (m *msg) run() {
 // copied completes m.fut one zero-delay hop after a bounce copy, where
 // the copy's own future would have forwarded it.
 func (m *msg) copied() {
+	m.check("bounce copy")
 	e := m.eng
 	e.r.k.CompleteAfter(0, m.fut)
 	e.releaseMsg(m)
@@ -348,7 +363,7 @@ func (e *engine) sendCTS(p *msg) {
 	src := w.ranks[p.src]
 	p.kind, p.eng = msgCTS, src.eng
 	tr := w.net.Send(e.r.node, src.node, w.cfg.CtrlBytes)
-	tr.Delivered.Then(&p.onArrive)
+	tr.Delivered().Then(&p.onArrive)
 }
 
 // startRdvData launches the rendezvous bulk transfer from the sender:
@@ -387,12 +402,12 @@ func (w *World) sendRdvChunk(by *Rank, st *rdvState) {
 	if last {
 		// Local (sender) completion at last-chunk injection, as with a
 		// zero-copy rendezvous protocol.
-		tr.Injected.Then(st.sfut)
+		tr.Injected().Then(st.sfut)
 		st.sfut = nil // the future lives in the pooled send request
 	}
 	m := by.newMsg(msgChunk, dst)
 	m.pl, m.st, m.last = Symbolic(size), st, last
-	tr.Delivered.Then(&m.onArrive)
+	tr.Delivered().Then(&m.onArrive)
 }
 
 // postRecv registers a receive request, first searching the unexpected

@@ -14,10 +14,11 @@ import (
 // set to MPI_REQUEST_NULL by MPI_Wait). Use Recv's return value, or
 // Received before Wait, for the received byte count. The completion
 // future is embedded, so it is pooled with the request and recycled by
-// the same Wait; a future taken from Future() is part of the handle.
+// the same Wait. A released request knows it: Received or Wait on one
+// panics (check).
 type Request struct {
 	fut   sim.Future
-	rank  *Rank // owning rank
+	rank  *Rank // owning rank; nil once released
 	recv  bool
 	peer  int // source for receives, destination for sends
 	tag   int
@@ -29,14 +30,33 @@ type Request struct {
 }
 
 // Received returns the number of bytes received (receives only). Only
-// valid before the request is recycled by Wait.
-func (q *Request) Received() int64 { return q.recvd }
+// valid before the request is recycled by Wait; it panics after.
+func (q *Request) Received() int64 {
+	q.check("Received")
+	return q.recvd
+}
+
+// check panics, naming op, when q has been released: the release
+// clears rank, and Wait is the only release a caller makes.
+func (q *Request) check(op string) {
+	if q.rank == nil {
+		panic("mpi: " + op + " on a released Request (Wait recycles it: read Received before Wait, and Wait once)")
+	}
+}
 
 // Isend starts a non-blocking send of pl to rank dst with the given tag
 // and returns its request. Messages below the eager limit are injected
 // immediately and buffered at the receiver if unmatched; larger messages
 // use a rendezvous handshake that requires the receiver (and the sender,
 // for the CTS) to make MPI progress.
+//
+// Isend copies a data-mode payload when it is posted, so the caller may
+// reuse pl's buffer as soon as Isend returns; the receiver gets the
+// bytes as they were at the call. This is unlike MPI_Isend, whose
+// buffer belongs to the library until the send completes: collective
+// code here packs every fragmented send of a cycle into one scratch
+// buffer and relies on the copy. The copy is host memory only; the
+// modelled time is unchanged, and callers charge packing explicitly.
 func (r *Rank) Isend(dst, tag int, pl Payload) *Request {
 	if dst < 0 || dst >= r.w.cfg.NProcs {
 		panic(fmt.Sprintf("mpi: Isend to invalid rank %d", dst))
@@ -48,12 +68,7 @@ func (r *Rank) Isend(dst, tag int, pl Payload) *Request {
 	r.p.Sleep(cfg.CallOverhead)
 
 	if pl.Data != nil {
-		// Snapshot the payload: MPI lets the sender reuse its buffer
-		// once the send completes locally, while the simulator delivers
-		// bytes later in virtual time. (Host-memory copy only; the
-		// modelled time is unchanged — timing costs for copies are
-		// charged explicitly by the callers.)
-		pl = Bytes(append([]byte(nil), pl.Data...))
+		pl = Bytes(append([]byte(nil), pl.Data...)) // copy at post
 	}
 	req := r.newRequest()
 	r.k.InitFuture(&req.fut)
@@ -78,13 +93,13 @@ func (r *Rank) Isend(dst, tag int, pl Payload) *Request {
 		m := r.newMsg(msgEager, dstRank)
 		m.tag, m.pl = tag, pl
 		tr := r.w.net.Send(r.node, dstRank.node, pl.Size+cfg.CtrlBytes)
-		tr.Injected.Then(&req.fut)
-		tr.Delivered.Then(&m.onArrive)
+		tr.Injected().Then(&req.fut)
+		tr.Delivered().Then(&m.onArrive)
 	} else {
 		m := r.newMsg(msgRTS, dstRank)
 		m.tag, m.pl, m.sreq = tag, pl, req
 		tr := r.w.net.Send(r.node, dstRank.node, cfg.CtrlBytes)
-		tr.Delivered.Then(&m.onArrive)
+		tr.Delivered().Then(&m.onArrive)
 	}
 	return req
 }
@@ -136,6 +151,7 @@ func (r *Rank) Wait(reqs ...*Request) {
 		if q == nil {
 			continue
 		}
+		q.check("Wait")
 		r.p.Wait(&q.fut)
 		r.releaseRequest(q)
 	}

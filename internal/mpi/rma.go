@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"hash/crc32"
 	"slices"
 
 	"collio/internal/probe"
@@ -75,10 +76,17 @@ func waitAll(r *Rank, reqs *[]*Request) {
 // closePuts, unless the copy is still queued: a zero-delay event, it
 // can trail the origin's wakeup when an earlier put's delivery wakes
 // the origin in the same instant, and then the copy releases it.
+//
+// A Put does not copy its source: the copy reads it at delivery, so
+// the source must stay unchanged until then (MPI asks until the
+// epoch's close). crc is the source's CRC-32 when it was posted, and
+// the copy panics if the bytes it lands differ. A released put knows
+// it: the release clears sh.
 type putDone struct {
 	fut      sim.Future
 	target   int
-	holds    int
+	holds    int32
+	crc      uint32
 	sh       *lpShard
 	dst, src []byte
 	onCopy   sim.Event[putDone]
@@ -97,12 +105,24 @@ func (r *Rank) newPut(target int) *putDone {
 
 // copy lands a data-mode put's bytes in the target window at delivery.
 func (p *putDone) copy() {
+	p.check("copy")
+	if crc32.ChecksumIEEE(p.src) != p.crc {
+		panic(fmt.Sprintf("mpi: data-mode Put to target %d: its source was written before delivery (a Put's source must stay unchanged until its epoch closes)", p.target))
+	}
 	copy(p.dst, p.src)
 	p.release()
 }
 
+// check panics, naming op, when p has been released.
+func (p *putDone) check(op string) {
+	if p.sh == nil {
+		panic("mpi: " + op + " of a released put completion (putDone)")
+	}
+}
+
 // release drops one holder and returns p to its LP pool after the last.
 func (p *putDone) release() {
+	p.check("release")
 	if p.holds--; p.holds > 0 {
 		return
 	}
@@ -239,13 +259,14 @@ func (r *Rank) Put(win *Window, target int, offset int64, pl Payload) {
 	tr := r.w.net.SendFlowTo(delivered, &o.flow, r.node, tgt.node, pl.Size)
 	if pl.Data != nil && win.data[target] != nil {
 		p.dst, p.src = win.data[target][offset:offset+pl.Size], pl.Data
+		p.crc = crc32.ChecksumIEEE(pl.Data)
 		p.holds++
-		tr.Delivered.Then(&p.onCopy)
+		tr.Delivered().Then(&p.onCopy)
 	}
 	if locked {
 		m := r.newMsg(msgPut, tgt)
 		m.pl, m.fut = pl, &p.fut
-		tr.Delivered.Then(&m.onArrive)
+		tr.Delivered().Then(&m.onArrive)
 	}
 	o.puts = append(o.puts, p)
 }
@@ -323,7 +344,7 @@ func (r *Rank) WinLock(win *Window, typ LockType, target int) {
 	m := r.newMsg(msgLock, w.ranks[target])
 	m.win, m.typ, m.fut = win, typ, &r.rmaCtl
 	tr := w.net.Send(r.node, w.ranks[target].node, w.cfg.CtrlBytes)
-	tr.Delivered.Then(&m.onArrive)
+	tr.Delivered().Then(&m.onArrive)
 	r.p.Wait(&r.rmaCtl) // completes when the grant reply arrives at the origin
 	o.held = append(o.held, target)
 }
@@ -338,7 +359,7 @@ func (r *Rank) runAgent(m *msg) {
 	case msgUnlock:
 		m.win.release(m.src, r.id)
 		reply := w.net.Send(r.node, w.ranks[m.src].node, w.cfg.CtrlBytes)
-		reply.Delivered.Then(m.fut)
+		reply.Delivered().Then(m.fut)
 	case msgPut:
 		// The bounce copy through target memory; m.copied completes
 		// the put and releases m.
@@ -368,7 +389,7 @@ func (win *Window) grant(typ LockType, origin, target int, fut *sim.Future) {
 	}
 	w := win.w
 	reply := w.net.Send(w.ranks[target].node, w.ranks[origin].node, w.cfg.CtrlBytes)
-	reply.Delivered.Then(fut)
+	reply.Delivered().Then(fut)
 }
 
 // WinUnlock releases the lock on target after forcing remote completion
@@ -394,7 +415,7 @@ func (r *Rank) WinUnlock(win *Window, target int) {
 	m := r.newMsg(msgUnlock, w.ranks[target])
 	m.win, m.fut = win, &r.rmaCtl
 	tr := w.net.Send(r.node, w.ranks[target].node, w.cfg.CtrlBytes)
-	tr.Delivered.Then(&m.onArrive)
+	tr.Delivered().Then(&m.onArrive)
 	r.p.Wait(&r.rmaCtl)
 }
 

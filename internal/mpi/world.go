@@ -276,7 +276,7 @@ func (w *World) Launch(body func(r *Rank)) {
 		// Each rank spawns on its own LP's kernel (the shared kernel in a
 		// sequential run) and records its finish on itself, so partitioned
 		// windows never contend on world-wide finish bookkeeping.
-		r.p = r.k.Spawn(fmt.Sprintf("rank%d", r.id), func(p *sim.Proc) {
+		r.p = r.k.Spawn("rank", r.id, func(p *sim.Proc) {
 			body(r)
 			r.fin = true
 			r.finAt = p.Now()

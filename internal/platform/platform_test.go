@@ -123,7 +123,7 @@ func TestDeterministicInstantiation(t *testing.T) {
 		}
 		f := cl.FS.Open("x")
 		done := sim.Time(0)
-		cl.Kernel.Spawn("w", func(p *sim.Proc) {
+		cl.Kernel.Spawn("w", 0, func(p *sim.Proc) {
 			f.Write(p, 0, 0, 4<<20, nil)
 			done = p.Now()
 		})

@@ -17,7 +17,7 @@ func BenchmarkKernelEventThroughput(b *testing.B) {
 	k := NewKernel(1)
 	srv := newServer(k, 1e9, 100*Nanosecond)
 	remaining := b.N
-	k.Spawn("driver", func(p *Proc) {
+	k.Spawn("driver", 0, func(p *Proc) {
 		for ; remaining > 0; remaining-- {
 			p.Wait(submit(srv, 1024))
 		}
@@ -79,7 +79,7 @@ func BenchmarkSpawnYield(b *testing.B) {
 	b.ReportAllocs()
 	k := NewKernel(1)
 	remaining := b.N
-	k.Spawn("yielder", func(p *Proc) {
+	k.Spawn("yielder", 0, func(p *Proc) {
 		for ; remaining > 0; remaining-- {
 			p.Yield()
 		}

@@ -14,7 +14,7 @@ func TestFutureWaitBeforeComplete(t *testing.T) {
 	k := NewKernel(1)
 	f := newFuture(k)
 	var woke Time
-	k.Spawn("w", func(p *Proc) {
+	k.Spawn("w", 0, func(p *Proc) {
 		p.Wait(f)
 		woke = p.Now()
 	})
@@ -33,7 +33,7 @@ func TestFutureWaitAfterComplete(t *testing.T) {
 	f := newFuture(k)
 	k.At(10, f.Complete)
 	var woke Time
-	k.Spawn("w", func(p *Proc) {
+	k.Spawn("w", 0, func(p *Proc) {
 		p.Sleep(50)
 		p.Wait(f) // already done: should not block
 		woke = p.Now()
@@ -66,7 +66,7 @@ func TestWaitAll(t *testing.T) {
 	k.At(30, f3.Complete)
 	k.At(20, f2.Complete)
 	var woke Time
-	k.Spawn("w", func(p *Proc) {
+	k.Spawn("w", 0, func(p *Proc) {
 		p.WaitAll(f1, nil, f2, f3)
 		woke = p.Now()
 	})

@@ -318,11 +318,11 @@ type Kernel struct {
 	// entries with it via EventStamp. Sequential Run skips the
 	// bookkeeping: nothing folds a single kernel's buffers.
 	curRec *evRecord
-	// execIdx counts fired events, giving records their provisional
-	// within-window local order; emitSeq counts EventStamp emissions so
-	// same-event trace/probe entries keep their emission order through
-	// the merge.
-	execIdx int64
+	// fired counts fired events (Fired), which gives records their
+	// provisional within-window local order; emitSeq counts EventStamp
+	// emissions so same-event trace/probe entries keep their emission
+	// order through the merge.
+	fired   int64
 	emitSeq int64
 	// windowRecs lists the records of events fired in the current
 	// window, in execution order — one sorted stream of the barrier
@@ -451,6 +451,11 @@ func (k *Kernel) AfterAction(d Time, a Action) {
 	k.push(k.now+d, event{act: a})
 }
 
+// Fired returns the number of events k has fired. It names the event
+// being fired: a handle lent for one event (simnet.Transfer) records it
+// and checks it on use.
+func (k *Kernel) Fired() int64 { return k.fired }
+
 // Stop aborts the simulation: Run returns after the current event and
 // releases every still-pending event. Stopping is terminal — a stopped
 // kernel keeps its final clock but schedules nothing further.
@@ -466,6 +471,7 @@ func (k *Kernel) Run() Time {
 	for !k.stopped && k.Pending() > 0 {
 		e := k.next()
 		k.now = e.at
+		k.fired++
 		e.act.fire()
 		if k.ObserveDepth != nil {
 			k.ObserveDepth(k.now, k.Pending())
@@ -558,8 +564,8 @@ func (k *Kernel) runWindow(horizon Time) {
 		rec.schedAt = e.schedAt
 		rec.seq = e.seq
 		rec.crec = e.crec
-		k.execIdx++
-		rec.ord = k.execIdx
+		k.fired++
+		rec.ord = k.fired
 		k.curRec = rec
 		k.windowRecs = append(k.windowRecs, rec)
 		e.act.fire()

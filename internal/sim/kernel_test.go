@@ -76,7 +76,7 @@ func TestStop(t *testing.T) {
 func TestProcSleepAdvancesTime(t *testing.T) {
 	k := NewKernel(1)
 	var t1, t2 Time
-	k.Spawn("p", func(p *Proc) {
+	k.Spawn("p", 0, func(p *Proc) {
 		t1 = p.Now()
 		p.Sleep(500)
 		t2 = p.Now()
@@ -91,13 +91,13 @@ func TestTwoProcsInterleaveDeterministically(t *testing.T) {
 	run := func() []string {
 		k := NewKernel(42)
 		var log []string
-		k.Spawn("a", func(p *Proc) {
+		k.Spawn("a", 0, func(p *Proc) {
 			for i := 0; i < 3; i++ {
 				log = append(log, "a")
 				p.Sleep(10)
 			}
 		})
-		k.Spawn("b", func(p *Proc) {
+		k.Spawn("b", 0, func(p *Proc) {
 			for i := 0; i < 3; i++ {
 				log = append(log, "b")
 				p.Sleep(10)
@@ -120,7 +120,7 @@ func TestTwoProcsInterleaveDeterministically(t *testing.T) {
 func TestSpawnAt(t *testing.T) {
 	k := NewKernel(1)
 	var start Time
-	k.SpawnAt(250, "late", func(p *Proc) { start = p.Now() })
+	k.SpawnAt(250, "late", 0, func(p *Proc) { start = p.Now() })
 	k.Run()
 	if start != 250 {
 		t.Fatalf("start = %v, want 250", start)
@@ -139,7 +139,7 @@ func TestDeadlockDetection(t *testing.T) {
 	k := NewKernel(1)
 	k.Explain(func() error { return errors.New("lock held") })
 	f := newFuture(k)
-	k.Spawn("stuck", func(p *Proc) { p.Wait(f) }) // never completed
+	k.Spawn("stuck", 0, func(p *Proc) { p.Wait(f) }) // never completed
 	k.Run()
 }
 
@@ -316,8 +316,8 @@ func checkQueueOrder(t *testing.T, seed int64, partitioned bool) {
 		if partitioned {
 			rec := k.newRecord()
 			rec.at, rec.schedAt, rec.seq, rec.crec = e.at, e.schedAt, e.seq, e.crec
-			k.execIdx++
-			rec.ord = k.execIdx
+			k.fired++
+			rec.ord = k.fired
 			k.curRec = rec
 		}
 	}

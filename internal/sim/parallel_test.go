@@ -74,7 +74,7 @@ func buildPingPong(kernelFor func(lp int) *Kernel, shards []*logShard, nlp, roun
 			}
 		}
 		k.At(Time(lp), func() { bounce(0) })
-		k.Spawn(fmt.Sprintf("walker%d", lp), func(p *Proc) {
+		k.Spawn("walker", lp, func(p *Proc) {
 			for i := 0; i < rounds; i++ {
 				p.Sleep(testLookahead / 3)
 				sh.add(k, fmt.Sprintf("lp%d walk %d", lp, i))
@@ -187,7 +187,7 @@ func TestPartitionLookaheadViolationPanics(t *testing.T) {
 
 func TestPartitionDeadlockPanics(t *testing.T) {
 	p := NewPartition(1, 2, testLookahead)
-	p.Kernel(0).Spawn("stuck", func(pr *Proc) {
+	p.Kernel(0).Spawn("stuck", 0, func(pr *Proc) {
 		pr.Wait(newFuture(pr.Kernel())) // never completed
 	})
 	p.Kernel(1).At(10, func() {})

@@ -18,7 +18,8 @@ const slabBytes = 4 << 10
 // object's own free-list pointer field, so a free object costs no
 // memory beyond itself. A pool is touched by one LP only and takes no
 // lock. It clears nothing: each type resets its object before it puts
-// it back.
+// it back, and that reset is what marks the object released (a pooled
+// type checks the mark wherever a handle may be used).
 type Pool[T any] struct {
 	free *T
 	live int
@@ -49,11 +50,15 @@ func (p *Pool[T]) Get() *T {
 
 // Put returns obj to the pool; the next Get returns it. obj may have
 // been taken from another pool of the same type: only the sum of the
-// pools' Live counts then means anything.
+// pools' Live counts then means anything. Under the poolquarantine
+// build tag Put only counts obj back and never recycles it.
 func (p *Pool[T]) Put(obj *T) {
+	p.live--
+	if quarantine {
+		return
+	}
 	*p.link(obj) = p.free
 	p.free = obj
-	p.live--
 }
 
 // Live returns the number of objects taken from the pool minus those

@@ -2,7 +2,10 @@
 
 package sim
 
-import "iter"
+import (
+	"iter"
+	"strconv"
+)
 
 // Proc is a simulated sequential process (an MPI rank, an OS helper
 // thread). Its body is an iter.Pull coroutine that dispatch resumes and
@@ -14,19 +17,22 @@ import "iter"
 type Proc struct {
 	k     *Kernel
 	name  string
+	id    int
 	next  func() (struct{}, bool) // resume the body until it blocks or returns
 	yield func(struct{}) bool     // suspend the body back to its dispatcher
 }
 
 // Spawn creates a process running fn and schedules it to start at the
-// current virtual time.
-func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
-	return k.SpawnAt(0, name, fn)
+// current virtual time. name and id label the process in diagnostics
+// ("rank", 7 reads rank7); the label is formatted only when one is
+// printed, so a spawn costs no string.
+func (k *Kernel) Spawn(name string, id int, fn func(p *Proc)) *Proc {
+	return k.SpawnAt(0, name, id, fn)
 }
 
 // SpawnAt is Spawn with a start delay.
-func (k *Kernel) SpawnAt(d Time, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name}
+func (k *Kernel) SpawnAt(d Time, name string, id int, fn func(p *Proc)) *Proc {
+	p := &Proc{k: k, name: name, id: id}
 	k.nprocs++
 	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
@@ -48,8 +54,9 @@ func (p *Proc) fire() {
 // Kernel returns the kernel that owns p.
 func (p *Proc) Kernel() *Kernel { return p.k }
 
-// Name returns the process name (for diagnostics).
-func (p *Proc) Name() string { return p.name }
+// Name returns the process label (for diagnostics): its name followed
+// by its id.
+func (p *Proc) Name() string { return p.name + strconv.Itoa(p.id) }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
@@ -59,7 +66,7 @@ func (p *Proc) Now() Time { return p.k.now }
 // registered with Then, an observer hook) has no coroutine of p's to suspend.
 func (p *Proc) block() {
 	if p.k.running != p {
-		panic("sim: process " + p.name + " blocked from kernel-callback context; only its own body may block it")
+		panic("sim: process " + p.Name() + " blocked from kernel-callback context; only its own body may block it")
 	}
 	p.yield(struct{}{})
 }

@@ -13,7 +13,7 @@ import (
 func TestProcPanicReraisesFromRun(t *testing.T) {
 	type boom struct{ at Time }
 	k := NewKernel(1)
-	k.Spawn("bomb", func(p *Proc) {
+	k.Spawn("bomb", 0, func(p *Proc) {
 		p.Sleep(5)
 		panic(boom{at: p.Now()})
 	})
@@ -34,7 +34,7 @@ func TestProcPanicReraisesFromRun(t *testing.T) {
 func TestBlockFromCallbackPanics(t *testing.T) {
 	k := NewKernel(1)
 	var rank *Proc
-	k.Spawn("rank7", func(p *Proc) {
+	k.Spawn("rank", 7, func(p *Proc) {
 		rank = p
 		p.Sleep(10)
 	})
@@ -57,7 +57,7 @@ func TestFinishedProcsReleaseGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	k := NewKernel(1)
 	for i := 0; i < n; i++ {
-		k.Spawn("worker", func(p *Proc) {
+		k.Spawn("worker", 0, func(p *Proc) {
 			for j := 0; j < 3; j++ {
 				p.Sleep(Time(i + j))
 			}

@@ -75,7 +75,7 @@ func TestSyncWriteBlocksForDuration(t *testing.T) {
 	k, _, fs := testFS(t, 1, nil)
 	f := fs.Open("data")
 	var done sim.Time
-	k.Spawn("writer", func(p *sim.Proc) {
+	k.Spawn("writer", 0, func(p *sim.Proc) {
 		f.Write(p, 0, 0, 4<<20, nil) // 4 MiB over 4 targets
 		done = p.Now()
 	})
@@ -92,7 +92,7 @@ func TestAIOWriteProgressesWhileProcessBusy(t *testing.T) {
 	k, _, fs := testFS(t, 1, nil)
 	f := fs.Open("data")
 	var writeDone, procDone sim.Time
-	k.Spawn("writer", func(p *sim.Proc) {
+	k.Spawn("writer", 0, func(p *sim.Proc) {
 		fut := f.AIOWrite(0, 0, 4<<20, nil)
 		fut.Then(sim.Func(func() { writeDone = k.Now() }))
 		p.Sleep(100 * sim.Millisecond) // process busy elsewhere
@@ -115,7 +115,7 @@ func TestWriteDataReadBack(t *testing.T) {
 	for i := range payload {
 		payload[i] = byte(i % 251)
 	}
-	k.Spawn("w", func(p *sim.Proc) {
+	k.Spawn("w", 0, func(p *sim.Proc) {
 		f.Write(p, 0, 500, 3000, payload)
 	})
 	k.Run()
@@ -133,7 +133,7 @@ func TestWriteDataReadBack(t *testing.T) {
 func TestCoverageCoalescing(t *testing.T) {
 	k, _, fs := testFS(t, 1, nil)
 	f := fs.Open("data")
-	k.Spawn("w", func(p *sim.Proc) {
+	k.Spawn("w", 0, func(p *sim.Proc) {
 		f.Write(p, 0, 100, 50, nil)
 		f.Write(p, 0, 0, 100, nil)
 		f.Write(p, 0, 200, 10, nil)
@@ -148,7 +148,7 @@ func TestCoverageCoalescing(t *testing.T) {
 	}
 	k2, _, fs2 := testFS(t, 1, nil)
 	g := fs2.Open("y")
-	k2.Spawn("w", func(p *sim.Proc) {
+	k2.Spawn("w", 0, func(p *sim.Proc) {
 		g.Write(p, 0, 0, 100, nil)
 		g.Write(p, 0, 100, 100, nil)
 	})
@@ -168,7 +168,7 @@ func TestLocalTargetSkipsNIC(t *testing.T) {
 		})
 		f := fs.Open("d")
 		var done sim.Time
-		k.Spawn("w", func(p *sim.Proc) {
+		k.Spawn("w", 0, func(p *sim.Proc) {
 			f.Write(p, clientNode, 0, 1<<20, nil)
 			done = p.Now()
 		})
@@ -188,7 +188,7 @@ func TestTargetContention(t *testing.T) {
 		k, _, fs := testFS(t, 1, nil)
 		f := fs.Open("d")
 		var done sim.Time
-		k.Spawn("w", func(p *sim.Proc) {
+		k.Spawn("w", 0, func(p *sim.Proc) {
 			a := f.AIOWrite(0, 0, 1<<20, nil)
 			b := f.AIOWrite(0, off2, 1<<20, nil)
 			p.WaitAll(a, b)

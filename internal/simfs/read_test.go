@@ -19,7 +19,7 @@ func syncRead(t *testing.T, clientNode int, size int64, localTargets bool) sim.T
 	})
 	f := fs.Open("d")
 	var done sim.Time
-	k.Spawn("r", func(p *sim.Proc) {
+	k.Spawn("r", 0, func(p *sim.Proc) {
 		f.Read(p, clientNode, 0, size, nil)
 		done = p.Now()
 	})
@@ -71,7 +71,7 @@ func TestReadDataRoundTrip(t *testing.T) {
 	}
 	got := make([]byte, 2500)
 	gotAsync := make([]byte, 1200)
-	k.Spawn("rw", func(p *sim.Proc) {
+	k.Spawn("rw", 0, func(p *sim.Proc) {
 		f.Write(p, 0, 300, 2500, payload)
 		f.Read(p, 1, 300, 2500, got)
 		p.Wait(f.AIORead(0, 1000, 1200, gotAsync))
@@ -94,7 +94,7 @@ func TestZeroSizeRead(t *testing.T) {
 	fs.SetSinks(0, p, nil)
 	f := fs.Open("d")
 	var done sim.Time
-	k.Spawn("r", func(pr *sim.Proc) {
+	k.Spawn("r", 0, func(pr *sim.Proc) {
 		f.Read(pr, 2, 4096, 0, nil)
 		done = pr.Now()
 	})

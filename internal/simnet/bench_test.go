@@ -94,7 +94,7 @@ func (p *churnPair) send() {
 		return
 	}
 	*p.left--
-	p.n.Send(p.from, p.to, 1<<20).Injected.Then(&p.resend)
+	p.n.Send(p.from, p.to, 1<<20).Injected().Then(&p.resend)
 }
 
 // BenchmarkFluidChurn measures one flow departure plus one arrival
@@ -119,7 +119,7 @@ func BenchmarkFluidChurn(b *testing.B) {
 				p := &pairs[i]
 				*p = churnPair{n: n, from: 2 * i, to: 2*i + 1, left: &left}
 				p.resend = sim.NewEvent(p, (*churnPair).send)
-				n.Send(p.from, p.to, 1<<20+int64(i)*(1<<20)/int64(flows)).Injected.Then(&p.resend)
+				n.Send(p.from, p.to, 1<<20+int64(i)*(1<<20)/int64(flows)).Injected().Then(&p.resend)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

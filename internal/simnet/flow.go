@@ -326,7 +326,7 @@ func (fl *fluidNet) submit(tr *Transfer, marks []flowMark) {
 		for _, m := range marks {
 			fl.k.CompleteAfter(lat, m.fut)
 		}
-		fl.k.CompleteAfter(0, tr.Injected)
+		fl.k.CompleteAfter(0, tr.injected)
 		fl.k.AfterAction(lat, &tr.deliver)
 		return
 	}
@@ -419,7 +419,7 @@ func (fl *fluidNet) cross(now sim.Time) {
 			for _, m := range f.marks { // trailing marks at == size
 				fl.k.CompleteAfter(lat, m.fut)
 			}
-			f.tr.Injected.Complete()
+			f.tr.injected.Complete()
 			fl.k.AfterAction(lat, &f.tr.deliver)
 			fl.retire(f)
 			continue

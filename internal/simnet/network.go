@@ -11,6 +11,8 @@
 package simnet
 
 import (
+	"fmt"
+
 	"collio/internal/metrics"
 	"collio/internal/probe"
 	"collio/internal/sim"
@@ -251,12 +253,14 @@ func (n *Network) Node(i int) *Node { return &n.nodes[i] }
 // Transfers are pooled, and the network owns them. A handle is lent to
 // the caller for the event that called Send only: the caller registers
 // what it needs on the futures (Then) before it returns to the kernel,
-// and keeps neither the handle nor a future read from it. The network
-// returns the transfer to the pool of the LP that runs its last event
-// — Delivered's completion, or with a probe the delivery record one
-// hop later — and the next Send there reuses it, futures included. A
-// caller that must keep the delivery completion past the sending event
-// passes its own future to SendFlowTo.
+// and keeps neither the handle nor a future read from it. The handle
+// checks this itself: Injected and Delivered panic, naming the
+// transfer, when read in any later event or after its release. The
+// network returns the transfer to the pool of the LP that runs its
+// last event — Delivered's completion, or with a probe the delivery
+// record one hop later — and the next Send there reuses it, futures
+// included. A caller that must keep the delivery completion past the
+// sending event passes its own future to SendFlowTo.
 //
 // The transfer is also every action of its own event chain: the tx
 // start that submits the rx leg, the zero-delay hops of that leg, the
@@ -264,14 +268,16 @@ func (n *Network) Node(i int) *Node { return &n.nodes[i] }
 // sim.Event bound once, when the transfer's pool slab is made, so a
 // message allocates nothing.
 type Transfer struct {
-	Injected  *sim.Future
-	Delivered *sim.Future
-	Size      int64
-	From, To  int
+	Size     int64
+	From, To int
 
 	net  *Network
-	dst  *Node
+	dst  *Node // nil once released
 	flow interface{}
+	// injected and delivered are what Injected and Delivered return.
+	injected, delivered *sim.Future
+	// lent is the source kernel's Fired count in the sending event.
+	lent int64
 	// tx is the injection future (Injected on an inter-node transfer);
 	// del is Delivered unless the caller supplied its own.
 	tx, del sim.Future
@@ -299,21 +305,49 @@ type Transfer struct {
 func (n *Network) newTransfer(src, dst *Node, flow interface{}, size int64, delivered *sim.Future) *Transfer {
 	tr := src.sh.transfers.Get()
 	tr.Size, tr.From, tr.To = size, src.ID, dst.ID
-	tr.dst, tr.flow = dst, flow
+	tr.dst, tr.flow, tr.lent = dst, flow, src.k.Fired()
 	src.k.InitFuture(&tr.tx)
 	if delivered == nil {
 		dst.k.InitFuture(&tr.del)
 		delivered = &tr.del
 	}
-	tr.Injected, tr.Delivered = &tr.tx, delivered
+	tr.injected, tr.delivered = &tr.tx, delivered
 	return tr
+}
+
+// Injected returns the future that completes at local (injection)
+// completion. It panics outside the sending event (see Transfer).
+func (tr *Transfer) Injected() *sim.Future {
+	tr.checkLent("Injected")
+	return tr.injected
+}
+
+// Delivered returns the future that completes at delivery. It panics
+// outside the sending event (see Transfer).
+func (tr *Transfer) Delivered() *sim.Future {
+	tr.checkLent("Delivered")
+	return tr.delivered
+}
+
+// checkLent panics unless tr is live and its caller runs in the event
+// that sent it.
+func (tr *Transfer) checkLent(what string) {
+	switch {
+	case tr.dst == nil:
+		panic(fmt.Sprintf("simnet: %s of released Transfer %d->%d (a transfer is lent for its sending event only)", what, tr.From, tr.To))
+	case tr.net.nodes[tr.From].k.Fired() != tr.lent:
+		panic(fmt.Sprintf("simnet: %s of Transfer %d->%d read after its sending event (keep a delivery with SendFlowTo)", what, tr.From, tr.To))
+	}
 }
 
 // release returns a transfer at its last event to the pool of the LP
 // running that event: the destination node's.
 func (n *Network) release(tr *Transfer) {
+	if tr.dst == nil {
+		panic(fmt.Sprintf("simnet: Transfer %d->%d released twice", tr.From, tr.To))
+	}
 	sh := tr.dst.sh
-	tr.Injected, tr.Delivered, tr.dst, tr.flow, tr.probed = nil, nil, nil, nil, false
+	tr.injected, tr.delivered, tr.dst, tr.flow, tr.probed = nil, nil, nil, nil, false
 	sh.transfers.Put(tr)
 }
 
@@ -366,7 +400,7 @@ func (n *Network) SendFlowTo(delivered *sim.Future, flow interface{}, from, to i
 	tr := n.newTransfer(src, dst, flow, size, delivered)
 	if from == to {
 		observeSend(src, tr, probe.CauseIntra, &src.ipc)
-		tr.Injected = tr.Delivered
+		tr.injected = tr.delivered
 		src.ipc.SubmitFlowAfterOnArriveTo(&tr.deliver, flow, n.cfg.IntraLatency, size, nil)
 	} else {
 		observeSend(src, tr, probe.CauseInter, &src.tx)
@@ -463,7 +497,7 @@ func (tr *Transfer) joinLeg() {
 // complete completes Delivered and, unless a probe's delivery record
 // follows, returns the transfer to the pool.
 func (tr *Transfer) complete() {
-	tr.Delivered.Complete()
+	tr.delivered.Complete()
 	if !tr.probed {
 		tr.net.release(tr)
 	}
@@ -560,7 +594,7 @@ func observeDeliver(dst *Node, tr *Transfer) {
 		return
 	}
 	tr.probed = true
-	tr.Delivered.Then(&tr.record)
+	tr.delivered.Then(&tr.record)
 }
 
 // recordDeliver emits the delivery event and releases the transfer.

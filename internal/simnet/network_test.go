@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"strings"
 	"testing"
 
 	"collio/internal/probe"
@@ -35,11 +36,11 @@ func newFuture(k *sim.Kernel) *sim.Future {
 // transfer's single completion stays single.
 func keep(n *Network, tr *Transfer) sent {
 	s := sent{Injected: newFuture(n.KernelFor(tr.From))}
-	tr.Injected.Then(s.Injected)
+	tr.Injected().Then(s.Injected)
 	s.Delivered = s.Injected
-	if tr.Delivered != tr.Injected {
+	if tr.Delivered() != tr.Injected() {
 		s.Delivered = newFuture(n.KernelFor(tr.To))
-		tr.Delivered.Then(s.Delivered)
+		tr.Delivered().Then(s.Delivered)
 	}
 	return s
 }
@@ -99,6 +100,34 @@ func TestTransfersReturnToPool(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(10, burst); allocs != 0 {
 		t.Fatalf("a burst from the warm pool allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestLentTransferChecksItsEvent reads a transfer's futures in a later
+// event than the one that sent it, before and after its delivery: both
+// reads panic, naming the transfer.
+func TestLentTransferChecksItsEvent(t *testing.T) {
+	for _, tc := range []struct {
+		at   sim.Time
+		read func(*Transfer)
+		want string
+	}{
+		{10, func(tr *Transfer) { tr.Delivered() }, "Delivered of Transfer 0->1 read after its sending event"},
+		{5000, func(tr *Transfer) { tr.Injected() }, "Injected of released Transfer 0->1"},
+	} {
+		k := sim.NewKernel(1)
+		n := New(k, testConfig())
+		var tr *Transfer
+		k.At(0, func() { tr = n.Send(0, 1, 1000) })
+		k.At(tc.at, func() { tc.read(tr) })
+		var msg string
+		func() {
+			defer func() { msg, _ = recover().(string) }()
+			k.Run()
+		}()
+		if !strings.Contains(msg, tc.want) {
+			t.Errorf("read at %v: panic %q, want one containing %q", tc.at, msg, tc.want)
+		}
 	}
 }
 
