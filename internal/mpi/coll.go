@@ -19,6 +19,7 @@ const (
 	tagReduce       = tagInternalBase + 65   // binomial reduction
 	tagRing         = tagInternalBase + 128  // + step, ring allgatherv
 	tagAlltoall     = tagInternalBase + 896  // + round, Bruck all-to-all
+	tagAllgatherv   = tagInternalBase + 960  // + round, Bruck allgatherv
 	tagRMACtl       = tagInternalBase + 1024 // RMA lock/unlock control
 )
 
@@ -38,6 +39,15 @@ const (
 func doublingRounds(p int) int { return bits.Len(uint(p - 1)) }
 
 func doublingRound(i int, size int64) (dist int, bytes int64) { return 1 << i, size }
+
+// bruckRound is round i of a Bruck allgatherv over p members: each
+// member forwards the blocks it holds, its own and the next ones up,
+// to the member dist behind it, at most the p-dist its peer still
+// lacks.
+func bruckRound(p, i int) (dist, blocks int) {
+	dist = 1 << i
+	return dist, min(dist, p-dist)
+}
 
 // ringRound is step s (of p-1) of the ring over p members: member
 // sends its right neighbour (distance 1) the block member from began.
@@ -214,6 +224,34 @@ func (r *Rank) allgatherv(block func(i int) int64) {
 	}
 }
 
+// allgathervBruck is the Bruck allgatherv, rank i's block block(i)
+// bytes.
+func (r *Rank) allgathervBruck(block func(i int) int64) {
+	e := r.eng
+	e.enter()
+	defer e.exit()
+	defer r.span(probe.KindCollective, probe.CauseAllgatherv)()
+	p := r.w.cfg.NProcs
+	if p == 1 {
+		r.p.Sleep(r.w.cfg.CallOverhead)
+		return
+	}
+	for i := range doublingRounds(p) {
+		k, n := bruckRound(p, i)
+		sreq := r.Isend((r.id-k+p)%p, tagAllgatherv+i, Symbolic(blockSum(block, r.id, n, p)))
+		rreq := r.Irecv((r.id+k)%p, tagAllgatherv+i, blockSum(block, r.id+k, n, p), nil)
+		r.Wait(sreq, rreq)
+	}
+}
+
+// blockSum is the bytes of the n blocks from member from up, mod p.
+func blockSum(block func(i int) int64, from, n, p int) (sum int64) {
+	for j := range n {
+		sum += block((from + j) % p)
+	}
+	return sum
+}
+
 // CostModel is the closed form of the control collectives on a quiet
 // machine: a world of Config on a network of Net.
 type CostModel struct {
@@ -265,4 +303,21 @@ func (m CostModel) Cost(c Coll) sim.Time {
 		t += m.Hop(bytes, rankOf(k)-rankOf(0))
 	}
 	return climbs * t
+}
+
+// allgathervBruck is the closed form of the Bruck allgatherv: its
+// rounds wait on each other like the ladder's, each at its block count
+// times the average block.
+func (m CostModel) allgathervBruck(block func(i int) int64) sim.Time {
+	p := m.Config.NProcs
+	var total int64
+	for i := range p {
+		total += block(i)
+	}
+	var t sim.Time
+	for i := range doublingRounds(p) {
+		k, n := bruckRound(p, i)
+		t += m.Hop(int64(n)*(total/int64(p)), k)
+	}
+	return t
 }
