@@ -3,6 +3,7 @@ package fcoll
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"collio/internal/datatype"
 	"collio/internal/mpi"
@@ -28,7 +29,12 @@ func (v *RankView) Size() int64 { return datatype.TotalLen(v.Extents) }
 type JobView struct {
 	Ranks []RankView
 
-	control   [2]Control // per Direction (controlOf)
+	control [2]Control // per Direction (controlOf)
+	// planCache holds the plans built over this view. Under a
+	// partitioned run the ranks of different LPs leave the setup
+	// collectives on different host threads in the same window, so
+	// planMu guards it.
+	planMu    sync.Mutex
 	planCache map[planKey]*plan
 }
 

@@ -16,10 +16,6 @@ type closedFormPattern struct {
 	name  string
 	c     Coll
 	bound float64
-	// exact and closed, when set, run and price the pattern in place of
-	// Rank.Collective and CostModel.Cost.
-	exact  func(r *Rank)
-	closed func(m CostModel) sim.Time
 }
 
 // closedFormPatterns are the control collectives at world size np: the
@@ -27,19 +23,14 @@ type closedFormPattern struct {
 // extent-count allreduces, and an allgatherv where rank i contributes
 // 16·(i+1) bytes. Each bound is the worst deviation measured over
 // np ∈ {2, 3, 5, 7, 13, 64} plus about five points: barrier 26.5 %,
-// all-to-all 26.0 %, allreduce 92.4 % and 92.5 %, allgatherv 231.2 %,
-// its Bruck replacement 62.3 %.
+// all-to-all 26.0 %, allreduce 92.4 % and 92.5 %, allgatherv 231.2 %.
 func closedFormPatterns(np int) []closedFormPattern {
-	skew := func(i int) int64 { return 16 * int64(i+1) }
 	return []closedFormPattern{
-		{"barrier", Coll{Op: probe.CauseBarrier}, 0.32, nil, nil},
-		{"alltoall(8)", Coll{Op: probe.CauseAlltoall, Bytes: 8}, 0.32, nil, nil},
-		{"allreduce(16)", Coll{Op: probe.CauseAllreduce, Bytes: 16}, 0.98, nil, nil},
-		{"allreduce(8P)", Coll{Op: probe.CauseAllreduce, Bytes: 8 * int64(np)}, 0.98, nil, nil},
-		{"allgatherv(skew)", Coll{Op: probe.CauseAllgatherv, Block: skew}, 2.37, nil, nil},
-		{"bruck(skew)", Coll{}, 0.67,
-			func(r *Rank) { r.allgathervBruck(skew) },
-			func(m CostModel) sim.Time { return m.allgathervBruck(skew) }},
+		{"barrier", Coll{Op: probe.CauseBarrier}, 0.32},
+		{"alltoall(8)", Coll{Op: probe.CauseAlltoall, Bytes: 8}, 0.32},
+		{"allreduce(16)", Coll{Op: probe.CauseAllreduce, Bytes: 16}, 0.98},
+		{"allreduce(8P)", Coll{Op: probe.CauseAllreduce, Bytes: 8 * int64(np)}, 0.98},
+		{"allgatherv(skew)", Coll{Op: probe.CauseAllgatherv, Block: func(i int) int64 { return 16 * int64(i+1) }}, 2.37},
 	}
 }
 
@@ -61,12 +52,12 @@ func closedFormPatterns(np int) []closedFormPattern {
 func TestClosedFormMatchesExact(t *testing.T) {
 	// closed[np] are the closed forms of closedFormPatterns(np), in order.
 	closed := map[int][]sim.Time{
-		2:  {1050, 1051, 2104, 2104, 2779, 1054},
-		3:  {2100, 2102, 4208, 4216, 3564, 2110},
-		5:  {4871, 4880, 9760, 9792, 5148, 4911},
-		7:  {4871, 4887, 9760, 9816, 6752, 4966},
-		13: {7642, 7690, 15312, 15492, 11696, 8033},
-		64: {13184, 13608, 26416, 28076, 61472, 23843},
+		2:  {1050, 1051, 2104, 2104, 2779},
+		3:  {2100, 2102, 4208, 4216, 3564},
+		5:  {4871, 4880, 9760, 9792, 5148},
+		7:  {4871, 4887, 9760, 9816, 6752},
+		13: {7642, 7690, 15312, 15492, 11696},
+		64: {13184, 13608, 26416, 28076, 61472},
 	}
 	worst := map[string]float64{}
 	for _, np := range []int{2, 3, 5, 7, 13, 64} {
@@ -74,19 +65,11 @@ func TestClosedFormMatchesExact(t *testing.T) {
 			k, w := testWorld(t, np, 4, 1, nil)
 			var exact sim.Time
 			w.Launch(func(r *Rank) {
-				if pt.exact != nil {
-					pt.exact(r)
-				} else {
-					r.Collective(pt.c)
-				}
+				r.Collective(pt.c)
 				exact = max(exact, r.Now())
 			})
 			k.Run()
-			m := CostModel{w.Config(), w.Network().Config()}
-			got := m.Cost(pt.c)
-			if pt.closed != nil {
-				got = pt.closed(m)
-			}
+			got := CostModel{w.Config(), w.Network().Config()}.Cost(pt.c)
 			if want := closed[np][i]; got != want {
 				t.Errorf("np=%d %s: closed form %d ns, pinned %d ns", np, pt.name, got, want)
 			}
