@@ -24,7 +24,9 @@ import (
 // The read rows cover every algorithm. read/write-overlap was re-pinned
 // when reads moved onto the write drivers (Drive): it now runs
 // Algorithm 1's shape with the file read as the non-blocking fill
-// (Elapsed 147.086 -> 116.956 ms).
+// (Elapsed 147.086 -> 116.956 ms). Every row was re-pinned when the
+// setup's ring allgatherv gave way to the Bruck allgatherv: each run's
+// Elapsed fell by 6.4 to 10.3 µs, with bytes and plan shape unchanged.
 type pinnedDigest struct {
 	name   string
 	digest string
@@ -32,22 +34,22 @@ type pinnedDigest struct {
 }
 
 var pinnedDigests = []pinnedDigest{
-	{"write/no-overlap/two-sided/ior", "93762b61abb494eca057d27b81da4b40d2b47bdf90214fd5e56f36b491dd9977", 134217728},
-	{"write/comm-overlap/two-sided/ior", "81992452913635ac0267f8127ed3fa87665ddda74d9709b738abe2938391ec64", 134217728},
-	{"write/write-overlap/two-sided/ior", "07af6bb838d82f7c4cfd27c23617d3dc331b6d0ca67a8d03f2d83159bbb27aa3", 134217728},
-	{"write/write-comm-overlap/two-sided/ior", "4596f2c2f75a842ed935e8baf38bed7cb120871afadb85a7ba8c100d98a12681", 134217728},
-	{"write/write-comm-2-overlap/two-sided/ior", "07af6bb838d82f7c4cfd27c23617d3dc331b6d0ca67a8d03f2d83159bbb27aa3", 134217728},
-	{"write/write-comm-2-overlap/one-sided-fence/ior", "079744280171fe29c141ac5cd2e398916982d2ae9b60079e82f775a61c06d8eb", 134217728},
-	{"write/write-comm-2-overlap/one-sided-lock/ior", "a71a5ef609eea42f8b19d38f1e5630a67e523822d91125fe5661a339f1ebee20", 134217728},
-	{"write/write-comm-2-overlap/one-sided-pscw/ior", "1082b4e00375b56259dd8f3a8b55957a6f53c32ff31e9981fab8cd7cf0b843a5", 134217728},
-	{"read/no-overlap/two-sided/ior", "3bccde82c45c3eac9c227fd8e49463946af4ec9ba222793a5afc6c4ba79ea853", 134217728},
-	{"read/comm-overlap/two-sided/ior", "26bdd47ce278f582ab62372978c2dbd018b7f5bb8ac2d29618f42d2872ee4dd7", 134217728},
-	{"read/write-overlap/two-sided/ior", "15817a4f316e50f11a5a9f8125ce3dd6123b46f15a46e791b3bbef1f0e5ce924", 134217728},
-	{"read/write-comm-overlap/two-sided/ior", "8f8d3fad98ab957369cd8a2c4228c6f083d0bb6ddaffc4c2859f448148bfb4e4", 134217728},
-	{"read/write-comm-2-overlap/two-sided/ior", "fa6673d34b9d3e3724cff72d38ed84b214b592b07482acc363d80473933e1b50", 134217728},
-	{"write/write-comm-2-overlap/two-sided/tile-ibex", "3731dd42a7f09806cfddc6cf85ad23d1431997105abca51a08d3004f88b92a34", 268435456},
-	{"write/no-overlap/two-sided/tile-ibex", "cc15c93981aa816e7dbef05f1977abaf3f7a289580acd8afc5683d923ccea379", 268435456},
-	{"write/write-comm-2-overlap/one-sided-fence/tile-crill", "08e057cbba8b0f447a4e078b0b5c24bc6b72ebeb724a61ba7a949edb23d686f8", 201326592},
+	{"write/no-overlap/two-sided/ior", "ac68109289889a66ba74463853e2bc05c410b337fb7116449c76c6dc12a5c86a", 134217728},
+	{"write/comm-overlap/two-sided/ior", "6d3e9a34d9231331ded3f595474c616c8e019f815eba2faaa134275b881c48ac", 134217728},
+	{"write/write-overlap/two-sided/ior", "7a999bba54d3fb569f0b8d1940c12f545f92ab730c61a7addca87d814a2e24f5", 134217728},
+	{"write/write-comm-overlap/two-sided/ior", "86fd2b89e972ad00fcb31cc943aa43d7afe0c5bbd0ee720e87047150b62e75dc", 134217728},
+	{"write/write-comm-2-overlap/two-sided/ior", "7a999bba54d3fb569f0b8d1940c12f545f92ab730c61a7addca87d814a2e24f5", 134217728},
+	{"write/write-comm-2-overlap/one-sided-fence/ior", "f9474b38b9b5ac4c975332bf6d726f9fe6abfb174d8d784f6e65aff42d62d283", 134217728},
+	{"write/write-comm-2-overlap/one-sided-lock/ior", "b1e52b5bbfd1aeb310fa1781c243bdcdba678a869a787b75ee75572e49012392", 134217728},
+	{"write/write-comm-2-overlap/one-sided-pscw/ior", "1bb9120e4835d93f848589c9fbe54c7e1da30c0e602a0e0ba3ce6043cb0bbbae", 134217728},
+	{"read/no-overlap/two-sided/ior", "717c1413da76bd21339a95eb3a959c224bbf536f1243f791c725d3a043a79de1", 134217728},
+	{"read/comm-overlap/two-sided/ior", "8d67e6fb0fc9d561be2213a6dbbb66ff33c0d8678ea1f703543a0e60ea1b7eec", 134217728},
+	{"read/write-overlap/two-sided/ior", "78f5df8acc96d7a0ba4488f51bb3886a64616ffe1be737d79431a57f9b27bf19", 134217728},
+	{"read/write-comm-overlap/two-sided/ior", "cafba70ac55064aa1194ff927999ea447907f5557d391a75746d1853dc969e5a", 134217728},
+	{"read/write-comm-2-overlap/two-sided/ior", "1d40e0e8afe46819823a11b83baf7d6f99a984a74f0b37af876ab7a9cef48793", 134217728},
+	{"write/write-comm-2-overlap/two-sided/tile-ibex", "81262ab8b7fd0b802602ea5facad3934802fac9242bffb4bb8b14a4ff26d363e", 268435456},
+	{"write/no-overlap/two-sided/tile-ibex", "61a4cbd0ba3f176e348d8083cfb941ff4cf00bf43a2e69eb0d3b231ae5aac2e4", 268435456},
+	{"write/write-comm-2-overlap/one-sided-fence/tile-crill", "c74cbbd312c3402e07e6d03bc92b761f713ce4e1d008d0c69243aac35800cb40", 201326592},
 }
 
 // pinnedSpecs rebuilds the spec matrix behind pinnedDigests in table

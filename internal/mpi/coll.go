@@ -17,9 +17,8 @@ const (
 	tagBarrier      = tagInternalBase + 0    // + round, dissemination barrier
 	tagBcast        = tagInternalBase + 64   // binomial broadcast
 	tagReduce       = tagInternalBase + 65   // binomial reduction
-	tagRing         = tagInternalBase + 128  // + step, ring allgatherv
+	tagAllgatherv   = tagInternalBase + 128  // + round, Bruck allgatherv
 	tagAlltoall     = tagInternalBase + 896  // + round, Bruck all-to-all
-	tagAllgatherv   = tagInternalBase + 960  // + round, Bruck allgatherv
 	tagRMACtl       = tagInternalBase + 1024 // RMA lock/unlock control
 )
 
@@ -28,10 +27,11 @@ const (
 // returns nothing. The collective-I/O engine already knows every value
 // they would carry from its shared plan; only their timing and the
 // synchronisation they impose shape a run. Each pattern is described
-// once, as rounds of (peer distance, bytes): the doubling rounds of the
-// dissemination ladder (Barrier and the Bruck all-to-alls) and the
-// binomial tree (AllreduceSync), and the ring steps (AllgathervSync).
-// The exact ranks send along those rounds; CostModel, the bundled
+// once, as doubling rounds of (peer distance, bytes): the
+// dissemination ladder (Barrier and the Bruck all-to-alls), the
+// binomial tree (AllreduceSync) and the Bruck allgatherv
+// (AllgathervSync), whose round i moves min(2^i, P-2^i) blocks. The
+// exact ranks send along those rounds; CostModel, the bundled
 // executor's closed form, charges the same rounds.
 
 // doublingRounds is the round count over p members, ceil(log2 p); in
@@ -48,10 +48,6 @@ func bruckRound(p, i int) (dist, blocks int) {
 	dist = 1 << i
 	return dist, min(dist, p-dist)
 }
-
-// ringRound is step s (of p-1) of the ring over p members: member
-// sends its right neighbour (distance 1) the block member from began.
-func ringRound(p, s, member int) (from int) { return (member - s + p) % p }
 
 // Coll is one control collective: Rank.Collective runs it, CostModel.Cost
 // is its closed form. Op is its span's cause: CauseAlltoall,
@@ -198,35 +194,17 @@ func (r *Rank) bcast(bytes int64) {
 }
 
 // AllgathervSync charges the cost of gathering sizes[i] bytes from
-// every rank i with a ring: P-1 steps, each rank forwarding the newest
-// block to its right neighbour. Every rank passes the same sizes.
+// every rank i with the Bruck allgatherv (Bruck et al., IEEE TPDS 1997),
+// MPICH's algorithm for short allgathervs: ceil(log2 P) rounds, in
+// round i each rank forwarding the min(2^i, P-2^i) blocks it holds, its
+// own first, to the rank 2^i below it. Every rank passes the same sizes.
 func (r *Rank) AllgathervSync(sizes []int64) {
 	r.allgatherv(func(i int) int64 { return sizes[i] })
 }
 
-// allgatherv is AllgathervSync's ring, rank i's block block(i) bytes.
+// allgatherv is AllgathervSync's Bruck pattern, rank i's block
+// block(i) bytes.
 func (r *Rank) allgatherv(block func(i int) int64) {
-	e := r.eng
-	e.enter()
-	defer e.exit()
-	defer r.span(probe.KindCollective, probe.CauseAllgatherv)()
-	p := r.w.cfg.NProcs
-	if p == 1 {
-		r.p.Sleep(r.w.cfg.CallOverhead)
-		return
-	}
-	right, left := (r.id+1)%p, (r.id-1+p)%p
-	for s := range p - 1 {
-		from := ringRound(p, s, r.id)
-		sreq := r.Isend(right, tagRing+s, Symbolic(block(from)))
-		rreq := r.Irecv(left, tagRing+s, block((from-1+p)%p), nil)
-		r.Wait(sreq, rreq)
-	}
-}
-
-// allgathervBruck is the Bruck allgatherv, rank i's block block(i)
-// bytes.
-func (r *Rank) allgathervBruck(block func(i int) int64) {
 	e := r.eng
 	e.enter()
 	defer e.exit()
@@ -275,9 +253,8 @@ func (m CostModel) Hop(bytes int64, dist int) sim.Time {
 
 // Cost is c's closed form. Doubling rounds wait on each other, so their
 // hops stack: the ladder climbs them once, the allreduce's tree twice
-// (reduce, then broadcast). The ring is self-clocked: the wire latency
-// is paid once, then P-1 steps at the average block clocked by the
-// slowest (inter-node) edge.
+// (reduce, then broadcast), and the allgatherv once, each round at its
+// block count times the average block.
 func (m CostModel) Cost(c Coll) sim.Time {
 	p, rankOf, size, climbs := m.Config.NProcs, identityRank, int64(1), sim.Time(1)
 	switch c.Op {
@@ -289,35 +266,16 @@ func (m CostModel) Cost(c Coll) sim.Time {
 	case probe.CauseAllreduce:
 		size, climbs = c.Bytes, 2
 	case probe.CauseAllgatherv:
-		var total int64
-		for i := 0; i < p; i++ {
-			total += c.Block(i)
-		}
-		lat := m.Net.InterLatency
-		step := m.Hop(total/int64(p), m.Config.RanksPerNode) - lat
-		return lat + sim.Time(p-1)*step
+		size = blockSum(c.Block, 0, p, p) / int64(p)
 	}
 	var t sim.Time
 	for i := range doublingRounds(p) {
 		k, bytes := doublingRound(i, size)
+		if c.Op == probe.CauseAllgatherv {
+			_, n := bruckRound(p, i)
+			bytes *= int64(n)
+		}
 		t += m.Hop(bytes, rankOf(k)-rankOf(0))
 	}
 	return climbs * t
-}
-
-// allgathervBruck is the closed form of the Bruck allgatherv: its
-// rounds wait on each other like the ladder's, each at its block count
-// times the average block.
-func (m CostModel) allgathervBruck(block func(i int) int64) sim.Time {
-	p := m.Config.NProcs
-	var total int64
-	for i := range p {
-		total += block(i)
-	}
-	var t sim.Time
-	for i := range doublingRounds(p) {
-		k, n := bruckRound(p, i)
-		t += m.Hop(int64(n)*(total/int64(p)), k)
-	}
-	return t
 }

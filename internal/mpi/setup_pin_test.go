@@ -59,14 +59,17 @@ func runSetupCollectives(t *testing.T, np int) setupPin {
 // collectives: exit instants, point-to-point message count and bytes,
 // and the MPI-layer probe stream (tags, peers, sizes, span nesting).
 // Any reimplementation of the collectives must reproduce these exactly.
+// The allgatherv is Bruck's: np 13's last exit fell from 41.070 µs
+// (the ring) to 33.695 µs and its sends from 204 to 100, with the bytes
+// unchanged.
 func TestSetupCollectivesPinned(t *testing.T) {
 	want := map[int]setupPin{
 		1:  {[]sim.Time{900}, 0, 0, 0x5257528f35885a6b},
 		2:  {[]sim.Time{6118, 5908}, 6, 112, 0x6cdf0350477358d3},
-		3:  {[]sim.Time{10533, 10159, 10323}, 14, 352, 0xebb4952893376970},
-		5:  {[]sim.Time{19130, 19160, 19370, 18220, 17195}, 36, 1408, 0x6fd3e38a0e0c395b},
-		7:  {[]sim.Time{24146, 24186, 24396, 24499, 26438, 25840, 22217}, 66, 3552, 0x63d40ab44171b3ff},
-		13: {[]sim.Time{38230, 38310, 38520, 38665, 40604, 40696, 40906, 38826, 40776, 40861, 41070, 39903, 36295}, 204, 20352, 0xeaa3fb5bf29d2e70},
+		3:  {[]sim.Time{10322, 10530, 10367}, 14, 352, 0xa083e0863cdb6d63},
+		5:  {[]sim.Time{18354, 17222, 17943, 18111, 18930}, 31, 1408, 0x2c277f5c14947e5f},
+		7:  {[]sim.Time{22091, 21894, 22054, 21888, 23739, 23989, 23840}, 45, 3552, 0xcc78f4736a1fa230},
+		13: {[]sim.Time{31184, 31456, 32201, 32413, 32663, 31498, 32228, 32519, 32770, 31081, 33695, 33173, 33461}, 100, 20352, 0x18247bebd3376e5},
 	}
 	for _, np := range []int{1, 2, 3, 5, 7, 13} {
 		got, w := runSetupCollectives(t, np), want[np]
