@@ -20,11 +20,9 @@ package analyzer
 //
 // Two constructs get special treatment:
 //
-//   - defer: the deferred call is recorded in CFG.Defers and the
-//     *ast.DeferStmt node is emitted so argument evaluation is
-//     visible at the defer site; transfer functions that care about
-//     the call itself apply Defers at the Exit block (a deferred
-//     Wait releases on every exit path).
+//   - defer: the *ast.DeferStmt node is emitted at its site, so
+//     argument evaluation is visible there; the deferred call itself
+//     is not replayed at the Exit block.
 //   - panic(...): terminates its block with no successor. Must-style
 //     exit checks therefore do not constrain panic paths, matching
 //     the runtime (a panicking simulation never recycles handles).
@@ -56,11 +54,6 @@ type CFG struct {
 	// and the fall-off end of the body has an edge to it; panic paths
 	// do not.
 	Exit *Block
-	// Defers lists deferred calls in source order. They execute on
-	// every path reaching Exit (and on panic paths, which the CFG does
-	// not model — analyzers using Defers for must-properties get
-	// strictly conservative results).
-	Defers []*ast.CallExpr
 	// Unstructured is set when the body contains goto; block structure
 	// is then incomplete and flow-sensitive analyzers must skip the
 	// function.
@@ -236,11 +229,8 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		b.jump(b.cfg.Exit)
 	case *ast.BranchStmt:
 		b.branchStmt(s)
-	case *ast.DeferStmt:
-		b.cfg.Defers = append(b.cfg.Defers, s.Call)
-		b.emit(s)
 	default:
-		// Assign, expr, send, inc/dec, decl, go, empty: atomic.
+		// Assign, expr, send, inc/dec, decl, go, defer, empty: atomic.
 		b.emit(s)
 		if isPanicCall(s) {
 			b.cur = nil // panic terminates the path

@@ -73,12 +73,6 @@ func mustReach(cfg *CFG, name string) bool {
 	if len(cfg.Exit.Preds) == 0 {
 		return true // exit unreachable (infinite loop): vacuously true
 	}
-	// Deferred calls run on every exit path.
-	for _, d := range cfg.Defers {
-		if id, ok := d.Fun.(*ast.Ident); ok && id.Name == name {
-			return true
-		}
-	}
 	return in
 }
 
@@ -162,11 +156,22 @@ func f(err bool) {
 	}
 	use()
 }`)
-	if len(cfg.Defers) != 1 {
-		t.Fatalf("defers = %d, want 1", len(cfg.Defers))
+	// The defer statement is emitted once, at its site in the entry
+	// block, so its argument evaluation is visible there; the deferred
+	// call is not a call at that site.
+	var sites []*Block
+	for _, b := range cfg.Blocks {
+		for _, n := range b.Nodes {
+			if _, ok := n.(*ast.DeferStmt); ok {
+				sites = append(sites, b)
+			}
+		}
 	}
-	if !mustReach(cfg, "release") {
-		t.Error("deferred release must satisfy the must-property on every exit")
+	if len(sites) != 1 || sites[0] != cfg.Blocks[0] {
+		t.Fatalf("defer emitted in %d blocks, want once, in the entry block", len(sites))
+	}
+	if mustReach(cfg, "release") {
+		t.Error("a deferred release is not a release at the defer site")
 	}
 }
 
@@ -318,91 +323,6 @@ outer:
 	}
 	if !mustReach(cfg, "done") {
 		t.Error("done runs on every path out of the nested loops")
-	}
-}
-
-func TestBackwardSolveLiveness(t *testing.T) {
-	// Liveness of identifier uses: a variable assigned in one branch
-	// and read after the join must be live at the assignment.
-	cfg := cfgFor(t, `package p
-func f(c bool) int {
-	x := 0
-	if c {
-		x = 1
-	}
-	return x
-}`)
-	// Facts: set of live variable names (here: just "x" or not).
-	live := BackwardSolve(cfg,
-		map[string]bool{},
-		func() map[string]bool { return map[string]bool{} },
-		func(dst, src map[string]bool) (map[string]bool, bool) {
-			changed := false
-			merged := dst
-			for k := range src {
-				if !merged[k] {
-					if !changed {
-						cp := make(map[string]bool, len(merged)+1)
-						for k2 := range merged {
-							cp[k2] = true
-						}
-						merged = cp
-					}
-					merged[k] = true
-					changed = true
-				}
-			}
-			return merged, changed
-		},
-		func(b *Block, out map[string]bool) map[string]bool {
-			in := make(map[string]bool, len(out))
-			for k := range out {
-				in[k] = true
-			}
-			// Walk nodes in reverse: kill on assignment, gen on use.
-			for i := len(b.Nodes) - 1; i >= 0; i-- {
-				switch n := b.Nodes[i].(type) {
-				case *ast.AssignStmt:
-					for _, lhs := range n.Lhs {
-						if id, ok := lhs.(*ast.Ident); ok {
-							delete(in, id.Name)
-						}
-					}
-					for _, rhs := range n.Rhs {
-						ast.Inspect(rhs, func(x ast.Node) bool {
-							if id, ok := x.(*ast.Ident); ok {
-								in[id.Name] = true
-							}
-							return true
-						})
-					}
-				case *ast.ReturnStmt:
-					ast.Inspect(n, func(x ast.Node) bool {
-						if id, ok := x.(*ast.Ident); ok {
-							in[id.Name] = true
-						}
-						return true
-					})
-				}
-			}
-			return in
-		},
-	)
-	// x must be live at the exit of the block performing `x = 1`
-	// (the branch block) — i.e. at that block's out-fact.
-	var branch *Block
-	for _, b := range cfg.Blocks {
-		for _, n := range b.Nodes {
-			if asg, ok := n.(*ast.AssignStmt); ok && asg.Tok.String() == "=" {
-				branch = b
-			}
-		}
-	}
-	if branch == nil {
-		t.Fatal("branch block with plain assignment not found")
-	}
-	if !live[branch]["x"] {
-		t.Error("x must be live after `x = 1` (it is returned at the join)")
 	}
 }
 

@@ -24,8 +24,7 @@ package analyzer
 // report diagnostics themselves, or fixpoint iteration would duplicate
 // them.
 
-// Facts holds the solved dataflow facts at the entry (forward) or exit
-// (backward) of each block.
+// Facts holds the solved dataflow facts at the entry of each block.
 type Facts[F any] map[*Block]F
 
 // ForwardSolve computes, for every block, the fact holding at block
@@ -72,50 +71,4 @@ func ForwardSolve[F any](cfg *CFG, entry F, bottom func() F,
 		}
 	}
 	return in
-}
-
-// BackwardSolve is the mirror image: it computes, for every block, the
-// fact holding at block *exit*, propagating facts from Exit toward the
-// entry along reversed edges. transfer(b, out) returns the fact at the
-// start of b given the fact at its end; the result of a start fact is
-// joined into each predecessor's exit fact.
-func BackwardSolve[F any](cfg *CFG, exit F, bottom func() F,
-	join func(dst, src F) (F, bool),
-	transfer func(b *Block, out F) F,
-) Facts[F] {
-	outF := make(Facts[F], len(cfg.Blocks))
-	for _, b := range cfg.Blocks {
-		outF[b] = bottom()
-	}
-	if cfg.Exit != nil {
-		outF[cfg.Exit] = exit
-	}
-	work := make([]*Block, 0, len(cfg.Blocks))
-	queued := make([]bool, len(cfg.Blocks))
-	push := func(b *Block) {
-		if !queued[b.Index] {
-			queued[b.Index] = true
-			work = append(work, b)
-		}
-	}
-	// Seed every block (see ForwardSolve) — reversed here, so transfer
-	// runs at least once per block even when all boundary facts equal
-	// bottom (liveness: gen sets must flow without a seed delta).
-	for i := len(cfg.Blocks) - 1; i >= 0; i-- {
-		push(cfg.Blocks[i])
-	}
-	for len(work) > 0 {
-		b := work[0]
-		work = work[1:]
-		queued[b.Index] = false
-		start := transfer(b, outF[b])
-		for _, p := range b.Preds {
-			merged, changed := join(outF[p], start)
-			if changed {
-				outF[p] = merged
-				push(p)
-			}
-		}
-	}
-	return outF
 }
