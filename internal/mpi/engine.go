@@ -186,7 +186,11 @@ type engine struct {
 	stallSince sim.Time
 }
 
-func newEngine(r *Rank) *engine { return &engine{r: r} }
+// queueSlots is the capacity each engine's three match queues (posted,
+// unexpected, pendingRTS) start with: deep enough for the collectives'
+// rounds, where a rank behind its peers finds several rounds' messages
+// waiting.
+const queueSlots = 8
 
 func (e *engine) enter() {
 	e.inMPI++

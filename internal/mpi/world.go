@@ -228,17 +228,23 @@ func NewWorld(k *sim.Kernel, net *simnet.Network, cfg Config) (*World, error) {
 	for i := range w.shards {
 		w.shards[i] = newLPShard()
 	}
-	for i := 0; i < cfg.NProcs; i++ {
-		r := &Rank{
-			w:    w,
-			id:   i,
-			node: i / cfg.RanksPerNode,
-		}
+	// A world is built per run, so its ranks, their engines and the
+	// first slots of each engine's match queues come from one slab
+	// each rather than a few allocations per rank.
+	n := cfg.NProcs
+	ranks, engs := make([]Rank, n), make([]engine, n)
+	posted, unexp, rts := make([]*Request, n*queueSlots), make([]*msg, n*queueSlots), make([]*msg, n*queueSlots)
+	w.ranks = make([]*Rank, n)
+	for i := range ranks {
+		r := &ranks[i]
+		r.w, r.id, r.node = w, i, i/cfg.RanksPerNode
 		r.k = net.KernelFor(r.node)
 		r.sh = &w.shards[net.LPFor(r.node)]
 		k.InitServer(&r.rmaAgent, 0, cfg.RMAAgentDelay)
-		r.eng = newEngine(r)
-		w.ranks = append(w.ranks, r)
+		lo, hi := i*queueSlots, (i+1)*queueSlots
+		engs[i] = engine{r: r, posted: posted[lo:lo:hi], unexpected: unexp[lo:lo:hi], pendingRTS: rts[lo:lo:hi]}
+		r.eng = &engs[i]
+		w.ranks[i] = r
 	}
 	k.Explain(w.OpenEpochs)
 	return w, nil
