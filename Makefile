@@ -68,7 +68,9 @@ quarantine:
 # simnet, mpi: AIOWrite, AIORead, their cold-pool AIOWriteCold and
 # AIOReadCold, Fluid*, Send, the kernel and ping-pong rows) cost
 # microseconds per op, where one iteration measures only warm-up, so
-# they always run at -benchtime 1s -count 5. Rows are keyed by (name, GOMAXPROCS)
+# they always run at -benchtime 1s -count 5; mpi's SetupExchange (the
+# collective write's setup collectives at 96 to 4096 ranks) rides in
+# the same pass. Rows are keyed by (name, GOMAXPROCS)
 # and every committed BENCH_*.json was recorded at GOMAXPROCS=1, so on a
 # multi-core host run `GOMAXPROCS=1 make bench` (and bench-diff) or the
 # diff finds no shared benchmarks. benchjson folds the repeated rows of
@@ -85,7 +87,7 @@ quarantine:
 # equivalence tests — under the race detector. Perf numbers come from
 # bench, concurrency-correctness evidence from race.
 BENCHTIME ?= 1x
-BENCHOUT ?= BENCH_PR32.json
+BENCHOUT ?= BENCH_PR33.json
 BENCHBASE ?= BENCH_PR21.json
 BENCHDIFF = $(if $(wildcard $(BENCHBASE)),-diff $(BENCHBASE),)
 
@@ -110,7 +112,7 @@ BENCHFAIL ?= 30
 # alloc win cannot silently erode anywhere.
 BENCHALLOCFAIL ?= 5
 BENCHGATE ?= ScaleSweep|ParallelRun|CohortScale|SelectColdVsWarm|HierarchicalSweep
-BENCHALLOCGATE ?= RunSeries|TableISweep|ScaleSweep|ParallelRun|CohortScale|SelectColdVsWarm|HierarchicalSweep
+BENCHALLOCGATE ?= RunSeries|TableISweep|ScaleSweep|ParallelRun|CohortScale|SelectColdVsWarm|HierarchicalSweep|SetupExchange
 
 bench-diff:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -timeout 30m ./... | $(GO) run ./cmd/benchjson -diff $(BENCHBASE) -fail-above $(BENCHFAIL) -fail-allocs-above $(BENCHALLOCFAIL) -gate '$(BENCHGATE)' -allocs-gate '$(BENCHALLOCGATE)' > /dev/null

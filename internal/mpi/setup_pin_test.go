@@ -84,3 +84,29 @@ func TestSetupCollectivesPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestSetupExchangeSends pins the message count of the setup's view
+// exchange: the Bruck allgatherv sends P·⌈log2 P⌉ messages, one per
+// rank per round, where the ring it replaced sent P(P−1) (9,120 at
+// np 96, 1,047,552 at np 1024).
+func TestSetupExchangeSends(t *testing.T) {
+	want := map[int]int{2: 2, 3: 6, 5: 15, 96: 672, 1024: 10240}
+	for _, np := range []int{2, 3, 5, 96, 1024} {
+		k, w := testWorld(t, np, 4, 1, nil)
+		p := probe.New()
+		w.SetProbe(0, p)
+		w.Launch(func(r *Rank) {
+			r.Collective(Coll{Op: probe.CauseAllgatherv, Block: func(i int) int64 { return 16 * int64(1+i%4) }})
+		})
+		k.Run()
+		isends := 0
+		for _, ev := range p.Events() {
+			if ev.Layer == probe.LayerMPI && ev.Kind == probe.KindIsend {
+				isends++
+			}
+		}
+		if isends != want[np] {
+			t.Errorf("np=%d: the allgatherv sent %d messages, want %d", np, isends, want[np])
+		}
+	}
+}
