@@ -55,9 +55,10 @@ func (jv *JobView) Control(dir Direction) Control { return jv.control[dir] }
 // a read skips it, as its cost model always has), then the
 // flattened-view exchange: every rank's extent count (an allgather,
 // charged as an allreduce over the P-vector) and 16 bytes per extent
-// over a ring allgatherv (vulcan exchanges the per-process offset/length
-// lists so every rank can compute identical send/receive maps). The
-// shared plan already holds every value they would carry. Cycle is
+// over an allgatherv (vulcan exchanges the per-process offset/length
+// lists so every rank can compute identical send/receive maps), which
+// at these sizes MPICH runs as Bruck's log-round pattern. The shared
+// plan already holds every value they would carry. Cycle is
 // ROMIO/vulcan's MPI_Alltoall of send sizes at the start of every
 // cycle: besides its cost, it makes each cycle a de-facto global
 // synchronisation point, which is why the non-overlapping baseline's
