@@ -81,9 +81,8 @@ func BenchmarkTableISweep(b *testing.B) {
 // targets — the jrun4/jrun1 ratio is its host speedup, bounded by the
 // host's core count (on a single-core machine the variants tie and the
 // delta is pure window/barrier overhead).
-// The 4096-rank point runs only the jrun 1/4 pair — at ~2 min per
-// execution the full ladder belongs to the E9 sweep (evalsuite -exp
-// scale -jrun N), not the bench lane.
+// The 4096-rank point runs only the jrun 0/2 pair: the exact executor
+// against two window workers, the trial E9 reads at GOMAXPROCS=2.
 // BenchmarkCohortScale pins the bundled cohort executor against the
 // flat (exact per-rank) executor on the deterministic ibex scale point,
 // crossed with the two network models. ns/op is the host wall-clock the
@@ -167,7 +166,7 @@ func BenchmarkParallelRun(b *testing.B) {
 	for _, np := range []int{1024, 4096} {
 		jruns := []int{0, 1, 2, 4, 8}
 		if np >= 4096 {
-			jruns = []int{1, 4}
+			jruns = []int{0, 2}
 		}
 		for _, jrun := range jruns {
 			b.Run(fmt.Sprintf("np%d/jrun%d", np, jrun), func(b *testing.B) {
