@@ -9,9 +9,9 @@ GO ?= go
 SHELL := bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: check build vet collvet test race race-parallel quarantine bench bench-diff metrics-smoke scale-smoke select-smoke perfbench-smoke
+.PHONY: check build vet collvet test race quarantine bench bench-diff metrics-smoke scale-smoke select-smoke perfbench-smoke
 
-check: build vet collvet race-parallel quarantine scale-smoke select-smoke metrics-smoke perfbench-smoke race
+check: build vet collvet quarantine scale-smoke select-smoke metrics-smoke perfbench-smoke race
 
 build:
 	$(GO) build ./...
@@ -30,22 +30,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-# `make race-parallel` is the dedicated race lane for the conservative
-# parallel executor: the sequential-equivalence matrix runs every spec
-# at -jrun 1/2/4, so the window workers, barrier merge and shard fold
-# all execute multi-threaded under the race detector on a small
-# workload. The metrics shard-merge and hierarchical matrices run
-# alongside, so the per-LP sink wiring (probe and metrics shards on
-# every layer) and the leaders-only ladder are raced too. The simnet
-# sequential-vs-partitioned test runs at 2 and 4 window workers, so a
-# race on the per-LP transfer pools or probe shards shows up here.
-# It runs first in `make check` so a data race in the executor surfaces
-# in seconds instead of at the end of the full race suite.
-race-parallel:
-	$(GO) test -race -count=1 -run 'TestParallelRunMatchesSequential|TestMetricsShardMergeMatchesSequential|TestHierarchicalParallelMatchesSequential' ./internal/exp/
-	$(GO) test -race -count=1 -run 'TestPartitionMatchesSequential' ./internal/sim/
-	$(GO) test -race -count=1 -run 'TestPartitionedMatchesSequential' ./internal/simnet/
 
 # `make quarantine` reruns the packages that hold pooled handles with
 # sim.Pool in quarantine (build tag poolquarantine): Put never recycles,
@@ -83,11 +67,11 @@ quarantine:
 #
 # Note the division of labour with `make race`: benchmarks and the
 # parallel sweep runner (-j) measure throughput, while the race lane
-# runs the whole test suite — including the parallel-vs-sequential
-# equivalence tests — under the race detector. Perf numbers come from
+# runs the whole test suite — including the sweep runner's
+# parallel-vs-sequential equivalence tests — under the race detector. Perf numbers come from
 # bench, concurrency-correctness evidence from race.
 BENCHTIME ?= 1x
-BENCHOUT ?= BENCH_PR33.json
+BENCHOUT ?= BENCH_PR34.json
 BENCHBASE ?= BENCH_PR21.json
 BENCHDIFF = $(if $(wildcard $(BENCHBASE)),-diff $(BENCHBASE),)
 
@@ -111,8 +95,8 @@ BENCHFAIL ?= 30
 # covers the short benchmarks the ns/op gate must exclude: PR 4's 32%
 # alloc win cannot silently erode anywhere.
 BENCHALLOCFAIL ?= 5
-BENCHGATE ?= ScaleSweep|ParallelRun|CohortScale|SelectColdVsWarm|HierarchicalSweep
-BENCHALLOCGATE ?= RunSeries|TableISweep|ScaleSweep|ParallelRun|CohortScale|SelectColdVsWarm|HierarchicalSweep|SetupExchange
+BENCHGATE ?= ScaleSweep|CohortScale|SelectColdVsWarm|HierarchicalSweep
+BENCHALLOCGATE ?= RunSeries|TableISweep|ScaleSweep|CohortScale|SelectColdVsWarm|HierarchicalSweep|SetupExchange
 
 bench-diff:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -timeout 30m ./... | $(GO) run ./cmd/benchjson -diff $(BENCHBASE) -fail-above $(BENCHFAIL) -fail-allocs-above $(BENCHALLOCFAIL) -gate '$(BENCHGATE)' -allocs-gate '$(BENCHALLOCGATE)' > /dev/null

@@ -1,15 +1,13 @@
-// Command collvet runs the collio static-analysis suite: ten
-// simulator-invariant analyzers that catch, at compile time, the
-// protocol bugs that would silently corrupt the reproduction's overlap
-// measurements — five per-node syntactic matchers (wall-clock time in
-// the deterministic kernel, unpaired RMA epochs, blocking calls in
-// kernel callbacks, payload aliasing, kernel-owned state shared across
-// goroutines), four flow-sensitive analyzers over the shared
+// Command collvet runs the collio static-analysis suite: five
+// simulator-invariant analyzers that catch, at compile time, the bugs
+// that would silently corrupt the reproduction's overlap measurements —
+// two per-node syntactic matchers (wall-clock time or global randomness
+// in the deterministic simulator, kernel-owned state shared across
+// goroutines), two flow-sensitive analyzers over the shared
 // CFG/dataflow core (map-iteration-ordered emission and writes,
-// pooled-handle lifetimes including leaked requests, sim.Time unit
-// confusion, lookahead violations), and a type-shape check (memosafe)
-// that keeps //collvet:memoized cache-result types free of live
-// simulator handles and other non-plain data.
+// sim.Time unit confusion), and a type-shape check (memosafe) that
+// keeps //collvet:memoized cache-result types free of live simulator
+// handles and other non-plain data.
 //
 // Usage:
 //

@@ -23,10 +23,7 @@
 //
 // Use -full for the extended sweep (larger process counts; slow) and
 // -np to override Fig. 1 / breakdown process counts. The scale sweep
-// takes its rank counts from -ranks (default 1024,2048,4096); -jrun N
-// runs each of its simulations on the conservative parallel executor
-// with N window workers (deterministic ibex model — simulated times are
-// identical at every N, host wall-clock scales with cores). The
+// takes its rank counts from -ranks (default 1024,2048,4096). The
 // observability flags -probe, -trace-json, -report, -metrics and
 // -metrics-out attach instrumentation to a single run (implying the
 // probe experiment); -progress prints a live heartbeat for any sweep.
@@ -63,7 +60,6 @@ func main() {
 		ranksFlag = flag.String("ranks", "", "comma-separated rank counts for the scale sweep (default 1024,2048,4096)")
 		runs      = flag.Int("runs", 3, "measurements per series")
 		jobs      = flag.Int("j", exp.DefaultParallelism(), "max simulations run in parallel (results are identical at any -j)")
-		jrun      = flag.Int("jrun", 0, "window workers inside each scale-sweep simulation (>= 1 switches to the deterministic ibex model; 0 keeps the noisy E8 sweep)")
 		bundleF   = flag.Bool("bundle", false, "run the scale sweep on the bundled cohort executor (deterministic ibex scaled to the rank count; enables 100k-1M rank points, E11)")
 		netmodelF = flag.String("netmodel", "chunked", "simnet transfer model for bundled scale points: chunked|flow")
 		probeF    = flag.Bool("probe", false, "print the probe counter registry of the instrumented run")
@@ -105,10 +101,9 @@ func main() {
 
 	// The tuner's grid and execution strategy, shared by -exp select and
 	// -serve: -full widens the sweep to the one-sided primitives, -j /
-	// -jrun / -bundle apply exactly as they do to the scale sweep.
+	// -bundle apply exactly as they do to the scale sweep.
 	tuneOpts := tune.Options{
 		Parallel:  *jobs,
-		JRun:      *jrun,
 		Bundle:    *bundleF,
 		CachePath: *cacheFile,
 	}
@@ -196,7 +191,6 @@ func main() {
 	if want("scale") {
 		ran = true
 		cfg := exp.DefaultScaleConfig()
-		cfg.JRun = *jrun
 		cfg.Bundle = *bundleF
 		cfg.NetModel = netModel
 		if *ranksFlag != "" {
@@ -227,11 +221,8 @@ func main() {
 			})
 		}
 		title := "SCALE — IOR collective write on ibex (1 MiB per rank, one run per point)"
-		switch {
-		case *bundleF:
+		if *bundleF {
 			title = fmt.Sprintf("SCALE — IOR collective write, bundled cohort executor on deterministic ibex (-netmodel %v)", netModel)
-		case *jrun >= 1:
-			title = fmt.Sprintf("SCALE — IOR collective write on deterministic ibex (1 MiB per rank, -jrun %d)", *jrun)
 		}
 		fmt.Println(stats.RenderTable(title, head, rows))
 		fmt.Println()

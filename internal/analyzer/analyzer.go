@@ -34,9 +34,6 @@
 //	simtime              no sim.Time <-> time.Duration casts and no raw
 //	                     byte count cast to sim.Time without a cost
 //	                     scale inside the deterministic zone
-//	lookahead            no ScheduleRemote with a statically-known delta
-//	                     below the partition lookahead, and no cross-LP
-//	                     kernel access from inside a remote callback
 //	memosafe             a type marked //collvet:memoized (a cached,
 //	                     process-outliving, shared-by-all-warm-callers
 //	                     result) is transitively plain data: no live
@@ -96,7 +93,7 @@ type Analyzer struct {
 }
 
 // All returns the full collvet suite in stable order. The first two
-// are per-node syntactic matchers; the next three are flow-sensitive
+// are per-node syntactic matchers; the next two are flow-sensitive
 // analyzers over the CFG/dataflow core (cfg.go, dataflow.go); memosafe
 // is a type-shape check over marked declarations.
 func All() []*Analyzer {
@@ -105,7 +102,6 @@ func All() []*Analyzer {
 		KernelShare,
 		MapOrder,
 		SimTime,
-		Lookahead,
 		MemoSafe,
 	}
 }
@@ -226,20 +222,10 @@ func funcPkgName(fn *types.Func) string {
 	return fn.Pkg().Name()
 }
 
-// isMethod reports whether fn is a method named name declared in a
-// package named pkgName. Matching by package *name* rather than full
+// methodIn reports whether fn is a method declared in package pkgName
+// whose name is in set. Matching by package *name* rather than full
 // import path lets the fixture stubs under testdata/ stand in for the
 // real collio/internal packages.
-func isMethod(fn *types.Func, pkgName, name string) bool {
-	if fn == nil || fn.Name() != name || funcPkgName(fn) != pkgName {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	return ok && sig.Recv() != nil
-}
-
-// methodIn reports whether fn is a method declared in package pkgName
-// whose name is in set.
 func methodIn(fn *types.Func, pkgName string, set map[string]bool) bool {
 	if fn == nil || !set[fn.Name()] || funcPkgName(fn) != pkgName {
 		return false

@@ -42,8 +42,10 @@ import (
 // dropping its rule for a future taken from a pooled request, and
 // payloadalias dropping a completer, both with the MPI calls they
 // checked; v7 is the deletion of poolpath and payloadalias, whose
-// rules the pooled handles now check at run time.
-const cacheSchema = "collvet-cache-v7"
+// rules the pooled handles now check at run time; v8 is the deletion
+// of the partitioned executor, whose kernel handle kernelshare and
+// whose cross-LP scheduling call maporder named.
+const cacheSchema = "collvet-cache-v8"
 
 // Cache is a directory of per-package analysis results.
 type Cache struct {

@@ -2,7 +2,7 @@ package analyzer
 
 // Control-flow graphs for the dataflow analyzers (see dataflow.go for
 // the solver). Two collvet analyzers are per-node syntactic matchers;
-// the flow-sensitive rules (maporder, simtime, lookahead) need to
+// the flow-sensitive rules (maporder, simtime) need to
 // answer path questions — "which blocks does this map loop's body
 // reach?", "is this variable Now()+c on every path here?" — so this
 // file lowers one function body into basic blocks of *atomic* nodes

@@ -183,10 +183,6 @@ func TestSimTimeFixtures(t *testing.T) {
 	runFixtureTest(t, SimTime, "simtime/internal/fcoll")
 }
 
-func TestLookaheadFixtures(t *testing.T) {
-	runFixtureTest(t, Lookahead, "lookahead")
-}
-
 func TestMemoSafeFixtures(t *testing.T) {
 	runFixtureTest(t, MemoSafe, "memosafe")
 }

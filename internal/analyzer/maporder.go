@@ -43,7 +43,7 @@ var MapOrder = &Analyzer{
 var mapOrderHazards = map[string]map[string]bool{
 	"sim": {
 		"At": true, "After": true, "Spawn": true, "SpawnAt": true,
-		"ScheduleRemote": true, "Complete": true, "CompleteAfter": true,
+		"Complete": true, "CompleteAfter": true,
 		"Then": true,
 	},
 	"probe": {"Emit": true},

@@ -32,7 +32,6 @@ type Common struct {
 	Primitive  string
 	Runs       int
 	Jobs       int
-	JRun       int
 	Seed       int64
 	BufferMB   int
 	AllAlgos   bool
@@ -56,7 +55,6 @@ func (c *Common) RegisterFlags() {
 	flag.IntVar(&c.Runs, "runs", 3, "measurements per series")
 	flag.IntVar(&c.Jobs, "j", exp.DefaultParallelism(), "max simulations run in parallel (results are identical at any -j)")
 	flag.IntVar(&c.Jobs, "parallel", exp.DefaultParallelism(), "alias for -j")
-	flag.IntVar(&c.JRun, "jrun", 0, "window workers inside each single simulation (conservative parallel executor; engages only on noise-free specs, silently sequential otherwise; results are identical at any -jrun)")
 	flag.Int64Var(&c.Seed, "seed", 1, "base random seed")
 	flag.IntVar(&c.BufferMB, "buffer", 32, "collective buffer size in MiB")
 	flag.BoolVar(&c.AllAlgos, "all", false, "run every overlap algorithm and compare")
@@ -172,7 +170,6 @@ func (c *Common) RunBenchmark(gen workload.Generator) (err error) {
 			Primitive:  prim,
 			BufferSize: int64(c.BufferMB) << 20,
 			Read:       c.Read,
-			JRun:       c.JRun,
 		}
 		s, err := exp.RunSeriesP(spec, c.Runs, c.Seed, c.Jobs)
 		if err != nil {
@@ -210,7 +207,6 @@ func (c *Common) RunBenchmark(gen workload.Generator) (err error) {
 			BufferSize: int64(c.BufferMB) << 20,
 			Read:       c.Read,
 			Seed:       c.Seed,
-			JRun:       c.JRun,
 			Trace:      tr,
 			Probe:      p,
 			Metrics:    met,

@@ -73,16 +73,6 @@ func BenchmarkTableISweep(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelRun pins the conservative parallel executor on the
-// deterministic ibex scale point: the same 1024/4096-rank simulation at
-// -jrun 1/2/4/8 window workers. sim-ms/op must be identical across the
-// jrun variants of one rank count (the executor is observationally
-// equivalent to sequential); ns/op is the wall-clock the executor
-// targets — the jrun4/jrun1 ratio is its host speedup, bounded by the
-// host's core count (on a single-core machine the variants tie and the
-// delta is pure window/barrier overhead).
-// The 4096-rank point runs only the jrun 0/2 pair: the exact executor
-// against two window workers, the trial E9 reads at GOMAXPROCS=2.
 // BenchmarkCohortScale pins the bundled cohort executor against the
 // flat (exact per-rank) executor on the deterministic ibex scale point,
 // crossed with the two network models. ns/op is the host wall-clock the
@@ -156,31 +146,5 @@ func BenchmarkHierarchicalSweep(b *testing.B) {
 			}
 			b.ReportMetric(float64(simNS)/1e6, "sim-ms/op")
 		})
-	}
-}
-
-// BenchmarkParallelRun runs the E9 scale point on the partitioned
-// executor's jrun ladder; jrun0 is the exact sequential executor on the
-// same spec, the baseline the ladder's speedup is read against.
-func BenchmarkParallelRun(b *testing.B) {
-	for _, np := range []int{1024, 4096} {
-		jruns := []int{0, 1, 2, 4, 8}
-		if np >= 4096 {
-			jruns = []int{0, 2}
-		}
-		for _, jrun := range jruns {
-			b.Run(fmt.Sprintf("np%d/jrun%d", np, jrun), func(b *testing.B) {
-				b.ReportAllocs()
-				var simNS int64
-				for i := 0; i < b.N; i++ {
-					m, err := Execute(ParallelScaleSpec(np, fcoll.WriteComm2Overlap, 1<<20, 17, jrun))
-					if err != nil {
-						b.Fatal(err)
-					}
-					simNS = int64(m.Elapsed)
-				}
-				b.ReportMetric(float64(simNS)/1e6, "sim-ms/op")
-			})
-		}
 	}
 }

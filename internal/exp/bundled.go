@@ -156,10 +156,7 @@ type cohortNote struct {
 	emit sim.Event[cohortNote]
 }
 
-// cohortRun is the bundled executor for one spec. The name is
-// load-bearing for collvet: the lookahead analyzer rejects any
-// ScheduleRemote reachable from a cohort receiver, because cohort
-// replay wiring runs below the partition lookahead by construction.
+// cohortRun is the bundled executor for one spec.
 type cohortRun struct {
 	k     *sim.Kernel
 	net   *simnet.Network
@@ -247,9 +244,7 @@ func newCohortRun(spec Spec, cl *platform.Cluster, rt route, obs fcoll.Observer)
 
 // runBundled runs spec on the bundled cohort executor over the cluster
 // cl (InstantiateBundled) and the plans routeFor certified, with the
-// collective engine reporting to obs. JRun is ignored: the bundled
-// executor is sequential (and far cheaper than any partitioned exact
-// run).
+// collective engine reporting to obs.
 func runBundled(spec Spec, cl *platform.Cluster, rt route, obs fcoll.Observer) (Metrics, error) {
 	b := newCohortRun(spec, cl, rt, obs)
 	aggs := make([]aggRun, len(rt.scheds[0].AggRanks()))

@@ -338,7 +338,7 @@ func TestBundledA2ACostMatchesExactBruck(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := probe.New()
-		cl.World.SetProbe(0, p)
+		cl.World.SetProbe(p)
 		cl.World.Launch(func(r *mpi.Rank) { r.AlltoallSync(8) })
 		cl.Kernel.Run()
 		var round int64

@@ -20,9 +20,6 @@ import (
 // is the cache key: two Specs with equal Configs return bit-identical
 // Results, so a memoized Result can answer for either.
 //
-// JRun is deliberately absent: the conservative parallel executor is
-// bit-identical to sequential execution at every worker count
-// (TestParallelRunMatchesSequential), so it cannot split a cache line.
 // Bundled is present: the bundled cohort executor answers within a
 // makespan tolerance rather than exactly (DESIGN.md §14), so bundled
 // and exact runs of the same question are distinct cache entries.

@@ -227,17 +227,12 @@ func TestSpecConfigRoundTrip(t *testing.T) {
 		Seed:         5,
 		Read:         false,
 		Bundle:       true,
-		JRun:         4, // execution strategy: must NOT survive into Config
 	}
 	cfg, err := spec.Config()
 	if err != nil {
 		t.Fatal(err)
 	}
 	back := cfg.Spec()
-	if back.JRun != 0 {
-		t.Errorf("Config carried JRun through: %d", back.JRun)
-	}
-	spec.JRun = 0
 	if !reflect.DeepEqual(back, spec) {
 		t.Errorf("round trip drifted:\n got %+v\nwant %+v", back, spec)
 	}

@@ -21,10 +21,9 @@ func executorOf(t *testing.T, spec Spec) string {
 }
 
 // TestExecutorTruthTable pins which executor every eligibility input
-// selects. The base spec qualifies for all three executors (a
-// collapsing two-sided write on a deterministic platform, JRun 2,
-// Bundle on); each row changes one input. Precedence is bundled, then
-// parallel, then exact.
+// selects. The base spec qualifies for the bundled executor (a
+// collapsing two-sided write on a deterministic platform, Bundle on);
+// each row changes one input.
 func TestExecutorTruthTable(t *testing.T) {
 	base := Spec{
 		Platform:  platform.Crill().Deterministic(),
@@ -33,7 +32,6 @@ func TestExecutorTruthTable(t *testing.T) {
 		Algorithm: fcoll.WriteComm2Overlap,
 		Primitive: fcoll.TwoSided,
 		Seed:      1,
-		JRun:      2,
 		Bundle:    true,
 	}
 	rows := []struct {
@@ -42,16 +40,13 @@ func TestExecutorTruthTable(t *testing.T) {
 		want string
 	}{
 		{"base", func(*Spec) {}, "bundled"},
-		{"bundle off", func(s *Spec) { s.Bundle = false }, "parallel"},
-		{"bundle off, jrun 0", func(s *Spec) { s.Bundle, s.JRun = false, 0 }, "exact"},
-		{"jrun 0", func(s *Spec) { s.JRun = 0 }, "bundled"},
+		{"bundle off", func(s *Spec) { s.Bundle = false }, "exact"},
 		{"read", func(s *Spec) { s.Read = true }, "exact"},
 		{"data mode", func(s *Spec) { s.DataMode = true }, "exact"},
 		{"one-sided fence", func(s *Spec) { s.Primitive = fcoll.OneSidedFence }, "exact"},
 		{"one-sided lock", func(s *Spec) { s.Primitive = fcoll.OneSidedLock }, "exact"},
 		{"one-sided pscw", func(s *Spec) { s.Primitive = fcoll.OneSidedPSCW }, "exact"},
-		{"hierarchical", func(s *Spec) { s.Hierarchical = true }, "parallel"},
-		{"hierarchical, jrun 0", func(s *Spec) { s.Hierarchical, s.JRun = true, 0 }, "exact"},
+		{"hierarchical", func(s *Spec) { s.Hierarchical = true }, "exact"},
 		{"progress thread", func(s *Spec) { s.Platform.ProgressThread = true }, "exact"},
 		{"net noise", func(s *Spec) { s.Platform.NetNoiseSigma = 0.05 }, "exact"},
 		{"storage noise", func(s *Spec) { s.Platform.StorageNoiseSigma = 0.05 }, "exact"},
@@ -62,8 +57,7 @@ func TestExecutorTruthTable(t *testing.T) {
 		{"rendezvous chunk 1 MiB, bundle off", func(s *Spec) { s.Platform.RendezvousChunk, s.Bundle = 1<<20, false }, "exact"},
 		{"flow model", func(s *Spec) { s.Platform.NetModel = simnet.ModelFlow }, "bundled"},
 		{"flow model, bundle off", func(s *Spec) { s.Platform.NetModel, s.Bundle = simnet.ModelFlow, false }, "exact"},
-		{"asymmetric workload", func(s *Spec) { s.Gen = jitteredFlash }, "parallel"},
-		{"asymmetric workload, jrun 0", func(s *Spec) { s.Gen, s.JRun = jitteredFlash, 0 }, "exact"},
+		{"asymmetric workload", func(s *Spec) { s.Gen = jitteredFlash }, "exact"},
 	}
 	for _, row := range rows {
 		spec := base
@@ -77,9 +71,3 @@ func TestExecutorTruthTable(t *testing.T) {
 // jitteredFlash carries per-rank load imbalance (FLASH's AMR jitter),
 // so its plan does not collapse into cohorts (TestCohortFallback).
 var jitteredFlash = flashio.Config{NXB: 8, NYB: 8, NZB: 8, BytesPerCell: 8, BlocksPerProc: 8, BlockJitter: 4, NumVars: 2}
-
-// withJRun returns spec with JRun set.
-func withJRun(spec Spec, jrun int) Spec {
-	spec.JRun = jrun
-	return spec
-}

@@ -135,48 +135,6 @@ func TestPinnedHierarchicalDigests(t *testing.T) {
 	}
 }
 
-// TestHierarchicalParallelMatchesSequential extends the conservative
-// parallel executor's determinism oracle to the hierarchical family:
-// intra-node traffic (member payloads, leader credits) stays inside one
-// LP, and the leaders-only ladder plus combined forwards cross LPs at
-// full inter-node latency ≥ the lookahead, so hierarchical specs remain
-// partitionable and must reproduce the sequential digest bit for bit.
-func TestHierarchicalParallelMatchesSequential(t *testing.T) {
-	pf := platform.Crill().Deterministic()
-	pf.RanksPerNode = 8
-	for _, gen := range []workload.Generator{
-		ior.Config{BlockSize: 1 << 20, Segments: 2},
-		tileio.Config{ElemSize: 1 << 18, ElemsX: 4, ElemsY: 4, Label: "t"},
-	} {
-		base := Spec{
-			Platform: pf, NProcs: 32, Gen: gen,
-			Algorithm: fcoll.WriteComm2Overlap, Primitive: fcoll.TwoSided,
-			Hierarchical: true, Seed: 7,
-		}
-		if e, _ := ExecutorFor(withJRun(base, 2)); e != ParallelExecutor {
-			t.Fatalf("%s: hierarchical spec unexpectedly not partitionable", gen.Name())
-		}
-		seq := base
-		seq.Trace = trace.New()
-		if _, err := Execute(seq); err != nil {
-			t.Fatalf("%s: sequential: %v", gen.Name(), err)
-		}
-		want := seq.Trace.Digest()
-		for _, jrun := range []int{1, 2, 4} {
-			par := base
-			par.JRun = jrun
-			par.Trace = trace.New()
-			if _, err := Execute(par); err != nil {
-				t.Fatalf("%s jrun %d: %v", gen.Name(), jrun, err)
-			}
-			if got := par.Trace.Digest(); got != want {
-				t.Errorf("%s jrun %d: parallel hierarchical run diverged from sequential:\n  seq %s\n  par %s",
-					gen.Name(), jrun, want, got)
-			}
-		}
-	}
-}
-
 // TestHierarchicalBundledFallsBackExact pins the satellite contract
 // that a Bundle request on a hierarchical spec drops to the exact path
 // bit-identically: the executor decision (routeFor) excludes the hierarchical family

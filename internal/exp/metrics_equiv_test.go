@@ -16,9 +16,22 @@ import (
 	"collio/internal/workload/tileio"
 )
 
-// metricsMatrix is the workload × platform × seed grid shared by the
-// telemetry equivalence tests — the same grid the parallel-executor
-// oracle (TestParallelRunMatchesSequential) runs on.
+// countersDump renders every global and per-rank counter of a probe in
+// a canonical textual form, so two probes compare by string equality.
+func countersDump(p *probe.Probe) string {
+	var b strings.Builder
+	g := p.Counters()
+	b.WriteString(g.String())
+	for _, name := range g.RankNames() {
+		for _, r := range g.Ranks() {
+			fmt.Fprintf(&b, "rank%d %s %d\n", r, name, g.RankValue(r, name))
+		}
+	}
+	return b.String()
+}
+
+// metricsMatrix is the workload × platform × seed grid of the
+// telemetry equivalence tests.
 type metricsCase struct {
 	name string
 	spec Spec
@@ -55,9 +68,6 @@ func metricsMatrix(t *testing.T) []metricsCase {
 					Gen:       gc.gen,
 					Algorithm: fcoll.WriteComm2Overlap,
 					Seed:      seed,
-				}
-				if e, _ := ExecutorFor(withJRun(spec, 2)); e != ParallelExecutor {
-					t.Fatalf("%s/%s: spec unexpectedly not partitionable", pc.name, gc.name)
 				}
 				cases = append(cases, metricsCase{
 					name: fmt.Sprintf("%s/%s seed %d", pc.name, gc.name, seed),
@@ -115,56 +125,6 @@ func TestMetricsDigestInvariance(t *testing.T) {
 		}
 		if on.Metrics.Dump() == "" {
 			t.Fatalf("%s: metrics-on run recorded nothing", tc.name)
-		}
-	}
-}
-
-// stripKernelSeries drops the execution-level kernel.* gauge blocks
-// from a canonical dump. The kernel event-queue depth is a property of
-// the sequential executor (per-LP queues exist under partitioning), so
-// it is excluded from the sequential-vs-parallel equality.
-func stripKernelSeries(dump string) string {
-	var b strings.Builder
-	skip := false
-	for _, line := range strings.SplitAfter(dump, "\n") {
-		if strings.HasPrefix(line, "gauge ") || strings.HasPrefix(line, "hist ") {
-			skip = strings.HasPrefix(line, "gauge kernel.")
-		}
-		if !skip && line != "" {
-			b.WriteString(line)
-		}
-	}
-	return b.String()
-}
-
-// TestMetricsShardMergeMatchesSequential pins the shard-merge algebra:
-// under the conservative parallel executor each LP records into its
-// own sink and the shards fold with commutative combiners, so the
-// merged dump at any -jrun equals the sequential dump series-for-series
-// and bucket-for-bucket (minus the sequential-only kernel.* series).
-func TestMetricsShardMergeMatchesSequential(t *testing.T) {
-	for _, tc := range metricsMatrix(t) {
-		seq := tc.spec
-		seq.Metrics = metrics.New(0)
-		if _, err := Execute(seq); err != nil {
-			t.Fatalf("%s: sequential: %v", tc.name, err)
-		}
-		want := stripKernelSeries(seq.Metrics.Dump())
-		if want == "" {
-			t.Fatalf("%s: sequential run recorded no model-layer series", tc.name)
-		}
-		for _, jrun := range []int{1, 2, 4} {
-			par := tc.spec
-			par.JRun = jrun
-			par.Metrics = metrics.New(0)
-			if _, err := Execute(par); err != nil {
-				t.Fatalf("%s jrun %d: %v", tc.name, jrun, err)
-			}
-			got := stripKernelSeries(par.Metrics.Dump())
-			if got != want {
-				t.Fatalf("%s jrun %d: merged metrics dump diverges from sequential:\n--- sequential ---\n%s--- merged ---\n%s",
-					tc.name, jrun, want, got)
-			}
 		}
 	}
 }

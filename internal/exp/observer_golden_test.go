@@ -27,7 +27,8 @@ type observerCell struct {
 // algorithms, both one-sided synchronisation
 // flavours, two collective reads, two hierarchical cells (the flashio one
 // pre-combines on its leaders), two bundled cells (chunked, and fluid-model with
-// per-member milestones) and one partitioned (-jrun 2) cell.
+// per-member milestones) and one deterministic-platform cell at four
+// ranks per node.
 func observerCells() []observerCell {
 	byName := func(name string) Spec {
 		for _, s := range pinnedSpecs() {
@@ -61,9 +62,9 @@ func observerCells() []observerCell {
 	}
 	pf := platform.Crill().Deterministic()
 	pf.RanksPerNode = 4
-	cells = append(cells, observerCell{"jrun2/crill/ior/write-comm-2-overlap", Spec{
+	cells = append(cells, observerCell{"deterministic/crill/ior/write-comm-2-overlap", Spec{
 		Platform: pf, NProcs: 32, Gen: ior.Config{BlockSize: 1 << 20, Segments: 2},
-		Algorithm: fcoll.WriteComm2Overlap, Seed: 1, JRun: 2,
+		Algorithm: fcoll.WriteComm2Overlap, Seed: 1,
 	}})
 	return cells
 }
@@ -117,8 +118,10 @@ type observerGolden struct {
 
 // observerGoldens is the frozen output of TestObserverGolden over
 // observerCells, one row per cell in matrix order. Re-pinned with the
-// Bruck setup allgatherv: Elapsed moved by −2.461 ms to +0.778 ms (the
-// jrun 2 cell); the fcoll, fs and mpi byte counters did not move.
+// Bruck setup allgatherv: Elapsed moved by −2.461 ms to +0.778 ms; the
+// fcoll, fs and mpi byte counters did not move. The deterministic
+// cell's metrics digest now includes the kernel.depth series, which
+// every sequential run samples; its other series are unchanged.
 var observerGoldens = []observerGolden{
 	{"write/no-overlap/two-sided/ior", "ac68109289889a66ba74463853e2bc05c410b337fb7116449c76c6dc12a5c86a", "a17416b69c95890f126ed5d57b50b45ad2993c10e924e377b3ef61ba000e2da2", "851b20dd5ec55ffc5ac1db6d4d9fdebf93ec6116c0f1c746f2ce6f25ab44fafb", "47515dc1960080f3a258ffd8f19498f3c2101a929578b53c0736dffdbcd0d2a4"},
 	{"write/write-comm-2-overlap/two-sided/ior", "7a999bba54d3fb569f0b8d1940c12f545f92ab730c61a7addca87d814a2e24f5", "3836225bfb616f34d86dd2e0b38feeb3aa3c1398dabd82ab5341eca1f3c26c97", "1f3a56411f08957ae83d953ef9c38217240f38348956c1a3f2d2217dcee15b3a", "3651fe4bf97e921aa61c199560715faa7c543b8de0e65cf1fd09daa66cc5bd5b"},
@@ -130,7 +133,7 @@ var observerGoldens = []observerGolden{
 	{"hier/write-overlap/ibex-flashio/seed9", "4b67ff16bee950c88f19ec17bad186533ea7e445dcad7381e852bfc426a3dccf", "16dd6def138337bcc585d407641cd319cee8d88aedc0a1850abdfc2c6ba10f14", "c0d24e29dd552ea6928130250e3b6886d381abb02723b816f8bbf116a971305f", "e1f0b44aa83dbd6ff6cdebef8949104f8eef8d3409b286c955d889b33033136b"},
 	{"bundled/ibex/ior/write-comm-2-overlap", "af18de4472f6df612cd984e46cdbcc2bc3a0aff91640d3210846a7ee5b2d893e", "4d8bff95919c44a5d7a9a5b00c546cfafc20283fb694ab5e5cdba7387fab29f1", "3d813c014ce2b4b93bd182a2fa43e3909ad693032b18ca5410da3bacd7ddb049", "dc4b9231198f04b1e120b0bc8b738732f43e049f47213ee94c043f1e5fb070bf"},
 	{"bundled/crill-flow/flashio/write-comm-2-overlap", "3595231f49239461f1034b93f5bfe7e55a60ed09b65f4b84f832803c5298bdd5", "8c6d4d2fddbeba101bde37ba104599705400496a5ab008cc1306515658d93303", "80be58414bef53c708d1e26999023aebc74c68516b35b618cc84abde2cfdd9f3", "1c3f1a65e1855e9ada8b7ce1d2cc434f2c1747096a4d5cbe26c6bfaa657f9ccf"},
-	{"jrun2/crill/ior/write-comm-2-overlap", "5ebe246745b6355f922940bf7d9d3ca94d213d1ffc9ef6e9105093d586d4c8f4", "84267f6d6ca64c7e70f1f99fce9b8ac4dfe36cd56e8e8eabbd755b433b6e49ac", "cb140754ff647f66831189accef052b90d1fa4670bc288edc3ffbaa7a00b69a7", "2ffbb3a37b96f3aae8c3942d22498365f267e2072a34787c071a02350f07a9a2"},
+	{"deterministic/crill/ior/write-comm-2-overlap", "5ebe246745b6355f922940bf7d9d3ca94d213d1ffc9ef6e9105093d586d4c8f4", "84267f6d6ca64c7e70f1f99fce9b8ac4dfe36cd56e8e8eabbd755b433b6e49ac", "cb140754ff647f66831189accef052b90d1fa4670bc288edc3ffbaa7a00b69a7", "8a1eee35f8158ac3510936fb6a05afe3feccaa36319069eff9f475c4c8615065"},
 }
 
 // TestObserverGolden pins every observer view of observerCells bit for

@@ -14,7 +14,6 @@ import (
 	"collio/internal/platform"
 	"collio/internal/probe"
 	"collio/internal/sim"
-	"collio/internal/simnet"
 	"collio/internal/stats"
 	"collio/internal/trace"
 	"collio/internal/workload"
@@ -66,19 +65,8 @@ type Spec struct {
 	// utilisation timelines and latency histograms) from the network,
 	// file-system, kernel and collective layers. Same non-perturbation
 	// contract as Probe: digests are identical with and without one
-	// (enforced by TestMetricsDigestInvariance). Under JRun the sink is
-	// sharded per LP and folded back with metrics.MergeShards; the
-	// execution-level kernel.depth series is recorded on sequential runs
-	// only.
+	// (enforced by TestMetricsDigestInvariance).
 	Metrics *metrics.Metrics
-	// JRun >= 1 runs the simulation on the conservative parallel
-	// executor with that many workers (one LP per simulated node), when
-	// the spec is eligible (routeFor). Results are bit-identical to the
-	// sequential executor at every JRun (enforced by
-	// TestParallelRunMatchesSequential); specs the executor cannot run
-	// exactly fall back to sequential execution silently. 0 (the
-	// default) always runs sequentially.
-	JRun int
 	// Bundle requests the bundled cohort executor: symmetric
 	// non-aggregator ranks collapse into per-node batched event wiring
 	// and collective ladders are charged in closed form, trading digest
@@ -86,8 +74,8 @@ type Spec struct {
 	// 100k–1M-rank scale path). Specs the bundled executor cannot
 	// certify — asymmetric workloads, read path, data mode, one-sided
 	// primitives, hierarchical aggregation, any noise — silently fall
-	// back to the parallel or exact executor (routeFor; ExecutorFor
-	// reports the choice). Bundled runs are validated against exact runs by makespan
+	// back to the exact executor (routeFor; ExecutorFor reports the
+	// choice). Bundled runs are validated against exact runs by makespan
 	// tolerance (DESIGN.md §14), not digest equality.
 	Bundle bool
 }
@@ -98,10 +86,6 @@ type Executor string
 const (
 	// ExactExecutor runs every rank as a coroutine on one event kernel.
 	ExactExecutor Executor = "exact"
-	// ParallelExecutor runs the exact model on the conservative
-	// parallel executor: one LP per simulated node, JRun workers,
-	// bit-identical results.
-	ParallelExecutor Executor = "parallel"
 	// BundledExecutor runs the cohort executor (bundled.go): real
 	// aggregators, symmetric non-aggregators replayed from the plan,
 	// collective ladders in closed form.
@@ -117,31 +101,17 @@ type route struct {
 }
 
 // routeFor decides which executor runs spec; it is the one place the
-// choice is made. Precedence is bundled, then parallel, then exact, and
-// an ineligible request falls back silently down that order — a
-// fallback, never an approximation of the exact run.
-//
-// Both fast executors share one core: a write (the read path submits at
-// the target instantly, zero lookahead), symbolic payloads, two-sided
-// shuffles (one-sided primitives keep world-wide window state), no
-// progress thread and a noise-free platform (per-transfer noise draws
-// from one RNG in global submission order; run-level noise is kept out
-// so an eligible model is deterministic end to end). On top of it:
-//
-//   - bundled needs Bundle, flat aggregation, and every view's plan to
-//     collapse into rank-symmetric cohorts (cohortPlan): its closed-form
-//     ladders are only meaningful relative to that model;
-//   - parallel needs JRun >= 1, RendezvousChunk < 0 (the chunk pump
-//     round-trips through the receiver's progress engine in 150 ns) and
-//     the chunked network model (flow mode re-rates flows on other
-//     nodes at the instant of every arrival): every cross-LP
-//     interaction must be at least one lookahead of deterministic
-//     latency away.
+// choice is made. A Bundle request runs bundled when the spec is a
+// write with symbolic payloads, two-sided flat shuffles, no progress
+// thread and a noise-free platform (so the model is deterministic end
+// to end), and every view's plan collapses into rank-symmetric cohorts
+// (cohortPlan): its closed-form ladders are only meaningful relative to
+// that model. Anything else runs exact — a fallback, never an
+// approximation of the exact run.
 func routeFor(spec Spec) (route, error) {
 	pf := spec.Platform
-	core := !spec.Read && !spec.DataMode && spec.Primitive == fcoll.TwoSided &&
-		!pf.ProgressThread && !pf.Noisy()
-	if core && spec.Bundle && !spec.Hierarchical {
+	if spec.Bundle && !spec.Read && !spec.DataMode && spec.Primitive == fcoll.TwoSided &&
+		!spec.Hierarchical && !pf.ProgressThread && !pf.Noisy() {
 		views, scheds, err := cohortPlan(spec)
 		if err != nil {
 			return route{}, err
@@ -149,9 +119,6 @@ func routeFor(spec Spec) (route, error) {
 		if scheds != nil {
 			return route{BundledExecutor, views, scheds}, nil
 		}
-	}
-	if core && spec.JRun >= 1 && pf.RendezvousChunk < 0 && pf.NetModel == simnet.ModelChunked {
-		return route{exec: ParallelExecutor}, nil
 	}
 	return route{exec: ExactExecutor}, nil
 }
@@ -191,12 +158,9 @@ func Execute(spec Spec) (Metrics, error) {
 		return Metrics{}, err
 	}
 	var cl *platform.Cluster
-	switch rt.exec {
-	case BundledExecutor:
+	if rt.exec == BundledExecutor {
 		cl, err = spec.Platform.ScaledTo(spec.NProcs).InstantiateBundled(spec.NProcs, spec.Seed)
-	case ParallelExecutor:
-		cl, err = spec.Platform.InstantiateParallel(spec.NProcs, spec.Seed)
-	default:
+	} else {
 		cl, err = spec.Platform.Instantiate(spec.NProcs, spec.Seed)
 	}
 	if err != nil {
@@ -205,7 +169,7 @@ func Execute(spec Spec) (Metrics, error) {
 	obs, fold := wireSinks(spec, cl)
 	var m Metrics
 	if rt.exec == BundledExecutor {
-		m, err = runBundled(spec, cl, rt, obs[0])
+		m, err = runBundled(spec, cl, rt, obs)
 	} else {
 		m, err = runExact(spec, cl, obs)
 	}
@@ -221,22 +185,13 @@ func Execute(spec Spec) (Metrics, error) {
 // put, held lock or open start/post group), every kernel's flow table
 // empty (sim.Kernel.OpenFlows) and every pooled server request,
 // transfer, MPI request, protocol message, put completion and stripe
-// chunk back in a pool, on whichever LP. A live one (a server request
+// chunk back in a pool. A live one (a server request
 // never served, a flow never closed, a request never waited, a message
 // never consumed, a put never closed, a chunk never finished) is a
 // defect in the protocol stack, so the run fails rather than report a
 // result.
 func checkPooled(cl *platform.Cluster) error {
-	var served, flows int
-	if cl.Part == nil {
-		served, flows = cl.Kernel.LiveRequests(), cl.Kernel.OpenFlows()
-	} else {
-		for lp := 0; lp < cl.Part.NKernels(); lp++ {
-			k := cl.Part.Kernel(lp)
-			served += k.LiveRequests()
-			flows += k.OpenFlows()
-		}
-	}
+	served, flows := cl.Kernel.LiveRequests(), cl.Kernel.OpenFlows()
 	transfers, chunks := cl.Net.LiveTransfers(), cl.FS.LiveChunks()
 	var requests, msgs, puts int
 	if cl.World != nil {
@@ -252,75 +207,39 @@ func checkPooled(cl *platform.Cluster) error {
 }
 
 // wireSinks attaches spec's instrumentation to every layer of cl — the
-// one sink-wiring path of all three executors — and returns the
-// collective engine's observer per LP (one for a sequential cluster)
-// and the fold to call after the run.
-//
-// On a partitioned cluster every LP gets private shards: a probe
-// shard tagged with that LP kernel's canonical event key, and a
-// metrics shard (no key needed: every series folds by a commutative
-// combiner). The fold merges them back into spec's sinks in exactly the
-// sequential emission order, then projects the run's phase events onto
-// spec.Trace. A trace without a probe gets a private probe attached to
-// the collective engine only. Event-kernel occupancy (kernel.depth) is
-// a property of one global event queue, so it is recorded on sequential
-// kernels only — exact and bundled — and stays out of seq-vs-parallel
-// comparisons.
-func wireSinks(spec Spec, cl *platform.Cluster) ([]fcoll.Observer, func()) {
-	root := fcoll.Observer{Probe: spec.Probe, Metrics: spec.Metrics}
-	if spec.Trace != nil && root.Probe == nil {
-		root.Probe = probe.New()
+// one sink-wiring path of both executors — and returns the collective
+// engine's observer and the fold to call after the run, which projects
+// the run's phase events onto spec.Trace. A trace without a probe gets
+// a private probe attached to the collective engine only.
+func wireSinks(spec Spec, cl *platform.Cluster) (fcoll.Observer, func()) {
+	obs := fcoll.Observer{Probe: spec.Probe, Metrics: spec.Metrics}
+	if spec.Trace != nil && obs.Probe == nil {
+		obs.Probe = probe.New()
 	}
-	mark := len(root.Probe.Events())
-	obs := []fcoll.Observer{root}
-	var probes []*probe.Probe
-	var mets []*metrics.Metrics
-	if cl.Part != nil {
-		obs = make([]fcoll.Observer, cl.Part.NKernels())
-		for i := range obs {
-			if root.Probe != nil {
-				p := probe.New()
-				p.KeyFn = cl.Part.Kernel(i).EventStamp
-				obs[i].Probe, probes = p, append(probes, p)
-			}
-			if root.Metrics != nil {
-				m := metrics.New(root.Metrics.Resolution())
-				obs[i].Metrics, mets = m, append(mets, m)
-			}
-		}
-	} else if root.Metrics != nil {
-		kg := root.Metrics.Gauge(metrics.KernelDepth, metrics.ModeMax)
+	mark := len(obs.Probe.Events())
+	if spec.Metrics != nil {
+		kg := spec.Metrics.Gauge(metrics.KernelDepth, metrics.ModeMax)
 		cl.Kernel.ObserveDepth = func(at sim.Time, depth int) {
 			kg.Observe(at, int64(depth))
 		}
 	}
-	for lp, o := range obs {
-		p := o.Probe
-		if spec.Probe == nil {
-			p = nil // a private trace probe stays on the collective engine
-		}
-		cl.Net.SetSinks(lp, p, o.Metrics)
-		if cl.World != nil {
-			cl.World.SetProbe(lp, p)
-		}
-		cl.FS.SetSinks(lp, p, o.Metrics)
+	cl.Net.SetSinks(spec.Probe, spec.Metrics)
+	if cl.World != nil {
+		cl.World.SetProbe(spec.Probe)
 	}
-	return obs, func() {
-		probe.MergeShards(root.Probe, probes)
-		metrics.MergeShards(root.Metrics, mets)
-		fcoll.AppendTrace(spec.Trace, root.Probe.Events()[mark:])
-	}
+	cl.FS.SetSinks(spec.Probe, spec.Metrics)
+	return obs, func() { fcoll.AppendTrace(spec.Trace, obs.Probe.Events()[mark:]) }
 }
 
-// runExact runs spec on the exact executors, sequential or partitioned
-// by cl, with the collective engine reporting to obs.
-func runExact(spec Spec, cl *platform.Cluster, obs []fcoll.Observer) (Metrics, error) {
+// runExact runs spec on the exact executor, with the collective engine
+// reporting to obs.
+func runExact(spec Spec, cl *platform.Cluster, obs fcoll.Observer) (Metrics, error) {
 	views, err := spec.Gen.Views(spec.NProcs, spec.DataMode, workloadSeed)
 	if err != nil {
 		return Metrics{}, err
 	}
 	opts := spec.collOptions()
-	opts.Observers = obs
+	opts.Observer = obs
 	file := mpiio.Open(cl.World, cl.FS.Open(spec.Gen.Name()))
 	file.SetCollectiveOptions(opts)
 	type rankOut struct {
@@ -352,11 +271,7 @@ func runExact(spec Spec, cl *platform.Cluster, obs []fcoll.Observer) (Metrics, e
 		}
 		outs[r.ID()].res = acc
 	})
-	if cl.Part != nil {
-		cl.Part.Run(spec.JRun)
-	} else {
-		cl.Kernel.Run()
-	}
+	cl.Kernel.Run()
 
 	var m Metrics
 	m.Elapsed = cl.World.Elapsed()

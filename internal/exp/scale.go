@@ -31,22 +31,14 @@ type ScaleConfig struct {
 	PerRankBytes int64
 	// Seed drives platform noise (one run per point).
 	Seed int64
-	// JRun, when >= 1, runs every point on the conservative parallel
-	// executor with that many window workers — and switches the sweep to
-	// the deterministic ibex model (noise off), the precondition for
-	// partitioned execution. Points at different JRun levels of the
-	// deterministic sweep simulate the identical system, so their
-	// simulated times must agree exactly; only host wall-clock may
-	// differ. JRun == 0 keeps the historical noisy sweep (E8).
-	JRun int
 	// Bundle runs every point on the bundled cohort executor
 	// (deterministic ibex model, scaled to the rank count): symmetric
 	// non-aggregator ranks collapse into per-node batches and the
 	// collective ladders are charged in closed form. This lifts the
 	// sweep's capacity limit — rank counts beyond the physical ibex
 	// model auto-scale the node count — and is the E11 regime
-	// (100k–1M ranks). Takes precedence over JRun (bundled execution is
-	// sequential).
+	// (100k–1M ranks). Without it the sweep is the historical noisy
+	// exact sweep (E8).
 	Bundle bool
 	// NetModel selects the simnet transfer model for bundled points:
 	// ModelChunked (default, the exact reference) or ModelFlow (fluid
@@ -105,19 +97,6 @@ func ScaleSpec(np int, algo fcoll.Algorithm, perRankBytes, seed int64) Spec {
 	}
 }
 
-// ParallelScaleSpec is ScaleSpec on the deterministic ibex model with
-// the conservative parallel executor enabled at jrun window workers —
-// the configuration of the E9 sweep and the BenchmarkParallelRun
-// family. The simulated result is identical at every jrun (including
-// jrun 1, which runs the partitioned executor inline); only host
-// wall-clock varies.
-func ParallelScaleSpec(np int, algo fcoll.Algorithm, perRankBytes, seed int64, jrun int) Spec {
-	spec := ScaleSpec(np, algo, perRankBytes, seed)
-	spec.Platform = spec.Platform.Deterministic()
-	spec.JRun = jrun
-	return spec
-}
-
 // BundledScaleSpec is ScaleSpec on the deterministic ibex model with
 // the bundled cohort executor and the selected network model — the E11
 // configuration. Rank counts beyond the physical ibex model are legal:
@@ -151,11 +130,8 @@ func RunScaleSweep(cfg ScaleConfig) ([]ScalePoint, error) {
 		}
 		for _, algo := range cfg.Algorithms {
 			spec := ScaleSpec(np, algo, cfg.PerRankBytes, cfg.Seed)
-			switch {
-			case cfg.Bundle:
+			if cfg.Bundle {
 				spec = BundledScaleSpec(np, algo, cfg.PerRankBytes, cfg.Seed, cfg.NetModel)
-			case cfg.JRun >= 1:
-				spec = ParallelScaleSpec(np, algo, cfg.PerRankBytes, cfg.Seed, cfg.JRun)
 			}
 			start := time.Now()
 			m, err := Execute(spec)

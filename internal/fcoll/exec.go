@@ -91,7 +91,7 @@ func run(ex *exec) (Result, error) {
 	r.EnterMPI() // the whole collective runs inside the MPI library ...
 	defer r.ExitMPI()
 
-	ex.obs = opts.observer(r.LP())
+	ex.obs = opts.Observer
 	// A reading rank moves real bytes as soon as it has a destination.
 	ex.dataMode = jv.DataMode() || (ex.dir == Read && jv.Ranks[r.ID()].Data != nil)
 	ex.setup()

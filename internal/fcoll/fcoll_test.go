@@ -253,7 +253,7 @@ func TestHierarchicalReadBack(t *testing.T) {
 					Primitive:    fcoll.TwoSided,
 					BufferSize:   16 << 10,
 					Hierarchical: true,
-					Observers:    []fcoll.Observer{{Probe: p}},
+					Observer:     fcoll.Observer{Probe: p},
 				})
 				verifyFile(t, rg, jv)
 				combines := 0

@@ -158,8 +158,6 @@ func hierAggregatorRanks(np, rpn, count int) []int {
 // traffic through node leaders is attached (hier.go); 0 is the flat
 // family.
 func buildPlan(jv *JobView, np, rpn int, window int64, aggregators int, layout DomainLayout, hierThr int64) *plan {
-	jv.planMu.Lock()
-	defer jv.planMu.Unlock()
 	if jv.planCache == nil {
 		jv.planCache = make(map[planKey]*plan)
 	}

@@ -21,7 +21,7 @@ func tracedRun(t *testing.T, algo fcoll.Algorithm) *trace.Recorder {
 	rg.file.SetCollectiveOptions(fcoll.Options{
 		Algorithm:  algo,
 		BufferSize: 64 << 10,
-		Observers:  []fcoll.Observer{{Probe: p}},
+		Observer:   fcoll.Observer{Probe: p},
 	})
 	rg.w.Launch(func(r *mpi.Rank) {
 		if _, err := rg.file.WriteAll(r, jv); err != nil {
@@ -116,7 +116,7 @@ func TestTraceReadPath(t *testing.T) {
 	rg.file.SetCollectiveOptions(fcoll.Options{
 		Algorithm:  fcoll.WriteOverlap, // read-ahead dual
 		BufferSize: 32 << 10,
-		Observers:  []fcoll.Observer{{Probe: p}},
+		Observer:   fcoll.Observer{Probe: p},
 	})
 	rg.w.Launch(func(r *mpi.Rank) {
 		if _, err := rg.file.ReadAll(r, jv); err != nil {

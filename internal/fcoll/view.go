@@ -3,7 +3,6 @@ package fcoll
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"collio/internal/datatype"
 	"collio/internal/mpi"
@@ -30,11 +29,7 @@ type JobView struct {
 	Ranks []RankView
 
 	control [2]Control // per Direction (controlOf)
-	// planCache holds the plans built over this view. Under a
-	// partitioned run the ranks of different LPs leave the setup
-	// collectives on different host threads in the same window, so
-	// planMu guards it.
-	planMu    sync.Mutex
+	// planCache holds the plans built over this view.
 	planCache map[planKey]*plan
 }
 

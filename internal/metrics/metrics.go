@@ -15,11 +15,6 @@
 //     by TestMetricsDigestInvariance). The one sanctioned kernel
 //     interaction is the same as the probe layer's: completion
 //     observation via Future.Then on futures that already exist.
-//   - Under partitioned execution (-jrun) every LP records into its own
-//     shard and MergeShards folds the shards after the run. All series
-//     combiners are commutative and associative over int64 (sum, max),
-//     so the folded result equals the sequential recording exactly —
-//     no float rounding, no order sensitivity.
 //
 // Sampling cadence is pure virtual time: a gauge is a dense bucket grid
 // of width Resolution() over sim.Time, and samples are folded into
@@ -55,8 +50,7 @@ const (
 	ModeMax
 	// ModeDelta accumulates signed deltas per bucket (+bytes when a
 	// collective buffer fills, -bytes when it drains); consumers
-	// integrate the series into an occupancy timeline. Deltas merge by
-	// sum, so the combiner stays commutative under shard folding.
+	// integrate the series into an occupancy timeline.
 	ModeDelta
 )
 
@@ -187,29 +181,6 @@ func (m *Metrics) NumBuckets() int {
 		}
 	}
 	return n
-}
-
-// MergeShards folds per-LP sinks into dst. Every combiner is
-// commutative and associative over int64, so the result is independent
-// of shard order and — because each model resource records on exactly
-// one LP — equal to what a sequential run records (enforced by
-// TestMetricsShardMergeMatchesSequential; the execution-level kernel.*
-// series is sequential-only and not part of that equality).
-func MergeShards(dst *Metrics, shards []*Metrics) {
-	if dst == nil {
-		return
-	}
-	for _, sh := range shards {
-		if sh == nil {
-			continue
-		}
-		for _, g := range sh.Gauges() {
-			dst.Gauge(g.name, g.mode).mergeFrom(g)
-		}
-		for _, h := range sh.Hists() {
-			dst.Hist(h.name).mergeFrom(h)
-		}
-	}
 }
 
 // Dump renders a canonical plain-text form of the whole sink: sorted
@@ -356,22 +327,6 @@ func (g *Gauge) Peak() int64 {
 	return peak
 }
 
-func (g *Gauge) mergeFrom(src *Gauge) {
-	if g == nil || src == nil {
-		return
-	}
-	g.grow(len(src.vals) - 1)
-	for i, v := range src.vals {
-		if g.mode == ModeMax {
-			if v > g.vals[i] {
-				g.vals[i] = v
-			}
-		} else {
-			g.vals[i] += v
-		}
-	}
-}
-
 // Histogram geometry: values 0..7 get exact unit buckets; above that,
 // each power-of-two octave splits into 8 sub-buckets (HDR-style
 // log-linear), keeping relative error under 12.5% at any magnitude
@@ -499,24 +454,4 @@ func (h *Hist) Quantile(q float64) int64 {
 		}
 	}
 	return h.max
-}
-
-func (h *Hist) mergeFrom(src *Hist) {
-	if h == nil || src == nil || src.count == 0 {
-		return
-	}
-	for len(h.counts) < len(src.counts) {
-		h.counts = append(h.counts, 0)
-	}
-	for i, c := range src.counts {
-		h.counts[i] += c
-	}
-	h.count += src.count
-	h.sum += src.sum
-	if h.min < 0 || src.min < h.min {
-		h.min = src.min
-	}
-	if src.max > h.max {
-		h.max = src.max
-	}
 }

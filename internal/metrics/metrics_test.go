@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"strings"
 	"testing"
 
 	"collio/internal/sim"
@@ -131,44 +130,11 @@ func TestNilSinkIsNoOp(t *testing.T) {
 	if g.Total() != 0 || h.Count() != 0 || m.Dump() != "" || m.NumBuckets() != 0 {
 		t.Fatal("nil sink recorded something")
 	}
-	MergeShards(nil, []*Metrics{New(0)})
 	var p *Progress
 	p.AddTotal(1)
 	p.Done(1)
 	p.Start()
 	p.Stop()
-}
-
-// TestMergeShards pins the shard fold: sums add, maxima fold by max,
-// histograms add, and the merged dump equals recording everything into
-// one sink.
-func TestMergeShards(t *testing.T) {
-	record := func(m *Metrics, half int) {
-		if half == 0 {
-			m.Gauge("busy", ModeSum).AddSpan(0, 150)
-			m.Gauge("depth", ModeMax).Observe(50, 4)
-			m.Hist("lat").Record(20)
-		} else {
-			m.Gauge("busy", ModeSum).AddSpan(150, 400)
-			m.Gauge("depth", ModeMax).Observe(60, 2)
-			m.Gauge("depth", ModeMax).Observe(250, 7)
-			m.Hist("lat").Record(500)
-		}
-	}
-	seq := New(100)
-	record(seq, 0)
-	record(seq, 1)
-	a, b := New(100), New(100)
-	record(a, 0)
-	record(b, 1)
-	dst := New(100)
-	MergeShards(dst, []*Metrics{a, b})
-	if dst.Dump() != seq.Dump() {
-		t.Fatalf("merged dump differs from sequential:\n--- merged\n%s--- sequential\n%s", dst.Dump(), seq.Dump())
-	}
-	if !strings.Contains(dst.Dump(), "gauge busy sum") {
-		t.Fatalf("dump missing series:\n%s", dst.Dump())
-	}
 }
 
 func TestGaugeModeMismatchPanics(t *testing.T) {

@@ -10,9 +10,8 @@ const (
 	// series (ModeDelta): +bytes when a cycle's shuffle lands in a
 	// sub-buffer, -bytes when its write completes.
 	BufBytes = "fcoll.buf_bytes"
-	// KernelDepth is the event-heap depth of the sequential DES kernel
-	// (ModeMax). It describes the executor, not the modelled system, so
-	// partitioned runs do not record it.
+	// KernelDepth is the event-heap depth of the DES kernel (ModeMax).
+	// It describes the executor, not the modelled system.
 	KernelDepth = "kernel.depth"
 	// ChunkLatency is the client-observed latency of one stripe chunk:
 	// submit to persistence ack.

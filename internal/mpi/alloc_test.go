@@ -14,8 +14,8 @@ import (
 // unexpected arrivals (the barrier's).
 func exchange(t testing.TB, rounds int, size int64, p *probe.Probe) {
 	k, w := testWorld(t, 4, 2, 1, nil)
-	w.Network().SetSinks(0, p, nil)
-	w.SetProbe(0, p)
+	w.Network().SetSinks(p, nil)
+	w.SetProbe(p)
 	w.Launch(func(r *Rank) {
 		reqs := make([]*Request, 0, 6)
 		for j := 0; j < rounds; j++ {

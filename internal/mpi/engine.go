@@ -23,11 +23,11 @@ const (
 // protocol puts on the wire — the eager message, the rendezvous
 // handshake (RTS, then CTS) and the rendezvous chunk and completion
 // notices — and every request served by a target's passive-target RMA
-// agent (rma.go). The sender takes it from its LP's pool (Rank.newMsg)
+// agent (rma.go). The sender takes it from the world's pool (Rank.newMsg)
 // and registers it on its transfer's Delivered: the msg is itself every
 // action of its chain, through sim.Events bound once when its pool slab
 // is made, so a message allocates nothing. The
-// engine that consumes it returns it to its own LP's pool
+// engine that consumes it returns it to the pool
 // (engine.releaseMsg): an eager message when its receive completes, an
 // RTS (turned CTS) when the sender starts the data transfer, a chunk
 // notice when the next chunk is requested, an agent request when the
@@ -64,19 +64,19 @@ func (m *msg) check(op string) {
 	}
 }
 
-// newMsg takes a zeroed msg, its actions bound, from the rank's LP pool.
+// newMsg takes a zeroed msg, its actions bound, from the world's pool.
 func (r *Rank) newMsg(kind msgKind, dst *Rank) *msg {
-	m := r.sh.msgs.Get()
+	m := r.w.msgs.Get()
 	m.kind, m.src, m.eng = kind, r.id, dst.eng
 	return m
 }
 
-// releaseMsg returns a consumed msg to this engine's LP pool. Callers
+// releaseMsg returns a consumed msg to the pool. Callers
 // have read everything they need from it.
 func (e *engine) releaseMsg(m *msg) {
 	m.check("release")
 	*m = msg{onArrive: m.onArrive, onServed: m.onServed, onRun: m.onRun, onCopied: m.onCopied}
-	e.r.sh.msgs.Put(m)
+	e.r.w.msgs.Put(m)
 }
 
 // arrive is the msg's delivery, registered on its transfer's Delivered:
@@ -224,7 +224,7 @@ func (e *engine) arrive(m *msg) {
 }
 
 func (e *engine) drain() {
-	if p := e.r.probeSink(); p != nil && len(e.pending) > 0 {
+	if p := e.r.w.probe; p != nil && len(e.pending) > 0 {
 		// Protocol packets sat queued while this rank was outside MPI —
 		// the handshake stall the paper's overlap algorithms fight. The
 		// span runs from the first queued arrival to this drain.
@@ -251,7 +251,7 @@ func (e *engine) drain() {
 // emitProto records one protocol transition at the current virtual time
 // (no-op without a probe).
 func (e *engine) emitProto(cause probe.Cause, peer int, size int64) {
-	p := e.r.probeSink()
+	p := e.r.w.probe
 	if p == nil {
 		return
 	}
@@ -283,7 +283,7 @@ func (e *engine) handle(p *msg) {
 		req, scanned := e.matchPosted(p.src, p.tag)
 		if req == nil {
 			e.unexpected = append(e.unexpected, p)
-			if pr := e.r.probeSink(); pr != nil {
+			if pr := e.r.w.probe; pr != nil {
 				pr.Emit(probe.Event{
 					At: k.Now(), Layer: probe.LayerMPI, Kind: probe.KindUnexpected,
 					Cause: probe.CauseEager, Rank: e.r.id, Peer: p.src, Cycle: -1,
@@ -388,7 +388,7 @@ func (e *engine) startRdvData(sreq, rreq *Request) {
 // sendRdvChunk ships the next pipeline chunk of st. It runs in engine
 // context at whichever endpoint drives the pipeline step, by: the
 // sender when filling the initial window, the receiver's progress
-// engine afterwards. The chunk's notice is taken from by's LP pool.
+// engine afterwards. The chunk's notice is taken from the pool by by.
 func (w *World) sendRdvChunk(by *Rank, st *rdvState) {
 	total := st.pl.Size
 	if st.next >= total {

@@ -8,7 +8,7 @@ import (
 )
 
 // Request is a non-blocking operation handle, the analogue of
-// MPI_Request. Handles are pooled per LP: Wait
+// MPI_Request. Handles are pooled: Wait
 // recycles every request passed to it, so a request must not be used
 // after it has been waited on (MPI_Request semantics — the handle is
 // set to MPI_REQUEST_NULL by MPI_Wait). Use Recv's return value, or
@@ -77,7 +77,7 @@ func (r *Rank) Isend(dst, tag int, pl Payload) *Request {
 	req.tag = tag
 	req.pl = pl
 	dstRank := r.w.ranks[dst]
-	if p := r.probeSink(); p != nil {
+	if p := r.w.probe; p != nil {
 		path, msgCtr, byteCtr := probe.CauseEager, probe.CtrMPIEagerMsgs, probe.CtrMPIEagerBytes
 		if pl.Size >= cfg.EagerLimit {
 			path, msgCtr, byteCtr = probe.CauseRendezvous, probe.CtrMPIRdvMsgs, probe.CtrMPIRdvBytes
@@ -126,7 +126,7 @@ func (r *Rank) Irecv(src, tag int, size int64, buf []byte) *Request {
 	req.tag = tag
 	req.size = size
 	req.buf = buf
-	if p := r.probeSink(); p != nil {
+	if p := r.w.probe; p != nil {
 		p.Emit(probe.Event{
 			At: r.Now(), Layer: probe.LayerMPI, Kind: probe.KindIrecv,
 			Rank: r.id, Peer: src, Cycle: -1, Size: size, V: int64(tag),
@@ -140,7 +140,7 @@ func (r *Rank) Irecv(src, tag int, size int64, buf []byte) *Request {
 // Wait blocks until every request has completed. The rank is inside the
 // MPI library for the duration, so protocol progress (matching,
 // rendezvous handshakes) continues while it waits. Each request is
-// recycled into its LP's pool as its wait finishes; callers
+// recycled into the pool as its wait finishes; callers
 // must not touch a request after Wait returns.
 func (r *Rank) Wait(reqs ...*Request) {
 	e := r.eng
@@ -160,7 +160,7 @@ func (r *Rank) Wait(reqs ...*Request) {
 // waitSpan opens a KindWait probe span; the closer drops zero-length
 // waits (already-complete requests) to keep the event stream small.
 func (r *Rank) waitSpan() func() {
-	p := r.probeSink()
+	p := r.w.probe
 	if p == nil {
 		return probeNop
 	}

@@ -78,7 +78,7 @@ func TestUnexpectedQueueMatch(t *testing.T) {
 	// unexpected queue.
 	k, w := testWorld(t, 2, 1, 1, nil)
 	p := probe.New()
-	w.SetProbe(0, p)
+	w.SetProbe(p)
 	var got [3]byte
 	w.Launch(func(r *Rank) {
 		switch r.ID() {

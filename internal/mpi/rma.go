@@ -68,11 +68,11 @@ func waitAll(r *Rank, reqs *[]*Request) {
 	*reqs = (*reqs)[:0]
 }
 
-// putDone is one put's completion, pooled per LP: the future an epoch
+// putDone is one put's completion, pooled: the future an epoch
 // close waits, the target it counts against and, in data mode, the copy
 // into the target's window that its delivery performs (onCopy). It has
 // one holder per pending use — the ledger, and a copy not yet run — and
-// returns to the origin's LP pool when the last one lets go. That is
+// returns to the pool when the last one lets go. That is
 // closePuts, unless the copy is still queued: a zero-delay event, it
 // can trail the origin's wakeup when an earlier put's delivery wakes
 // the origin in the same instant, and then the copy releases it.
@@ -81,25 +81,24 @@ func waitAll(r *Rank, reqs *[]*Request) {
 // the source must stay unchanged until then (MPI asks until the
 // epoch's close). crc is the source's CRC-32 when it was posted, and
 // the copy panics if the bytes it lands differ. A released put knows
-// it: the release clears sh.
+// it: the release clears w.
 type putDone struct {
 	fut      sim.Future
 	target   int
 	holds    int32
 	crc      uint32
-	sh       *lpShard
+	w        *World
 	dst, src []byte
 	onCopy   sim.Event[putDone]
 	next     *putDone // pool link, nil while the put is live
 }
 
 // newPut takes a put completion for target, its copy event bound, from
-// the rank's LP pool.
+// the world's pool.
 func (r *Rank) newPut(target int) *putDone {
-	sh := r.sh
-	p := sh.puts.Get()
+	p := r.w.puts.Get()
 	r.k.InitFuture(&p.fut)
-	p.target, p.holds, p.sh = target, 1, sh
+	p.target, p.holds, p.w = target, 1, r.w
 	return p
 }
 
@@ -115,20 +114,20 @@ func (p *putDone) copy() {
 
 // check panics, naming op, when p has been released.
 func (p *putDone) check(op string) {
-	if p.sh == nil {
+	if p.w == nil {
 		panic("mpi: " + op + " of a released put completion (putDone)")
 	}
 }
 
-// release drops one holder and returns p to its LP pool after the last.
+// release drops one holder and returns p to the pool after the last.
 func (p *putDone) release() {
 	p.check("release")
 	if p.holds--; p.holds > 0 {
 		return
 	}
-	sh := p.sh
+	w := p.w
 	*p = putDone{onCopy: p.onCopy}
-	sh.puts.Put(p)
+	w.puts.Put(p)
 }
 
 type lockWaiter struct {
@@ -182,13 +181,6 @@ func (w *World) OpenEpochs() error {
 // in the same order; the call completes after a barrier, like
 // MPI_Win_allocate.
 func (r *Rank) WinAllocate(size int64, withData bool) *Window {
-	if r.w.net.Partition() != nil {
-		// One-sided windows keep world-wide epoch state (locks, exposure
-		// counts) mutated from arbitrary ranks; they have no LP-sharded
-		// form. The partitioned gate in internal/exp only admits the
-		// two-sided primitive, so this is a programming-error guard.
-		panic("mpi: one-sided windows are not supported under partitioned execution")
-	}
 	idx := r.winCalls
 	r.winCalls++
 	w := r.w
@@ -237,7 +229,7 @@ func (r *Rank) Put(win *Window, target int, offset int64, pl Payload) {
 	e := r.eng
 	e.enter()
 	defer e.exit()
-	r.probeSink().Counters().AddRank(r.id, probe.CtrMPIPutBytes, pl.Size)
+	r.w.probe.Counters().AddRank(r.id, probe.CtrMPIPutBytes, pl.Size)
 	r.p.Sleep(r.w.cfg.PutOverhead)
 	tgt := r.w.ranks[target]
 	// Passive-target epoch: the put completes at the target through its
@@ -300,7 +292,7 @@ func (r *Rank) WinFence(win *Window) {
 	e := r.eng
 	e.enter()
 	defer e.exit()
-	if p := r.probeSink(); p != nil {
+	if p := r.w.probe; p != nil {
 		t0 := r.Now()
 		defer func() {
 			d := r.Now() - t0

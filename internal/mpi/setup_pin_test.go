@@ -25,7 +25,7 @@ type setupPin struct {
 func runSetupCollectives(t *testing.T, np int) setupPin {
 	k, w := testWorld(t, np, 4, 1, nil)
 	p := probe.New()
-	w.SetProbe(0, p)
+	w.SetProbe(p)
 	exits := make([]sim.Time, np)
 	w.Launch(func(r *Rank) {
 		r.Compute(sim.Time(r.ID()*7%5) * sim.Microsecond)
@@ -94,7 +94,7 @@ func TestSetupExchangeSends(t *testing.T) {
 	for _, np := range []int{2, 3, 5, 96, 1024} {
 		k, w := testWorld(t, np, 4, 1, nil)
 		p := probe.New()
-		w.SetProbe(0, p)
+		w.SetProbe(p)
 		w.Launch(func(r *Rank) {
 			r.Collective(Coll{Op: probe.CauseAllgatherv, Block: func(i int) int64 { return 16 * int64(1+i%4) }})
 		})

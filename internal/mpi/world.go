@@ -133,101 +133,62 @@ type World struct {
 	windows []*Window
 	started bool
 
-	// shards holds each LP's host state (one for a sequential world,
-	// one per node LP when partitioned), so ranks on different LPs never
-	// share a mutable field.
-	shards []lpShard
-}
-
-// lpShard is one LP's MPI-layer host state, padded so adjacent shards
-// never share a cache line under concurrent window execution.
-//
-// probe is the LP's sink (SetProbe). Every MPI-layer emission happens
-// in the context of the rank it concerns (its LP), so routing each
-// rank's events to its LP's sink keeps emission single-writer; the
-// canonical fold (probe.MergeShards) restores sequential order.
-//
-// reqs pools Request objects: the point-to-point layer turns over one
-// request per operation, and at multi-thousand-rank scale those
-// allocations dominate the model-layer heap churn. Requests return to
-// the pool in Wait (after their future has completed). msgs pools the
-// protocol messages (msg), which leave the sender's LP pool and return
-// to the consuming engine's; puts the put completions (putDone), which
-// return at their epoch's close. An LP's ranks are serialised by its
-// kernel, so the pools need no locking — the same discipline as the
-// kernel's request pool. Their live counts sum to World.LivePooled.
-type lpShard struct {
+	// probe is the MPI layer's sink (SetProbe).
 	probe *probe.Probe
-	reqs  sim.Pool[Request]
-	msgs  sim.Pool[msg]
-	puts  sim.Pool[putDone]
-	_     [24]byte
+
+	// reqs pools Request objects: the point-to-point layer turns over one
+	// request per operation, and at multi-thousand-rank scale those
+	// allocations dominate the model-layer heap churn. Requests return to
+	// the pool in Wait (after their future has completed). msgs pools the
+	// protocol messages (msg), which return when their consuming engine
+	// is done with them; puts the put completions (putDone), which
+	// return at their epoch's close. Their live counts are LivePooled.
+	reqs sim.Pool[Request]
+	msgs sim.Pool[msg]
+	puts sim.Pool[putDone]
 }
 
-// newLPShard returns an LP shard with empty pools whose slabs bind
-// every message's and put completion's actions.
-func newLPShard() lpShard {
-	return lpShard{
-		reqs: sim.NewPool(func(q *Request) **Request { return &q.next }, nil),
-		msgs: sim.NewPool(func(m *msg) **msg { return &m.next }, func(m *msg) {
-			m.onArrive = sim.NewEvent(m, (*msg).arrive)
-			m.onServed = sim.NewEvent(m, (*msg).served)
-			m.onRun = sim.NewEvent(m, (*msg).run)
-			m.onCopied = sim.NewEvent(m, (*msg).copied)
-		}),
-		puts: sim.NewPool(func(p *putDone) **putDone { return &p.next }, func(p *putDone) {
-			p.onCopy = sim.NewEvent(p, (*putDone).copy)
-		}),
-	}
-}
-
-// newRequest takes a zeroed request from the rank's LP pool. The caller
+// newRequest takes a zeroed request from the world's pool. The caller
 // fills in the operation fields and binds the embedded future
 // (Kernel.InitFuture).
-func (r *Rank) newRequest() *Request { return r.sh.reqs.Get() }
+func (r *Rank) newRequest() *Request { return r.w.reqs.Get() }
 
 // releaseRequest clears a request's references and returns it to the
-// rank's LP pool. Callers guarantee the protocol engine holds no live
+// pool. Callers guarantee the protocol engine holds no live
 // reference: sends are only released after local completion (and the
 // rendezvous path snapshots what it needs into rdvState), receives only
 // after delivery.
 func (r *Rank) releaseRequest(q *Request) {
 	*q = Request{}
-	r.sh.reqs.Put(q)
+	r.w.reqs.Put(q)
 }
 
 // LivePooled returns the number of requests, protocol messages and put
-// completions taken from the pools and not yet returned, over all LPs:
-// all are zero after a run in which every request was waited, every
-// message consumed and every put closed by its epoch. Read it after
-// the run, not from inside one.
+// completions taken from the pools and not yet returned: all are zero
+// after a run in which every request was waited, every message consumed
+// and every put closed by its epoch. Read it after the run, not from
+// inside one.
 func (w *World) LivePooled() (requests, msgs, puts int) {
-	for i := range w.shards {
-		sh := &w.shards[i]
-		requests += sh.reqs.Live()
-		msgs += sh.msgs.Live()
-		puts += sh.puts.Live()
-	}
-	return requests, msgs, puts
+	return w.reqs.Live(), w.msgs.Live(), w.puts.Live()
 }
 
-// NewWorld creates the rank set. Ranks do not run until Launch. Each
-// rank lives on its node's LP (see simnet.Network.LPFor).
+// NewWorld creates the rank set. Ranks do not run until Launch.
 func NewWorld(k *sim.Kernel, net *simnet.Network, cfg Config) (*World, error) {
 	if err := cfg.validate(net.NumNodes()); err != nil {
 		return nil, err
 	}
-	// The rendezvous chunk pump round-trips through the receiver's
-	// progress engine with a 150 ns handler delay — far inside any
-	// realistic lookahead window — so pipelining must be disabled
-	// (single-shot hardware transfers) before partitioning.
-	if net.Partition() != nil && cfg.RendezvousChunk > 0 {
-		return nil, fmt.Errorf("mpi: partitioned execution requires RendezvousChunk <= 0 (pipelining couples LPs below the lookahead)")
-	}
-	w := &World{k: k, net: net, cfg: cfg, shards: make([]lpShard, net.NumLPs())}
-	for i := range w.shards {
-		w.shards[i] = newLPShard()
-	}
+	w := &World{k: k, net: net, cfg: cfg}
+	// The pools' slabs bind every message's and put completion's actions.
+	w.reqs = sim.NewPool(func(q *Request) **Request { return &q.next }, nil)
+	w.msgs = sim.NewPool(func(m *msg) **msg { return &m.next }, func(m *msg) {
+		m.onArrive = sim.NewEvent(m, (*msg).arrive)
+		m.onServed = sim.NewEvent(m, (*msg).served)
+		m.onRun = sim.NewEvent(m, (*msg).run)
+		m.onCopied = sim.NewEvent(m, (*msg).copied)
+	})
+	w.puts = sim.NewPool(func(p *putDone) **putDone { return &p.next }, func(p *putDone) {
+		p.onCopy = sim.NewEvent(p, (*putDone).copy)
+	})
 	// A world is built per run, so its ranks, their engines and the
 	// first slots of each engine's match queues come from one slab
 	// each rather than a few allocations per rank.
@@ -237,9 +198,7 @@ func NewWorld(k *sim.Kernel, net *simnet.Network, cfg Config) (*World, error) {
 	w.ranks = make([]*Rank, n)
 	for i := range ranks {
 		r := &ranks[i]
-		r.w, r.id, r.node = w, i, i/cfg.RanksPerNode
-		r.k = net.KernelFor(r.node)
-		r.sh = &w.shards[net.LPFor(r.node)]
+		r.w, r.id, r.node, r.k = w, i, i/cfg.RanksPerNode, k
 		k.InitServer(&r.rmaAgent, 0, cfg.RMAAgentDelay)
 		lo, hi := i*queueSlots, (i+1)*queueSlots
 		engs[i] = engine{r: r, posted: posted[lo:lo:hi], unexpected: unexp[lo:lo:hi], pendingRTS: rts[lo:lo:hi]}
@@ -250,16 +209,10 @@ func NewWorld(k *sim.Kernel, net *simnet.Network, cfg Config) (*World, error) {
 	return w, nil
 }
 
-// SetProbe attaches LP lp's observability probe (nil detaches): the
-// MPI-layer events of the ranks on that LP go to p. A sequential world
-// is one LP (lp 0); a partitioned one has node i's ranks on LP i, and
-// an LP hosting no rank (external storage) has no MPI sink. Probing
-// only observes protocol state; it must never change rank timing.
-func (w *World) SetProbe(lp int, p *probe.Probe) {
-	if lp < len(w.shards) {
-		w.shards[lp].probe = p
-	}
-}
+// SetProbe attaches the observability probe (nil detaches): the
+// MPI-layer events of every rank go to p. Probing only observes
+// protocol state; it must never change rank timing.
+func (w *World) SetProbe(p *probe.Probe) { w.probe = p }
 
 // Network returns the interconnect.
 func (w *World) Network() *simnet.Network { return w.net }
@@ -279,9 +232,6 @@ func (w *World) Launch(body func(r *Rank)) {
 	w.started = true
 	for _, r := range w.ranks {
 		r := r
-		// Each rank spawns on its own LP's kernel (the shared kernel in a
-		// sequential run) and records its finish on itself, so partitioned
-		// windows never contend on world-wide finish bookkeeping.
 		r.p = r.k.Spawn("rank", r.id, func(p *sim.Proc) {
 			body(r)
 			r.fin = true
@@ -291,7 +241,7 @@ func (w *World) Launch(body func(r *Rank)) {
 }
 
 // Elapsed returns the virtual time at which the last rank finished. It
-// is valid after kernel.Run (or Partition.Run) has returned.
+// is valid after kernel.Run has returned.
 func (w *World) Elapsed() sim.Time {
 	finished, finishAt := 0, sim.Time(0)
 	for _, r := range w.ranks {
@@ -313,12 +263,11 @@ type Rank struct {
 	w    *World
 	id   int
 	node int
-	k    *sim.Kernel // the node's LP kernel; the shared kernel sequentially
-	sh   *lpShard    // the node's LP host state
+	k    *sim.Kernel // the world's kernel
 	p    *sim.Proc
 	eng  *engine
 
-	fin   bool     // body returned (per-rank so LPs don't contend)
+	fin   bool     // body returned
 	finAt sim.Time // virtual finish time
 
 	winCalls int        // WinAllocate call counter (collective-order matching)
@@ -340,20 +289,8 @@ func (r *Rank) Size() int { return r.w.cfg.NProcs }
 // World returns the owning world.
 func (r *Rank) World() *World { return r.w }
 
-// Kernel returns the kernel this rank's events run on: its node's LP
-// kernel under partitioned execution, the shared kernel otherwise.
-// Completion callbacks registered from rank context must read time from
-// this kernel, not the world's.
+// Kernel returns the kernel this rank's events run on.
 func (r *Rank) Kernel() *sim.Kernel { return r.k }
-
-// LP returns the index of the logical process this rank runs on: its
-// node under partitioned execution, 0 on a sequential world. Upper
-// layers index their per-LP sinks with it.
-func (r *Rank) LP() int { return r.w.net.LPFor(r.node) }
-
-// probeSink returns the probe this rank's events are emitted into: its
-// LP's.
-func (r *Rank) probeSink() *probe.Probe { return r.sh.probe }
 
 // Proc returns the underlying simulated process.
 func (r *Rank) Proc() *sim.Proc { return r.p }
@@ -382,7 +319,7 @@ var probeNop = func() {}
 // With no probe attached this is a shared no-op closure — no per-call
 // allocation beyond the defer itself.
 func (r *Rank) span(kind probe.Kind, cause probe.Cause) func() {
-	p := r.probeSink()
+	p := r.w.probe
 	if p == nil {
 		return probeNop
 	}

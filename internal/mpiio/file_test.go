@@ -47,9 +47,9 @@ func probedStack(t *testing.T, nprocs int) (*sim.Kernel, *mpi.World, *File, *pro
 		t.Fatal(err)
 	}
 	p := probe.New()
-	net.SetSinks(0, p, nil)
-	w.SetProbe(0, p)
-	fs.SetSinks(0, p, nil)
+	net.SetSinks(p, nil)
+	w.SetProbe(p)
+	fs.SetSinks(p, nil)
 	return k, w, Open(w, fs.Open("f")), p
 }
 

@@ -78,8 +78,8 @@ type Platform struct {
 	ProgressThread bool
 	// RendezvousChunk overrides the rendezvous pipeline granularity:
 	// > 0 sets the chunk size, < 0 disables pipelining (single-shot
-	// hardware transfers, required for partitioned execution), 0 keeps
-	// the mpi.DefaultConfig value (1 MiB).
+	// hardware transfers, as Deterministic sets), 0 keeps the
+	// mpi.DefaultConfig value (1 MiB).
 	RendezvousChunk int64
 	// CombinePerOp is the node leader's per-fragment merge cost in the
 	// hierarchical pre-combine phase (intra-node request aggregation);
@@ -164,14 +164,10 @@ func Ibex() Platform {
 func Platforms() []Platform { return []Platform{Crill(), Ibex()} }
 
 // Deterministic returns a copy of the platform with every noise source
-// zeroed and rendezvous pipelining disabled — the configuration the
-// conservative parallel executor requires. Per-transfer noise draws
-// from a shared RNG in global submission order (zero lookahead between
-// LPs), and the chunk pump round-trips through the receiver's progress
-// engine in 150 ns; both are proven incompatible with exact partitioned
-// execution (DESIGN.md §11). Run-level noise factors would partition
-// fine (they are drawn once before the run) but are zeroed too so a
-// deterministic model is deterministic end to end.
+// zeroed, per-transfer and run-level alike, so the model is
+// deterministic end to end, and rendezvous pipelining disabled
+// (single-shot hardware transfers). The scale experiments, the bundled
+// executor's validation and the tuner run on it.
 func (pf Platform) Deterministic() Platform {
 	pf.NetNoiseSigma = 0
 	pf.StorageNoiseSigma = 0
@@ -209,16 +205,12 @@ type Cluster struct {
 	Net      *simnet.Network
 	World    *mpi.World
 	FS       *simfs.FS
-	// Part is the LP partition of a parallel instantiation (nil for
-	// sequential clusters). Kernel is then LP 0's kernel; run the
-	// simulation with Part.Run instead of Kernel.Run.
-	Part *sim.Partition
 }
 
 // Instantiate builds a simulation of the platform running nprocs ranks,
 // seeded for reproducibility.
 func (pf Platform) Instantiate(nprocs int, seed int64) (*Cluster, error) {
-	return pf.build(nprocs, true, func(int) (substrate, error) {
+	return pf.build(nprocs, true, func() (substrate, error) {
 		if pf.NetModel == simnet.ModelFlow && pf.NetNoiseSigma != 0 {
 			return substrate{}, fmt.Errorf("platform: %s: flow network model requires NetNoiseSigma = 0 (use Deterministic())", pf.Name)
 		}
@@ -237,21 +229,20 @@ func (pf Platform) Instantiate(nprocs int, seed int64) (*Cluster, error) {
 }
 
 // substrate is what an Instantiate variant runs a cluster on: one
-// kernel, or a partition with one LP per node, plus the run-level
-// bandwidth factors of the network and the storage targets.
+// kernel, plus the run-level bandwidth factors of the network and the
+// storage targets.
 type substrate struct {
 	k           *sim.Kernel
-	part        *sim.Partition
 	netF, storF float64
 }
 
-// build is the one cluster builder behind Instantiate,
-// InstantiateParallel and InstantiateBundled. It checks the capacity,
-// sizes the machine (storage spans every node under NodeLocalStorage)
-// and hands the node count to prepare, which applies the variant's own
-// checks and returns the kernel or partition to build on. It then wires
-// the network, the file system and, with world, the MPI world.
-func (pf Platform) build(nprocs int, world bool, prepare func(nodes int) (substrate, error)) (*Cluster, error) {
+// build is the one cluster builder behind Instantiate and
+// InstantiateBundled. It checks the capacity, sizes the machine
+// (storage spans every node under NodeLocalStorage) and calls prepare,
+// which applies the variant's own checks and returns the kernel to
+// build on. It then wires the network, the file system and, with
+// world, the MPI world.
+func (pf Platform) build(nprocs int, world bool, prepare func() (substrate, error)) (*Cluster, error) {
 	if nprocs <= 0 {
 		return nil, fmt.Errorf("platform: nprocs must be positive, got %d", nprocs)
 	}
@@ -269,7 +260,7 @@ func (pf Platform) build(nprocs int, world bool, prepare func(nodes int) (substr
 		// (crill's BeeGFS is distributed over all 16 nodes).
 		nodes = pf.Nodes
 	}
-	l, err := prepare(nodes)
+	l, err := prepare()
 	if err != nil {
 		return nil, err
 	}
@@ -295,24 +286,13 @@ func (pf Platform) build(nprocs int, world bool, prepare func(nodes int) (substr
 	if pf.NodeLocalStorage {
 		fscfg.TargetNode = func(t int) int { return t % nodes }
 	}
-	cl := &Cluster{Platform: pf, Kernel: l.k, Part: l.part}
-	if l.part != nil {
-		cl.Kernel = l.part.Kernel(0)
-		cl.Net = simnet.NewPartitioned(l.part, netcfg)
-	} else {
-		cl.Net = simnet.New(l.k, netcfg)
-	}
+	cl := &Cluster{Platform: pf, Kernel: l.k, Net: simnet.New(l.k, netcfg)}
 	if world {
 		if cl.World, err = mpi.NewWorld(cl.Kernel, cl.Net, pf.mpiConfig(nprocs)); err != nil {
 			return nil, err
 		}
 	}
-	if l.part != nil {
-		cl.FS, err = simfs.NewPartitioned(l.part, cl.Net, fscfg)
-	} else {
-		cl.FS, err = simfs.New(l.k, cl.Net, fscfg)
-	}
-	if err != nil {
+	if cl.FS, err = simfs.New(l.k, cl.Net, fscfg); err != nil {
 		return nil, err
 	}
 	return cl, nil
@@ -332,50 +312,6 @@ func (pf Platform) mpiConfig(nprocs int) mpi.Config {
 	}
 	cfg.ProgressThread = pf.ProgressThread
 	return cfg
-}
-
-// Lookahead returns the conservative-parallel window width of the
-// platform: the smallest deterministic latency separating LPs. Every
-// cross-LP interaction is at least one inter-node wire latency, one
-// client-to-storage latency, or one storage per-op overhead away, so
-// events inside a [T, T+Lookahead) window on different LPs cannot
-// affect each other (the safety argument in DESIGN.md §11).
-func (pf Platform) Lookahead() sim.Time {
-	la := pf.InterLatency
-	if pf.StorageLatency < la {
-		la = pf.StorageLatency
-	}
-	if pf.TargetPerOp < la {
-		la = pf.TargetPerOp
-	}
-	return la
-}
-
-// InstantiateParallel builds a partitioned simulation of the platform:
-// one logical process per compute node (plus a storage LP when the
-// file system is external), conservatively synchronised in windows of
-// Lookahead(). Run it with Cluster.Part.Run(workers); results are
-// bit-identical to Instantiate on the same deterministic platform.
-// The platform must be noise-free with pipelining disabled (see
-// Deterministic) — anything else has cross-LP couplings below the
-// lookahead and is rejected rather than approximated.
-func (pf Platform) InstantiateParallel(nprocs int, seed int64) (*Cluster, error) {
-	return pf.build(nprocs, true, func(nodes int) (substrate, error) {
-		if pf.Noisy() {
-			return substrate{}, fmt.Errorf("platform: %s: partitioned execution requires a noise-free model (use Deterministic())", pf.Name)
-		}
-		if pf.RendezvousChunk >= 0 {
-			return substrate{}, fmt.Errorf("platform: %s: partitioned execution requires RendezvousChunk < 0 (use Deterministic())", pf.Name)
-		}
-		if pf.NetModel != simnet.ModelChunked {
-			return substrate{}, fmt.Errorf("platform: %s: partitioned execution requires the chunked network model (flow mode re-rates flows on other nodes at the instant of every arrival, zero lookahead)", pf.Name)
-		}
-		nlps := nodes
-		if !pf.NodeLocalStorage {
-			nlps++ // dedicated storage LP for external targets
-		}
-		return substrate{part: sim.NewPartition(seed, nlps, pf.Lookahead()), netF: 1, storF: 1}, nil
-	})
 }
 
 // ScaledTo returns a copy of the platform grown to hold nprocs ranks:
@@ -404,7 +340,7 @@ func (pf Platform) ScaledTo(nprocs int) Platform {
 // bundled path models collective ladders in closed form, which is only
 // exact relative to a deterministic machine.
 func (pf Platform) InstantiateBundled(nprocs int, seed int64) (*Cluster, error) {
-	return pf.build(nprocs, false, func(int) (substrate, error) {
+	return pf.build(nprocs, false, func() (substrate, error) {
 		if pf.Noisy() {
 			return substrate{}, fmt.Errorf("platform: %s: bundled execution requires a noise-free model (use Deterministic())", pf.Name)
 		}

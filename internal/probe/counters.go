@@ -49,9 +49,6 @@ func OSTCounter(target int, what string) string {
 type Registry struct {
 	global  map[string]int64
 	perRank map[string]map[int]int64
-	// maxKeys marks counters written via SetMax: high-water marks fold
-	// across per-LP shard registries by max, everything else by sum.
-	maxKeys map[string]bool
 }
 
 // Add increments the aggregate counter name by v.
@@ -92,42 +89,8 @@ func (g *Registry) SetMax(name string, v int64) {
 	if g.global == nil {
 		g.global = make(map[string]int64)
 	}
-	if g.maxKeys == nil {
-		g.maxKeys = make(map[string]bool)
-	}
-	g.maxKeys[name] = true
 	if v > g.global[name] {
 		g.global[name] = v
-	}
-}
-
-// Merge folds another registry into g: counters the source wrote via
-// SetMax fold by max, all others (Add/AddRank) by sum. Both operations
-// are commutative and associative, so folding per-LP shard registries
-// in any order yields exactly the aggregate a sequential run computes.
-func (g *Registry) Merge(o *Registry) {
-	if g == nil || o == nil {
-		return
-	}
-	for name, v := range o.global {
-		if o.maxKeys[name] {
-			g.SetMax(name, v)
-		} else {
-			g.Add(name, v)
-		}
-	}
-	for name, ranks := range o.perRank {
-		for rank, v := range ranks {
-			if g.perRank == nil {
-				g.perRank = make(map[string]map[int]int64)
-			}
-			m := g.perRank[name]
-			if m == nil {
-				m = make(map[int]int64)
-				g.perRank[name] = m
-			}
-			m[rank] += v
-		}
 	}
 }
 

@@ -303,50 +303,6 @@ func (e Event) Name() string {
 type Probe struct {
 	events   []Event
 	counters Registry
-
-	// KeyFn, when set, tags each emitted event with an emission stamp
-	// of the scheduling context. The partitioned executor gives every LP
-	// its own shard probe with KeyFn bound to that LP kernel's
-	// EventStamp; MergeShards folds the shards back into the exact
-	// emission order of a sequential run. Sequential runs leave KeyFn
-	// nil.
-	KeyFn func() sim.Stamp
-	keys  []sim.Stamp
-}
-
-// MergeShards folds per-LP shard probes into dst: events appended in
-// emission-stamp order (the sequential emission order), counters by
-// Registry.Merge. Shards must have been emitted with KeyFn set and are
-// only mergeable after the partitioned run completes (stamps resolve
-// against the final global event order).
-func MergeShards(dst *Probe, shards []*Probe) {
-	if dst == nil {
-		return
-	}
-	idx := make([]int, len(shards))
-	for {
-		best := -1
-		var bestKey sim.Stamp
-		for s, p := range shards {
-			if p == nil || idx[s] >= len(p.keys) {
-				continue
-			}
-			k := p.keys[idx[s]]
-			if best < 0 || k.Before(bestKey) {
-				best, bestKey = s, k
-			}
-		}
-		if best < 0 {
-			break
-		}
-		dst.Emit(shards[best].events[idx[best]])
-		idx[best]++
-	}
-	for _, p := range shards {
-		if p != nil {
-			dst.counters.Merge(&p.counters)
-		}
-	}
 }
 
 // New returns an empty probe. The event log is preallocated: even a
@@ -365,9 +321,6 @@ func (p *Probe) Emit(ev Event) {
 		return
 	}
 	p.events = append(p.events, ev)
-	if p.KeyFn != nil {
-		p.keys = append(p.keys, p.KeyFn())
-	}
 }
 
 // Events returns the recorded events in emission order (nil on a nil

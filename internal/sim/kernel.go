@@ -61,7 +61,7 @@ func (t Time) String() string {
 // completion or arrival is its pooled *serverReq, and a completion
 // forward (Then, CompleteAfter) is the target *Future. Generic
 // callbacks go through Func. A two-word interface keeps the event at
-// 48 bytes: the heap moves events by value, and copy cost grows with
+// 32 bytes: the heap moves events by value, and copy cost grows with
 // every byte.
 //
 // Only this package implements Action. Other packages hand one over —
@@ -98,67 +98,16 @@ func (e *Event[T]) fire() { e.fn(e.obj) }
 // the kernel's queues, so scheduling allocates nothing for the event
 // itself.
 type event struct {
-	at      Time
-	schedAt Time // virtual time at which the event was scheduled
-	seq     int64
-	crec    *evRecord // execution record of the creating event (partitioned runs only)
-	act     Action
+	at  Time
+	seq int64
+	act Action
 }
 
-// evRecord is the execution record of one fired event in a partitioned
-// run. Events created while the record's event executes point at it via
-// event.crec, and ord stands in for the creator's position in the
-// global sequential order:
-//
-//   - While the event's window is still open, ord is the kernel's local
-//     execution index. Two records are only ever compared in this state
-//     when both creators executed in the current window, which (because
-//     cross-LP events always land in a later window) forces both onto
-//     the same LP — where local execution order IS sequential order.
-//   - At the window barrier the partition merges all executed records
-//     into the global sequential order and rewrites ord with the global
-//     sequence number, after which the record is comparable across LPs.
-//
-// Mixed comparisons (one ord local, one global) cannot reach the ord
-// field: they imply one creator executed in the current window and one
-// in an earlier window, so the events' schedAt values differ and decide
-// first. Records for scheduling done before Run (process spawns, model
-// construction) carry negative ords in construction order, below every
-// execution ord — matching the sequential rule that setup-created
-// events precede all execution-created events at equal key prefix.
-type evRecord struct {
-	at      Time
-	schedAt Time
-	seq     int64
-	crec    *evRecord
-	ord     int64
-}
-
-// before orders events by (time, schedule-time, creator order,
-// sequence).
-//
-// On a single sequential kernel crec is always nil and this is exactly
-// the historical (time, sequence) order: the clock is non-decreasing
-// while events are scheduled, so the sequence number is monotone in
-// schedAt and the extra fields never reorder anything. The refinement
-// matters only under partitioned execution, where events scheduled by
-// different LPs meet in one queue: same-instant events created at the
-// same instant are ordered by their creators' global execution order
-// (evRecord.ord), then by the creating kernel's sequence counter —
-// which is precisely the sequential kernel's creation order. That is
-// what makes the parallel run's event interleaving — and hence every
-// trace/probe digest — bit-identical to the sequential run.
+// before orders events by (time, sequence): same-instant events fire in
+// the order they were scheduled.
 func (e *event) before(o *event) bool {
 	if e.at != o.at {
 		return e.at < o.at
-	}
-	if e.schedAt != o.schedAt {
-		return e.schedAt < o.schedAt
-	}
-	if e.crec != o.crec {
-		if a, b := e.crec.ord, o.crec.ord; a != b {
-			return a < b
-		}
 	}
 	return e.seq < o.seq
 }
@@ -276,15 +225,13 @@ func (r *ring[T]) grow() {
 //
 // Pending events live in two parts. The lane holds those scheduled for
 // the current instant, in push order; the heap holds everything else.
-// Every heap event has at > schedAt (a zero-delay or clamped push goes
-// to the lane), so a heap event due now was scheduled before now and
-// precedes every lane event in (at, schedAt, ...) order. next therefore
-// drains heap events due now, then the lane, before time advances. Lane
-// events share at and schedAt, and their push order is their
-// (creator, seq) order: seq grows with every push, and under
-// partitioned execution the creator record's ord grows with every
-// fired event in the window. So the two parts pop in exactly event.before
-// order, the order a single heap would give.
+// Every heap event was pushed before its instant (a zero-delay or
+// clamped push goes to the lane), so a heap event due now was pushed
+// before now and has a smaller seq than every lane event.
+// next therefore drains heap events due now, then the lane, before time
+// advances. Lane events share at, and their push order is their seq
+// order. So the two parts pop in exactly event.before order, the order
+// a single heap would give.
 type Kernel struct {
 	now    Time
 	seq    int64
@@ -298,46 +245,20 @@ type Kernel struct {
 	// stopped is set by Stop; Run drains no further events.
 	stopped bool
 
-	// ObserveDepth, if non-nil, is called by the sequential Run loop
-	// after each fired event with the current virtual time and the
-	// remaining event-queue depth. Observation only (host-side appends;
-	// no scheduling, no randomness). The partitioned executor does not
-	// call it — per-LP queue depth describes the execution engine, not
-	// the modelled system, and has no sequential counterpart.
+	// ObserveDepth, if non-nil, is called by Run after each fired event
+	// with the current virtual time and the remaining event-queue depth.
+	// Observation only (host-side appends; no scheduling, no
+	// randomness).
 	ObserveDepth func(at Time, depth int)
 
-	// lp and part identify this kernel as one logical process of a
-	// partitioned run (see parallel.go). Both stay zero/nil for an
-	// ordinary sequential kernel.
-	lp   int32
-	part *Partition
-
-	// curRec is the execution record of the event being fired,
-	// maintained by runWindow: events scheduled during the firing are
-	// stamped with it (push), and shard buffers (trace, probe) tag
-	// entries with it via EventStamp. Sequential Run skips the
-	// bookkeeping: nothing folds a single kernel's buffers.
-	curRec *evRecord
-	// fired counts fired events (Fired), which gives records their
-	// provisional within-window local order; emitSeq counts EventStamp
-	// emissions so same-event trace/probe entries keep their emission
-	// order through the merge.
-	fired   int64
-	emitSeq int64
-	// windowRecs lists the records of events fired in the current
-	// window, in execution order — one sorted stream of the barrier
-	// merge that assigns global sequence numbers (Partition.assignGseq).
-	windowRecs []*evRecord
-	// recSlab batch-allocates evRecords so the per-event record costs an
-	// allocation only every len(slab) events.
-	recSlab []evRecord
+	// fired counts fired events (Fired).
+	fired int64
 
 	// explain describes the open protocol state a deadlock leaves
 	// behind (Explain); nil when no model layer set it.
 	explain func() error
 
-	// reqs pools the server requests of every Server on this kernel
-	// (one pool per LP). A busy server turns over one request per
+	// reqs pools the server requests of every Server on this kernel. A busy server turns over one request per
 	// served operation; pooling them removes the dominant steady-state
 	// allocation of the DES hot path, and one pool per kernel warms up
 	// once per world rather than once per server. Requests return on
@@ -381,11 +302,7 @@ func (k *Kernel) push(t Time, e event) {
 	}
 	k.seq++
 	e.at = t
-	e.schedAt = k.now
 	e.seq = k.seq
-	if k.part != nil {
-		e.crec = k.creator()
-	}
 	if t == k.now {
 		k.lane.push(e)
 	} else {
@@ -401,27 +318,6 @@ func (k *Kernel) next() event {
 		return k.lane.pop()
 	}
 	return k.events.popMin()
-}
-
-// creator returns the record the event being scheduled should carry: the
-// record of the currently firing event, or — during model construction,
-// before Run — a fresh setup record whose ord precedes every execution
-// ord.
-func (k *Kernel) creator() *evRecord {
-	if k.curRec != nil {
-		return k.curRec
-	}
-	return k.part.setupStamp()
-}
-
-// newRecord slab-allocates the execution record for one fired event.
-func (k *Kernel) newRecord() *evRecord {
-	if len(k.recSlab) == 0 {
-		k.recSlab = make([]evRecord, 512)
-	}
-	rec := &k.recSlab[0]
-	k.recSlab = k.recSlab[1:]
-	return rec
 }
 
 // At schedules fn to run at absolute virtual time t (clamped to now).
@@ -521,107 +417,4 @@ func (k *Kernel) releaseAction(a Action) {
 	if req, ok := a.(*serverReq); ok {
 		k.releaseReq(req)
 	}
-}
-
-// peek returns the timestamp of the earliest pending event.
-func (k *Kernel) peek() (Time, bool) {
-	switch {
-	case k.stopped:
-		return 0, false
-	case k.lane.n > 0:
-		return k.now, true
-	case len(k.events) > 0:
-		return k.events[0].at, true
-	}
-	return 0, false
-}
-
-// dueBefore reports whether an event is pending before horizon. It
-// ignores Stop: a worker asks it of an LP before claiming the LP's
-// window, when another LP's event may be stopping the partition.
-func (k *Kernel) dueBefore(horizon Time) bool {
-	if k.lane.n > 0 {
-		return k.now < horizon
-	}
-	return len(k.events) > 0 && k.events[0].at < horizon
-}
-
-// runWindow fires events in key order until the queue is empty or the
-// earliest event lies at or beyond horizon. It is the per-LP inner loop
-// of the partitioned executor: the Partition guarantees that no other
-// LP can schedule an event for this kernel before horizon, so the
-// window is safe to run without synchronisation. Every fired event gets
-// an execution record (provisionally ordered by the local execution
-// index) that the barrier merge promotes to the global sequential
-// order; events and shard-buffer entries created during the firing are
-// stamped with it.
-func (k *Kernel) runWindow(horizon Time) {
-	for !k.stopped && k.dueBefore(horizon) {
-		e := k.next()
-		k.now = e.at
-		rec := k.newRecord()
-		rec.at = e.at
-		rec.schedAt = e.schedAt
-		rec.seq = e.seq
-		rec.crec = e.crec
-		k.fired++
-		rec.ord = k.fired
-		k.curRec = rec
-		k.windowRecs = append(k.windowRecs, rec)
-		e.act.fire()
-	}
-}
-
-// Stamp marks one emission point (a trace span, a probe event) inside a
-// partitioned run with the firing event's execution record and a
-// per-kernel emission counter. After the run completes — when every
-// record's ord holds its global sequence number — stamps from all LP
-// shards compare into exactly the sequential emission order.
-type Stamp struct {
-	rec  *evRecord
-	emit int64
-}
-
-// Before reports whether s's emission precedes t's in the reconstructed
-// sequential order. Only valid once the partitioned run has finished
-// (all ords are then global).
-func (s Stamp) Before(t Stamp) bool {
-	if s.rec != t.rec {
-		return s.rec.ord < t.rec.ord
-	}
-	return s.emit < t.emit
-}
-
-// EventStamp returns a fresh emission stamp tied to the event currently
-// being fired. Only meaningful inside a partitioned run (runWindow
-// maintains the record).
-func (k *Kernel) EventStamp() Stamp {
-	k.emitSeq++
-	return Stamp{rec: k.curRec, emit: k.emitSeq}
-}
-
-// ScheduleRemote schedules fn to run at absolute virtual time t on the
-// kernel of logical process dst. On a sequential kernel (or when dst is
-// the caller's own LP) this is just At. Across LPs the event is
-// buffered in the partition's mailbox and enters dst's queue at the
-// next window barrier, carrying the sender's full ordering key so the
-// merged order is identical to a sequential run. t must respect the
-// partition's lookahead: scheduling below the current window horizon is
-// a causality violation and panics.
-func (k *Kernel) ScheduleRemote(dst int, t Time, fn func()) {
-	p := k.part
-	if p == nil || int32(dst) == k.lp {
-		k.At(t, fn)
-		return
-	}
-	if t < k.now {
-		t = k.now
-	}
-	if t < p.horizon {
-		panic(fmt.Sprintf("sim: lookahead violation — LP %d scheduled an event on LP %d at t=%v inside window horizon %v", k.lp, dst, t, p.horizon))
-	}
-	k.seq++
-	p.mail[k.lp] = append(p.mail[k.lp], remoteEvent{
-		dst: int32(dst), at: t, schedAt: k.now, seq: k.seq, crec: k.creator(), fn: fn,
-	})
 }

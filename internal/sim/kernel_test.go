@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestEventOrdering(t *testing.T) {
@@ -246,23 +247,25 @@ func (*queueMark) fire() {}
 // TestQueueMatchesReferenceOrder checks the two-part queue against a
 // reference: with same-instant, clamped-to-now and later pushes
 // interleaved with pops, every pop must return the smallest pending
-// event by event.before, the order one heap over all events gives. The
-// partitioned variant stamps creator records the way runWindow does and
-// also injects cross-LP events the way Partition.flush does.
+// event in (at, seq) order, the order one heap over all events gives.
 func TestQueueMatchesReferenceOrder(t *testing.T) {
-	for _, partitioned := range []bool{false, true} {
-		for seed := int64(1); seed <= 20; seed++ {
-			checkQueueOrder(t, seed, partitioned)
-		}
+	for seed := int64(1); seed <= 20; seed++ {
+		checkQueueOrder(t, seed)
 	}
 }
 
-func checkQueueOrder(t *testing.T, seed int64, partitioned bool) {
+// refBefore is the reference order, written out apart from
+// event.before: time, then scheduling sequence.
+func refBefore(a, b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+func checkQueueOrder(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	k := NewKernel(seed)
-	if partitioned {
-		k = NewPartition(seed, 1, 10).Kernel(0)
-	}
 	var ref []event
 	find := func(a Action) event {
 		for i := 0; i < k.lane.n; i++ {
@@ -285,41 +288,25 @@ func checkQueueOrder(t *testing.T, seed int64, partitioned bool) {
 			k.push(k.now, event{act: m})
 		case r < 4: // in the past: clamped to now
 			k.push(k.now-Time(1+rng.Intn(5)), event{act: m})
-		case r < 7 || !partitioned: // later, a few distinct instants
+		default: // later, a few distinct instants
 			k.push(k.now+Time(1+rng.Intn(4)), event{act: m})
-		default: // cross-LP, flushed straight into the heap
-			k.seq++
-			k.events.push(event{
-				at:      k.now + Time(1+rng.Intn(4)),
-				schedAt: k.now - Time(rng.Intn(3)),
-				seq:     k.seq,
-				crec:    &evRecord{ord: rng.Int63n(64)},
-				act:     m,
-			})
 		}
 		ref = append(ref, find(m))
 	}
 	pop := func() {
 		min := 0
 		for i := range ref {
-			if ref[i].before(&ref[min]) {
+			if refBefore(&ref[i], &ref[min]) {
 				min = i
 			}
 		}
 		e := k.next()
 		if e.act != ref[min].act {
-			t.Fatalf("seed %d partitioned=%v: popped (at %v, schedAt %v, seq %d), reference order wants (at %v, schedAt %v, seq %d)",
-				seed, partitioned, e.at, e.schedAt, e.seq, ref[min].at, ref[min].schedAt, ref[min].seq)
+			t.Fatalf("seed %d: popped (at %v, seq %d), reference order wants (at %v, seq %d)",
+				seed, e.at, e.seq, ref[min].at, ref[min].seq)
 		}
 		ref = append(ref[:min], ref[min+1:]...)
 		k.now = e.at
-		if partitioned {
-			rec := k.newRecord()
-			rec.at, rec.schedAt, rec.seq, rec.crec = e.at, e.schedAt, e.seq, e.crec
-			k.fired++
-			rec.ord = k.fired
-			k.curRec = rec
-		}
 	}
 	for step := 0; step < 4000; step++ {
 		if len(ref) == 0 || rng.Intn(5) < 3 {
@@ -333,6 +320,14 @@ func checkQueueOrder(t *testing.T, seed int64, partitioned bool) {
 	}
 	for len(ref) > 0 {
 		pop()
+	}
+}
+
+// TestEventSize pins the queued event at 32 bytes: the heap moves
+// events by value, so every added field is paid on each sift.
+func TestEventSize(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n != 32 {
+		t.Fatalf("sizeof(event) = %d bytes, want 32", n)
 	}
 }
 

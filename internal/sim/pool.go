@@ -16,7 +16,7 @@ const slabBytes = 4 << 10
 // object once, when its slab is made, so an object's sim.Events are
 // bound for its whole life. The list is intrusive: link returns the
 // object's own free-list pointer field, so a free object costs no
-// memory beyond itself. A pool is touched by one LP only and takes no
+// memory beyond itself. A pool is touched by one kernel only and takes no
 // lock. It clears nothing: each type resets its object before it puts
 // it back, and that reset is what marks the object released (a pooled
 // type checks the mark wherever a handle may be used).

@@ -130,11 +130,9 @@ func (k *Kernel) InitServer(s *Server, bandwidth float64, perOp Time) {
 	*s = Server{k: k, Bandwidth: bandwidth, PerOp: perOp}
 }
 
-// ServiceTime returns the unperturbed service time for size bytes —
-// deterministic given the config, which is what lets partitioned
-// callers precompute a completion instant before service starts (the
-// precomputability-as-lookahead trick in simnet). Noise, when present,
-// perturbs the actual service on top of this value.
+// ServiceTime returns the unperturbed service time for size bytes.
+// Noise, when present, perturbs the actual service on top of this
+// value.
 func (s *Server) ServiceTime(size int64) Time {
 	d := s.PerOp
 	if s.Bandwidth > 0 && size > 0 {

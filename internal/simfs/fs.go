@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"iter"
 	"sort"
-	"sync"
 
 	"collio/internal/metrics"
 	"collio/internal/probe"
@@ -70,98 +69,32 @@ func (c *Config) validate() error {
 
 // FS is an instantiated file system.
 type FS struct {
+	k       *sim.Kernel
 	net     *simnet.Network
 	cfg     Config
 	targets []sim.Server
 	files   map[string]*File
 
-	// Each target's server lives on one LP. Partitioned, that is its
-	// hosting compute node's (crill-style node-local storage) or a
-	// dedicated storage LP appended after the compute nodes (ibex-style
-	// external storage); a sequential file system places every target on
-	// LP 0, the shared kernel. targetK/targetLP record the placement.
-	// Client-side events run on the client node's LP, which the network
-	// resolves (simnet.Network.LPFor, KernelFor).
-	part     *sim.Partition
-	targetK  []*sim.Kernel
-	targetLP []int
-
-	// shards holds each LP's host state: one for a sequential file
-	// system, one per partition LP otherwise. ostDepth caches each
-	// target's queue-occupancy gauge, and ostCtr its "bytes" and "ops"
-	// counter names (built when a probe is first attached), so the
-	// per-chunk observations make no map lookup and no string.
-	shards   []fsShard
+	// probe and met are the sinks (SetSinks). chunks pools the stripe
+	// chunks; its live count is those taken and not returned. ostDepth
+	// caches each target's queue-occupancy gauge, and ostCtr its "bytes"
+	// and "ops" counter names (built when a probe is first attached), so
+	// the per-chunk observations make no map lookup and no string.
+	probe    *probe.Probe
+	met      *metrics.Metrics
+	chunks   sim.Pool[chunk]
 	ostDepth []*metrics.Gauge
 	ostCtr   [][2]string
 }
 
-// fsShard is one LP's sinks and the pool of the chunks its clients
-// issue, whose live count is those taken and not returned. Padded to a
-// cache line.
-type fsShard struct {
-	probe  *probe.Probe
-	met    *metrics.Metrics
-	chunks sim.Pool[chunk]
-	_      [16]byte
-}
-
 // New creates a file system whose chunk traffic shares the given
-// network's client NICs: one LP, every target on kernel k.
+// network's client NICs, with every target on kernel k.
 func New(k *sim.Kernel, net *simnet.Network, cfg Config) (*FS, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return newFS(net, cfg, nil, 1, func(int) *sim.Kernel { return k }, func(int) int { return 0 })
-}
-
-// StorageLP returns the LP index a partitioned file system with
-// external storage places its targets on: the LP after the last compute
-// node. Platform code sizes the partition accordingly.
-func StorageLP(net *simnet.Network) int { return net.NumNodes() }
-
-// NewPartitioned creates a file system whose storage targets live on
-// their own LPs: node-local targets (TargetNode non-nil) on the hosting
-// node's kernel, external targets on the dedicated storage LP
-// StorageLP(net). Writes stay exact because both legs of the
-// client↔target exchange have deterministic, lookahead-deep latency:
-// the request rides NetLatency (>= the partition lookahead) to the
-// target, and the persistence ack is precomputed at service start —
-// service times are noise-free, so completion is known TargetPerOp (>=
-// lookahead) before it happens. TargetNoise would couple the target to
-// a shared RNG below the lookahead and is rejected; the read path
-// submits instantly at the target and is rejected at call time
-// (internal/exp falls back to sequential execution for both).
-func NewPartitioned(part *sim.Partition, net *simnet.Network, cfg Config) (*FS, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if cfg.TargetNoise != nil {
-		return nil, fmt.Errorf("simfs: TargetNoise requires sequential execution (shared-RNG draws have zero lookahead)")
-	}
-	if cfg.NetLatency < part.Lookahead() {
-		return nil, fmt.Errorf("simfs: NetLatency %v below partition lookahead %v", cfg.NetLatency, part.Lookahead())
-	}
-	if cfg.TargetPerOp < part.Lookahead() {
-		return nil, fmt.Errorf("simfs: TargetPerOp %v below partition lookahead %v (ack precomputation needs it)", cfg.TargetPerOp, part.Lookahead())
-	}
-	return newFS(net, cfg, part, part.NKernels(), part.Kernel, func(i int) int {
-		if cfg.TargetNode != nil {
-			return cfg.TargetNode(i)
-		}
-		return StorageLP(net)
-	})
-}
-
-// newFS places target i on LP targetLP(i) of nlps, whose kernel is
-// kernel(lp). LP 0's kernel owns the file system.
-func newFS(net *simnet.Network, cfg Config, part *sim.Partition, nlps int, kernel func(lp int) *sim.Kernel, targetLP func(i int) int) (*FS, error) {
-	k := kernel(0)
-	fs := &FS{net: net, cfg: cfg, files: make(map[string]*File), part: part, shards: make([]fsShard, nlps), ostDepth: make([]*metrics.Gauge, cfg.NumTargets)}
-	bind := fs.bindChunk
-	for i := range fs.shards {
-		fs.shards[i].chunks = sim.NewPool(func(c *chunk) **chunk { return &c.next }, bind)
-	}
+	fs := &FS{k: k, net: net, cfg: cfg, files: make(map[string]*File), ostDepth: make([]*metrics.Gauge, cfg.NumTargets)}
+	fs.chunks = sim.NewPool(func(c *chunk) **chunk { return &c.next }, bindChunk)
 	var noise func() float64
 	if cfg.TargetNoise != nil {
 		draw := k.Rand().Float64 // one method value, not one per service
@@ -169,15 +102,8 @@ func newFS(net *simnet.Network, cfg Config, part *sim.Partition, nlps int, kerne
 	}
 	fs.targets = make([]sim.Server, cfg.NumTargets)
 	for i := range fs.targets {
-		lp := targetLP(i)
-		if lp >= nlps {
-			return nil, fmt.Errorf("simfs: target %d needs LP %d, partition has %d", i, lp, nlps)
-		}
-		tk := kernel(lp)
-		tk.InitServer(&fs.targets[i], cfg.TargetBandwidth, cfg.TargetPerOp)
+		k.InitServer(&fs.targets[i], cfg.TargetBandwidth, cfg.TargetPerOp)
 		fs.targets[i].Noise = noise
-		fs.targetK = append(fs.targetK, tk)
-		fs.targetLP = append(fs.targetLP, lp)
 	}
 	return fs, nil
 }
@@ -188,18 +114,16 @@ func (fs *FS) Config() Config { return fs.cfg }
 // NumTargets returns the storage-target count.
 func (fs *FS) NumTargets() int { return len(fs.targets) }
 
-// SetSinks attaches LP lp's observability sinks (nil detaches): probe p
-// receives the client-side events of the nodes on that LP and the
-// per-target counters and occupancy samples of the targets it hosts;
-// metrics m receives those targets' busy-time, queue-occupancy and
-// per-chunk service series plus the client-observed chunk latency of
-// every write and read issued there. A sequential file system is one
-// LP (lp 0); a partitioned one has node i on LP i and external targets
-// on StorageLP. Recording is host-side appends at instants the chunk
-// path already visits, plus one zero-delay latency event per chunk —
-// timing and digests are unchanged.
-func (fs *FS) SetSinks(lp int, p *probe.Probe, m *metrics.Metrics) {
-	fs.shards[lp].probe, fs.shards[lp].met = p, m
+// SetSinks attaches the file system's observability sinks (nil
+// detaches): probe p receives the client-side events and the
+// per-target counters and occupancy samples; metrics m receives the
+// targets' busy-time, queue-occupancy and per-chunk service series plus
+// the client-observed chunk latency of every write and read.
+// Recording is host-side appends at instants the chunk path already
+// visits, plus one zero-delay latency event per chunk — timing and
+// digests are unchanged.
+func (fs *FS) SetSinks(p *probe.Probe, m *metrics.Metrics) {
+	fs.probe, fs.met = p, m
 	if p != nil && fs.ostCtr == nil {
 		fs.ostCtr = make([][2]string, len(fs.targets))
 		for i := range fs.ostCtr {
@@ -207,9 +131,6 @@ func (fs *FS) SetSinks(lp int, p *probe.Probe, m *metrics.Metrics) {
 		}
 	}
 	for i := range fs.targets {
-		if fs.targetLP[i] != lp {
-			continue
-		}
 		srv := &fs.targets[i]
 		srv.ObserveService, fs.ostDepth[i] = nil, nil
 		if m == nil {
@@ -227,11 +148,9 @@ func (fs *FS) SetSinks(lp int, p *probe.Probe, m *metrics.Metrics) {
 
 // sampleOSTQueue emits the occupancy sample for one stripe chunk: the
 // backlog the chunk finds when it reaches its storage target, just
-// before it enqueues. Sampling at arrival, on the target's own LP under
-// partitioned execution, reads only local server state, so the parallel
-// probe stream stays bit-identical to the sequential one.
+// before it enqueues.
 func (fs *FS) sampleOSTQueue(clientNode, target int, size int64) {
-	k, p := fs.targetK[target], fs.shards[fs.targetLP[target]].probe
+	k, p := fs.k, fs.probe
 	if g := fs.ostDepth[target]; g != nil {
 		// Occupancy including the arriving chunk (QueueDepth counts only
 		// once arrival delays have elapsed, and the chunk has not yet
@@ -267,13 +186,6 @@ type File struct {
 	fs   *FS
 	name string
 
-	// mu serialises host-side bookkeeping under partitioned execution,
-	// where write calls arrive concurrently from several LPs. The
-	// recorded state is order-independent (the merged extents are the
-	// union of the writes, whatever their order), so locking order never
-	// affects results. Sequential runs pay one uncontended lock per
-	// call.
-	mu      sync.Mutex
 	data    []byte   // sparse backing store, grown on demand (data mode)
 	written []extent // merged written ranges (both modes)
 }
@@ -335,35 +247,27 @@ func (f *File) startIO(dir *ioDir, clientNode int, off, size int64, buf []byte) 
 	}
 	fs := f.fs
 	if dir.read {
-		if fs.part != nil {
-			// The read path submits at the target instantly (zero
-			// lookahead from client to target); the exp-layer gate routes
-			// read specs to the sequential executor, so reaching here is a
-			// programming error.
-			panic("simfs: read path is not supported under partitioned execution")
-		}
 		if buf != nil && off < int64(len(f.data)) {
 			copy(buf, f.data[off:])
 		}
 	} else {
 		f.record(off, size, buf)
 	}
-	k := fs.net.KernelFor(clientNode)
-	sh := &fs.shards[fs.net.LPFor(clientNode)]
-	ctr := sh.probe.Counters()
+	k := fs.k
+	ctr := fs.probe.Counters()
 	ctr.Add(dir.ctrCalls, 1)
 	ctr.Add(dir.ctrBytes, size)
-	call := &ioCall{fs: fs, sh: sh, k: k, dir: dir, client: clientNode, off: off, size: size, t0: k.Now()}
+	call := &ioCall{fs: fs, dir: dir, client: clientNode, off: off, size: size, t0: k.Now()}
 	k.InitFuture(&call.out)
 	if size == 0 {
 		k.CompleteAfter(fs.cfg.ClientPerOp, &call.out)
-	} else if sh.met != nil {
-		call.lat = sh.met.Hist(metrics.ChunkLatency)
+	} else if fs.met != nil {
+		call.lat = fs.met.Hist(metrics.ChunkLatency)
 	}
 	for ch := range f.chunkify(off, size) {
 		tgt := f.targetFor(ch.off)
 		n := ch.end - ch.off
-		if sh.probe != nil {
+		if fs.probe != nil {
 			ctr.Add(fs.ostCtr[tgt][0], n) // the per-OST counters
 			ctr.Add(fs.ostCtr[tgt][1], 1)
 		}
@@ -379,7 +283,7 @@ func (f *File) startIO(dir *ioDir, clientNode int, off, size int64, buf []byte) 
 			fs.net.TxServer(clientNode).SubmitFlowOnStartTo(&c.leg1, call, n, nil)
 		}
 	}
-	if sh.probe != nil {
+	if fs.probe != nil {
 		call.emit = sim.NewEvent(call, (*ioCall).emitSpan)
 		call.out.Then(&call.emit)
 	}
@@ -388,15 +292,14 @@ func (f *File) startIO(dir *ioDir, clientNode int, off, size int64, buf []byte) 
 
 // ioCall is one file-system call in flight: its completion, the count
 // of its chunks still pending, the begin/end span it reports (emit,
-// with a probe) and the chunk-latency histogram (lat, with metrics). It is also the flow its chunks share on the client
-// NIC, so they stream in order without starving concurrent transfers.
+// with a probe) and the chunk-latency histogram (lat, with metrics). It
+// is also the flow its chunks share on the client NIC, so they stream
+// in order without starving concurrent transfers.
 type ioCall struct {
 	out     sim.Future
 	pending int
 
 	fs     *FS
-	sh     *fsShard // the client LP's shard
-	k      *sim.Kernel
 	dir    *ioDir
 	client int
 	off    int64
@@ -409,13 +312,13 @@ type ioCall struct {
 // emitSpan reports the call's span. Rank is the client *node* (the fs
 // layer has no rank notion); V carries the file offset.
 func (c *ioCall) emitSpan() {
-	c.sh.probe.Emit(probe.Event{
-		At: c.t0, Dur: c.k.Now() - c.t0, Layer: probe.LayerFS, Kind: c.dir.kind,
+	c.fs.probe.Emit(probe.Event{
+		At: c.t0, Dur: c.fs.k.Now() - c.t0, Layer: probe.LayerFS, Kind: c.dir.kind,
 		Rank: c.client, Peer: -1, Cycle: -1, Size: c.size, V: c.off,
 	})
 }
 
-// chunk is one stripe chunk in flight, pooled per client LP. It is
+// chunk is one stripe chunk in flight, pooled. It is
 // every action of its own event chain, each a sim.Event bound when the
 // chunk's pool slab is made. leg1 ends the first leg (a write's NIC
 // inject, a read's target service) and relays, one hop later, to the
@@ -425,45 +328,37 @@ func (c *ioCall) emitSpan() {
 // target future forwarded into its own — and schedules the latency
 // record (with metrics) and join, the last event, which counts the call
 // down and returns the chunk to its pool. A node-local chunk is one
-// delayed submit at its target. A partitioned write crosses to the
-// target's LP where the sequential arrival runs, and ack ships persisted
-// back at service start; both ride Kernel.ScheduleRemote, which takes a
-// func, as method values bound with the events.
+// delayed submit at its target.
 type chunk struct {
 	call *ioCall
 	tgt  int
 	n    int64
 	hops int
 
-	leg1, relay, arrive, ack, persisted, record, join sim.Event[chunk]
-	crossFn, persistFn                                func()
+	leg1, relay, arrive, persisted, record, join sim.Event[chunk]
 
 	next *chunk // pool link, nil while the chunk is live
 }
 
 // bindChunk binds a new chunk's actions, once, as its pool slab is made.
-func (fs *FS) bindChunk(c *chunk) {
+func bindChunk(c *chunk) {
 	c.leg1 = sim.NewEvent(c, (*chunk).relayNext)
 	c.relay = sim.NewEvent(c, (*chunk).startLeg2)
 	c.arrive = sim.NewEvent(c, (*chunk).sample)
-	c.ack = sim.NewEvent(c, (*chunk).sendAck)
 	c.persisted = sim.NewEvent(c, (*chunk).persist)
 	c.record = sim.NewEvent(c, (*chunk).recordLatency)
 	c.join = sim.NewEvent(c, (*chunk).done)
-	if fs.part != nil {
-		c.crossFn, c.persistFn = c.cross, c.persist
-	}
 }
 
-// newChunk takes a chunk for the call from its client LP's pool.
+// newChunk takes a chunk for the call from the pool.
 func (call *ioCall) newChunk(tgt int, n int64) *chunk {
-	c := call.sh.chunks.Get()
+	c := call.fs.chunks.Get()
 	call.pending++
 	c.call, c.tgt, c.n, c.hops = call, tgt, n, 1
 	return c
 }
 
-func (c *chunk) relayNext() { c.call.k.AfterAction(0, &c.relay) }
+func (c *chunk) relayNext() { c.call.fs.k.AfterAction(0, &c.relay) }
 
 func (c *chunk) startLeg2() {
 	call := c.call
@@ -471,9 +366,6 @@ func (c *chunk) startLeg2() {
 	switch {
 	case call.dir.read:
 		fs.net.TxServer(call.client).SubmitFlowAfterOnArriveTo(&c.persisted, call, lat, c.n, nil)
-	case fs.part != nil:
-		c.hops = 0
-		call.k.ScheduleRemote(fs.targetLP[c.tgt], call.k.Now()+lat, c.crossFn)
 	default:
 		fs.targets[c.tgt].SubmitFlowAfterOnArriveTo(&c.persisted, nil, lat, c.n, &c.arrive)
 	}
@@ -481,26 +373,8 @@ func (c *chunk) startLeg2() {
 
 func (c *chunk) sample() { c.call.fs.sampleOSTQueue(c.call.client, c.tgt, c.n) }
 
-// cross is a partitioned write chunk's arrival on its target's LP. Its
-// service end has nothing left to do: sendAck already shipped it.
-func (c *chunk) cross() {
-	c.sample()
-	c.call.fs.targets[c.tgt].SubmitFlowOnStartTo(acked, nil, c.n, &c.ack)
-}
-
-var acked = sim.Func(func() {})
-
-// sendAck runs on the target's LP as a partitioned write chunk enters
-// service. Service times are noise-free, so the completion instant
-// start+d is known a full TargetPerOp (>= lookahead) ahead, and
-// persisted is shipped to the client's LP as a future-stamped event.
-func (c *chunk) sendAck() {
-	fs, tk := c.call.fs, c.call.fs.targetK[c.tgt]
-	tk.ScheduleRemote(fs.net.LPFor(c.call.client), tk.Now()+fs.targets[c.tgt].ServiceTime(c.n), c.persistFn)
-}
-
 func (c *chunk) persist() {
-	k := c.call.k
+	k := c.call.fs.k
 	if c.hops > 0 {
 		c.hops--
 		k.AfterAction(0, &c.persisted)
@@ -513,27 +387,21 @@ func (c *chunk) persist() {
 }
 
 // recordLatency records the client-observed submit-to-persist latency.
-func (c *chunk) recordLatency() { c.call.lat.Record(int64(c.call.k.Now() - c.call.t0)) }
+func (c *chunk) recordLatency() { c.call.lat.Record(int64(c.call.fs.k.Now() - c.call.t0)) }
 
 func (c *chunk) done() {
 	call := c.call
 	c.call = nil
-	call.sh.chunks.Put(c)
+	call.fs.chunks.Put(c)
 	if call.pending--; call.pending == 0 {
 		call.out.Complete()
 	}
 }
 
-// LiveChunks returns the number of stripe chunks taken from the pools
+// LiveChunks returns the number of stripe chunks taken from the pool
 // and not yet returned: zero once every call has completed. Read it
 // after the run, not from inside one.
-func (fs *FS) LiveChunks() int {
-	live := 0
-	for i := range fs.shards {
-		live += fs.shards[i].chunks.Live()
-	}
-	return live
-}
+func (fs *FS) LiveChunks() int { return fs.chunks.Live() }
 
 // Write performs a synchronous write from process p running on
 // clientNode. The process blocks until the data is persisted. The caller
@@ -554,8 +422,6 @@ func (f *File) AIOWrite(clientNode int, off, size int64, data []byte) *sim.Futur
 
 // record stores data and tracks written ranges.
 func (f *File) record(off, size int64, data []byte) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if size == 0 {
 		return
 	}

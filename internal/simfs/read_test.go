@@ -91,7 +91,7 @@ func TestReadDataRoundTrip(t *testing.T) {
 func TestZeroSizeRead(t *testing.T) {
 	k, _, fs := testFS(t, 1, nil)
 	p := probe.New()
-	fs.SetSinks(0, p, nil)
+	fs.SetSinks(p, nil)
 	f := fs.Open("d")
 	var done sim.Time
 	k.Spawn("r", 0, func(pr *sim.Proc) {

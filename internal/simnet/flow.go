@@ -30,8 +30,7 @@ const (
 	// hierarchical pre-combine phase rides — is modeled under fluid
 	// semantics too. Transfers below Config.FlowMinBytes keep the exact
 	// path, where per-message latency behaviour matters most.
-	// Deterministic by construction; incompatible with LinkNoise and
-	// with partitioned execution.
+	// Deterministic by construction; incompatible with LinkNoise.
 	ModelFlow
 )
 

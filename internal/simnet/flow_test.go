@@ -107,7 +107,7 @@ func TestFlowArrivalRecomputesRates(t *testing.T) {
 func sendMilestones(n *Network, from, to int, size int64, offs []int64) (*Transfer, []*sim.Future) {
 	ms := make([]*sim.Future, len(offs))
 	for i := range ms {
-		ms[i] = newFuture(n.KernelFor(from))
+		ms[i] = newFuture(n.k)
 	}
 	return n.SendFlowMilestones(from, to, size, offs, ms), ms
 }
@@ -189,18 +189,6 @@ func TestFlowDeterminism(t *testing.T) {
 			t.Fatalf("flow mode nondeterministic at sample %d: %v vs %v", i, a[i], b[i])
 		}
 	}
-}
-
-func TestFlowPartitionedRejected(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewPartitioned accepted ModelFlow")
-		}
-	}()
-	part := sim.NewPartition(1, 2, sim.Microsecond)
-	NewPartitioned(part, Config{Nodes: 2, InterBandwidth: 1e9,
-		InterLatency: sim.Microsecond, IntraBandwidth: 5e9,
-		MemBandwidth: 10e9, NetModel: ModelFlow})
 }
 
 func TestFlowIndependentOfDisjointFlows(t *testing.T) {

@@ -35,11 +35,11 @@ func newFuture(k *sim.Kernel) *sim.Future {
 // keep forwards tr's completions into test-owned futures; an intra-node
 // transfer's single completion stays single.
 func keep(n *Network, tr *Transfer) sent {
-	s := sent{Injected: newFuture(n.KernelFor(tr.From))}
+	s := sent{Injected: newFuture(n.k)}
 	tr.Injected().Then(s.Injected)
 	s.Delivered = s.Injected
 	if tr.Delivered() != tr.Injected() {
-		s.Delivered = newFuture(n.KernelFor(tr.To))
+		s.Delivered = newFuture(n.k)
 		tr.Delivered().Then(s.Delivered)
 	}
 	return s
@@ -194,7 +194,7 @@ func TestStatsAccumulate(t *testing.T) {
 	k := sim.NewKernel(1)
 	n := New(k, testConfig())
 	p := probe.New()
-	n.SetSinks(0, p, nil)
+	n.SetSinks(p, nil)
 	n.Send(0, 1, 500)
 	n.Send(2, 2, 300)
 	k.Run()

@@ -107,9 +107,9 @@ func (c *Cache) Lookup(d exp.Digest) (exp.Result, bool) {
 // simulating at most once per digest process-wide: a warm digest
 // returns its memoized Result untouched (hit == true, bit-identical to
 // the run that populated it), a cold digest runs exp.Execute — with
-// whatever execution strategy the spec carries (JRun parallelism,
-// bundling); result-affecting fields are part of the digest, so any
-// strategy may populate the line — and memoizes the Result. Concurrent
+// whatever execution strategy the spec carries (bundling);
+// result-affecting fields are part of the digest, so any strategy may
+// populate the line — and memoizes the Result. Concurrent
 // cold calls on one digest coalesce onto a single simulation.
 func (c *Cache) EvalSpec(spec exp.Spec) (res exp.Result, hit bool, err error) {
 	cfg, err := spec.Config()

@@ -97,9 +97,8 @@ func TestConcurrentSelectSimulatesEachConfigOnce(t *testing.T) {
 
 // TestWarmEqualsColdAcrossExecutionStrategies: a warm query returns the
 // cold run's Result bit-identically, regardless of the sweep
-// parallelism (-j) or per-simulation parallelism (-jrun) of either
-// side — those knobs are absent from the digest because they are
-// result-preserving. The bundled executor is result-affecting, so its
+// parallelism (-j) of either side — that knob is absent from the
+// digest because it is result-preserving. The bundled executor is result-affecting, so its
 // queries occupy separate cache lines but obey the same warm==cold
 // contract.
 func TestWarmEqualsColdAcrossExecutionStrategies(t *testing.T) {
@@ -117,7 +116,6 @@ func TestWarmEqualsColdAcrossExecutionStrategies(t *testing.T) {
 	variants := []Options{
 		{Parallel: 1},
 		{Parallel: 4},
-		{Parallel: 4, JRun: 2},
 	}
 	for _, opts := range variants {
 		// Warm against the cold run's cache: everything hits, results

@@ -9,9 +9,9 @@
 // single simulation per grid point (single-flight).
 //
 // Sweeps fan over exp.ForEach, the same worker pool the evaluation
-// harness uses, so -j / -jrun / -bundle and the -progress heartbeat
-// all apply. Result-affecting execution strategy (bundling) is part of
-// the cache key; result-preserving strategy (JRun) is not, so warm
+// harness uses, so -j / -bundle and the -progress heartbeat all apply.
+// Result-affecting execution strategy (bundling) is part of the cache
+// key; result-preserving strategy (sweep parallelism) is not, so warm
 // answers are bit-identical to the cold run that populated them
 // regardless of how either was executed.
 package tune
@@ -33,7 +33,7 @@ type Space struct {
 	// Algorithms to try; empty means all five paper algorithms.
 	Algorithms []fcoll.Algorithm
 	// Primitives to try; empty means two-sided only (the paper's
-	// fastest family, and the only one eligible for -jrun/-bundle).
+	// fastest family, and the only one eligible for -bundle).
 	Primitives []fcoll.Primitive
 	// BufferSizes are collective-buffer sizes in bytes; empty means
 	// {16 MiB, 32 MiB}. A 0 entry is normalized to the 32 MiB ompio
@@ -62,8 +62,8 @@ func DefaultSpace() Space {
 }
 
 // FullSpace widens DefaultSpace to all three paper primitives — 30
-// points. One-sided points cannot bundle or partition, so full sweeps
-// run their one-sided slices sequentially regardless of -jrun.
+// points. One-sided points cannot bundle, so full sweeps run their
+// one-sided slices on the exact executor regardless of -bundle.
 func FullSpace() Space {
 	s := DefaultSpace()
 	s.Primitives = append([]fcoll.Primitive(nil), fcoll.Primitives...)
@@ -155,11 +155,6 @@ type Options struct {
 	// Parallel is the sweep worker count (exp.ForEach semantics:
 	// <= 0 means every core).
 	Parallel int
-	// JRun, when >= 1, runs each eligible simulation on the
-	// conservative parallel executor with that many workers. Results
-	// are bit-identical either way, so JRun is not part of the cache
-	// key.
-	JRun int
 	// Bundle requests the bundled cohort executor for eligible points
 	// (the 100k–1M-rank path). Bundled answers are tolerance-accurate,
 	// not exact, so Bundle IS part of the cache key: bundled and exact
@@ -257,9 +252,7 @@ func (t *Tuner) Select(gen workload.Generator, pf platform.Platform, nprocs int)
 	configs := t.opts.Space.Configs(base)
 	cands := make([]Candidate, len(configs))
 	exp.ForEach(t.opts.Parallel, len(configs), func(i int) {
-		spec := configs[i].Spec()
-		spec.JRun = t.opts.JRun
-		res, hit, err := t.cache.EvalSpec(spec)
+		res, hit, err := t.cache.EvalSpec(configs[i].Spec())
 		cands[i] = Candidate{Config: configs[i], Result: res, Hit: hit, Err: err}
 	})
 	sel := Selection{Candidates: cands}
