@@ -193,7 +193,7 @@ func (c Config) Digest() (Digest, error) {
 }
 
 // Spec expands the Config back into an executable Spec (no
-// instrumentation, sequential). Execute(c.Spec()) is the run the
+// instrumentation). Execute(c.Spec()) is the run the
 // Config identifies.
 func (c Config) Spec() Spec {
 	return Spec{

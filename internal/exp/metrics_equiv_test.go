@@ -30,15 +30,15 @@ func countersDump(p *probe.Probe) string {
 	return b.String()
 }
 
-// metricsMatrix is the workload × platform × seed grid of the
-// telemetry equivalence tests.
+// metricsCase is one cell of metricsMatrix.
 type metricsCase struct {
 	name string
 	spec Spec
 }
 
-func metricsMatrix(t *testing.T) []metricsCase {
-	t.Helper()
+// metricsMatrix is the workload × platform × seed grid of the
+// telemetry equivalence tests.
+func metricsMatrix() []metricsCase {
 	gens := []struct {
 		name string
 		gen  workload.Generator
@@ -88,7 +88,7 @@ func metricsMatrix(t *testing.T) []metricsCase {
 // already-existing futures), so any divergence here is a contract
 // violation, not noise.
 func TestMetricsDigestInvariance(t *testing.T) {
-	for _, tc := range metricsMatrix(t) {
+	for _, tc := range metricsMatrix() {
 		base := tc.spec
 		base.Trace = trace.New()
 		base.Probe = probe.New()

@@ -90,7 +90,7 @@ type Platform struct {
 	// NetModel selects the simnet transfer model: ModelChunked (zero
 	// value, the exact reference) or ModelFlow (fluid max-min fair
 	// sharing for bulk transfers). ModelFlow requires a noise-free
-	// network and sequential execution; see simnet.NetModel.
+	// network; see simnet.NetModel.
 	NetModel simnet.NetModel
 }
 
